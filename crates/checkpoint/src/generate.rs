@@ -33,6 +33,17 @@ pub struct CheckpointSet {
     pub total_intervals: u64,
 }
 
+/// The profiler's view of an interpreter: every basic block, recorded
+/// into the interval's BBV.
+impl nemu::CommitSink for BbvCollector {
+    fn granularity(&self) -> nemu::Granularity {
+        nemu::Granularity::Block
+    }
+    fn block(&mut self, pc: u64, len: u64) {
+        self.record(pc, len);
+    }
+}
+
 /// Generate SimPoint checkpoints for `program` using the default NEMU
 /// uop-cache tier as the profiling engine.
 ///
@@ -79,34 +90,22 @@ pub fn generate_checkpoints_with_ref(
     let mut boundaries: Vec<(ArchState, SparseMemory, u64)> =
         vec![(interp.hart().state.clone(), interp.mem_mut().clone(), 0)];
 
-    let mut block_pc = interp.hart().state.pc;
-    let mut block_len = 0u64;
     let mut executed = 0u64;
     while !interp.hart().is_halted() {
         assert!(executed < max_insts, "program did not halt while profiling");
-        let info = interp.step_one();
-        executed += 1;
-        block_len += 1;
-        let block_ended = info.inst.ends_block() || info.trap.is_some();
-        if block_ended {
-            bbv.record(block_pc, block_len);
-            block_pc = interp.hart().state.pc;
-            block_len = 0;
-        }
-        if executed % interval_len == 0 {
-            if block_len > 0 {
-                bbv.record(block_pc, block_len);
-                block_len = 0;
-                block_pc = interp.hart().state.pc;
-            }
+        // Fuel is what is left of the interval, so the tier's block
+        // stream breaks exactly at the boundary (the partial block is
+        // reported, the next call starts a fresh one at the resume pc).
+        let in_interval = bbv.instructions();
+        let fuel = (interval_len - in_interval).min(max_insts - executed);
+        interp.run_until(fuel, &mut bbv);
+        executed += bbv.instructions() - in_interval;
+        if bbv.instructions() == interval_len {
             vectors.push(bbv.finish());
             boundaries.push((interp.hart().state.clone(), interp.mem_mut().clone(), executed));
         }
     }
     // Final partial interval.
-    if block_len > 0 {
-        bbv.record(block_pc, block_len);
-    }
     if bbv.instructions() > 0 {
         vectors.push(bbv.finish());
     }
@@ -157,19 +156,16 @@ pub fn checkpoint_at_interval(
     let mut interp = nemu::registry::boot(ref_name, program)
         .unwrap_or_else(|| panic!("unknown profiling personality `{ref_name}`"));
     let target = interval * interval_len;
-    let mut executed = 0u64;
-    while executed < target {
-        assert!(
-            !interp.hart().is_halted(),
-            "program halted at {executed} instructions, before interval {interval}"
-        );
-        interp.step_one();
-        executed += 1;
-    }
+    let ran = interp.run(target);
+    assert!(
+        !interp.hart().is_halted() || ran.instructions == target,
+        "program halted at {} instructions, before interval {interval}",
+        ran.instructions
+    );
     Checkpoint {
         state: interp.hart().state.clone(),
         memory: interp.mem_mut().clone(),
-        instret: executed,
+        instret: target,
         weight: 0.0,
         members: 0,
         total_intervals: 0,

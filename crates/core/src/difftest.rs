@@ -99,7 +99,9 @@ impl RefModel for NemuRef {
 
 /// A runtime-selected REF personality: the bare architectural stepper
 /// (the default, and what [`NemuRef`] provides) or any interpreter from
-/// [`nemu::registry`] driven through its architectural single-step path.
+/// [`nemu::registry`] driven one commit at a time through `step_one()`
+/// (the caching tiers execute their cached decode there; only the
+/// default [`AnyRef::Arch`] is deliberately cache-free).
 ///
 /// Enum dispatch keeps [`RefModel`]'s `Clone` bound satisfiable (a
 /// `Box<dyn RefModel>` could not be), and makes the campaign `--ref`

@@ -287,7 +287,14 @@ pub struct RuleStats {
 impl RuleStats {
     /// Record one application of `rule`.
     pub fn record(&mut self, rule: DiffRule) {
-        *self.counts.entry(rule.name().to_string()).or_insert(0) += 1;
+        // Look up by `&str`: the name is allocated once per rule, not
+        // once per trigger.
+        match self.counts.get_mut(rule.name()) {
+            Some(n) => *n += 1,
+            None => {
+                self.counts.insert(rule.name().to_string(), 1);
+            }
+        }
     }
 
     /// Times `rule` was applied.

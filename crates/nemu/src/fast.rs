@@ -22,10 +22,10 @@
 //!   ([`riscv_isa::fpu`]) rather than softfloat.
 
 use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
-use crate::interp::{Interpreter, RunResult};
+use crate::interp::{self, CommitSink, Granularity, Interpreter, RunResult};
 use riscv_isa::exec::{branch_taken, int_compute, load_extend};
 use riscv_isa::fpu::fp_execute;
-use riscv_isa::mem::{PhysMem, SparseMemory};
+use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
 use std::collections::HashMap;
@@ -109,9 +109,15 @@ pub struct NemuStats {
 pub struct Nemu {
     hart: Hart,
     mem: SparseMemory,
+    /// Shadow GPR file of the fast loop (slot 32 swallows `x0` writes).
+    /// Live only inside [`Self::run_fast`]; `hart.state.gpr` is the
+    /// truth everywhere else.
     regs: [u64; 33],
     code: Vec<Uop>,
-    map: HashMap<u64, u32>,
+    map: HashMap<u64, u32, IntBuildHasher>,
+    /// Where the commit-granular path expects its next uop: the slot
+    /// after the one it last executed.
+    cursor: u32,
     capacity: usize,
     fast_mem: bool,
     /// Cache/trace statistics.
@@ -130,12 +136,22 @@ impl Nemu {
     /// Boot a program with an explicit uop-cache capacity.
     pub fn with_capacity(program: &riscv_isa::asm::Program, capacity: usize) -> Self {
         let (hart, mem) = crate::interp::boot(program);
+        Self::from_parts_with_capacity(hart, mem, capacity)
+    }
+
+    /// Construct directly from a hart + memory (checkpoint restore path).
+    pub fn from_parts(hart: Hart, mem: SparseMemory) -> Self {
+        Self::from_parts_with_capacity(hart, mem, Self::DEFAULT_CAPACITY)
+    }
+
+    fn from_parts_with_capacity(hart: Hart, mem: SparseMemory, capacity: usize) -> Self {
         let mut n = Nemu {
             hart,
             mem,
             regs: [0; 33],
             code: Vec::with_capacity(capacity),
-            map: HashMap::new(),
+            map: HashMap::default(),
+            cursor: 0,
             capacity,
             fast_mem: true,
             stats: NemuStats::default(),
@@ -144,25 +160,10 @@ impl Nemu {
         n
     }
 
-    /// Construct directly from a hart + memory (checkpoint restore path).
-    pub fn from_parts(hart: Hart, mem: SparseMemory) -> Self {
-        let mut n = Nemu {
-            hart,
-            mem,
-            regs: [0; 33],
-            code: Vec::with_capacity(Self::DEFAULT_CAPACITY),
-            map: HashMap::new(),
-            capacity: Self::DEFAULT_CAPACITY,
-            fast_mem: true,
-            stats: NemuStats::default(),
-        };
-        n.refresh_fast_mem();
-        n
-    }
-
-    /// Re-import architectural state after an external write to the hart
-    /// (DiffTest REF patches write `hart.state` directly; the shadow
-    /// register file must follow or the next sync would clobber them).
+    /// Re-import architectural state after an external write to the hart.
+    /// Every `run_until` call re-imports on entry, so this is only a
+    /// courtesy to callers that patch `hart.state` and want the shadow
+    /// file coherent at once.
     pub fn resync(&mut self) {
         self.sync_regs_from_hart();
     }
@@ -176,10 +177,14 @@ impl Nemu {
             && !self.hart.proxy_kernel_needs_slow();
     }
 
-    fn sync_regs_to_hart(&mut self) {
+    /// Leave the shadow domain: export the GPR file and credit the
+    /// `retired` instructions the fast loop executed since it entered.
+    fn sync_regs_to_hart(&mut self, retired: u64) {
         self.hart.state.gpr.copy_from_slice(&self.regs[..32]);
-        self.hart.state.csr.minstret = self.hart.instret;
-        self.hart.state.csr.mcycle = self.hart.instret;
+        self.hart.instret += retired;
+        let csr = &mut self.hart.state.csr;
+        csr.minstret = csr.minstret.wrapping_add(retired);
+        csr.mcycle = csr.mcycle.wrapping_add(retired);
     }
 
     fn sync_regs_from_hart(&mut self) {
@@ -256,22 +261,28 @@ impl Nemu {
         Some(head)
     }
 
-    fn lookup_or_fill(&mut self, pc: u64) -> Option<u32> {
-        if let Some(&u) = self.map.get(&pc) {
-            self.stats.uop_hits += 1;
-            return Some(u);
-        }
-        self.fill(pc)
+    /// The upc of an already-cached `pc`.
+    fn lookup(&mut self, pc: u64) -> Option<u32> {
+        let u = *self.map.get(&pc)?;
+        self.stats.uop_hits += 1;
+        Some(u)
     }
 
-    /// One slow-path architectural step (also used when the fast path is
-    /// unavailable). Returns true when execution may continue.
-    fn slow_step(&mut self) -> StepInfo {
-        self.sync_regs_to_hart();
+    fn lookup_or_fill(&mut self, pc: u64) -> Option<u32> {
+        self.lookup(pc).or_else(|| self.fill(pc))
+    }
+
+    /// One architectural step through [`hart::step`], followed by the
+    /// invalidation its system events call for.
+    fn arch_step(&mut self) -> StepInfo {
         let info = hart::step(&mut self.hart, &mut self.mem);
-        self.sync_regs_from_hart();
         self.stats.slow_steps += 1;
-        // System events invalidate cached translations/uops.
+        self.after_system_step(&info);
+        info
+    }
+
+    /// System events invalidate cached translations/uops.
+    fn after_system_step(&mut self, info: &StepInfo) {
         if matches!(
             info.inst.op,
             Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
@@ -281,23 +292,85 @@ impl Nemu {
             self.flush();
         }
         self.refresh_fast_mem();
+    }
+
+    /// A slow step taken from inside the fast loop: leave the shadow
+    /// domain (crediting the loop's `retired` count), step, re-enter.
+    fn slow_step(&mut self, retired: u64) -> StepInfo {
+        self.sync_regs_to_hart(retired);
+        let info = self.arch_step();
+        self.sync_regs_from_hart();
         info
     }
 
-    /// The fast execution loop; returns steps consumed.
-    fn run_fast(&mut self, max_steps: u64) -> u64 {
+    /// One step of the commit-granular path: `hart::execute` on the uop
+    /// cache's decoded instruction, directly on `hart.state` (no shadow
+    /// file). Falls back to [`hart::step`] when the uop cache cannot
+    /// serve the pc (translation active, odd pc) or a trap is pending.
+    fn commit_step(&mut self) -> StepInfo {
+        let pc = self.hart.state.pc;
+        if !self.fast_mem
+            || pc & 1 != 0
+            || self.hart.pending_injection.is_some()
+            || self.hart.state.csr.pending_interrupt().is_some()
+        {
+            return self.arch_step();
+        }
+        let upc = match self.code.get(self.cursor as usize) {
+            Some(u) if u.pc == pc && u.handler != Handler::Goto => self.cursor,
+            _ => self.lookup_or_fill(pc).expect("fast_mem holds, so fill succeeds"),
+        };
+        let Uop { handler, inst, .. } = self.code[upc as usize];
+        self.cursor = upc + 1;
+        let mut info = StepInfo::at(pc);
+        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
+        if handler == Handler::Slow || !retired {
+            self.after_system_step(&info);
+        }
+        info
+    }
+
+    /// The fast execution loop. With `BLOCKS`, `sink.block` hears every
+    /// basic block (from the control-flow handlers and the slow steps).
+    /// Out of line so that `run_until` stays a small dispatcher.
+    #[inline(never)]
+    fn run_fast<const BLOCKS: bool>(&mut self, max_steps: u64, sink: &mut dyn CommitSink) {
+        self.sync_regs_from_hart();
         let mut steps = 0u64;
+        // Instructions the loop retired that `hart.instret` has not been
+        // credited with yet (see `sync_regs_to_hart`).
+        let mut retired = 0u64;
+        let mut block_pc = self.hart.state.pc;
+        let mut block_mark = 0u64;
+        // The current block ends with the step just counted.
+        macro_rules! end_block {
+            ($next_pc:expr) => {
+                if BLOCKS {
+                    sink.block(block_pc, steps - block_mark);
+                    block_pc = $next_pc;
+                    block_mark = steps;
+                }
+            };
+        }
+        macro_rules! slow_step {
+            () => {{
+                let info = self.slow_step(retired);
+                retired = 0;
+                steps += 1;
+                if info.ends_block() {
+                    end_block!(self.hart.state.pc);
+                }
+            }};
+        }
         'outer: while steps < max_steps && !self.hart.is_halted() {
             if self.hart.pending_injection.is_some()
                 || self.hart.state.csr.pending_interrupt().is_some()
             {
-                self.slow_step();
-                steps += 1;
+                slow_step!();
                 continue;
             }
             let Some(mut upc) = self.lookup_or_fill(self.hart.state.pc) else {
-                self.slow_step();
-                steps += 1;
+                slow_step!();
                 continue;
             };
             // Tight dispatch loop: stays inside the uop cache until a
@@ -305,7 +378,22 @@ impl Nemu {
             while steps < max_steps {
                 let uop = self.code[upc as usize];
                 steps += 1;
-                self.hart.instret += 1;
+                retired += 1;
+                // Control transfer to `$target_pc`, which ends the block:
+                // on to `$next` when the target is cached, else through
+                // the outer loop.
+                macro_rules! transfer {
+                    ($next:expr, $target_pc:expr) => {{
+                        end_block!($target_pc);
+                        match $next {
+                            Some(u) => upc = u,
+                            None => {
+                                self.hart.state.pc = $target_pc;
+                                continue 'outer;
+                            }
+                        }
+                    }};
+                }
                 match uop.handler {
                     Handler::Li => {
                         self.regs[uop.rd as usize] = uop.imm as u64;
@@ -396,41 +484,17 @@ impl Nemu {
                     Handler::Jal => {
                         self.regs[uop.rd as usize] = uop.next_pc;
                         let target_pc = uop.pc.wrapping_add(uop.imm as u64);
-                        match self.chase(upc, target_pc, true) {
-                            Some(u) => upc = u,
-                            None => {
-                                self.hart.state.pc = target_pc;
-                                continue 'outer;
-                            }
-                        }
+                        transfer!(self.chase(upc, target_pc, true), target_pc);
                     }
                     Handler::Ret => {
                         let target_pc = self.regs[1] & !1;
-                        match self.map.get(&target_pc) {
-                            Some(&u) => {
-                                self.stats.uop_hits += 1;
-                                upc = u;
-                            }
-                            None => {
-                                self.hart.state.pc = target_pc;
-                                continue 'outer;
-                            }
-                        }
+                        transfer!(self.lookup(target_pc), target_pc);
                     }
                     Handler::Jalr => {
                         let target_pc =
                             self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
                         self.regs[uop.rd as usize] = uop.next_pc;
-                        match self.map.get(&target_pc) {
-                            Some(&u) => {
-                                self.stats.uop_hits += 1;
-                                upc = u;
-                            }
-                            None => {
-                                self.hart.state.pc = target_pc;
-                                continue 'outer;
-                            }
-                        }
+                        transfer!(self.lookup(target_pc), target_pc);
                     }
                     Handler::Branch => {
                         let a = self.regs[uop.rs1 as usize];
@@ -441,43 +505,35 @@ impl Nemu {
                         } else {
                             uop.next_pc
                         };
-                        match self.chase(upc, target_pc, taken) {
-                            Some(u) => upc = u,
-                            None => {
-                                self.hart.state.pc = target_pc;
-                                continue 'outer;
-                            }
-                        }
+                        transfer!(self.chase(upc, target_pc, taken), target_pc);
                     }
                     Handler::Goto => {
                         // Sentinel: no instruction executed, re-enter via
                         // the outer loop at the continuation pc.
                         steps -= 1;
-                        self.hart.instret -= 1;
+                        retired -= 1;
                         self.hart.state.pc = uop.pc;
                         continue 'outer;
                     }
                     Handler::Slow => {
-                        // Roll back the optimistic retire; slow_step
+                        // Take back the optimistic count; the slow step
                         // retires (or traps) architecturally.
-                        self.hart.instret -= 1;
+                        steps -= 1;
+                        retired -= 1;
                         self.hart.state.pc = uop.pc;
-                        self.slow_step();
-                        if self.hart.is_halted() {
-                            break 'outer;
-                        }
+                        slow_step!();
                         continue 'outer;
                     }
                 }
             }
             // Fuel exhausted inside the block: record the resume pc.
-            if steps >= max_steps {
-                self.hart.state.pc = self.code[upc as usize].pc;
-                break;
-            }
+            self.hart.state.pc = self.code[upc as usize].pc;
+            break;
         }
-        self.sync_regs_to_hart();
-        steps
+        if BLOCKS && steps > block_mark {
+            sink.block(block_pc, steps - block_mark);
+        }
+        self.sync_regs_to_hart(retired);
     }
 
     /// Follow (and memoize) a chained control-flow edge.
@@ -491,8 +547,7 @@ impl Nemu {
             self.stats.uop_hits += 1;
             return Some(cached);
         }
-        if let Some(&u) = self.map.get(&target_pc) {
-            self.stats.uop_hits += 1;
+        if let Some(u) = self.lookup(target_pc) {
             let slot = if taken_edge {
                 &mut self.code[upc as usize].target
             } else {
@@ -562,25 +617,15 @@ impl Interpreter for Nemu {
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
     }
-    fn step_one(&mut self) -> StepInfo {
-        // Single-step goes through the architectural slow path so that
-        // probes receive full commit information (this is how NEMU serves
-        // as the DiffTest REF).
-        self.sync_regs_to_hart();
-        let info = hart::step(&mut self.hart, &mut self.mem);
-        self.sync_regs_from_hart();
-        if matches!(info.inst.op, Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret)
-            || info.trap.is_some()
-        {
-            self.flush();
-        }
-        self.refresh_fast_mem();
-        info
-    }
-    fn run(&mut self, max_steps: u64) -> RunResult {
+    fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         let start = self.hart.instret;
-        self.sync_regs_from_hart();
-        self.run_fast(max_steps);
+        match sink.granularity() {
+            Granularity::Commit => {
+                return interp::drive(self, max_steps, Granularity::Commit, sink, Self::commit_step);
+            }
+            Granularity::Block => self.run_fast::<true>(max_steps, sink),
+            Granularity::Nothing => self.run_fast::<false>(max_steps, sink),
+        }
         RunResult {
             instructions: self.hart.instret - start,
             exit_code: self.hart.halted,

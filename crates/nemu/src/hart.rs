@@ -42,7 +42,7 @@ pub struct MemAccess {
 
 /// The observable outcome of stepping one instruction — the information an
 /// instruction-commit probe extracts (paper §III-B3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepInfo {
     /// PC of the instruction.
     pub pc: u64,
@@ -58,6 +58,27 @@ pub struct StepInfo {
     pub sc_failed: bool,
     /// True when the hart halted on this step.
     pub halted: bool,
+}
+
+impl StepInfo {
+    /// An empty record for the step about to execute at `pc`.
+    pub fn at(pc: u64) -> Self {
+        StepInfo {
+            pc,
+            inst: DecodedInst::default(),
+            trap: None,
+            wb: None,
+            mem: None,
+            sc_failed: false,
+            halted: false,
+        }
+    }
+
+    /// True when this step ends a BBV basic block: a control-flow or
+    /// system instruction ([`DecodedInst::ends_block`]) or any trap.
+    pub fn ends_block(&self) -> bool {
+        self.inst.ends_block() || self.trap.is_some()
+    }
 }
 
 /// Execution error: exception cause plus trap value.
@@ -183,17 +204,18 @@ pub fn fetch<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> Result<DecodedInst, Ex
     }
     let t = mmu::translate(mem, &hart.state.csr, pc, AccessType::Fetch)
         .map_err(|e| ExecError::new(e, pc))?;
+    if !crosses_page(pc, 4) {
+        return Ok(riscv_isa::decode(mem.fetch32(t.pa)));
+    }
+    // The last halfword of a page: the upper half, if there is one, sits
+    // behind its own translation.
     let low = mem.read_uint(t.pa, 2) as u32;
     if low & 3 != 3 {
         return Ok(riscv_isa::decode16(low as u16));
     }
-    let high = if crosses_page(pc, 4) {
-        let t2 = mmu::translate(mem, &hart.state.csr, pc + 2, AccessType::Fetch)
-            .map_err(|e| ExecError::new(e, pc + 2))?;
-        mem.read_uint(t2.pa, 2) as u32
-    } else {
-        mem.read_uint(t.pa + 2, 2) as u32
-    };
+    let t2 = mmu::translate(mem, &hart.state.csr, pc + 2, AccessType::Fetch)
+        .map_err(|e| ExecError::new(e, pc + 2))?;
+    let high = mem.read_uint(t2.pa, 2) as u32;
     Ok(riscv_isa::decode32((high << 16) | low))
 }
 
@@ -576,15 +598,7 @@ pub(crate) fn has_imm_operand(op: Op) -> bool {
 /// Returns the commit information for probes. Never panics on guest
 /// misbehavior — all faults become architectural traps.
 pub fn step<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> StepInfo {
-    let mut info = StepInfo {
-        pc: hart.state.pc,
-        inst: DecodedInst::default(),
-        trap: None,
-        wb: None,
-        mem: None,
-        sc_failed: false,
-        halted: false,
-    };
+    let mut info = StepInfo::at(hart.state.pc);
     if hart.is_halted() {
         info.halted = true;
         return info;
@@ -592,48 +606,59 @@ pub fn step<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> StepInfo {
     // Diff-rule hook: forced exception injection (e.g. the speculative
     // page-fault rule makes the REF take the DUT's fault).
     if let Some((cause, tval)) = hart.pending_injection.take() {
-        let trap = Trap::Exception(cause, tval);
-        let target = hart.state.csr.take_trap(trap, hart.state.pc);
-        hart.state.pc = target;
-        info.trap = Some(trap);
-        hart.state.csr.mcycle += 1;
+        take_trap(hart, Trap::Exception(cause, tval), &mut info);
         return info;
     }
     if let Some(irq) = hart.state.csr.pending_interrupt() {
-        let trap = Trap::Interrupt(irq);
-        let target = hart.state.csr.take_trap(trap, hart.state.pc);
-        hart.state.pc = target;
-        info.trap = Some(trap);
-        hart.state.csr.mcycle += 1;
+        take_trap(hart, Trap::Interrupt(irq), &mut info);
         return info;
     }
     match fetch(hart, mem) {
         Ok(d) => {
-            info.inst = d;
-            match execute(hart, mem, &d, &mut info) {
-                Ok(()) => {
-                    hart.instret += 1;
-                    hart.state.csr.minstret = hart.state.csr.minstret.wrapping_add(1);
-                    hart.state.csr.mcycle = hart.state.csr.mcycle.wrapping_add(1);
-                }
-                Err(e) => {
-                    let trap = Trap::Exception(e.cause, e.tval);
-                    let target = hart.state.csr.take_trap(trap, hart.state.pc);
-                    hart.state.pc = target;
-                    info.trap = Some(trap);
-                    hart.state.csr.mcycle = hart.state.csr.mcycle.wrapping_add(1);
-                }
-            }
+            execute_and_retire(hart, mem, &d, &mut info);
         }
-        Err(e) => {
-            let trap = Trap::Exception(e.cause, e.tval);
-            let target = hart.state.csr.take_trap(trap, hart.state.pc);
-            hart.state.pc = target;
-            info.trap = Some(trap);
-            hart.state.csr.mcycle = hart.state.csr.mcycle.wrapping_add(1);
-        }
+        Err(e) => take_trap(hart, Trap::Exception(e.cause, e.tval), &mut info),
     }
     info
+}
+
+/// The back half of [`step`] for a tier that already holds the decoded
+/// instruction at the current PC: execute it, then retire it (`instret`,
+/// `minstret`, `mcycle`) or enter the trap it raised. Returns whether it
+/// retired.
+#[inline]
+pub(crate) fn execute_and_retire<M: PhysMem>(
+    hart: &mut Hart,
+    mem: &mut M,
+    d: &DecodedInst,
+    info: &mut StepInfo,
+) -> bool {
+    info.inst = *d;
+    match execute(hart, mem, d, info) {
+        Ok(()) => {
+            retire(hart);
+            true
+        }
+        Err(e) => {
+            take_trap(hart, Trap::Exception(e.cause, e.tval), info);
+            false
+        }
+    }
+}
+
+/// Count one retired instruction (one cycle).
+#[inline]
+pub(crate) fn retire(hart: &mut Hart) {
+    hart.instret += 1;
+    hart.state.csr.minstret = hart.state.csr.minstret.wrapping_add(1);
+    hart.state.csr.mcycle = hart.state.csr.mcycle.wrapping_add(1);
+}
+
+/// Enter `trap` from the current PC (one cycle, nothing retires).
+pub(crate) fn take_trap(hart: &mut Hart, trap: Trap, info: &mut StepInfo) {
+    hart.state.pc = hart.state.csr.take_trap(trap, hart.state.pc);
+    hart.state.csr.mcycle = hart.state.csr.mcycle.wrapping_add(1);
+    info.trap = Some(trap);
 }
 
 #[cfg(test)]

@@ -9,13 +9,64 @@ use riscv_isa::mem::SparseMemory;
 use riscv_isa::op::{DecodedInst, Op};
 use riscv_isa::softfloat;
 
-/// Outcome of [`Interpreter::run`].
+/// Outcome of [`Interpreter::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunResult {
     /// Instructions retired during this run call.
     pub instructions: u64,
     /// Exit code if the program halted.
     pub exit_code: Option<u64>,
+}
+
+/// How much of the executed stream a [`CommitSink`] wants to see. A tier
+/// picks its execution loop from this: only [`Granularity::Commit`]
+/// forces instruction-at-a-time execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Granularity {
+    /// Nothing: only the architectural effect is wanted.
+    Nothing,
+    /// [`CommitSink::block`] once per BBV basic block.
+    Block,
+    /// [`CommitSink::commit`] with the full [`StepInfo`] of every step.
+    Commit,
+}
+
+/// The consumer side of [`Interpreter::run_until`].
+///
+/// A *block* is a maximal run of steps ending at a step for which
+/// [`StepInfo::ends_block`] holds (control flow, a system instruction,
+/// or a trap). When fuel runs out mid-block the steps executed so far
+/// are reported as a block of their own, and the next call starts a
+/// fresh block at the resume pc — so block lengths always sum to the
+/// steps executed.
+pub trait CommitSink {
+    /// What this sink needs to be told.
+    fn granularity(&self) -> Granularity;
+    /// A block of `len` steps that started at `pc` has ended.
+    fn block(&mut self, _pc: u64, _len: u64) {}
+    /// One step executed.
+    fn commit(&mut self, _info: &StepInfo) {}
+}
+
+/// The sink of [`Interpreter::run`]: wants nothing.
+struct NoSink;
+
+impl CommitSink for NoSink {
+    fn granularity(&self) -> Granularity {
+        Granularity::Nothing
+    }
+}
+
+/// The sink of [`Interpreter::step_one`]: keeps the last commit.
+struct LastCommit<'a>(&'a mut StepInfo);
+
+impl CommitSink for LastCommit<'_> {
+    fn granularity(&self) -> Granularity {
+        Granularity::Commit
+    }
+    fn commit(&mut self, info: &StepInfo) {
+        *self.0 = *info;
+    }
 }
 
 /// A whole-system RISC-V interpreter owning one hart and its memory.
@@ -28,24 +79,72 @@ pub trait Interpreter {
     fn hart_mut(&mut self) -> &mut Hart;
     /// The guest physical memory.
     fn mem_mut(&mut self) -> &mut SparseMemory;
-    /// Execute one instruction and report its commit information.
-    fn step_one(&mut self) -> StepInfo;
 
-    /// Run until halt or until `max_steps` steps execute.
+    /// Run until halt or until `max_steps` steps execute, reporting to
+    /// `sink` at the granularity it asks for.
     ///
     /// A step is one instruction or one trap entry, so a trap storm still
     /// consumes fuel; `instructions` in the result counts actual retires.
+    fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult;
+
+    /// [`Self::run_until`] with nothing observed: the tier's fastest path.
     fn run(&mut self, max_steps: u64) -> RunResult {
-        let start = self.hart().instret;
-        let mut steps = 0;
-        while steps < max_steps && !self.hart().is_halted() {
-            self.step_one();
-            steps += 1;
+        self.run_until(max_steps, &mut NoSink)
+    }
+
+    /// Execute one step and report its commit information (a halted hart
+    /// reports `halted` and executes nothing).
+    fn step_one(&mut self) -> StepInfo {
+        // What a halted hart reports; any step executed overwrites it.
+        let mut last = StepInfo {
+            halted: true,
+            ..StepInfo::at(self.hart().state.pc)
+        };
+        self.run_until(1, &mut LastCommit(&mut last));
+        last
+    }
+}
+
+/// [`Interpreter::run_until`] for a tier (or a tier's commit-granular
+/// path) that executes through a one-step function: blocks are derived
+/// from the [`StepInfo`] stream. `granularity` is the sink's.
+///
+/// Kept out of line: inlined into `step_one`, the record's copy into the
+/// caller's slot is split field by field and stalls on the stores that
+/// just built it, which costs a quarter of the stepping speed (measured).
+#[inline(never)]
+pub(crate) fn drive<I: Interpreter>(
+    interp: &mut I,
+    max_steps: u64,
+    granularity: Granularity,
+    sink: &mut dyn CommitSink,
+    mut step: impl FnMut(&mut I) -> StepInfo,
+) -> RunResult {
+    let start = interp.hart().instret;
+    let (mut block_pc, mut block_len) = (interp.hart().state.pc, 0u64);
+    let mut steps = 0;
+    while steps < max_steps && !interp.hart().is_halted() {
+        let info = step(interp);
+        steps += 1;
+        match granularity {
+            Granularity::Nothing => {}
+            Granularity::Commit => sink.commit(&info),
+            Granularity::Block => {
+                block_len += 1;
+                if info.ends_block() {
+                    sink.block(block_pc, block_len);
+                    block_pc = interp.hart().state.pc;
+                    block_len = 0;
+                }
+            }
         }
-        RunResult {
-            instructions: self.hart().instret - start,
-            exit_code: self.hart().halted,
-        }
+    }
+    if block_len > 0 {
+        sink.block(block_pc, block_len);
+    }
+    RunResult {
+        instructions: interp.hart().instret - start,
+        exit_code: interp.hart().halted,
     }
 }
 
@@ -89,8 +188,10 @@ impl Interpreter for DromajoLike {
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
     }
-    fn step_one(&mut self) -> StepInfo {
-        hart::step(&mut self.hart, &mut self.mem)
+    fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
+        drive(self, max_steps, sink.granularity(), sink, |i| {
+            hart::step(&mut i.hart, &mut i.mem)
+        })
     }
 }
 
@@ -167,6 +268,36 @@ impl SpikeLike {
         let inst = hart::fetch(&mut self.hart, &mut self.mem)?;
         self.cache[idx] = CacheEntry { tag: pc, inst };
         Ok(inst)
+    }
+
+    fn step(&mut self) -> StepInfo {
+        if self.hart.pending_injection.is_some() || self.hart.state.csr.pending_interrupt().is_some()
+        {
+            return hart::step(&mut self.hart, &mut self.mem);
+        }
+        let d = match self.lookup() {
+            Ok(d) => d,
+            Err(_) => return hart::step(&mut self.hart, &mut self.mem),
+        };
+        let mut info = StepInfo::at(self.hart.state.pc);
+        info.inst = d;
+        if execute_fp_soft(&mut self.hart, &d, &mut info) {
+            hart::retire(&mut self.hart);
+            return info;
+        }
+        match hart::execute(&mut self.hart, &mut self.mem, &d, &mut info) {
+            Ok(()) => {
+                hart::retire(&mut self.hart);
+                if matches!(d.op, Op::FenceI | Op::SfenceVma) {
+                    self.flush_cache();
+                }
+            }
+            Err(e) => {
+                let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
+                hart::take_trap(&mut self.hart, trap, &mut info);
+            }
+        }
+        info
     }
 
     fn flush_cache(&mut self) {
@@ -280,53 +411,8 @@ impl Interpreter for SpikeLike {
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
     }
-    fn step_one(&mut self) -> StepInfo {
-        let mut info = StepInfo {
-            pc: self.hart.state.pc,
-            inst: DecodedInst::default(),
-            trap: None,
-            wb: None,
-            mem: None,
-            sc_failed: false,
-            halted: false,
-        };
-        if self.hart.is_halted() {
-            info.halted = true;
-            return info;
-        }
-        if self.hart.pending_injection.is_some() || self.hart.state.csr.pending_interrupt().is_some()
-        {
-            return hart::step(&mut self.hart, &mut self.mem);
-        }
-        let d = match self.lookup() {
-            Ok(d) => d,
-            Err(_) => return hart::step(&mut self.hart, &mut self.mem),
-        };
-        info.inst = d;
-        if execute_fp_soft(&mut self.hart, &d, &mut info) {
-            self.hart.instret += 1;
-            self.hart.state.csr.minstret = self.hart.state.csr.minstret.wrapping_add(1);
-            self.hart.state.csr.mcycle = self.hart.state.csr.mcycle.wrapping_add(1);
-            return info;
-        }
-        match hart::execute(&mut self.hart, &mut self.mem, &d, &mut info) {
-            Ok(()) => {
-                self.hart.instret += 1;
-                self.hart.state.csr.minstret = self.hart.state.csr.minstret.wrapping_add(1);
-                self.hart.state.csr.mcycle = self.hart.state.csr.mcycle.wrapping_add(1);
-                if matches!(d.op, Op::FenceI | Op::SfenceVma) {
-                    self.flush_cache();
-                }
-            }
-            Err(e) => {
-                let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
-                let target = self.hart.state.csr.take_trap(trap, info.pc);
-                self.hart.state.pc = target;
-                self.hart.state.csr.mcycle = self.hart.state.csr.mcycle.wrapping_add(1);
-                info.trap = Some(trap);
-            }
-        }
-        info
+    fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
+        drive(self, max_steps, sink.granularity(), sink, Self::step)
     }
 }
 
@@ -368,6 +454,42 @@ impl QemuTciLike {
             scratch: [0; 4],
         }
     }
+
+    fn step(&mut self) -> StepInfo {
+        if self.hart.pending_injection.is_some() || self.hart.state.csr.pending_interrupt().is_some()
+        {
+            return hart::step(&mut self.hart, &mut self.mem);
+        }
+        let d = match hart::fetch(&mut self.hart, &mut self.mem) {
+            Ok(d) => d,
+            Err(_) => return hart::step(&mut self.hart, &mut self.mem),
+        };
+        let mut info = StepInfo::at(self.hart.state.pc);
+        info.inst = d;
+        // Lower into bytecode, then dispatch it.
+        let program = [TciOp::LoadOperands, TciOp::Exec, TciOp::Retire, TciOp::End];
+        let mut tpc = 0usize;
+        loop {
+            match program[tpc] {
+                TciOp::LoadOperands => {
+                    self.scratch[0] = self.hart.state.read_gpr(d.rs1);
+                    self.scratch[1] = self.hart.state.read_gpr(d.rs2);
+                    self.scratch[2] = d.imm as u64;
+                }
+                TciOp::Exec => {
+                    if let Err(e) = hart::execute(&mut self.hart, &mut self.mem, &d, &mut info) {
+                        let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
+                        hart::take_trap(&mut self.hart, trap, &mut info);
+                        return info;
+                    }
+                }
+                TciOp::Retire => hart::retire(&mut self.hart),
+                TciOp::End => break,
+            }
+            tpc += 1;
+        }
+        info
+    }
 }
 
 impl Interpreter for QemuTciLike {
@@ -383,64 +505,8 @@ impl Interpreter for QemuTciLike {
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
     }
-    fn step_one(&mut self) -> StepInfo {
-        let mut info = StepInfo {
-            pc: self.hart.state.pc,
-            inst: DecodedInst::default(),
-            trap: None,
-            wb: None,
-            mem: None,
-            sc_failed: false,
-            halted: false,
-        };
-        if self.hart.is_halted() {
-            info.halted = true;
-            return info;
-        }
-        if self.hart.pending_injection.is_some() || self.hart.state.csr.pending_interrupt().is_some()
-        {
-            return hart::step(&mut self.hart, &mut self.mem);
-        }
-        let d = match hart::fetch(&mut self.hart, &mut self.mem) {
-            Ok(d) => d,
-            Err(_) => return hart::step(&mut self.hart, &mut self.mem),
-        };
-        info.inst = d;
-        // Lower into bytecode, then dispatch it.
-        let program = [TciOp::LoadOperands, TciOp::Exec, TciOp::Retire, TciOp::End];
-        let mut tpc = 0usize;
-        loop {
-            match program[tpc] {
-                TciOp::LoadOperands => {
-                    self.scratch[0] = self.hart.state.read_gpr(d.rs1);
-                    self.scratch[1] = self.hart.state.read_gpr(d.rs2);
-                    self.scratch[2] = d.imm as u64;
-                }
-                TciOp::Exec => {
-                    match hart::execute(&mut self.hart, &mut self.mem, &d, &mut info) {
-                        Ok(()) => {}
-                        Err(e) => {
-                            let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
-                            let target = self.hart.state.csr.take_trap(trap, info.pc);
-                            self.hart.state.pc = target;
-                            self.hart.state.csr.mcycle =
-                                self.hart.state.csr.mcycle.wrapping_add(1);
-                            info.trap = Some(trap);
-                            return info;
-                        }
-                    }
-                }
-                TciOp::Retire => {
-                    self.hart.instret += 1;
-                    self.hart.state.csr.minstret =
-                        self.hart.state.csr.minstret.wrapping_add(1);
-                    self.hart.state.csr.mcycle = self.hart.state.csr.mcycle.wrapping_add(1);
-                }
-                TciOp::End => break,
-            }
-            tpc += 1;
-        }
-        info
+    fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
+        drive(self, max_steps, sink.granularity(), sink, Self::step)
     }
 }
 

@@ -14,9 +14,14 @@
 //! personalities; test tiers derive their sets from it.
 //!
 //! All five share the architectural semantics in [`hart`], so they agree
-//! instruction-for-instruction — which is also what makes [`Nemu`] (via
-//! its architectural slow path) an "easy-to-develop REF for DiffTest"
-//! exactly as the paper uses it.
+//! instruction-for-instruction — which is also what makes [`Nemu`] an
+//! "easy-to-develop REF for DiffTest" exactly as the paper uses it.
+//!
+//! One stepping contract serves every consumer:
+//! [`Interpreter::run_until`] executes under a fuel budget and reports to
+//! a [`CommitSink`] at the [`Granularity`] the sink asks for — nothing
+//! (`run()`), one `(block_pc, len)` per basic block (BBV profiling), or
+//! the full [`StepInfo`] of every step (`step_one()`, DiffTest).
 //!
 //! # Example
 //!
@@ -43,5 +48,7 @@ pub mod trace;
 
 pub use fast::{Nemu, NemuStats};
 pub use hart::{Hart, MemAccess, StepInfo};
-pub use interp::{boot, DromajoLike, Interpreter, QemuTciLike, RunResult, SpikeLike};
+pub use interp::{
+    boot, CommitSink, DromajoLike, Granularity, Interpreter, QemuTciLike, RunResult, SpikeLike,
+};
 pub use trace::{NemuTrace, TraceStats};

@@ -36,10 +36,10 @@
 //! that [`crate::fast::Nemu`]'s `chase` pays on every branch.
 
 use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
-use crate::interp::{Interpreter, RunResult};
+use crate::interp::{self, CommitSink, Granularity, Interpreter, RunResult};
 use riscv_isa::exec::int_compute;
 use riscv_isa::fpu::fp_execute;
-use riscv_isa::mem::{PhysMem, SparseMemory};
+use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
 use std::collections::HashMap;
@@ -184,9 +184,15 @@ pub struct TraceStats {
 pub struct NemuTrace {
     hart: Hart,
     mem: SparseMemory,
+    /// Shadow GPR file of the trace loop (slot 32 swallows `x0` writes).
+    /// Live only inside [`Self::run_fast`]; `hart.state.gpr` is the
+    /// truth everywhere else.
     regs: [u64; 33],
     code: Vec<TUop>,
-    map: HashMap<u64, u32>,
+    map: HashMap<u64, u32, IntBuildHasher>,
+    /// Where the commit-granular path expects its next uop: the slot
+    /// after the one it last executed.
+    cursor: u32,
     capacity: usize,
     /// Instruction fetch is untranslated: traces may be built/entered.
     fetch_fast: bool,
@@ -228,7 +234,8 @@ impl NemuTrace {
             mem,
             regs: [0; 33],
             code: Vec::with_capacity(capacity),
-            map: HashMap::new(),
+            map: HashMap::default(),
+            cursor: 0,
             capacity,
             fetch_fast: true,
             data_xlat: false,
@@ -239,14 +246,14 @@ impl NemuTrace {
             pending_patch: None,
             stats: TraceStats::default(),
         };
-        n.sync_regs_from_hart();
         n.refresh_modes();
         n
     }
 
-    /// Re-import architectural state after an external write to the hart
-    /// (DiffTest REF patches write `hart.state` directly; the shadow
-    /// register file must follow or the next sync would clobber them).
+    /// Re-import architectural state after an external write to the hart.
+    /// Every `run_until` call re-imports on entry, so this is only a
+    /// courtesy to callers that patch `hart.state` and want the shadow
+    /// file coherent at once.
     pub fn resync(&mut self) {
         self.sync_regs_from_hart();
     }
@@ -257,10 +264,14 @@ impl NemuTrace {
         self.data_xlat = mmu::translation_active(csr, AccessType::Load);
     }
 
-    fn sync_regs_to_hart(&mut self) {
+    /// Leave the shadow domain: export the GPR file and credit the
+    /// `retired` instructions the trace loop executed since it entered.
+    fn sync_regs_to_hart(&mut self, retired: u64) {
         self.hart.state.gpr.copy_from_slice(&self.regs[..32]);
-        self.hart.state.csr.minstret = self.hart.instret;
-        self.hart.state.csr.mcycle = self.hart.instret;
+        self.hart.instret += retired;
+        let csr = &mut self.hart.state.csr;
+        csr.minstret = csr.minstret.wrapping_add(retired);
+        csr.mcycle = csr.mcycle.wrapping_add(retired);
     }
 
     fn sync_regs_from_hart(&mut self) {
@@ -429,14 +440,17 @@ impl NemuTrace {
         Some(head)
     }
 
-    /// One slow-path architectural step (also used when the fast path is
-    /// unavailable).
-    fn slow_step(&mut self) -> StepInfo {
-        self.sync_regs_to_hart();
+    /// One architectural step through [`hart::step`], followed by the
+    /// invalidation its system events call for.
+    fn arch_step(&mut self) -> StepInfo {
         let info = hart::step(&mut self.hart, &mut self.mem);
-        self.sync_regs_from_hart();
         self.stats.slow_steps += 1;
-        // System events invalidate cached traces/translations.
+        self.after_system_step(&info);
+        info
+    }
+
+    /// System events invalidate cached traces/translations.
+    fn after_system_step(&mut self, info: &StepInfo) {
         if matches!(
             info.inst.op,
             Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
@@ -453,12 +467,80 @@ impl NemuTrace {
             self.clear_tlbs();
         }
         self.refresh_modes();
+    }
+
+    /// A slow step taken from inside the trace loop: leave the shadow
+    /// domain (crediting the loop's `retired` count), step, re-enter.
+    fn slow_step(&mut self, retired: u64) -> StepInfo {
+        self.sync_regs_to_hart(retired);
+        let info = self.arch_step();
+        self.sync_regs_from_hart();
         info
     }
 
-    /// The trace execution loop; returns steps consumed.
-    fn run_fast(&mut self, max_steps: u64) -> u64 {
+    /// One step of the commit-granular path: `hart::execute` on the
+    /// trace buffer's decoded instruction, directly on `hart.state` (no
+    /// shadow file, no micro-TLBs — `execute` translates for itself).
+    /// Falls back to [`hart::step`] when no trace can serve the pc
+    /// (fetch translation active, odd pc) or a trap is pending.
+    fn commit_step(&mut self) -> StepInfo {
+        let pc = self.hart.state.pc;
+        if !self.fetch_fast
+            || pc & 1 != 0
+            || self.hart.pending_injection.is_some()
+            || self.hart.state.csr.pending_interrupt().is_some()
+        {
+            return self.arch_step();
+        }
+        let upc = match self.code.get(self.cursor as usize) {
+            Some(u) if u.pc == pc && u.h < H_CHAIN => self.cursor,
+            _ => match self.map.get(&pc) {
+                Some(&u) => u,
+                None => self.fill(pc).expect("fetch_fast holds, so fill succeeds"),
+            },
+        };
+        let TUop { h, inst, .. } = self.code[upc as usize];
+        self.cursor = upc + 1;
+        let mut info = StepInfo::at(pc);
+        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
+        if h == H_SLOW || !retired {
+            self.after_system_step(&info);
+        }
+        info
+    }
+
+    /// The trace execution loop. With `BLOCKS`, `sink.block` hears every
+    /// basic block (from the control-flow handlers and the slow steps).
+    /// Out of line so that `run_until` stays a small dispatcher.
+    #[inline(never)]
+    fn run_fast<const BLOCKS: bool>(&mut self, max_steps: u64, sink: &mut dyn CommitSink) {
+        self.sync_regs_from_hart();
         let mut steps = 0u64;
+        // Instructions the loop retired that `hart.instret` has not been
+        // credited with yet (see `sync_regs_to_hart`).
+        let mut retired = 0u64;
+        let mut block_pc = self.hart.state.pc;
+        let mut block_mark = 0u64;
+        // The current block ends with the step just counted.
+        macro_rules! end_block {
+            ($next_pc:expr) => {
+                if BLOCKS {
+                    sink.block(block_pc, steps - block_mark);
+                    block_pc = $next_pc;
+                    block_mark = steps;
+                }
+            };
+        }
+        macro_rules! slow_step {
+            () => {{
+                let info = self.slow_step(retired);
+                retired = 0;
+                steps += 1;
+                if info.ends_block() {
+                    end_block!(self.hart.state.pc);
+                }
+            }};
+        }
         'outer: while steps < max_steps && !self.hart.is_halted() {
             if self.hart.pending_injection.is_some()
                 || self.hart.state.csr.pending_interrupt().is_some()
@@ -466,8 +548,7 @@ impl NemuTrace {
                 // Control is being redirected: the pending exit edge must
                 // not be patched with the trap vector's trace.
                 self.pending_patch = None;
-                self.slow_step();
-                steps += 1;
+                slow_step!();
                 continue;
             }
             let pc = self.hart.state.pc;
@@ -479,8 +560,7 @@ impl NemuTrace {
                     Some(u) => u,
                     None => {
                         self.pending_patch = None;
-                        self.slow_step();
-                        steps += 1;
+                        slow_step!();
                         continue;
                     }
                 }
@@ -507,18 +587,16 @@ impl NemuTrace {
             while steps < max_steps {
                 let uop = self.code[upc as usize];
                 steps += 1;
-                self.hart.instret += 1;
-                // Take the architectural path for this instruction: roll
-                // back the optimistic retire, then slow-step (which
+                retired += 1;
+                // Take the architectural path for this instruction: take
+                // back the optimistic count, then slow-step (which
                 // re-executes it, retiring or trapping with full state).
                 macro_rules! slow_exit {
                     () => {{
-                        self.hart.instret -= 1;
+                        steps -= 1;
+                        retired -= 1;
                         self.hart.state.pc = uop.pc;
-                        self.slow_step();
-                        if self.hart.is_halted() {
-                            break 'outer;
-                        }
+                        slow_step!();
                         continue 'outer;
                     }};
                 }
@@ -527,7 +605,9 @@ impl NemuTrace {
                 // when the taken target is unresolved.
                 macro_rules! branch {
                     ($taken:expr) => {{
-                        if $taken {
+                        let taken = $taken;
+                        end_block!(if taken { uop.tpc } else { uop.next_pc });
+                        if taken {
                             if uop.link != UNRESOLVED {
                                 self.stats.trace_hits += 1;
                                 upc = uop.link;
@@ -841,10 +921,12 @@ impl NemuTrace {
                         // The target's uops sit in the next slot: writing
                         // the link register is all a direct jump costs.
                         self.regs[uop.rd as usize] = uop.next_pc;
+                        end_block!(uop.tpc);
                         upc += 1;
                     }
                     H_JAL_CHAIN => {
                         self.regs[uop.rd as usize] = uop.next_pc;
+                        end_block!(uop.tpc);
                         self.stats.trace_hits += 1;
                         upc = uop.link;
                     }
@@ -854,6 +936,7 @@ impl NemuTrace {
                         let target =
                             self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
                         self.regs[uop.rd as usize] = uop.next_pc;
+                        end_block!(target);
                         if uop.link != UNRESOLVED && uop.tpc == target {
                             self.stats.trace_hits += 1;
                             upc = uop.link;
@@ -865,6 +948,7 @@ impl NemuTrace {
                     }
                     H_RET => {
                         let target = self.regs[1] & !1;
+                        end_block!(target);
                         if uop.link != UNRESOLVED && uop.tpc == target {
                             self.stats.trace_hits += 1;
                             upc = uop.link;
@@ -879,7 +963,7 @@ impl NemuTrace {
                         // Sentinel: no instruction executed — hop to the
                         // joined trace and keep dispatching.
                         steps -= 1;
-                        self.hart.instret -= 1;
+                        retired -= 1;
                         self.stats.trace_hits += 1;
                         upc = uop.link;
                     }
@@ -887,7 +971,7 @@ impl NemuTrace {
                         // Sentinel: no instruction executed — re-enter via
                         // the outer loop at the continuation pc.
                         steps -= 1;
-                        self.hart.instret -= 1;
+                        retired -= 1;
                         self.hart.state.pc = uop.pc;
                         continue 'outer;
                     }
@@ -895,13 +979,13 @@ impl NemuTrace {
                 }
             }
             // Fuel exhausted inside the trace: record the resume pc.
-            if steps >= max_steps {
-                self.hart.state.pc = self.code[upc as usize].pc;
-                break;
-            }
+            self.hart.state.pc = self.code[upc as usize].pc;
+            break;
         }
-        self.sync_regs_to_hart();
-        steps
+        if BLOCKS && steps > block_mark {
+            sink.block(block_pc, steps - block_mark);
+        }
+        self.sync_regs_to_hart(retired);
     }
 }
 
@@ -982,33 +1066,15 @@ impl Interpreter for NemuTrace {
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
     }
-    fn step_one(&mut self) -> StepInfo {
-        // Single-step goes through the architectural slow path so that
-        // probes receive full commit information (this is how the trace
-        // tier serves as a DiffTest REF).
-        self.sync_regs_to_hart();
-        let info = hart::step(&mut self.hart, &mut self.mem);
-        self.sync_regs_from_hart();
-        if matches!(
-            info.inst.op,
-            Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
-        ) || info.inst.op == Op::Csrrw && info.inst.csr() == riscv_isa::csr::addr::SATP
-            || info.trap.is_some()
-        {
-            self.flush();
-        } else if matches!(
-            info.inst.op,
-            Op::Csrrw | Op::Csrrs | Op::Csrrc | Op::Csrrwi | Op::Csrrsi | Op::Csrrci
-        ) {
-            self.clear_tlbs();
-        }
-        self.refresh_modes();
-        info
-    }
-    fn run(&mut self, max_steps: u64) -> RunResult {
+    fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         let start = self.hart.instret;
-        self.sync_regs_from_hart();
-        self.run_fast(max_steps);
+        match sink.granularity() {
+            Granularity::Commit => {
+                return interp::drive(self, max_steps, Granularity::Commit, sink, Self::commit_step);
+            }
+            Granularity::Block => self.run_fast::<true>(max_steps, sink),
+            Granularity::Nothing => self.run_fast::<false>(max_steps, sink),
+        }
         RunResult {
             instructions: self.hart.instret - start,
             exit_code: self.hart.halted,

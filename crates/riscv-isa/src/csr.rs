@@ -482,6 +482,7 @@ impl CsrFile {
 
     /// The highest-priority pending-and-enabled interrupt, if any should
     /// be taken at the current privilege.
+    #[inline]
     pub fn pending_interrupt(&self) -> Option<Interrupt> {
         let pending = self.mip & self.mie;
         if pending == 0 {

@@ -8,6 +8,7 @@
 //! `Arc::make_mut` and language-level copy-on-write (see DESIGN.md §5.3).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Page size in bytes (matches the Sv39 base page).
@@ -15,6 +16,53 @@ pub const PAGE_SIZE: u64 = 4096;
 const PAGE_MASK: u64 = PAGE_SIZE - 1;
 
 type Page = [u8; PAGE_SIZE as usize];
+
+/// Multiplicative hasher for small integer keys (page indices, pcs).
+///
+/// The page map is probed on every guest memory access, where SipHash
+/// costs more than the access itself. Keys are guest addresses, so the
+/// collision resistance given up only matters to a guest that attacks
+/// its own simulator's speed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntHasher(u64);
+
+/// `BuildHasher` of [`IntHasher`], for `HashMap<u64, _, IntBuildHasher>`.
+pub type IntBuildHasher = BuildHasherDefault<IntHasher>;
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci multiply, folded so both the bucket bits (low) and
+        // the control-byte bits (high) see the whole key.
+        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Little-endian load of `size` (1..=8) bytes from the front of `bytes`.
+#[inline]
+fn load_le(bytes: &[u8], size: usize) -> u64 {
+    match size {
+        8 => u64::from_le_bytes(bytes[..8].try_into().expect("8-byte slice")),
+        4 => u64::from(u32::from_le_bytes(bytes[..4].try_into().expect("4-byte slice"))),
+        2 => u64::from(u16::from_le_bytes(bytes[..2].try_into().expect("2-byte slice"))),
+        1 => u64::from(bytes[0]),
+        _ => {
+            let mut buf = [0u8; 8];
+            buf[..size].copy_from_slice(&bytes[..size]);
+            u64::from_le_bytes(buf)
+        }
+    }
+}
 
 /// Abstract byte-addressed physical memory.
 ///
@@ -46,6 +94,19 @@ pub trait PhysMem {
     }
 }
 
+/// Little-endian store of the low `size` (1..=8) bytes of `value` to the
+/// front of `bytes`.
+#[inline]
+fn store_le(bytes: &mut [u8], size: usize, value: u64) {
+    match size {
+        8 => bytes[..8].copy_from_slice(&value.to_le_bytes()),
+        4 => bytes[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+        2 => bytes[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+        1 => bytes[0] = value as u8,
+        _ => bytes[..size].copy_from_slice(&value.to_le_bytes()[..size]),
+    }
+}
+
 /// Sparse copy-on-write physical memory.
 ///
 /// Unbacked reads return zero; writes allocate pages on demand.
@@ -65,7 +126,7 @@ pub trait PhysMem {
 /// ```
 #[derive(Clone, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Arc<Page>>,
+    pages: HashMap<u64, Arc<Page>, IntBuildHasher>,
 }
 
 impl std::fmt::Debug for SparseMemory {
@@ -125,7 +186,7 @@ impl SparseMemory {
     /// Panics if the buffer is truncated or malformed.
     pub fn deserialize_full(data: &[u8]) -> Self {
         let n = u64::from_le_bytes(data[..8].try_into().unwrap()) as usize;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = HashMap::with_capacity_and_hasher(n, IntBuildHasher::default());
         let mut off = 8;
         for _ in 0..n {
             let k = u64::from_le_bytes(data[off..off + 8].try_into().unwrap());
@@ -175,6 +236,36 @@ impl PhysMem for SparseMemory {
             self.page_mut(page_idx)[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
             addr += n as u64;
+        }
+    }
+
+    // Word-granular fast path: an access that stays inside one page is
+    // one page probe plus one fixed-width load or store. Straddles take
+    // the byte loops above.
+
+    #[inline]
+    fn read_uint(&mut self, addr: u64, size: u64) -> u64 {
+        let off = (addr & PAGE_MASK) as usize;
+        let size = size as usize;
+        if off + size > PAGE_SIZE as usize {
+            let mut buf = [0u8; 8];
+            self.read(addr, &mut buf[..size]);
+            return u64::from_le_bytes(buf);
+        }
+        match self.pages.get(&(addr / PAGE_SIZE)) {
+            Some(p) => load_le(&p[off..], size),
+            None => 0,
+        }
+    }
+
+    #[inline]
+    fn write_uint(&mut self, addr: u64, size: u64, value: u64) {
+        let off = (addr & PAGE_MASK) as usize;
+        let size = size as usize;
+        if off + size > PAGE_SIZE as usize {
+            self.write(addr, &value.to_le_bytes()[..size]);
+        } else {
+            store_le(&mut self.page_mut(addr / PAGE_SIZE)[off..], size, value);
         }
     }
 }

@@ -89,6 +89,7 @@ const LEVELS: u64 = 3;
 ///
 /// Fetches translate whenever `satp.MODE == Sv39` and the privilege is
 /// below machine; loads/stores additionally honor `mstatus.MPRV`.
+#[inline]
 pub fn translation_active(csr: &CsrFile, access: AccessType) -> bool {
     let eff = effective_privilege(csr, access);
     eff != Privilege::Machine && csr.satp >> 60 == 8
@@ -96,6 +97,7 @@ pub fn translation_active(csr: &CsrFile, access: AccessType) -> bool {
 
 /// The privilege level at which a memory access is performed,
 /// considering `mstatus.MPRV` for data accesses.
+#[inline]
 pub fn effective_privilege(csr: &CsrFile, access: AccessType) -> Privilege {
     if access != AccessType::Fetch && csr.mstatus & mstatus::MPRV != 0 {
         Privilege::from_bits(csr.mstatus >> 11).unwrap_or(Privilege::User)

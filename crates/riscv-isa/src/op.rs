@@ -372,6 +372,7 @@ impl DecodedInst {
     }
 
     /// Memory access size in bytes for loads/stores/AMOs (0 otherwise).
+    #[inline]
     pub fn mem_size(&self) -> u64 {
         use Op::*;
         match self.op {
@@ -515,6 +516,7 @@ impl DecodedInst {
 
     /// Returns true for instructions that end a basic block in NEMU's
     /// trace-organized uop cache (control flow + system instructions).
+    #[inline]
     pub fn ends_block(&self) -> bool {
         self.is_control_flow()
             || matches!(

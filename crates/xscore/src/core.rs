@@ -557,8 +557,13 @@ impl Core {
             let pf = self.arat_fp[i];
             self.prf_fp.write(pf, s.fpr[i]);
         }
-        let pf0 = self.arat_fp[0];
-        self.prf_fp.write(pf0, s.fpr[0]);
+        // Reset leaves f0 mapped to the always-zero physical register,
+        // which drops writes: f0 is an ordinary register, so give it a
+        // real one before restoring its value.
+        if self.arat_fp[0] == Prf::ZERO {
+            self.arat_fp[0] = self.prf_fp.alloc().expect("idle core has a free fp register");
+        }
+        self.prf_fp.write(self.arat_fp[0], s.fpr[0]);
         self.csr = s.csr.clone();
         self.fetch_pc = s.pc;
         self.rat_int = self.arat_int;

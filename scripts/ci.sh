@@ -43,7 +43,13 @@
 #      schema-clean `sampling` section; every sample window obeys the
 #      top-down identity (CPI-stack sum == window cycles x commit
 #      width), and a second run answering from the checkpoint cache
-#      emits a byte-identical deterministic report body.
+#      emits a byte-identical deterministic report body,
+#  11. the benchmark's correctness check — `benchmark/run.sh --check`
+#      (about 10 s, no timing): kernels co-simulated to halt and
+#      compared with the REF alone, run()/step_one()/profiling legs
+#      against an independent personality, `sim_digest` stable across
+#      passes, 1- vs 2-worker report bodies identical — so a
+#      stepping-path regression fails the gate, not just the benchmark.
 #
 # The campaign step is what the paper calls the verification flow: any
 # DUT regression that makes a workload diverge, hang, or panic fails
@@ -543,5 +549,8 @@ print("sampling smoke OK:",
       {f"{sm['config']}": sm["weighted_cpi_milli"] for sm in sampling})
 EOF
 target/release/perf_report "$sample_a" > /dev/null
+
+echo "== tier-1: benchmark --check (exit words, register files, digests; no timing) =="
+timeout 600 bash benchmark/run.sh --check
 
 echo "== tier-1 gate passed =="

@@ -50,6 +50,28 @@ fn emitted_report_is_schema_clean() {
     }
 }
 
+/// The report's instruction totals come from `run()`; every production
+/// consumer steps. Both are wrappers over `run_until`, so for every
+/// registry personality the `step_one()`-driven total over the suite
+/// must equal the `run()` total under the same fuel.
+#[test]
+fn stepped_instruction_totals_equal_run_totals() {
+    for p in nemu::registry::PERSONALITIES {
+        let (mut ran, mut stepped) = (0u64, 0u64);
+        for w in workloads::all_workloads(Scale::Test) {
+            ran += (p.build)(&w.program).run(SMOKE_FUEL).instructions;
+            let mut engine = (p.build)(&w.program);
+            for _ in 0..SMOKE_FUEL {
+                if engine.step_one().halted {
+                    break;
+                }
+            }
+            stepped += engine.hart().instret;
+        }
+        assert_eq!(stepped, ran, "{}: step_one() and run() totals differ", p.name);
+    }
+}
+
 #[test]
 fn report_body_is_deterministic_and_wall_clock_free() {
     let a = smoke_report();

@@ -150,3 +150,33 @@ fn sampling_section_is_byte_identical_and_float_free() {
         assert!(!s.contains('.'), "float leaked into a sample record: {s}");
     }
 }
+
+/// Regression (found by the PR 11 benchmark): a core restored from a
+/// checkpoint kept `f0` mapped to the always-zero physical register, so
+/// `f0` read 0 and the first consumer diverged from the REF. `namd` and
+/// `milc` at 2 k-instruction intervals produce checkpoints with a live
+/// `f0`; every one of their sample jobs must now measure its window.
+#[test]
+fn fp_kernels_sample_without_divergence() {
+    let spec = SampleSpec::new(
+        vec!["namd".into(), "milc".into()],
+        vec!["small-nh".into()],
+    )
+    .with_interval(2_000)
+    .with_warmup(200)
+    .with_window(1_000)
+    .with_workers(2);
+    let report = run_sampled(&spec);
+    let mut sampled = 0;
+    for j in &report.jobs {
+        match j.verdict {
+            campaign::Verdict::Sampled { .. } => sampled += 1,
+            // The checkpoint of the program's last, partial interval
+            // legitimately halts before filling its window.
+            campaign::Verdict::Halted { .. } => {}
+            _ => panic!("{} #{}: sample job ended {:?}", j.workload, j.index, j.verdict),
+        }
+    }
+    assert!(sampled >= 4, "only {sampled} of {} jobs sampled", report.jobs.len());
+    assert_eq!(report.summary.diverged, 0);
+}
