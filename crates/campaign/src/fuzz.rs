@@ -319,6 +319,23 @@ fn mutate_litmus_recipe(r: &Recipe, mutation_seed: u64) -> Recipe {
     out
 }
 
+impl FuzzOpts {
+    /// Check that every job this campaign can schedule has a runnable
+    /// configuration — in particular that `--mp`'s two-hart litmus jobs
+    /// land on presets with a shared last-level cache.
+    pub fn validate(&self) -> Result<(), String> {
+        for config in &self.configs {
+            let recipe = if self.mp {
+                fresh_litmus_recipe(0, config)
+            } else {
+                fresh_recipe(0, config)
+            };
+            job_spec(&recipe, self).config()?;
+        }
+        Ok(())
+    }
+}
+
 /// The job a recipe runs as (coverage maps always on).
 fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
     let workload = match r.litmus {
@@ -403,9 +420,12 @@ fn plan_round(opts: &FuzzOpts, round: u64, corpus: &[(Recipe, Vec<(String, u8)>,
 ///
 /// # Panics
 ///
-/// Panics when `opts.configs` is empty.
+/// Panics when `opts.configs` is empty or [`FuzzOpts::validate`] fails.
 pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
     assert!(!opts.configs.is_empty(), "fuzz needs at least one config preset");
+    if let Err(e) = opts.validate() {
+        panic!("{e}");
+    }
     let mut coverage = CoverageSet::default();
     let mut corpus: Vec<(Recipe, Vec<(String, u8)>, u64)> = Vec::new();
     let mut all_jobs = Vec::new();

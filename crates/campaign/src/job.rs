@@ -261,9 +261,18 @@ impl JobSpec {
         self
     }
 
-    /// Resolve the preset slug and apply the job's overrides.
+    /// Resolve the preset slug and apply the job's overrides; `None`
+    /// when [`JobSpec::config`] rejects the job.
     pub fn build_config(&self) -> Option<XsConfig> {
-        let mut cfg = XsConfig::preset(&self.config)?;
+        self.config().ok()
+    }
+
+    /// Resolve the preset slug, apply the job's overrides and validate
+    /// the result ([`XsConfig::validate`]), with a one-line diagnosis of
+    /// a job that cannot run.
+    pub fn config(&self) -> Result<XsConfig, String> {
+        let mut cfg = XsConfig::preset(&self.config)
+            .ok_or_else(|| format!("unknown configuration preset `{}`", self.config))?;
         if let Some(cores) = self.cores {
             cfg.cores = cores;
         }
@@ -285,7 +294,8 @@ impl JobSpec {
         if let Some(r) = &self.ref_model {
             cfg = cfg.with_ref_model(r.clone());
         }
-        Some(cfg)
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -344,6 +354,13 @@ mod tests {
         assert!(JobSpec::new(WorkloadSource::kernel("mcf"), "bogus")
             .build_config()
             .is_none());
+        // Two harts on a hierarchy without a shared LLC would be
+        // incoherent: the job is refused, not run.
+        let err = JobSpec::new(WorkloadSource::kernel("mcf"), "small-yqh")
+            .with_cores(2)
+            .config()
+            .unwrap_err();
+        assert!(err.contains("no shared last-level cache"), "{err}");
     }
 
     #[test]

@@ -251,11 +251,12 @@ fn execute_job_with_policy(index: usize, spec: &JobSpec, policy: JobPolicy) -> (
 /// Run one job to a deterministic record.
 fn execute_job(index: usize, spec: &JobSpec, policy: JobPolicy) -> JobRecord {
     let mut record = base_record(index, spec);
-    let Some(cfg) = spec.build_config() else {
-        record.verdict = Verdict::Panicked {
-            message: format!("unknown configuration preset `{}`", spec.config),
-        };
-        return record;
+    let cfg = match spec.config() {
+        Ok(cfg) => cfg,
+        Err(message) => {
+            record.verdict = Verdict::Panicked { message };
+            return record;
+        }
     };
     if let WorkloadSource::Sample {
         checkpoint,

@@ -203,3 +203,28 @@ fn worker_count_does_not_change_the_report_body() {
     };
     assert_eq!(js(&serial), js(&parallel));
 }
+
+#[test]
+fn two_harts_without_a_shared_llc_are_refused_not_spun() {
+    // `small-yqh` has no L3: with two cores its private L2s would never
+    // see each other's stores, and every litmus job used to spin to its
+    // sync timeout (1.38 M instructions) and still report `halted`. The
+    // job must be refused with a diagnosis; `small-nh` x 2 must still run
+    // to an allowed outcome.
+    use workloads::litmus::{status, LitmusConfig, LitmusExit};
+    let job = |config: &str| {
+        JobSpec::new(WorkloadSource::litmus(7, LitmusConfig::default()), config)
+            .with_cores(2)
+            .with_max_cycles(400_000)
+    };
+    let report = Campaign::new(vec![job("small-yqh"), job("small-nh")]).with_workers(2).run();
+    let Verdict::Panicked { message } = &report.jobs[0].verdict else {
+        panic!("small-yqh x 2 cores ran: {:?}", report.jobs[0].verdict);
+    };
+    assert!(message.contains("no shared last-level cache"), "{message}");
+    assert_eq!(report.jobs[0].cycles, 0, "a refused job simulates nothing");
+    let Verdict::Halted { exit_code } = report.jobs[1].verdict else {
+        panic!("small-nh x 2 cores: {:?}", report.jobs[1].verdict);
+    };
+    assert_eq!(LitmusExit::decode(exit_code).status, status::OK);
+}

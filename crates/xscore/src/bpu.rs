@@ -9,6 +9,7 @@
 
 use crate::tage::{TagePred, TageSc};
 use riscv_isa::op::{DecodedInst, Op};
+use std::sync::Arc;
 
 /// The kind of control transfer at the end of a predicted block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +55,9 @@ pub struct BranchPrediction {
     pub ubtb_hit: bool,
     /// Confidence is low (drives PUBS).
     pub low_confidence: bool,
-    /// RAS snapshot for recovery.
-    pub ras_snapshot: Vec<u64>,
+    /// RAS snapshot for recovery: the whole stack, shared with every
+    /// other prediction made while the stack did not change.
+    pub ras_snapshot: Arc<Vec<u64>>,
     /// Global history before this branch (for recovery).
     pub ghist_before: u64,
 }
@@ -75,7 +77,9 @@ pub struct Bpu {
     ubtb: Vec<BtbEntry>,
     btb: Vec<BtbEntry>,
     ittage: Option<Vec<BtbEntry>>, // tagged target tables folded into one
-    ras: Vec<u64>,
+    /// Copy-on-write: predictions hold references to the stack as it
+    /// was, so only a call or return that finds it shared copies it.
+    ras: Arc<Vec<u64>>,
     ras_depth: usize,
     /// Speculative global history (restored on mispredict).
     pub ghist: u64,
@@ -95,7 +99,7 @@ impl Bpu {
             ubtb: vec![BtbEntry::default(); ubtb_entries.next_power_of_two()],
             btb: vec![BtbEntry::default(); btb_entries.next_power_of_two()],
             ittage: ittage.then(|| vec![BtbEntry::default(); 2048]),
-            ras: Vec::new(),
+            ras: Arc::default(),
             ras_depth,
             ghist: 0,
             cond_predictions: 0,
@@ -148,14 +152,11 @@ impl Bpu {
                 } else {
                     self.indirect_target(pc)
                 };
-                if self.ras.len() == self.ras_depth {
-                    self.ras.remove(0);
-                }
-                self.ras.push(fallthrough);
+                self.ras_push(fallthrough);
                 (true, target)
             }
             CfKind::Ret => {
-                let target = self.ras.pop().unwrap_or_else(|| self.indirect_target(pc));
+                let target = self.ras_pop().unwrap_or_else(|| self.indirect_target(pc));
                 (true, target)
             }
             CfKind::Indirect => (true, self.indirect_target(pc)),
@@ -170,6 +171,21 @@ impl Bpu {
             ras_snapshot,
             ghist_before,
         }
+    }
+
+    fn ras_push(&mut self, ret: u64) {
+        let ras = Arc::make_mut(&mut self.ras);
+        if ras.len() == self.ras_depth {
+            ras.remove(0);
+        }
+        ras.push(ret);
+    }
+
+    fn ras_pop(&mut self) -> Option<u64> {
+        if self.ras.is_empty() {
+            return None; // nothing to pop: leave a shared stack shared
+        }
+        Arc::make_mut(&mut self.ras).pop()
     }
 
     fn indirect_target(&self, pc: u64) -> u64 {
@@ -222,14 +238,9 @@ impl Bpu {
             self.ghist = pred.ghist_before;
             match kind {
                 CfKind::Branch => self.ghist = (self.ghist << 1) | actual_taken as u64,
-                CfKind::Call => {
-                    if self.ras.len() == self.ras_depth {
-                        self.ras.remove(0);
-                    }
-                    self.ras.push(pc.wrapping_add(d.len as u64));
-                }
+                CfKind::Call => self.ras_push(pc.wrapping_add(d.len as u64)),
                 CfKind::Ret => {
-                    self.ras.pop();
+                    self.ras_pop();
                 }
                 _ => {}
             }

@@ -314,6 +314,23 @@ impl XsConfig {
         }
     }
 
+    /// Reject a configuration the model cannot simulate faithfully.
+    ///
+    /// Coherence between cores is kept by the shared last-level cache:
+    /// without an L3 every private L2 sits directly on DRAM and nothing
+    /// probes its peer, so harts would silently never see each other's
+    /// stores.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores > 1 && self.l3.is_none() {
+            return Err(format!(
+                "configuration `{}` with {} cores has no shared last-level cache: \
+                 private L2s would be incoherent (use an L3 preset such as `small-nh`)",
+                self.name, self.cores
+            ));
+        }
+        Ok(())
+    }
+
     /// Arm a deliberate DUT bug (verification-flow tests only).
     pub fn with_injected_bug(mut self, bug: InjectedBug) -> Self {
         self.injected_bug = Some(bug);
@@ -549,6 +566,20 @@ mod tests {
             XsConfig::preset("small-yqh").unwrap().memory,
             MemoryModel::FixedAmat(60)
         ));
+    }
+
+    #[test]
+    fn multi_core_needs_a_shared_llc() {
+        for &name in XsConfig::preset_names() {
+            let mut c = XsConfig::preset(name).unwrap();
+            assert_eq!(c.validate(), Ok(()), "{name} as shipped");
+            c.cores = 2;
+            assert_eq!(c.validate().is_ok(), c.l3.is_some(), "{name} x 2 cores");
+        }
+        let mut c = XsConfig::small_yqh();
+        c.cores = 2;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("no shared last-level cache"), "{err}");
     }
 
     #[test]

@@ -14,9 +14,12 @@ use crate::lifecycle::{Lifecycle, LifecycleRing, SquashCause, LIFECYCLE_RING_CAP
 use crate::lsu::{ForwardResult, Lsu};
 use crate::perf::PerfCounters;
 use crate::prf::{PReg, Prf, Rat};
-use crate::rob::{Rob, RobState};
+use crate::rob::{Rob, RobIdx, RobState, RobTag};
 use crate::tlbs::{CoreMmu, MmuResult};
-use crate::uop::{exec_fused, fuse, try_fuse, CommitEvent, CommitMem, SbufferDrainEvent, Uop};
+use crate::uop::{
+    dest_of, exec_fused, fuse, is_reg_move, try_fuse, CommitEvent, CommitMem, SbufferDrainEvent,
+    Uop,
+};
 use riscv_isa::csr::{CsrFile, Privilege};
 use riscv_isa::exec::{branch_taken, int_compute, load_extend};
 use riscv_isa::fpu::fp_execute;
@@ -73,15 +76,29 @@ struct PreUop {
     fetched_at: u64,
 }
 
+/// How one ibuf entry (or fused pair) renames: everything the
+/// structural-hazard checks need, known before a uop is built.
+#[derive(Debug, Clone, Copy)]
+struct RenamePlan {
+    is_load: bool,
+    is_store: bool,
+    commit_exec: bool,
+    /// Issue queue the uop dispatches to.
+    qi: usize,
+    move_elim: bool,
+    /// Register class of the destination to allocate, if any.
+    alloc_fp: Option<bool>,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct FuInFlight {
     done_at: u64,
-    seq: u64,
+    tag: RobTag,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MemReqKind {
-    Load { seq: u64 },
+    Load { tag: RobTag },
     SbufferDrain,
     AtomicLoad,
     AtomicStore,
@@ -91,9 +108,8 @@ enum MemReqKind {
 /// against `pending_fetch` directly and never enter the data arena).
 const FETCH_ID_FLAG: u64 = 1 << 55;
 
-/// Upper bound on the number of distributed issue queues, sizing the
-/// per-cycle selection buffer in [`Core::issue`].
-const MAX_IQS: usize = 8;
+/// Number of distributed issue queues.
+const NUM_IQS: usize = crate::prf::WAIT_QUEUES;
 
 #[derive(Debug, Clone, Copy)]
 struct InflightSlot {
@@ -280,7 +296,7 @@ pub struct Core {
     prf_int: Prf,
     prf_fp: Prf,
     rob: Rob,
-    iqs: Vec<IssueQueue>,
+    iqs: [IssueQueue; NUM_IQS],
     lsu: Lsu,
     /// The MMU (public for scenario tests).
     pub mmu: CoreMmu,
@@ -304,7 +320,7 @@ pub struct Core {
     mem_inflight: InflightArena,
     /// Fetch request id counter (data-side ids come from the arena).
     next_req: u64,
-    replay_q: Vec<(u64, u64)>, // (retry_at, seq)
+    replay_q: Vec<(u64, RobTag)>, // (retry_at, load)
     /// Scheduled future work, for idle-cycle skipping (DESIGN §5g).
     events: EventQueue,
     /// Whether the tick in progress changed any core state. A tick that
@@ -332,7 +348,7 @@ pub struct Core {
     pubs_conf: ConfTable,
     pubs_def: DefTable,
     instret: u64,
-    deferred_loads: Vec<(u64, u64, u64)>, // (deliver_at, seq, value)
+    deferred_loads: Vec<(u64, RobTag, u64)>, // (deliver_at, load, value)
     deferred_commits: Vec<CommitEvent>,
     deferred_drains: Vec<SbufferDrainEvent>,
     // CPI-stack attribution state. The recovery window opens at a flush
@@ -349,6 +365,13 @@ pub struct Core {
     life_trace: Vec<Lifecycle>,
 }
 
+// The issue queues live inline; beyond them the per-core footprint may
+// not grow past what it was with heap-backed queues (LightSSS clones a
+// core per snapshot, a campaign boots one per job).
+const _: () = assert!(
+    std::mem::size_of::<Core>() <= 4624 + NUM_IQS * std::mem::size_of::<IssueQueue>()
+);
+
 impl Core {
     /// Create a core resetting to `boot_pc`.
     pub fn new(cfg: XsConfig, hart: usize, boot_pc: u64) -> Self {
@@ -357,17 +380,21 @@ impl Core {
         let rat_int = prf_int.reset_rat();
         let rat_fp = prf_fp.reset_rat();
         let policy = cfg.issue_policy;
-        let iqs = vec![
-            IssueQueue::new(FuClass::Alu, cfg.iq_entries, cfg.alu_iq_width, policy),
-            IssueQueue::new(FuClass::Alu, cfg.iq_entries, cfg.alu_iq_width, policy),
-            IssueQueue::new(FuClass::Mdu, cfg.iq_entries, 1, policy),
+        let iq_specs = [
+            (FuClass::Alu, cfg.alu_iq_width),
+            (FuClass::Alu, cfg.alu_iq_width),
+            (FuClass::Mdu, 1),
             // Stores issue before loads within a cycle so a same-cycle
             // store/load pair forwards instead of racing.
-            IssueQueue::new(FuClass::Store, cfg.iq_entries, cfg.store_units, policy),
-            IssueQueue::new(FuClass::Load, cfg.iq_entries, cfg.load_units, policy),
-            IssueQueue::new(FuClass::Fma, cfg.iq_entries, cfg.fma_units, policy),
-            IssueQueue::new(FuClass::Fmisc, cfg.iq_entries, 1, policy),
+            (FuClass::Store, cfg.store_units),
+            (FuClass::Load, cfg.load_units),
+            (FuClass::Fma, cfg.fma_units),
+            (FuClass::Fmisc, 1),
         ];
+        let iqs = std::array::from_fn(|i| {
+            let (class, width) = iq_specs[i];
+            IssueQueue::new(i, class, cfg.iq_entries, width, policy)
+        });
         Core {
             hart,
             csr: CsrFile::new(hart as u64),
@@ -446,11 +473,36 @@ impl Core {
         std::mem::take(&mut self.life_trace)
     }
 
+    /// The lifecycle record of the uop in `idx` as it stands.
+    fn lifecycle_record(&self, idx: RobIdx) -> Lifecycle {
+        let c = self.rob.cold(idx);
+        Lifecycle {
+            hart: self.hart as u64,
+            seq: self.rob.hot(idx).seq,
+            pc: c.uop.pc,
+            inst: c.uop.inst.raw,
+            fused: c.uop.fused.is_some(),
+            mem: c.uop.inst.is_load() || c.uop.inst.is_store(),
+            stamps: c.life,
+            committed: 0,
+            squashed_at: 0,
+            cause: None,
+        }
+    }
+
+    fn record_lifecycle(&mut self, rec: Lifecycle) {
+        self.life_ring.push(rec);
+        if self.cfg.lifecycle {
+            self.life_trace.push(rec);
+        }
+    }
+
     /// Finalize a committed uop's lifecycle record. Stamps a stage never
     /// passed through individually (commit-time execution, eliminated
     /// moves) inherit the commit cycle so retired records stay monotone.
-    fn finalize_retired(&mut self, e: &crate::rob::RobEntry) {
-        let mut s = e.life;
+    fn finalize_retired(&mut self, idx: RobIdx) {
+        let mut rec = self.lifecycle_record(idx);
+        let s = &mut rec.stamps;
         if s.fetched == 0 {
             s.fetched = s.renamed;
         }
@@ -466,45 +518,19 @@ impl Core {
         if s.writeback == 0 {
             s.writeback = self.cycle;
         }
-        let rec = Lifecycle {
-            hart: self.hart as u64,
-            seq: e.seq,
-            pc: e.uop.pc,
-            inst: e.uop.inst.raw,
-            fused: e.uop.fused.is_some(),
-            mem: e.uop.inst.is_load() || e.uop.inst.is_store(),
-            stamps: s,
-            committed: self.cycle,
-            squashed_at: 0,
-            cause: None,
-        };
+        rec.committed = self.cycle;
         self.perf.lifecycle.observe_retired(&rec);
-        self.life_ring.push(rec);
-        if self.cfg.lifecycle {
-            self.life_trace.push(rec);
-        }
+        self.record_lifecycle(rec);
     }
 
     /// Finalize a squashed uop's lifecycle record (stamps are left as-is
     /// to show how far the uop got before the flush).
-    fn finalize_squashed(&mut self, e: &crate::rob::RobEntry, cause: SquashCause) {
-        let rec = Lifecycle {
-            hart: self.hart as u64,
-            seq: e.seq,
-            pc: e.uop.pc,
-            inst: e.uop.inst.raw,
-            fused: e.uop.fused.is_some(),
-            mem: e.uop.inst.is_load() || e.uop.inst.is_store(),
-            stamps: e.life,
-            committed: 0,
-            squashed_at: self.cycle,
-            cause: Some(cause),
-        };
+    fn finalize_squashed(&mut self, idx: RobIdx, cause: SquashCause) {
+        let mut rec = self.lifecycle_record(idx);
+        rec.squashed_at = self.cycle;
+        rec.cause = Some(cause);
         self.perf.lifecycle.observe_squashed(&rec, cause);
-        self.life_ring.push(rec);
-        if self.cfg.lifecycle {
-            self.life_trace.push(rec);
-        }
+        self.record_lifecycle(rec);
     }
 
     /// True once the core executed the halt convention (ebreak).
@@ -545,17 +571,15 @@ impl Core {
 
     /// PC of the next instruction to commit (fetch PC when idle).
     pub fn next_commit_pc(&self) -> u64 {
-        self.rob.head().map(|e| e.uop.pc).unwrap_or(self.fetch_pc)
+        self.rob.head().map_or(self.fetch_pc, |h| self.rob.cold(h).uop.pc)
     }
 
     /// Restore architectural state (checkpoint restore / boot).
     pub fn restore_arch_state(&mut self, s: &ArchState) {
         assert!(self.rob.is_empty(), "restore only into an idle core");
         for i in 1..32 {
-            let p = self.arat_int[i];
-            self.prf_int.write(p, s.gpr[i]);
-            let pf = self.arat_fp[i];
-            self.prf_fp.write(pf, s.fpr[i]);
+            self.write_preg(false, self.arat_int[i], s.gpr[i]);
+            self.write_preg(true, self.arat_fp[i], s.fpr[i]);
         }
         // Reset leaves f0 mapped to the always-zero physical register,
         // which drops writes: f0 is an ordinary register, so give it a
@@ -563,7 +587,7 @@ impl Core {
         if self.arat_fp[0] == Prf::ZERO {
             self.arat_fp[0] = self.prf_fp.alloc().expect("idle core has a free fp register");
         }
-        self.prf_fp.write(self.arat_fp[0], s.fpr[0]);
+        self.write_preg(true, self.arat_fp[0], s.fpr[0]);
         self.csr = s.csr.clone();
         self.fetch_pc = s.pc;
         self.rat_int = self.arat_int;
@@ -581,6 +605,22 @@ impl Core {
             self.prf_fp.read(p)
         } else {
             self.prf_int.read(p)
+        }
+    }
+
+    /// Write a physical register and wake the issue-queue slots that
+    /// were waiting for it. Every write goes through here: a write that
+    /// skipped the wakeup would leave its consumers asleep for good.
+    fn write_preg(&mut self, fp: bool, p: PReg, v: u64) {
+        let waiters = if fp {
+            self.prf_fp.write(p, v)
+        } else {
+            self.prf_int.write(p, v)
+        };
+        for (iq, &slots) in self.iqs.iter_mut().zip(&waiters) {
+            if slots != 0 {
+                iq.wake(slots);
+            }
         }
     }
 
@@ -681,19 +721,20 @@ impl Core {
                 RecoveryKind::MemViolation => IdleCause::MemoryStall,
                 _ => IdleCause::Serialization,
             }
-        } else if let Some(head) = self.rob.head() {
-            if head.exception.is_some() || head.commit_exec {
+        } else if let Some(h) = self.rob.head() {
+            let head = self.rob.hot(h);
+            let done = head.state == RobState::Done;
+            // Only a `Done` entry can carry an exception: the cold half
+            // is not touched for a head that is still executing.
+            if head.commit_exec || done && self.rob.cold(h).exception.is_some() {
                 IdleCause::Serialization
-            } else if head.state != RobState::Done && head.lq_idx.is_some() {
+            } else if !done && head.lq_idx.is_some() {
                 // Load at the head still in flight.
                 IdleCause::MemoryStall
-            } else if head.state == RobState::Done
-                && head.sq_idx.is_some()
-                && self.lsu.sbuffer_full()
-            {
+            } else if done && head.sq_idx.is_some() && self.lsu.sbuffer_full() {
                 // Store ready but the store buffer is full.
                 IdleCause::MemoryStall
-            } else if head.state != RobState::Done {
+            } else if !done {
                 // Executing (ALU/FPU latency, issue wait).
                 IdleCause::Other
             } else if self.rename_blocked_rob {
@@ -835,10 +876,10 @@ impl Core {
                 continue; // squashed request
             };
             match kind {
-                MemReqKind::Load { seq } => {
-                    if let Some(e) = self.rob.get(seq) {
-                        let v = load_extend(e.uop.inst.op, c.data);
-                        self.finish_load(seq, v);
+                MemReqKind::Load { tag } => {
+                    if self.rob.live(tag) {
+                        let v = load_extend(self.rob.cold(tag.idx).uop.inst.op, c.data);
+                        self.finish_load(tag.idx, v);
                     }
                 }
                 MemReqKind::SbufferDrain => {
@@ -874,34 +915,25 @@ impl Core {
         }
     }
 
-    fn finish_load(&mut self, seq: u64, value: u64) {
-        let Some(e) = self.rob.get_mut(seq) else {
-            return;
-        };
+    /// Deliver the value of the (live) load in `idx`.
+    fn finish_load(&mut self, idx: RobIdx, value: u64) {
+        let cycle = self.cycle;
+        let e = self.rob.hot_mut(idx);
         e.wb_value = value;
-        if let Some(m) = &mut e.mem_info {
+        e.state = RobState::Done;
+        let (has_dest, fp, p, lq_idx) = (e.has_dest, e.dest_fp, e.phys_rd, e.lq_idx);
+        let c = self.rob.cold_mut(idx);
+        if let Some(m) = &mut c.mem_info {
             m.value = value;
         }
-        e.state = RobState::Done;
-        e.life.executed = self.cycle;
-        e.life.writeback = self.cycle;
-        let (fp, p) = (e.dest_fp, e.phys_rd);
-        let has_dest = e.has_dest;
-        let issued_at = e.issued_at;
-        if let Some(li) = e.lq_idx {
-            // li indexes by allocation order, but flushes shuffle the LQ;
-            // find by seq instead.
-            let _ = li;
-        }
-        if let Some(l) = self.lsu.lq.iter_mut().find(|l| l.seq == seq) {
-            l.done = true;
+        c.life.executed = cycle;
+        c.life.writeback = cycle;
+        let issued_at = c.issued_at;
+        if let Some(li) = lq_idx {
+            self.lsu.lq[li].done = true;
         }
         if has_dest {
-            if fp {
-                self.prf_fp.write(p, value);
-            } else {
-                self.prf_int.write(p, value);
-            }
+            self.write_preg(fp, p, value);
         }
         if self.cfg.telemetry && issued_at > 0 {
             self.perf
@@ -938,32 +970,29 @@ impl Core {
             self.tick_progress = true;
         }
         // Unique seqs: unstable sort is deterministic here.
-        due.sort_unstable_by_key(|f| f.seq);
+        due.sort_unstable_by_key(|f| f.tag.seq);
         for f in &due {
-            if self.rob.get(f.seq).is_none() {
+            if !self.rob.live(f.tag) {
                 continue; // squashed
             }
-            self.execute_and_writeback(f.seq);
+            self.execute_and_writeback(f.tag.idx);
         }
         self.wb_scratch = due;
     }
 
     /// Compute the result of a (non-memory) uop and write it back.
-    fn execute_and_writeback(&mut self, seq: u64) {
-        let e = self.rob.get(seq).expect("entry exists");
-        // Copy the plain-data fields instead of cloning the uop: the
-        // clone would drag the branch prediction's RAS snapshot Vec
-        // through the allocator on every writeback.
-        let d = e.uop.inst;
-        let fused = e.uop.fused;
-        let pc = e.uop.pc;
-        let predicted_npc = e.uop.predicted_npc;
-        let fallthrough = e.uop.fallthrough();
+    fn execute_and_writeback(&mut self, idx: RobIdx) {
+        let uop = &self.rob.cold(idx).uop;
+        let d = uop.inst;
+        let fused = uop.fused;
+        let pc = uop.pc;
+        let predicted_npc = uop.predicted_npc;
+        let fallthrough = uop.fallthrough();
         // Positional operand read: slot i holds operand i+1's mapping,
         // or None for x0 / unused (which read as zero). Compacting here
         // instead would hand `sltu rd, x0, rs2` its rs2 as operand one.
         let mut srcs = [0u64; 3];
-        for (i, s) in e.phys_srcs.iter().enumerate() {
+        for (i, s) in self.rob.hot(idx).phys_srcs.iter().enumerate() {
             if let Some((fp, p)) = s {
                 srcs[i] = self.read_src(*fp, *p);
             }
@@ -1012,44 +1041,42 @@ impl Core {
             value = apply_injected_bug(bug, d.op, value);
         }
 
-        let e = self.rob.get_mut(seq).expect("entry exists");
+        let e = self.rob.hot_mut(idx);
         e.wb_value = value;
-        e.fflags = fflags;
+        e.fflags = fflags as u8;
         e.state = RobState::Done;
-        e.life.executed = self.cycle;
-        e.life.writeback = self.cycle;
         e.actual_taken = taken;
-        e.actual_target = target;
         let (has_dest, fp, p) = (e.has_dest, e.dest_fp, e.phys_rd);
+        let c = self.rob.cold_mut(idx);
+        c.life.executed = self.cycle;
+        c.life.writeback = self.cycle;
+        c.actual_target = target;
         if has_dest {
-            if fp {
-                self.prf_fp.write(p, value);
-            } else {
-                self.prf_int.write(p, value);
-            }
+            self.write_preg(fp, p, value);
         }
         // Branch resolution.
         if d.is_control_flow() {
             let actual_npc = if taken { target } else { fallthrough };
             if actual_npc != predicted_npc {
-                self.resolve_mispredict(seq, actual_npc, taken, target);
+                self.resolve_mispredict(idx, actual_npc, taken, target);
             }
         }
     }
 
-    fn resolve_mispredict(&mut self, seq: u64, actual_npc: u64, taken: bool, target: u64) {
-        let e = self.rob.get_mut(seq).expect("branch entry");
+    fn resolve_mispredict(&mut self, idx: RobIdx, actual_npc: u64, taken: bool, target: u64) {
+        let e = self.rob.hot_mut(idx);
         e.mispredicted = true;
         e.bpu_resolved = true;
-        let uop = e.uop.clone();
-        let snapshot = e.rat_snapshot.clone().expect("control flow has snapshot");
-        if let Some(pred) = &uop.pred {
+        let seq = e.seq;
+        let c = self.rob.cold(idx);
+        let snapshot = c.rat_snapshot;
+        if let Some(pred) = &c.uop.pred {
             self.bpu
-                .resolve(uop.pc, &uop.inst, pred, taken, target, true);
+                .resolve(c.uop.pc, &c.uop.inst, pred, taken, target, true);
         }
         self.perf.flushes_mispredict += 1;
         self.open_recovery(RecoveryKind::Mispredict, seq);
-        self.flush_after(seq, actual_npc, &snapshot, SquashCause::Mispredict);
+        self.flush_after(idx, actual_npc, &snapshot, SquashCause::Mispredict);
     }
 
     /// Open a CPI-attribution recovery window at a flush whose boundary
@@ -1059,10 +1086,12 @@ impl Core {
         self.recovery_seq = seq;
     }
 
-    /// Flush everything younger than `seq` and restart fetch at `new_pc`.
-    fn flush_after(&mut self, seq: u64, new_pc: u64, snapshot: &(Rat, Rat), cause: SquashCause) {
-        let flushed = self.rob.flush_after(seq);
-        for e in &flushed {
+    /// Squash every uop younger than `seq` — the ROB entries past the
+    /// `keep` oldest — out of every structure that holds a handle to one.
+    fn squash_younger(&mut self, seq: u64, keep: usize, cause: SquashCause) {
+        for k in keep..self.rob.len() {
+            let idx = self.rob.nth(k);
+            let e = self.rob.hot(idx);
             if e.has_dest {
                 if e.dest_fp {
                     self.prf_fp.release(e.phys_rd);
@@ -1070,48 +1099,37 @@ impl Core {
                     self.prf_int.release(e.phys_rd);
                 }
             }
-            self.finalize_squashed(e, cause);
+            self.finalize_squashed(idx, cause);
         }
+        self.rob.truncate(keep);
+        for iq in &mut self.iqs {
+            iq.flush_after(seq, &mut self.prf_int, &mut self.prf_fp);
+        }
+        self.fu_pipe.retain(|f| f.tag.seq <= seq);
+        self.mem_inflight
+            .retain(|k| !matches!(k, MemReqKind::Load { tag } if tag.seq > seq));
+        self.replay_q.retain(|&(_, t)| t.seq <= seq);
+        self.lsu.flush_after(seq);
+        self.pubs_def.clear();
+    }
+
+    /// Flush everything younger than the uop in `idx` and restart fetch
+    /// at `new_pc`.
+    fn flush_after(&mut self, idx: RobIdx, new_pc: u64, snapshot: &(Rat, Rat), cause: SquashCause) {
+        let seq = self.rob.hot(idx).seq;
+        self.squash_younger(seq, self.rob.rank(idx) + 1, cause);
         self.rat_int = snapshot.0;
         self.rat_fp = snapshot.1;
-        for iq in &mut self.iqs {
-            iq.flush_after(seq);
-        }
-        self.fu_pipe.retain(|f| f.seq <= seq);
-        self.mem_inflight
-            .retain(|k| !matches!(k, MemReqKind::Load { seq: s } if *s > seq));
-        self.replay_q.retain(|&(_, s)| s <= seq);
-        self.lsu.flush_after(seq);
         self.redirect_fetch(new_pc, 2);
-        self.pubs_def.clear();
     }
 
     /// Full pipeline flush (exceptions, serializing instructions).
     fn flush_all(&mut self, new_pc: u64, cause: SquashCause) {
-        let flushed = self.rob.flush_all();
-        for e in &flushed {
-            if e.has_dest {
-                if e.dest_fp {
-                    self.prf_fp.release(e.phys_rd);
-                } else {
-                    self.prf_int.release(e.phys_rd);
-                }
-            }
-            self.finalize_squashed(e, cause);
-        }
+        self.squash_younger(0, 0, cause);
+        self.fu_pipe_min = u64::MAX;
         self.rat_int = self.arat_int;
         self.rat_fp = self.arat_fp;
-        for iq in &mut self.iqs {
-            iq.flush_all();
-        }
-        self.fu_pipe.clear();
-        self.fu_pipe_min = u64::MAX;
-        self.mem_inflight
-            .retain(|k| !matches!(k, MemReqKind::Load { .. }));
-        self.replay_q.clear();
-        self.lsu.flush_all_speculative();
         self.redirect_fetch(new_pc, 3);
-        self.pubs_def.clear();
     }
 
     fn redirect_fetch(&mut self, new_pc: u64, bubble: u64) {
@@ -1136,22 +1154,25 @@ impl Core {
             return;
         }
         for slot in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.head() else { break };
+            let Some(h) = self.rob.head() else { break };
+            let head = self.rob.hot(h);
             if head.replay_at_commit {
                 // Memory-order violation: squash and re-execute from the
                 // load itself.
-                let pc = head.uop.pc;
+                let pc = self.rob.cold(h).uop.pc;
                 let seq = head.seq;
                 self.perf.flushes_violation += 1;
                 self.open_recovery(RecoveryKind::MemViolation, seq);
                 self.flush_all(pc, SquashCause::MemOrderViolation);
                 break;
             }
-            if let Some((cause, tval)) = head.exception {
-                if head.state == RobState::Done || head.commit_exec {
+            let done = head.state == RobState::Done;
+            // An entry carrying an exception is always `Done`.
+            if done || head.commit_exec {
+                if let Some((cause, tval)) = self.rob.cold(h).exception {
                     self.take_exception(cause, tval, out);
+                    break;
                 }
-                break;
             }
             if head.commit_exec {
                 if slot != 0 {
@@ -1160,33 +1181,37 @@ impl Core {
                 self.commit_system(mem, out);
                 break;
             }
-            if head.state != RobState::Done {
+            if !done {
                 break;
             }
             // Stores need store-buffer space.
             if head.sq_idx.is_some() {
-                let mmio = head.mem_info.map(|m| m.mmio).unwrap_or(false);
+                let mmio = self.rob.cold(h).mem_info.map(|m| m.mmio).unwrap_or(false);
                 if !mmio && self.lsu.sbuffer_full() {
                     break;
                 }
             }
-            let e = self.rob.pop_head().expect("head");
-            self.retire(e, out);
+            self.retire(h, out);
         }
     }
 
-    fn retire(&mut self, mut e: crate::rob::RobEntry, out: &mut CycleOutput) {
+    /// Retire the head in place, then free its slot.
+    fn retire(&mut self, h: RobIdx, out: &mut CycleOutput) {
+        let e = *self.rob.hot(h);
         let seq = e.seq;
         self.tick_progress = true;
         if self.recovery != RecoveryKind::None && seq > self.recovery_seq {
             self.recovery = RecoveryKind::None;
         }
         // Eliminated moves read their (shared) register at commit.
-        if e.eliminated {
-            e.wb_value = self.prf_int.read(e.phys_rd);
-        }
+        let wb_value = if e.eliminated {
+            self.prf_int.read(e.phys_rd)
+        } else {
+            e.wb_value
+        };
+        let c = self.rob.cold(h);
         // Update the architectural RAT and free the old mapping.
-        if let Some(dest) = e.uop.dest {
+        if let Some(dest) = c.uop.dest {
             let arat = if dest.fp {
                 &mut self.arat_fp
             } else {
@@ -1206,14 +1231,14 @@ impl Core {
         }
         if e.sq_idx.is_some() {
             self.perf.stores += 1;
-            let mmio = e.mem_info.map(|m| m.mmio).unwrap_or(false);
+            let mmio = c.mem_info.map(|m| m.mmio).unwrap_or(false);
             if mmio {
                 // Device store at commit (UART).
-                let m = e.mem_info.expect("mmio store has info");
+                let m = c.mem_info.expect("mmio store has info");
                 if m.paddr == UART_TX {
                     self.output.push(m.value as u8);
                 }
-                self.lsu.sq.retain(|s| s.seq != seq);
+                self.lsu.pop_store(seq);
             } else {
                 self.lsu
                     .commit_store(seq, self.cycle, self.cfg.sbuffer_drain_delay);
@@ -1221,30 +1246,30 @@ impl Core {
             }
         }
         // Branch training (at commit, if not already resolved).
-        if e.uop.inst.is_control_flow() {
-            if e.uop.inst.is_branch() {
+        if c.uop.inst.is_control_flow() {
+            if c.uop.inst.is_branch() {
                 self.perf.branches += 1;
                 if e.mispredicted {
                     self.perf.branch_mispredicts += 1;
                 }
             }
             if !e.bpu_resolved {
-                if let Some(pred) = &e.uop.pred {
+                if let Some(pred) = &c.uop.pred {
                     self.bpu.resolve(
-                        e.uop.pc,
-                        &e.uop.inst,
+                        c.uop.pc,
+                        &c.uop.inst,
                         pred,
                         e.actual_taken,
-                        e.actual_target,
+                        c.actual_target,
                         false,
                     );
                 }
             }
-            self.pubs_conf.update(e.uop.pc, e.mispredicted);
+            self.pubs_conf.update(c.uop.pc, e.mispredicted);
         }
-        self.csr.set_fflags(e.fflags);
-        let arch_count = 1 + e.uop.fused.is_some() as u64;
-        if e.uop.fused.is_some() {
+        self.csr.set_fflags(e.fflags as u64);
+        let arch_count = 1 + c.uop.fused.is_some() as u64;
+        if c.uop.fused.is_some() {
             self.perf.fused_pairs += 1;
         }
         self.instret += arch_count;
@@ -1253,24 +1278,26 @@ impl Core {
         self.csr.minstret = self.instret;
         out.commits.push(CommitEvent {
             hart: self.hart,
-            pc: e.uop.pc,
-            inst: e.uop.inst,
-            fused: e.uop.fused,
-            wb: e.uop.dest.map(|d| (d.fp, d.idx, e.wb_value)),
-            mem: e.mem_info,
+            pc: c.uop.pc,
+            inst: c.uop.inst,
+            fused: c.uop.fused,
+            wb: c.uop.dest.map(|d| (d.fp, d.idx, wb_value)),
+            mem: c.mem_info,
             trap: None,
-            sc_failed: e.sc_failed,
+            // SCs retire through the atomic path, never through here.
+            sc_failed: false,
             halted: false,
             cycle: self.cycle,
         });
-        self.finalize_retired(&e);
+        self.finalize_retired(h);
+        self.rob.pop_head();
     }
 
     fn take_exception(&mut self, cause: Exception, tval: u64, out: &mut CycleOutput) {
-        let head = self.rob.head().expect("exception at head");
-        let pc = head.uop.pc;
-        let inst = head.uop.inst;
-        let seq = head.seq;
+        let h = self.rob.head().expect("exception at head");
+        let pc = self.rob.cold(h).uop.pc;
+        let inst = self.rob.cold(h).uop.inst;
+        let seq = self.rob.hot(h).seq;
         self.open_recovery(RecoveryKind::Serialize, seq);
         self.perf.exceptions += 1;
         let trap = Trap::Exception(cause, tval);
@@ -1293,22 +1320,16 @@ impl Core {
 
     /// Execute a serializing instruction at the commit point.
     fn commit_system(&mut self, mem: &mut MemSystem, out: &mut CycleOutput) {
-        let head = self.rob.head().expect("system at head");
-        let seq = head.seq;
-        let uop = head.uop.clone();
-        let d = uop.inst;
-        let srcs: Vec<u64> = head
-            .phys_srcs
-            .iter()
-            .flatten()
-            .map(|&(fp, p)| self.read_src(fp, p))
-            .collect();
+        let h = self.rob.head().expect("system at head");
+        let seq = self.rob.hot(h).seq;
+        let uop = &self.rob.cold(h).uop;
+        let (d, pc, dest, next_pc) = (uop.inst, uop.pc, uop.dest, uop.fallthrough());
         // Atomics get their own multi-cycle path.
         if d.is_amo() || matches!(d.op, Op::LrW | Op::LrD | Op::ScW | Op::ScD) {
             // Sources must be ready (they are: producers committed, but
             // producers may still be in flight if younger commit widths
             // allowed... they cannot be: commit is in order).
-            if !self.entry_ready_commit(seq) {
+            if !self.entry_ready_commit(h) {
                 return;
             }
             self.commit_stall = CommitStall::AtomicDrain;
@@ -1316,10 +1337,9 @@ impl Core {
             self.advance_atomic(mem, out);
             return;
         }
-        if !self.entry_ready_commit(seq) {
+        if !self.entry_ready_commit(h) {
             return; // CSR source operand still in flight
         }
-        let next_pc = uop.fallthrough();
         let mut wb: Option<(bool, u8, u64)> = None;
         let mut redirect = next_pc;
         match d.op {
@@ -1328,7 +1348,8 @@ impl Core {
                 let src = if matches!(d.op, Op::Csrrwi | Op::Csrrsi | Op::Csrrci) {
                     d.rs1 as u64
                 } else {
-                    srcs.first().copied().unwrap_or(0)
+                    let first = self.rob.hot(h).phys_srcs.into_iter().flatten().next();
+                    first.map_or(0, |(fp, p)| self.read_src(fp, p))
                 };
                 match self.csr.read(csrno) {
                     Ok(old) => {
@@ -1346,8 +1367,8 @@ impl Core {
                                 self.mmu.flush();
                             }
                         }
-                        if let Some(dest) = uop.dest {
-                            self.write_dest_at_commit(seq, old);
+                        if let Some(dest) = dest {
+                            self.write_dest_at_commit(h, old);
                             wb = Some((dest.fp, dest.idx, old));
                         }
                     }
@@ -1412,7 +1433,7 @@ impl Core {
                 self.tick_progress = true;
                 out.commits.push(CommitEvent {
                     hart: self.hart,
-                    pc: uop.pc,
+                    pc,
                     inst: d,
                     fused: None,
                     wb: None,
@@ -1425,17 +1446,15 @@ impl Core {
                 self.instret += 1;
                 self.perf.instret += 1;
                 self.perf.uops += 1;
-                let e = self.rob.pop_head().expect("head");
-                self.finalize_retired(&e);
+                self.finalize_retired(h);
+                self.rob.pop_head();
                 return;
             }
             other => panic!("unhandled commit-exec op {other:?}"),
         }
         // Retire the system op and flush younger (serialization).
-        let mut e = self.rob.pop_head().expect("head");
-        e.wb_value = wb.map(|w| w.2).unwrap_or(0);
-        e.state = RobState::Done;
-        if let Some(dest) = e.uop.dest {
+        if let Some(dest) = dest {
+            let e = self.rob.hot(h);
             let arat = if dest.fp {
                 &mut self.arat_fp
             } else {
@@ -1450,8 +1469,8 @@ impl Core {
         self.csr.minstret = self.instret;
         out.commits.push(CommitEvent {
             hart: self.hart,
-            pc: e.uop.pc,
-            inst: e.uop.inst,
+            pc,
+            inst: d,
             fused: None,
             wb,
             mem: None,
@@ -1460,7 +1479,8 @@ impl Core {
             halted: false,
             cycle: self.cycle,
         });
-        self.finalize_retired(&e);
+        self.finalize_retired(h);
+        self.rob.pop_head();
         self.perf.flushes_system += 1;
         self.open_recovery(RecoveryKind::Serialize, seq);
         self.flush_all(redirect, SquashCause::Serialize);
@@ -1468,32 +1488,27 @@ impl Core {
 
     /// Record an exception on the ROB head (taken next commit call).
     fn fault_head(&mut self, cause: Exception, tval: u64, out: &mut CycleOutput) {
-        let seq = self.rob.head().expect("head").seq;
-        if let Some(e) = self.rob.get_mut(seq) {
-            e.exception = Some((cause, tval));
-        }
+        let h = self.rob.head().expect("head");
+        self.rob.cold_mut(h).exception = Some((cause, tval));
         // Take it immediately (same cycle) for simplicity.
         self.take_exception(cause, tval, out);
     }
 
-    fn entry_ready_commit(&self, seq: u64) -> bool {
-        let e = self.rob.get(seq).expect("entry");
-        e.phys_srcs
+    fn entry_ready_commit(&self, idx: RobIdx) -> bool {
+        self.rob
+            .hot(idx)
+            .phys_srcs
             .iter()
             .flatten()
             .all(|&(fp, p)| self.src_ready(fp, p))
     }
 
-    fn write_dest_at_commit(&mut self, seq: u64, value: u64) {
-        let e = self.rob.get_mut(seq).expect("entry");
+    fn write_dest_at_commit(&mut self, idx: RobIdx, value: u64) {
+        let e = self.rob.hot_mut(idx);
         e.wb_value = value;
         let (fp, p, has) = (e.dest_fp, e.phys_rd, e.has_dest);
         if has {
-            if fp {
-                self.prf_fp.write(p, value);
-            } else {
-                self.prf_int.write(p, value);
-            }
+            self.write_preg(fp, p, value);
         }
     }
 
@@ -1502,20 +1517,14 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn advance_atomic(&mut self, mem: &mut MemSystem, out: &mut CycleOutput) {
-        let Some(head) = self.rob.head() else {
+        let Some(h) = self.rob.head() else {
             self.commit_stall = CommitStall::None;
             self.tick_progress = true;
             return;
         };
-        let seq = head.seq;
-        let d = head.uop.inst;
-        let addr = head
-            .phys_srcs
-            .first()
-            .copied()
-            .flatten()
-            .map(|(fp, p)| self.read_src(fp, p))
-            .unwrap_or(0);
+        let srcs = self.rob.hot(h).phys_srcs;
+        let d = self.rob.cold(h).uop.inst;
+        let addr = srcs[0].map_or(0, |(fp, p)| self.read_src(fp, p));
         let size = d.mem_size();
         match self.commit_stall {
             CommitStall::AtomicDrain => {
@@ -1560,13 +1569,7 @@ impl Core {
                     self.force_sc_fail = false;
                     self.reservation = None;
                     if success {
-                        let data = head
-                            .phys_srcs
-                            .get(1)
-                            .copied()
-                            .flatten()
-                            .map(|(fp, p)| self.read_src(fp, p))
-                            .unwrap_or(0);
+                        let data = srcs[1].map_or(0, |(fp, p)| self.read_src(fp, p));
                         self.perf.sc_successes += 1;
                         // This decision is the linearization point: other
                         // harts' reservations on the granule must die NOW,
@@ -1629,15 +1632,14 @@ impl Core {
             }
             CommitStall::None => {}
         }
-        let _ = seq;
     }
 
     fn atomic_loaded(&mut self, mem: &mut MemSystem, raw: u64, out: &mut CycleOutput) {
         let CommitStall::AtomicLoad { pa } = self.commit_stall else {
             return;
         };
-        let Some(head) = self.rob.head() else { return };
-        let d = head.uop.inst;
+        let Some(h) = self.rob.head() else { return };
+        let d = self.rob.cold(h).uop.inst;
         let old = load_extend(
             if d.mem_size() == 4 { Op::Lw } else { Op::Ld },
             raw,
@@ -1657,13 +1659,7 @@ impl Core {
         }
         // AMO: compute the new value and store it back in the same cycle
         // (the line is exclusive; the write is effectively atomic).
-        let src = head
-            .phys_srcs
-            .get(1)
-            .copied()
-            .flatten()
-            .map(|(fp, p)| self.read_src(fp, p))
-            .unwrap_or(0);
+        let src = self.rob.hot(h).phys_srcs[1].map_or(0, |(fp, p)| self.read_src(fp, p));
         let newv = riscv_isa::exec::amo_compute(d.op, old, src);
         let size = d.mem_size();
         // The AMO's write linearizes here (the line is exclusive): kill
@@ -1710,17 +1706,20 @@ impl Core {
 
     fn finish_atomic_inner(&mut self, value: u64, sc_failed: bool, mem_info: Option<CommitMem>) {
         self.commit_stall = CommitStall::None;
-        let mut e = self.rob.pop_head().expect("atomic at head");
-        e.wb_value = value;
-        e.sc_failed = sc_failed;
+        let h = self.rob.head().expect("atomic at head");
+        let (seq, p, old_phys) = {
+            let e = self.rob.hot(h);
+            (e.seq, e.phys_rd, e.old_phys)
+        };
+        let uop = &self.rob.cold(h).uop;
+        let (pc, inst, dest, next_pc) = (uop.pc, uop.inst, uop.dest, uop.fallthrough());
         if sc_failed {
             self.perf.sc_failures += 1;
         }
-        if let Some(dest) = e.uop.dest {
-            let p = e.phys_rd;
-            self.prf_int.write(p, value);
+        if let Some(dest) = dest {
+            self.write_preg(false, p, value);
             self.arat_int[dest.idx as usize] = p;
-            self.prf_int.release(e.old_phys);
+            self.prf_int.release(old_phys);
         }
         self.instret += 1;
         self.perf.instret += 1;
@@ -1728,21 +1727,22 @@ impl Core {
         self.csr.minstret = self.instret;
         self.deferred_commits.push(CommitEvent {
             hart: self.hart,
-            pc: e.uop.pc,
-            inst: e.uop.inst,
+            pc,
+            inst,
             fused: None,
-            wb: e.uop.dest.map(|d| (d.fp, d.idx, value)),
+            wb: dest.map(|d| (d.fp, d.idx, value)),
             mem: mem_info,
             trap: None,
             sc_failed,
             halted: false,
             cycle: self.cycle,
         });
-        self.finalize_retired(&e);
+        self.finalize_retired(h);
+        self.rob.pop_head();
         // Serialize after atomics.
         self.perf.flushes_system += 1;
-        self.open_recovery(RecoveryKind::Serialize, e.seq);
-        self.flush_all(e.uop.fallthrough(), SquashCause::Serialize);
+        self.open_recovery(RecoveryKind::Serialize, seq);
+        self.flush_all(next_pc, SquashCause::Serialize);
     }
 
     // ------------------------------------------------------------------
@@ -1751,71 +1751,51 @@ impl Core {
 
     fn issue(&mut self, mem: &mut MemSystem) {
         let mut ready_alu_total = 0usize;
-        // Stack buffer for this cycle's selections (one slot per queue):
-        // readiness comes from the entry's own renamed sources against
-        // the PRF ready bitmaps, so selection never touches the ROB.
-        let mut selected = [(FuClass::Alu, crate::issue::Picks::default()); MAX_IQS];
-        let nq = self.iqs.len();
-        debug_assert!(nq <= MAX_IQS);
-        {
-            let prf_int = &self.prf_int;
-            let prf_fp = &self.prf_fp;
-            let epoch = prf_int.epoch() + prf_fp.epoch();
-            for (qi, q) in self.iqs.iter_mut().enumerate() {
-                let (picked, ready) = q.select(epoch, |e| {
-                    e.srcs.iter().flatten().all(|&(fp, p)| {
-                        if fp {
-                            prf_fp.is_ready(p)
-                        } else {
-                            prf_int.is_ready(p)
-                        }
-                    })
-                });
-                if q.class == FuClass::Alu {
-                    ready_alu_total += ready;
-                }
-                selected[qi] = (q.class, picked);
+        // Queue by queue: nothing an issued uop does this cycle (it
+        // writes no register before the next tick) can change what a
+        // later queue finds ready.
+        for qi in 0..NUM_IQS {
+            let class = self.iqs[qi].class;
+            let (picked, ready) = self.iqs[qi].select();
+            if class == FuClass::Alu {
+                ready_alu_total += ready;
             }
-        }
-        self.perf.record_ready(ready_alu_total);
-        self.last_ready_alu = ready_alu_total;
-        for (class, seqs) in &selected[..nq] {
-            for seq in seqs.iter() {
-                let Some(e) = self.rob.get_mut(seq) else { continue };
+            for tag in picked.iter() {
+                debug_assert!(self.rob.live(tag), "issue-queue entry outlived its ROB slot");
+                let e = self.rob.hot_mut(tag.idx);
                 debug_assert_eq!(e.state, RobState::Waiting, "stale IQ entry picked");
                 self.tick_progress = true;
                 e.state = RobState::Issued;
-                e.life.issued = self.cycle;
+                self.rob.cold_mut(tag.idx).life.issued = self.cycle;
                 match class {
-                    FuClass::Load => self.issue_load(mem, seq),
-                    FuClass::Store => self.issue_store(mem, seq),
+                    FuClass::Load => self.issue_load(mem, tag),
+                    FuClass::Store => self.issue_store(mem, tag),
                     _ => {
-                        let lat = fu_latency(*class, &self.rob.get(seq).expect("e").uop.inst);
-                        let done_at = self.cycle + lat;
-                        self.fu_pipe.push(FuInFlight { done_at, seq });
+                        let inst = &self.rob.cold(tag.idx).uop.inst;
+                        let done_at = self.cycle + fu_latency(class, inst);
+                        self.fu_pipe.push(FuInFlight { done_at, tag });
                         self.fu_pipe_min = self.fu_pipe_min.min(done_at);
                     }
                 }
             }
         }
+        self.perf.record_ready(ready_alu_total);
+        self.last_ready_alu = ready_alu_total;
     }
 
-    fn issue_load(&mut self, mem: &mut MemSystem, seq: u64) {
+    fn issue_load(&mut self, mem: &mut MemSystem, tag: RobTag) {
+        let idx = tag.idx;
         if self.cfg.telemetry {
-            let e = self.rob.get_mut(seq).expect("load entry");
-            if e.issued_at == 0 {
-                e.issued_at = self.cycle;
+            let c = self.rob.cold_mut(idx);
+            if c.issued_at == 0 {
+                c.issued_at = self.cycle;
             }
         }
-        let e = self.rob.get(seq).expect("load entry");
-        let d = e.uop.inst;
-        let va = e
-            .phys_srcs
-            .first()
-            .copied()
-            .flatten()
-            .map(|(fp, p)| self.read_src(fp, p))
-            .unwrap_or(0)
+        let d = self.rob.cold(idx).uop.inst;
+        let e = self.rob.hot(idx);
+        let lq_idx = e.lq_idx.expect("load has an LQ entry");
+        let va = e.phys_srcs[0]
+            .map_or(0, |(fp, p)| self.read_src(fp, p))
             .wrapping_add(d.imm as u64);
         let size = d.mem_size();
         // Translate.
@@ -1823,58 +1803,50 @@ impl Core {
         let (pa, tlat) = match self.mmu.translate(&mut view, &self.csr, va, AccessType::Load) {
             MmuResult::Done { pa, latency } => (pa, latency),
             MmuResult::Fault { cause, .. } => {
-                let e = self.rob.get_mut(seq).expect("e");
-                e.exception = Some((cause, va));
-                e.state = RobState::Done;
+                self.rob.cold_mut(idx).exception = Some((cause, va));
+                self.rob.hot_mut(idx).state = RobState::Done;
                 return;
             }
         };
         // Record in the LQ.
-        if let Some(l) = self.lsu.lq.iter_mut().find(|l| l.seq == seq) {
-            l.paddr = Some(pa);
-            l.size = size;
-        }
-        let mem_info = CommitMem {
+        let l = &mut self.lsu.lq[lq_idx];
+        l.paddr = Some(pa);
+        l.size = size;
+        self.rob.cold_mut(idx).mem_info = Some(CommitMem {
             vaddr: va,
             paddr: pa,
             size,
             is_store: false,
             value: 0,
             mmio: pa == MTIME || pa == UART_TX,
-        };
-        self.rob.get_mut(seq).expect("e").mem_info = Some(mem_info);
+        });
         // MMIO loads resolve functionally.
         if pa == MTIME {
             let v = self.csr.time;
-            self.fu_finish_load_later(seq, v, 4 + tlat);
+            self.fu_finish_load_later(tag, v, 4 + tlat);
             return;
         }
         if pa == UART_TX {
-            self.fu_finish_load_later(seq, 0, 4 + tlat);
+            self.fu_finish_load_later(tag, 0, 4 + tlat);
             return;
         }
         // Store-to-load forwarding.
-        match self.lsu.forward(seq, pa, size) {
+        match self.lsu.forward(tag.seq, pa, size) {
             ForwardResult::Forward(raw) => {
                 self.perf.load_forwards += 1;
                 let v = load_extend(d.op, raw);
-                self.fu_finish_load_later(seq, v, 2 + tlat);
+                self.fu_finish_load_later(tag, v, 2 + tlat);
             }
-            ForwardResult::Stall => {
-                let e = self.rob.get_mut(seq).expect("e");
-                e.state = RobState::Waiting;
-                e.life.replays += 1;
-                self.replay_q.push((self.cycle + 4, seq));
-            }
+            ForwardResult::Stall => self.replay_load_later(tag, 4),
             ForwardResult::None => {
                 // Line-crossing loads take a slow functional path.
                 if uncore::line_of(pa) != uncore::line_of(pa + size - 1) {
                     let raw = mem.coherent_read(pa, size);
                     let v = load_extend(d.op, raw);
-                    self.fu_finish_load_later(seq, v, 8 + tlat);
+                    self.fu_finish_load_later(tag, v, 8 + tlat);
                     return;
                 }
-                let id = self.req_id(MemReqKind::Load { seq });
+                let id = self.req_id(MemReqKind::Load { tag });
                 let req = CoreReq {
                     core: self.hart,
                     kind: AccessKind::Load,
@@ -1885,61 +1857,56 @@ impl Core {
                 };
                 if !mem.submit_data(req) {
                     self.mem_inflight.remove(id);
-                    let e = self.rob.get_mut(seq).expect("e");
-                    e.state = RobState::Waiting;
-                    e.life.replays += 1;
-                    self.replay_q.push((self.cycle + 2, seq));
+                    self.replay_load_later(tag, 2);
                 }
             }
         }
     }
 
+    /// Put a load that could not proceed back to `Waiting`, to be
+    /// re-issued in `delay` cycles.
+    fn replay_load_later(&mut self, tag: RobTag, delay: u64) {
+        self.rob.hot_mut(tag.idx).state = RobState::Waiting;
+        self.rob.cold_mut(tag.idx).life.replays += 1;
+        self.replay_q.push((self.cycle + delay, tag));
+    }
+
     /// Finish a load after `lat` cycles with an already-known value.
-    fn fu_finish_load_later(&mut self, seq: u64, value: u64, lat: u64) {
+    fn fu_finish_load_later(&mut self, tag: RobTag, value: u64, lat: u64) {
         // Store the value now; deliver at the right time via a small
         // deferred list.
         let at = self.cycle + lat.max(1);
-        self.deferred_loads.push((at, seq, value));
+        self.deferred_loads.push((at, tag, value));
     }
 
-    fn issue_store(&mut self, mem: &mut MemSystem, seq: u64) {
-        let e = self.rob.get(seq).expect("store entry");
-        let d = e.uop.inst;
-        let va = e
-            .phys_srcs
-            .first()
-            .copied()
-            .flatten()
-            .map(|(fp, p)| self.read_src(fp, p))
-            .unwrap_or(0)
+    fn issue_store(&mut self, mem: &mut MemSystem, tag: RobTag) {
+        let idx = tag.idx;
+        let d = self.rob.cold(idx).uop.inst;
+        let e = self.rob.hot(idx);
+        let sq_idx = e.sq_idx.expect("store has an SQ entry");
+        let va = e.phys_srcs[0]
+            .map_or(0, |(fp, p)| self.read_src(fp, p))
             .wrapping_add(d.imm as u64);
-        let data = e
-            .phys_srcs
-            .get(1)
-            .copied()
-            .flatten()
-            .map(|(fp, p)| self.read_src(fp, p))
-            .unwrap_or(0);
+        let data = e.phys_srcs[1].map_or(0, |(fp, p)| self.read_src(fp, p));
         let size = d.mem_size();
         let mut view = CoherentView(mem);
         let pa = match self.mmu.translate(&mut view, &self.csr, va, AccessType::Store) {
             MmuResult::Done { pa, .. } => pa,
             MmuResult::Fault { cause, .. } => {
-                let e = self.rob.get_mut(seq).expect("e");
-                e.exception = Some((cause, va));
-                e.state = RobState::Done;
+                self.rob.cold_mut(idx).exception = Some((cause, va));
+                self.rob.hot_mut(idx).state = RobState::Done;
                 return;
             }
         };
         let mmio = pa == UART_TX || pa == MTIME;
-        if let Some(s) = self.lsu.sq.iter_mut().find(|s| s.seq == seq) {
-            s.paddr = Some(pa);
-            s.data = Some(data);
-            s.size = size;
-            s.mmio = mmio;
-        }
-        let e = self.rob.get_mut(seq).expect("e");
-        e.mem_info = Some(CommitMem {
+        let s = &mut self.lsu.sq[sq_idx];
+        s.paddr = Some(pa);
+        s.data = Some(data);
+        s.size = size;
+        s.mmio = mmio;
+        self.rob.hot_mut(idx).state = RobState::Done;
+        let c = self.rob.cold_mut(idx);
+        c.mem_info = Some(CommitMem {
             vaddr: va,
             paddr: pa,
             size,
@@ -1947,50 +1914,43 @@ impl Core {
             value: data,
             mmio,
         });
-        e.state = RobState::Done;
-        e.life.executed = self.cycle;
-        e.life.writeback = self.cycle;
+        c.life.executed = self.cycle;
+        c.life.writeback = self.cycle;
         // Memory-order check: younger loads that already executed on an
         // overlapping address must replay.
-        if let Some(viol) = self.lsu.order_violation(seq, pa, size) {
-            if let Some(le) = self.rob.get_mut(viol) {
-                le.replay_at_commit = true;
-            }
+        if let Some(viol) = self.lsu.order_violation(tag.seq, pa, size) {
+            debug_assert!(self.rob.live(viol), "LQ entry outlived its ROB slot");
+            self.rob.hot_mut(viol.idx).replay_at_commit = true;
         }
     }
 
     fn replay_loads(&mut self, mem: &mut MemSystem) {
-        let due: Vec<u64> = {
-            let cycle = self.cycle;
-            let mut d = Vec::new();
-            self.replay_q.retain(|&(at, seq)| {
-                if at <= cycle {
-                    d.push(seq);
-                    false
-                } else {
-                    true
-                }
-            });
-            d
-        };
+        let cycle = self.cycle;
+        let mut due = Vec::new();
+        self.replay_q.retain(|&(at, tag)| {
+            if at <= cycle {
+                due.push(tag);
+                false
+            } else {
+                true
+            }
+        });
         if !due.is_empty() {
             self.tick_progress = true;
         }
-        for seq in due {
-            if self.rob.get(seq).is_none() {
+        for tag in due {
+            if !self.rob.live(tag) {
                 continue;
             }
-            let e = self.rob.get_mut(seq).expect("e");
-            e.state = RobState::Issued;
-            e.life.issued = self.cycle;
-            self.issue_load(mem, seq);
+            self.rob.hot_mut(tag.idx).state = RobState::Issued;
+            self.rob.cold_mut(tag.idx).life.issued = self.cycle;
+            self.issue_load(mem, tag);
         }
         // Deliver deferred load values.
-        let cycle = self.cycle;
         let mut ready = Vec::new();
-        self.deferred_loads.retain(|&(at, seq, v)| {
+        self.deferred_loads.retain(|&(at, tag, v)| {
             if at <= cycle {
-                ready.push((seq, v));
+                ready.push((tag, v));
                 false
             } else {
                 true
@@ -1999,12 +1959,11 @@ impl Core {
         if !ready.is_empty() {
             self.tick_progress = true;
         }
-        for (seq, v) in ready {
-            if self.rob.get(seq).is_some() {
-                self.finish_load(seq, v);
+        for (tag, v) in ready {
+            if self.rob.live(tag) {
+                self.finish_load(tag.idx, v);
             }
         }
-        // Deliver deferred commit events is handled by tick's caller.
     }
 
     // ------------------------------------------------------------------
@@ -2024,84 +1983,85 @@ impl Core {
                 self.tick_progress = true;
                 let pu = self.ibuf.pop_front().expect("front");
                 let uop = Uop::new(pu.pc, pu.inst, None, pu.npc);
-                let seq = self.rob.push(uop);
-                let e = self.rob.get_mut(seq).expect("e");
-                e.exception = Some((cause, tval));
-                e.state = RobState::Done;
-                e.life.fetched = pu.fetched_at;
-                e.life.decoded = pu.fetched_at;
-                e.life.renamed = self.cycle;
-                e.life.dispatched = self.cycle;
+                let idx = self.rob.push(uop).idx;
+                self.rob.hot_mut(idx).state = RobState::Done;
+                let c = self.rob.cold_mut(idx);
+                c.exception = Some((cause, tval));
+                c.life.fetched = pu.fetched_at;
+                c.life.decoded = pu.fetched_at;
+                c.life.renamed = self.cycle;
+                c.life.dispatched = self.cycle;
                 break;
             }
             // Try fusion with the next entry.
-            let mut fused: Option<Uop> = None;
-            if self.cfg.fusion && self.ibuf.len() >= 2 {
-                let a = &self.ibuf[0];
-                let b = &self.ibuf[1];
-                if a.pred.is_none()
-                    && b.pred.is_none()
-                    && b.fault.is_none()
-                    && b.pc == a.pc + a.inst.len as u64
-                    && try_fuse(&a.inst, &b.inst)
-                {
-                    fused = Some(fuse(a.pc, a.inst, b.inst, b.npc));
-                }
-            }
-            let (uop, fetched_at) = if let Some(f) = fused {
-                let at = self.ibuf[0].fetched_at;
-                self.ibuf.pop_front();
-                self.ibuf.pop_front();
-                (f, at)
-            } else {
-                let pu = self.ibuf.pop_front().expect("front");
-                let at = pu.fetched_at;
-                let u = Uop::new(pu.pc, pu.inst, pu.pred, pu.npc);
-                (u, at)
-            };
-            if !self.try_rename_one(uop, fetched_at) {
+            let fuse_next = self.cfg.fusion
+                && self.ibuf.get(1).is_some_and(|b| {
+                    front.pred.is_none()
+                        && b.pred.is_none()
+                        && b.fault.is_none()
+                        && b.pc == front.pc + front.inst.len as u64
+                        && try_fuse(&front.inst, &b.inst)
+                });
+            // Structural hazards are tested on the ibuf entry itself: a
+            // stalled cycle builds no uop and moves nothing.
+            let plan = self.rename_plan(front.pc, &front.inst, fuse_next);
+            if self.rename_stalls(&plan) {
                 break;
             }
+            let a = self.ibuf.pop_front().expect("front");
+            let uop = if fuse_next {
+                let b = self.ibuf.pop_front().expect("fusion partner");
+                fuse(a.pc, a.inst, b.inst, b.npc)
+            } else {
+                Uop::new(a.pc, a.inst, a.pred, a.npc)
+            };
+            self.rename_one(uop, a.fetched_at, &plan);
             self.tick_progress = true;
         }
     }
 
-    /// Rename and dispatch one uop. Returns false when a structural
-    /// hazard requires stalling (uop is pushed back to the ibuf).
-    fn try_rename_one(&mut self, uop: Uop, fetched_at: u64) -> bool {
-        let d = uop.inst;
-        let is_load = d.is_load() && !matches!(d.op, Op::LrW | Op::LrD);
-        let is_store = d.is_store() && !d.is_amo() && !matches!(d.op, Op::ScW | Op::ScD);
-        let commit_exec = d.is_system()
-            || d.is_amo()
-            || matches!(d.op, Op::LrW | Op::LrD | Op::ScW | Op::ScD | Op::Illegal);
-        // Structural checks.
-        if is_load && self.lsu.lq_full() || is_store && self.lsu.sq_full() {
-            self.push_back(uop, fetched_at);
-            return false;
+    fn rename_plan(&self, pc: u64, d: &DecodedInst, fused: bool) -> RenamePlan {
+        // A fused pair writes the integer register both halves name.
+        let dest_fp = if fused { Some(false) } else { dest_of(d).map(|r| r.fp) };
+        let move_elim = self.cfg.move_elimination && !fused && is_reg_move(d);
+        RenamePlan {
+            is_load: d.is_load() && !matches!(d.op, Op::LrW | Op::LrD),
+            is_store: d.is_store() && !d.is_amo() && !matches!(d.op, Op::ScW | Op::ScD),
+            commit_exec: d.is_system()
+                || d.is_amo()
+                || matches!(d.op, Op::LrW | Op::LrD | Op::ScW | Op::ScD | Op::Illegal),
+            qi: match d.fu_class() {
+                FuClass::Alu | FuClass::Bru => (pc >> 2) as usize % 2,
+                FuClass::Mdu => 2,
+                FuClass::Store => 3,
+                FuClass::Load => 4,
+                FuClass::Fma => 5,
+                FuClass::Fmisc => 6,
+            },
+            move_elim,
+            alloc_fp: dest_fp.filter(|_| !move_elim),
         }
-        let class = d.fu_class();
-        let qi = self.queue_for(class, &uop);
-        if !commit_exec && self.iqs[qi].is_full() {
+    }
+
+    /// True when a structural hazard (LQ/SQ, issue queue, free list)
+    /// keeps the planned uop from renaming this cycle.
+    fn rename_stalls(&mut self, plan: &RenamePlan) -> bool {
+        if plan.is_load && self.lsu.lq_full() || plan.is_store && self.lsu.sq_full() {
+            return true;
+        }
+        if !plan.commit_exec && self.iqs[plan.qi].is_full() {
             self.rename_blocked_iq = true;
-            self.push_back(uop, fetched_at);
-            return false;
+            return true;
         }
-        // Move elimination.
-        let move_elim = self.cfg.move_elimination && uop.is_reg_move();
-        let needs_alloc = uop.dest.is_some() && !move_elim;
-        if needs_alloc {
-            let fp = uop.dest.expect("dest").fp;
-            let free = if fp {
-                self.prf_fp.free_count()
-            } else {
-                self.prf_int.free_count()
-            };
-            if free == 0 {
-                self.push_back(uop, fetched_at);
-                return false;
-            }
-        }
+        plan.alloc_fp.is_some_and(|fp| {
+            let prf = if fp { &self.prf_fp } else { &self.prf_int };
+            prf.free_count() == 0
+        })
+    }
+
+    /// Rename and dispatch one uop whose plan found no hazard.
+    fn rename_one(&mut self, uop: Uop, fetched_at: u64, plan: &RenamePlan) {
+        let d = uop.inst;
         // Map sources.
         let mut phys_srcs: [Option<(bool, PReg)>; 3] = [None; 3];
         for (i, s) in uop.srcs.iter().enumerate() {
@@ -2117,151 +2077,81 @@ impl Core {
         let is_cf = d.is_control_flow();
         let pc = uop.pc;
         let dest = uop.dest;
-        let fused = uop.fused.is_some();
-        let move_src = move_elim.then(|| uop.move_src());
-        let raw = d.raw;
-        let seq = self.rob.push(uop);
+        let move_src = plan.move_elim.then(|| uop.move_src());
+        let tag = self.rob.push(uop);
+        let idx = tag.idx;
         self.perf.dispatched += 1;
-        let e = self.rob.get_mut(seq).expect("just pushed");
+        let mut e = *self.rob.hot(idx);
         e.phys_srcs = phys_srcs;
-        e.commit_exec = commit_exec;
+        e.commit_exec = plan.commit_exec;
+        let c = self.rob.cold_mut(idx);
         let at = if fetched_at != 0 { fetched_at } else { self.cycle };
-        e.life.fetched = at;
-        e.life.decoded = at;
-        e.life.renamed = self.cycle;
-        e.life.dispatched = self.cycle;
+        c.life.fetched = at;
+        c.life.decoded = at;
+        c.life.renamed = self.cycle;
+        c.life.dispatched = self.cycle;
         if d.op == Op::Illegal {
-            e.exception = Some((Exception::IllegalInstruction, raw as u64));
+            c.exception = Some((Exception::IllegalInstruction, d.raw as u64));
             e.state = RobState::Done;
         }
         // Destination renaming.
         if let Some(dest) = dest {
-            let old = if dest.fp {
-                self.rat_fp[dest.idx as usize]
-            } else {
-                self.rat_int[dest.idx as usize]
-            };
-            if move_elim {
-                let src = move_src.expect("move source");
-                let shared = self.rat_int[src as usize];
+            let rat = if dest.fp { &mut self.rat_fp } else { &mut self.rat_int };
+            e.old_phys = rat[dest.idx as usize];
+            e.has_dest = true;
+            if let Some(src) = move_src {
+                let shared = rat[src as usize];
                 self.prf_int.addref(shared);
-                self.rat_int[dest.idx as usize] = shared;
-                let e = self.rob.get_mut(seq).expect("e");
                 e.phys_rd = shared;
-                e.old_phys = old;
-                e.has_dest = true;
-                e.dest_fp = false;
                 e.eliminated = true;
                 e.state = RobState::Done;
                 self.perf.moves_eliminated += 1;
             } else {
-                let p = if dest.fp {
-                    self.prf_fp.alloc().expect("checked free")
-                } else {
-                    self.prf_int.alloc().expect("checked free")
-                };
-                if dest.fp {
-                    self.rat_fp[dest.idx as usize] = p;
-                } else {
-                    self.rat_int[dest.idx as usize] = p;
-                }
-                let e = self.rob.get_mut(seq).expect("e");
-                e.phys_rd = p;
-                e.old_phys = old;
-                e.has_dest = true;
+                let prf = if dest.fp { &mut self.prf_fp } else { &mut self.prf_int };
+                e.phys_rd = prf.alloc().expect("checked free");
                 e.dest_fp = dest.fp;
             }
+            rat[dest.idx as usize] = e.phys_rd;
         }
         // Control-flow snapshot (after renaming own dest).
         if is_cf {
-            let snap = Box::new((self.rat_int, self.rat_fp));
-            self.rob.get_mut(seq).expect("e").rat_snapshot = Some(snap);
+            c.rat_snapshot = (self.rat_int, self.rat_fp);
         }
         // LSQ allocation.
-        if is_load {
-            let li = self.lsu.alloc_load(seq, d.mem_size());
-            self.rob.get_mut(seq).expect("e").lq_idx = Some(li);
+        if plan.is_load {
+            e.lq_idx = Some(self.lsu.alloc_load(tag, d.mem_size()));
         }
-        if is_store {
-            let si = self.lsu.alloc_store(seq, d.mem_size());
-            self.rob.get_mut(seq).expect("e").sq_idx = Some(si);
+        if plan.is_store {
+            e.sq_idx = Some(self.lsu.alloc_store(tag.seq, d.mem_size()));
         }
         // PUBS marking.
         let mut high_priority = false;
-        if self.cfg.issue_policy == IssuePolicy::Pubs && is_cf && d.is_branch() {
-            if self.pubs_conf.unconfident(pc) {
-                high_priority = true;
-                // Mark in-flight producers of the branch's operands.
-                let producers: Vec<u64> = [d.rs1, d.rs2]
-                    .iter()
-                    .map(|&r| self.pubs_def.producer_of(r))
-                    .filter(|&s| s != 0)
-                    .collect();
-                for pseq in producers {
-                    if let Some(pe) = self.rob.get_mut(pseq) {
-                        pe.high_priority = true;
-                    }
+        if self.cfg.issue_policy == IssuePolicy::Pubs
+            && d.is_branch()
+            && self.pubs_conf.unconfident(pc)
+        {
+            high_priority = true;
+            self.perf.high_priority_dispatched += 1;
+            // Mark in-flight producers of the branch's operands.
+            for r in [d.rs1, d.rs2] {
+                let producer = self.pubs_def.producer_of(r);
+                if producer != 0 {
                     for iq in &mut self.iqs {
-                        iq.mark_high_priority(pseq);
+                        iq.mark_high_priority(producer);
                     }
                 }
             }
         }
         if let Some(dest) = dest {
             if !dest.fp {
-                self.pubs_def.define(dest.idx, seq);
+                self.pubs_def.define(dest.idx, tag.seq);
             }
         }
-        if high_priority {
-            self.rob.get_mut(seq).expect("e").high_priority = true;
-        }
-        if high_priority {
-            self.perf.high_priority_dispatched += 1;
-        }
+        *self.rob.hot_mut(idx) = e;
         // Dispatch.
-        let eliminated = self.rob.get(seq).expect("e").eliminated;
-        if !commit_exec && !eliminated {
-            self.iqs[qi].dispatch(seq, high_priority, phys_srcs);
-        }
-        let _ = fused;
-        true
-    }
-
-    fn push_back(&mut self, uop: Uop, fetched_at: u64) {
-        // Re-split a fused uop is unnecessary: push a PreUop equivalent.
-        let (a, b) = (uop.inst, uop.fused);
-        if let Some(b) = b {
-            self.ibuf.push_front(PreUop {
-                pc: uop.pc + a.len as u64,
-                inst: b,
-                pred: None,
-                npc: uop.predicted_npc,
-                fault: None,
-                fetched_at,
-            });
-        }
-        self.ibuf.push_front(PreUop {
-            pc: uop.pc,
-            inst: a,
-            pred: uop.pred,
-            npc: if b.is_some() {
-                uop.pc + a.len as u64
-            } else {
-                uop.predicted_npc
-            },
-            fault: None,
-            fetched_at,
-        });
-    }
-
-    fn queue_for(&self, class: FuClass, uop: &Uop) -> usize {
-        match class {
-            FuClass::Alu | FuClass::Bru => (uop.pc >> 2) as usize % 2,
-            FuClass::Mdu => 2,
-            FuClass::Store => 3,
-            FuClass::Load => 4,
-            FuClass::Fma => 5,
-            FuClass::Fmisc => 6,
+        if !plan.commit_exec && !e.eliminated {
+            let (int, fp) = (&mut self.prf_int, &mut self.prf_fp);
+            self.iqs[plan.qi].dispatch(tag, high_priority, phys_srcs, int, fp);
         }
     }
 
@@ -2444,20 +2334,21 @@ impl Core {
         }
         let p = self.rat_int[reg as usize];
         let v = self.prf_int.read(p);
-        self.prf_int.write(p, v ^ xor_mask);
+        self.write_preg(false, p, v ^ xor_mask);
         let ap = self.arat_int[reg as usize];
         if ap != p {
             let av = self.prf_int.read(ap);
-            self.prf_int.write(ap, av ^ xor_mask);
+            self.write_preg(false, ap, av ^ xor_mask);
         }
     }
 
     /// Diagnostic view of the ROB head and pipeline state.
     pub fn debug_head(&self) -> String {
-        let head = self.rob.head().map(|e| {
+        let head = self.rob.head().map(|h| {
+            let (e, uop) = (self.rob.hot(h), &self.rob.cold(h).uop);
             format!(
                 "seq {} pc {:#x} {:?} state {:?} lq {:?} sq {:?} replay {}",
-                e.seq, e.uop.pc, e.uop.inst.op, e.state, e.lq_idx, e.sq_idx, e.replay_at_commit
+                e.seq, uop.pc, uop.inst.op, e.state, e.lq_idx, e.sq_idx, e.replay_at_commit
             )
         });
         format!(
@@ -2577,9 +2468,10 @@ mod tests {
     #[test]
     fn inflight_arena_rejects_stale_and_fetch_ids() {
         let mut a = InflightArena::default();
-        let id0 = a.insert(1, MemReqKind::Load { seq: 7 });
+        let load = |seq| MemReqKind::Load { tag: RobTag { seq, ..Default::default() } };
+        let id0 = a.insert(1, load(7));
         assert_eq!(id0 >> 56, 1, "hart tag in the top byte");
-        assert_eq!(a.remove(id0), Some(MemReqKind::Load { seq: 7 }));
+        assert_eq!(a.remove(id0), Some(load(7)));
         assert_eq!(a.remove(id0), None, "double completion ignored");
         // The slot is reused with a bumped generation: the old id is
         // recognized as stale instead of matching the new request.
@@ -2596,13 +2488,14 @@ mod tests {
     #[test]
     fn inflight_arena_retain_flushes_in_slot_order() {
         let mut a = InflightArena::default();
-        let keep = a.insert(0, MemReqKind::Load { seq: 3 });
-        let drop1 = a.insert(0, MemReqKind::Load { seq: 9 });
+        let load = |seq| MemReqKind::Load { tag: RobTag { seq, ..Default::default() } };
+        let keep = a.insert(0, load(3));
+        let drop1 = a.insert(0, load(9));
         let drain = a.insert(0, MemReqKind::SbufferDrain);
-        a.retain(|k| !matches!(k, MemReqKind::Load { seq } if *seq > 5));
+        a.retain(|k| !matches!(k, MemReqKind::Load { tag } if tag.seq > 5));
         assert_eq!(a.len(), 2);
         assert_eq!(a.remove(drop1), None, "flushed entry gone");
-        assert_eq!(a.remove(keep), Some(MemReqKind::Load { seq: 3 }));
+        assert_eq!(a.remove(keep), Some(load(3)));
         assert_eq!(a.remove(drain), Some(MemReqKind::SbufferDrain));
     }
 

@@ -5,13 +5,88 @@
 //! under RVWMO (§III-B2b) and the stale-PTE window of Fig. 3 (the PTW
 //! does not snoop the store buffer).
 
+use crate::rob::{RobIdx, RobTag};
 use std::collections::VecDeque;
+use std::ops::{Deref, Index, IndexMut};
+
+/// Position of an entry in the LQ or SQ: what a ROB entry's `lq_idx` /
+/// `sq_idx` holds. Positions count allocations (wrapping), roll back on
+/// a flush, and stay valid until the entry leaves the queue.
+pub type LsqPos = u16;
+
+/// An age-ordered queue addressed by position: entries enter at the back
+/// in program order, leave at the front in program order (commit), and
+/// a flush truncates the back — so nothing ever has to be searched for.
+#[derive(Debug, Clone)]
+pub struct AgeRing<T> {
+    entries: VecDeque<T>,
+    /// Position of the front entry.
+    base: LsqPos,
+    cap: LsqPos,
+}
+
+impl<T> AgeRing<T> {
+    fn with_capacity(cap: usize) -> Self {
+        AgeRing {
+            entries: VecDeque::with_capacity(cap),
+            base: 0,
+            cap: LsqPos::try_from(cap).expect("queue capacity within the LsqPos range"),
+        }
+    }
+
+    /// True when no entry can be allocated.
+    pub fn is_full(&self) -> bool {
+        self.entries.len() >= usize::from(self.cap)
+    }
+
+    fn push(&mut self, e: T) -> LsqPos {
+        let pos = self.base.wrapping_add(self.entries.len() as LsqPos);
+        self.entries.push_back(e);
+        pos
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let e = self.entries.pop_front()?;
+        self.base = self.base.wrapping_add(1);
+        Some(e)
+    }
+
+    /// Drop the youngest entries while `younger` holds for them.
+    fn truncate_while(&mut self, mut younger: impl FnMut(&T) -> bool) {
+        while self.entries.back().is_some_and(&mut younger) {
+            self.entries.pop_back();
+        }
+    }
+}
+
+/// Read-only access to the entries, oldest first.
+impl<T> Deref for AgeRing<T> {
+    type Target = VecDeque<T>;
+    fn deref(&self) -> &VecDeque<T> {
+        &self.entries
+    }
+}
+
+impl<T> Index<LsqPos> for AgeRing<T> {
+    type Output = T;
+    fn index(&self, pos: LsqPos) -> &T {
+        &self.entries[usize::from(pos.wrapping_sub(self.base))]
+    }
+}
+
+impl<T> IndexMut<LsqPos> for AgeRing<T> {
+    fn index_mut(&mut self, pos: LsqPos) -> &mut T {
+        &mut self.entries[usize::from(pos.wrapping_sub(self.base))]
+    }
+}
 
 /// A load-queue entry.
 #[derive(Debug, Clone, Copy)]
 pub struct LqEntry {
     /// Owning ROB sequence number.
     pub seq: u64,
+    /// Owning ROB slot.
+    pub rob: RobIdx,
     /// Physical address once translated.
     pub paddr: Option<u64>,
     /// Access size.
@@ -70,13 +145,11 @@ pub enum ForwardResult {
 #[derive(Debug, Clone)]
 pub struct Lsu {
     /// Load queue.
-    pub lq: Vec<LqEntry>,
+    pub lq: AgeRing<LqEntry>,
     /// Store queue.
-    pub sq: Vec<SqEntry>,
+    pub sq: AgeRing<SqEntry>,
     /// Store buffer (committed stores).
     pub sbuffer: VecDeque<SbufferEntry>,
-    lq_cap: usize,
-    sq_cap: usize,
     sbuffer_cap: usize,
 }
 
@@ -84,23 +157,21 @@ impl Lsu {
     /// Create an LSU with the given queue capacities.
     pub fn new(lq_cap: usize, sq_cap: usize, sbuffer_cap: usize) -> Self {
         Lsu {
-            lq: Vec::with_capacity(lq_cap),
-            sq: Vec::with_capacity(sq_cap),
+            lq: AgeRing::with_capacity(lq_cap),
+            sq: AgeRing::with_capacity(sq_cap),
             sbuffer: VecDeque::with_capacity(sbuffer_cap),
-            lq_cap,
-            sq_cap,
             sbuffer_cap,
         }
     }
 
     /// Can another load be renamed?
     pub fn lq_full(&self) -> bool {
-        self.lq.len() >= self.lq_cap
+        self.lq.is_full()
     }
 
     /// Can another store be renamed?
     pub fn sq_full(&self) -> bool {
-        self.sq.len() >= self.sq_cap
+        self.sq.is_full()
     }
 
     /// Is the store buffer full (blocks store commit)?
@@ -109,19 +180,19 @@ impl Lsu {
     }
 
     /// Allocate a load-queue slot.
-    pub fn alloc_load(&mut self, seq: u64, size: u64) -> usize {
+    pub fn alloc_load(&mut self, tag: RobTag, size: u64) -> LsqPos {
         debug_assert!(!self.lq_full());
         self.lq.push(LqEntry {
-            seq,
+            seq: tag.seq,
+            rob: tag.idx,
             paddr: None,
             size,
             done: false,
-        });
-        self.lq.len() - 1
+        })
     }
 
     /// Allocate a store-queue slot.
-    pub fn alloc_store(&mut self, seq: u64, size: u64) -> usize {
+    pub fn alloc_store(&mut self, seq: u64, size: u64) -> LsqPos {
         debug_assert!(!self.sq_full());
         self.sq.push(SqEntry {
             seq,
@@ -130,8 +201,7 @@ impl Lsu {
             data: None,
             committed: false,
             mmio: false,
-        });
-        self.sq.len() - 1
+        })
     }
 
     /// Scan older stores (SQ then store buffer) for a load at
@@ -191,20 +261,32 @@ impl Lsu {
 
     /// A store just resolved its address: find younger loads that already
     /// executed with an overlapping address (memory-order violation).
-    /// Returns the oldest violating load's sequence number.
-    pub fn order_violation(&self, store_seq: u64, paddr: u64, size: u64) -> Option<u64> {
+    /// Returns the oldest violating load (the LQ is in program order, so
+    /// the first match).
+    pub fn order_violation(&self, store_seq: u64, paddr: u64, size: u64) -> Option<RobTag> {
         let send = paddr + size;
         self.lq
             .iter()
             .filter(|l| l.seq > store_seq)
-            .filter(|l| {
+            .find(|l| {
                 l.paddr.is_some_and(|lp| {
                     let lend = lp + l.size;
                     lp < send && lend > paddr
                 })
             })
-            .map(|l| l.seq)
-            .min()
+            .map(|l| RobTag { seq: l.seq, idx: l.rob })
+    }
+
+    /// Remove the committed store `seq` — the oldest in the SQ, since
+    /// stores commit in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the SQ is empty.
+    pub fn pop_store(&mut self, seq: u64) -> SqEntry {
+        let e = self.sq.pop_front().expect("committed store in SQ");
+        debug_assert_eq!(e.seq, seq, "stores leave the SQ in program order");
+        e
     }
 
     /// Move the committed store `seq` from the SQ into the store buffer.
@@ -213,12 +295,7 @@ impl Lsu {
     ///
     /// Panics if the entry is missing or incomplete.
     pub fn commit_store(&mut self, seq: u64, now: u64, drain_delay: u64) {
-        let idx = self
-            .sq
-            .iter()
-            .position(|e| e.seq == seq)
-            .expect("committed store in SQ");
-        let e = self.sq.remove(idx);
+        let e = self.pop_store(seq);
         let paddr = e.paddr.expect("committed store has an address");
         let data = e.data.expect("committed store has data");
         self.sbuffer.push_back(SbufferEntry {
@@ -231,22 +308,18 @@ impl Lsu {
         });
     }
 
-    /// Remove a committed load from the LQ.
+    /// Remove the committed load `seq` — the oldest in the LQ.
     pub fn commit_load(&mut self, seq: u64) {
-        self.lq.retain(|e| e.seq != seq);
+        let e = self.lq.pop_front();
+        debug_assert_eq!(e.map(|e| e.seq), Some(seq), "loads leave the LQ in program order");
     }
 
-    /// Flush entries younger than `seq`.
+    /// Flush entries younger than `seq` (0 flushes every speculative
+    /// entry). The store buffer holds only committed stores: never
+    /// flushed.
     pub fn flush_after(&mut self, seq: u64) {
-        self.lq.retain(|e| e.seq <= seq);
-        self.sq.retain(|e| e.seq <= seq);
-        // The store buffer holds only committed stores: never flushed.
-    }
-
-    /// Flush all speculative entries (keeps the store buffer).
-    pub fn flush_all_speculative(&mut self) {
-        self.lq.clear();
-        self.sq.clear();
+        self.lq.truncate_while(|e| e.seq > seq);
+        self.sq.truncate_while(|e| e.seq > seq);
     }
 
     /// The next drainable store-buffer entry (not yet issued and past its
@@ -274,6 +347,10 @@ mod tests {
 
     fn lsu() -> Lsu {
         Lsu::new(8, 8, 4)
+    }
+
+    fn tag(seq: u64) -> RobTag {
+        RobTag { seq, ..Default::default() }
     }
 
     #[test]
@@ -355,24 +432,24 @@ mod tests {
     #[test]
     fn order_violation_detection() {
         let mut l = lsu();
-        let li = l.alloc_load(20, 8);
+        let li = l.alloc_load(tag(20), 8);
         l.lq[li].paddr = Some(0x3000);
         l.lq[li].done = true;
-        let li2 = l.alloc_load(22, 8);
+        let li2 = l.alloc_load(tag(22), 8);
         l.lq[li2].paddr = Some(0x3000);
         l.lq[li2].done = true;
         // Older store resolves to the same address: both loads violated;
         // the oldest is reported.
-        assert_eq!(l.order_violation(10, 0x3000, 8), Some(20));
+        assert_eq!(l.order_violation(10, 0x3000, 8), Some(tag(20)));
         // Disjoint store: no violation.
         assert_eq!(l.order_violation(10, 0x4000, 8), None);
         // Store younger than the loads: no violation.
         assert_eq!(l.order_violation(30, 0x3000, 8), None);
         // A load that issued (address known) but has not produced data
         // yet is also a violation: it will read stale memory.
-        let li3 = l.alloc_load(25, 8);
+        let li3 = l.alloc_load(tag(25), 8);
         l.lq[li3].paddr = Some(0x3000);
-        assert_eq!(l.order_violation(21, 0x3000, 8), Some(22));
+        assert_eq!(l.order_violation(21, 0x3000, 8), Some(tag(22)));
     }
 
     #[test]
@@ -382,11 +459,28 @@ mod tests {
         l.sq[si].paddr = Some(0x1000);
         l.sq[si].data = Some(5);
         l.commit_store(10, 0, 0);
-        l.alloc_load(20, 8);
+        l.alloc_load(tag(20), 8);
         l.alloc_store(21, 8);
         l.flush_after(15);
         assert!(l.lq.is_empty());
         assert!(l.sq.is_empty());
         assert_eq!(l.sbuffer.len(), 1, "committed stores survive flushes");
+    }
+
+    #[test]
+    fn positions_survive_commits_and_roll_back_on_flush() {
+        let mut l = lsu();
+        let a = l.alloc_load(tag(1), 8);
+        let b = l.alloc_load(tag(2), 8);
+        let c = l.alloc_load(tag(3), 8);
+        assert_eq!(l.lq[a].seq, 1);
+        l.commit_load(1);
+        l.lq[b].done = true;
+        assert_eq!((l.lq[b].seq, l.lq[c].seq), (2, 3), "positions are stable across a pop");
+        l.flush_after(2);
+        assert_eq!(l.lq.len(), 1);
+        // The flushed position is handed out again.
+        assert_eq!(l.alloc_load(tag(4), 8), c);
+        assert_eq!(l.lq[c].seq, 4);
     }
 }

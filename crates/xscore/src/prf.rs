@@ -9,18 +9,34 @@ pub type PReg = u16;
 /// The register alias table for one register class.
 pub type Rat = [PReg; 32];
 
+/// Width of a [`WaitRow`]: the number of issue queues of a core.
+pub const WAIT_QUEUES: usize = 7;
+
+/// The issue-queue slots waiting for one physical register: one slot
+/// bitmask per queue (see [`crate::issue::IssueQueue`]).
+pub type WaitRow = [u32; WAIT_QUEUES];
+
+/// What a write changes: 32 bytes per register, so marking it ready and
+/// collecting its waiters touch one host cache line between them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Wakeup {
+    /// The register holds its final value.
+    ready: bool,
+    /// Queue slots to wake when the register is written.
+    waiters: WaitRow,
+}
+
 /// One class (integer or floating point) of physical registers.
+///
+/// Readiness of an in-flight source only ever goes false -> true (a
+/// register is recycled only after its last reader released it), which
+/// is what lets the issue queues track it by wakeup instead of polling.
 #[derive(Debug, Clone)]
 pub struct Prf {
     value: Vec<u64>,
-    ready: Vec<bool>,
+    wakeup: Vec<Wakeup>,
     refcnt: Vec<u32>,
     free: Vec<PReg>,
-    /// Bumped on every ready-bit set (write). Readiness of an in-flight
-    /// source can only go false -> true (a register is recycled only
-    /// after its last reader released it), so an unchanged epoch proves
-    /// an issue queue's readiness scan would repeat its last result.
-    epoch: u64,
 }
 
 impl Prf {
@@ -31,10 +47,9 @@ impl Prf {
         free.shrink_to_fit();
         Prf {
             value: vec![0; n],
-            ready: vec![false; n],
+            wakeup: vec![Wakeup::default(); n],
             refcnt: vec![0; n],
             free,
-            epoch: 0,
         }
     }
 
@@ -45,13 +60,12 @@ impl Prf {
     /// returns a RAT with every architectural register mapped to freshly
     /// allocated, ready, zero-valued physical registers.
     pub fn reset_rat(&mut self) -> Rat {
-        self.epoch += 1;
-        self.ready[0] = true;
+        self.wakeup[0].ready = true;
         self.refcnt[0] = u32::MAX / 2; // pinned
         let mut rat = [0 as PReg; 32];
         for (i, slot) in rat.iter_mut().enumerate().skip(1) {
             let p = self.alloc().expect("enough registers at reset");
-            self.ready[p as usize] = true;
+            self.wakeup[p as usize].ready = true;
             self.value[p as usize] = 0;
             *slot = p;
             let _ = i;
@@ -62,7 +76,9 @@ impl Prf {
     /// Allocate a fresh physical register (refcount 1, not ready).
     pub fn alloc(&mut self) -> Option<PReg> {
         let p = self.free.pop()?;
-        self.ready[p as usize] = false;
+        let w = &mut self.wakeup[p as usize];
+        debug_assert_eq!(w.waiters, [0; WAIT_QUEUES], "p{p} recycled with live waiters");
+        w.ready = false;
         self.refcnt[p as usize] = 1;
         Some(p)
     }
@@ -92,19 +108,36 @@ impl Prf {
         }
     }
 
-    /// Write a value and mark the register ready.
-    pub fn write(&mut self, p: PReg, v: u64) {
-        if p != Self::ZERO {
-            self.value[p as usize] = v;
-            self.ready[p as usize] = true;
-            self.epoch += 1;
+    /// Write a value and mark the register ready. Returns the slots that
+    /// were waiting for it — the caller owes each of them a
+    /// [`crate::issue::IssueQueue::wake`] — and forgets them.
+    #[must_use = "the waiters of a written register must be woken"]
+    pub fn write(&mut self, p: PReg, v: u64) -> WaitRow {
+        if p == Self::ZERO {
+            return [0; WAIT_QUEUES];
         }
+        self.value[p as usize] = v;
+        let w = &mut self.wakeup[p as usize];
+        w.ready = true;
+        std::mem::take(&mut w.waiters)
     }
 
-    /// Wakeup epoch: changes whenever any ready bit is set.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// Register slot `slot` of queue `queue` as waiting for `p`.
+    pub fn add_waiter(&mut self, p: PReg, queue: usize, slot: usize) {
+        let w = &mut self.wakeup[p as usize];
+        debug_assert!(!w.ready, "waiting on a ready register");
+        w.waiters[queue] |= 1 << slot;
+    }
+
+    /// Forget that slot `slot` of queue `queue` waits for `p` (the slot
+    /// was flushed before the register was written).
+    pub fn remove_waiter(&mut self, p: PReg, queue: usize, slot: usize) {
+        self.wakeup[p as usize].waiters[queue] &= !(1 << slot);
+    }
+
+    /// The slots currently waiting for `p` (diagnostics/tests).
+    pub fn waiters(&self, p: PReg) -> WaitRow {
+        self.wakeup[p as usize].waiters
     }
 
     /// Read a register's value.
@@ -116,7 +149,7 @@ impl Prf {
     /// True when the register holds its final value.
     #[inline]
     pub fn is_ready(&self, p: PReg) -> bool {
-        self.ready[p as usize]
+        self.wakeup[p as usize].ready
     }
 
     /// Current reference count (diagnostics/tests).
@@ -149,7 +182,9 @@ mod tests {
         let mut prf = Prf::new(8);
         let p = prf.alloc().unwrap();
         assert!(!prf.is_ready(p));
-        prf.write(p, 42);
+        prf.add_waiter(p, 2, 5);
+        assert_eq!(prf.write(p, 42)[2], 1 << 5, "a write hands back the waiters");
+        assert_eq!(prf.waiters(p), [0; WAIT_QUEUES], "and forgets them");
         assert!(prf.is_ready(p));
         assert_eq!(prf.read(p), 42);
         prf.release(p);
@@ -181,7 +216,7 @@ mod tests {
     fn zero_register_is_immortal() {
         let mut prf = Prf::new(64);
         let _ = prf.reset_rat();
-        prf.write(Prf::ZERO, 99);
+        let _ = prf.write(Prf::ZERO, 99);
         assert_eq!(prf.read(Prf::ZERO), 0, "writes to p0 are discarded");
         prf.release(Prf::ZERO); // no-op
         assert!(prf.is_ready(Prf::ZERO));

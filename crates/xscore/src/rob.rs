@@ -1,18 +1,30 @@
-//! The reorder buffer.
+//! The reorder buffer: a fixed ring of slots addressed by handle.
 //!
-//! Entries are identified by a monotonically increasing sequence number;
-//! age comparisons and flush boundaries are plain `seq` comparisons.
+//! A uop has two names. Its *sequence number* is its age and identity:
+//! monotonically increasing, never reused, so age comparisons and flush
+//! boundaries are plain `seq` comparisons. Its *slot index* is where it
+//! lives: every structure that refers to an in-flight uop (issue queues,
+//! FU pipes, replay and deferred-load lists, in-flight memory requests,
+//! LQ entries) keeps both as a [`RobTag`], reaches the entry in O(1)
+//! through the index, and recognises a squashed uop by the slot's `seq`
+//! no longer matching (free slots hold `seq == 0`).
+//!
+//! Each slot is split in two: the fields every stage reads or writes
+//! ([`RobHot`], one cache line) and the bulky ones most stages leave
+//! alone ([`RobCold`]: the uop with its prediction, lifecycle stamps,
+//! commit-probe payloads, the RAT snapshot).
 
 use crate::lifecycle::LifeStamps;
+use crate::lsu::LsqPos;
 use crate::prf::{PReg, Rat};
 use crate::uop::{CommitMem, Uop};
 use riscv_isa::trap::Exception;
-use std::collections::VecDeque;
 
 /// Execution state of a ROB entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RobState {
     /// Waiting in an issue queue (or for commit-time execution).
+    #[default]
     Waiting,
     /// Issued to a functional unit / LSU.
     Issued,
@@ -20,17 +32,42 @@ pub enum RobState {
     Done,
 }
 
-/// One in-flight instruction.
-#[derive(Debug, Clone)]
-pub struct RobEntry {
-    /// Sequence number (global program order).
+/// Index of a ROB slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RobIdx(u16);
+
+/// Handle to an in-flight uop: the slot it was allocated plus the
+/// sequence number that proves the slot still holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RobTag {
+    /// Sequence number (global program order; 0 is never allocated).
     pub seq: u64,
-    /// The micro-op.
-    pub uop: Uop,
+    /// The slot.
+    pub idx: RobIdx,
+}
+
+/// The per-stage working set of one in-flight instruction.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+pub struct RobHot {
+    /// Sequence number of the occupant (0 when the slot is free).
+    pub seq: u64,
+    /// Result value (for probes and commit-time writes).
+    pub wb_value: u64,
+    /// Physical source registers (fp?, preg).
+    pub phys_srcs: [Option<(bool, PReg)>; 3],
     /// Physical destination (PRF::ZERO when none).
     pub phys_rd: PReg,
     /// Previous mapping of the destination (freed at commit).
     pub old_phys: PReg,
+    /// Load-queue position, if a load.
+    pub lq_idx: Option<LsqPos>,
+    /// Store-queue position, if a store.
+    pub sq_idx: Option<LsqPos>,
+    /// Pipeline state.
+    pub state: RobState,
+    /// Floating-point flags accumulated by this instruction.
+    pub fflags: u8,
     /// Destination is floating point.
     pub dest_fp: bool,
     /// Entry has a register destination.
@@ -39,187 +76,216 @@ pub struct RobEntry {
     pub eliminated: bool,
     /// Executes at commit (CSR/system/atomics).
     pub commit_exec: bool,
-    /// Pipeline state.
-    pub state: RobState,
-    /// Exception recorded during execution (taken at commit).
-    pub exception: Option<(Exception, u64)>,
-    /// Result value (for probes and commit-time writes).
-    pub wb_value: u64,
     /// Resolved control flow: taken?
     pub actual_taken: bool,
-    /// Resolved control flow: target.
-    pub actual_target: u64,
     /// Was this branch found mispredicted at resolution?
     pub mispredicted: bool,
     /// BPU already trained/recovered at resolution time.
     pub bpu_resolved: bool,
-    /// RAT snapshots (int, fp) for control-flow recovery.
-    pub rat_snapshot: Option<Box<(Rat, Rat)>>,
-    /// Load-queue index, if a load.
-    pub lq_idx: Option<usize>,
-    /// Store-queue index, if a store.
-    pub sq_idx: Option<usize>,
-    /// Memory access info for the commit probe.
-    pub mem_info: Option<CommitMem>,
-    /// SC failure flag.
-    pub sc_failed: bool,
-    /// PUBS: this uop is in an unconfident branch slice.
-    pub high_priority: bool,
-    /// Physical source registers (fp?, preg).
-    pub phys_srcs: [Option<(bool, PReg)>; 3],
     /// Memory-order violation: squash and re-fetch at commit.
     pub replay_at_commit: bool,
-    /// Floating-point flags accumulated by this instruction.
-    pub fflags: u64,
-    /// Cycle the uop issued (0 until issued; load-to-use telemetry).
-    pub issued_at: u64,
+}
+
+// One cache line per slot: a stage that only touches the hot half pays
+// for exactly one line, whatever the neighbours are doing.
+const _: () = assert!(std::mem::size_of::<RobHot>() <= 64);
+
+/// The rest of an in-flight instruction: read at execute and commit,
+/// written once or twice in a lifetime.
+#[derive(Debug, Clone)]
+pub struct RobCold {
+    /// The micro-op.
+    pub uop: Uop,
     /// Per-stage lifecycle stamps (always recorded; see
     /// [`crate::lifecycle`]).
     pub life: LifeStamps,
-}
-
-impl RobEntry {
-    /// Create an entry in the Waiting state.
-    pub fn new(seq: u64, uop: Uop) -> Self {
-        RobEntry {
-            seq,
-            uop,
-            phys_rd: 0,
-            old_phys: 0,
-            dest_fp: false,
-            has_dest: false,
-            eliminated: false,
-            commit_exec: false,
-            state: RobState::Waiting,
-            exception: None,
-            wb_value: 0,
-            actual_taken: false,
-            actual_target: 0,
-            mispredicted: false,
-            bpu_resolved: false,
-            rat_snapshot: None,
-            lq_idx: None,
-            sq_idx: None,
-            mem_info: None,
-            sc_failed: false,
-            high_priority: false,
-            phys_srcs: [None; 3],
-            replay_at_commit: false,
-            fflags: 0,
-            issued_at: 0,
-            life: LifeStamps::default(),
-        }
-    }
+    /// Exception recorded during execution (taken at commit). An entry
+    /// carrying one is always `Done`.
+    pub exception: Option<(Exception, u64)>,
+    /// Memory access info for the commit probe.
+    pub mem_info: Option<CommitMem>,
+    /// Resolved control flow: target.
+    pub actual_target: u64,
+    /// Cycle the uop issued (0 until issued; load-to-use telemetry).
+    pub issued_at: u64,
+    /// RAT snapshots (int, fp) for control-flow recovery. Written at
+    /// rename for control-flow uops only; stale otherwise.
+    pub rat_snapshot: (Rat, Rat),
 }
 
 /// The reorder buffer: a bounded FIFO of in-flight instructions.
 #[derive(Debug, Clone)]
 pub struct Rob {
-    entries: VecDeque<RobEntry>,
-    capacity: usize,
+    hot: Box<[RobHot]>,
+    /// Grows to the capacity as the ring first advances, so booting a
+    /// core (and cloning a freshly booted one) does not pay for slots no
+    /// uop has reached yet.
+    cold: Vec<RobCold>,
+    head: usize,
+    len: usize,
     next_seq: u64,
 }
 
 impl Rob {
     /// Create a ROB with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
+        assert!(
+            capacity <= usize::from(u16::MAX),
+            "ROB capacity over the RobIdx range"
+        );
         Rob {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
+            hot: vec![RobHot::default(); capacity].into(),
+            cold: Vec::with_capacity(capacity),
+            head: 0,
+            len: 0,
             next_seq: 1,
         }
     }
 
     /// True when no more instructions can be renamed this cycle.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len >= self.hot.len()
     }
 
     /// Number of in-flight instructions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Allocate the next entry, returning its sequence number.
+    /// Allocate the next entry (state `Waiting`), returning its handle.
     ///
     /// # Panics
     ///
     /// Panics when full — callers must check [`Rob::is_full`].
-    pub fn push(&mut self, uop: Uop) -> u64 {
+    pub fn push(&mut self, uop: Uop) -> RobTag {
         assert!(!self.is_full(), "ROB overflow");
+        let idx = self.nth(self.len);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.entries.push_back(RobEntry::new(seq, uop));
-        seq
+        self.len += 1;
+        self.hot[idx.0 as usize] = RobHot {
+            seq,
+            ..Default::default()
+        };
+        match self.cold.get_mut(idx.0 as usize) {
+            // A reused slot keeps its (stale) RAT snapshot: 128 bytes
+            // only a control-flow uop needs rewritten.
+            Some(c) => {
+                c.uop = uop;
+                c.life = LifeStamps::default();
+                c.exception = None;
+                c.mem_info = None;
+                c.actual_target = 0;
+                c.issued_at = 0;
+            }
+            None => self.cold.push(RobCold {
+                uop,
+                life: LifeStamps::default(),
+                exception: None,
+                mem_info: None,
+                actual_target: 0,
+                issued_at: 0,
+                rat_snapshot: ([0; 32], [0; 32]),
+            }),
+        }
+        RobTag { seq, idx }
     }
 
-    /// Access an entry by sequence number.
-    ///
-    /// Sequence numbers are strictly increasing but *not* contiguous
-    /// (flushes leave gaps), so this is a binary search.
-    pub fn get(&self, seq: u64) -> Option<&RobEntry> {
-        let idx = self
-            .entries
-            .binary_search_by_key(&seq, |e| e.seq)
-            .ok()?;
-        Some(&self.entries[idx])
+    /// Is the uop behind `tag` still in flight (neither committed nor
+    /// squashed)?
+    #[inline]
+    pub fn live(&self, tag: RobTag) -> bool {
+        self.hot[tag.idx.0 as usize].seq == tag.seq
     }
 
-    /// Mutable access by sequence number.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let idx = self
-            .entries
-            .binary_search_by_key(&seq, |e| e.seq)
-            .ok()?;
-        Some(&mut self.entries[idx])
+    /// The hot half of a slot.
+    #[inline]
+    pub fn hot(&self, idx: RobIdx) -> &RobHot {
+        &self.hot[idx.0 as usize]
     }
 
-    /// The oldest entry.
-    pub fn head(&self) -> Option<&RobEntry> {
-        self.entries.front()
+    /// Mutable hot half of a slot.
+    #[inline]
+    pub fn hot_mut(&mut self, idx: RobIdx) -> &mut RobHot {
+        &mut self.hot[idx.0 as usize]
     }
 
-    /// Pop the oldest entry (commit).
-    pub fn pop_head(&mut self) -> Option<RobEntry> {
-        self.entries.pop_front()
+    /// The cold half of a slot.
+    #[inline]
+    pub fn cold(&self, idx: RobIdx) -> &RobCold {
+        &self.cold[idx.0 as usize]
     }
 
-    /// Remove every entry younger than `seq`, returning them oldest-first
-    /// (mispredict/violation flush).
-    pub fn flush_after(&mut self, seq: u64) -> Vec<RobEntry> {
-        let keep = self
-            .entries
-            .iter()
-            .position(|e| e.seq > seq)
-            .unwrap_or(self.entries.len());
-        self.entries.split_off(keep).into()
+    /// Mutable cold half of a slot.
+    #[inline]
+    pub fn cold_mut(&mut self, idx: RobIdx) -> &mut RobCold {
+        &mut self.cold[idx.0 as usize]
     }
 
-    /// Remove everything (full flush), returning the entries oldest-first.
-    pub fn flush_all(&mut self) -> Vec<RobEntry> {
-        std::mem::take(&mut self.entries).into()
+    /// The oldest entry's slot.
+    pub fn head(&self) -> Option<RobIdx> {
+        (self.len > 0).then_some(RobIdx(self.head as u16))
     }
 
-    /// Iterate over in-flight entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
+    /// Free the oldest entry (commit). The slot's contents stay readable
+    /// until the ring wraps around to it.
+    pub fn pop_head(&mut self) {
+        debug_assert!(self.len > 0, "pop from an empty ROB");
+        self.hot[self.head].seq = 0;
+        self.head = self.wrap(self.head + 1);
+        self.len -= 1;
     }
 
-    /// Iterate mutably, oldest first.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        self.entries.iter_mut()
+    /// Slot of the `k`-th oldest entry (`k == len` is the next slot to be
+    /// allocated).
+    pub fn nth(&self, k: usize) -> RobIdx {
+        debug_assert!(k <= self.len);
+        RobIdx(self.wrap(self.head + k) as u16)
+    }
+
+    /// How many live entries are older than the live entry in `idx`.
+    pub fn rank(&self, idx: RobIdx) -> usize {
+        let i = idx.0 as usize;
+        let r = if i >= self.head {
+            i - self.head
+        } else {
+            i + self.hot.len() - self.head
+        };
+        debug_assert!(r < self.len, "rank of a free slot");
+        r
+    }
+
+    /// Keep the `keep` oldest entries and free the rest (flush): the tail
+    /// rolls back, nothing moves.
+    pub fn truncate(&mut self, keep: usize) {
+        for k in keep..self.len {
+            let idx = self.nth(k);
+            self.hot[idx.0 as usize].seq = 0;
+        }
+        self.len = self.len.min(keep);
+    }
+
+    #[inline]
+    fn wrap(&self, i: usize) -> usize {
+        if i >= self.hot.len() {
+            i - self.hot.len()
+        } else {
+            i
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use riscv_isa::op::{DecodedInst, Op};
+    use std::collections::VecDeque;
 
     fn uop(pc: u64) -> Uop {
         Uop::new(
@@ -238,15 +304,15 @@ mod tests {
     #[test]
     fn push_get_pop() {
         let mut rob = Rob::new(4);
-        let s1 = rob.push(uop(0x100));
-        let s2 = rob.push(uop(0x104));
-        assert_eq!(rob.get(s1).unwrap().uop.pc, 0x100);
-        assert_eq!(rob.get(s2).unwrap().uop.pc, 0x104);
-        assert_eq!(rob.head().unwrap().seq, s1);
+        let t1 = rob.push(uop(0x100));
+        let t2 = rob.push(uop(0x104));
+        assert_eq!(rob.cold(t1.idx).uop.pc, 0x100);
+        assert_eq!(rob.cold(t2.idx).uop.pc, 0x104);
+        assert_eq!(rob.head(), Some(t1.idx));
         rob.pop_head();
-        assert_eq!(rob.head().unwrap().seq, s2);
-        assert!(rob.get(s1).is_none(), "popped entries are unreachable");
-        assert_eq!(rob.get(s2).unwrap().seq, s2);
+        assert_eq!(rob.head(), Some(t2.idx));
+        assert!(!rob.live(t1), "popped entries are unreachable");
+        assert!(rob.live(t2));
     }
 
     #[test]
@@ -258,27 +324,105 @@ mod tests {
     }
 
     #[test]
-    fn flush_after_removes_younger() {
+    fn truncate_removes_younger() {
         let mut rob = Rob::new(8);
-        let seqs: Vec<u64> = (0..6).map(|i| rob.push(uop(i * 4))).collect();
-        let flushed = rob.flush_after(seqs[2]);
-        assert_eq!(flushed.len(), 3);
-        assert!(flushed.iter().all(|e| e.seq > seqs[2]));
+        let tags: Vec<RobTag> = (0..6).map(|i| rob.push(uop(i * 4))).collect();
+        rob.truncate(rob.rank(tags[2].idx) + 1);
         assert_eq!(rob.len(), 3);
-        assert!(rob.get(seqs[3]).is_none());
-        assert!(rob.get(seqs[2]).is_some());
-        // Seq numbers keep increasing after a flush.
-        let s = rob.push(uop(0x40));
-        assert!(s > seqs[5]);
+        assert!(!rob.live(tags[3]));
+        assert!(rob.live(tags[2]));
+        // Seq numbers keep increasing after a flush, and the freed slot
+        // is handed out again under a new seq.
+        let t = rob.push(uop(0x40));
+        assert!(t.seq > tags[5].seq);
+        assert_eq!(t.idx, tags[3].idx);
+        assert!(
+            !rob.live(tags[3]),
+            "a stale handle must not match the new occupant"
+        );
+        rob.truncate(0);
+        assert!(rob.is_empty());
     }
 
-    #[test]
-    fn flush_all_empties() {
-        let mut rob = Rob::new(8);
-        rob.push(uop(0));
-        rob.push(uop(4));
-        let flushed = rob.flush_all();
-        assert_eq!(flushed.len(), 2);
-        assert!(rob.is_empty());
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Push,
+        PopHead,
+        FlushAfter(usize),
+        FlushAll,
+    }
+
+    /// Weights 6 : 3 : 1 : 1 over push / pop / flush-after / flush-all.
+    fn step((kind, k): (u8, usize)) -> Step {
+        match kind {
+            0..=5 => Step::Push,
+            6..=8 => Step::PopHead,
+            9 => Step::FlushAfter(k),
+            _ => Step::FlushAll,
+        }
+    }
+
+    proptest! {
+        // The full count is for the optimised CI leg (`cargo test
+        // --release -p xscore`); a debug build runs a sample.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 128 } else { 4096 }
+        ))]
+
+        /// The ring against a `VecDeque` model: same occupancy, order
+        /// and contents after every step, and every handle ever issued
+        /// — including stale ones whose slot was reused after a flush —
+        /// is live exactly while the model still holds its seq.
+        #[test]
+        fn ring_matches_deque_model(
+            cap in 1usize..12,
+            steps in prop::collection::vec((0u8..11, 0usize..16), 1..200),
+        ) {
+            let mut rob = Rob::new(cap);
+            let mut model: VecDeque<(RobTag, u64)> = VecDeque::new();
+            let mut issued: Vec<RobTag> = Vec::new();
+            let mut last_seq = 0;
+            for (n, &s) in steps.iter().enumerate() {
+                match step(s) {
+                    Step::Push => {
+                        prop_assert_eq!(rob.is_full(), model.len() == cap);
+                        if !rob.is_full() {
+                            let pc = 0x1000 + 4 * n as u64;
+                            let t = rob.push(uop(pc));
+                            prop_assert!(t.seq > last_seq, "seq reused or not monotone");
+                            last_seq = t.seq;
+                            model.push_back((t, pc));
+                            issued.push(t);
+                        }
+                    }
+                    Step::PopHead => {
+                        if model.pop_front().is_some() {
+                            rob.pop_head();
+                        }
+                    }
+                    Step::FlushAfter(k) => {
+                        if let Some(&(t, _)) = model.get(k) {
+                            rob.truncate(rob.rank(t.idx) + 1);
+                            model.truncate(k + 1);
+                        }
+                    }
+                    Step::FlushAll => {
+                        rob.truncate(0);
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(rob.len(), model.len());
+                prop_assert_eq!(rob.head(), model.front().map(|&(t, _)| t.idx));
+                for (k, &(t, pc)) in model.iter().enumerate() {
+                    prop_assert_eq!(rob.nth(k), t.idx);
+                    prop_assert_eq!(rob.rank(t.idx), k);
+                    prop_assert_eq!(rob.hot(t.idx).seq, t.seq);
+                    prop_assert_eq!(rob.cold(t.idx).uop.pc, pc);
+                }
+                for &t in &issued {
+                    prop_assert_eq!(rob.live(t), model.iter().any(|&(m, _)| m == t));
+                }
+            }
+        }
     }
 }

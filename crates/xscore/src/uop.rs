@@ -62,19 +62,6 @@ impl Uop {
         if inst.is_fma() {
             srcs[2] = slot(true, inst.rs3);
         }
-        let dest = if inst.writes_fpr() {
-            Some(SrcReg {
-                fp: true,
-                idx: inst.rd,
-            })
-        } else if inst.writes_gpr() {
-            Some(SrcReg {
-                fp: false,
-                idx: inst.rd,
-            })
-        } else {
-            None
-        };
         Uop {
             pc,
             inst,
@@ -82,7 +69,7 @@ impl Uop {
             pred,
             predicted_npc: npc,
             srcs,
-            dest,
+            dest: dest_of(&inst),
         }
     }
 
@@ -99,17 +86,7 @@ impl Uop {
     /// True for a register-move eligible for move elimination:
     /// `addi rd, rs, 0` / `add rd, rs, x0` with integer registers.
     pub fn is_reg_move(&self) -> bool {
-        if self.fused.is_some() {
-            return false;
-        }
-        match self.inst.op {
-            Op::Addi => self.inst.imm == 0 && self.inst.rd != 0 && self.inst.rs1 != 0,
-            Op::Add => {
-                self.inst.rd != 0
-                    && ((self.inst.rs1 == 0) != (self.inst.rs2 == 0))
-            }
-            _ => false,
-        }
+        self.fused.is_none() && is_reg_move(&self.inst)
     }
 
     /// The moved-from source of a register move.
@@ -120,6 +97,27 @@ impl Uop {
         } else {
             self.inst.rs1
         }
+    }
+}
+
+/// The destination register of a single (unfused) instruction.
+pub fn dest_of(d: &DecodedInst) -> Option<SrcReg> {
+    if d.writes_fpr() {
+        Some(SrcReg { fp: true, idx: d.rd })
+    } else if d.writes_gpr() {
+        Some(SrcReg { fp: false, idx: d.rd })
+    } else {
+        None
+    }
+}
+
+/// Is the single instruction `d` a register move (see
+/// [`Uop::is_reg_move`])?
+pub fn is_reg_move(d: &DecodedInst) -> bool {
+    match d.op {
+        Op::Addi => d.imm == 0 && d.rd != 0 && d.rs1 != 0,
+        Op::Add => d.rd != 0 && ((d.rs1 == 0) != (d.rs2 == 0)),
+        _ => false,
     }
 }
 

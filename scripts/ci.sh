@@ -3,6 +3,9 @@
 #
 #   1. release build of the whole workspace,
 #   2. the full test suite (unit + integration + property + doc tests),
+#      then `xscore` again in an optimised build, where its model-based
+#      proptests (ROB ring, wakeup queues) run at full case counts (the
+#      debug build samples them),
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,
@@ -65,6 +68,9 @@ cargo test -q
 
 echo "== tier-1: cargo test -q --workspace =="
 cargo test -q --workspace
+
+echo "== tier-1: cargo test -q --release -p xscore =="
+cargo test -q --release -p xscore
 
 echo "== tier-1: smoke campaign (2 workloads x 2 configs x 4 seeds) =="
 report="$(mktemp /tmp/campaign-smoke.XXXXXX.json)"

@@ -63,6 +63,13 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Refuse a well-formed request the platform cannot run faithfully: one
+/// line of diagnosis, exit code 2.
+fn reject(err: &str) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(2);
+}
+
 fn parse_seeds(spec: &str) -> Vec<u64> {
     if let Some((lo, hi)) = spec.split_once("..") {
         let lo: u64 = lo.parse().unwrap_or_else(|_| usage("bad seed range"));
@@ -227,6 +234,9 @@ fn main() {
             mp,
             inject_l2_race,
         };
+        if let Err(e) = opts.validate() {
+            reject(&e);
+        }
         eprintln!(
             "fuzz campaign: {} rounds x {} jobs on {} workers (seed {})",
             opts.rounds, opts.jobs_per_round, opts.workers, opts.fuzz_seed
@@ -346,6 +356,9 @@ fn main() {
             })
             .collect();
 
+        if let Some(e) = jobs.iter().find_map(|j| j.config().err()) {
+            reject(&e);
+        }
         eprintln!("campaign: {} jobs on {} workers", jobs.len(), workers);
         let mut c = Campaign::new(jobs)
             .with_workers(workers)

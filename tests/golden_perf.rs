@@ -155,6 +155,31 @@ fn event_skip_equivalence_is_exact() {
 }
 
 #[test]
+fn event_skip_shadow_check_on_torture_seeds() {
+    // ROADMAP item 4's shadow check beyond the fixed kernel list: random
+    // torture programs, skip on and off side by side, must agree on the
+    // commit trace and the CPI stack.
+    for config in ["small-nh", "small-yqh"] {
+        for seed in 0..16 {
+            let program = WorkloadSource::torture(seed, TortureConfig::default()).build();
+            let run = |on: bool| {
+                let cfg = XsConfig::preset(config)
+                    .expect("known preset")
+                    .with_event_driven(on);
+                let mut sys = XsSystem::new(cfg, &program);
+                let commits = sys.run_collect(8_000_000);
+                assert!(sys.all_halted(), "torture {seed}/{config}: did not halt");
+                (commits, sys.cores[0].cycle(), sys.cores[0].perf.cpi)
+            };
+            let (on, off) = (run(true), run(false));
+            assert!(!on.0.is_empty(), "torture {seed}/{config}: no commits observed");
+            assert!(on.0 == off.0, "torture {seed}/{config}: commit traces diverged");
+            assert_eq!((on.1, on.2), (off.1, off.2), "torture {seed}/{config}: CPI stack diverged");
+        }
+    }
+}
+
+#[test]
 fn golden_pins_mcf() {
     // mcf is the pointer-chasing cache-hostile kernel: the no-L3 `nh`
     // hierarchy gets crushed (70% L1D miss rate, memory-bound CPI),
@@ -188,4 +213,40 @@ fn golden_pins_libquantum() {
     assert_eq!(r3(yqh.mpki()), 0.092);
     assert_eq!(r3(yqh.l1d_miss_rate()), 0.035);
     assert_eq!(yqh.cpi_stack().top_stall().0, "memory_stall");
+}
+
+#[test]
+fn golden_pins_pubs() {
+    // PUBS is exercised by no other integration test or benchmark
+    // workload: pin the prioritized select (cycles, instret, marked
+    // dispatches and the Fig. 15 ready histogram) on the branchiest
+    // kernel and on the one with the widest ready distribution, so the
+    // issue queues' pick order under `IssuePolicy::Pubs` cannot change
+    // unnoticed.
+    let run = |name: &str, config: &str| {
+        let program = WorkloadSource::kernel(name).build();
+        let cfg = XsConfig::preset(config).expect("known preset").with_pubs();
+        let mut sys = XsSystem::new(cfg, &program);
+        assert!(sys.run(8_000_000).is_some(), "{name}/{config}: did not halt");
+        let p = &sys.cores[0].perf;
+        (p.cycles, p.instret, p.high_priority_dispatched, p.ready_hist)
+    };
+    assert_eq!(
+        run("sjeng", "small-nh"),
+        (
+            69964,
+            84503,
+            10178,
+            [23696, 21075, 11602, 4574, 4542, 3248, 1204, 23, 0, 0, 0, 0, 0, 0, 0, 0]
+        )
+    );
+    assert_eq!(
+        run("hmmer", "small-yqh"),
+        (
+            32696,
+            100096,
+            249,
+            [1687, 8064, 7638, 15001, 61, 68, 15, 66, 48, 16, 15, 16, 1, 0, 0, 0]
+        )
+    );
 }
