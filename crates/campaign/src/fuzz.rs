@@ -1,8 +1,8 @@
 //! Coverage-guided fuzzing over the campaign runner.
 //!
-//! The fuzzer evolves a corpus of [`Recipe`]s — torture-generator
-//! `(seed, knobs, kept-mask, config)` quadruples, the same complete
-//! reproducers the rest of the stack already speaks. Each round it runs
+//! The fuzzer evolves a corpus of [`Recipe`]s — a generated
+//! [`WorkloadSource`] (`seed, knobs, kept-mask`) plus the preset it runs
+//! on, the same complete reproducers the rest of the stack speaks. Each round it runs
 //! a batch of recipes with coverage maps enabled, absorbs their
 //! features into the campaign [`CoverageSet`], admits every recipe
 //! that produced novel coverage, and seeds the next round with
@@ -37,18 +37,11 @@ const LITMUS_SALT: u64 = 0x11a7_b05e_ed0c_ab1e;
 /// One corpus entry: a complete, serializable workload reproducer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Recipe {
-    /// Torture-generator seed.
-    pub seed: u64,
-    /// Generator knobs.
-    pub cfg: TortureConfig,
-    /// Kept-mask over the abstract body slots (None keeps every slot).
-    pub keep: Option<Vec<bool>>,
+    /// The generated program: a torture source, or — two harts, the job
+    /// runs dual-core — a litmus source.
+    pub source: WorkloadSource,
     /// Configuration preset slug the recipe runs on.
     pub config: String,
-    /// When set, this is a two-hart litmus recipe: `seed` feeds the
-    /// litmus generator, these knobs replace `cfg`, and `keep` masks
-    /// rounds instead of body slots. The job runs dual-core.
-    pub litmus: Option<LitmusConfig>,
 }
 
 /// Fuzz-campaign options. Everything that influences the report body
@@ -157,11 +150,8 @@ pub fn fresh_recipe(seed: u64, config: &str) -> Recipe {
     }
     .clamped();
     Recipe {
-        seed,
-        cfg,
-        keep: None,
+        source: WorkloadSource::torture(seed, cfg),
         config: config.into(),
-        litmus: None,
     }
 }
 
@@ -180,11 +170,8 @@ pub fn fresh_litmus_recipe(seed: u64, config: &str) -> Recipe {
     }
     .clamped();
     Recipe {
-        seed,
-        cfg: TortureConfig::default(),
-        keep: None,
+        source: WorkloadSource::litmus(seed, litmus),
         config: config.into(),
-        litmus: Some(litmus),
     }
 }
 
@@ -194,107 +181,122 @@ pub fn fresh_litmus_recipe(seed: u64, config: &str) -> Recipe {
 /// body); mask flips regenerate the body to size the mask correctly,
 /// so every mutant emits a valid, decodable program.
 pub fn mutate_recipe(r: &Recipe, mutation_seed: u64) -> Recipe {
-    if r.litmus.is_some() {
-        return mutate_litmus_recipe(r, mutation_seed);
+    let source = match r.source.clone() {
+        WorkloadSource::Torture { seed, cfg, keep } => {
+            mutate_torture(seed, cfg, keep, mutation_seed)
+        }
+        WorkloadSource::Litmus { seed, cfg, keep } => mutate_litmus(seed, cfg, keep, mutation_seed),
+        fixed => fixed,
+    };
+    Recipe {
+        source,
+        config: r.config.clone(),
     }
+}
+
+/// Flip `1..=max_flips` random bits of a kept-mask over `len` slots (a
+/// mask of any other length is stale and starts over from all-kept).
+fn flip_mask(keep: Option<Vec<bool>>, len: usize, max_flips: usize, rng: &mut StdRng) -> Vec<bool> {
+    let mut mask = keep
+        .filter(|m| m.len() == len)
+        .unwrap_or_else(|| vec![true; len]);
+    if len > 0 {
+        for _ in 0..rng.gen_range(1..=max_flips) {
+            let i = rng.gen_range(0..len);
+            mask[i] = !mask[i];
+        }
+    }
+    mask
+}
+
+/// The torture half of [`mutate_recipe`].
+fn mutate_torture(
+    mut seed: u64,
+    mut cfg: TortureConfig,
+    mut keep: Option<Vec<bool>>,
+    mutation_seed: u64,
+) -> WorkloadSource {
     let mut rng = StdRng::seed_from_u64(mutation_seed);
-    let mut out = r.clone();
     match rng.gen_range(0u32..6) {
         // Reseed: a new program under the same knobs.
         0 => {
-            out.seed = rng.gen();
-            out.keep = None;
+            seed = rng.gen();
+            keep = None;
         }
         // Flip 1..=4 kept-mask bits.
         1 => {
-            let len = TortureProgram::generate(out.seed, &out.cfg).len();
-            let mut mask = out
-                .keep
-                .take()
-                .filter(|m| m.len() == len)
-                .unwrap_or_else(|| vec![true; len]);
-            if len > 0 {
-                for _ in 0..rng.gen_range(1usize..=4) {
-                    let i = rng.gen_range(0..len);
-                    mask[i] = !mask[i];
-                }
-            }
-            out.keep = Some(mask);
+            let len = TortureProgram::generate(seed, &cfg).len();
+            keep = Some(flip_mask(keep, len, 4, &mut rng));
         }
         // Grow or shrink the loop body.
         2 => {
             let delta = rng.gen_range(1usize..=24);
-            out.cfg.body_len = if rng.gen_bool(0.5) {
-                out.cfg.body_len.saturating_add(delta)
+            cfg.body_len = if rng.gen_bool(0.5) {
+                cfg.body_len.saturating_add(delta)
             } else {
-                out.cfg.body_len.saturating_sub(delta)
+                cfg.body_len.saturating_sub(delta)
             };
-            out.keep = None;
+            keep = None;
         }
         // Tweak the trip count (body shape unchanged: mask survives).
         3 => {
             let delta = rng.gen_range(1i64..=6);
-            out.cfg.iterations = if rng.gen_bool(0.5) {
-                out.cfg.iterations.saturating_add(delta)
+            cfg.iterations = if rng.gen_bool(0.5) {
+                cfg.iterations.saturating_add(delta)
             } else {
-                out.cfg.iterations.saturating_sub(delta)
+                cfg.iterations.saturating_sub(delta)
             };
         }
         // Toggle one instruction-mix knob.
         4 => {
             match rng.gen_range(0u32..4) {
-                0 => out.cfg.memory_ops = !out.cfg.memory_ops,
-                1 => out.cfg.branches = !out.cfg.branches,
-                2 => out.cfg.muldiv = !out.cfg.muldiv,
-                _ => out.cfg.compressed = !out.cfg.compressed,
+                0 => cfg.memory_ops = !cfg.memory_ops,
+                1 => cfg.branches = !cfg.branches,
+                2 => cfg.muldiv = !cfg.muldiv,
+                _ => cfg.compressed = !cfg.compressed,
             }
-            out.keep = None;
+            keep = None;
         }
         // Combined jump: reseed and flip the compressed regime.
         _ => {
-            out.seed = splitmix(out.seed ^ mutation_seed);
-            out.cfg.compressed = !out.cfg.compressed;
-            out.keep = None;
+            seed = splitmix(seed ^ mutation_seed);
+            cfg.compressed = !cfg.compressed;
+            keep = None;
         }
     }
-    out.cfg = out.cfg.clamped();
-    out
+    WorkloadSource::Torture {
+        seed,
+        cfg: cfg.clamped(),
+        keep,
+    }
 }
 
 /// The litmus half of [`mutate_recipe`]: hop shapes, toggle fencing,
 /// grow or shrink the round count, jitter the filler window, or reseed
 /// — the knobs that move the race timing and the coherence traffic mix.
-fn mutate_litmus_recipe(r: &Recipe, mutation_seed: u64) -> Recipe {
+fn mutate_litmus(
+    mut seed: u64,
+    mut l: LitmusConfig,
+    mut keep: Option<Vec<bool>>,
+    mutation_seed: u64,
+) -> WorkloadSource {
     let mut rng = StdRng::seed_from_u64(mutation_seed ^ LITMUS_SALT);
-    let mut out = r.clone();
-    let mut l = out.litmus.expect("litmus recipe");
     match rng.gen_range(0u32..6) {
         // Reseed: new filler draws and FenceTorture serializers under
         // the same knobs.
         0 => {
-            out.seed = rng.gen();
-            out.keep = None;
+            seed = rng.gen();
+            keep = None;
         }
         // Flip 1..=2 kept-round bits.
         1 => {
-            let len = LitmusProgram::generate(out.seed, &l).len();
-            let mut mask = out
-                .keep
-                .take()
-                .filter(|m| m.len() == len)
-                .unwrap_or_else(|| vec![true; len]);
-            if len > 0 {
-                for _ in 0..rng.gen_range(1usize..=2) {
-                    let i = rng.gen_range(0..len);
-                    mask[i] = !mask[i];
-                }
-            }
-            out.keep = Some(mask);
+            let len = LitmusProgram::generate(seed, &l).len();
+            keep = Some(flip_mask(keep, len, 2, &mut rng));
         }
         // Hop to another shape.
         2 => {
             l.shape = LitmusShape::ALL[rng.gen_range(0..LitmusShape::ALL.len())];
-            out.keep = None;
+            keep = None;
         }
         // Toggle fencing (round count unchanged: the mask survives).
         3 => l.fenced = !l.fenced,
@@ -306,17 +308,20 @@ fn mutate_litmus_recipe(r: &Recipe, mutation_seed: u64) -> Recipe {
             } else {
                 l.rounds.saturating_sub(delta)
             };
-            out.keep = None;
+            keep = None;
         }
         // Jitter the race timing: filler and LR/SC contention knobs.
         _ => {
             l.filler = rng.gen_range(0usize..=8);
             l.lrsc_iters = rng.gen_range(1usize..=8);
-            out.keep = None;
+            keep = None;
         }
     }
-    out.litmus = Some(l.clamped());
-    out
+    WorkloadSource::Litmus {
+        seed,
+        cfg: l.clamped(),
+        keep,
+    }
 }
 
 impl FuzzOpts {
@@ -338,22 +343,10 @@ impl FuzzOpts {
 
 /// The job a recipe runs as (coverage maps always on).
 fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
-    let workload = match r.litmus {
-        Some(cfg) => WorkloadSource::Litmus {
-            seed: r.seed,
-            cfg,
-            keep: r.keep.clone(),
-        },
-        None => WorkloadSource::Torture {
-            seed: r.seed,
-            cfg: r.cfg,
-            keep: r.keep.clone(),
-        },
-    };
-    let mut spec = JobSpec::new(workload, r.config.clone())
+    let mut spec = JobSpec::new(r.source.clone(), r.config.clone())
         .with_max_cycles(opts.max_cycles)
         .with_coverage();
-    if r.litmus.is_some() {
+    if matches!(r.source, WorkloadSource::Litmus { .. }) {
         // Litmus programs are two-hart by construction.
         spec = spec.with_cores(2);
     }
@@ -519,20 +512,13 @@ mod tests {
     #[test]
     fn every_mutation_emits_a_valid_program() {
         // The structural half of the proptest satellite: a mutant's
-        // kept-mask always matches its regenerated body, so emission
-        // cannot panic and the program is well-formed.
+        // kept-mask always matches its regenerated body (`build` asserts
+        // it), so emission cannot panic and the program is well-formed.
         let mut r = fresh_recipe(3, "small-nh");
         for mseed in 0..64 {
             r = mutate_recipe(&r, mseed);
-            let t = TortureProgram::generate(r.seed, &r.cfg);
-            let program = match &r.keep {
-                Some(mask) => {
-                    assert_eq!(mask.len(), t.len(), "mask tracks the body");
-                    t.emit_subset(mask)
-                }
-                None => t.emit(),
-            };
-            assert!(!program.bytes.is_empty());
+            assert!(matches!(r.source, WorkloadSource::Torture { .. }));
+            assert!(!r.source.build().bytes.is_empty());
         }
     }
 
@@ -540,20 +526,14 @@ mod tests {
     fn litmus_recipes_are_deterministic_and_mutants_stay_valid() {
         let fresh = fresh_litmus_recipe(42, "small-nh");
         assert_eq!(fresh, fresh_litmus_recipe(42, "small-nh"));
-        assert!(fresh.litmus.is_some());
         let mut r = fresh;
         for mseed in 0..64 {
             r = mutate_recipe(&r, mseed);
-            let l = r.litmus.expect("litmus mutations stay litmus");
-            let p = LitmusProgram::generate(r.seed, &l);
-            let program = match &r.keep {
-                Some(mask) => {
-                    assert_eq!(mask.len(), p.len(), "mask tracks the rounds");
-                    p.emit_subset(mask)
-                }
-                None => p.emit(),
-            };
-            assert!(!program.bytes.is_empty());
+            assert!(
+                matches!(r.source, WorkloadSource::Litmus { .. }),
+                "litmus mutations stay litmus"
+            );
+            assert!(!r.source.build().bytes.is_empty());
         }
     }
 
@@ -563,7 +543,10 @@ mod tests {
         opts.mp = true;
         opts.jobs_per_round = 8;
         let recipes = plan_round(&opts, 0, &[]);
-        let litmus = recipes.iter().filter(|r| r.litmus.is_some()).count();
+        let litmus = recipes
+            .iter()
+            .filter(|r| matches!(r.source, WorkloadSource::Litmus { .. }))
+            .count();
         assert_eq!(litmus, 4, "every other fresh slot is a litmus recipe");
         // The spec a litmus recipe runs as is dual-core.
         let spec = job_spec(&recipes[1], &opts);

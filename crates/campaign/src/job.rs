@@ -1,17 +1,24 @@
 //! Job specifications: what one campaign slot runs.
 
-use minjie::DiffError;
+use checkpoint::Checkpoint;
+use minjie::{CoSim, DiffError, RunStats};
 use riscv_isa::asm::Program;
-use workloads::litmus::{LitmusConfig, LitmusProgram};
+use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use workloads::litmus::{LitmusConfig, LitmusExit, LitmusProgram};
 use workloads::{Scale, TortureConfig, TortureProgram};
 use xscore::{InjectedBug, XsConfig};
 
-/// Where a job's program comes from.
+/// Where a job's program comes from — the one serializable recipe the
+/// whole stack speaks: job lists, the fuzz corpus, minimized
+/// reproducers and triage bundles all store this enum, and its wire
+/// shape is the bundle schema's `source` field.
 ///
-/// Everything here is *recipe*, not bytes: a job re-derives its program
-/// on the worker, so specs stay cheap to clone across threads and a
-/// `(seed, config, mask)` triple in a report is a complete reproducer.
-#[derive(Debug, Clone)]
+/// Everything here is *recipe*, not state: a job re-derives its program
+/// (or its checkpoint) on the worker, so specs stay cheap to clone
+/// across threads and a `(seed, config, mask)` triple in a report is a
+/// complete reproducer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadSource {
     /// A named SPEC-like kernel (built at [`Scale::Test`]).
     Kernel {
@@ -39,20 +46,23 @@ pub enum WorkloadSource {
         /// Kept-mask over rounds (None keeps every round).
         keep: Option<Vec<bool>>,
     },
-    /// A caller-assembled program.
+    /// A caller-assembled program, stored as raw bytes.
     Inline {
         /// Display name for the report.
         name: String,
-        /// The program image.
-        program: Program,
+        /// Load base address.
+        base: u64,
+        /// Entry point.
+        entry: u64,
+        /// Image bytes.
+        bytes: Vec<u8>,
     },
     /// One SimPoint checkpoint of a profiled kernel, simulated as a
-    /// warm-up + measured detail window (§III-D3). The checkpoint
-    /// itself rides along behind an `Arc` — its sparse memory image is
-    /// copy-on-write, so clones across the worker pool stay cheap — and
-    /// the recipe fields `(kernel, ref_model, interval_len, interval)`
-    /// re-derive it exactly (see `checkpoint::checkpoint_at_interval`),
-    /// which is what triage bundles store.
+    /// warm-up + measured detail window (§III-D3), stored as the
+    /// checkpoint *recipe*: profiling `kernel` on `ref_model` for
+    /// `interval × interval_len` instructions rebuilds the exact restore
+    /// state (see `checkpoint::checkpoint_at_interval`), which keeps
+    /// bundles free of memory images.
     Sample {
         /// Profiled kernel name, e.g. `"sjeng"`.
         kernel: String,
@@ -60,12 +70,12 @@ pub enum WorkloadSource {
         ref_model: String,
         /// Profiling interval length, instructions.
         interval_len: u64,
+        /// Interval index of the checkpoint.
+        interval: u64,
         /// Warm-up instruction budget before measurement.
         warmup: u64,
         /// Measured-window instruction budget.
         window: u64,
-        /// The checkpoint to resume from.
-        checkpoint: std::sync::Arc<checkpoint::Checkpoint>,
     },
 }
 
@@ -97,7 +107,9 @@ impl WorkloadSource {
     pub fn inline(name: impl Into<String>, program: Program) -> Self {
         WorkloadSource::Inline {
             name: name.into(),
-            program,
+            base: program.base,
+            entry: program.entry,
+            bytes: program.bytes,
         }
     }
 
@@ -111,15 +123,47 @@ impl WorkloadSource {
             }
             WorkloadSource::Inline { name, .. } => format!("inline:{name}"),
             WorkloadSource::Sample {
-                kernel, checkpoint, ..
-            } => format!("sample:{kernel}:interval={}", checkpoint.interval),
+                kernel, interval, ..
+            } => format!("sample:{kernel}:interval={interval}"),
         }
     }
 
+    /// Diagnose a recipe that names something this build does not have
+    /// (a kernel, a profiling personality) — where [`build`](Self::build)
+    /// and the checkpoint derivation would panic. [`verify_bundle`]
+    /// calls this before running a recipe read from disk.
+    ///
+    /// [`verify_bundle`]: crate::verify_bundle
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let (kernel, ref_model) = match self {
+            WorkloadSource::Kernel { name } => (name, None),
+            WorkloadSource::Sample {
+                kernel, ref_model, ..
+            } => (kernel, Some(ref_model)),
+            _ => return Ok(()),
+        };
+        if !workloads::NAMES.contains(&kernel.as_str()) {
+            return Err(format!("unknown workload `{kernel}`"));
+        }
+        if let Some(r) = ref_model.filter(|r| nemu::registry::find(r).is_none()) {
+            return Err(format!("unknown profiling personality `{r}`"));
+        }
+        Ok(())
+    }
+
     /// Assemble the program this source describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown kernel name or a kept-mask whose length does
+    /// not match the regenerated body.
     pub fn build(&self) -> Program {
         match self {
-            WorkloadSource::Kernel { name } => workloads::workload(name, Scale::Test).program,
+            // Sample jobs don't run a program from reset — they resume
+            // from the checkpoint profiled out of this kernel.
+            WorkloadSource::Kernel { name } | WorkloadSource::Sample { kernel: name, .. } => {
+                workloads::workload(name, Scale::Test).program
+            }
             WorkloadSource::Torture { seed, cfg, keep } => {
                 let t = TortureProgram::generate(*seed, cfg);
                 match keep {
@@ -134,15 +178,59 @@ impl WorkloadSource {
                     None => p.emit(),
                 }
             }
-            WorkloadSource::Inline { program, .. } => program.clone(),
-            // Sample jobs don't run a program from reset — the runner
-            // resumes from the checkpoint state instead — but the
-            // underlying kernel is still the meaningful answer here
-            // (triage re-derives checkpoints by profiling it).
-            WorkloadSource::Sample { kernel, .. } => {
-                workloads::workload(kernel, Scale::Test).program
-            }
+            WorkloadSource::Inline {
+                base, entry, bytes, ..
+            } => Program {
+                base: *base,
+                entry: *entry,
+                bytes: bytes.clone(),
+            },
         }
+    }
+
+    /// The `(warmup, window)` instruction budgets of a sample recipe.
+    pub(crate) fn sample_window(&self) -> Option<(u64, u64)> {
+        match self {
+            WorkloadSource::Sample { warmup, window, .. } => Some((*warmup, *window)),
+            _ => None,
+        }
+    }
+
+    /// The kept-mask of a generated source (all-true when none is set
+    /// yet) — the slot structure ddmin shrinks. `None` for kernels,
+    /// inline programs and samples, which have none.
+    pub(crate) fn kept_mask(&self) -> Option<Vec<bool>> {
+        let all = |len: usize| vec![true; len];
+        match self {
+            WorkloadSource::Torture { seed, cfg, keep } => Some(
+                keep.clone()
+                    .unwrap_or_else(|| all(TortureProgram::generate(*seed, cfg).len())),
+            ),
+            WorkloadSource::Litmus { seed, cfg, keep } => Some(
+                keep.clone()
+                    .unwrap_or_else(|| all(LitmusProgram::generate(*seed, cfg).len())),
+            ),
+            _ => None,
+        }
+    }
+
+    /// This generated source with its kept-mask replaced (other sources
+    /// are returned unchanged).
+    pub(crate) fn with_mask(&self, mask: &[bool]) -> Self {
+        let mut out = self.clone();
+        if let WorkloadSource::Torture { keep, .. } | WorkloadSource::Litmus { keep, .. } = &mut out
+        {
+            *keep = Some(mask.to_vec());
+        }
+        out
+    }
+
+    /// Decode a halted run's exit code as a litmus verdict: `Some` when
+    /// this is a litmus source and the program reported an observation
+    /// outside its shape's allowed set.
+    pub(crate) fn forbidden_exit(&self, exit_code: u64) -> Option<LitmusExit> {
+        let exit = LitmusExit::decode(exit_code);
+        (matches!(self, WorkloadSource::Litmus { .. }) && exit.forbidden()).then_some(exit)
     }
 }
 
@@ -179,6 +267,13 @@ pub struct JobSpec {
     /// DiffTest REF personality name (None keeps the default
     /// architectural stepper).
     pub ref_model: Option<String>,
+    /// The materialized checkpoint of a [`WorkloadSource::Sample`]
+    /// recipe — a cache, not configuration: `run_sampled` attaches the
+    /// checkpoints it already holds (an `Arc`, and the sparse memory
+    /// image is copy-on-write, so clones across the pool stay cheap); a
+    /// job that arrives without one (a replayed bundle) re-derives it
+    /// from the recipe.
+    pub(crate) checkpoint: Option<Arc<Checkpoint>>,
 }
 
 impl JobSpec {
@@ -197,6 +292,7 @@ impl JobSpec {
             coverage: false,
             wall_timeout_ms: None,
             ref_model: None,
+            checkpoint: None,
         }
     }
 
@@ -296,6 +392,61 @@ impl JobSpec {
         }
         cfg.validate()?;
         Ok(cfg)
+    }
+
+    /// Boot and run this job on `cfg` inside the isolated run's panic
+    /// boundary (a sample recipe with its warm-up/window pair), also
+    /// handing back the checkpoint a sample job resumed from. This is
+    /// how the campaign executor, bundle verification and the tests all
+    /// run a job.
+    pub(crate) fn run(&self, cfg: XsConfig) -> (Result<RunStats, String>, Option<Arc<Checkpoint>>) {
+        let mut checkpoint = None;
+        let boot = || {
+            let (cosim, c) = self.boot(cfg);
+            checkpoint = c;
+            cosim
+        };
+        let result = minjie::run_isolated_boot(
+            Box::new(boot),
+            self.workload.sample_window(),
+            self.max_cycles,
+            self.lightsss_interval,
+        );
+        (result, checkpoint)
+    }
+
+    /// Boot the co-simulation this job describes on `cfg`: from reset
+    /// over the built program, or — for a sample recipe — from its
+    /// checkpoint (the attached one, else re-derived by profiling),
+    /// which is handed back for the record.
+    ///
+    /// # Panics
+    ///
+    /// Whatever [`WorkloadSource::build`], the checkpoint derivation or
+    /// the harness constructor panic on: call it inside a panic boundary
+    /// ([`JobSpec::run`], or as the start of a [`minjie::debug_window`]).
+    pub(crate) fn boot(&self, cfg: XsConfig) -> (CoSim, Option<Arc<Checkpoint>>) {
+        let WorkloadSource::Sample {
+            ref_model,
+            interval_len,
+            interval,
+            ..
+        } = &self.workload
+        else {
+            return (CoSim::new(cfg, &self.workload.build()), None);
+        };
+        // Deterministic, so a re-derived state matches the one the farm
+        // materialized byte for byte.
+        let c = self.checkpoint.clone().unwrap_or_else(|| {
+            let program = self.workload.build();
+            Arc::new(checkpoint::checkpoint_at_interval(
+                ref_model,
+                &program,
+                *interval_len,
+                *interval,
+            ))
+        });
+        (CoSim::from_checkpoint(cfg, &c.state, &c.memory), Some(c))
     }
 }
 

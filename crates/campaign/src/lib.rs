@@ -5,28 +5,39 @@
 //! divergence into a small, replayable reproducer. This crate is that
 //! harness:
 //!
-//! - [`JobSpec`] names one run: a [`WorkloadSource`] (kernel, torture
-//!   seed, or inline program), an [`XsConfig`] preset slug, and limits.
-//! - [`Campaign`] shards jobs across a `std::thread` worker pool; every
-//!   job runs inside a panic boundary and yields a [`Verdict`].
-//! - On a divergence, the ddmin [`minimize`] pass shrinks the failing
-//!   torture program's kept-mask while the same [`DiffError`] class
-//!   reproduces, and the report attaches the `(seed, cfg, mask)`
-//!   reproducer plus the LightSSS replay window.
-//! - Failed jobs (divergence, cycle-budget timeout, panic) are triaged:
-//!   the runner rolls back to the older retained LightSSS snapshot —
-//!   or the reset state when the failure preceded the first snapshot —
-//!   re-executes the failure window in debug mode, and embeds a
-//!   self-contained [`TriageBundle`] that [`verify_bundle`] (and the
-//!   `replay` binary) can reproduce at the identical commit index.
+//! - [`WorkloadSource`] is the one serializable *recipe* for a workload
+//!   (kernel name, torture or litmus `(seed, knobs, kept-mask)`, inline
+//!   bytes, or a SimPoint sample's profiling recipe). Job lists, the
+//!   fuzz corpus, minimized reproducers and triage bundles all store
+//!   this type; its serde form is the bundle schema's `source` field.
+//! - [`JobSpec`] names one run: a recipe, an [`XsConfig`] preset slug,
+//!   and limits. [`JobSpec::boot`] turns it into a live co-simulation.
+//! - [`Campaign`] shards jobs across a `std::thread` worker pool. One
+//!   executor serves every mode: each job boots *and* runs inside
+//!   [`minjie::run_isolated_boot`]'s panic boundary — so even a recipe
+//!   that cannot be built is one [`Verdict::Panicked`], not a dead pool
+//!   — and yields a [`Verdict`].
+//! - On a divergence (or a litmus forbidden outcome), the ddmin
+//!   [`minimize`] pass shrinks the failing source's kept-mask while the
+//!   same failure class reproduces, and the report attaches the
+//!   `(seed, cfg, mask)` reproducer plus the LightSSS replay window.
+//! - Failed jobs (divergence, cycle-budget timeout, forbidden outcome,
+//!   panic) go through one [`triage()`]: roll back to the older retained
+//!   LightSSS snapshot — or the reset state when the failure preceded
+//!   the first snapshot, or a reboot from the recipe when nothing was
+//!   salvaged — re-execute the failure window in debug mode
+//!   ([`minjie::debug_window`]), and embed a self-contained
+//!   [`TriageBundle`] that [`verify_bundle`] (and the `replay` binary)
+//!   can reproduce at the identical commit index.
 //! - [`CampaignReport`] renders to JSON with wall-clock timing
 //!   segregated from the deterministic body, so identical campaigns
 //!   produce byte-identical report bodies.
 //! - [`run_fuzz`] turns the fixed job matrix into a coverage-guided
-//!   fleet: a corpus of torture [`Recipe`]s is evolved by deterministic
-//!   mutation, scheduled by observed coverage novelty (decode,
-//!   diff-rule, and pipeline-event coverage maps), and every divergence
-//!   it finds flows through the same minimize/triage pipeline.
+//!   fleet: a corpus of [`Recipe`]s (a generated source plus a preset)
+//!   is evolved by deterministic mutation, scheduled by observed
+//!   coverage novelty (decode, diff-rule, and pipeline-event coverage
+//!   maps), and every divergence it finds flows through the same
+//!   minimize/triage pipeline.
 //! - [`run_sampled`] is the checkpoint farm (§III-D3): workloads are
 //!   profiled on a fast architectural personality, SimPoint clustering
 //!   picks representative intervals, and one *sample job* per
@@ -79,6 +90,5 @@ pub use report::{
 pub use runner::Campaign;
 pub use sample::{run_sampled, SampleSpec};
 pub use triage::{
-    bundle_spec, verify_bundle, BundleSource, BundleVerification, TriageBundle,
-    BUNDLE_SCHEMA_VERSION,
+    bundle_spec, triage, verify_bundle, BundleVerification, TriageBundle, BUNDLE_SCHEMA_VERSION,
 };

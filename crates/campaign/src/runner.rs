@@ -2,9 +2,10 @@
 //!
 //! Shards a job list across a `std::thread` worker pool (no external
 //! runtime: a mutex-guarded queue feeds workers, an mpsc channel
-//! collects results). Each job runs inside [`minjie::run_isolated`]'s
-//! panic boundary, so a crashing simulation downs one job, not the
-//! pool. Results reassemble in job order, making the report body
+//! collects results). Each job boots and runs inside
+//! [`minjie::run_isolated_boot`]'s panic boundary, so a crashing
+//! simulation — or a recipe that cannot even be built — downs one job,
+//! not the pool. Results reassemble in job order, making the report body
 //! independent of worker interleaving.
 //!
 //! Failed jobs are *triaged*: the runner rolls back to the older
@@ -22,14 +23,13 @@ use crate::report::{
     CampaignReport, CampaignSummary, JobRecord, MinimizedRepro, ReplayWindow, SampleRecord,
     Verdict, WallClock,
 };
-use crate::triage::{triage_divergence, triage_forbidden, triage_panic, triage_timeout};
-use minjie::{run_isolated, run_isolated_checkpoint, run_isolated_salvaging, CoSimEnd, SampleEnd};
+use crate::triage::triage;
+use minjie::{run_isolated_boot, CoSim, CoSimEnd};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use workloads::litmus::{LitmusExit, LitmusProgram};
-use workloads::TortureProgram;
+use workloads::litmus::LitmusExit;
 
 /// Cycle budget for each minimizer re-run (candidates are subsets of an
 /// already-failing program, so they fail — or halt — well within the
@@ -248,7 +248,10 @@ fn execute_job_with_policy(index: usize, spec: &JobSpec, policy: JobPolicy) -> (
     (record, max_attempts)
 }
 
-/// Run one job to a deterministic record.
+/// Run one job to a deterministic record: boot and simulate inside the
+/// panic boundary, then minimize and triage whatever failed. Sample
+/// jobs take the same path as reset-state jobs — they only boot from a
+/// checkpoint and carry a measured window.
 fn execute_job(index: usize, spec: &JobSpec, policy: JobPolicy) -> JobRecord {
     let mut record = base_record(index, spec);
     let cfg = match spec.config() {
@@ -258,323 +261,137 @@ fn execute_job(index: usize, spec: &JobSpec, policy: JobPolicy) -> JobRecord {
             return record;
         }
     };
-    if let WorkloadSource::Sample {
-        checkpoint,
-        warmup,
-        window,
-        ..
-    } = &spec.workload
-    {
-        return execute_sample_job(record, spec, cfg, checkpoint, *warmup, *window, policy);
+    let (mut result, checkpoint) = spec.run(cfg);
+    if let (true, Ok(stats)) = (policy.minimize_failures, &result) {
+        record.minimized = minimize_failure(spec, &stats.end);
     }
-    let program = spec.workload.build();
-    let (result, salvage) =
-        run_isolated_salvaging(cfg, &program, spec.max_cycles, spec.lightsss_interval);
-    match result {
+    if policy.triage {
+        let outcome = result.as_mut().map_err(|m| m.as_str());
+        record.triage = triage(index as u64, spec, outcome, record.minimized.clone());
+    }
+    let stats = match result {
+        Ok(stats) => stats,
         Err(message) => {
-            if policy.triage {
-                record.triage = Some(triage_panic(index as u64, spec, &message));
-            }
             record.verdict = Verdict::Panicked { message };
+            return record;
         }
-        Ok(stats) => {
-            record.cycles = stats.cycles;
-            record.commits_checked = stats.commits_checked;
-            record.instret = stats.instret;
-            record.exceptions = stats.exceptions;
-            record.ipc = if stats.cycles > 0 {
-                (stats.instret as f64 / stats.cycles as f64 * 1000.0).round() / 1000.0
-            } else {
-                0.0
-            };
-            record.rule_counts = stats.rule_counts;
-            record.perf = stats.perf;
-            record.coverage = stats.coverage;
-            record.verdict = match stats.end {
-                CoSimEnd::Halted(exit_code) => match litmus_forbidden(spec, exit_code) {
-                    Some(exit) => {
-                        if policy.minimize_failures {
-                            record.minimized = minimize_litmus_failure(spec);
-                        }
-                        if policy.triage {
-                            record.triage = Some(triage_forbidden(
-                                index as u64,
-                                spec,
-                                exit_code,
-                                stats.cycles,
-                                stats.commits_checked,
-                                record.minimized.clone(),
-                                stats.lifecycle_ring,
-                            ));
-                        }
-                        Verdict::ForbiddenOutcome {
-                            round: exit.first_bad_round as u64,
-                            outcome: exit.first_bad_outcome as u64,
-                            outcome_desc: LitmusExit::describe_outcome(exit.first_bad_outcome),
-                            exit_code,
-                        }
-                    }
-                    None => Verdict::Halted { exit_code },
-                },
-                CoSimEnd::OutOfCycles => {
-                    if policy.triage {
-                        if let Some(s) = salvage {
-                            record.triage = Some(triage_timeout(
-                                index as u64,
-                                spec,
-                                s,
-                                stats.cycles,
-                                stats.commits_checked,
-                                stats.lifecycle_ring,
-                            ));
-                        }
-                    }
-                    Verdict::Timeout
-                }
-                CoSimEnd::Bug(bug) => {
-                    record.replay = bug.replay.as_ref().map(|r| ReplayWindow {
-                        from_cycle: r.from_cycle,
-                        fallback_reset: r.fallback_reset,
-                        at_cycle: bug.at_cycle,
-                        at_commit: r.at_commit,
-                        cycles_replayed: r.cycles_replayed,
-                        reproduced: r.reproduced,
-                        trace_records: r.trace.records_inserted(),
-                    });
-                    if policy.minimize_failures {
-                        record.minimized = minimize_torture_failure(spec, &bug.error);
-                    }
-                    if policy.triage {
-                        record.triage = Some(triage_divergence(
-                            index as u64,
-                            spec,
-                            &bug,
-                            salvage,
-                            record.minimized.clone(),
-                            stats.lifecycle_ring,
-                        ));
-                    }
-                    Verdict::Diverged { error: bug.error }
-                }
-            };
-        }
-    }
-    record
-}
-
-/// Run one sample job: restore the checkpoint, retire the warm-up, then
-/// measure the detailed window under DiffTest. Verification machinery
-/// (panic isolation, LightSSS salvage, triage bundles, lifecycle rings)
-/// applies exactly as for reset-state jobs.
-#[allow(clippy::too_many_arguments)]
-fn execute_sample_job(
-    mut record: JobRecord,
-    spec: &JobSpec,
-    cfg: xscore::XsConfig,
-    checkpoint: &checkpoint::Checkpoint,
-    warmup: u64,
-    window: u64,
-    policy: JobPolicy,
-) -> JobRecord {
-    let index = record.index;
-    let (result, salvage) = run_isolated_checkpoint(
-        cfg,
-        &checkpoint.state,
-        &checkpoint.memory,
-        warmup,
-        window,
-        spec.max_cycles,
-        spec.lightsss_interval,
-    );
-    match result {
-        Err(message) => {
-            if policy.triage {
-                record.triage = Some(triage_panic(index, spec, &message));
-            }
-            record.verdict = Verdict::Panicked { message };
-        }
-        Ok(stats) => {
-            record.cycles = stats.cycles;
-            record.commits_checked = stats.commits_checked;
-            record.instret = stats.instret;
-            record.exceptions = stats.exceptions;
-            record.ipc = if stats.cycles > 0 {
-                (stats.instret as f64 / stats.cycles as f64 * 1000.0).round() / 1000.0
-            } else {
-                0.0
-            };
-            record.rule_counts = stats.rule_counts;
-            record.perf = stats.perf;
-            record.coverage = stats.coverage;
-            let w = &stats.window;
-            let cpi_milli = if w.window_instret > 0 {
-                w.window_cycles.saturating_mul(1000) / w.window_instret
-            } else {
-                0
-            };
-            record.sample = Some(SampleRecord {
-                interval: checkpoint.interval as u64,
-                members: checkpoint.members,
-                total_intervals: checkpoint.total_intervals,
-                checkpoint_instret: checkpoint.instret,
-                warmup_cycles: w.warmup_cycles,
-                warmup_instret: w.warmup_instret,
-                window_cycles: w.window_cycles,
-                window_instret: w.window_instret,
-                cpi_milli,
-                cpi_stack: w.cpi.clone(),
-                completed_window: matches!(stats.end, SampleEnd::Window),
-                halted: match stats.end {
-                    SampleEnd::Halted(code) => Some(code),
-                    _ => None,
-                },
-            });
-            record.verdict = match stats.end {
-                SampleEnd::Window => Verdict::Sampled { cpi_milli },
-                // A halt inside the window still measured something; a
-                // halt inside the warm-up measured nothing and reports
-                // as an ordinary clean halt.
-                SampleEnd::Halted(exit_code) => {
-                    if w.window_instret > 0 {
-                        Verdict::Sampled { cpi_milli }
-                    } else {
-                        Verdict::Halted { exit_code }
-                    }
-                }
-                SampleEnd::OutOfCycles => {
-                    if policy.triage {
-                        if let Some(s) = salvage {
-                            record.triage = Some(triage_timeout(
-                                index,
-                                spec,
-                                s,
-                                stats.cycles,
-                                stats.commits_checked,
-                                stats.lifecycle_ring,
-                            ));
-                        }
-                    }
-                    Verdict::Timeout
-                }
-                SampleEnd::Bug(bug) => {
-                    record.replay = bug.replay.as_ref().map(|r| ReplayWindow {
-                        from_cycle: r.from_cycle,
-                        fallback_reset: r.fallback_reset,
-                        at_cycle: bug.at_cycle,
-                        at_commit: r.at_commit,
-                        cycles_replayed: r.cycles_replayed,
-                        reproduced: r.reproduced,
-                        trace_records: r.trace.records_inserted(),
-                    });
-                    if policy.triage {
-                        record.triage = Some(triage_divergence(
-                            index,
-                            spec,
-                            &bug,
-                            salvage,
-                            None,
-                            stats.lifecycle_ring,
-                        ));
-                    }
-                    Verdict::Diverged { error: bug.error }
-                }
-            };
-        }
-    }
-    record
-}
-
-/// Delta-debug a diverged torture job down to a minimized reproducer.
-///
-/// Non-torture workloads return `None`: kernels and inline programs
-/// have no seed-derived slot structure to shrink.
-fn minimize_torture_failure(spec: &JobSpec, error: &minjie::DiffError) -> Option<MinimizedRepro> {
-    let WorkloadSource::Torture { seed, cfg, keep } = &spec.workload else {
-        return None;
     };
-    let class = error_class(error);
-    let t = TortureProgram::generate(*seed, cfg);
-    let initial = keep.clone().unwrap_or_else(|| vec![true; t.len()]);
+    record.cycles = stats.cycles;
+    record.commits_checked = stats.commits_checked;
+    record.instret = stats.instret;
+    record.exceptions = stats.exceptions;
+    record.ipc = if stats.cycles > 0 {
+        (stats.instret as f64 / stats.cycles as f64 * 1000.0).round() / 1000.0
+    } else {
+        0.0
+    };
+    record.rule_counts = stats.rule_counts;
+    record.perf = stats.perf;
+    record.coverage = stats.coverage;
+    if let (Some(w), Some(c)) = (&stats.window, &checkpoint) {
+        record.sample = Some(SampleRecord {
+            interval: c.interval as u64,
+            members: c.members,
+            total_intervals: c.total_intervals,
+            checkpoint_instret: c.instret,
+            warmup_cycles: w.warmup_cycles,
+            warmup_instret: w.warmup_instret,
+            window_cycles: w.window_cycles,
+            window_instret: w.window_instret,
+            cpi_milli: (w.window_cycles.saturating_mul(1000))
+                .checked_div(w.window_instret)
+                .unwrap_or(0),
+            cpi_stack: w.cpi,
+            completed_window: w.completed,
+            halted: match stats.end {
+                CoSimEnd::Halted(code) => Some(code),
+                _ => None,
+            },
+        });
+    }
+    let sampled = |s: &SampleRecord| Verdict::Sampled {
+        cpi_milli: s.cpi_milli,
+    };
+    record.verdict = match stats.end {
+        CoSimEnd::Halted(exit_code) => match spec.workload.forbidden_exit(exit_code) {
+            Some(exit) => Verdict::ForbiddenOutcome {
+                round: exit.first_bad_round as u64,
+                outcome: exit.first_bad_outcome as u64,
+                outcome_desc: LitmusExit::describe_outcome(exit.first_bad_outcome),
+                exit_code,
+            },
+            // A halt inside the window still measured something; a halt
+            // inside the warm-up measured nothing and reports as an
+            // ordinary clean halt.
+            None => match &record.sample {
+                Some(s) if s.window_instret > 0 => sampled(s),
+                _ => Verdict::Halted { exit_code },
+            },
+        },
+        // A sample run that retired its whole window was stopped by the
+        // harness, not by the cycle budget.
+        CoSimEnd::OutOfCycles => match &record.sample {
+            Some(s) if s.completed_window => sampled(s),
+            _ => Verdict::Timeout,
+        },
+        CoSimEnd::Bug(bug) => {
+            record.replay = bug.replay.as_ref().map(|r| ReplayWindow {
+                from_cycle: r.from_cycle,
+                fallback_reset: r.fallback_reset,
+                at_cycle: bug.at_cycle,
+                at_commit: r.at_commit,
+                cycles_replayed: r.cycles_replayed,
+                reproduced: r.reproduced,
+                trace_records: r.trace.records_inserted(),
+            });
+            Verdict::Diverged { error: bug.error }
+        }
+    };
+    record
+}
+
+/// Delta-debug a failed generated job down to a minimized reproducer:
+/// a diverged torture job to the smallest slot subset that still
+/// diverges with the same [`DiffError`](minjie::DiffError) class, a
+/// forbidden-outcome litmus job to the smallest round subset that still
+/// commits an illegal observation.
+///
+/// Everything else returns `None`: kernels, inline programs and samples
+/// have no seed-derived slot structure to shrink.
+fn minimize_failure(spec: &JobSpec, end: &CoSimEnd) -> Option<MinimizedRepro> {
+    let (seed, torture, litmus, class) = match (&spec.workload, end) {
+        (WorkloadSource::Torture { seed, cfg, .. }, CoSimEnd::Bug(bug)) => {
+            (*seed, Some(*cfg), None, error_class(&bug.error))
+        }
+        (WorkloadSource::Litmus { seed, cfg, .. }, CoSimEnd::Halted(code)) => {
+            spec.workload.forbidden_exit(*code)?;
+            (*seed, None, Some(*cfg), "ForbiddenOutcome")
+        }
+        _ => return None,
+    };
+    let reproduces = |end: &CoSimEnd| match end {
+        CoSimEnd::Bug(b) => error_class(&b.error) == class,
+        CoSimEnd::Halted(code) => spec.workload.forbidden_exit(*code).is_some(),
+        CoSimEnd::OutOfCycles => false,
+    };
+    let initial = spec.workload.kept_mask()?;
+    let cfg = spec.build_config()?;
     let budget = spec.max_cycles.min(MINIMIZE_MAX_CYCLES);
     let outcome = minimize(&initial, |mask| {
-        let program = t.emit_subset(mask);
-        let Some(job_cfg) = spec.build_config() else {
-            return false;
-        };
-        matches!(
-            run_isolated(job_cfg, &program, budget, None),
-            Ok(minjie::RunStats {
-                end: CoSimEnd::Bug(b),
-                ..
-            }) if error_class(&b.error) == class
-        )
+        let candidate = spec.workload.with_mask(mask);
+        let boot = Box::new(|| CoSim::new(cfg.clone(), &candidate.build()));
+        run_isolated_boot(boot, None, budget, None).is_ok_and(|stats| reproduces(&stats.end))
     });
-    let original_kept = initial.iter().filter(|&&k| k).count() as u64;
     Some(MinimizedRepro {
-        seed: *seed,
-        torture: Some(*cfg),
-        litmus: None,
-        kept: outcome
-            .kept
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k)
-            .map(|(i, _)| i as u64)
+        seed,
+        torture,
+        litmus,
+        kept: (0..outcome.kept.len() as u64)
+            .filter(|&i| outcome.kept[i as usize])
             .collect(),
-        original_kept,
+        original_kept: initial.iter().filter(|&&k| k).count() as u64,
         minimized_kept: outcome.kept_count() as u64,
         error_class: class.to_string(),
-        minimizer_runs: outcome.runs,
-    })
-}
-
-/// Decode a halted job's exit code as a litmus verdict: `Some` when the
-/// workload is a litmus program and it reported a forbidden outcome.
-fn litmus_forbidden(spec: &JobSpec, exit_code: u64) -> Option<LitmusExit> {
-    let WorkloadSource::Litmus { .. } = &spec.workload else {
-        return None;
-    };
-    let exit = LitmusExit::decode(exit_code);
-    exit.forbidden().then_some(exit)
-}
-
-/// Delta-debug a forbidden-outcome litmus job down to the smallest
-/// round subset that still commits an illegal observation.
-fn minimize_litmus_failure(spec: &JobSpec) -> Option<MinimizedRepro> {
-    let WorkloadSource::Litmus { seed, cfg, keep } = &spec.workload else {
-        return None;
-    };
-    let p = LitmusProgram::generate(*seed, cfg);
-    let initial = keep.clone().unwrap_or_else(|| vec![true; p.len()]);
-    let budget = spec.max_cycles.min(MINIMIZE_MAX_CYCLES);
-    let outcome = minimize(&initial, |mask| {
-        let program = p.emit_subset(mask);
-        let Some(job_cfg) = spec.build_config() else {
-            return false;
-        };
-        matches!(
-            run_isolated(job_cfg, &program, budget, None),
-            Ok(minjie::RunStats {
-                end: CoSimEnd::Halted(code),
-                ..
-            }) if LitmusExit::decode(code).forbidden()
-        )
-    });
-    let original_kept = initial.iter().filter(|&&k| k).count() as u64;
-    Some(MinimizedRepro {
-        seed: *seed,
-        torture: None,
-        litmus: Some(*cfg),
-        kept: outcome
-            .kept
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k)
-            .map(|(i, _)| i as u64)
-            .collect(),
-        original_kept,
-        minimized_kept: outcome.kept_count() as u64,
-        error_class: "ForbiddenOutcome".to_string(),
         minimizer_runs: outcome.runs,
     })
 }

@@ -268,13 +268,16 @@ pub fn run_sampled(spec: &SampleSpec) -> CampaignReport {
                         kernel: p.kernel.clone(),
                         ref_model: spec.ref_model.clone(),
                         interval_len: spec.interval_len,
+                        interval: c.interval as u64,
                         warmup: spec.warmup,
                         window: spec.window,
-                        checkpoint: Arc::clone(c),
                     },
                     config.clone(),
                 )
                 .with_max_cycles(spec.max_cycles);
+                // The farm already holds the materialized checkpoint:
+                // its jobs must not re-profile to derive it.
+                j.checkpoint = Some(Arc::clone(c));
                 if let Some(i) = spec.lightsss_interval {
                     j = j.with_lightsss(i);
                 }

@@ -14,13 +14,9 @@
 
 use crate::job::{error_class, JobSpec, WorkloadSource};
 use crate::report::MinimizedRepro;
-use minjie::{ArchDb, BugReport, CoSim, CoSimEnd, CoSimState, DiffError, Salvage, Snapshotable};
-use riscv_isa::asm::Program;
+use minjie::{debug_window, ArchDb, CoSimEnd, DebugWindow, DiffError, RunStats, Salvage};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use workloads::litmus::LitmusConfig;
-use workloads::TortureConfig;
 use xscore::{CpiStack, InjectedBug};
 
 /// Bundle schema version (independent of the report schema).
@@ -38,162 +34,6 @@ const COMMIT_TAIL_LEN: usize = 32;
 /// Extra cycles granted past the nominal window so the replay can reach
 /// the failure even when commit timing shifts slightly at the margins.
 const REPLAY_SLACK: u64 = 10_000;
-
-/// A serializable program recipe — mirrors [`WorkloadSource`], which
-/// carries a non-serializable [`Program`] in its inline variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum BundleSource {
-    /// A named SPEC-like kernel.
-    Kernel {
-        /// Kernel name.
-        name: String,
-    },
-    /// A torture program regenerated from its seed.
-    Torture {
-        /// Generator seed.
-        seed: u64,
-        /// Generator knobs.
-        cfg: TortureConfig,
-        /// Kept-mask over the abstract body slots (None keeps all).
-        keep: Option<Vec<bool>>,
-    },
-    /// A two-hart litmus program regenerated from its seed.
-    Litmus {
-        /// Generator seed.
-        seed: u64,
-        /// Generator knobs.
-        cfg: LitmusConfig,
-        /// Kept-mask over the abstract rounds (None keeps all).
-        keep: Option<Vec<bool>>,
-    },
-    /// A caller-assembled program, stored as raw bytes.
-    Inline {
-        /// Display name.
-        name: String,
-        /// Load base address.
-        base: u64,
-        /// Entry point.
-        entry: u64,
-        /// Image bytes.
-        bytes: Vec<u8>,
-    },
-    /// A SimPoint sample job, stored as the checkpoint *recipe*:
-    /// re-profiling `kernel` on `ref_model` for `interval ×
-    /// interval_len` instructions rebuilds the exact restore state
-    /// (see `checkpoint::checkpoint_at_interval`).
-    Sample {
-        /// Profiled kernel name.
-        kernel: String,
-        /// Profiling personality.
-        ref_model: String,
-        /// Interval length, instructions.
-        interval_len: u64,
-        /// Interval index of the checkpoint.
-        interval: u64,
-        /// Warm-up instruction budget.
-        warmup: u64,
-        /// Measured-window instruction budget.
-        window: u64,
-    },
-}
-
-impl BundleSource {
-    /// Capture a workload recipe into its serializable form.
-    pub fn from_workload(w: &WorkloadSource) -> Self {
-        match w {
-            WorkloadSource::Kernel { name } => BundleSource::Kernel { name: name.clone() },
-            WorkloadSource::Torture { seed, cfg, keep } => BundleSource::Torture {
-                seed: *seed,
-                cfg: *cfg,
-                keep: keep.clone(),
-            },
-            WorkloadSource::Litmus { seed, cfg, keep } => BundleSource::Litmus {
-                seed: *seed,
-                cfg: *cfg,
-                keep: keep.clone(),
-            },
-            WorkloadSource::Inline { name, program } => BundleSource::Inline {
-                name: name.clone(),
-                base: program.base,
-                entry: program.entry,
-                bytes: program.bytes.clone(),
-            },
-            WorkloadSource::Sample {
-                kernel,
-                ref_model,
-                interval_len,
-                warmup,
-                window,
-                checkpoint,
-            } => BundleSource::Sample {
-                kernel: kernel.clone(),
-                ref_model: ref_model.clone(),
-                interval_len: *interval_len,
-                interval: checkpoint.interval as u64,
-                warmup: *warmup,
-                window: *window,
-            },
-        }
-    }
-
-    /// Rebuild the runnable workload recipe.
-    pub fn to_workload(&self) -> WorkloadSource {
-        match self {
-            BundleSource::Kernel { name } => WorkloadSource::Kernel { name: name.clone() },
-            BundleSource::Torture { seed, cfg, keep } => WorkloadSource::Torture {
-                seed: *seed,
-                cfg: *cfg,
-                keep: keep.clone(),
-            },
-            BundleSource::Litmus { seed, cfg, keep } => WorkloadSource::Litmus {
-                seed: *seed,
-                cfg: *cfg,
-                keep: keep.clone(),
-            },
-            BundleSource::Inline {
-                name,
-                base,
-                entry,
-                bytes,
-            } => WorkloadSource::Inline {
-                name: name.clone(),
-                program: Program {
-                    base: *base,
-                    entry: *entry,
-                    bytes: bytes.clone(),
-                },
-            },
-            // Re-derive the checkpoint from its recipe: profile the
-            // kernel on the recorded personality up to the boundary.
-            // Deterministic, so the rebuilt state matches the original
-            // byte for byte.
-            BundleSource::Sample {
-                kernel,
-                ref_model,
-                interval_len,
-                interval,
-                warmup,
-                window,
-            } => {
-                let program = workloads::workload(kernel, workloads::Scale::Test).program;
-                let c = checkpoint::checkpoint_at_interval(
-                    ref_model,
-                    &program,
-                    *interval_len,
-                    *interval,
-                );
-                WorkloadSource::Sample {
-                    kernel: kernel.clone(),
-                    ref_model: ref_model.clone(),
-                    interval_len: *interval_len,
-                    warmup: *warmup,
-                    window: *window,
-                    checkpoint: std::sync::Arc::new(c),
-                }
-            }
-        }
-    }
-}
 
 /// One row of the commit-trace tail: the last committed instructions
 /// before the failure, flattened from the debug-mode `instr_commit`
@@ -226,7 +66,7 @@ pub struct TriageBundle {
     /// Workload display label.
     pub workload: String,
     /// The program recipe.
-    pub source: BundleSource,
+    pub source: WorkloadSource,
     /// Configuration preset slug.
     pub config: String,
     /// Core-count override.
@@ -318,67 +158,35 @@ pub fn commit_tail(trace: &ArchDb) -> Vec<CommitTailEntry> {
         .collect()
 }
 
-/// The outcome of re-simulating a failure window in debug mode.
-struct WindowRun {
-    error: Option<DiffError>,
-    at_commit: u64,
-    at_cycle: u64,
-    cycles_replayed: u64,
-    window_cpi: CpiStack,
-    trace_records: u64,
-    tail: Vec<CommitTailEntry>,
-    ring: Vec<xscore::Lifecycle>,
-}
-
-/// Roll forward from `start` (a snapshot or the reset state) for up to
-/// `budget` cycles with commit tracing on.
-fn replay_window(start: CoSimState, from_cycle: u64, budget: u64) -> WindowRun {
-    let mut cosim = CoSim::debug_resume(start);
-    let start_cpi = minjie::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
-    let mut error = None;
-    let mut at_commit = 0;
-    // A cycle deadline, not a step count: with the event-driven skipper
-    // on, one step may consume many idle cycles.
-    let deadline = cosim.state.time().saturating_add(budget);
-    while cosim.state.time() < deadline {
-        if cosim.state.sys.all_halted() {
-            break;
-        }
-        match cosim.step_cycle_until(deadline) {
-            Ok(()) => {}
-            Err(e) => {
-                at_commit = cosim.state.diff.commits_checked;
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    let end_cpi = minjie::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
-    WindowRun {
-        error,
-        at_commit,
-        at_cycle: cosim.state.time(),
-        cycles_replayed: cosim.state.time().saturating_sub(from_cycle),
-        window_cpi: end_cpi.saturating_sub(&start_cpi),
-        trace_records: cosim.archdb.records_inserted(),
-        tail: commit_tail(&cosim.archdb),
-        ring: cosim
-            .state
-            .sys
-            .cores
-            .iter()
-            .flat_map(|c| c.lifecycle_ring())
-            .collect(),
-    }
-}
-
-/// The recipe-only skeleton every trigger shares.
-fn base_bundle(job_index: u64, spec: &JobSpec, trigger: &str) -> TriageBundle {
-    TriageBundle {
+/// Triage a finished job: `None` when it did not fail, otherwise the
+/// bundle for whichever way it did. Matching the outcome picks the
+/// trigger, the failure anchor, where the debug-mode window starts and
+/// what counts as reproducing; one [`debug_window`] result then fills
+/// the bundle.
+///
+/// - **diverged** — with LightSSS on, the run already rolled back and
+///   replayed, and its debrief is the window; without, re-execute the
+///   failing prefix from the salvaged reset state.
+/// - **timeout** (cycle budget) — re-execute the final window from the
+///   salvaged snapshot, capturing what the pipeline was doing when the
+///   budget ran out.
+/// - **forbidden-outcome** — both harts committed cleanly, so there is no
+///   divergence point to roll back to (the *final observation set* is
+///   what's illegal): re-execute the whole run from reset, capturing the
+///   commit tail and both harts' lifecycle rings around the racy rounds.
+/// - **panicked** — the unwound harness left nothing to salvage:
+///   re-execute from reset until the panic strikes again.
+pub fn triage(
+    job_index: u64,
+    spec: &JobSpec,
+    outcome: Result<&mut RunStats, &str>,
+    minimized: Option<MinimizedRepro>,
+) -> Option<TriageBundle> {
+    let mut b = TriageBundle {
         schema_version: BUNDLE_SCHEMA_VERSION,
         job_index,
         workload: spec.workload.describe(),
-        source: BundleSource::from_workload(&spec.workload),
+        source: spec.workload.clone(),
         config: spec.config.clone(),
         cores: spec.cores.map(|c| c as u64),
         injected_bug: spec.injected_bug,
@@ -388,7 +196,7 @@ fn base_bundle(job_index: u64, spec: &JobSpec, trigger: &str) -> TriageBundle {
         max_cycles: spec.max_cycles,
         lightsss_interval: spec.lightsss_interval,
         ref_model: spec.ref_model.clone(),
-        trigger: trigger.to_string(),
+        trigger: String::new(),
         snapshot_cycle: 0,
         fallback_reset: true,
         at_cycle: 0,
@@ -403,223 +211,116 @@ fn base_bundle(job_index: u64, spec: &JobSpec, trigger: &str) -> TriageBundle {
         commit_tail: Vec::new(),
         lifecycle_ring: Vec::new(),
         window_cpi: CpiStack::default(),
-        minimized: None,
-    }
-}
-
-/// Triage a divergence: prefer the in-run LightSSS replay debrief; when
-/// LightSSS was disabled, roll back to the salvaged reset state and
-/// re-execute the failing prefix in debug mode.
-pub fn triage_divergence(
-    job_index: u64,
-    spec: &JobSpec,
-    bug: &BugReport,
-    salvage: Option<Salvage>,
-    minimized: Option<MinimizedRepro>,
-    lifecycle_ring: Vec<xscore::Lifecycle>,
-) -> TriageBundle {
-    let mut b = base_bundle(job_index, spec, "diverged");
-    b.at_cycle = bug.at_cycle;
-    b.at_commit = bug.at_commit;
-    b.error = Some(bug.error.clone());
-    b.error_class = Some(error_class(&bug.error).to_string());
-    b.minimized = minimized;
-    // The failing run ended at the divergence, so its always-on ring is
-    // already the window right before the failure.
-    b.lifecycle_ring = lifecycle_ring;
-    match (&bug.replay, salvage) {
-        (Some(r), _) => {
-            b.snapshot_cycle = r.from_cycle;
-            b.fallback_reset = r.fallback_reset;
-            b.reproduced = r.reproduced;
-            b.cycles_replayed = r.cycles_replayed;
-            b.trace_records = r.trace.records_inserted();
-            b.commit_tail = commit_tail(&r.trace);
-            b.window_cpi = r.window_cpi;
-        }
-        (None, Some(s)) => {
-            let from = s.snapshot_cycle;
-            let budget = bug.at_cycle.saturating_sub(from) + REPLAY_SLACK;
-            let w = replay_window(s.state, from, budget);
-            b.snapshot_cycle = from;
-            b.fallback_reset = s.fallback_reset;
-            b.reproduced = w.error.as_ref() == Some(&bug.error) && w.at_commit == bug.at_commit;
-            b.cycles_replayed = w.cycles_replayed;
-            b.trace_records = w.trace_records;
-            b.commit_tail = w.tail;
-            b.window_cpi = w.window_cpi;
-            if b.lifecycle_ring.is_empty() {
-                b.lifecycle_ring = w.ring;
-            }
-        }
-        (None, None) => {}
-    }
-    b
-}
-
-/// Triage a cycle-budget timeout: roll back to the salvaged snapshot
-/// and re-execute the final window in debug mode, capturing what the
-/// pipeline was doing when the budget ran out.
-pub fn triage_timeout(
-    job_index: u64,
-    spec: &JobSpec,
-    salvage: Salvage,
-    end_cycle: u64,
-    commits_checked: u64,
-    lifecycle_ring: Vec<xscore::Lifecycle>,
-) -> TriageBundle {
-    let mut b = base_bundle(job_index, spec, "timeout");
-    b.at_cycle = end_cycle;
-    b.at_commit = commits_checked;
-    b.snapshot_cycle = salvage.snapshot_cycle;
-    b.fallback_reset = salvage.fallback_reset;
-    b.lifecycle_ring = lifecycle_ring;
-    let from = salvage.snapshot_cycle;
-    let budget = end_cycle.saturating_sub(from);
-    let w = replay_window(salvage.state, from, budget);
-    // A timeout "reproduces" when the window replays to the original
-    // end cycle without halting or diverging.
-    b.reproduced = w.error.is_none() && w.at_cycle == end_cycle;
-    b.cycles_replayed = w.cycles_replayed;
-    b.trace_records = w.trace_records;
-    b.commit_tail = w.tail;
-    b.window_cpi = w.window_cpi;
-    if b.lifecycle_ring.is_empty() {
-        b.lifecycle_ring = w.ring;
-    }
-    b
-}
-
-/// Triage a litmus forbidden outcome: both harts committed cleanly (so
-/// there is no divergence point to roll back to — the *final
-/// observation set* is what's illegal), so rebuild from reset and
-/// re-execute the whole run in debug mode, capturing the commit tail
-/// and both harts' lifecycle rings around the racy rounds.
-pub fn triage_forbidden(
-    job_index: u64,
-    spec: &JobSpec,
-    exit_code: u64,
-    end_cycle: u64,
-    commits_checked: u64,
-    minimized: Option<MinimizedRepro>,
-    lifecycle_ring: Vec<xscore::Lifecycle>,
-) -> TriageBundle {
-    let mut b = base_bundle(job_index, spec, "forbidden-outcome");
-    b.at_cycle = end_cycle;
-    b.at_commit = commits_checked;
-    b.forbidden_exit = Some(exit_code);
-    b.minimized = minimized;
-    b.lifecycle_ring = lifecycle_ring;
-    let Some(cfg) = spec.build_config() else {
-        return b;
+        minimized,
     };
-    let program = spec.workload.build();
-    let boot = catch_unwind(AssertUnwindSafe(|| CoSim::new(cfg, &program).state));
-    let Ok(start) = boot else {
-        return b;
+    // Rebooting the job is the rollback point of last resort. It runs
+    // inside the window's panic boundary: a boot that panics again is
+    // the failure reproducing at cycle 0, with an empty window.
+    let from_reset = |budget: u64| {
+        let boot = || {
+            let cfg = spec.config().expect("the job ran on this configuration");
+            spec.boot(cfg).0.state
+        };
+        debug_window(Box::new(boot), budget)
     };
-    let w = replay_window(start, 0, end_cycle.saturating_add(REPLAY_SLACK));
-    // The model is deterministic: halting at the original end cycle with
-    // no divergence en route is the same run, so the same forbidden
-    // observation was committed.
-    b.reproduced = w.error.is_none() && w.at_cycle == end_cycle;
-    b.cycles_replayed = w.cycles_replayed;
-    b.trace_records = w.trace_records;
-    b.commit_tail = w.tail;
-    b.window_cpi = w.window_cpi;
-    if b.lifecycle_ring.is_empty() {
-        b.lifecycle_ring = w.ring;
-    }
-    b
-}
-
-/// Triage a panic: the unwound harness left nothing to salvage, so
-/// rebuild from reset and step in debug mode inside a per-step panic
-/// boundary until the panic strikes again.
-pub fn triage_panic(job_index: u64, spec: &JobSpec, message: &str) -> TriageBundle {
-    let mut b = base_bundle(job_index, spec, "panicked");
-    b.panic = Some(message.to_string());
-    let Some(cfg) = spec.build_config() else {
-        return b;
-    };
-    let max_cycles = spec.max_cycles;
-    let boot = catch_unwind(AssertUnwindSafe(|| {
-        let program = spec.workload.build();
-        CoSim::new(cfg, &program).state
-    }));
-    let Ok(start) = boot else {
-        // Boot itself panics: the failure reproduces from cycle 0 with
-        // an empty window.
-        b.reproduced = true;
-        return b;
-    };
-    let mut cosim = CoSim::debug_resume(start);
-    let start_cpi = minjie::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
-    let mut replay_panic = None;
-    let deadline = cosim.state.time().saturating_add(max_cycles);
-    while cosim.state.time() < deadline {
-        if cosim.state.sys.all_halted() {
-            break;
-        }
-        match catch_unwind(AssertUnwindSafe(|| cosim.step_cycle_until(deadline))) {
-            Ok(Ok(())) => {}
+    let from_salvage = |s: Salvage, budget: u64| debug_window(Box::new(move || s.state), budget);
+    // Halting, or running out of budget, at the original end cycle with
+    // no divergence en route is the same run: the model is deterministic.
+    let runs_to =
+        |w: &DebugWindow, cycle: u64| w.error.is_none() && w.panic.is_none() && w.at_cycle == cycle;
+    let window = match outcome {
+        Err(message) => {
+            b.trigger = "panicked".into();
+            b.panic = Some(message.to_string());
+            let w = from_reset(spec.max_cycles);
+            b.reproduced = w.panic.as_deref() == Some(message);
+            b.at_cycle = w.at_cycle;
+            b.at_commit = w.at_commit;
             // A divergence en route to the panic still ends the window.
-            Ok(Err(e)) => {
-                b.error = Some(e);
-                break;
-            }
-            Err(payload) => {
-                replay_panic = Some(minjie::panic_message(payload));
-                break;
+            b.error = w.error.clone();
+            w
+        }
+        Ok(stats) => {
+            // The failing run ended at the failure, so its always-on
+            // ring is already the window right before it.
+            let ring = &mut stats.lifecycle_ring;
+            b.at_cycle = stats.cycles;
+            b.at_commit = stats.commits_checked;
+            match &stats.end {
+                CoSimEnd::Bug(bug) => {
+                    b.trigger = "diverged".into();
+                    b.lifecycle_ring = std::mem::take(ring);
+                    b.error = Some(bug.error.clone());
+                    b.error_class = Some(error_class(&bug.error).to_string());
+                    if let Some(r) = &bug.replay {
+                        b.snapshot_cycle = r.from_cycle;
+                        b.fallback_reset = r.fallback_reset;
+                        b.reproduced = r.reproduced;
+                        b.cycles_replayed = r.cycles_replayed;
+                        b.trace_records = r.trace.records_inserted();
+                        b.commit_tail = commit_tail(&r.trace);
+                        b.window_cpi = r.window_cpi;
+                        return Some(b);
+                    }
+                    let Some(s) = stats.salvage.take() else {
+                        return Some(b);
+                    };
+                    b.snapshot_cycle = s.snapshot_cycle;
+                    b.fallback_reset = s.fallback_reset;
+                    let budget = bug.at_cycle.saturating_sub(s.snapshot_cycle) + REPLAY_SLACK;
+                    let w = from_salvage(s, budget);
+                    b.reproduced =
+                        w.error.as_ref() == Some(&bug.error) && w.at_commit == bug.at_commit;
+                    w
+                }
+                CoSimEnd::OutOfCycles => {
+                    let s = stats.salvage.take()?;
+                    b.trigger = "timeout".into();
+                    b.lifecycle_ring = std::mem::take(ring);
+                    b.snapshot_cycle = s.snapshot_cycle;
+                    b.fallback_reset = s.fallback_reset;
+                    let w = from_salvage(s, stats.cycles.saturating_sub(b.snapshot_cycle));
+                    b.reproduced = runs_to(&w, stats.cycles);
+                    w
+                }
+                CoSimEnd::Halted(code) => {
+                    spec.workload.forbidden_exit(*code)?;
+                    b.trigger = "forbidden-outcome".into();
+                    b.lifecycle_ring = std::mem::take(ring);
+                    b.forbidden_exit = Some(*code);
+                    let w = from_reset(stats.cycles.saturating_add(REPLAY_SLACK));
+                    b.reproduced = runs_to(&w, stats.cycles);
+                    w
+                }
             }
         }
+    };
+    b.cycles_replayed = window.at_cycle.saturating_sub(b.snapshot_cycle);
+    b.trace_records = window.trace.records_inserted();
+    b.commit_tail = commit_tail(&window.trace);
+    b.window_cpi = window.window_cpi;
+    if b.lifecycle_ring.is_empty() {
+        // The original harness unwound (or finished nothing): the
+        // replay stopped at the same point, so its ring is the
+        // equivalent pre-failure window.
+        b.lifecycle_ring = window.lifecycle_ring;
     }
-    let end_cpi = minjie::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
-    b.at_cycle = cosim.state.time();
-    b.at_commit = cosim.state.diff.commits_checked;
-    b.reproduced = replay_panic.as_deref() == Some(message);
-    b.cycles_replayed = cosim.state.time();
-    b.trace_records = cosim.archdb.records_inserted();
-    b.commit_tail = commit_tail(&cosim.archdb);
-    // The original harness unwound, but the debug replay stopped at the
-    // same panic, so its ring is the equivalent pre-failure window.
-    b.lifecycle_ring = cosim
-        .state
-        .sys
-        .cores
-        .iter()
-        .flat_map(|c| c.lifecycle_ring())
-        .collect();
-    b.window_cpi = end_cpi.saturating_sub(&start_cpi);
-    b
+    Some(b)
 }
 
 /// Rebuild the [`JobSpec`] a bundle describes.
 pub fn bundle_spec(b: &TriageBundle) -> JobSpec {
-    let mut spec = JobSpec::new(b.source.to_workload(), b.config.clone());
-    if let Some(cores) = b.cores {
-        spec = spec.with_cores(cores as usize);
+    JobSpec {
+        cores: b.cores.map(|c| c as usize),
+        injected_bug: b.injected_bug,
+        inject_l2_race: b.inject_l2_race,
+        max_cycles: b.max_cycles,
+        lightsss_interval: b.lightsss_interval,
+        telemetry: b.telemetry,
+        lifecycle: b.lifecycle,
+        ref_model: b.ref_model.clone(),
+        ..JobSpec::new(b.source.clone(), b.config.clone())
     }
-    if let Some(bug) = b.injected_bug {
-        spec = spec.with_injected_bug(bug);
-    }
-    if b.inject_l2_race {
-        spec = spec.with_l2_race();
-    }
-    spec = spec.with_max_cycles(b.max_cycles);
-    if let Some(iv) = b.lightsss_interval {
-        spec = spec.with_lightsss(iv);
-    }
-    if b.telemetry {
-        spec = spec.with_telemetry();
-    }
-    if b.lifecycle {
-        spec = spec.with_lifecycle();
-    }
-    if let Some(r) = &b.ref_model {
-        spec = spec.with_ref(r.clone());
-    }
-    spec
 }
 
 /// The outcome of replaying a bundle from scratch.
@@ -635,138 +336,90 @@ pub struct BundleVerification {
     pub detail: String,
 }
 
-/// Re-execute a bundle's job from reset — using only the recipe inside
-/// the bundle — and check that the failure reproduces at the identical
-/// commit index.
+/// Re-execute a bundle's job — from reset, or for a sample recipe from
+/// its re-derived checkpoint, exactly as the runner did, using only the
+/// recipe inside the bundle — and check that the failure reproduces at
+/// the identical commit index.
 ///
 /// # Errors
 ///
-/// Setup failures (an unknown configuration preset) that prevent the
-/// run from even starting.
+/// Setup failures that prevent the run from even starting, each with a
+/// one-line diagnosis: a bundle from another schema version, a
+/// configuration the model refuses, a recipe naming a kernel or
+/// personality this build does not have.
 pub fn verify_bundle(b: &TriageBundle) -> Result<BundleVerification, String> {
+    if b.schema_version != BUNDLE_SCHEMA_VERSION {
+        return Err(format!(
+            "bundle schema version {} is not the supported version {BUNDLE_SCHEMA_VERSION}",
+            b.schema_version
+        ));
+    }
     let spec = bundle_spec(b);
-    let Some(cfg) = spec.build_config() else {
-        return Err(format!("unknown configuration preset `{}`", b.config));
-    };
-    // Sample jobs don't run from reset: re-derive the checkpoint from
-    // its recipe and resume the warm-up + window exactly as the runner
-    // did.
-    if let WorkloadSource::Sample {
-        checkpoint,
-        warmup,
-        window,
-        ..
-    } = &spec.workload
-    {
-        let (result, _) = minjie::run_isolated_checkpoint(
-            cfg,
-            &checkpoint.state,
-            &checkpoint.memory,
-            *warmup,
-            *window,
-            b.max_cycles,
-            b.lightsss_interval,
-        );
-        let v = match result {
-            Err(message) => BundleVerification {
+    let cfg = spec.config()?;
+    spec.workload.check()?;
+    let stats = match spec.run(cfg).0 {
+        Ok(stats) => stats,
+        Err(message) => {
+            return Ok(BundleVerification {
                 reproduced: b.trigger == "panicked" && Some(&message) == b.panic.as_ref(),
                 at_commit: 0,
                 detail: format!("panicked: {message}"),
-            },
-            Ok(stats) => match stats.end {
-                minjie::SampleEnd::Window | minjie::SampleEnd::Halted(_) => BundleVerification {
-                    reproduced: false,
-                    at_commit: stats.commits_checked,
-                    detail: format!(
-                        "sampled cleanly: {} window cycles, {} window instructions",
-                        stats.window.window_cycles, stats.window.window_instret
-                    ),
-                },
-                minjie::SampleEnd::OutOfCycles => BundleVerification {
-                    reproduced: b.trigger == "timeout"
-                        && stats.cycles == b.at_cycle
-                        && stats.commits_checked == b.at_commit,
-                    at_commit: stats.commits_checked,
-                    detail: format!(
-                        "cycle budget exhausted at cycle {} after {} commits",
-                        stats.cycles, stats.commits_checked
-                    ),
-                },
-                minjie::SampleEnd::Bug(bug) => {
-                    let same_error = Some(&bug.error) == b.error.as_ref();
-                    let same_commit = bug.at_commit == b.at_commit;
-                    BundleVerification {
-                        reproduced: b.trigger == "diverged" && same_error && same_commit,
-                        at_commit: bug.at_commit,
-                        detail: format!(
-                            "diverged ({}) at commit {} (bundle: commit {}, error match: {})",
-                            error_class(&bug.error),
-                            bug.at_commit,
-                            b.at_commit,
-                            same_error
-                        ),
-                    }
-                }
-            },
-        };
-        return Ok(v);
-    }
-    let program = spec.workload.build();
-    let result = minjie::run_isolated(cfg, &program, b.max_cycles, b.lightsss_interval);
-    let v = match result {
-        Err(message) => BundleVerification {
-            reproduced: b.trigger == "panicked" && Some(&message) == b.panic.as_ref(),
-            at_commit: 0,
-            detail: format!("panicked: {message}"),
-        },
-        Ok(stats) => match stats.end {
-            CoSimEnd::Halted(code) => {
-                let same_exit = b.forbidden_exit == Some(code);
-                let same_commit = stats.commits_checked == b.at_commit;
-                BundleVerification {
-                    reproduced: b.trigger == "forbidden-outcome" && same_exit && same_commit,
-                    at_commit: stats.commits_checked,
-                    detail: if b.trigger == "forbidden-outcome" {
-                        format!(
-                            "halted with exit code {code:#x} at commit {} \
-                             (bundle: {:#x} at commit {})",
-                            stats.commits_checked,
-                            b.forbidden_exit.unwrap_or(0),
-                            b.at_commit
-                        )
-                    } else {
-                        format!("halted cleanly with exit code {code}")
-                    },
-                }
-            }
-            CoSimEnd::OutOfCycles => BundleVerification {
-                reproduced: b.trigger == "timeout"
+            })
+        }
+    };
+    // A sample job that halts, or is stopped with its window full, did
+    // not fail.
+    let sampled = stats
+        .window
+        .as_ref()
+        .filter(|w| w.completed || matches!(stats.end, CoSimEnd::Halted(_)));
+    let (reproduced, detail) = if let Some(w) = sampled {
+        let detail = format!(
+            "sampled cleanly: {} window cycles, {} window instructions",
+            w.window_cycles, w.window_instret
+        );
+        (false, detail)
+    } else {
+        match &stats.end {
+            CoSimEnd::Halted(code) if b.trigger == "forbidden-outcome" => (
+                b.forbidden_exit == Some(*code) && stats.commits_checked == b.at_commit,
+                format!(
+                    "halted with exit code {code:#x} at commit {} (bundle: {:#x} at commit {})",
+                    stats.commits_checked,
+                    b.forbidden_exit.unwrap_or(0),
+                    b.at_commit
+                ),
+            ),
+            CoSimEnd::Halted(code) => (false, format!("halted cleanly with exit code {code}")),
+            CoSimEnd::OutOfCycles => (
+                b.trigger == "timeout"
                     && stats.cycles == b.at_cycle
                     && stats.commits_checked == b.at_commit,
-                at_commit: stats.commits_checked,
-                detail: format!(
+                format!(
                     "cycle budget exhausted at cycle {} after {} commits",
                     stats.cycles, stats.commits_checked
                 ),
-            },
+            ),
             CoSimEnd::Bug(bug) => {
                 let same_error = Some(&bug.error) == b.error.as_ref();
-                let same_commit = bug.at_commit == b.at_commit;
-                BundleVerification {
-                    reproduced: b.trigger == "diverged" && same_error && same_commit,
-                    at_commit: bug.at_commit,
-                    detail: format!(
+                (
+                    b.trigger == "diverged" && same_error && bug.at_commit == b.at_commit,
+                    format!(
                         "diverged ({}) at commit {} (bundle: commit {}, error match: {})",
                         error_class(&bug.error),
                         bug.at_commit,
                         b.at_commit,
                         same_error
                     ),
-                }
+                )
             }
-        },
+        }
     };
-    Ok(v)
+    Ok(BundleVerification {
+        reproduced,
+        at_commit: stats.commits_checked,
+        detail,
+    })
 }
 
 impl TriageBundle {
@@ -864,7 +517,7 @@ impl TriageBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riscv_isa::asm::{reg::*, Asm};
+    use riscv_isa::asm::{reg::*, Asm, Program};
 
     fn mul_bug_spec() -> JobSpec {
         let mut a = Asm::new(0x8000_0000);
@@ -881,31 +534,96 @@ mod tests {
         .with_lightsss(1000)
     }
 
+    /// Run `spec` the way the campaign executor does.
+    fn run(spec: &JobSpec) -> Result<RunStats, String> {
+        spec.run(spec.build_config().unwrap()).0
+    }
+
+    /// The bundle schema's `source` field, one value per variant,
+    /// captured from the bundles PR 13 wrote (when the field was a
+    /// hand-mirrored copy of the recipe enum). Holding the literals is
+    /// what makes "no schema bump" checkable: each must parse into the
+    /// one recipe type, still describe a runnable workload, and
+    /// serialize back byte for byte.
     #[test]
-    fn bundle_source_round_trips() {
+    fn source_wire_shape_is_pinned() {
+        let pinned = [
+            (r#"{"Kernel":{"name":"mcf"}}"#, "kernel:mcf"),
+            (
+                r#"{"Torture":{"cfg":{"body_len":8,"branches":true,"compressed":false,"iterations":2,"memory_ops":true,"muldiv":true},"keep":[true,false,true,true,false,true,true,true],"seed":7}}"#,
+                "torture:seed=7",
+            ),
+            (
+                r#"{"Litmus":{"cfg":{"fenced":true,"filler":2,"lrsc_iters":4,"rounds":4,"shape":"Mp"},"keep":null,"seed":3}}"#,
+                "litmus:mp:seed=3",
+            ),
+            (
+                r#"{"Inline":{"base":2147483648,"bytes":[19,5,112,0,115,0,16,0],"entry":2147483648,"name":"tiny"}}"#,
+                "inline:tiny",
+            ),
+            (
+                r#"{"Sample":{"interval":3,"interval_len":5000,"kernel":"sjeng","ref_model":"nemu-trace","warmup":1000,"window":5000}}"#,
+                "sample:sjeng:interval=3",
+            ),
+        ];
+        for (json, label) in pinned {
+            let source: WorkloadSource = serde_json::from_str(json).expect(json);
+            assert_eq!(source.describe(), label);
+            assert_eq!(source.check(), Ok(()), "{label}");
+            // A sample recipe's program is its whole kernel; building
+            // one proves nothing about the checkpoint it describes.
+            if source.sample_window().is_none() {
+                assert!(!source.build().bytes.is_empty(), "{label}");
+            }
+            assert_eq!(serde_json::to_string(&source).unwrap(), json);
+        }
+    }
+
+    #[test]
+    fn hostile_bundles_are_refused_with_a_diagnosis() {
         let spec = mul_bug_spec();
-        let src = BundleSource::from_workload(&spec.workload);
-        let back = src.to_workload();
-        assert_eq!(back.describe(), spec.workload.describe());
-        assert_eq!(back.build().bytes, spec.workload.build().bytes);
+        let mut stats = run(&spec).expect("no panic");
+        let good = triage(0, &spec, Ok(&mut stats), None).expect("diverged");
+        let refused = |edit: &dyn Fn(&mut TriageBundle)| {
+            let mut b = good.clone();
+            edit(&mut b);
+            verify_bundle(&b).expect_err("must be refused before anything runs")
+        };
+        let e = refused(&|b| b.schema_version = 99);
+        assert!(e.contains("schema version 99"), "{e}");
+        let e = refused(&|b| b.source = WorkloadSource::kernel("nosuch"));
+        assert!(e.contains("unknown workload `nosuch`"), "{e}");
+        let e = refused(&|b| {
+            b.source = WorkloadSource::Sample {
+                kernel: "sjeng".into(),
+                ref_model: "nosuch".into(),
+                interval_len: 5_000,
+                interval: 1,
+                warmup: 100,
+                window: 100,
+            }
+        });
+        assert!(e.contains("unknown profiling personality `nosuch`"), "{e}");
+        // A preset that exists but cannot run this job is diagnosed as
+        // such, not as an unknown preset.
+        let e = refused(&|b| {
+            b.config = "small-yqh".into();
+            b.cores = Some(2);
+        });
+        assert!(e.contains("no shared last-level cache"), "{e}");
+        assert!(!e.contains("unknown configuration preset"), "{e}");
     }
 
     #[test]
     fn divergence_bundle_verifies_at_the_same_commit() {
         let spec = mul_bug_spec();
-        let cfg = spec.build_config().unwrap();
-        let program = spec.workload.build();
-        let (result, salvage) = minjie::run_isolated_salvaging(
-            cfg,
-            &program,
-            spec.max_cycles,
-            spec.lightsss_interval,
+        let mut stats = run(&spec).expect("no panic");
+        assert!(
+            matches!(stats.end, CoSimEnd::Bug(_)),
+            "expected a divergence, got {:?}",
+            stats.end
         );
-        let stats = result.expect("no panic");
-        let CoSimEnd::Bug(bug) = &stats.end else {
-            panic!("expected a divergence, got {:?}", stats.end);
-        };
-        let bundle = triage_divergence(0, &spec, bug, salvage, None, stats.lifecycle_ring.clone());
+        let bundle = triage(0, &spec, Ok(&mut stats), None).expect("failed jobs are triaged");
         assert_eq!(bundle.trigger, "diverged");
         assert!(bundle.reproduced, "rollback replay reproduces");
         assert_eq!(bundle.error_class.as_deref(), Some("Writeback"));
@@ -942,26 +660,14 @@ mod tests {
         )
         .with_max_cycles(20_000)
         .with_lightsss(4_000);
-        let cfg = spec.build_config().unwrap();
-        let program = spec.workload.build();
-        let (result, salvage) = minjie::run_isolated_salvaging(
-            cfg,
-            &program,
-            spec.max_cycles,
-            spec.lightsss_interval,
-        );
-        let stats = result.expect("no panic");
+        let mut stats = run(&spec).expect("no panic");
         assert!(matches!(stats.end, CoSimEnd::OutOfCycles));
-        let salvage = salvage.expect("timeout salvages a rollback point");
+        let salvage = stats
+            .salvage
+            .as_ref()
+            .expect("timeout salvages a rollback point");
         assert!(!salvage.fallback_reset, "snapshots were retained");
-        let bundle = triage_timeout(
-            0,
-            &spec,
-            salvage,
-            stats.cycles,
-            stats.commits_checked,
-            stats.lifecycle_ring.clone(),
-        );
+        let bundle = triage(0, &spec, Ok(&mut stats), None).expect("failed jobs are triaged");
         assert_eq!(bundle.trigger, "timeout");
         assert!(!bundle.lifecycle_ring.is_empty(), "ring captured at budget exhaustion");
         assert!(bundle.reproduced, "window replays to the same end cycle");
@@ -971,8 +677,21 @@ mod tests {
     }
 
     #[test]
+    fn clean_runs_are_not_triaged() {
+        let mut a = Asm::new(0x8000_0000);
+        a.li(A0, 7);
+        a.ebreak();
+        let spec = JobSpec::new(WorkloadSource::inline("ok", a.assemble()), "small-nh");
+        let mut stats = run(&spec).expect("no panic");
+        assert!(matches!(stats.end, CoSimEnd::Halted(7)), "{:?}", stats.end);
+        assert!(triage(0, &spec, Ok(&mut stats), None).is_none());
+    }
+
+    #[test]
     fn panic_bundle_reproduces_the_message() {
-        // An empty image panics in the frontend on the first fetch.
+        // An unknown REF personality panics while the harness boots: the
+        // debug window must contain the same panic and report an empty
+        // window at cycle 0.
         let spec = JobSpec::new(
             WorkloadSource::inline(
                 "bogus",
@@ -984,18 +703,15 @@ mod tests {
             ),
             "small-nh",
         )
+        .with_ref("nosuch")
         .with_max_cycles(10_000);
-        let cfg = spec.build_config().unwrap();
-        let program = spec.workload.build();
-        let result = minjie::run_isolated(cfg, &program, spec.max_cycles, None);
-        let Err(message) = result else {
-            // The empty image halted instead of panicking on this
-            // configuration — nothing to triage.
-            return;
-        };
-        let bundle = triage_panic(0, &spec, &message);
+        let message = run(&spec).expect_err("boot panics");
+        let bundle = triage(0, &spec, Err(&message), None).expect("failed jobs are triaged");
         assert_eq!(bundle.trigger, "panicked");
         assert_eq!(bundle.panic.as_deref(), Some(message.as_str()));
         assert!(bundle.reproduced, "panic message matches on replay");
+        assert_eq!((bundle.at_cycle, bundle.cycles_replayed), (0, 0));
+        let v = verify_bundle(&bundle).expect("config resolves");
+        assert!(v.reproduced, "{}", v.detail);
     }
 }

@@ -228,3 +228,33 @@ fn two_harts_without_a_shared_llc_are_refused_not_spun() {
     };
     assert_eq!(LitmusExit::decode(exit_code).status, status::OK);
 }
+
+#[test]
+fn a_recipe_that_cannot_be_built_downs_one_job_not_the_pool() {
+    // `workloads::workload` panics on an unknown name. The build runs on
+    // the worker, inside the job's panic boundary, so the bogus job in
+    // the middle is one `Panicked` record and its neighbours still run.
+    let job = |name: &str| {
+        JobSpec::new(WorkloadSource::kernel(name), "small-nh").with_max_cycles(8_000_000)
+    };
+    let report = Campaign::new(vec![job("mcf"), job("nosuch"), job("sjeng")])
+        .with_workers(2)
+        .run();
+    assert_eq!(report.summary.total, 3);
+    assert_eq!(report.summary.halted, 2, "{}", report.deterministic_json());
+    for i in [0, 2] {
+        let v = &report.jobs[i].verdict;
+        assert!(matches!(v, Verdict::Halted { .. }), "job {i}: {v:?}");
+    }
+    let Verdict::Panicked { message } = &report.jobs[1].verdict else {
+        panic!("bogus kernel ran: {:?}", report.jobs[1].verdict);
+    };
+    assert!(message.contains("nosuch"), "{message}");
+    // Triage rebooted the recipe and met the same panic at cycle 0.
+    let bundle = report.jobs[1]
+        .triage
+        .as_ref()
+        .expect("panicked jobs are triaged");
+    assert_eq!(bundle.trigger, "panicked");
+    assert!(bundle.reproduced && bundle.cycles_replayed == 0);
+}

@@ -4,25 +4,19 @@
 //! program, and greedy corpus minimization never drops a recipe that
 //! uniquely holds a coverage feature.
 
-use campaign::{fresh_recipe, minimize_corpus, mutate_recipe, Recipe};
 use campaign::fuzz::mix;
+use campaign::{fresh_recipe, minimize_corpus, mutate_recipe, Recipe, WorkloadSource};
 use proptest::prelude::*;
 use riscv_isa::{decode16, decode32, Op};
 use std::collections::BTreeMap;
-use workloads::TortureProgram;
 
 /// Walk a program image as an instruction stream and fail on the first
 /// word the decoder rejects. Torture programs are pure code (no data
 /// pools), so every halfword boundary must start a valid instruction.
+/// (`build` itself asserts that a kept-mask matches the regenerated
+/// body, so a drifted mask fails here too.)
 fn assert_decodable(recipe: &Recipe) {
-    let t = TortureProgram::generate(recipe.seed, &recipe.cfg);
-    if let Some(keep) = &recipe.keep {
-        assert_eq!(keep.len(), t.len(), "kept-mask length drifted");
-    }
-    let p = match &recipe.keep {
-        Some(keep) => t.emit_subset(keep),
-        None => t.emit(),
-    };
+    let p = recipe.source.build();
     let bytes = &p.bytes;
     let mut i = 0;
     while i < bytes.len() {
@@ -67,8 +61,11 @@ proptest! {
         assert_decodable(&r);
         for step in 0..12u64 {
             r = mutate_recipe(&r, mix(seed, step, 0));
-            prop_assert!(r.cfg.body_len >= 8 && r.cfg.body_len <= 256);
-            prop_assert!(r.cfg.iterations >= 1 && r.cfg.iterations <= 1000);
+            let WorkloadSource::Torture { cfg, .. } = &r.source else {
+                panic!("torture mutations stay torture: {r:?}");
+            };
+            prop_assert!(cfg.body_len >= 8 && cfg.body_len <= 256);
+            prop_assert!(cfg.iterations >= 1 && cfg.iterations <= 1000);
             assert_decodable(&r);
         }
     }

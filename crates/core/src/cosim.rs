@@ -128,32 +128,14 @@ impl CoSim {
     /// Boot a program under co-simulation.
     pub fn new(cfg: XsConfig, program: &Program) -> Self {
         let harts = cfg.cores;
-        let coverage = cfg.coverage;
-        let lifecycle = cfg.lifecycle;
+        let (coverage, lifecycle) = (cfg.coverage, cfg.lifecycle);
         let ref_model = cfg
             .ref_model
             .clone()
             .unwrap_or_else(|| ARCH_REF_NAME.to_string());
         let sys = XsSystem::new(cfg, program);
-        let mut diff = DiffTest::for_program_with_ref(&ref_model, program, harts);
-        if coverage {
-            diff.coverage = Some(crate::coverage::CommitCoverage::default());
-        }
-        let state = CoSimState { sys, diff };
-        CoSim {
-            reset: Box::new(state.clone()),
-            state,
-            lightsss: None,
-            // Full-trace mode streams a lifecycle record per finished uop;
-            // bound the database so the stream keeps only the newest window.
-            archdb: if lifecycle {
-                ArchDb::bounded(LIFECYCLE_TRACE_CAP)
-            } else {
-                ArchDb::new()
-            },
-            debug_mode: false,
-            outs_buf: Vec::new(),
-        }
+        let diff = DiffTest::for_program_with_ref(&ref_model, program, harts);
+        Self::booted(sys, diff, coverage, lifecycle)
     }
 
     /// Boot co-simulation from an architectural checkpoint: the DUT is
@@ -165,44 +147,42 @@ impl CoSim {
     /// profiles one hart), so the configuration is clamped to one core.
     pub fn from_checkpoint(mut cfg: XsConfig, state: &ArchState, memory: &SparseMemory) -> Self {
         cfg.cores = 1;
-        let coverage = cfg.coverage;
-        let lifecycle = cfg.lifecycle;
+        let (coverage, lifecycle) = (cfg.coverage, cfg.lifecycle);
         let mut sys = XsSystem::from_memory(cfg, memory.clone(), state.pc);
         sys.restore(state);
-        let mut diff = DiffTest::new(
+        let diff = DiffTest::new(
             vec![AnyRef::Arch(NemuRef::from_state(
                 state.clone(),
                 memory.clone(),
             ))],
             GlobalMemory::from_memory(memory.clone()),
         );
+        Self::booted(sys, diff, coverage, lifecycle)
+    }
+
+    /// The harness over a freshly booted DUT and DiffTest engine.
+    fn booted(sys: XsSystem, mut diff: DiffTest<AnyRef>, coverage: bool, lifecycle: bool) -> Self {
         if coverage {
             diff.coverage = Some(crate::coverage::CommitCoverage::default());
         }
-        let state = CoSimState { sys, diff };
-        CoSim {
-            reset: Box::new(state.clone()),
-            state,
-            lightsss: None,
-            archdb: if lifecycle {
-                ArchDb::bounded(LIFECYCLE_TRACE_CAP)
-            } else {
-                ArchDb::new()
-            },
-            debug_mode: false,
-            outs_buf: Vec::new(),
-        }
+        // Full-trace mode streams a lifecycle record per finished uop;
+        // bound the database so the stream keeps only the newest window.
+        let archdb = if lifecycle {
+            ArchDb::bounded(LIFECYCLE_TRACE_CAP)
+        } else {
+            ArchDb::new()
+        };
+        Self::over(CoSimState { sys, diff }, archdb, false)
     }
 
-    /// Build a debug-mode harness resuming from a snapshot (or salvaged)
-    /// state: commit/drain tracing on, bounded trace, no snapshots.
-    pub fn debug_resume(state: CoSimState) -> Self {
+    /// The harness over `state`, which becomes its rollback fallback.
+    fn over(state: CoSimState, archdb: ArchDb, debug_mode: bool) -> Self {
         CoSim {
             reset: Box::new(state.clone()),
             state,
             lightsss: None,
-            archdb: ArchDb::bounded(REPLAY_TRACE_CAP),
-            debug_mode: true,
+            archdb,
+            debug_mode,
             outs_buf: Vec::new(),
         }
     }
@@ -294,23 +274,65 @@ impl CoSim {
     /// the event-driven skipper on, one step may consume many cycles.
     pub fn run(&mut self, max_cycles: u64) -> CoSimEnd {
         let deadline = self.state.time().saturating_add(max_cycles);
+        self.run_to(u64::MAX, deadline)
+            .unwrap_or(CoSimEnd::OutOfCycles)
+    }
+
+    /// The one stepping loop: advance until core 0 has retired `target`
+    /// instructions in total (`None`), every hart halts, DiffTest
+    /// diverges, or `deadline` (an absolute cycle) arrives. A target met
+    /// on the very cycle the deadline arrives still counts as met; a halt
+    /// on that cycle reports `OutOfCycles`.
+    fn run_to(&mut self, target: u64, deadline: u64) -> Option<CoSimEnd> {
+        if self.state.sys.cores[0].instret() >= target {
+            return None;
+        }
         while self.state.time() < deadline {
             if self.state.sys.all_halted() {
-                return CoSimEnd::Halted(self.state.sys.cores[0].halted.unwrap_or(0));
+                return Some(CoSimEnd::Halted(
+                    self.state.sys.cores[0].halted.unwrap_or(0),
+                ));
             }
             if let Err(error) = self.step_cycle_until(deadline) {
                 let at_cycle = self.state.time();
                 let at_commit = self.state.diff.commits_checked;
                 let replay = self.replay(&error);
-                return CoSimEnd::Bug(BugReport {
+                return Some(CoSimEnd::Bug(BugReport {
                     error,
                     at_cycle,
                     at_commit,
                     replay,
-                });
+                }));
+            }
+            if self.state.sys.cores[0].instret() >= target {
+                return None;
             }
         }
-        CoSimEnd::OutOfCycles
+        Some(CoSimEnd::OutOfCycles)
+    }
+
+    /// The preferred rollback start: the oldest retained snapshot,
+    /// falling back to the reset state when LightSSS is off or the first
+    /// snapshot interval has not elapsed yet.
+    fn rollback_point(&self) -> Salvage {
+        match self.lightsss.as_ref().and_then(LightSss::oldest) {
+            Some(snap) => Salvage {
+                snapshot_cycle: snap.at,
+                fallback_reset: false,
+                state: snap.state.clone(),
+            },
+            None => Salvage {
+                snapshot_cycle: 0,
+                fallback_reset: true,
+                state: (*self.reset).clone(),
+            },
+        }
+    }
+
+    /// The always-on lifecycle rings of every core, core order.
+    fn lifecycle_ring(&self) -> Vec<xscore::Lifecycle> {
+        let cores = self.state.sys.cores.iter();
+        cores.flat_map(|c| c.lifecycle_ring()).collect()
     }
 
     /// On-demand debugging: restore the older snapshot and re-simulate in
@@ -321,48 +343,83 @@ impl CoSim {
     /// snapshot has been retained — the replay falls back to the reset
     /// state instead of panicking on `oldest()`, starting from cycle 0.
     pub fn replay(&self, original: &DiffError) -> Option<ReplayReport> {
-        let lightsss = self.lightsss.as_ref()?;
-        let (from_cycle, start, fallback_reset) = match lightsss.oldest() {
-            Some(snap) => (snap.at, snap.state.clone(), false),
-            None => (0, (*self.reset).clone(), true),
-        };
-        // Bounded trace: a runaway replay (large interval, slow
-        // reproduction) keeps only the newest window per table instead of
-        // growing without limit.
-        let mut replayed = CoSim::debug_resume(start);
-        let budget = if fallback_reset {
+        let interval = self.lightsss.as_ref()?.interval;
+        let from = self.rollback_point();
+        let budget = if from.fallback_reset {
             // The whole failing prefix is the window: reset → failure.
             self.state.time() + 10_000
         } else {
-            4 * lightsss.interval + 10_000
+            4 * interval + 10_000
         };
-        let start_cpi = crate::telemetry::PerfSnapshot::collect(&replayed.state.sys).cpi_stack();
-        let mut reproduced = false;
-        let mut at_commit = 0;
-        let deadline = replayed.state.time().saturating_add(budget);
-        while replayed.state.time() < deadline {
-            if replayed.state.sys.all_halted() {
-                break;
-            }
-            match replayed.step_cycle_until(deadline) {
-                Ok(()) => {}
-                Err(e) => {
-                    reproduced = &e == original;
-                    at_commit = replayed.state.diff.commits_checked;
-                    break;
-                }
-            }
-        }
-        let end_cpi = crate::telemetry::PerfSnapshot::collect(&replayed.state.sys).cpi_stack();
+        let w = debug_window(Box::new(move || from.state), budget);
         Some(ReplayReport {
-            from_cycle,
-            fallback_reset,
-            cycles_replayed: replayed.state.time().saturating_sub(from_cycle),
-            reproduced,
-            at_commit,
-            window_cpi: end_cpi.saturating_sub(&start_cpi),
-            trace: replayed.archdb,
+            from_cycle: from.snapshot_cycle,
+            fallback_reset: from.fallback_reset,
+            cycles_replayed: w.at_cycle.saturating_sub(from.snapshot_cycle),
+            reproduced: w.error.as_ref() == Some(original),
+            at_commit: if w.error.is_some() { w.at_commit } else { 0 },
+            window_cpi: w.window_cpi,
+            trace: w.trace,
         })
+    }
+}
+
+/// What re-executing a failure window in debug mode observed.
+#[derive(Debug, Default)]
+pub struct DebugWindow {
+    /// The divergence that ended the window, if one struck.
+    pub error: Option<DiffError>,
+    /// The panic that ended the window (payload as text), if booting or
+    /// stepping panicked.
+    pub panic: Option<String>,
+    /// Cycle the window ended at.
+    pub at_cycle: u64,
+    /// Commits DiffTest had verified when the window ended.
+    pub at_commit: u64,
+    /// CPI stack of the window alone (end minus start).
+    pub window_cpi: xscore::CpiStack,
+    /// Events captured in debug mode. Bounded: a runaway window keeps
+    /// only the newest rows per table instead of growing without limit.
+    pub trace: ArchDb,
+    /// The lifecycle rings where the window ended.
+    pub lifecycle_ring: Vec<xscore::Lifecycle>,
+}
+
+/// Re-execute a failure window: resume the state `start` yields (a
+/// snapshot, or a fresh boot) with commit tracing on and run for up to
+/// `budget` cycles, all inside a panic boundary — a window that panics
+/// (even while booting) reports the message and whatever it had
+/// captured. This is the only debug-mode run in the platform: the in-run
+/// LightSSS replay and the campaign's triage both end up here. (`start`
+/// is boxed, not generic, for the reason given at [`run_isolated_boot`].)
+pub fn debug_window(start: Box<dyn FnOnce() -> CoSimState + '_>, budget: u64) -> DebugWindow {
+    let mut booted = None;
+    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Debug mode: commit/drain tracing on, bounded trace, no snapshots.
+        let cosim = CoSim::over(start(), ArchDb::bounded(REPLAY_TRACE_CAP), true);
+        let start_cpi = crate::telemetry::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
+        booted.insert((cosim, start_cpi)).0.run(budget)
+    }));
+    let (error, panic) = match ran {
+        Ok(CoSimEnd::Bug(bug)) => (Some(bug.error), None),
+        Ok(_) => (None, None),
+        Err(payload) => (None, Some(panic_message(payload))),
+    };
+    let Some((cosim, start_cpi)) = booted else {
+        return DebugWindow {
+            panic,
+            ..Default::default()
+        };
+    };
+    let end_cpi = crate::telemetry::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
+    DebugWindow {
+        error,
+        panic,
+        at_cycle: cosim.state.time(),
+        at_commit: cosim.state.diff.commits_checked,
+        window_cpi: end_cpi.saturating_sub(&start_cpi),
+        lifecycle_ring: cosim.lifecycle_ring(),
+        trace: cosim.archdb,
     }
 }
 
@@ -373,6 +430,31 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "panic with non-string payload".into())
+}
+
+/// The measured detail window of a checkpoint sample run (pure integers,
+/// so the numbers can live in a deterministic report body).
+#[derive(Debug, Clone)]
+pub struct SampleWindowStats {
+    /// Cycles the warm-up phase consumed.
+    pub warmup_cycles: u64,
+    /// Instructions the warm-up phase retired.
+    pub warmup_instret: u64,
+    /// Cycles of the measured window.
+    pub window_cycles: u64,
+    /// Instructions retired inside the measured window.
+    pub window_instret: u64,
+    /// CPI stack of the measured window alone (end minus warm-up end) —
+    /// its components sum to `window_cycles × commit_width`, same
+    /// identity as a whole-run stack.
+    pub cpi: xscore::CpiStack,
+    /// True when the full window retired — the normal outcome. The
+    /// harness then stops a program that is still live, which
+    /// [`RunStats::end`] can only spell `OutOfCycles`; read this flag
+    /// first. False when the program halted, the cycle budget ran out or
+    /// DiffTest diverged before the window filled (whatever part of it
+    /// did retire was still measured).
+    pub completed: bool,
 }
 
 /// Outcome and summary statistics of one isolated co-simulation run.
@@ -398,11 +480,19 @@ pub struct RunStats {
     /// [`xscore::LIFECYCLE_RING_CAP`] finished uops per core (core order),
     /// snapshotted at the end of the run for crash triage.
     pub lifecycle_ring: Vec<xscore::Lifecycle>,
+    /// The measured window (`Some` exactly when the run was given a
+    /// warm-up/window pair).
+    pub window: Option<SampleWindowStats>,
+    /// A rollback start point, salvaged when the run ends without its
+    /// own replay debrief: on a cycle-budget timeout (oldest snapshot, or
+    /// the reset state), and on a divergence with LightSSS disabled
+    /// (reset state).
+    pub salvage: Option<Salvage>,
 }
 
 /// A rollback start point salvaged from a finished run, so a
 /// campaign-level triage pass can re-execute the failure window after
-/// `run_isolated` has already torn the harness down.
+/// the isolated run has already torn the harness down.
 pub struct Salvage {
     /// Cycle of the salvaged state (0 for the reset fallback).
     pub snapshot_cycle: u64,
@@ -413,13 +503,17 @@ pub struct Salvage {
     pub state: CoSimState,
 }
 
-/// Construct and run a co-simulation inside a panic boundary.
-///
-/// A campaign worker must survive a crashing job: any panic raised while
-/// booting or stepping the simulation is caught and returned as its
-/// message instead of unwinding into the worker's pool. The harness is
-/// rebuilt from scratch inside the boundary, so no partially-unwound
-/// state leaks out.
+impl std::fmt::Debug for Salvage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Salvage")
+            .field("snapshot_cycle", &self.snapshot_cycle)
+            .field("fallback_reset", &self.fallback_reset)
+            .finish()
+    }
+}
+
+/// Boot and run a program from reset inside a panic boundary — see
+/// [`run_isolated_boot`].
 ///
 /// # Errors
 ///
@@ -430,29 +524,77 @@ pub fn run_isolated(
     max_cycles: u64,
     lightsss_interval: Option<u64>,
 ) -> Result<RunStats, String> {
-    run_isolated_salvaging(cfg, program, max_cycles, lightsss_interval).0
+    run_isolated_boot(
+        Box::new(|| CoSim::new(cfg, program)),
+        None,
+        max_cycles,
+        lightsss_interval,
+    )
 }
 
-/// [`run_isolated`], additionally salvaging a rollback start point when
-/// the run ends without its own replay debrief: on a cycle-budget
-/// timeout (oldest snapshot, or the reset state), and on a divergence
-/// with LightSSS disabled (reset state). A panic unwinds the harness, so
-/// nothing can be salvaged on the `Err` path.
-pub fn run_isolated_salvaging(
-    cfg: XsConfig,
-    program: &Program,
+/// Construct and run a co-simulation inside a panic boundary.
+///
+/// A campaign worker must survive a crashing job: `boot` — which builds
+/// the program or derives the checkpoint, and constructs the harness —
+/// runs inside the boundary together with the simulation, so any panic
+/// raised along the way is caught and returned as its message instead of
+/// unwinding into the worker's pool, and no partially-unwound state
+/// leaks out.
+///
+/// With `sample = Some((warmup, window))` the run is the per-checkpoint
+/// half of the paper's §III-D3 sampled-performance flow: retire `warmup`
+/// instructions to warm caches, TLBs and predictors (they start cold at
+/// a restore), then measure a `window`-instruction detail window and
+/// stop. DiffTest verifies every commit of both phases, and LightSSS
+/// rollback/replay applies exactly as to a plain run.
+///
+/// `boot` is boxed rather than generic on purpose: this body clones and
+/// tears down whole [`CoSimState`]s, and one copy of it per calling
+/// closure is tens of kilobytes of text for one allocation saved.
+///
+/// # Errors
+///
+/// The panic payload (as text) if booting or simulating panicked.
+pub fn run_isolated_boot(
+    boot: Box<dyn FnOnce() -> CoSim + '_>,
+    sample: Option<(u64, u64)>,
     max_cycles: u64,
     lightsss_interval: Option<u64>,
-) -> (Result<RunStats, String>, Option<Salvage>) {
-    let program = program.clone();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut cosim = CoSim::new(cfg, &program);
+) -> Result<RunStats, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let mut cosim = boot();
         if let Some(iv) = lightsss_interval {
             cosim = cosim.with_lightsss(iv);
         }
-        let end = cosim.run(max_cycles);
+        let deadline = cosim.state.time().saturating_add(max_cycles);
+        let cpi_now = |c: &CoSim| crate::telemetry::PerfSnapshot::collect(&c.state.sys).cpi_stack();
+        let mut window = None;
+        let end = match sample {
+            None => cosim.run_to(u64::MAX, deadline),
+            Some((warmup, len)) => {
+                // The window phase is skipped if warm-up already ended
+                // the run.
+                let warm_end = cosim.run_to(warmup, deadline);
+                let (warmup_cycles, warmup_instret) =
+                    (cosim.state.time(), cosim.state.sys.cores[0].instret());
+                let warm_cpi = cpi_now(&cosim);
+                let end = warm_end.or_else(|| cosim.run_to(warmup.saturating_add(len), deadline));
+                let instret = cosim.state.sys.cores[0].instret();
+                window = Some(SampleWindowStats {
+                    warmup_cycles,
+                    warmup_instret,
+                    window_cycles: cosim.state.time().saturating_sub(warmup_cycles),
+                    window_instret: instret.saturating_sub(warmup_instret),
+                    cpi: cpi_now(&cosim).saturating_sub(&warm_cpi),
+                    completed: end.is_none(),
+                });
+                end
+            }
+        };
+        let completed = end.is_none();
+        let end = end.unwrap_or(CoSimEnd::OutOfCycles);
         let salvage = match &end {
-            CoSimEnd::OutOfCycles => Some(salvage_from(&cosim)),
+            CoSimEnd::OutOfCycles if !completed => Some(cosim.rollback_point()),
             CoSimEnd::Bug(bug) if bug.replay.is_none() => Some(Salvage {
                 snapshot_cycle: 0,
                 fallback_reset: true,
@@ -473,262 +615,21 @@ pub fn run_isolated_salvaging(
         let coverage = cosim.state.diff.coverage.as_ref().map(|commit| {
             crate::coverage::CoverageMap::from_run(commit, &cosim.state.diff.stats, &perf)
         });
-        let lifecycle_ring: Vec<xscore::Lifecycle> = cosim
-            .state
-            .sys
-            .cores
-            .iter()
-            .flat_map(|c| c.lifecycle_ring())
-            .collect();
-        (
-            RunStats {
-                cycles: cosim.state.time(),
-                commits_checked: cosim.state.diff.commits_checked,
-                instret: cosim.state.sys.cores.iter().map(|c| c.instret()).sum(),
-                exceptions: cosim.state.sys.cores.iter().map(|c| c.perf.exceptions).sum(),
-                rule_counts,
-                perf,
-                coverage,
-                lifecycle_ring,
-                end,
-            },
+        RunStats {
+            cycles: cosim.state.time(),
+            commits_checked: cosim.state.diff.commits_checked,
+            instret: cosim.state.sys.cores.iter().map(|c| c.instret()).sum(),
+            exceptions: cosim.state.sys.cores.iter().map(|c| c.perf.exceptions).sum(),
+            rule_counts,
+            perf,
+            coverage,
+            lifecycle_ring: cosim.lifecycle_ring(),
+            window,
             salvage,
-        )
-    })) {
-        Ok((stats, salvage)) => (Ok(stats), salvage),
-        Err(payload) => (Err(panic_message(payload)), None),
-    }
-}
-
-/// Why a checkpoint sample run ended.
-#[derive(Debug)]
-pub enum SampleEnd {
-    /// The full measured window retired — the normal outcome.
-    Window,
-    /// The program halted before the window filled (checkpoints near
-    /// the end of a run legitimately do this); exit code of hart 0.
-    /// Whatever part of the window did retire was still measured.
-    Halted(u64),
-    /// Cycle budget exhausted before the window filled.
-    OutOfCycles,
-    /// DiffTest reported a bug while warming up or measuring.
-    Bug(BugReport),
-}
-
-/// The measured detail window of one checkpoint sample (pure integers,
-/// so the numbers can live in a deterministic report body).
-#[derive(Debug, Clone)]
-pub struct SampleWindowStats {
-    /// Cycles the warm-up phase consumed.
-    pub warmup_cycles: u64,
-    /// Instructions the warm-up phase retired.
-    pub warmup_instret: u64,
-    /// Cycles of the measured window.
-    pub window_cycles: u64,
-    /// Instructions retired inside the measured window.
-    pub window_instret: u64,
-    /// CPI stack of the measured window alone (end minus warm-up end) —
-    /// its components sum to `window_cycles × commit_width`, same
-    /// identity as a whole-run stack.
-    pub cpi: xscore::CpiStack,
-}
-
-/// Outcome and statistics of one isolated checkpoint sample run:
-/// whole-run counters (from the restored state on) plus the measured
-/// window carved out after warm-up.
-#[derive(Debug)]
-pub struct SampleStats {
-    /// Why the sample ended.
-    pub end: SampleEnd,
-    /// Cycles simulated in total (warm-up + window).
-    pub cycles: u64,
-    /// Commits DiffTest verified.
-    pub commits_checked: u64,
-    /// Instructions retired since the restore.
-    pub instret: u64,
-    /// Architectural exceptions taken.
-    pub exceptions: u64,
-    /// Diff-rule applications (rule name → count), sorted by name.
-    pub rule_counts: Vec<(String, u64)>,
-    /// Unified cross-layer performance snapshot at the end of the run.
-    pub perf: crate::telemetry::PerfSnapshot,
-    /// Coverage map (`Some` only under `XsConfig::coverage`).
-    pub coverage: Option<crate::coverage::CoverageMap>,
-    /// The always-on lifecycle ring, snapshotted at the end of the run.
-    pub lifecycle_ring: Vec<xscore::Lifecycle>,
-    /// The measured window.
-    pub window: SampleWindowStats,
-}
-
-/// How one warm-up/window phase of a sample run ended.
-enum PhaseEnd {
-    /// The phase's instruction target retired.
-    Reached,
-    /// Every hart halted; exit code of hart 0.
-    Halted(u64),
-    /// The shared cycle deadline arrived first.
-    OutOfCycles,
-    /// DiffTest diverged.
-    Bug(BugReport),
-}
-
-/// Drive `cosim` until core 0 has retired `target` instructions in
-/// total, every hart halts, or `deadline` (absolute cycle) arrives.
-fn run_phase_to_instret(cosim: &mut CoSim, target: u64, deadline: u64) -> PhaseEnd {
-    loop {
-        if cosim.state.sys.cores[0].instret() >= target {
-            return PhaseEnd::Reached;
+            end,
         }
-        if cosim.state.sys.all_halted() {
-            return PhaseEnd::Halted(cosim.state.sys.cores[0].halted.unwrap_or(0));
-        }
-        if cosim.state.time() >= deadline {
-            return PhaseEnd::OutOfCycles;
-        }
-        if let Err(error) = cosim.step_cycle_until(deadline) {
-            let at_cycle = cosim.state.time();
-            let at_commit = cosim.state.diff.commits_checked;
-            let replay = cosim.replay(&error);
-            return PhaseEnd::Bug(BugReport {
-                error,
-                at_cycle,
-                at_commit,
-                replay,
-            });
-        }
-    }
-}
-
-/// Resume a checkpoint on the cycle model inside a panic boundary, warm
-/// caches and predictors for `warmup` instructions, then measure a
-/// `window`-instruction detail window — the per-checkpoint half of the
-/// paper's §III-D3 sampled-performance flow. DiffTest (against the
-/// architectural stepper resumed from the same state) verifies every
-/// commit of both phases, and LightSSS rollback/replay applies to
-/// sample runs exactly as to from-reset runs.
-///
-/// # Errors
-///
-/// The panic payload (as text) if the simulation panicked.
-pub fn run_isolated_checkpoint(
-    cfg: XsConfig,
-    state: &ArchState,
-    memory: &SparseMemory,
-    warmup: u64,
-    window: u64,
-    max_cycles: u64,
-    lightsss_interval: Option<u64>,
-) -> (Result<SampleStats, String>, Option<Salvage>) {
-    let state = state.clone();
-    let memory = memory.clone();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut cosim = CoSim::from_checkpoint(cfg, &state, &memory);
-        if let Some(iv) = lightsss_interval {
-            cosim = cosim.with_lightsss(iv);
-        }
-        let deadline = cosim.state.time().saturating_add(max_cycles);
-
-        // Phase 1: warm-up. Caches, TLBs, and predictors start cold at a
-        // restore — the paper warms them before measuring for exactly
-        // this reason.
-        let warm_end = run_phase_to_instret(&mut cosim, warmup, deadline);
-        let warmup_cycles = cosim.state.time();
-        let warmup_instret = cosim.state.sys.cores[0].instret();
-        let warm_cpi = crate::telemetry::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
-
-        // Phase 2: the measured window (skipped if warm-up already ended
-        // the run).
-        let end = match warm_end {
-            PhaseEnd::Reached => {
-                match run_phase_to_instret(&mut cosim, warmup.saturating_add(window), deadline) {
-                    PhaseEnd::Reached => SampleEnd::Window,
-                    PhaseEnd::Halted(code) => SampleEnd::Halted(code),
-                    PhaseEnd::OutOfCycles => SampleEnd::OutOfCycles,
-                    PhaseEnd::Bug(bug) => SampleEnd::Bug(bug),
-                }
-            }
-            PhaseEnd::Halted(code) => SampleEnd::Halted(code),
-            PhaseEnd::OutOfCycles => SampleEnd::OutOfCycles,
-            PhaseEnd::Bug(bug) => SampleEnd::Bug(bug),
-        };
-
-        let salvage = match &end {
-            SampleEnd::OutOfCycles => Some(salvage_from(&cosim)),
-            SampleEnd::Bug(bug) if bug.replay.is_none() => Some(Salvage {
-                snapshot_cycle: 0,
-                fallback_reset: true,
-                state: (*cosim.reset).clone(),
-            }),
-            _ => None,
-        };
-        let end_cpi = crate::telemetry::PerfSnapshot::collect(&cosim.state.sys).cpi_stack();
-        let mut rule_counts: Vec<(String, u64)> = cosim
-            .state
-            .diff
-            .stats
-            .all()
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        rule_counts.sort();
-        let perf = crate::telemetry::PerfSnapshot::collect(&cosim.state.sys);
-        let coverage = cosim.state.diff.coverage.as_ref().map(|commit| {
-            crate::coverage::CoverageMap::from_run(commit, &cosim.state.diff.stats, &perf)
-        });
-        let lifecycle_ring: Vec<xscore::Lifecycle> = cosim
-            .state
-            .sys
-            .cores
-            .iter()
-            .flat_map(|c| c.lifecycle_ring())
-            .collect();
-        (
-            SampleStats {
-                cycles: cosim.state.time(),
-                commits_checked: cosim.state.diff.commits_checked,
-                instret: cosim.state.sys.cores[0].instret(),
-                exceptions: cosim.state.sys.cores.iter().map(|c| c.perf.exceptions).sum(),
-                rule_counts,
-                perf,
-                coverage,
-                lifecycle_ring,
-                window: SampleWindowStats {
-                    warmup_cycles,
-                    warmup_instret,
-                    window_cycles: cosim.state.time().saturating_sub(warmup_cycles),
-                    window_instret: cosim
-                        .state
-                        .sys
-                        .cores[0]
-                        .instret()
-                        .saturating_sub(warmup_instret),
-                    cpi: end_cpi.saturating_sub(&warm_cpi),
-                },
-                end,
-            },
-            salvage,
-        )
-    })) {
-        Ok((stats, salvage)) => (Ok(stats), salvage),
-        Err(payload) => (Err(panic_message(payload)), None),
-    }
-}
-
-/// The preferred rollback start of a live harness: oldest retained
-/// snapshot, falling back to the reset state.
-fn salvage_from(cosim: &CoSim) -> Salvage {
-    match cosim.lightsss.as_ref().and_then(LightSss::oldest) {
-        Some(snap) => Salvage {
-            snapshot_cycle: snap.at,
-            fallback_reset: false,
-            state: snap.state.clone(),
-        },
-        None => Salvage {
-            snapshot_cycle: 0,
-            fallback_reset: true,
-            state: (*cosim.reset).clone(),
-        },
-    }
+    }))
+    .map_err(panic_message)
 }
 
 // The campaign runner shards CoSims across a worker pool, so the whole
@@ -908,25 +809,33 @@ mod tests {
         (hart.state.clone(), mem)
     }
 
+    /// Resume `program` from `insts` instructions in and sample a
+    /// `(warmup, window)` pair.
+    fn sample_from(cfg: XsConfig, insts: u64, sample: (u64, u64)) -> RunStats {
+        let (state, mem) = profile_to(&branchy_program(), insts);
+        let boot = Box::new(|| CoSim::from_checkpoint(cfg, &state, &mem));
+        run_isolated_boot(boot, Some(sample), 500_000, None).expect("no panic")
+    }
+
     #[test]
     fn checkpoint_resume_measures_a_verified_window() {
-        let program = branchy_program();
-        let (state, mem) = profile_to(&program, 5_000);
-        let (res, salvage) =
-            run_isolated_checkpoint(tiny_cfg(1), &state, &mem, 1_000, 2_000, 500_000, None);
-        let stats = res.expect("no panic");
-        assert!(matches!(stats.end, SampleEnd::Window), "{:?}", stats.end);
-        assert!(salvage.is_none(), "window completion salvages nothing");
+        let stats = sample_from(tiny_cfg(1), 5_000, (1_000, 2_000));
+        let window = stats.window.expect("sample runs report a window");
+        assert!(window.completed, "{:?}", stats.end);
+        assert!(
+            stats.salvage.is_none(),
+            "window completion salvages nothing"
+        );
         // Both phases hit their instruction targets (modulo event-driven
         // overshoot) and every commit was verified against the REF.
-        assert!(stats.window.warmup_instret >= 1_000);
-        assert!(stats.window.window_instret >= 2_000);
-        assert_eq!(stats.instret, stats.window.warmup_instret + stats.window.window_instret);
+        assert!(window.warmup_instret >= 1_000);
+        assert!(window.window_instret >= 2_000);
+        assert_eq!(stats.instret, window.warmup_instret + window.window_instret);
         assert!(stats.commits_checked >= stats.instret);
         // The window CPI stack obeys the same identity as a full run's.
         assert_eq!(
-            stats.window.cpi.total(),
-            stats.window.window_cycles * stats.perf.commit_width,
+            window.cpi.total(),
+            window.window_cycles * stats.perf.commit_width,
             "window CPI stack must account for every window slot"
         );
     }
@@ -935,37 +844,37 @@ mod tests {
     fn checkpoint_resume_catches_injected_bugs() {
         // The restored REF must keep verifying commits: a DUT corrupted
         // after the restore diverges inside the sample run.
-        let program = branchy_program();
-        let (state, mem) = profile_to(&program, 3_000);
         let mut cfg = tiny_cfg(1);
         cfg.injected_bug = Some(xscore::InjectedBug::MulLowBit);
-        let (res, _) = run_isolated_checkpoint(cfg, &state, &mem, 500, 2_000, 500_000, None);
-        let stats = res.expect("no panic");
+        let stats = sample_from(cfg, 3_000, (500, 2_000));
         assert!(
-            matches!(stats.end, SampleEnd::Bug(_)),
+            matches!(stats.end, CoSimEnd::Bug(_)),
             "expected a divergence, got {:?}",
             stats.end
         );
+        assert!(!stats.window.expect("window").completed);
     }
 
     #[test]
     fn checkpoint_resume_halts_cleanly_past_the_end() {
         // A window larger than the remaining program: the run halts and
         // reports the partial window instead of spinning.
-        let program = branchy_program();
-        let (state, mem) = profile_to(&program, 15_000);
-        let (res, _) = run_isolated_checkpoint(
-            tiny_cfg(1),
-            &state,
-            &mem,
-            1_000,
-            100_000_000,
-            500_000,
-            None,
-        );
-        let stats = res.expect("no panic");
-        assert!(matches!(stats.end, SampleEnd::Halted(_)), "{:?}", stats.end);
-        assert!(stats.window.window_instret > 0, "partial window measured");
+        let stats = sample_from(tiny_cfg(1), 15_000, (1_000, 100_000_000));
+        assert!(matches!(stats.end, CoSimEnd::Halted(_)), "{:?}", stats.end);
+        let window = stats.window.expect("window");
+        assert!(!window.completed);
+        assert!(window.window_instret > 0, "partial window measured");
+    }
+
+    #[test]
+    fn a_panicking_boot_is_contained() {
+        // Whatever `boot` does — build a program, derive a checkpoint —
+        // runs inside the boundary.
+        let r = run_isolated_boot(Box::new(|| panic!("no such workload")), None, 1_000, None);
+        assert_eq!(r.unwrap_err(), "no such workload");
+        let w = debug_window(Box::new(|| panic!("no such workload")), 1_000);
+        assert_eq!(w.panic.as_deref(), Some("no such workload"));
+        assert_eq!((w.at_cycle, w.at_commit), (0, 0));
     }
 
     #[test]

@@ -47,9 +47,8 @@ pub mod telemetry;
 
 pub use archdb::ArchDb;
 pub use cosim::{
-    panic_message, run_isolated, run_isolated_checkpoint, run_isolated_salvaging, BugReport, CoSim,
-    CoSimEnd, CoSimState, ReplayReport, RunStats, Salvage, SampleEnd, SampleStats,
-    SampleWindowStats,
+    debug_window, panic_message, run_isolated, run_isolated_boot, BugReport, CoSim, CoSimEnd,
+    CoSimState, DebugWindow, ReplayReport, RunStats, Salvage, SampleWindowStats,
 };
 pub use coverage::{bucket, CommitCoverage, CoverageMap, FU_CLASS_COUNT, OP_COUNT};
 pub use difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, NemuRef, RefModel, ARCH_REF_NAME};

@@ -12,9 +12,9 @@
 #   4. a perf smoke — one kernel under full telemetry; the PerfSnapshot
 #      artifact must have a live CPI stack and nonzero cache/DRAM
 #      counters, and perf_report must render it cleanly,
-#   5. a triage smoke — an injected-bug campaign with LightSSS on must
-#      produce a self-contained replay bundle, and `replay --bundle`
-#      must reproduce the divergence at the identical commit index,
+#   5. (the triage smoke — injected bug -> bundle -> `replay --bundle`
+#      at the identical commit index, plus the hostile-bundle cases —
+#      lives in tests/cli_smoke.rs and runs with the test suite in 2),
 #   6. a lifecycle smoke — a 12-job injected-bug campaign must produce
 #      failing jobs whose bundles carry a non-empty crash-ring lifecycle
 #      snapshot, pipeview must render one (waterfall and O3PipeView),
@@ -136,58 +136,12 @@ target/release/perf_report "$perf_snapshot" > "$perf_snapshot.render"
 head -12 "$perf_snapshot.render"
 rm -f "$perf_snapshot.render"
 
-echo "== tier-1: triage smoke (injected bug -> bundle -> replay) =="
-triage_report="$(mktemp /tmp/triage-smoke.XXXXXX.json)"
-bundle_dir="$(mktemp -d /tmp/triage-bundles.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report"; rm -rf "$bundle_dir"' EXIT
-# The injected MulLowBit bug must make some seeds diverge, so the
-# campaign exits 1 by contract; any other status is a failure.
-set +e
-timeout 600 target/release/campaign \
-    --torture-seeds 0..3 \
-    --configs small-nh \
-    --inject-bug mul-low-bit \
-    --lightsss 2000 \
-    --max-cycles 8000000 \
-    --workers 3 \
-    --no-minimize \
-    --bundle-dir "$bundle_dir" \
-    --out "$triage_report"
-rc=$?
-set -e
-if [ "$rc" -ne 1 ]; then
-    echo "triage smoke: expected exit 1 (diverged jobs), got $rc" >&2
-    exit 1
-fi
-
-bundle_file="$(python3 - "$triage_report" "$bundle_dir" <<'EOF'
-import json, os, sys
-r = json.load(open(sys.argv[1]))
-assert r["schema_version"] == 6, r["schema_version"]
-diverged = [j for j in r["jobs"] if "Diverged" in j["verdict"]]
-assert diverged, "injected bug produced no divergence"
-bundled = [j for j in diverged if j.get("triage")]
-assert bundled, "diverged jobs carry no triage bundle"
-j = bundled[0]
-b = j["triage"]
-assert b["trigger"] == "diverged" and b["reproduced"], b["trigger"]
-assert b["at_commit"] > 0 and b["commit_tail"], "bundle lacks the commit anchor/tail"
-path = os.path.join(sys.argv[2], f"job{j['index']}.bundle.json")
-assert os.path.exists(path), f"bundle file missing: {path}"
-print(path)
-EOF
-)"
-echo "triage smoke bundle: $bundle_file"
-# The bundle alone must reproduce the divergence at the same commit
-# index (replay exits 0 only on REPRODUCED).
-timeout 300 target/release/replay --bundle "$bundle_file"
-
 echo "== tier-1: lifecycle smoke (12-job injected bug -> crash ring -> pipeview) =="
 life_report="$(mktemp /tmp/lifecycle-bug.XXXXXX.json)"
 life_bundles="$(mktemp -d /tmp/lifecycle-bundles.XXXXXX)"
 life_a="$(mktemp /tmp/lifecycle-a.XXXXXX.json)"
 life_b="$(mktemp /tmp/lifecycle-b.XXXXXX.json)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_report" "$life_a" "$life_b"; rm -rf "$bundle_dir" "$life_bundles"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_report" "$life_a" "$life_b"; rm -rf "$life_bundles"' EXIT
 set +e
 timeout 600 target/release/campaign \
     --torture-seeds 0..6 \
@@ -271,7 +225,7 @@ fuzz_a="$(mktemp /tmp/fuzz-smoke-a.XXXXXX.json)"
 fuzz_b="$(mktemp /tmp/fuzz-smoke-b.XXXXXX.json)"
 fuzz_bug="$(mktemp /tmp/fuzz-bug.XXXXXX.json)"
 fuzz_bundles="$(mktemp -d /tmp/fuzz-bundles.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug"; rm -rf "$bundle_dir" "$fuzz_bundles"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
 # Same seed + same worker count twice: the deterministic body (report
 # minus the "timing" section) must be byte-identical, and every round
 # must contribute new coverage.
@@ -345,7 +299,7 @@ mp_a="$(mktemp /tmp/mp-smoke-a.XXXXXX.json)"
 mp_b="$(mktemp /tmp/mp-smoke-b.XXXXXX.json)"
 mp_race="$(mktemp /tmp/mp-race.XXXXXX.json)"
 mp_bundles="$(mktemp -d /tmp/mp-bundles.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race"; rm -rf "$bundle_dir" "$fuzz_bundles" "$mp_bundles"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
 # Same seed twice on the dual-core preset: the deterministic body must
 # be byte-identical, every job must halt with an allowed outcome, and
 # the coherence (`mp:`) coverage family must be live.
@@ -422,7 +376,7 @@ echo "== tier-1: bench smoke (BENCH_fig8.json + --ref nemu-trace campaign) =="
 bench_json="$(mktemp /tmp/bench-smoke.XXXXXX.json)"
 trace_a="$(mktemp /tmp/trace-ref-a.XXXXXX.json)"
 trace_b="$(mktemp /tmp/trace-ref-b.XXXXXX.json)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$bundle_dir" "$fuzz_bundles" "$mp_bundles"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
 # Reduced fuel keeps the leg fast; the committed BENCH_fig8.json (which
 # golden_bench pins for speed ordering) is generated at full budget.
 MINJIE_BENCH_FUEL=20000000 MINJIE_BENCH_OUT="$bench_json" scripts/bench.sh
@@ -502,7 +456,7 @@ echo "== tier-1: sampling smoke (checkpoint farm -> weighted CPI) =="
 sample_a="$(mktemp /tmp/sample-smoke-a.XXXXXX.json)"
 sample_b="$(mktemp /tmp/sample-smoke-b.XXXXXX.json)"
 ckpt_dir="$(mktemp -d /tmp/sample-ckpts.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$bundle_dir" "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
 # Two identical farms sharing one checkpoint directory: the first
 # profiles and materializes the blobs, the second must answer from the
 # cache, and both deterministic bodies must agree byte for byte.

@@ -13,7 +13,9 @@
 //! deterministic-replay guarantee the LightSSS → DiffTest debug loop
 //! rests on. Exit status: 0 when the failure reproduces (or `--show` /
 //! `--report` rendering succeeds), 1 when it does not, 2 on usage
-//! errors.
+//! errors and on a bundle that cannot be set up at all (another schema
+//! version, a configuration the model refuses, an unknown kernel or
+//! personality) — one `error:` line, nothing simulated.
 
 use campaign::{verify_bundle, TriageBundle};
 use serde::Deserialize;
@@ -63,7 +65,10 @@ fn main() {
             }
             eprintln!("re-executing from reset ({} cycle budget)...", bundle.max_cycles);
             match verify_bundle(&bundle) {
-                Err(e) => usage(&e),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    std::process::exit(2);
+                }
                 Ok(v) => {
                     println!(
                         "replay: {} — {}",
