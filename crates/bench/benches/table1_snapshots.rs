@@ -6,7 +6,7 @@
 //! "fork() takes 535 us / SSS takes 3.671 s".
 
 use minjie::{CoSim, Snapshotable, Sss};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use workloads::{workload, Scale};
 use xscore::XsConfig;
 
@@ -26,43 +26,57 @@ fn main() {
     }
     println!();
 
-    // Warm a real co-simulation to a non-trivial state.
-    let w = workload("bzip2", Scale::Test);
-    let mut cosim = CoSim::new(XsConfig::nh(), &w.program);
-    for _ in 0..40_000 {
-        if cosim.state.sys.all_halted() {
-            break;
+    // Per-snapshot cost over live co-simulations: a cache-resident kernel
+    // and two DRAM-bound ones, each measured early and late in the run —
+    // an incremental snapshot costs what changed, not what ever ran.
+    println!("snapshot cost over a live co-simulation (nh preset):");
+    println!(
+        "{:<8} {:>10} {:>12} {:>14} {:>12} {:>8}",
+        "kernel", "at cycle", "state bytes", "LightSSS clone", "SSS (full)", "ratio"
+    );
+    for (kernel, scale) in [
+        ("bzip2", Scale::Test),
+        ("mcf", Scale::Bench),
+        ("lbm", Scale::Bench),
+    ] {
+        let w = workload(kernel, scale);
+        let mut cosim = CoSim::new(XsConfig::nh(), &w.program);
+        for stop in [40_000, 1_000_000] {
+            while cosim.state.time() < stop && !cosim.state.sys.all_halted() {
+                cosim.step_cycle_until(stop).expect("clean run");
+            }
+            let (light, heavy, bytes) = snapshot_costs(&cosim);
+            println!(
+                "{kernel:<8} {:>10} {bytes:>12} {light:>14.2?} {heavy:>12.2?} {:>7.0}x",
+                cosim.state.time(),
+                heavy.as_secs_f64() / light.as_secs_f64().max(1e-12)
+            );
+            assert!(heavy > light * 5, "LightSSS must be clearly cheaper");
         }
-        cosim.step_cycle().expect("clean run");
     }
+    println!("(paper: fork 535us vs SSS 3.671s = ~6900x at 8M-line scale)");
+}
 
-    // LightSSS: COW clone cost.
+/// Mean cost of a LightSSS snapshot (COW clone, newest two retained as
+/// `LightSss` does) and of an eager SSS serialization of the same state,
+/// plus the serialized size.
+fn snapshot_costs(cosim: &CoSim) -> (Duration, Duration, usize) {
     let n = 50;
     let t0 = Instant::now();
-    let mut keep = Vec::new();
+    let mut keep = std::collections::VecDeque::new();
     for _ in 0..n {
-        keep.push(cosim.state.clone());
+        keep.push_back(cosim.state.clone());
         if keep.len() > 2 {
-            keep.remove(0);
+            keep.pop_front();
         }
     }
     let light = t0.elapsed() / n;
 
-    // SSS: eager full serialization cost.
     let mut sss = Sss::new();
-    let m = 10;
+    let m = 5;
     for _ in 0..m {
         sss.take(&cosim.state);
     }
     let heavy = sss.snapshot_cost / m;
-    let bytes = cosim.state.serialize_full().len();
-
-    println!("snapshot cost over a live co-simulation ({bytes} bytes of state):");
-    println!("  LightSSS (COW clone):      {light:>12.2?} per snapshot");
-    println!("  SSS (full serialization):  {heavy:>12.2?} per snapshot");
-    println!(
-        "  ratio: {:.0}x  (paper: fork 535us vs SSS 3.671s = ~6900x at 8M-line scale)",
-        heavy.as_secs_f64() / light.as_secs_f64().max(1e-12)
-    );
-    assert!(heavy > light * 5, "LightSSS must be clearly cheaper");
+    (light, heavy, cosim.state.serialize_full().len())
 }

@@ -235,38 +235,67 @@ impl RefModel for AnyRef {
 
 /// The Global Memory of §III-B2b: records every store that entered the
 /// DUT's cache hierarchy, across all harts, together with a bounded
-/// per-location history. A load value is "possibly written by other
-/// hardware threads" when it matches the current value or a recent one —
-/// the history absorbs the bounded lag between a load's execution and its
-/// commit-time check.
+/// window of the values those stores displaced. A load value is "possibly
+/// written by other hardware threads" when it matches the current value
+/// or one displaced inside the window — the window absorbs the bounded
+/// lag between a load's execution and its commit-time check.
+///
+/// The window is one ring of the last [`HISTORY_WINDOW`] `(dword, old
+/// value)` drain records over all locations, so its size — and the cost
+/// of cloning it into a LightSSS snapshot — does not depend on how long
+/// the simulation has run or how much memory it has touched.
 #[derive(Debug, Clone)]
 pub struct GlobalMemory {
     mem: SparseMemory,
-    history: HashMap<u64, std::collections::VecDeque<u64>>,
+    /// Drain records, oldest overwritten first. Grows to
+    /// [`HISTORY_WINDOW`] and then wraps, so a short run clones only what
+    /// it recorded.
+    window: Vec<Displaced>,
+    /// Slot the next record overwrites once the window is full.
+    next: usize,
     /// Stores recorded.
     pub stores: u64,
 }
 
-/// Per-dword history depth (bounds legal commit-vs-drain lag).
+/// One drain record: a dword and the value a store displaced from it.
+#[derive(Debug, Clone, Copy)]
+struct Displaced {
+    dword: u64,
+    old: u64,
+}
+
+/// Displaced values of one location a load may still legally return
+/// (the newest ones inside the window).
 const HISTORY_DEPTH: usize = 16;
+
+/// Drain records the Global Memory remembers, over all locations.
+///
+/// A load reads its value at execute and is checked at commit; the
+/// window must hold every store that can drain in between. That lag is
+/// bounded by what the machine can have in flight: on the largest preset
+/// (`nh`: ROB 256, LQ 80, SQ 64, sbuffer 24) a hart holds at most
+/// 256 + 80 + 64 + 24 = 424 memory operations between execute and global
+/// visibility, the multi-core preset has 2 harts, and a store that
+/// straddles a dword boundary leaves 2 records: 424 × 2 × 2 = 1 696,
+/// rounded up to a power of two. A value displaced longer ago than that
+/// is no longer "recently globally visible", however rarely its location
+/// is written.
+pub const HISTORY_WINDOW: usize = 2048;
 
 impl GlobalMemory {
     /// Initialize from the boot image.
     pub fn new(image: &riscv_isa::asm::Program) -> Self {
         let mut mem = SparseMemory::new();
         image.load_into(&mut mem);
-        GlobalMemory {
-            mem,
-            history: HashMap::new(),
-            stores: 0,
-        }
+        Self::from_memory(mem)
     }
 
     /// Initialize from raw memory.
     pub fn from_memory(mem: SparseMemory) -> Self {
         GlobalMemory {
             mem,
-            history: HashMap::new(),
+            window: Vec::new(),
+            next: 0,
             stores: 0,
         }
     }
@@ -278,11 +307,15 @@ impl GlobalMemory {
         let end = (e.paddr + e.size - 1) & !7;
         let mut d = start;
         while d <= end {
-            let old = self.mem.read_uint(d, 8);
-            let h = self.history.entry(d).or_default();
-            h.push_back(old);
-            if h.len() > HISTORY_DEPTH {
-                h.pop_front();
+            let rec = Displaced {
+                dword: d,
+                old: self.mem.read_uint(d, 8),
+            };
+            if self.window.len() < HISTORY_WINDOW {
+                self.window.push(rec);
+            } else {
+                self.window[self.next] = rec;
+                self.next = (self.next + 1) % HISTORY_WINDOW;
             }
             d += 8;
         }
@@ -295,19 +328,50 @@ impl GlobalMemory {
         self.mem.read_uint(paddr, size)
     }
 
+    /// Drain records currently retained (≤ [`HISTORY_WINDOW`]).
+    pub fn retained_records(&self) -> usize {
+        self.window.len()
+    }
+
     /// All values this location may legally return to a recent load: the
-    /// current value plus the bounded history.
-    pub fn possible_values(&mut self, paddr: u64, size: u64) -> Vec<u64> {
-        let mut out = vec![self.mem.read_uint(paddr, size)];
+    /// current value, then the values displaced from it inside the window,
+    /// newest first (at most [`HISTORY_DEPTH`]). An access that straddles
+    /// two dwords has no history.
+    pub fn possible_values(&mut self, paddr: u64, size: u64) -> impl Iterator<Item = u64> + '_ {
+        let current = self.mem.read_uint(paddr, size);
         let d = paddr & !7;
-        if (paddr + size - 1) & !7 == d {
-            if let Some(h) = self.history.get(&d) {
-                let shift = (paddr - d) * 8;
-                let mask = if size == 8 { u64::MAX } else { (1 << (size * 8)) - 1 };
-                out.extend(h.iter().map(|v| (v >> shift) & mask));
-            }
-        }
-        out
+        // Record dwords are 8-aligned, so `u64::MAX` matches none.
+        let wanted = if (paddr + size - 1) & !7 == d {
+            d
+        } else {
+            u64::MAX
+        };
+        let shift = (paddr - d) * 8;
+        let mask = if size == 8 {
+            u64::MAX
+        } else {
+            (1 << (size * 8)) - 1
+        };
+        // Newest first: from the slot before `next` down to 0, then from
+        // the end of the ring down to `next` (the oldest record).
+        let (newer, older) = self.window.split_at(self.next);
+        let displaced = newer.iter().rev().chain(older.iter().rev());
+        std::iter::once(current).chain(
+            displaced
+                .filter(move |r| r.dword == wanted)
+                .take(HISTORY_DEPTH)
+                .map(move |r| (r.old >> shift) & mask),
+        )
+    }
+}
+
+/// The register view of a raw AMO memory value: word accesses
+/// sign-extend.
+fn sext_word(size: u64, raw: u64) -> u64 {
+    if size == 4 {
+        raw as i32 as i64 as u64
+    } else {
+        raw
     }
 }
 
@@ -512,19 +576,11 @@ impl<R: RefModel> DiffTest<R> {
             if let (Some(dm), Some(rm)) = (e.mem, info.mem) {
                 if dm.value != rm.value {
                     let src = self.refs[hart].arch_state().gpr[e.inst.rs2 as usize];
-                    let mut legal = false;
-                    for old in self.global_mem.possible_values(dm.paddr, dm.size) {
-                        let ext = if dm.size == 4 {
-                            old as u32 as i32 as i64 as u64
-                        } else {
-                            old
-                        };
-                        if riscv_isa::exec::amo_compute(e.inst.op, ext, src) == dm.value {
-                            legal = true;
-                            break;
-                        }
-                    }
-                    if !legal {
+                    let op = e.inst.op;
+                    let derivable = |old| {
+                        riscv_isa::exec::amo_compute(op, sext_word(dm.size, old), src) == dm.value
+                    };
+                    if self.globally_visible(&dm, derivable).is_none() {
                         return Err(DiffError::Writeback {
                             hart,
                             pc: e.pc,
@@ -534,7 +590,6 @@ impl<R: RefModel> DiffTest<R> {
                         });
                     }
                     self.refs[hart].patch_mem(dm.paddr, dm.size, dm.value);
-                    self.stats.record(DiffRule::GlobalMemoryLoad);
                 }
             }
         }
@@ -559,57 +614,40 @@ impl<R: RefModel> DiffTest<R> {
             self.stats.record(DiffRule::CounterRead);
             return Ok(());
         }
-        // Global-memory rule for atomics: the old value read by an AMO
-        // may reflect another hart's stores; the REF's memory is patched
-        // with the DUT's read-modify-write result.
-        if e.inst.is_amo() {
-            if let Some(m) = e.mem {
-                // The old value read by the AMO must be recently globally
-                // visible (AMOs are performed at the memory system).
-                for raw in self.global_mem.possible_values(m.paddr, m.size) {
-                    let extended = if m.size == 4 {
-                        raw as i32 as i64 as u64
-                    } else {
-                        raw
-                    };
-                    if extended == dut_v {
-                        // m.value carries the DUT's stored (new) value.
-                        self.refs[hart].patch_mem(m.paddr, m.size, m.value);
-                        self.refs[hart].patch_gpr(dut_rd, dut_v);
-                        self.stats.record(DiffRule::GlobalMemoryLoad);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        // Global-memory rule for loads: the DUT may have observed another
-        // hart's store that the REF's local memory has not seen.
         if let Some(m) = e.mem {
-            if !m.is_store && !dut_fp {
-                for raw in self.global_mem.possible_values(m.paddr, m.size) {
-                    let extended = load_extend(e.inst.op, raw);
-                    if extended == dut_v {
-                        self.refs[hart].patch_mem(m.paddr, m.size, raw);
-                        self.refs[hart].patch_gpr(dut_rd, dut_v);
-                        self.stats.record(DiffRule::GlobalMemoryLoad);
-                        return Ok(());
-                    }
+            let op = e.inst.op;
+            if e.inst.is_amo() {
+                // Global-memory rule for atomics: the old value an AMO
+                // read (AMOs are performed at the memory system) may
+                // reflect another hart's stores; the REF's memory is
+                // patched with the DUT's read-modify-write result
+                // (`m.value` carries the stored, new value).
+                if self
+                    .globally_visible(&m, |raw| sext_word(m.size, raw) == dut_v)
+                    .is_some()
+                {
+                    self.refs[hart].patch_mem(m.paddr, m.size, m.value);
+                    self.refs[hart].patch_gpr(dut_rd, dut_v);
+                    return Ok(());
                 }
             }
-            // FP loads through global memory.
-            if !m.is_store && dut_fp {
-                for raw in self.global_mem.possible_values(m.paddr, m.size) {
-                    let boxed = if m.size == 4 {
-                        0xffff_ffff_0000_0000 | raw
+            // Global-memory rule for loads: the DUT may have observed
+            // another hart's store that the REF's local memory has not
+            // seen. An FP load's value arrives NaN-boxed.
+            let seen = |raw| match (dut_fp, m.size) {
+                (false, _) => load_extend(op, raw) == dut_v,
+                (true, 4) => 0xffff_ffff_0000_0000 | raw == dut_v,
+                (true, _) => raw == dut_v,
+            };
+            if !m.is_store {
+                if let Some(raw) = self.globally_visible(&m, seen) {
+                    self.refs[hart].patch_mem(m.paddr, m.size, raw);
+                    if dut_fp {
+                        self.refs[hart].patch_fpr(dut_rd, dut_v);
                     } else {
-                        raw
-                    };
-                    if boxed == dut_v {
-                        self.refs[hart].patch_mem(m.paddr, m.size, raw);
-                        self.patch_fpr(hart, dut_rd, dut_v);
-                        self.stats.record(DiffRule::GlobalMemoryLoad);
-                        return Ok(());
+                        self.refs[hart].patch_gpr(dut_rd, dut_v);
                     }
+                    return Ok(());
                 }
             }
         }
@@ -622,8 +660,21 @@ impl<R: RefModel> DiffTest<R> {
         })
     }
 
-    fn patch_fpr(&mut self, hart: usize, rd: u8, v: u64) {
-        self.refs[hart].patch_fpr(rd, v);
+    /// The Global Memory rule's search: the first recently globally
+    /// visible raw value of the accessed location that `legal` accepts.
+    /// A hit counts as one application of the rule; the caller patches
+    /// the REF with what the DUT saw.
+    fn globally_visible(
+        &mut self,
+        m: &xscore::CommitMem,
+        legal: impl Fn(u64) -> bool,
+    ) -> Option<u64> {
+        let raw = self
+            .global_mem
+            .possible_values(m.paddr, m.size)
+            .find(|&raw| legal(raw))?;
+        self.stats.record(DiffRule::GlobalMemoryLoad);
+        Some(raw)
     }
 
     /// Full-state comparison (periodic or at end of simulation).
@@ -887,6 +938,190 @@ mod tests {
             dt.on_commit(&e),
             Err(DiffError::Writeback { .. })
         ));
+    }
+
+    fn drain(paddr: u64, size: u64, data: u64) -> SbufferDrainEvent {
+        SbufferDrainEvent {
+            hart: 1,
+            paddr,
+            size,
+            data,
+            cycle: 0,
+        }
+    }
+
+    /// Commit a load of `LOC` that returned `value` against a REF whose
+    /// own load reads 0, after `later` unrelated drains have followed the
+    /// store that displaced 111 from `LOC`.
+    fn stale_load(later: usize, value: u64) -> (Result<(), DiffError>, u64) {
+        const LOC: u64 = 0x8002_0000;
+        let mut a = Asm::new(0x8000_0000);
+        a.ld(T0, 0, T1);
+        a.ebreak();
+        let mut dt = DiffTest::for_program(&a.assemble(), 1);
+        dt.on_sbuffer_drain(&drain(LOC, 8, 111));
+        dt.on_sbuffer_drain(&drain(LOC, 8, 222)); // displaces 111
+        for i in 0..later as u64 {
+            dt.on_sbuffer_drain(&drain(0x8010_0000 + 8 * i, 8, i));
+        }
+        let ld = DecodedInst {
+            op: Op::Ld,
+            rd: 5,
+            rs1: 6,
+            len: 4,
+            ..Default::default()
+        };
+        let e = CommitEvent {
+            mem: Some(xscore::CommitMem {
+                vaddr: LOC,
+                paddr: LOC,
+                size: 8,
+                is_store: false,
+                value,
+                mmio: false,
+            }),
+            ..commit(0x8000_0000, ld, Some((false, 5, value)))
+        };
+        (dt.on_commit(&e), dt.stats.count(DiffRule::GlobalMemoryLoad))
+    }
+
+    #[test]
+    fn a_displaced_value_is_legal_only_inside_the_window() {
+        // Still the newest record but one: legal.
+        assert_eq!(stale_load(0, 111), (Ok(()), 1));
+        // The oldest record the window retains: still legal.
+        assert_eq!(stale_load(HISTORY_WINDOW - 1, 111), (Ok(()), 1));
+        // One drain more and the value was displaced too long ago to be
+        // "recently globally visible", however quiet its own location
+        // has been since — a stale load is a bug.
+        let (verdict, rule) = stale_load(HISTORY_WINDOW, 111);
+        assert!(
+            matches!(verdict, Err(DiffError::Writeback { dut: 111, .. })),
+            "{verdict:?}"
+        );
+        assert_eq!(rule, 0);
+        // The current value never ages out.
+        assert_eq!(stale_load(10 * HISTORY_WINDOW, 222), (Ok(()), 1));
+    }
+
+    #[test]
+    fn a_snapshot_plus_one_store_unshares_one_page_per_memory() {
+        let mut a = Asm::new(0x8000_0000);
+        a.li(T1, 0x8000_0100);
+        a.sd(T1, 0, T1);
+        a.ebreak();
+        let p = a.assemble();
+        let mut dt = DiffTest::for_program(&p, 1);
+        for i in 0..64u64 {
+            dt.on_sbuffer_drain(&drain(0x8010_0000 + 4096 * i, 8, i));
+        }
+        let snapshot = dt.clone();
+        let resident = dt.global_mem.mem.resident_pages();
+        assert_eq!(dt.global_mem.mem.shared_pages(), resident);
+        dt.on_sbuffer_drain(&drain(0x8010_0000, 8, 7));
+        assert_eq!(dt.global_mem.mem.shared_pages(), resident - 1);
+        // The REF's local memory: run it up to and over its one store.
+        let resident = dt.refs[0].mem.resident_pages();
+        assert_eq!(dt.refs[0].mem.shared_pages(), resident);
+        while dt.refs[0].step().mem.is_none_or(|m| !m.is_store) {}
+        assert_eq!(dt.refs[0].mem.shared_pages(), resident - 1);
+        drop(snapshot);
+        assert_eq!(dt.global_mem.mem.shared_pages(), 0);
+    }
+
+    /// The per-location history this window replaced: one deque of the
+    /// last `HISTORY_DEPTH` displaced values per dword ever stored, kept
+    /// forever. Each entry remembers which drain record it was.
+    #[derive(Default)]
+    struct DequeModel {
+        dwords: HashMap<u64, u64>,
+        history: HashMap<u64, std::collections::VecDeque<(u64, usize)>>,
+        records: usize,
+    }
+
+    impl DequeModel {
+        fn record(&mut self, e: &SbufferDrainEvent) {
+            let mut d = e.paddr & !7;
+            while d <= (e.paddr + e.size - 1) & !7 {
+                let h = self.history.entry(d).or_default();
+                h.push_back((self.dwords.get(&d).copied().unwrap_or(0), self.records));
+                if h.len() > HISTORY_DEPTH {
+                    h.pop_front();
+                }
+                self.records += 1;
+                d += 8;
+            }
+            for (i, byte) in e.data.to_le_bytes()[..e.size as usize].iter().enumerate() {
+                let a = e.paddr + i as u64;
+                let dword = self.dwords.entry(a & !7).or_insert(0);
+                let shift = (a & 7) * 8;
+                *dword = *dword & !(0xff << shift) | u64::from(*byte) << shift;
+            }
+        }
+
+        /// The displaced values of `(paddr, size)`, newest first, with
+        /// whether each is still among the last `HISTORY_WINDOW` records.
+        fn displaced(&self, paddr: u64, size: u64) -> Vec<(u64, bool)> {
+            let d = paddr & !7;
+            if (paddr + size - 1) & !7 != d {
+                return Vec::new();
+            }
+            let mask = if size == 8 {
+                u64::MAX
+            } else {
+                (1 << (size * 8)) - 1
+            };
+            let entries = self.history.get(&d).into_iter().flatten().rev();
+            entries
+                .map(|&(old, record)| {
+                    let in_window = self.records - record <= HISTORY_WINDOW;
+                    ((old >> ((paddr - d) * 8)) & mask, in_window)
+                })
+                .collect()
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The ring against the per-dword deques it replaced, over runs
+        /// several windows long: the same `possible_values` whenever every
+        /// deque entry of the location is still inside the window (and
+        /// exactly the in-window ones otherwise — the two rare dwords
+        /// are written too seldom to stay inside), for every access
+        /// size, straddling accesses included.
+        #[test]
+        fn ring_matches_the_per_dword_deques_inside_the_window(
+            stores in prop::collection::vec((0u64..256, 0u64..8, 0u32..4, any::<u64>()), 1..6000),
+        ) {
+            const BASE: u64 = 0x8002_0000;
+            let mut gm = GlobalMemory::from_memory(SparseMemory::new());
+            let mut model = DequeModel::default();
+            let mut all_inside = 0;
+            for &(sel, offset, size_log2, data) in &stores {
+                // Six busy dwords next to each other (so straddles land
+                // on a neighbour) and two written once in 128 stores.
+                let dword = if sel < 254 { sel % 6 } else { 8 + sel % 2 };
+                let (paddr, size) = (BASE + 8 * dword + offset, 1 << size_log2);
+                let e = drain(paddr, size, data);
+                gm.record(&e);
+                model.record(&e);
+                for read_size in [1, 2, 4, 8] {
+                    let got: Vec<u64> = gm.possible_values(paddr, read_size).collect();
+                    let displaced = model.displaced(paddr, read_size);
+                    let current = gm.read(paddr, read_size);
+                    let want = std::iter::once(current)
+                        .chain(displaced.iter().filter(|d| d.1).map(|d| d.0));
+                    prop_assert_eq!(&got, &want.collect::<Vec<_>>());
+                    all_inside += displaced.iter().all(|d| d.1) as usize;
+                }
+                prop_assert!(gm.retained_records() <= HISTORY_WINDOW);
+            }
+            prop_assert_eq!(gm.retained_records(), model.records.min(HISTORY_WINDOW));
+            prop_assert!(all_inside > 0);
+        }
     }
 
     #[test]

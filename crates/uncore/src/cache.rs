@@ -76,48 +76,73 @@ pub struct CacheStats {
     pub mshr_stalls: u64,
 }
 
-/// The cache data arrays behind an `Arc`: cloning a cache (LightSSS
-/// snapshots) shares the arrays and duplicates them lazily on the next
-/// write — the same copy-on-write idea as the guest memory pages.
+/// Target size of one copy-on-write chunk of the line arrays: a guest
+/// page, the granule the guest memory itself is shared at.
+const CHUNK_BYTES: usize = riscv_isa::mem::PAGE_SIZE as usize;
+
+/// The cache line arrays: one flat `sets × ways` array of lines, split
+/// into `Arc`'d chunks of whole sets, each roughly a guest page. Cloning
+/// a cache (LightSSS snapshots) shares every chunk, and the next write
+/// duplicates only the chunk it lands in — the same copy-on-write idea,
+/// at the same granule, as the guest memory pages. Indexing by set yields
+/// that set's ways.
 #[derive(Debug, Clone)]
-struct CowSets(Arc<Vec<Vec<Line>>>);
+struct CowSets {
+    chunks: Vec<Arc<[Line]>>,
+    n_sets: usize,
+    ways: usize,
+    /// log2 of the sets per chunk (the last chunk may hold fewer).
+    chunk_shift: u32,
+}
 
 impl CowSets {
-    fn new(sets: Vec<Vec<Line>>) -> Self {
-        CowSets(Arc::new(sets))
+    fn new(n_sets: usize, ways: usize) -> Self {
+        // The largest power-of-two number of sets that fits the target.
+        let fit = (CHUNK_BYTES / (ways * std::mem::size_of::<Line>())).max(1);
+        let chunk_shift = fit.ilog2();
+        let per_chunk = 1 << chunk_shift;
+        let chunks = (0..n_sets)
+            .step_by(per_chunk)
+            .map(|first| vec![Line::invalid(); per_chunk.min(n_sets - first) * ways].into())
+            .collect();
+        CowSets {
+            chunks,
+            n_sets,
+            ways,
+            chunk_shift,
+        }
     }
     fn len(&self) -> usize {
-        self.0.len()
+        self.n_sets
     }
-    fn iter(&self) -> impl Iterator<Item = &Vec<Line>> {
-        self.0.iter()
+    /// Where set `i` lives: its chunk and its lines' range inside it.
+    fn locate(&self, i: usize) -> (usize, std::ops::Range<usize>) {
+        let first = (i & ((1 << self.chunk_shift) - 1)) * self.ways;
+        (i >> self.chunk_shift, first..first + self.ways)
     }
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Vec<Line>> {
-        Arc::make_mut(&mut self.0).iter_mut()
+    fn lines(&self) -> impl Iterator<Item = &Line> {
+        self.chunks.iter().flat_map(|c| c.iter())
     }
-    /// Serialize every valid line for the eager SSS snapshot baseline.
-    fn dump(&self, out: &mut Vec<u8>) {
-        for set in self.0.iter() {
-            for l in set {
-                out.extend_from_slice(&l.tag.to_le_bytes());
-                out.push(l.perm as u8);
-                out.push(l.dirty as u8);
-                out.extend_from_slice(&l.data);
-            }
-        }
+    /// Every line, mutably — unshares every chunk.
+    fn lines_mut(&mut self) -> impl Iterator<Item = &mut Line> {
+        self.chunks
+            .iter_mut()
+            .flat_map(|c| Arc::make_mut(c).iter_mut())
     }
 }
 
 impl Index<usize> for CowSets {
-    type Output = Vec<Line>;
-    fn index(&self, i: usize) -> &Vec<Line> {
-        &self.0[i]
+    type Output = [Line];
+    fn index(&self, i: usize) -> &[Line] {
+        let (chunk, ways) = self.locate(i);
+        &self.chunks[chunk][ways]
     }
 }
 
 impl IndexMut<usize> for CowSets {
-    fn index_mut(&mut self, i: usize) -> &mut Vec<Line> {
-        &mut Arc::make_mut(&mut self.0)[i]
+    fn index_mut(&mut self, i: usize) -> &mut [Line] {
+        let (chunk, ways) = self.locate(i);
+        &mut Arc::make_mut(&mut self.chunks[chunk])[ways]
     }
 }
 
@@ -219,7 +244,7 @@ impl Cache {
     /// Build a cache level.
     pub fn new(cfg: CacheConfig, node: Node, parent: Node, children: Vec<Node>) -> Self {
         assert!(children.len() <= 2, "at most two children per level");
-        let sets = CowSets::new(vec![vec![Line::invalid(); cfg.ways]; cfg.n_sets()]);
+        let sets = CowSets::new(cfg.n_sets(), cfg.ways);
         Cache {
             cfg,
             node,
@@ -875,26 +900,37 @@ impl Cache {
     /// Panics if any line is dirty — only clean (instruction) caches may
     /// be flash-invalidated.
     pub fn invalidate_all_clean(&mut self) {
-        for set in self.sets.iter_mut() {
-            for l in set {
-                assert!(!l.dirty, "invalidate_all_clean on a dirty line");
-                *l = Line::invalid();
-            }
+        for l in self.sets.lines_mut() {
+            assert!(!l.dirty, "invalidate_all_clean on a dirty line");
+            *l = Line::invalid();
         }
     }
 
     /// Total number of valid lines (occupancy metric).
     pub fn valid_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|l| l.perm != Perm::None)
-            .count()
+        self.sets.lines().filter(|l| l.perm != Perm::None).count()
     }
 
     /// Serialize the full cache state (SSS baseline).
     pub fn dump_state(&self, out: &mut Vec<u8>) {
-        self.sets.dump(out);
+        for l in self.sets.lines() {
+            out.extend_from_slice(&l.tag.to_le_bytes());
+            out.push(l.perm as u8);
+            out.push(l.dirty as u8);
+            out.extend_from_slice(&l.data);
+        }
+    }
+
+    /// Copy-on-write chunks the line arrays are split into.
+    pub fn chunks(&self) -> usize {
+        self.sets.chunks.len()
+    }
+
+    /// Chunks whose storage is currently shared with a snapshot (the
+    /// cache-array counterpart of `SparseMemory::shared_pages`).
+    pub fn shared_chunks(&self) -> usize {
+        let shared = |c: &&Arc<[Line]>| Arc::strong_count(c) > 1;
+        self.sets.chunks.iter().filter(shared).count()
     }
 }
 

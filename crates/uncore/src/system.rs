@@ -430,16 +430,16 @@ impl MemSystem {
     /// every cache array — the SSS baseline snapshot of paper §III-C2.
     pub fn serialize_full_state(&self) -> Vec<u8> {
         let mut out = self.backing.serialize_full();
-        for c in self
-            .l1i
-            .iter()
-            .chain(&self.l1d)
-            .chain(&self.l2)
-            .chain(self.l3.iter())
-        {
+        for c in self.caches() {
             c.dump_state(&mut out);
         }
         out
+    }
+
+    /// Every cache level: L1Is, L1Ds, L2s, then the L3 if there is one.
+    pub fn caches(&self) -> impl Iterator<Item = &Cache> {
+        let private = self.l1i.iter().chain(&self.l1d).chain(&self.l2);
+        private.chain(self.l3.iter())
     }
 
     /// Invalidate all (clean) lines of a core's L1I — `fence.i`.
@@ -449,14 +449,9 @@ impl MemSystem {
 
     /// Statistics of each level, keyed by cache name.
     pub fn stats(&self) -> Vec<(String, CacheStats)> {
-        let mut v: Vec<(String, CacheStats)> = Vec::new();
-        for c in self.l1i.iter().chain(&self.l1d).chain(&self.l2) {
-            v.push((c.cfg.name.clone(), c.stats));
-        }
-        if let Some(c) = &self.l3 {
-            v.push((c.cfg.name.clone(), c.stats));
-        }
-        v
+        self.caches()
+            .map(|c| (c.cfg.name.clone(), c.stats))
+            .collect()
     }
 
     /// Memory-controller statistics.
@@ -483,15 +478,7 @@ impl MemSystem {
 
     /// True when nothing is in flight anywhere in the hierarchy.
     pub fn quiescent(&self) -> bool {
-        self.wheel.is_empty()
-            && self.done.is_empty()
-            && self
-                .l1i
-                .iter()
-                .chain(&self.l1d)
-                .chain(&self.l2)
-                .chain(self.l3.iter())
-                .all(|c| c.active_txns() == 0)
+        self.wheel.is_empty() && self.done.is_empty() && self.caches().all(|c| c.active_txns() == 0)
     }
 }
 
@@ -761,6 +748,109 @@ mod tests {
         let stats = sys.stats();
         let l1d = &stats.iter().find(|(n, _)| n == "l1d0").unwrap().1;
         assert_eq!(l1d.mshr_stalls, 2, "2 of 6 distinct-line misses rejected");
+    }
+
+    /// Chunks of each level no longer shared with a snapshot, by name.
+    fn unshared_chunks(sys: &MemSystem) -> Vec<(String, usize)> {
+        sys.caches()
+            .map(|c| (c.cfg.name.clone(), c.chunks() - c.shared_chunks()))
+            .filter(|(_, n)| *n > 0)
+            .collect()
+    }
+
+    #[test]
+    fn a_store_after_a_snapshot_unshares_one_chunk_per_written_level() {
+        let mut sys = new_sys(1);
+        assert!(sys.submit_data(store_req(0, 0x2000, 1, 1)));
+        run_until_complete(&mut sys, 1, 1000).expect("warm-up store");
+        while !sys.quiescent() {
+            sys.tick();
+        }
+        assert!(sys.caches().all(|c| c.chunks() > 1), "levels are chunked");
+
+        // A hit on a line the L1D owns writes the L1D and nothing else.
+        let snapshot = sys.clone();
+        assert!(unshared_chunks(&sys).is_empty(), "a clone shares everything");
+        let pages = sys.backing().shared_pages();
+        assert!(sys.submit_data(store_req(0, 0x2008, 2, 2)));
+        run_until_complete(&mut sys, 2, 1000).expect("hit store");
+        assert_eq!(unshared_chunks(&sys), [("l1d0".to_string(), 1)]);
+        assert_eq!(sys.backing().shared_pages(), pages, "no write-back yet");
+
+        // A miss installs one line at every level on the way: one chunk
+        // each, however large the level.
+        let snapshot2 = sys.clone();
+        assert!(unshared_chunks(&sys).is_empty());
+        assert!(sys.submit_data(store_req(0, 0x7_0000, 3, 3)));
+        run_until_complete(&mut sys, 3, 1000).expect("miss store");
+        let written = unshared_chunks(&sys);
+        let names: Vec<&str> = written.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["l1d0", "l2_0", "l3"]);
+        assert!(written.iter().all(|(_, n)| *n == 1), "{written:?}");
+
+        // The snapshots kept what they captured.
+        let mut snapshot = snapshot;
+        assert_eq!(snapshot.coherent_read(0x2008, 8), 0);
+        let mut snapshot2 = snapshot2;
+        assert_eq!(snapshot2.coherent_read(0x2008, 8), 2);
+        assert_eq!(snapshot2.coherent_read(0x7_0000, 8), 0);
+        assert_eq!(sys.coherent_read(0x7_0000, 8), 3);
+    }
+
+    /// Drive one load or store to completion (`sel` picks one of 96
+    /// lines that share 12 L1D sets, so a run keeps evicting at every
+    /// level of the tiny hierarchy).
+    fn drive(sys: &mut MemSystem, (sel, is_store, data): (u64, bool, u64), id: u64) {
+        let addr = 0x10_0000 + (sel % 12) * 64 + (sel / 12) * 4096 + (data & 0x38);
+        let req = if is_store {
+            store_req(0, addr, data, id)
+        } else {
+            load_req(0, addr, id)
+        };
+        while !sys.submit_data(req) {
+            sys.tick();
+        }
+        run_until_complete(sys, id, 10_000).expect("request completes");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Snapshot isolation of the chunked arrays: whatever the live
+        /// copy does after a clone — hits, fills, evictions and
+        /// write-backs through all three levels — the snapshot serializes
+        /// to the same bytes, and driving the snapshot leaves the live
+        /// copy's bytes alone.
+        #[test]
+        fn a_snapshot_and_the_live_copy_never_see_each_others_writes(
+            before in prop::collection::vec((0u64..96, any::<bool>(), any::<u64>()), 0..120),
+            after in prop::collection::vec((0u64..96, any::<bool>(), any::<u64>()), 1..120),
+        ) {
+            let mut live = new_sys(1);
+            let mut id = 0;
+            for &op in &before {
+                id += 1;
+                drive(&mut live, op, id);
+            }
+            let mut snapshot = live.clone();
+            let captured = snapshot.serialize_full_state();
+            prop_assert_eq!(&live.serialize_full_state(), &captured);
+            for &op in &after {
+                id += 1;
+                drive(&mut live, op, id);
+            }
+            prop_assert!(snapshot.serialize_full_state() == captured, "live writes leaked");
+            let live_bytes = live.serialize_full_state();
+            for &op in after.iter().rev() {
+                id += 1;
+                drive(&mut snapshot, op, id);
+            }
+            prop_assert!(live.serialize_full_state() == live_bytes, "snapshot writes leaked");
+            prop_assert!(live.scoreboard.as_ref().unwrap().clean());
+            prop_assert!(snapshot.scoreboard.as_ref().unwrap().clean());
+        }
     }
 
     #[test]

@@ -114,16 +114,42 @@ pub struct RobCold {
 }
 
 /// The reorder buffer: a bounded FIFO of in-flight instructions.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Rob {
     hot: Box<[RobHot]>,
-    /// Grows to the capacity as the ring first advances, so booting a
-    /// core (and cloning a freshly booted one) does not pay for slots no
-    /// uop has reached yet.
+    /// The cold halves, in ring order from slot `cold_base`: `cold[p]`
+    /// belongs to slot `(cold_base + p) % capacity`. Grows to the
+    /// capacity as the ring first advances past it, so booting a core
+    /// does not pay for slots no uop has reached yet — and a clone,
+    /// which starts its own at the head, does not pay for free ones.
     cold: Vec<RobCold>,
+    cold_base: usize,
     head: usize,
     len: usize,
     next_seq: u64,
+}
+
+impl Clone for Rob {
+    /// Copies the live slots only (a LightSSS snapshot clones every
+    /// core): free slots come back empty, which no holder of a [`RobTag`]
+    /// can tell apart — a free slot is only ever asked for its `seq`.
+    fn clone(&self) -> Self {
+        let mut hot: Box<[RobHot]> = vec![RobHot::default(); self.hot.len()].into();
+        let mut cold = Vec::with_capacity(self.len);
+        for k in 0..self.len {
+            let idx = self.nth(k);
+            hot[idx.0 as usize] = *self.hot(idx);
+            cold.push(self.cold(idx).clone());
+        }
+        Rob {
+            hot,
+            cold,
+            cold_base: self.head,
+            head: self.head,
+            len: self.len,
+            next_seq: self.next_seq,
+        }
+    }
 }
 
 impl Rob {
@@ -136,6 +162,7 @@ impl Rob {
         Rob {
             hot: vec![RobHot::default(); capacity].into(),
             cold: Vec::with_capacity(capacity),
+            cold_base: 0,
             head: 0,
             len: 0,
             next_seq: 1,
@@ -172,7 +199,8 @@ impl Rob {
             seq,
             ..Default::default()
         };
-        match self.cold.get_mut(idx.0 as usize) {
+        let p = self.cold_pos(idx);
+        match self.cold.get_mut(p) {
             // A reused slot keeps its (stale) RAT snapshot: 128 bytes
             // only a control-flow uop needs rewritten.
             Some(c) => {
@@ -218,13 +246,14 @@ impl Rob {
     /// The cold half of a slot.
     #[inline]
     pub fn cold(&self, idx: RobIdx) -> &RobCold {
-        &self.cold[idx.0 as usize]
+        &self.cold[self.cold_pos(idx)]
     }
 
     /// Mutable cold half of a slot.
     #[inline]
     pub fn cold_mut(&mut self, idx: RobIdx) -> &mut RobCold {
-        &mut self.cold[idx.0 as usize]
+        let p = self.cold_pos(idx);
+        &mut self.cold[p]
     }
 
     /// The oldest entry's slot.
@@ -250,12 +279,7 @@ impl Rob {
 
     /// How many live entries are older than the live entry in `idx`.
     pub fn rank(&self, idx: RobIdx) -> usize {
-        let i = idx.0 as usize;
-        let r = if i >= self.head {
-            i - self.head
-        } else {
-            i + self.hot.len() - self.head
-        };
+        let r = self.ahead_of(self.head, idx);
         debug_assert!(r < self.len, "rank of a free slot");
         r
     }
@@ -268,6 +292,23 @@ impl Rob {
             self.hot[idx.0 as usize].seq = 0;
         }
         self.len = self.len.min(keep);
+    }
+
+    /// Where slot `idx`'s cold half lives in `cold`.
+    #[inline]
+    fn cold_pos(&self, idx: RobIdx) -> usize {
+        self.ahead_of(self.cold_base, idx)
+    }
+
+    /// How many slots the ring advances from slot `base` to slot `idx`.
+    #[inline]
+    fn ahead_of(&self, base: usize, idx: RobIdx) -> usize {
+        let i = idx.0 as usize;
+        if i >= base {
+            i - base
+        } else {
+            i + self.hot.len() - base
+        }
     }
 
     #[inline]
@@ -350,15 +391,18 @@ mod tests {
         PopHead,
         FlushAfter(usize),
         FlushAll,
+        Restore,
     }
 
-    /// Weights 6 : 3 : 1 : 1 over push / pop / flush-after / flush-all.
+    /// Weights 6 : 3 : 1 : 1 : 1 over push / pop / flush-after /
+    /// flush-all / continue on a clone.
     fn step((kind, k): (u8, usize)) -> Step {
         match kind {
             0..=5 => Step::Push,
             6..=8 => Step::PopHead,
             9 => Step::FlushAfter(k),
-            _ => Step::FlushAll,
+            10 => Step::FlushAll,
+            _ => Step::Restore,
         }
     }
 
@@ -372,11 +416,13 @@ mod tests {
         /// The ring against a `VecDeque` model: same occupancy, order
         /// and contents after every step, and every handle ever issued
         /// — including stale ones whose slot was reused after a flush —
-        /// is live exactly while the model still holds its seq.
+        /// is live exactly while the model still holds its seq. A
+        /// snapshot restore (the run continues on a clone, which holds
+        /// the live slots only) changes none of it.
         #[test]
         fn ring_matches_deque_model(
             cap in 1usize..12,
-            steps in prop::collection::vec((0u8..11, 0usize..16), 1..200),
+            steps in prop::collection::vec((0u8..12, 0usize..16), 1..200),
         ) {
             let mut rob = Rob::new(cap);
             let mut model: VecDeque<(RobTag, u64)> = VecDeque::new();
@@ -409,6 +455,10 @@ mod tests {
                     Step::FlushAll => {
                         rob.truncate(0);
                         model.clear();
+                    }
+                    Step::Restore => {
+                        rob = rob.clone();
+                        prop_assert_eq!(rob.cold.len(), model.len(), "live slots only");
                     }
                 }
                 prop_assert_eq!(rob.len(), model.len());

@@ -15,11 +15,10 @@
 #   5. (the triage smoke — injected bug -> bundle -> `replay --bundle`
 #      at the identical commit index, plus the hostile-bundle cases —
 #      lives in tests/cli_smoke.rs and runs with the test suite in 2),
-#   6. a lifecycle smoke — a 12-job injected-bug campaign must produce
-#      failing jobs whose bundles carry a non-empty crash-ring lifecycle
-#      snapshot, pipeview must render one (waterfall and O3PipeView),
-#      and two identical full-trace `--lifecycle` campaigns must emit
-#      byte-identical deterministic report bodies with a live digest,
+#   6. (the lifecycle smoke — injected bug -> crash ring in the bundle
+#      -> pipeview / perf_report --lifecycle, and the two-run
+#      `--lifecycle` determinism check — lives in tests/cli_smoke.rs
+#      too),
 #   7. a fuzz smoke — two identical coverage-guided campaigns must emit
 #      byte-identical deterministic report bodies with coverage growing
 #      strictly round-over-round, and an injected-bug fuzz campaign must
@@ -130,102 +129,19 @@ print("perf smoke OK: CPI identity holds, all probe families live")
 EOF
 
 target/release/perf_report "$perf_report_json" > /dev/null
-# Capture then head (see the pipeview note below): a direct pipe into
-# head races SIGPIPE against the writer under pipefail.
+# Capture then head: piping straight into `head` races — head exiting
+# first sends SIGPIPE and the broken-pipe panic fails the pipeline
+# under pipefail.
 target/release/perf_report "$perf_snapshot" > "$perf_snapshot.render"
 head -12 "$perf_snapshot.render"
 rm -f "$perf_snapshot.render"
-
-echo "== tier-1: lifecycle smoke (12-job injected bug -> crash ring -> pipeview) =="
-life_report="$(mktemp /tmp/lifecycle-bug.XXXXXX.json)"
-life_bundles="$(mktemp -d /tmp/lifecycle-bundles.XXXXXX)"
-life_a="$(mktemp /tmp/lifecycle-a.XXXXXX.json)"
-life_b="$(mktemp /tmp/lifecycle-b.XXXXXX.json)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_report" "$life_a" "$life_b"; rm -rf "$life_bundles"' EXIT
-set +e
-timeout 600 target/release/campaign \
-    --torture-seeds 0..6 \
-    --configs small-nh,small-yqh \
-    --inject-bug mul-low-bit \
-    --lightsss 2000 \
-    --max-cycles 8000000 \
-    --workers 4 \
-    --no-minimize \
-    --bundle-dir "$life_bundles" \
-    --out "$life_report"
-rc=$?
-set -e
-if [ "$rc" -ne 1 ]; then
-    echo "lifecycle smoke: expected exit 1 (diverged jobs), got $rc" >&2
-    exit 1
-fi
-
-# Every failing job's bundle must carry the always-on crash ring: the
-# last uops in flight before the divergence, capped and cause-tagged.
-life_bundle="$(python3 - "$life_report" "$life_bundles" <<'EOF'
-import json, os, sys
-r = json.load(open(sys.argv[1]))
-assert r["schema_version"] == 6, r["schema_version"]
-assert len(r["jobs"]) == 12, len(r["jobs"])
-bundled = [j for j in r["jobs"] if j.get("triage")]
-assert bundled, "injected bug produced no triage bundle"
-for j in bundled:
-    b = j["triage"]
-    assert b["schema_version"] == 5, b["schema_version"]
-    ring = b["lifecycle_ring"]
-    assert ring, f"job {j['index']}: bundle has an empty crash ring"
-    assert len(ring) <= 64, f"job {j['index']}: ring overflows its cap: {len(ring)}"
-    assert all(rec["committed"] > 0 or rec["cause"] for rec in ring), \
-        f"job {j['index']}: ring record neither retired nor cause-tagged"
-    assert all(rec["stamps"]["fetched"] > 0 for rec in ring), \
-        f"job {j['index']}: unfetched ring record"
-print(os.path.join(sys.argv[2], f"job{bundled[0]['index']}.bundle.json"))
-EOF
-)"
-echo "lifecycle smoke bundle: $life_bundle"
-# pipeview renders the bundle's ring as a waterfall and as O3PipeView.
-# Capture then head: piping pipeview straight into `head -8` races —
-# head exiting first sends SIGPIPE and the broken-pipe panic fails the
-# pipeline under pipefail.
-timeout 300 target/release/pipeview --bundle "$life_bundle" > "$life_bundle.pipeview"
-head -8 "$life_bundle.pipeview"
-rm -f "$life_bundle.pipeview"
-timeout 300 target/release/pipeview --bundle "$life_bundle" --o3 > /dev/null
-target/release/perf_report "$life_report" --lifecycle > /dev/null
-
-# Full-trace mode: two identical --lifecycle campaigns must agree byte
-# for byte once the timing section is dropped, digest included.
-for f in "$life_a" "$life_b"; do
-    timeout 600 target/release/campaign \
-        --workloads mcf,libquantum \
-        --configs small-nh \
-        --torture-seeds 0..2 \
-        --lifecycle \
-        --workers 3 \
-        --out "$f"
-done
-
-python3 - "$life_a" "$life_b" <<'EOF'
-import json, sys
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-assert a["schema_version"] == 6, a["schema_version"]
-for r in (a, b):
-    del r["timing"]
-assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
-    "--lifecycle campaign bodies differ between identical runs"
-digests = [c["perf"]["lifecycle"] for j in a["jobs"] for c in j["perf"]["cores"]]
-assert any(d["retired"] > 0 for d in digests), "lifecycle digest never counted a retire"
-retired = sum(d["retired"] for d in digests)
-print("lifecycle smoke OK: deterministic body, digest retired =", retired)
-EOF
 
 echo "== tier-1: fuzz smoke (determinism + coverage growth) =="
 fuzz_a="$(mktemp /tmp/fuzz-smoke-a.XXXXXX.json)"
 fuzz_b="$(mktemp /tmp/fuzz-smoke-b.XXXXXX.json)"
 fuzz_bug="$(mktemp /tmp/fuzz-bug.XXXXXX.json)"
 fuzz_bundles="$(mktemp -d /tmp/fuzz-bundles.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
 # Same seed + same worker count twice: the deterministic body (report
 # minus the "timing" section) must be byte-identical, and every round
 # must contribute new coverage.
@@ -299,7 +215,7 @@ mp_a="$(mktemp /tmp/mp-smoke-a.XXXXXX.json)"
 mp_b="$(mktemp /tmp/mp-smoke-b.XXXXXX.json)"
 mp_race="$(mktemp /tmp/mp-race.XXXXXX.json)"
 mp_bundles="$(mktemp -d /tmp/mp-bundles.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
 # Same seed twice on the dual-core preset: the deterministic body must
 # be byte-identical, every job must halt with an allowed outcome, and
 # the coherence (`mp:`) coverage family must be live.
@@ -376,7 +292,7 @@ echo "== tier-1: bench smoke (BENCH_fig8.json + --ref nemu-trace campaign) =="
 bench_json="$(mktemp /tmp/bench-smoke.XXXXXX.json)"
 trace_a="$(mktemp /tmp/trace-ref-a.XXXXXX.json)"
 trace_b="$(mktemp /tmp/trace-ref-b.XXXXXX.json)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
 # Reduced fuel keeps the leg fast; the committed BENCH_fig8.json (which
 # golden_bench pins for speed ordering) is generated at full budget.
 MINJIE_BENCH_FUEL=20000000 MINJIE_BENCH_OUT="$bench_json" scripts/bench.sh
@@ -456,7 +372,7 @@ echo "== tier-1: sampling smoke (checkpoint farm -> weighted CPI) =="
 sample_a="$(mktemp /tmp/sample-smoke-a.XXXXXX.json)"
 sample_b="$(mktemp /tmp/sample-smoke-b.XXXXXX.json)"
 ckpt_dir="$(mktemp -d /tmp/sample-ckpts.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
 # Two identical farms sharing one checkpoint directory: the first
 # profiles and materializes the blobs, the second must answer from the
 # cache, and both deterministic bodies must agree byte for byte.

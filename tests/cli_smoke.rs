@@ -1,10 +1,11 @@
-//! CLI smoke tier: drives the built `campaign` and `replay` binaries the
-//! way `scripts/ci.sh` used to in bash + python, asserting on exit codes
-//! and on the files they write.
+//! CLI smoke tier: drives the built `campaign`, `replay`, `pipeview` and
+//! `perf_report` binaries the way `scripts/ci.sh` used to in bash +
+//! python, asserting on exit codes and on the files they write.
 //!
 //! So far this holds the triage smoke (injected bug → bundle → replay)
-//! and the hostile-bundle cases around it; the other `ci.sh` blocks move
-//! here one by one.
+//! with the hostile-bundle cases around it, and the lifecycle smoke
+//! (crash ring → bundle → `pipeview`, `--lifecycle` determinism); the
+//! other `ci.sh` blocks move here one by one.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -59,31 +60,41 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Run the injected-bug campaign of the triage smoke into `scratch` and
-/// return the bundle file of its first diverged job.
-fn diverged_bundle(scratch: &Scratch) -> PathBuf {
+/// Run a tool that must succeed and return what it printed.
+fn rendered(exe: &str, args: &[&str]) -> String {
+    let out = run(exe, args);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{exe} {args:?}: {}",
+        stderr(&out)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// Run a torture campaign with the MulLowBit bug injected (LightSSS on,
+/// minimization off) into `scratch`; some seeds must diverge, so the
+/// campaign exits 1 by contract. Returns the report and the bundle
+/// directory.
+fn injected_bug_campaign(
+    scratch: &Scratch,
+    seeds: &str,
+    configs: &str,
+    workers: &str,
+) -> (Value, PathBuf) {
     let report = scratch.path("report.json");
     let bundles = scratch.path("bundles");
-    // The injected MulLowBit bug must make some seeds diverge, so the
-    // campaign exits 1 by contract.
+    #[rustfmt::skip]
     let out = campaign(&[
-        "--torture-seeds",
-        "0..3",
-        "--configs",
-        "small-nh",
-        "--inject-bug",
-        "mul-low-bit",
-        "--lightsss",
-        "2000",
-        "--max-cycles",
-        "8000000",
-        "--workers",
-        "3",
+        "--torture-seeds", seeds,
+        "--configs", configs,
+        "--inject-bug", "mul-low-bit",
+        "--lightsss", "2000",
+        "--max-cycles", "8000000",
+        "--workers", workers,
         "--no-minimize",
-        "--bundle-dir",
-        bundles.to_str().unwrap(),
-        "--out",
-        report.to_str().unwrap(),
+        "--bundle-dir", bundles.to_str().unwrap(),
+        "--out", report.to_str().unwrap(),
     ]);
     assert_eq!(
         out.status.code(),
@@ -91,9 +102,15 @@ fn diverged_bundle(scratch: &Scratch) -> PathBuf {
         "diverged jobs exit 1: {}",
         stderr(&out)
     );
-
     let r = read_json(&report);
     assert_eq!(r["schema_version"], campaign::SCHEMA_VERSION);
+    (r, bundles)
+}
+
+/// Run the injected-bug campaign of the triage smoke into `scratch` and
+/// return the bundle file of its first diverged job.
+fn diverged_bundle(scratch: &Scratch) -> PathBuf {
+    let (r, bundles) = injected_bug_campaign(scratch, "0..3", "small-nh", "3");
     let jobs = r["jobs"].as_array().expect("jobs array");
     let job = jobs
         .iter()
@@ -199,4 +216,83 @@ fn hostile_bundles_are_setup_errors_not_panics() {
             "{name}: nothing is simulated: {stdout}"
         );
     }
+}
+
+#[test]
+fn crash_ring_reaches_the_bundle_and_pipeview_renders_it() {
+    let scratch = Scratch::new("crash-ring");
+    let (r, bundles) = injected_bug_campaign(&scratch, "0..6", "small-nh,small-yqh", "4");
+
+    // Every failing job's bundle carries the always-on crash ring: the
+    // last uops in flight before the divergence, capped and cause-tagged.
+    let jobs = r["jobs"].as_array().expect("jobs array");
+    assert_eq!(jobs.len(), 12);
+    let bundled: Vec<&Value> = jobs.iter().filter(|j| !j["triage"].is_null()).collect();
+    assert!(
+        !bundled.is_empty(),
+        "injected bug produced no triage bundle"
+    );
+    for j in &bundled {
+        let (index, b) = (&j["index"], &j["triage"]);
+        assert_eq!(b["schema_version"], campaign::BUNDLE_SCHEMA_VERSION);
+        let ring = b["lifecycle_ring"].as_array().expect("ring array");
+        assert!(!ring.is_empty(), "job {index}: empty crash ring");
+        assert!(ring.len() <= 64, "job {index}: ring overflows its cap");
+        for rec in ring {
+            assert!(
+                rec["committed"].as_u64().unwrap() > 0 || !rec["cause"].is_null(),
+                "job {index}: ring record neither retired nor cause-tagged"
+            );
+            assert!(
+                rec["stamps"]["fetched"].as_u64().unwrap() > 0,
+                "job {index}: unfetched ring record"
+            );
+        }
+    }
+
+    // pipeview renders the bundle's ring as a waterfall and as
+    // O3PipeView; perf_report renders the report's lifecycle section.
+    let index = bundled[0]["index"].as_u64().unwrap();
+    let bundle = bundles.join(format!("job{index}.bundle.json"));
+    let bundle = bundle.to_str().unwrap();
+    let pipeview = env!("CARGO_BIN_EXE_pipeview");
+    assert!(!rendered(pipeview, &["--bundle", bundle]).is_empty());
+    assert!(rendered(pipeview, &["--bundle", bundle, "--o3"]).contains("O3PipeView"));
+    let perf_report = env!("CARGO_BIN_EXE_perf_report");
+    let report = scratch.path("report.json");
+    rendered(perf_report, &[report.to_str().unwrap(), "--lifecycle"]);
+}
+
+#[test]
+fn lifecycle_campaign_bodies_are_deterministic() {
+    // Full-trace mode: two identical --lifecycle campaigns agree once
+    // the timing section is dropped, lifecycle digest included.
+    let scratch = Scratch::new("lifecycle");
+    let body = |name: &str| {
+        let file = scratch.path(name);
+        #[rustfmt::skip]
+        let out = campaign(&[
+            "--workloads", "mcf,libquantum",
+            "--configs", "small-nh",
+            "--torture-seeds", "0..2",
+            "--lifecycle",
+            "--workers", "3",
+            "--out", file.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        let Value::Object(mut report) = read_json(&file) else {
+            panic!("a report is an object");
+        };
+        assert!(report.remove("timing").is_some());
+        Value::Object(report)
+    };
+    let (a, b) = (body("a.json"), body("b.json"));
+    assert_eq!(a["schema_version"], campaign::SCHEMA_VERSION);
+    assert!(a == b, "--lifecycle bodies differ between identical runs");
+    let jobs = a["jobs"].as_array().unwrap().iter();
+    let cores = jobs.flat_map(|j| j["perf"]["cores"].as_array().unwrap());
+    let retired: u64 = cores
+        .map(|c| c["perf"]["lifecycle"]["retired"].as_u64().unwrap())
+        .sum();
+    assert!(retired > 0, "lifecycle digest never counted a retire");
 }

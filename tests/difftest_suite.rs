@@ -9,6 +9,7 @@
 //! declarative job spec can describe.
 
 use campaign::{Campaign, CampaignReport, JobSpec, Verdict, WorkloadSource};
+use minjie::difftest::HISTORY_WINDOW;
 use minjie::{CoSim, CoSimEnd};
 use workloads::{Scale, TortureConfig};
 use xscore::XsConfig;
@@ -121,6 +122,26 @@ fn fault_injection_is_always_caught() {
         }
         assert!(caught, "fault in x{reg} at {when} must be detected");
     }
+}
+
+#[test]
+fn global_memory_history_does_not_grow_with_the_run() {
+    // The Global Memory's window of displaced values is what a LightSSS
+    // snapshot copies: ten times the run (and ten times the stores) must
+    // leave it at its capacity, not ten times as large.
+    let w = workloads::workload("lbm", Scale::Bench);
+    let after = |cycles| {
+        let mut cosim = CoSim::new(XsConfig::preset("small-nh").unwrap(), &w.program);
+        assert!(matches!(cosim.run(cycles), CoSimEnd::OutOfCycles));
+        let gm = &cosim.state.diff.global_mem;
+        (gm.stores, gm.retained_records())
+    };
+    let (short_stores, short_retained) = after(50_000);
+    let (long_stores, long_retained) = after(500_000);
+    assert!(short_stores > 0 && long_stores > 8 * short_stores);
+    assert!(long_stores as usize > 4 * HISTORY_WINDOW, "{long_stores}");
+    assert!(short_retained <= HISTORY_WINDOW, "{short_retained}");
+    assert_eq!(long_retained, HISTORY_WINDOW);
 }
 
 #[test]
