@@ -163,13 +163,6 @@ pub fn measure_personalities(scale: Scale, fuel: u64) -> Vec<PersonalityMeasurem
 /// and `max_cycles` cap, so they live in the deterministic report body;
 /// only the throughput rate is wall-clock-derived.
 pub fn measure_cycle_model(scale: Scale, max_cycles: u64) -> Vec<CycleModelMeasurement> {
-    // A/B knob for the event-driven idle-cycle skipper:
-    // `MINJIE_BENCH_EVENT_DRIVEN=0` forces the tick-by-tick path. The
-    // deterministic body is identical either way (the equivalence suite
-    // pins that); only `timing.sim_kilocycles_per_sec` moves.
-    let event_driven = std::env::var("MINJIE_BENCH_EVENT_DRIVEN")
-        .map(|v| v != "0")
-        .unwrap_or(true);
     let mut full_cpi_milli: Vec<(String, u64)> = Vec::new();
     let mut out: Vec<CycleModelMeasurement> = CYCLE_PRESETS
         .iter()
@@ -179,9 +172,7 @@ pub fn measure_cycle_model(scale: Scale, max_cycles: u64) -> Vec<CycleModelMeasu
             let mut per_workload = Vec::new();
             let t0 = Instant::now();
             for w in all_workloads(scale) {
-                let cfg = XsConfig::preset(preset)
-                    .expect("tracked preset exists")
-                    .with_event_driven(event_driven);
+                let cfg = XsConfig::preset(preset).expect("tracked preset exists");
                 let w0 = Instant::now();
                 let stats = minjie::run_isolated(cfg, &w.program, max_cycles, None)
                     .unwrap_or_else(|e| panic!("cycle model panicked on {}: {e}", w.name));

@@ -62,7 +62,7 @@ pub struct BranchPrediction {
     pub ghist_before: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct BtbEntry {
     pc: u64,
     target: u64,
@@ -70,7 +70,7 @@ struct BtbEntry {
 }
 
 /// The composite BPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bpu {
     /// Direction predictor.
     pub tage: TageSc,
@@ -244,15 +244,6 @@ impl Bpu {
                 }
                 _ => {}
             }
-        }
-    }
-
-    /// Conditional-branch misprediction rate so far.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.cond_predictions == 0 {
-            0.0
-        } else {
-            self.cond_mispredictions as f64 / self.cond_predictions as f64
         }
     }
 }

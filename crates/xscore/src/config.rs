@@ -156,7 +156,7 @@ pub struct XsConfig {
     /// Event-driven idle-cycle skipping: when every core's tick is a
     /// provable no-op, jump the clock to the next scheduled event and
     /// bulk-charge the skipped span. Architecturally invisible (see
-    /// DESIGN §5g); the knob exists so the equivalence suite can force
+    /// DESIGN §4); the knob exists so the equivalence suite can force
     /// the cycle-by-cycle path.
     pub event_driven: bool,
     /// Arm the §IV-C probe/grant race fault in core 0's L2 (a deliberate

@@ -27,16 +27,24 @@
 //! assert_eq!(sys.run(100_000), Some(42));
 //! ```
 
+mod atomics;
 pub mod bpu;
+mod commit;
 pub mod config;
 pub mod core;
+mod exec;
+mod frontend;
 pub mod issue;
 pub mod lifecycle;
 pub mod lsu;
+mod lsu_issue;
 pub mod perf;
 pub mod prf;
+mod rename;
 pub mod rob;
 pub mod system;
+#[cfg(test)]
+mod testing;
 pub mod tage;
 pub mod tlbs;
 pub mod uop;

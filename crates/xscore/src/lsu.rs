@@ -164,16 +164,6 @@ impl Lsu {
         }
     }
 
-    /// Can another load be renamed?
-    pub fn lq_full(&self) -> bool {
-        self.lq.is_full()
-    }
-
-    /// Can another store be renamed?
-    pub fn sq_full(&self) -> bool {
-        self.sq.is_full()
-    }
-
     /// Is the store buffer full (blocks store commit)?
     pub fn sbuffer_full(&self) -> bool {
         self.sbuffer.len() >= self.sbuffer_cap
@@ -181,7 +171,7 @@ impl Lsu {
 
     /// Allocate a load-queue slot.
     pub fn alloc_load(&mut self, tag: RobTag, size: u64) -> LsqPos {
-        debug_assert!(!self.lq_full());
+        debug_assert!(!self.lq.is_full());
         self.lq.push(LqEntry {
             seq: tag.seq,
             rob: tag.idx,
@@ -193,7 +183,7 @@ impl Lsu {
 
     /// Allocate a store-queue slot.
     pub fn alloc_store(&mut self, seq: u64, size: u64) -> LsqPos {
-        debug_assert!(!self.sq_full());
+        debug_assert!(!self.sq.is_full());
         self.sq.push(SqEntry {
             seq,
             paddr: None,
@@ -321,24 +311,6 @@ impl Lsu {
         self.lq.truncate_while(|e| e.seq > seq);
         self.sq.truncate_while(|e| e.seq > seq);
     }
-
-    /// The next drainable store-buffer entry (not yet issued and past its
-    /// drain delay).
-    pub fn next_drain(&mut self, now: u64) -> Option<&mut SbufferEntry> {
-        self.sbuffer
-            .iter_mut()
-            .find(|e| !e.issued && e.drain_at <= now)
-    }
-
-    /// Remove the store-buffer head once its L1D write completed.
-    pub fn pop_drained(&mut self) {
-        self.sbuffer.pop_front();
-    }
-
-    /// True when no committed store is waiting to reach memory.
-    pub fn sbuffer_empty(&self) -> bool {
-        self.sbuffer.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -425,8 +397,7 @@ mod tests {
         l.sq[si].data = Some(77);
         l.commit_store(10, 100, 20);
         assert_eq!(l.forward(20, 0x2000, 8), ForwardResult::Forward(77));
-        assert!(l.next_drain(100).is_none(), "drain delay not elapsed");
-        assert!(l.next_drain(120).is_some());
+        assert_eq!(l.sbuffer[0].drain_at, 120, "drains after the delay");
     }
 
     #[test]

@@ -175,13 +175,8 @@ impl PerfCounters {
         }
     }
 
-    /// Record a ready-count observation for the Fig. 15 histogram.
-    pub fn record_ready(&mut self, ready: usize) {
-        self.ready_hist[ready.min(15)] += 1;
-    }
-
-    /// Record `n` cycles of the same ready count in one update (bulk
-    /// charge for skipped idle spans, where the count cannot change).
+    /// Record `n` cycles of one ready count in the Fig. 15 histogram
+    /// (`n > 1`: a skipped idle span, where the count cannot change).
     pub fn record_ready_n(&mut self, ready: usize, n: u64) {
         self.ready_hist[ready.min(15)] += n;
     }
@@ -252,10 +247,10 @@ mod tests {
     #[test]
     fn ready_histogram() {
         let mut p = PerfCounters::default();
-        p.record_ready(0);
-        p.record_ready(2);
-        p.record_ready(3);
-        p.record_ready(99);
+        p.record_ready_n(0, 1);
+        p.record_ready_n(2, 1);
+        p.record_ready_n(3, 1);
+        p.record_ready_n(99, 1);
         assert_eq!(p.ready_hist[0], 1);
         assert_eq!(p.ready_hist[2], 1);
         assert_eq!(p.ready_hist[15], 1);

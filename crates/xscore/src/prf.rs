@@ -3,6 +3,8 @@
 //! (paper §IV-A: "Move elimination is enabled by a reference counting
 //! mechanism for the integer physical registers").
 
+use crate::issue::IssueQueue;
+
 /// A physical register index.
 pub type PReg = u16;
 
@@ -155,6 +157,51 @@ impl Prf {
     /// Current reference count (diagnostics/tests).
     pub fn refcount(&self, p: PReg) -> u32 {
         self.refcnt[p as usize]
+    }
+}
+
+/// Both physical register files and the issue queues their writes wake:
+/// the one structure a register write has to go through.
+#[derive(Debug, Clone)]
+pub struct Regs {
+    /// Integer registers.
+    pub int: Prf,
+    /// Floating-point registers.
+    pub fp: Prf,
+    /// The distributed issue queues, in [`WaitRow`] order.
+    pub iqs: [IssueQueue; WAIT_QUEUES],
+}
+
+impl Regs {
+    /// The register file of one class.
+    pub fn prf(&mut self, fp: bool) -> &mut Prf {
+        if fp {
+            &mut self.fp
+        } else {
+            &mut self.int
+        }
+    }
+
+    /// Read a register's value.
+    pub fn read(&self, fp: bool, p: PReg) -> u64 {
+        if fp { self.fp.read(p) } else { self.int.read(p) }
+    }
+
+    /// True when the register holds its final value.
+    pub fn is_ready(&self, fp: bool, p: PReg) -> bool {
+        if fp { self.fp.is_ready(p) } else { self.int.is_ready(p) }
+    }
+
+    /// Write a physical register and wake the issue-queue slots that
+    /// were waiting for it. Every write goes through here: a write that
+    /// skipped the wakeup would leave its consumers asleep for good.
+    pub fn write(&mut self, fp: bool, p: PReg, v: u64) {
+        let waiters = self.prf(fp).write(p, v);
+        for (iq, &slots) in self.iqs.iter_mut().zip(&waiters) {
+            if slots != 0 {
+                iq.wake(slots);
+            }
+        }
     }
 }
 

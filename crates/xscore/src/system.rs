@@ -109,16 +109,10 @@ impl XsSystem {
     /// scheduled event — memory-system delivery/completion or per-core
     /// queued work — charging the skipped span so every counter,
     /// histogram, and CSR lands exactly where cycle-by-cycle execution
-    /// would put it (DESIGN §5g). `limit` is a cycle the clock may land
-    /// on exactly but never pass (run deadline, snapshot boundary).
-    pub fn tick_skipping(&mut self, limit: u64) -> Vec<CycleOutput> {
-        let mut outs = Vec::new();
-        self.tick_skipping_into(limit, &mut outs);
-        outs
-    }
-
-    /// Buffer-reusing form of [`XsSystem::tick_skipping`]; see
-    /// [`XsSystem::tick_into`] for the buffer contract.
+    /// would put it (DESIGN §4 "`xscore` pipeline"). `limit` is a cycle
+    /// the clock may land on exactly but never pass (run deadline,
+    /// snapshot boundary). See [`XsSystem::tick_into`] for the buffer
+    /// contract.
     pub fn tick_skipping_into(&mut self, limit: u64, outs: &mut Vec<CycleOutput>) {
         self.tick_into(outs);
         if !self.cores[0].cfg.event_driven || self.cores.iter().any(|c| c.made_progress()) {
@@ -151,17 +145,21 @@ impl XsSystem {
         self.cores.iter().all(|c| c.is_halted())
     }
 
+    /// Run until all cores halt or `max_cycles` elapse, handing each
+    /// cycle's outputs to `sink`.
+    fn run_with(&mut self, max_cycles: u64, mut sink: impl FnMut(&mut [CycleOutput])) {
+        let deadline = self.cores[0].cycle() + max_cycles;
+        let mut outs = Vec::new();
+        while self.cores[0].cycle() < deadline && !self.all_halted() {
+            self.tick_skipping_into(deadline, &mut outs);
+            sink(&mut outs);
+        }
+    }
+
     /// Run until all cores halt or `max_cycles` elapse. Returns core 0's
     /// exit code.
     pub fn run(&mut self, max_cycles: u64) -> Option<u64> {
-        let deadline = self.cores[0].cycle() + max_cycles;
-        let mut outs = Vec::new();
-        while self.cores[0].cycle() < deadline {
-            if self.all_halted() {
-                break;
-            }
-            self.tick_skipping_into(deadline, &mut outs);
-        }
+        self.run_with(max_cycles, |_| {});
         self.cores[0].halted
     }
 
@@ -169,17 +167,7 @@ impl XsSystem {
     /// DiffTest-style consumption).
     pub fn run_collect(&mut self, max_cycles: u64) -> Vec<crate::uop::CommitEvent> {
         let mut all = Vec::new();
-        let mut outs = Vec::new();
-        let deadline = self.cores[0].cycle() + max_cycles;
-        while self.cores[0].cycle() < deadline {
-            if self.all_halted() {
-                break;
-            }
-            self.tick_skipping_into(deadline, &mut outs);
-            for o in &mut outs {
-                all.append(&mut o.commits);
-            }
-        }
+        self.run_with(max_cycles, |outs| outs.iter_mut().for_each(|o| all.append(&mut o.commits)));
         all
     }
 }
@@ -641,5 +629,100 @@ mod tests {
         );
         assert_eq!(code, Some(77));
         assert!(sys.cores[0].perf.moves_eliminated > 0);
+    }
+
+    /// A core's whole state as a comparable value: the predictor and TLB
+    /// tables themselves (rendered they are a megabyte) and the rest of
+    /// it rendered.
+    fn state(core: &mut Core) -> (crate::bpu::Bpu, crate::tlbs::CoreMmu, String) {
+        let bpu = std::mem::replace(&mut core.bpu, crate::bpu::Bpu::new(1, 1, 1, false, 0));
+        let mmu = std::mem::replace(&mut core.mmu, crate::tlbs::CoreMmu::new(0, 0, 0, 0, 0));
+        (bpu, mmu, format!("{core:?}"))
+    }
+
+    /// The skipper's contract, checked at every cycle of a `window` after
+    /// `warm` and without reference to where the stages decide their
+    /// progress. A tick in which no core reports progress must leave
+    /// every core exactly where charging one idle cycle leaves it; and
+    /// when it does and nothing is due on the next cycle, the next tick
+    /// must report none either — ticking once more and charging one more
+    /// idle cycle are then the same thing, which is all the skipper
+    /// assumes. A stage that under-reports, or work that becomes due
+    /// without an event, fails at the cycle it happens. Returns how many
+    /// no-progress ticks were compared.
+    fn check_skipper_contract(mut sys: XsSystem, warm: u64, window: u64) -> u64 {
+        sys.run(warm);
+        let (mut outs, mut checked) = (Vec::new(), 0);
+        // The last tick made no progress and nothing was due on this one.
+        let mut quiet = false;
+        while sys.mem.cycle() < warm + window && !sys.all_halted() {
+            let mut idle = sys.cores.clone();
+            sys.tick_into(&mut outs);
+            let cycle = sys.mem.cycle();
+            let progressed = sys.cores.iter().any(|c| c.made_progress());
+            assert!(!(quiet && progressed), "cycle {cycle}: work that nothing had scheduled");
+            if !progressed {
+                for core in &mut idle {
+                    core.charge_idle_cycles(&sys.mem, 1);
+                }
+                let mut ticked = sys.cores.clone();
+                let same = ticked.iter_mut().map(state).eq(idle.iter_mut().map(state));
+                assert!(same, "cycle {cycle}: a tick that reported no progress did work");
+                checked += 1;
+            }
+            let next = Some(cycle + 1);
+            quiet = !progressed
+                && sys.mem.next_event_cycle() != next
+                && sys.cores.iter_mut().all(|c| c.next_event_cycle() != next);
+        }
+        checked
+    }
+
+    /// Requests the L1D turns away, retried every cycle with nothing else
+    /// going on: an AMO starting, then a store draining, each into a line
+    /// that a load miss holds with read permission only.
+    fn port_rejections() -> riscv_isa::asm::Program {
+        let mut a = Asm::new(0x8000_0000);
+        a.li(S0, 0x8004_0000);
+        a.li(S1, 0x8005_0000);
+        a.li(T2, 60);
+        a.li(T3, 7);
+        a.div(T4, T2, T3); // holds the AMO off the ROB head ...
+        a.amoadd_d(T5, T3, S0);
+        a.ld(T0, 32, S0); // ... until this younger miss is in flight
+        a.sd(T3, 0, S1); // retires at once, drains 20 cycles later ...
+        a.ld(T1, 32, S1); // ... while this miss on its line is in flight
+        a.add(A0, T0, T1);
+        a.ebreak();
+        a.assemble()
+    }
+
+    #[test]
+    fn skipped_cycles_are_provable_no_ops() {
+        use workloads::{random_litmus, random_program, workload, LitmusConfig, LitmusShape, Scale};
+        // The debug build samples: the same programs, shorter windows.
+        let window = if cfg!(debug_assertions) { 500 } else { 1_500 };
+        let preset = |name: &str| XsConfig::preset(name).expect("preset exists");
+        let mut checked = 0;
+        for config in ["small-nh", "small-yqh"] {
+            for seed in 0..4 {
+                let sys = XsSystem::new(preset(config), &random_program(seed, &Default::default()));
+                checked += check_skipper_contract(sys, 500, window);
+            }
+            for kernel in ["mcf", "lbm"] {
+                let sys = XsSystem::new(preset(config), &workload(kernel, Scale::Test).program);
+                checked += check_skipper_contract(sys, 20_000, window);
+            }
+            checked += check_skipper_contract(XsSystem::new(preset(config), &port_rejections()), 0, 1_000);
+        }
+        // Two harts: atomics, cross-hart snoops and a shared L3.
+        for shape in [LitmusShape::Mp, LitmusShape::LrScContention] {
+            let litmus = LitmusConfig { shape, ..Default::default() };
+            let mut cfg = preset("small-nh");
+            cfg.cores = 2;
+            let sys = XsSystem::new(cfg, &random_litmus(1, &litmus));
+            checked += check_skipper_contract(sys, 0, 2 * window);
+        }
+        assert!(checked > window, "the oracle found only {checked} no-progress ticks to check");
     }
 }

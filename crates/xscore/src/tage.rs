@@ -22,7 +22,7 @@ pub struct TagePred {
     pub ghist: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct TageEntry {
     tag: u16,
     ctr: i8, // -4..=3
@@ -30,7 +30,7 @@ struct TageEntry {
 }
 
 /// The TAGE-SC predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TageSc {
     base: Vec<i8>, // bimodal 2-bit counters
     tables: [Vec<TageEntry>; 4],

@@ -30,7 +30,7 @@ pub struct TlbEntry {
 }
 
 /// A fully associative TLB with LRU replacement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tlb {
     entries: Vec<TlbEntry>,
     clock: u64,
@@ -129,7 +129,7 @@ pub enum MmuResult {
 }
 
 /// The MMU of one core: ITLB + DTLB + shared STLB + walker timing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreMmu {
     /// Instruction-side L1 TLB.
     pub itlb: Tlb,

@@ -4,7 +4,7 @@
 use crate::bpu::BranchPrediction;
 use riscv_isa::exec::int_compute;
 use riscv_isa::op::{DecodedInst, Op};
-use riscv_isa::trap::Trap;
+use riscv_isa::trap::{Exception, Trap};
 use serde::{Deserialize, Serialize};
 
 /// A register source operand: class (fp?) and architectural index.
@@ -98,6 +98,21 @@ impl Uop {
             self.inst.rs1
         }
     }
+}
+
+/// A predecoded instruction in the `ibuf`, the latch between the frontend
+/// (which pushes) and rename (which pops).
+#[derive(Debug, Clone)]
+pub(crate) struct PreUop {
+    pub pc: u64,
+    pub inst: DecodedInst,
+    pub pred: Option<BranchPrediction>,
+    /// PC fetch continued with.
+    pub npc: u64,
+    /// A fetch fault standing in for the instruction: (cause, tval).
+    pub fault: Option<(Exception, u64)>,
+    /// Cycle the instruction entered the ibuf (lifecycle fetch stamp).
+    pub fetched_at: u64,
 }
 
 /// The destination register of a single (unfused) instruction.
@@ -238,7 +253,7 @@ pub struct CommitMem {
 /// This mirrors the paper's per-instruction probe that is "instantiated
 /// more than once in a superscalar processor": the commit stage emits up
 /// to `commit_width` of these per cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CommitEvent {
     /// Hart index.
     pub hart: usize,

@@ -2,34 +2,25 @@
 # Tier-1 verification gate. Every PR must pass this script unchanged:
 #
 #   1. release build of the whole workspace,
-#   2. the full test suite (unit + integration + property + doc tests),
+#   2. the full test suite (unit + integration + property + doc tests,
+#      and the CLI smokes of tests/cli_smoke.rs: triage, lifecycle, perf),
 #      then `xscore` again in an optimised build, where its model-based
-#      proptests (ROB ring, wakeup queues) run at full case counts (the
-#      debug build samples them),
+#      proptests (ROB ring, wakeup queues) and the skipper oracle run at
+#      full size (the debug build samples them),
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,
-#   4. a perf smoke — one kernel under full telemetry; the PerfSnapshot
-#      artifact must have a live CPI stack and nonzero cache/DRAM
-#      counters, and perf_report must render it cleanly,
-#   5. (the triage smoke — injected bug -> bundle -> `replay --bundle`
-#      at the identical commit index, plus the hostile-bundle cases —
-#      lives in tests/cli_smoke.rs and runs with the test suite in 2),
-#   6. (the lifecycle smoke — injected bug -> crash ring in the bundle
-#      -> pipeview / perf_report --lifecycle, and the two-run
-#      `--lifecycle` determinism check — lives in tests/cli_smoke.rs
-#      too),
-#   7. a fuzz smoke — two identical coverage-guided campaigns must emit
+#   4. a fuzz smoke — two identical coverage-guided campaigns must emit
 #      byte-identical deterministic report bodies with coverage growing
 #      strictly round-over-round, and an injected-bug fuzz campaign must
 #      find, triage, and replay the divergence,
-#   8. an mp smoke — two identical 12-job multi-hart litmus fuzz
+#   5. an mp smoke — two identical 12-job multi-hart litmus fuzz
 #      rounds must emit byte-identical deterministic report bodies,
 #      divergence-free with live `mp:` coherence coverage, and the same
 #      campaign with the §IV-C L2 probe/grant race injected must raise
 #      a ForbiddenOutcome, minimize it, bundle it, and `replay
 #      --bundle` must reproduce it at the identical commit index,
-#   9. a bench smoke — scripts/bench.sh emits a schema-clean
+#   6. a bench smoke — scripts/bench.sh emits a schema-clean
 #      BENCH_fig8.json covering every interpreter personality and the
 #      cycle model on both small presets; the regenerated cycle_model
 #      body (cycles / instret / cpi_milli) must match the committed
@@ -39,14 +30,14 @@
 #      campaign with the superblock trace tier as the DiffTest REF runs
 #      to completion twice with byte-identical deterministic report
 #      bodies,
-#  10. a sampling smoke — `campaign --sample` profiles one kernel,
+#   7. a sampling smoke — `campaign --sample` profiles one kernel,
 #      materializes at least 2 checkpoints into a reuse directory, fans
 #      the sample jobs through the worker pool, and exits 0 with a
 #      schema-clean `sampling` section; every sample window obeys the
 #      top-down identity (CPI-stack sum == window cycles x commit
 #      width), and a second run answering from the checkpoint cache
 #      emits a byte-identical deterministic report body,
-#  11. the benchmark's correctness check — `benchmark/run.sh --check`
+#   8. the benchmark's correctness check — `benchmark/run.sh --check`
 #      (about 10 s, no timing): kernels co-simulated to halt and
 #      compared with the REF alone, run()/step_one()/profiling legs
 #      against an independent personality, `sim_digest` stable across
@@ -73,9 +64,7 @@ cargo test -q --release -p xscore
 
 echo "== tier-1: smoke campaign (2 workloads x 2 configs x 4 seeds) =="
 report="$(mktemp /tmp/campaign-smoke.XXXXXX.json)"
-perf_report_json="$(mktemp /tmp/perf-smoke.XXXXXX.json)"
-perf_snapshot="$(mktemp /tmp/perf-snapshot.XXXXXX.json)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot"' EXIT
+trap 'rm -f "$report"' EXIT
 timeout 600 target/release/campaign \
     --workloads mcf,libquantum \
     --configs small-nh,small-yqh \
@@ -95,53 +84,12 @@ assert "timing" in r
 print("smoke campaign report OK:", s)
 EOF
 
-echo "== tier-1: perf smoke (mcf under telemetry) =="
-timeout 300 target/release/campaign \
-    --workloads mcf \
-    --configs small-nh \
-    --telemetry \
-    --workers 1 \
-    --out "$perf_report_json"
-
-python3 - "$perf_report_json" "$perf_snapshot" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-perf = r["jobs"][0]["perf"]
-cpi = {}
-for core in perf["cores"]:
-    for k, v in core["perf"]["cpi"].items():
-        cpi[k] = cpi.get(k, 0) + v
-cycles = max(c["perf"]["cycles"] for c in perf["cores"])
-assert sum(cpi.values()) == cycles * perf["commit_width"], cpi
-# The CPI components a real kernel run must exercise (rob_full/iq_full
-# can legitimately stay zero on a short run).
-for key in ("retired", "frontend_starved", "mispredict_recovery", "memory_stall"):
-    assert cpi[key] > 0, f"CPI component {key} is zero: {cpi}"
-caches = {c["name"]: c["stats"] for c in perf["caches"]}
-l1d = [s for n, s in caches.items() if n.startswith("l1d")]
-assert l1d and all(s["hits"] > 0 and s["misses"] > 0 for s in l1d), caches
-assert perf["dram"]["accesses"] > 0, perf["dram"]
-assert all(c["perf"]["rob_occupancy"]["samples"] > 0 for c in perf["cores"])
-assert perf["mem_latency"]["l1_hit"]["samples"] > 0, perf["mem_latency"]
-# Extract the bare snapshot artifact for the perf_report CLI smoke.
-json.dump(perf, open(sys.argv[2], "w"))
-print("perf smoke OK: CPI identity holds, all probe families live")
-EOF
-
-target/release/perf_report "$perf_report_json" > /dev/null
-# Capture then head: piping straight into `head` races — head exiting
-# first sends SIGPIPE and the broken-pipe panic fails the pipeline
-# under pipefail.
-target/release/perf_report "$perf_snapshot" > "$perf_snapshot.render"
-head -12 "$perf_snapshot.render"
-rm -f "$perf_snapshot.render"
-
 echo "== tier-1: fuzz smoke (determinism + coverage growth) =="
 fuzz_a="$(mktemp /tmp/fuzz-smoke-a.XXXXXX.json)"
 fuzz_b="$(mktemp /tmp/fuzz-smoke-b.XXXXXX.json)"
 fuzz_bug="$(mktemp /tmp/fuzz-bug.XXXXXX.json)"
 fuzz_bundles="$(mktemp -d /tmp/fuzz-bundles.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
+trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
 # Same seed + same worker count twice: the deterministic body (report
 # minus the "timing" section) must be byte-identical, and every round
 # must contribute new coverage.
@@ -215,7 +163,7 @@ mp_a="$(mktemp /tmp/mp-smoke-a.XXXXXX.json)"
 mp_b="$(mktemp /tmp/mp-smoke-b.XXXXXX.json)"
 mp_race="$(mktemp /tmp/mp-race.XXXXXX.json)"
 mp_bundles="$(mktemp -d /tmp/mp-bundles.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
+trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
 # Same seed twice on the dual-core preset: the deterministic body must
 # be byte-identical, every job must halt with an allowed outcome, and
 # the coherence (`mp:`) coverage family must be live.
@@ -292,7 +240,7 @@ echo "== tier-1: bench smoke (BENCH_fig8.json + --ref nemu-trace campaign) =="
 bench_json="$(mktemp /tmp/bench-smoke.XXXXXX.json)"
 trace_a="$(mktemp /tmp/trace-ref-a.XXXXXX.json)"
 trace_b="$(mktemp /tmp/trace-ref-b.XXXXXX.json)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
+trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
 # Reduced fuel keeps the leg fast; the committed BENCH_fig8.json (which
 # golden_bench pins for speed ordering) is generated at full budget.
 MINJIE_BENCH_FUEL=20000000 MINJIE_BENCH_OUT="$bench_json" scripts/bench.sh
@@ -372,7 +320,7 @@ echo "== tier-1: sampling smoke (checkpoint farm -> weighted CPI) =="
 sample_a="$(mktemp /tmp/sample-smoke-a.XXXXXX.json)"
 sample_b="$(mktemp /tmp/sample-smoke-b.XXXXXX.json)"
 ckpt_dir="$(mktemp -d /tmp/sample-ckpts.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
+trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
 # Two identical farms sharing one checkpoint directory: the first
 # profiles and materializes the blobs, the second must answer from the
 # cache, and both deterministic bodies must agree byte for byte.

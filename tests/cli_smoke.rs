@@ -3,9 +3,10 @@
 //! python, asserting on exit codes and on the files they write.
 //!
 //! So far this holds the triage smoke (injected bug → bundle → replay)
-//! with the hostile-bundle cases around it, and the lifecycle smoke
-//! (crash ring → bundle → `pipeview`, `--lifecycle` determinism); the
-//! other `ci.sh` blocks move here one by one.
+//! with the hostile-bundle cases around it, the lifecycle smoke (crash
+//! ring → bundle → `pipeview`, `--lifecycle` determinism) and the perf
+//! smoke (one kernel under `--telemetry` → `perf_report`); the other
+//! `ci.sh` blocks move here one by one.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -295,4 +296,63 @@ fn lifecycle_campaign_bodies_are_deterministic() {
         .map(|c| c["perf"]["lifecycle"]["retired"].as_u64().unwrap())
         .sum();
     assert!(retired > 0, "lifecycle digest never counted a retire");
+}
+
+#[test]
+fn telemetry_snapshot_is_live_and_perf_report_renders_it() {
+    // One kernel under full telemetry: the PerfSnapshot in the report
+    // must obey the top-down identity and have every probe family live.
+    let scratch = Scratch::new("perf");
+    let report = scratch.path("report.json");
+    #[rustfmt::skip]
+    let out = campaign(&[
+        "--workloads", "mcf",
+        "--configs", "small-nh",
+        "--telemetry",
+        "--workers", "1",
+        "--out", report.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let r = read_json(&report);
+    let perf = &r["jobs"][0]["perf"];
+    let count = |v: &Value| v.as_u64().unwrap_or_else(|| panic!("not a counter: {v:?}"));
+    let cores = perf["cores"].as_array().expect("cores array");
+
+    let mut cpi = std::collections::BTreeMap::<&str, u64>::new();
+    for core in cores {
+        for (k, v) in core["perf"]["cpi"].as_object().expect("cpi stack") {
+            *cpi.entry(k).or_default() += count(v);
+        }
+    }
+    let cycles = cores.iter().map(|c| count(&c["perf"]["cycles"])).max();
+    let slots = cycles.expect("a core") * count(&perf["commit_width"]);
+    assert_eq!(cpi.values().sum::<u64>(), slots, "{cpi:?}");
+    // The components a real kernel run must exercise (rob_full/iq_full
+    // can legitimately stay zero on a short run).
+    for key in ["retired", "frontend_starved", "mispredict_recovery", "memory_stall"] {
+        assert!(cpi[key] > 0, "CPI component {key} is zero: {cpi:?}");
+    }
+
+    let caches = perf["caches"].as_array().expect("caches array").iter();
+    let l1d: Vec<&Value> = caches
+        .filter(|c| c["name"].as_str().is_some_and(|n| n.starts_with("l1d")))
+        .map(|c| &c["stats"])
+        .collect();
+    assert!(!l1d.is_empty(), "no L1D in {:?}", perf["caches"]);
+    for s in l1d {
+        assert!(count(&s["hits"]) > 0 && count(&s["misses"]) > 0, "{s:?}");
+    }
+    assert!(count(&perf["dram"]["accesses"]) > 0, "{:?}", perf["dram"]);
+    for c in cores {
+        assert!(count(&c["perf"]["rob_occupancy"]["samples"]) > 0);
+    }
+    let l1_hit = &perf["mem_latency"]["l1_hit"];
+    assert!(count(&l1_hit["samples"]) > 0, "{:?}", perf["mem_latency"]);
+
+    // perf_report renders the report, and the bare snapshot artifact.
+    let perf_report = env!("CARGO_BIN_EXE_perf_report");
+    assert!(!rendered(perf_report, &[report.to_str().unwrap()]).is_empty());
+    let snapshot = scratch.path("snapshot.json");
+    std::fs::write(&snapshot, serde_json::to_string(perf).unwrap()).unwrap();
+    assert!(!rendered(perf_report, &[snapshot.to_str().unwrap()]).is_empty());
 }

@@ -139,7 +139,7 @@ fn sc_failure_rule_reconciles_forced_timeout() {
     a.ebreak();
     let p = a.assemble();
     let mut cosim = CoSim::new(small_nh(1), &p);
-    cosim.state.sys.cores[0].force_sc_fail = true;
+    cosim.state.sys.cores[0].force_sc_fail();
     match cosim.run(2_000_000) {
         CoSimEnd::Halted(code) => assert_eq!(code, 7),
         other => panic!("{other:?}"),
