@@ -213,7 +213,7 @@ struct Txn {
 }
 
 /// Messages and completions produced by one cache in one cycle.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Outbox {
     /// Protocol messages to route (destination, payload).
     pub msgs: Vec<(Node, MsgKind)>,

@@ -125,6 +125,9 @@ pub struct MemSystem {
     /// Only populated when telemetry is enabled.
     inflight_since: HashMap<(bool, usize, u64), u64>,
     lat: MemLatencyHists,
+    /// The one outbox every cache call fills: taken for the call, put
+    /// back drained by `route_outbox` (so empty in between, grown once).
+    outbox: Outbox,
 }
 
 impl MemSystem {
@@ -186,6 +189,7 @@ impl MemSystem {
             scoreboard,
             inflight_since: HashMap::new(),
             lat: MemLatencyHists::default(),
+            outbox: Outbox::default(),
         }
     }
 
@@ -222,7 +226,7 @@ impl MemSystem {
     /// Panics if the access crosses a cache line.
     pub fn submit_data(&mut self, req: CoreReq) -> bool {
         let key = (false, req.core, req.id);
-        let mut out = Outbox::default();
+        let mut out = std::mem::take(&mut self.outbox);
         let ok = self.l1d[req.core].submit_core(req, self.cycle, &mut out);
         self.route_outbox(Node::L1d(req.core), out);
         if ok && self.cfg.telemetry {
@@ -241,7 +245,7 @@ impl MemSystem {
             data: 0,
             id,
         };
-        let mut out = Outbox::default();
+        let mut out = std::mem::take(&mut self.outbox);
         let ok = self.l1i[core].submit_core(req, self.cycle, &mut out);
         self.route_outbox(Node::L1i(core), out);
         if ok && self.cfg.telemetry {
@@ -252,6 +256,14 @@ impl MemSystem {
 
     /// Advance one cycle; returns the completions due this cycle.
     pub fn tick(&mut self) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.tick_into(&mut out);
+        out
+    }
+
+    /// Advance one cycle, appending the completions due this cycle (in
+    /// due order) to a buffer the caller can reuse from cycle to cycle.
+    pub fn tick_into(&mut self, out: &mut Vec<Completion>) {
         self.cycle += 1;
         // Deliver all messages due now.
         while let Some(top) = self.wheel.peek() {
@@ -265,7 +277,6 @@ impl MemSystem {
             self.deliver(msg);
         }
         // Collect due completions.
-        let mut out = Vec::new();
         while let Some(top) = self.done.peek() {
             if top.0.at > self.cycle {
                 break;
@@ -284,17 +295,14 @@ impl MemSystem {
             }
             out.push(c);
         }
-        out
     }
 
     fn deliver(&mut self, msg: Msg) {
         match msg.dst {
             Node::Dram => self.deliver_dram(msg),
             node => {
-                let mut out = Outbox::default();
-                let now = self.cycle;
-                let cache = self.cache_mut(node);
-                cache.handle(msg.src, msg.kind, now, &mut out);
+                let (now, mut out) = (self.cycle, std::mem::take(&mut self.outbox));
+                self.cache_mut(node).handle(msg.src, msg.kind, now, &mut out);
                 self.route_outbox(node, out);
             }
         }
@@ -367,14 +375,17 @@ impl MemSystem {
         });
     }
 
-    fn route_outbox(&mut self, from: Node, out: Outbox) {
-        for (dst, kind) in out.msgs {
+    /// Put what the cache at `from` left in `out` on its way, and `out`
+    /// back for the next call.
+    fn route_outbox(&mut self, from: Node, mut out: Outbox) {
+        for (dst, kind) in out.msgs.drain(..) {
             let latency = self.link_latency(from, dst);
             self.schedule(from, dst, kind, latency);
         }
-        for c in out.completions {
+        for c in out.completions.drain(..) {
             self.done.push(TimedCompletion(c));
         }
+        self.outbox = out;
     }
 
     // ------------------------------------------------------------------

@@ -157,7 +157,7 @@ impl Commit {
                 }
             }
             if !e.bpu_resolved {
-                if let Some(pred) = &c.uop.pred {
+                if let Some(pred) = sh.rob.pred(h) {
                     sh.bpu.resolve(
                         c.uop.pc,
                         &c.uop.inst,

@@ -3,6 +3,7 @@
 
 use crate::config::InjectedBug;
 use crate::core::{Progress, Redirect, Shared};
+use crate::issue::Picks;
 use crate::lifecycle::SquashCause;
 use crate::rob::{RobIdx, RobState, RobTag};
 use crate::uop::exec_fused;
@@ -64,17 +65,21 @@ impl Exec {
         let mut issued = 0;
         // Queue by queue: nothing an issued uop does this cycle (it
         // writes no register before the next tick) can change what a
-        // later queue finds ready.
+        // later queue finds ready. One pick buffer serves the tick's
+        // selects, built when the first queue with a ready slot needs it.
+        let mut picks = None;
         for qi in 0..sh.regs.iqs.len() {
-            let class = sh.regs.iqs[qi].class;
-            if matches!(class, FuClass::Load | FuClass::Store) {
+            let iq = &mut sh.regs.iqs[qi];
+            let class = iq.class;
+            if matches!(class, FuClass::Load | FuClass::Store) || iq.ready_count() == 0 {
                 continue;
             }
-            let (picked, ready) = sh.regs.iqs[qi].select();
+            let picks = picks.get_or_insert_with(Picks::default);
+            let ready = iq.select(picks);
             if class == FuClass::Alu {
                 ready_alu += ready;
             }
-            for tag in picked.iter() {
+            for &tag in picks.iter() {
                 sh.mark_issued(tag);
                 let done_at = sh.cycle + fu_latency(class, &sh.rob.cold(tag.idx).uop.inst);
                 self.fu_pipe.push(FuInFlight { done_at, tag });
@@ -207,9 +212,8 @@ fn execute_and_writeback(sh: &mut Shared, idx: RobIdx) -> Option<Redirect> {
     e.mispredicted = true;
     e.bpu_resolved = true;
     let seq = e.seq;
-    let c = sh.rob.cold(idx);
-    if let Some(pred) = &c.uop.pred {
-        sh.bpu.resolve(c.uop.pc, &c.uop.inst, pred, taken, target, true);
+    if let Some(pred) = sh.rob.pred(idx) {
+        sh.bpu.resolve(pc, &d, pred, taken, target, true);
     }
     Some(Redirect { after: Some(idx), seq, new_pc: actual_npc, cause: SquashCause::Mispredict })
 }

@@ -4,7 +4,7 @@
 use crate::bpu::cf_kind;
 use crate::core::{Progress, Shared};
 use crate::tlbs::MmuResult;
-use crate::uop::PreUop;
+use crate::uop::{PreUop, Uop};
 use riscv_isa::mmu::AccessType;
 use riscv_isa::op::DecodedInst;
 use std::collections::VecDeque;
@@ -13,6 +13,9 @@ use uncore::Completion;
 /// Marks a request id as an instruction fetch (fetch ids are matched
 /// against the pending fetch directly and never enter the data arena).
 pub(crate) const FETCH_ID_FLAG: u64 = 1 << 55;
+
+/// Fetch holds off once the `ibuf` holds six fetch blocks of eight.
+const IBUF_FETCH_LIMIT: usize = 48;
 
 /// Fetch state and the predecoded-instruction buffer.
 #[derive(Debug, Clone, Default)]
@@ -44,7 +47,7 @@ impl Frontend {
             self.pending.is_none()
                 && !self.fault_pending
                 && sh.cycle >= self.stall_until
-                && self.ibuf.len() < 48,
+                && self.ibuf.len() < IBUF_FETCH_LIMIT,
         );
         if progress.0 {
             self.fetch(sh);
@@ -64,10 +67,8 @@ impl Frontend {
             }
             MmuResult::Fault { cause, .. } => {
                 self.ibuf.push_back(PreUop {
-                    pc,
-                    inst: DecodedInst::default(),
+                    uop: Uop::new(pc, DecodedInst::default(), pc),
                     pred: None,
-                    npc: pc,
                     fault: Some((cause, pc)),
                     fetched_at: sh.cycle,
                 });
@@ -171,7 +172,10 @@ impl Frontend {
         // A taken prediction steers fetch; only a uBTB hit does so
         // without a bubble.
         let steer = pred.as_ref().filter(|p| p.taken).map(|p| p.ubtb_hit);
-        self.ibuf.push_back(PreUop { pc, inst, pred, npc, fault: None, fetched_at: sh.cycle });
+        // Built where the decoded instruction is hot, copied once (into
+        // its ROB slot, by rename).
+        let uop = Uop::new(pc, inst, npc);
+        self.ibuf.push_back(PreUop { uop, pred, fault: None, fetched_at: sh.cycle });
         if let Some(ubtb_hit) = steer {
             self.fetch_pc = npc;
             if !ubtb_hit {

@@ -23,17 +23,22 @@ pub const IQ_SLOTS: usize = 32;
 /// A uop's renamed sources, `(fp, preg)` per operand slot.
 pub type Srcs = [Option<(bool, PReg)>; 3];
 
-/// Up to [`MAX_ISSUE_WIDTH`] selected uops, best policy key first.
-#[derive(Debug, Clone, Copy, Default)]
+/// Up to [`MAX_ISSUE_WIDTH`] selected uops, best policy key first: the
+/// buffer a stage lends to every [`IssueQueue::select`] of its tick. A
+/// select only rewinds `len`; the tags past it are an earlier, longer
+/// pick's leftovers and are never handed out.
+#[derive(Debug, Default)]
 pub struct Picks {
     tags: [RobTag; MAX_ISSUE_WIDTH],
     len: usize,
 }
 
-impl Picks {
-    /// The selected uops, best key first.
-    pub fn iter(&self) -> impl Iterator<Item = RobTag> + '_ {
-        self.tags[..self.len].iter().copied()
+impl std::ops::Deref for Picks {
+    type Target = [RobTag];
+
+    /// The uops the last select picked, best key first.
+    fn deref(&self) -> &[RobTag] {
+        &self.tags[..self.len]
     }
 }
 
@@ -211,19 +216,20 @@ impl IssueQueue {
         }
     }
 
-    /// Select up to `width` ready entries and remove them.
+    /// Select up to `width` ready entries into `picks` (rewound first)
+    /// and remove them.
     ///
-    /// Returns the selected uops (best policy key first — oldest for
-    /// AGE, unconfident-branch-slice entries first for PUBS
-    /// [PriorityIssue], age breaking ties) and the number of entries that
-    /// were ready before selection. No allocation, and no work at all
-    /// when nothing is ready: the age list is walked once per priority
-    /// class, stopping at `width` picks.
-    pub fn select(&mut self) -> (Picks, usize) {
-        let mut picks = Picks::default();
+    /// The picks come best policy key first — oldest for AGE,
+    /// unconfident-branch-slice entries first for PUBS [PriorityIssue],
+    /// age breaking ties. Returns the number of entries that were ready
+    /// before selection. No allocation, and no work at all when nothing
+    /// is ready: the age list is walked once per priority class,
+    /// stopping at `width` picks.
+    pub fn select(&mut self, picks: &mut Picks) -> usize {
+        picks.len = 0;
         let ready_count = self.ready_count();
         if ready_count == 0 {
-            return (picks, 0);
+            return 0;
         }
         let passes = match self.policy {
             IssuePolicy::Age => [self.ready, 0],
@@ -249,7 +255,7 @@ impl IssueQueue {
             }
         }
         self.release(picked);
-        (picks, ready_count)
+        ready_count
     }
 
     /// Free `slots` and close the gaps they leave in the age list.
@@ -419,11 +425,13 @@ mod tests {
         }
     }
 
-    /// A queue with both register files; every register starts unwritten.
+    /// A queue with both register files and the one pick buffer every
+    /// select reuses; every register starts unwritten.
     struct Bench {
         iq: IssueQueue,
         int: Prf,
         fp: Prf,
+        picks: Picks,
     }
 
     impl Bench {
@@ -432,6 +440,7 @@ mod tests {
                 iq: IssueQueue::new(1, FuClass::Alu, 8, 2, policy),
                 int: Prf::new(16),
                 fp: Prf::new(16),
+                picks: Picks::default(),
             }
         }
 
@@ -450,9 +459,25 @@ mod tests {
         }
 
         fn select(&mut self) -> (Vec<u64>, usize) {
-            let (picks, ready) = self.iq.select();
-            (picks.iter().map(|t| t.seq).collect(), ready)
+            let ready = self.iq.select(&mut self.picks);
+            (self.picks.iter().map(|t| t.seq).collect(), ready)
         }
+    }
+
+    #[test]
+    fn a_select_with_nothing_ready_rewinds_the_reused_buffer() {
+        let mut b = Bench::new(IssuePolicy::Age);
+        b.dispatch(1, false, [None; 3]);
+        b.dispatch(2, false, [None; 3]);
+        b.dispatch(3, false, [Some((false, 4)), None, None]);
+        assert_eq!(b.select(), (vec![1, 2], 2));
+        // Seq 3 still waits: the two tags of the pick before are past
+        // `len` now, and nothing hands them out.
+        assert_eq!(b.iq.select(&mut b.picks), 0, "ready count");
+        assert!(b.picks.is_empty());
+        assert_eq!(b.iq.ready_count(), 0);
+        b.write(false, 4);
+        assert_eq!(b.select(), (vec![3], 1), "a shorter pick over a longer one");
     }
 
     #[test]
@@ -542,8 +567,10 @@ mod tests {
     /// The wakeup queue and the scan oracle driven by one script inside
     /// a miniature rename/retire model, so registers are allocated,
     /// written, freed and recycled the way the core does it.
-    struct Diff {
+    struct Diff<'a> {
         iq: IssueQueue,
+        /// Lent by the test: one buffer for every select of every script.
+        picks: &'a mut Picks,
         oracle: ScanQueue,
         int: Prf,
         fp: Prf,
@@ -553,7 +580,7 @@ mod tests {
         next_seq: u64,
     }
 
-    impl Diff {
+    impl Diff<'_> {
         fn prf(&mut self, fp: bool) -> &mut Prf {
             if fp {
                 &mut self.fp
@@ -638,8 +665,8 @@ mod tests {
                 }
                 // Select, compared pick for pick.
                 5..=7 => {
-                    let (picks, ready) = self.iq.select();
-                    let picks: Vec<u64> = picks.iter().map(|t| t.seq).collect();
+                    let ready = self.iq.select(self.picks);
+                    let picks: Vec<u64> = self.picks.iter().map(|t| t.seq).collect();
                     let (int, fp) = (&self.int, &self.fp);
                     let (want, want_ready) = self.oracle.select(|s| {
                         s.iter()
@@ -648,6 +675,7 @@ mod tests {
                     });
                     prop_assert_eq!(&picks, &want);
                     prop_assert_eq!(ready, want_ready);
+                    prop_assert_eq!(self.iq.ready_count(), want_ready - want.len());
                     for u in &mut self.uops {
                         if picks.contains(&u.seq) {
                             prop_assert_eq!(
@@ -747,27 +775,31 @@ mod tests {
         ))]
 
         /// Random dispatch / select / wake / retire / flush / mark
-        /// scripts under both policies: equal picks, pick order and
-        /// ready count at every step.
+        /// scripts, each run under both policies with every select of
+        /// both runs writing into one pick buffer: equal picks, pick
+        /// order and ready count at every step, so nothing an earlier,
+        /// longer pick left in the buffer is ever handed out.
         #[test]
         fn wakeup_queue_matches_scan_oracle(
-            pubs in 0u8..2,
             capacity in 1usize..=IQ_SLOTS,
             width in 1usize..=4,
             script in prop::collection::vec((0u8..16, 0usize..64, 0usize..64, 0usize..64), 1..300),
         ) {
-            let policy = if pubs == 1 { IssuePolicy::Pubs } else { IssuePolicy::Age };
-            let mut d = Diff {
-                iq: IssueQueue::new(QI, FuClass::Alu, capacity, width, policy),
-                oracle: ScanQueue { width, policy, entries: Vec::new() },
-                int: Prf::new(24),
-                fp: Prf::new(24),
-                uops: Vec::new(),
-                retired: Vec::new(),
-                next_seq: 1,
-            };
-            for s in script {
-                d.step(s)?;
+            let mut picks = Picks::default();
+            for policy in [IssuePolicy::Pubs, IssuePolicy::Age] {
+                let mut d = Diff {
+                    iq: IssueQueue::new(QI, FuClass::Alu, capacity, width, policy),
+                    picks: &mut picks,
+                    oracle: ScanQueue { width, policy, entries: Vec::new() },
+                    int: Prf::new(24),
+                    fp: Prf::new(24),
+                    uops: Vec::new(),
+                    retired: Vec::new(),
+                    next_seq: 1,
+                };
+                for &s in &script {
+                    d.step(s)?;
+                }
             }
         }
     }

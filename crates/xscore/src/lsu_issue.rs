@@ -5,6 +5,7 @@
 
 use crate::core::{Progress, Shared, MTIME, UART_TX};
 use crate::frontend::FETCH_ID_FLAG;
+use crate::issue::Picks;
 use crate::lsu::ForwardResult;
 use crate::rob::{RobIdx, RobState, RobTag};
 use crate::tlbs::MmuResult;
@@ -176,28 +177,45 @@ impl LsuIssue {
     #[inline(always)]
     pub(crate) fn tick(&mut self, sh: &mut Shared) -> Progress {
         let cycle = sh.cycle;
-        let due = take_due(&mut self.replay_q, |&(at, _)| at <= cycle);
-        let mut inputs = due.len();
-        for (_, tag) in due {
+        let mut inputs = 0;
+        // One pass over the replays that were waiting, in place: a due
+        // one leaves the queue and re-issues, and what a re-issue pushes
+        // back lands behind the pass, due next cycle at the earliest.
+        let mut i = 0;
+        for _ in 0..self.replay_q.len() {
+            let (at, tag) = self.replay_q[i];
+            if at > cycle {
+                i += 1;
+                continue;
+            }
+            self.replay_q.remove(i);
+            inputs += 1;
             if sh.rob.live(tag) {
                 sh.mark_issued(tag);
                 self.issue_load(sh, tag);
             }
         }
-        let ready = take_due(&mut self.deferred_loads, |&(at, ..)| at <= cycle);
-        inputs += ready.len();
-        for (_, tag, v) in ready {
-            if sh.rob.live(tag) {
-                finish_load(sh, tag.idx, v);
+        // Delivering pushes nothing back: done where the entry stands.
+        self.deferred_loads.retain(|&(at, tag, v)| {
+            if at <= cycle {
+                inputs += 1;
+                if sh.rob.live(tag) {
+                    finish_load(sh, tag.idx, v);
+                }
             }
-        }
+            at > cycle
+        });
+        // One pick buffer for the tick, built if a queue needs it.
+        let mut picks = None;
         for qi in 0..sh.regs.iqs.len() {
-            let class = sh.regs.iqs[qi].class;
-            if !matches!(class, FuClass::Load | FuClass::Store) {
+            let iq = &mut sh.regs.iqs[qi];
+            let class = iq.class;
+            if !matches!(class, FuClass::Load | FuClass::Store) || iq.ready_count() == 0 {
                 continue;
             }
-            let (picked, _) = sh.regs.iqs[qi].select();
-            for tag in picked.iter() {
+            let picks = picks.get_or_insert_with(Picks::default);
+            iq.select(picks);
+            for &tag in picks.iter() {
                 inputs += 1;
                 sh.mark_issued(tag);
                 if class == FuClass::Load {
@@ -299,18 +317,6 @@ impl LsuIssue {
         }
         progress
     }
-}
-
-/// Move the entries `due` picks out of `q`, keeping both in order.
-fn take_due<T: Copy>(q: &mut Vec<T>, due: impl Fn(&T) -> bool) -> Vec<T> {
-    let mut taken = Vec::new();
-    q.retain(|e| {
-        if due(e) {
-            taken.push(*e);
-        }
-        !due(e)
-    });
-    taken
 }
 
 /// Generate and translate the address of the load or store in `idx`:

@@ -2,6 +2,7 @@
 //! on the `ibuf` head, move elimination, macro-op fusion and PUBS
 //! marking.
 
+use crate::bpu::BranchPrediction;
 use crate::config::IssuePolicy;
 use crate::core::{Progress, Shared};
 use crate::issue::DefTable;
@@ -55,44 +56,45 @@ impl Rename {
             }
             // Fetch fault pseudo-op: becomes an exception-carrying entry.
             if let Some((cause, tval)) = front.fault {
-                let pu = ibuf.pop_front().expect("front");
-                let uop = Uop::new(pu.pc, pu.inst, None, pu.npc);
-                let idx = sh.rob.push(uop).idx;
-                sh.rob.hot_mut(idx).state = RobState::Done;
-                let c = sh.rob.cold_mut(idx);
+                let (_, e, c) = sh.rob.push(&front.uop, &mut None);
+                e.state = RobState::Done;
                 c.exception = Some((cause, tval));
-                c.life.fetched = pu.fetched_at;
-                c.life.decoded = pu.fetched_at;
+                c.life.fetched = front.fetched_at;
+                c.life.decoded = front.fetched_at;
                 c.life.renamed = sh.cycle;
                 c.life.dispatched = sh.cycle;
+                ibuf.pop_front();
                 break;
             }
             // Try fusion with the next entry.
+            let (a, d) = (&front.uop, &front.uop.inst);
             let fuse_next = sh.cfg.fusion
                 && ibuf.get(1).is_some_and(|b| {
                     front.pred.is_none()
                         && b.pred.is_none()
                         && b.fault.is_none()
-                        && b.pc == front.pc + front.inst.len as u64
-                        && try_fuse(&front.inst, &b.inst)
+                        && b.uop.pc == a.pc + d.len as u64
+                        && try_fuse(d, &b.uop.inst)
                 });
             // Structural hazards are tested on the ibuf entry itself: a
-            // stalled cycle builds no uop and moves nothing.
-            let plan = rename_plan(sh, front.pc, &front.inst, fuse_next);
+            // stalled cycle moves nothing.
+            let plan = rename_plan(sh, a.pc, d, fuse_next);
             if self.stalls(sh, &plan) {
                 break;
             }
-            let a = ibuf.pop_front().expect("front");
-            let uop = if fuse_next {
-                let b = ibuf.pop_front().expect("fusion partner");
-                fuse(a.pc, a.inst, b.inst, b.npc)
+            // The uop goes from the ibuf entry straight into its slot.
+            if fuse_next {
+                let fused = fuse(a, &ibuf[1].uop);
+                self.rename_one(sh, &fused, &mut None, front.fetched_at, &plan);
+                ibuf.pop_front();
             } else {
-                Uop::new(a.pc, a.inst, a.pred, a.npc)
-            };
-            self.rename_one(sh, uop, a.fetched_at, &plan);
+                let PreUop { uop, pred, fetched_at, .. } = ibuf.front_mut().expect("front");
+                self.rename_one(sh, uop, pred, *fetched_at, &plan);
+            }
+            ibuf.pop_front();
         }
         // Rename only ever pops its input latch, and everything it does
-        // starts with a pop.
+        // ends with a pop.
         Progress(ibuf.len() < waiting)
     }
 
@@ -109,9 +111,17 @@ impl Rename {
         plan.alloc_fp.is_some_and(|fp| sh.regs.prf(fp).free_count() == 0)
     }
 
-    /// Rename and dispatch one uop whose plan found no hazard.
+    /// Rename and dispatch one uop whose plan found no hazard, filling
+    /// its ROB slot in place.
     #[inline]
-    fn rename_one(&mut self, sh: &mut Shared, uop: Uop, fetched_at: u64, plan: &RenamePlan) {
+    fn rename_one(
+        &mut self,
+        sh: &mut Shared,
+        uop: &Uop,
+        pred: &mut Option<BranchPrediction>,
+        fetched_at: u64,
+        plan: &RenamePlan,
+    ) {
         let d = uop.inst;
         // Map sources.
         let rat = |fp| if fp { &self.rat_fp } else { &self.rat_int };
@@ -120,13 +130,10 @@ impl Rename {
         let pc = uop.pc;
         let dest = uop.dest;
         let move_src = plan.move_elim.then(|| uop.move_src());
-        let tag = sh.rob.push(uop);
-        let idx = tag.idx;
+        let (tag, e, c) = sh.rob.push(uop, pred);
         sh.perf.dispatched += 1;
-        let mut e = *sh.rob.hot(idx);
         e.phys_srcs = phys_srcs;
         e.commit_exec = plan.commit_exec;
-        let c = sh.rob.cold_mut(idx);
         let at = if fetched_at != 0 { fetched_at } else { sh.cycle };
         c.life.fetched = at;
         c.life.decoded = at;
@@ -186,7 +193,6 @@ impl Rename {
                 self.pubs_def.define(dest.idx, tag.seq);
             }
         }
-        *sh.rob.hot_mut(idx) = e;
         // Dispatch.
         if !plan.commit_exec && !e.eliminated {
             let regs = &mut *sh.regs;

@@ -11,9 +11,11 @@
 //!
 //! Each slot is split in two: the fields every stage reads or writes
 //! ([`RobHot`], one cache line) and the bulky ones most stages leave
-//! alone ([`RobCold`]: the uop with its prediction, lifecycle stamps,
-//! commit-probe payloads, the RAT snapshot).
+//! alone ([`RobCold`]: the uop, lifecycle stamps, commit-probe payloads,
+//! the RAT snapshot). A third per-slot array holds the branch prediction
+//! of control-flow uops, which no other uop reads or writes.
 
+use crate::bpu::BranchPrediction;
 use crate::lifecycle::LifeStamps;
 use crate::lsu::LsqPos;
 use crate::prf::{PReg, Rat};
@@ -123,6 +125,10 @@ pub struct Rob {
     /// does not pay for slots no uop has reached yet — and a clone,
     /// which starts its own at the head, does not pay for free ones.
     cold: Vec<RobCold>,
+    /// The fetch-time prediction of each slot's occupant, in `cold`'s
+    /// order. Only a control-flow uop taking the slot writes it; under
+    /// another it is a leftover, and [`Rob::pred`] the one way to read.
+    preds: Vec<Option<BranchPrediction>>,
     cold_base: usize,
     head: usize,
     len: usize,
@@ -136,14 +142,17 @@ impl Clone for Rob {
     fn clone(&self) -> Self {
         let mut hot: Box<[RobHot]> = vec![RobHot::default(); self.hot.len()].into();
         let mut cold = Vec::with_capacity(self.len);
+        let mut preds = Vec::with_capacity(self.len);
         for k in 0..self.len {
             let idx = self.nth(k);
             hot[idx.0 as usize] = *self.hot(idx);
             cold.push(self.cold(idx).clone());
+            preds.push(self.pred(idx).cloned());
         }
         Rob {
             hot,
             cold,
+            preds,
             cold_base: self.head,
             head: self.head,
             len: self.len,
@@ -162,6 +171,7 @@ impl Rob {
         Rob {
             hot: vec![RobHot::default(); capacity].into(),
             cold: Vec::with_capacity(capacity),
+            preds: Vec::with_capacity(capacity),
             cold_base: 0,
             head: 0,
             len: 0,
@@ -184,27 +194,30 @@ impl Rob {
         self.len == 0
     }
 
-    /// Allocate the next entry (state `Waiting`), returning its handle.
+    /// Allocate the next entry (state `Waiting`) for `uop`, copied into
+    /// the slot from where it stands: its handle, and both halves for
+    /// rename to fill in place. `pred` is taken if `uop` is control flow
+    /// and left alone otherwise.
     ///
     /// # Panics
     ///
     /// Panics when full — callers must check [`Rob::is_full`].
-    pub fn push(&mut self, uop: Uop) -> RobTag {
+    pub fn push(
+        &mut self,
+        uop: &Uop,
+        pred: &mut Option<BranchPrediction>,
+    ) -> (RobTag, &mut RobHot, &mut RobCold) {
         assert!(!self.is_full(), "ROB overflow");
         let idx = self.nth(self.len);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        self.hot[idx.0 as usize] = RobHot {
-            seq,
-            ..Default::default()
-        };
         let p = self.cold_pos(idx);
         match self.cold.get_mut(p) {
             // A reused slot keeps its (stale) RAT snapshot: 128 bytes
             // only a control-flow uop needs rewritten.
             Some(c) => {
-                c.uop = uop;
+                c.uop = *uop;
                 c.life = LifeStamps::default();
                 c.exception = None;
                 c.mem_info = None;
@@ -212,7 +225,7 @@ impl Rob {
                 c.issued_at = 0;
             }
             None => self.cold.push(RobCold {
-                uop,
+                uop: *uop,
                 life: LifeStamps::default(),
                 exception: None,
                 mem_info: None,
@@ -221,7 +234,24 @@ impl Rob {
                 rat_snapshot: ([0; 32], [0; 32]),
             }),
         }
-        RobTag { seq, idx }
+        self.preds.resize(self.cold.len(), None); // grows with `cold`
+        if uop.inst.is_control_flow() {
+            self.preds[p] = pred.take();
+        }
+        let hot = &mut self.hot[idx.0 as usize];
+        *hot = RobHot {
+            seq,
+            ..Default::default()
+        };
+        (RobTag { seq, idx }, hot, &mut self.cold[p])
+    }
+
+    /// The prediction fetch attached to the uop in `idx`: `None` unless
+    /// it is control flow, whatever an earlier occupant left behind.
+    #[inline]
+    pub fn pred(&self, idx: RobIdx) -> Option<&BranchPrediction> {
+        let p = self.cold_pos(idx);
+        self.preds[p].as_ref().filter(|_| self.cold[p].uop.inst.is_control_flow())
     }
 
     /// Is the uop behind `tag` still in flight (neither committed nor
@@ -328,25 +358,41 @@ mod tests {
     use riscv_isa::op::{DecodedInst, Op};
     use std::collections::VecDeque;
 
-    fn uop(pc: u64) -> Uop {
+    fn uop_of(op: Op, pc: u64) -> Uop {
         Uop::new(
             pc,
             DecodedInst {
-                op: Op::Addi,
+                op,
                 rd: 1,
                 len: 4,
                 ..Default::default()
             },
-            None,
             pc + 4,
         )
+    }
+
+    fn uop(pc: u64) -> Uop {
+        uop_of(Op::Addi, pc)
+    }
+
+    /// A prediction recognisable by its target.
+    fn pred(target: u64) -> BranchPrediction {
+        BranchPrediction {
+            taken: true,
+            target,
+            tage: None,
+            ubtb_hit: false,
+            low_confidence: false,
+            ras_snapshot: Default::default(),
+            ghist_before: 0,
+        }
     }
 
     #[test]
     fn push_get_pop() {
         let mut rob = Rob::new(4);
-        let t1 = rob.push(uop(0x100));
-        let t2 = rob.push(uop(0x104));
+        let t1 = rob.push(&uop(0x100), &mut None).0;
+        let t2 = rob.push(&uop(0x104), &mut None).0;
         assert_eq!(rob.cold(t1.idx).uop.pc, 0x100);
         assert_eq!(rob.cold(t2.idx).uop.pc, 0x104);
         assert_eq!(rob.head(), Some(t1.idx));
@@ -359,22 +405,22 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut rob = Rob::new(2);
-        rob.push(uop(0));
-        rob.push(uop(4));
+        rob.push(&uop(0), &mut None);
+        rob.push(&uop(4), &mut None);
         assert!(rob.is_full());
     }
 
     #[test]
     fn truncate_removes_younger() {
         let mut rob = Rob::new(8);
-        let tags: Vec<RobTag> = (0..6).map(|i| rob.push(uop(i * 4))).collect();
+        let tags: Vec<RobTag> = (0..6).map(|i| rob.push(&uop(i * 4), &mut None).0).collect();
         rob.truncate(rob.rank(tags[2].idx) + 1);
         assert_eq!(rob.len(), 3);
         assert!(!rob.live(tags[3]));
         assert!(rob.live(tags[2]));
         // Seq numbers keep increasing after a flush, and the freed slot
         // is handed out again under a new seq.
-        let t = rob.push(uop(0x40));
+        let t = rob.push(&uop(0x40), &mut None).0;
         assert!(t.seq > tags[5].seq);
         assert_eq!(t.idx, tags[3].idx);
         assert!(
@@ -387,7 +433,9 @@ mod tests {
 
     #[derive(Debug, Clone, Copy)]
     enum Step {
-        Push,
+        /// Push a plain uop, a predicted branch or an unpredicted one
+        /// (the parameter picks which).
+        Push(usize),
         PopHead,
         FlushAfter(usize),
         FlushAll,
@@ -398,7 +446,7 @@ mod tests {
     /// flush-all / continue on a clone.
     fn step((kind, k): (u8, usize)) -> Step {
         match kind {
-            0..=5 => Step::Push,
+            0..=5 => Step::Push(k),
             6..=8 => Step::PopHead,
             9 => Step::FlushAfter(k),
             10 => Step::FlushAll,
@@ -416,28 +464,38 @@ mod tests {
         /// The ring against a `VecDeque` model: same occupancy, order
         /// and contents after every step, and every handle ever issued
         /// — including stale ones whose slot was reused after a flush —
-        /// is live exactly while the model still holds its seq. A
-        /// snapshot restore (the run continues on a clone, which holds
-        /// the live slots only) changes none of it.
+        /// is live exactly while the model still holds its seq. A slot
+        /// shows the prediction its occupant was pushed with and no
+        /// other: a plain uop, or a branch pushed without one, in a slot
+        /// a predicted branch held before shows none. A snapshot restore
+        /// (the run continues on a clone, which holds the live slots
+        /// only) changes none of it.
         #[test]
         fn ring_matches_deque_model(
             cap in 1usize..12,
             steps in prop::collection::vec((0u8..12, 0usize..16), 1..200),
         ) {
             let mut rob = Rob::new(cap);
-            let mut model: VecDeque<(RobTag, u64)> = VecDeque::new();
+            let mut model: VecDeque<(RobTag, u64, Option<u64>)> = VecDeque::new();
             let mut issued: Vec<RobTag> = Vec::new();
             let mut last_seq = 0;
             for (n, &s) in steps.iter().enumerate() {
                 match step(s) {
-                    Step::Push => {
+                    Step::Push(kind) => {
                         prop_assert_eq!(rob.is_full(), model.len() == cap);
                         if !rob.is_full() {
                             let pc = 0x1000 + 4 * n as u64;
-                            let t = rob.push(uop(pc));
+                            let (op, mut p) = match kind % 3 {
+                                0 => (Op::Addi, None),
+                                1 => (Op::Beq, Some(pred(pc))),
+                                _ => (Op::Jal, None),
+                            };
+                            let predicted = p.as_ref().map(|p| p.target);
+                            let t = rob.push(&uop_of(op, pc), &mut p).0;
+                            prop_assert!(p.is_none(), "a branch's prediction moves into its slot");
                             prop_assert!(t.seq > last_seq, "seq reused or not monotone");
                             last_seq = t.seq;
-                            model.push_back((t, pc));
+                            model.push_back((t, pc, predicted));
                             issued.push(t);
                         }
                     }
@@ -447,7 +505,7 @@ mod tests {
                         }
                     }
                     Step::FlushAfter(k) => {
-                        if let Some(&(t, _)) = model.get(k) {
+                        if let Some(&(t, ..)) = model.get(k) {
                             rob.truncate(rob.rank(t.idx) + 1);
                             model.truncate(k + 1);
                         }
@@ -459,18 +517,20 @@ mod tests {
                     Step::Restore => {
                         rob = rob.clone();
                         prop_assert_eq!(rob.cold.len(), model.len(), "live slots only");
+                        prop_assert_eq!(rob.preds.len(), model.len(), "of every per-slot array");
                     }
                 }
                 prop_assert_eq!(rob.len(), model.len());
-                prop_assert_eq!(rob.head(), model.front().map(|&(t, _)| t.idx));
-                for (k, &(t, pc)) in model.iter().enumerate() {
+                prop_assert_eq!(rob.head(), model.front().map(|&(t, ..)| t.idx));
+                for (k, &(t, pc, predicted)) in model.iter().enumerate() {
                     prop_assert_eq!(rob.nth(k), t.idx);
                     prop_assert_eq!(rob.rank(t.idx), k);
                     prop_assert_eq!(rob.hot(t.idx).seq, t.seq);
                     prop_assert_eq!(rob.cold(t.idx).uop.pc, pc);
+                    prop_assert_eq!(rob.pred(t.idx).map(|p| p.target), predicted);
                 }
                 for &t in &issued {
-                    prop_assert_eq!(rob.live(t), model.iter().any(|&(m, _)| m == t));
+                    prop_assert_eq!(rob.live(t), model.iter().any(|&(m, ..)| m == t));
                 }
             }
         }

@@ -6,7 +6,7 @@ use crate::core::{Core, CycleOutput};
 use riscv_isa::asm::Program;
 use riscv_isa::mem::SparseMemory;
 use riscv_isa::state::ArchState;
-use uncore::MemSystem;
+use uncore::{Completion, MemSystem};
 
 /// A single- or dual-core XiangShan system.
 #[derive(Debug, Clone)]
@@ -15,6 +15,9 @@ pub struct XsSystem {
     pub cores: Vec<Core>,
     /// The shared memory hierarchy.
     pub mem: MemSystem,
+    /// Reusable buffer for a cycle's memory completions (empty between
+    /// ticks).
+    completions: Vec<Completion>,
 }
 
 impl XsSystem {
@@ -34,7 +37,7 @@ impl XsSystem {
         let cores = (0..cfg.cores)
             .map(|h| Core::new(cfg.clone(), h, boot_pc))
             .collect();
-        XsSystem { cores, mem }
+        XsSystem { cores, mem, completions: Vec::new() }
     }
 
     /// Restore a checkpointed architectural state into core 0.
@@ -54,19 +57,21 @@ impl XsSystem {
     /// one buffer across cycles keeps the driver loop allocation-free.
     pub fn tick_into(&mut self, outs: &mut Vec<CycleOutput>) {
         outs.resize_with(self.cores.len(), CycleOutput::default);
-        let completions = self.mem.tick();
-        if self.cores.len() == 1 {
-            // Single-core fast path: every completion is ours, no
-            // per-core filter copy needed.
-            self.cores[0].tick_into(&mut self.mem, &completions, &mut outs[0]);
+        let Self { cores, mem, completions } = self;
+        mem.tick_into(completions);
+        if cores.len() == 1 {
+            // Single-core fast path: every completion is ours.
+            cores[0].tick_into(mem, completions, &mut outs[0]);
         } else {
-            for h in 0..self.cores.len() {
-                let mine: Vec<_> = completions
-                    .iter()
-                    .filter(|c| c.req.core == h)
-                    .cloned()
-                    .collect();
-                self.cores[h].tick_into(&mut self.mem, &mine, &mut outs[h]);
+            // Partitioned once, by core: the sort is stable (and in place
+            // at a cycle's handful of completions), so each core's slice
+            // keeps the order in which its completions came due.
+            completions.sort_by_key(|c| c.req.core);
+            let mut rest = &completions[..];
+            for h in 0..cores.len() {
+                let (mine, others) = rest.split_at(rest.partition_point(|c| c.req.core <= h));
+                rest = others;
+                cores[h].tick_into(mem, mine, &mut outs[h]);
                 // Same-cycle reservation snoop: an SC success or AMO write
                 // decided during hart `h`'s tick linearizes *now* — later
                 // harts in this cycle (and everyone next cycle) must see
@@ -74,33 +79,18 @@ impl XsSystem {
                 // Waiting for the store's completion drain leaves a full
                 // round-trip window where both harts' SCs succeed from the
                 // same loaded value.
-                if !outs[h].res_kills.is_empty() {
-                    let (before, rest) = self.cores.split_at_mut(h);
-                    let after = &mut rest[1..];
-                    for &(paddr, size) in &outs[h].res_kills {
-                        for core in before.iter_mut().chain(after.iter_mut()) {
-                            core.snoop_remote_store(paddr, size);
-                        }
-                    }
+                for &(paddr, size) in &outs[h].res_kills {
+                    snoop_others(cores, h, paddr, size);
                 }
             }
-        }
-        // Cross-core reservation snooping on drained stores (plain-store
-        // visibility; atomic kills already fired at decision time above,
-        // a second overlapping snoop is a harmless no-op).
-        if self.cores.len() > 1 {
-            let drains: Vec<(usize, u64, u64)> = outs
-                .iter()
-                .flat_map(|o| o.drains.iter().map(|d| (d.hart, d.paddr, d.size)))
-                .collect();
-            for (h, paddr, size) in drains {
-                for (other, core) in self.cores.iter_mut().enumerate() {
-                    if other != h {
-                        core.snoop_remote_store(paddr, size);
-                    }
-                }
+            // Cross-core reservation snooping on drained stores (plain-
+            // store visibility; atomic kills already fired at decision
+            // time above, a second overlapping snoop is a harmless no-op).
+            for d in outs.iter().flat_map(|o| &o.drains) {
+                snoop_others(cores, d.hart, d.paddr, d.size);
             }
         }
+        completions.clear();
     }
 
     /// Advance one cycle; when event-driven skipping is enabled
@@ -169,6 +159,15 @@ impl XsSystem {
         let mut all = Vec::new();
         self.run_with(max_cycles, |outs| outs.iter_mut().for_each(|o| all.append(&mut o.commits)));
         all
+    }
+}
+
+/// Show hart `h`'s store to every other core's reservation.
+fn snoop_others(cores: &mut [Core], h: usize, paddr: u64, size: u64) {
+    for (other, core) in cores.iter_mut().enumerate() {
+        if other != h {
+            core.snoop_remote_store(paddr, size);
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! structs a test drives one at a time — no `XsSystem`, no program.
 
 use crate::core::{Core, CycleOutput, Shared, Stages};
-use crate::uop::PreUop;
+use crate::uop::{PreUop, Uop};
 use crate::XsConfig;
 use riscv_isa::mem::SparseMemory;
 use uncore::MemSystem;
@@ -38,7 +38,7 @@ impl Bench {
 /// `raw` predecoded at `pc` the way the frontend pushes a non-branch.
 pub(crate) fn pre(pc: u64, raw: u32) -> PreUop {
     let inst = riscv_isa::decode32(raw);
-    PreUop { pc, inst, pred: None, npc: pc + 4, fault: None, fetched_at: 0 }
+    PreUop { uop: Uop::new(pc, inst, pc + 4), pred: None, fault: None, fetched_at: 0 }
 }
 
 /// Rename and dispatch `raws` as consecutive instructions from [`BOOT`].

@@ -16,8 +16,11 @@ pub struct SrcReg {
     pub idx: u8,
 }
 
-/// A decoded (possibly fused) micro-operation flowing down the pipeline.
-#[derive(Debug, Clone)]
+/// A decoded (possibly fused) micro-operation flowing down the pipeline:
+/// built once, at predecode, and copied once, into its ROB slot. The
+/// branch prediction of a control-flow uop travels beside it (in the
+/// `ibuf` entry, then in [`crate::rob::Rob::pred`]), not inside.
+#[derive(Debug, Clone, Copy)]
 pub struct Uop {
     /// PC of the (first) instruction.
     pub pc: u64,
@@ -25,8 +28,6 @@ pub struct Uop {
     pub inst: DecodedInst,
     /// Second instruction of a fused macro-op pair.
     pub fused: Option<DecodedInst>,
-    /// Branch prediction attached at fetch (control flow only).
-    pub pred: Option<BranchPrediction>,
     /// Predicted next PC (what fetch continued with).
     pub predicted_npc: u64,
     /// Source registers (up to 3).
@@ -34,6 +35,9 @@ pub struct Uop {
     /// Destination register, if any.
     pub dest: Option<SrcReg>,
 }
+
+// What moving any uop costs: a control-flow uop's 64-byte prediction stays out.
+const _: () = assert!(std::mem::size_of::<Uop>() <= 80);
 
 impl Uop {
     /// Build a uop from one decoded instruction.
@@ -44,7 +48,7 @@ impl Uop {
     /// relies on the position, so an x0 operand must leave a hole, not
     /// compact the array: `sltu rd, x0, rs2` reads its one source as
     /// operand *two*.
-    pub fn new(pc: u64, inst: DecodedInst, pred: Option<BranchPrediction>, npc: u64) -> Self {
+    pub fn new(pc: u64, inst: DecodedInst, npc: u64) -> Self {
         let mut srcs = [None; 3];
         let slot = |fp: bool, idx: u8| {
             if !fp && idx == 0 {
@@ -66,7 +70,6 @@ impl Uop {
             pc,
             inst,
             fused: None,
-            pred,
             predicted_npc: npc,
             srcs,
             dest: dest_of(&inst),
@@ -101,14 +104,13 @@ impl Uop {
 }
 
 /// A predecoded instruction in the `ibuf`, the latch between the frontend
-/// (which pushes) and rename (which pops).
+/// (which pushes) and rename (which pops): the uop as its ROB slot will
+/// hold it, and what rename peels off.
 #[derive(Debug, Clone)]
 pub(crate) struct PreUop {
-    pub pc: u64,
-    pub inst: DecodedInst,
+    pub uop: Uop,
+    /// Branch prediction attached at fetch (control flow only).
     pub pred: Option<BranchPrediction>,
-    /// PC fetch continued with.
-    pub npc: u64,
     /// A fetch fault standing in for the instruction: (cause, tval).
     pub fault: Option<(Exception, u64)>,
     /// Cycle the instruction entered the ibuf (lifecycle fetch stamp).
@@ -201,10 +203,10 @@ pub fn exec_fused(a: &DecodedInst, b: &DecodedInst, v_rs1_a: u64, v_other: u64) 
     }
 }
 
-/// Build the fused uop from a pair (assumes [`try_fuse`] returned true).
-pub fn fuse(pc: u64, a: DecodedInst, b: DecodedInst, npc: u64) -> Uop {
-    let mut u = Uop::new(pc, a, None, npc);
-    u.fused = Some(b);
+/// Build the fused uop from a pair of consecutive uops (assumes
+/// [`try_fuse`] returned true for their instructions).
+pub fn fuse(first: &Uop, second: &Uop) -> Uop {
+    let (a, b) = (first.inst, second.inst);
     // Positional sources: slot 0 is a.rs1 (absent for lui), slot 1 is
     // b's non-chained operand — `exec_fused` reads them by position.
     let mut srcs = [None; 3];
@@ -223,12 +225,16 @@ pub fn fuse(pc: u64, a: DecodedInst, b: DecodedInst, npc: u64) -> Uop {
             });
         }
     }
-    u.srcs = srcs;
-    u.dest = Some(SrcReg {
-        fp: false,
-        idx: a.rd,
-    });
-    u
+    Uop {
+        fused: Some(b),
+        predicted_npc: second.predicted_npc,
+        srcs,
+        dest: Some(SrcReg {
+            fp: false,
+            idx: a.rd,
+        }),
+        ..*first
+    }
 }
 
 /// Memory access details of a committed instruction (probe payload).
@@ -314,15 +320,15 @@ mod tests {
 
     #[test]
     fn src_extraction() {
-        let u = Uop::new(0, di(Op::Add, 3, 1, 2, 0), None, 4);
+        let u = Uop::new(0, di(Op::Add, 3, 1, 2, 0), 4);
         assert_eq!(u.srcs[0], Some(SrcReg { fp: false, idx: 1 }));
         assert_eq!(u.srcs[1], Some(SrcReg { fp: false, idx: 2 }));
         assert_eq!(u.dest, Some(SrcReg { fp: false, idx: 3 }));
 
-        let u = Uop::new(0, di(Op::Lui, 3, 0, 0, 0x1000), None, 4);
+        let u = Uop::new(0, di(Op::Lui, 3, 0, 0, 0x1000), 4);
         assert_eq!(u.srcs[0], None, "lui has no register sources");
 
-        let u = Uop::new(0, di(Op::Sd, 0, 2, 7, 8), None, 4);
+        let u = Uop::new(0, di(Op::Sd, 0, 2, 7, 8), 4);
         assert_eq!(u.srcs[0], Some(SrcReg { fp: false, idx: 2 }));
         assert_eq!(u.srcs[1], Some(SrcReg { fp: false, idx: 7 }));
         assert_eq!(u.dest, None);
@@ -336,17 +342,17 @@ mod tests {
             len: 4,
             ..Default::default()
         };
-        let u = Uop::new(0, fma, None, 4);
+        let u = Uop::new(0, fma, 4);
         assert_eq!(u.srcs[2], Some(SrcReg { fp: true, idx: 4 }));
         assert_eq!(u.dest, Some(SrcReg { fp: true, idx: 1 }));
     }
 
     #[test]
     fn move_detection() {
-        assert!(Uop::new(0, di(Op::Addi, 3, 5, 0, 0), None, 4).is_reg_move());
-        assert!(!Uop::new(0, di(Op::Addi, 3, 5, 0, 1), None, 4).is_reg_move());
-        assert!(!Uop::new(0, di(Op::Addi, 0, 5, 0, 0), None, 4).is_reg_move());
-        let mv = Uop::new(0, di(Op::Add, 3, 0, 5, 0), None, 4);
+        assert!(Uop::new(0, di(Op::Addi, 3, 5, 0, 0), 4).is_reg_move());
+        assert!(!Uop::new(0, di(Op::Addi, 3, 5, 0, 1), 4).is_reg_move());
+        assert!(!Uop::new(0, di(Op::Addi, 0, 5, 0, 0), 4).is_reg_move());
+        let mv = Uop::new(0, di(Op::Add, 3, 0, 5, 0), 4);
         assert!(mv.is_reg_move());
         assert_eq!(mv.move_src(), 5);
     }
@@ -385,8 +391,8 @@ mod tests {
     fn fused_uop_sources() {
         let slli = di(Op::Slli, 6, 7, 0, 2);
         let add = di(Op::Add, 6, 6, 8, 0);
-        let u = fuse(0x100, slli, add, 0x108);
-        assert_eq!(u.len(), 8);
+        let u = fuse(&Uop::new(0x100, slli, 0x104), &Uop::new(0x104, add, 0x108));
+        assert_eq!((u.len(), u.predicted_npc), (8, 0x108));
         assert_eq!(u.srcs[0], Some(SrcReg { fp: false, idx: 7 }));
         assert_eq!(u.srcs[1], Some(SrcReg { fp: false, idx: 8 }));
         assert_eq!(u.dest, Some(SrcReg { fp: false, idx: 6 }));

@@ -3,10 +3,14 @@
 #
 #   1. release build of the whole workspace,
 #   2. the full test suite (unit + integration + property + doc tests,
-#      and the CLI smokes of tests/cli_smoke.rs: triage, lifecycle, perf),
-#      then `xscore` again in an optimised build, where its model-based
+#      and the CLI smokes of tests/cli_smoke.rs: triage, lifecycle, perf,
+#      and the two `--mp` smokes — litmus determinism with live `mp:`
+#      coverage; injected L2 probe/grant race -> ForbiddenOutcome ->
+#      minimize -> bundle -> `replay --bundle` at the same commit), then
+#      `xscore` again in an optimised build, where its model-based
 #      proptests (ROB ring, wakeup queues) and the skipper oracle run at
-#      full size (the debug build samples them),
+#      full size (the debug build samples them), with the allocation
+#      budget of the DUT tick (tests/alloc_budget.rs) beside it,
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,
@@ -14,13 +18,7 @@
 #      byte-identical deterministic report bodies with coverage growing
 #      strictly round-over-round, and an injected-bug fuzz campaign must
 #      find, triage, and replay the divergence,
-#   5. an mp smoke — two identical 12-job multi-hart litmus fuzz
-#      rounds must emit byte-identical deterministic report bodies,
-#      divergence-free with live `mp:` coherence coverage, and the same
-#      campaign with the §IV-C L2 probe/grant race injected must raise
-#      a ForbiddenOutcome, minimize it, bundle it, and `replay
-#      --bundle` must reproduce it at the identical commit index,
-#   6. a bench smoke — scripts/bench.sh emits a schema-clean
+#   5. a bench smoke — scripts/bench.sh emits a schema-clean
 #      BENCH_fig8.json covering every interpreter personality and the
 #      cycle model on both small presets; the regenerated cycle_model
 #      body (cycles / instret / cpi_milli) must match the committed
@@ -30,14 +28,14 @@
 #      campaign with the superblock trace tier as the DiffTest REF runs
 #      to completion twice with byte-identical deterministic report
 #      bodies,
-#   7. a sampling smoke — `campaign --sample` profiles one kernel,
+#   6. a sampling smoke — `campaign --sample` profiles one kernel,
 #      materializes at least 2 checkpoints into a reuse directory, fans
 #      the sample jobs through the worker pool, and exits 0 with a
 #      schema-clean `sampling` section; every sample window obeys the
 #      top-down identity (CPI-stack sum == window cycles x commit
 #      width), and a second run answering from the checkpoint cache
 #      emits a byte-identical deterministic report body,
-#   8. the benchmark's correctness check — `benchmark/run.sh --check`
+#   7. the benchmark's correctness check — `benchmark/run.sh --check`
 #      (about 10 s, no timing): kernels co-simulated to halt and
 #      compared with the REF alone, run()/step_one()/profiling legs
 #      against an independent personality, `sim_digest` stable across
@@ -59,8 +57,9 @@ cargo test -q
 echo "== tier-1: cargo test -q --workspace =="
 cargo test -q --workspace
 
-echo "== tier-1: cargo test -q --release -p xscore =="
+echo "== tier-1: cargo test -q --release -p xscore (+ the tick's allocation budget) =="
 cargo test -q --release -p xscore
+cargo test -q --release --test alloc_budget
 
 echo "== tier-1: smoke campaign (2 workloads x 2 configs x 4 seeds) =="
 report="$(mktemp /tmp/campaign-smoke.XXXXXX.json)"
@@ -158,89 +157,11 @@ EOF
 echo "fuzz bug bundle: $fuzz_bundle"
 timeout 300 target/release/replay --bundle "$fuzz_bundle"
 
-echo "== tier-1: mp smoke (litmus determinism + coherence coverage) =="
-mp_a="$(mktemp /tmp/mp-smoke-a.XXXXXX.json)"
-mp_b="$(mktemp /tmp/mp-smoke-b.XXXXXX.json)"
-mp_race="$(mktemp /tmp/mp-race.XXXXXX.json)"
-mp_bundles="$(mktemp -d /tmp/mp-bundles.XXXXXX)"
-trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
-# Same seed twice on the dual-core preset: the deterministic body must
-# be byte-identical, every job must halt with an allowed outcome, and
-# the coherence (`mp:`) coverage family must be live.
-for f in "$mp_a" "$mp_b"; do
-    timeout 600 target/release/campaign \
-        --fuzz --mp --rounds 1 --fuzz-jobs 12 --fuzz-seed 0 \
-        --configs small-nh \
-        --max-cycles 400000 \
-        --workers 4 \
-        --out "$f"
-done
-
-python3 - "$mp_a" "$mp_b" <<'EOF'
-import json, sys
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-assert a["schema_version"] == 6, a["schema_version"]
-for r in (a, b):
-    del r["timing"]
-assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
-    "mp campaign bodies differ between identical runs"
-s = a["summary"]
-assert s["total"] == 12 and s["halted"] == 12, s
-assert s["diverged"] == 0 and s["forbidden"] == 0, s
-mp = set()
-for j in a["jobs"]:
-    mp |= {k for k, n in (j.get("coverage") or {}).get("mp") or [] if n > 0}
-assert mp, "mp campaign recorded no coherence coverage"
-print("mp smoke OK: deterministic body, mp features:", sorted(mp))
-EOF
-
-echo "== tier-1: mp smoke (L2 probe/grant race -> forbidden outcome -> replay) =="
-# The injected probe/grant race corrupts a litmus line inside its race
-# window; the outcome oracle must flag the forbidden observation, so
-# the campaign exits 1 by contract.
-set +e
-timeout 600 target/release/campaign \
-    --fuzz --mp --rounds 1 --fuzz-jobs 12 --fuzz-seed 0 \
-    --configs small-nh \
-    --inject-l2-race \
-    --max-cycles 400000 \
-    --workers 4 \
-    --bundle-dir "$mp_bundles" \
-    --out "$mp_race"
-rc=$?
-set -e
-if [ "$rc" -ne 1 ]; then
-    echo "mp race smoke: expected exit 1 (forbidden outcomes), got $rc" >&2
-    exit 1
-fi
-
-mp_bundle="$(python3 - "$mp_race" "$mp_bundles" <<'EOF'
-import json, os, sys
-r = json.load(open(sys.argv[1]))
-assert r["summary"]["forbidden"] >= 1, r["summary"]
-bad = [j for j in r["jobs"] if "ForbiddenOutcome" in j["verdict"]]
-assert bad, "forbidden tally has no matching job verdict"
-j = bad[0]
-m = j["minimized"]
-assert m and m["error_class"] == "ForbiddenOutcome", m
-assert m["litmus"] and not m["torture"], "minimized repro lost its litmus recipe"
-b = j["triage"]
-assert b and b["trigger"] == "forbidden-outcome" and b["reproduced"], b
-assert b["forbidden_exit"], "bundle lacks the forbidden exit word"
-path = os.path.join(sys.argv[2], f"job{j['index']}.bundle.json")
-assert os.path.exists(path), f"bundle file missing: {path}"
-print(path)
-EOF
-)"
-echo "mp race bundle: $mp_bundle"
-timeout 300 target/release/replay --bundle "$mp_bundle"
-
 echo "== tier-1: bench smoke (BENCH_fig8.json + --ref nemu-trace campaign) =="
 bench_json="$(mktemp /tmp/bench-smoke.XXXXXX.json)"
 trace_a="$(mktemp /tmp/trace-ref-a.XXXXXX.json)"
 trace_b="$(mktemp /tmp/trace-ref-b.XXXXXX.json)"
-trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles" "$mp_bundles"' EXIT
+trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles"' EXIT
 # Reduced fuel keeps the leg fast; the committed BENCH_fig8.json (which
 # golden_bench pins for speed ordering) is generated at full budget.
 MINJIE_BENCH_FUEL=20000000 MINJIE_BENCH_OUT="$bench_json" scripts/bench.sh
@@ -320,7 +241,7 @@ echo "== tier-1: sampling smoke (checkpoint farm -> weighted CPI) =="
 sample_a="$(mktemp /tmp/sample-smoke-a.XXXXXX.json)"
 sample_b="$(mktemp /tmp/sample-smoke-b.XXXXXX.json)"
 ckpt_dir="$(mktemp -d /tmp/sample-ckpts.XXXXXX)"
-trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
+trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$ckpt_dir"' EXIT
 # Two identical farms sharing one checkpoint directory: the first
 # profiles and materializes the blobs, the second must answer from the
 # cache, and both deterministic bodies must agree byte for byte.

@@ -1,0 +1,106 @@
+//! An allocation budget for the DUT tick: the steady-state loop of
+//! `XsSystem::tick_skipping_into` may go to the allocator only for what
+//! a cache miss needs (the `Requester::Core(vec![req])` of a new
+//! transaction, the boxed line of a `Grant`), never per cycle or per
+//! request — the pick buffers, the memory system's outbox and the
+//! completion buffer of the core/uncore seam are all reused (DESIGN §4
+//! "`xscore` pipeline").
+//!
+//! One thread runs a fixed program, so the counts repeat exactly: this
+//! is a regression pin, not a timing test. Measured over the windows
+//! below, allocator calls per simulated cycle on `sjeng` and per real
+//! (unskipped) tick on `mcf`:
+//!
+//! | | `sjeng` / cycle | `mcf` / real tick |
+//! |---|---|---|
+//! | PR 16 (`b944a9f`: an `Outbox` per request and per message, a `Vec` per `MemSystem::tick`) | 1.039 (51 951 calls) | 0.861 (11 202 calls in 13 009 ticks) |
+//! | PR 17 | 0.000 (none) | 0.217 (2 817 calls: 520 misses) |
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use workloads::{workload, Scale};
+use xscore::{XsConfig, XsSystem};
+
+thread_local! {
+    /// Allocator calls made by this thread (the test harness's other
+    /// threads do not disturb the count).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // Ignored during thread teardown, when the cell is gone.
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialised thread-local `Cell`, which neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's obligations are passed on as they came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: as for `dealloc`, with the caller's `layout`/`new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const WARM_UP: u64 = 20_000;
+const WINDOW: u64 = 50_000;
+/// Allocator calls per simulated cycle of a cache-resident kernel.
+const CYCLE_BUDGET: f64 = 0.15;
+/// Allocator calls per real tick of a DRAM-bound kernel: `mcf` misses
+/// the L1D once in 25 real ticks, and a miss that goes to DRAM makes 5.4
+/// calls on its way (one 48-byte `vec![req]`, 4.4 boxed 64-byte lines),
+/// so what is per miss alone is over the cache-resident budget.
+const MISS_BOUND_BUDGET: f64 = 0.25;
+
+/// Run Bench-scale `kernel` on `small-nh` past the warm-up and return
+/// what the next `WINDOW` cycles cost: (allocator calls, real ticks).
+fn window_cost(kernel: &str) -> (u64, u64) {
+    let cfg = XsConfig::preset("small-nh").expect("preset exists");
+    let mut sys = XsSystem::new(cfg, &workload(kernel, Scale::Bench).program);
+    let mut outs = Vec::new();
+    while sys.mem.cycle() < WARM_UP {
+        sys.tick_skipping_into(WARM_UP, &mut outs);
+    }
+    let (before, end, mut ticks) = (CALLS.get(), WARM_UP + WINDOW, 0);
+    while sys.mem.cycle() < end {
+        sys.tick_skipping_into(end, &mut outs);
+        ticks += 1;
+    }
+    assert!(!sys.all_halted(), "{kernel} halted inside the window");
+    (CALLS.get() - before, ticks)
+}
+
+#[test]
+fn the_steady_state_tick_stays_inside_its_allocation_budget() {
+    let (sjeng_calls, sjeng_ticks) = window_cost("sjeng");
+    let (mcf_calls, mcf_ticks) = window_cost("mcf");
+    let per_cycle = sjeng_calls as f64 / WINDOW as f64;
+    let per_tick = mcf_calls as f64 / mcf_ticks as f64;
+    println!("sjeng: {sjeng_calls} calls in {sjeng_ticks} real ticks, {per_cycle:.3} per cycle");
+    println!("mcf: {mcf_calls} calls in {mcf_ticks} real ticks, {per_tick:.3} per real tick");
+    assert!(per_cycle <= CYCLE_BUDGET, "sjeng: {per_cycle:.3} allocator calls per cycle");
+    // DRAM-bound: most cycles are skipped, so the cost that matters is
+    // that of a tick that really runs.
+    assert!(mcf_ticks < WINDOW / 2, "mcf no longer skips: {mcf_ticks} real ticks");
+    assert!(per_tick <= MISS_BOUND_BUDGET, "mcf: {per_tick:.3} allocator calls per real tick");
+}

@@ -4,8 +4,10 @@
 //!
 //! So far this holds the triage smoke (injected bug → bundle → replay)
 //! with the hostile-bundle cases around it, the lifecycle smoke (crash
-//! ring → bundle → `pipeview`, `--lifecycle` determinism) and the perf
-//! smoke (one kernel under `--telemetry` → `perf_report`); the other
+//! ring → bundle → `pipeview`, `--lifecycle` determinism), the perf
+//! smoke (one kernel under `--telemetry` → `perf_report`) and the two
+//! `--mp` smokes (litmus determinism with live coherence coverage; the
+//! injected L2 race → forbidden outcome → bundle → replay); the other
 //! `ci.sh` blocks move here one by one.
 
 use serde_json::Value;
@@ -55,6 +57,17 @@ fn replay(bundle: &Path) -> Output {
 fn read_json(path: &Path) -> Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path:?}: {e:?}"))
+}
+
+/// A campaign report without its `timing` section: the part that must
+/// repeat byte for byte.
+fn report_body(path: &Path) -> Value {
+    let Value::Object(mut report) = read_json(path) else {
+        panic!("a report is an object");
+    };
+    assert_eq!(report["schema_version"], campaign::SCHEMA_VERSION);
+    assert!(report.remove("timing").is_some());
+    Value::Object(report)
 }
 
 fn stderr(out: &Output) -> String {
@@ -281,14 +294,9 @@ fn lifecycle_campaign_bodies_are_deterministic() {
             "--out", file.to_str().unwrap(),
         ]);
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-        let Value::Object(mut report) = read_json(&file) else {
-            panic!("a report is an object");
-        };
-        assert!(report.remove("timing").is_some());
-        Value::Object(report)
+        report_body(&file)
     };
     let (a, b) = (body("a.json"), body("b.json"));
-    assert_eq!(a["schema_version"], campaign::SCHEMA_VERSION);
     assert!(a == b, "--lifecycle bodies differ between identical runs");
     let jobs = a["jobs"].as_array().unwrap().iter();
     let cores = jobs.flat_map(|j| j["perf"]["cores"].as_array().unwrap());
@@ -296,6 +304,68 @@ fn lifecycle_campaign_bodies_are_deterministic() {
         .map(|c| c["perf"]["lifecycle"]["retired"].as_u64().unwrap())
         .sum();
     assert!(retired > 0, "lifecycle digest never counted a retire");
+}
+
+/// Run the 12-job two-hart litmus fuzz round of the mp smokes (plus
+/// `extra` flags) into `scratch/<name>`; returns the exit code and the
+/// report body.
+fn mp_campaign(scratch: &Scratch, name: &str, extra: &[&str]) -> (Option<i32>, Value) {
+    let file = scratch.path(name);
+    #[rustfmt::skip]
+    let mut args = vec![
+        "--fuzz", "--mp", "--rounds", "1", "--fuzz-jobs", "12", "--fuzz-seed", "0",
+        "--configs", "small-nh",
+        "--max-cycles", "400000",
+        "--workers", "4",
+        "--out", file.to_str().unwrap(),
+    ];
+    args.extend_from_slice(extra);
+    (campaign(&args).status.code(), report_body(&file))
+}
+
+#[test]
+fn mp_litmus_bodies_are_deterministic_with_live_coherence_coverage() {
+    // The same seed twice on two harts: byte-identical bodies, every job
+    // halted on an allowed outcome, the `mp:` coverage family live.
+    let scratch = Scratch::new("mp");
+    let (code, a) = mp_campaign(&scratch, "a.json", &[]);
+    assert_eq!(code, Some(0));
+    assert!(a == mp_campaign(&scratch, "b.json", &[]).1, "mp bodies differ between identical runs");
+    let s = &a["summary"];
+    assert!(s["total"] == 12u64 && s["halted"] == 12u64, "{s:?}");
+    assert!(s["diverged"] == 0u64 && s["forbidden"] == 0u64, "{s:?}");
+    let jobs = a["jobs"].as_array().expect("jobs array").iter();
+    let hits = jobs.flat_map(|j| j["coverage"]["mp"].as_array().into_iter().flatten());
+    let live = hits.filter(|hit| hit[1].as_u64().is_some_and(|n| n > 0)).count();
+    assert!(live > 0, "mp campaign recorded no coherence coverage");
+}
+
+#[test]
+fn injected_l2_race_is_a_forbidden_outcome_that_replays() {
+    // The §IV-C probe/grant race corrupts a litmus line inside its race
+    // window: the outcome oracle flags the forbidden observation (exit 1
+    // by contract), the minimizer keeps the litmus recipe, and the bundle
+    // alone reproduces it at the same commit (replay exits 0 only then).
+    let scratch = Scratch::new("mp-race");
+    let bundles = scratch.path("bundles");
+    let flags = ["--inject-l2-race", "--bundle-dir", bundles.to_str().unwrap()];
+    let (code, r) = mp_campaign(&scratch, "race.json", &flags);
+    assert_eq!(code, Some(1), "forbidden outcomes exit 1");
+    assert!(r["summary"]["forbidden"].as_u64().unwrap() >= 1, "{:?}", r["summary"]);
+    let jobs = r["jobs"].as_array().expect("jobs array");
+    let job = jobs
+        .iter()
+        .find(|j| j["verdict"].get("ForbiddenOutcome").is_some())
+        .expect("forbidden tally has no matching job verdict");
+    let m = &job["minimized"];
+    assert_eq!(m["error_class"], "ForbiddenOutcome", "{m:?}");
+    assert!(!m["litmus"].is_null() && m["torture"].is_null(), "repro lost its litmus recipe");
+    let b = &job["triage"];
+    assert!(b["trigger"] == "forbidden-outcome" && b["reproduced"] == true, "{b:?}");
+    assert!(b["forbidden_exit"].as_u64().is_some_and(|w| w != 0), "no forbidden exit word");
+    let bundle = bundles.join(format!("job{}.bundle.json", job["index"].as_u64().unwrap()));
+    let out = replay(&bundle);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
 
 #[test]
