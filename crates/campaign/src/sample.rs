@@ -15,8 +15,9 @@
 use crate::job::{JobSpec, WorkloadSource};
 use crate::report::{CampaignReport, SamplingPhase, SamplingSummary};
 use crate::runner::Campaign;
-use checkpoint::{generate_checkpoints_with_ref, weighted_cpi_milli, Checkpoint};
+use checkpoint::{blob_hash, generate_checkpoints_with_ref, weighted_cpi_milli, Checkpoint};
 use serde::{Deserialize, Serialize};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -136,17 +137,25 @@ struct Profiled {
     total_intervals: u64,
 }
 
+/// What the blob names and the index mean. A directory written under
+/// another tag — or before there was one — is a clean miss: 2 = blobs
+/// named by `checkpoint::blob_hash` of the file's bytes (1, untagged,
+/// named them by a byte-serial FNV-1a).
+const INDEX_FORMAT: u64 = 2;
+
 /// The cache index written next to the checkpoint blobs: everything
 /// needed to validate that cached blobs answer *this* profiling recipe.
 #[derive(Debug, Serialize, Deserialize)]
 struct CheckpointIndex {
+    format: u64,
     kernel: String,
     ref_model: String,
     interval_len: u64,
     max_checkpoints: u64,
     total_instructions: u64,
     total_intervals: u64,
-    /// Blob file names (content hashes), interval order.
+    /// Blob file names (`<blob_hash of the file's bytes>.ckpt`; not a
+    /// stable interface), interval order.
     blobs: Vec<String>,
 }
 
@@ -157,25 +166,41 @@ fn index_path(dir: &Path, spec: &SampleSpec, kernel: &str) -> PathBuf {
     ))
 }
 
+fn blob_name(bytes: &[u8]) -> String {
+    format!("{}.ckpt", blob_hash(bytes))
+}
+
 /// Try to satisfy one workload's profiling recipe from the cache.
-/// Any mismatch — missing blob, corrupt bytes, content hash that does
-/// not match the file name — silently misses (the caller re-profiles).
-fn load_cached(dir: &Path, spec: &SampleSpec, kernel: &str) -> Option<Profiled> {
+/// Any mismatch — another format or recipe, a missing blob, bytes that
+/// do not hash to the file's name, a blob that does not parse — silently
+/// misses (the caller re-profiles and stores the set again). The hash is
+/// taken over the bytes as read and checked before they are parsed, so a
+/// torn or corrupted file never reaches the parser. `buf` is the read
+/// buffer, reused from blob to blob.
+fn load_cached(dir: &Path, spec: &SampleSpec, kernel: &str, buf: &mut Vec<u8>) -> Option<Profiled> {
     let text = std::fs::read_to_string(index_path(dir, spec, kernel)).ok()?;
     let idx: CheckpointIndex = serde_json::from_str(&text).ok()?;
-    if idx.kernel != kernel
+    if idx.format != INDEX_FORMAT
+        || idx.kernel != kernel
         || idx.ref_model != spec.ref_model
         || idx.interval_len != spec.interval_len
         || idx.max_checkpoints != spec.max_checkpoints as u64
     {
         return None;
     }
-    let mut checkpoints = Vec::with_capacity(idx.blobs.len());
+    let mut checkpoints: Vec<Arc<Checkpoint>> = Vec::with_capacity(idx.blobs.len());
     for name in &idx.blobs {
-        let bytes = std::fs::read(dir.join(name)).ok()?;
-        let c = Checkpoint::try_from_bytes(&bytes).ok()?;
-        if format!("{}.ckpt", c.content_hash()) != *name {
+        buf.clear();
+        std::fs::File::open(dir.join(name)).ok()?.read_to_end(buf).ok()?;
+        if blob_name(buf) != *name {
             return None;
+        }
+        let mut c = Checkpoint::try_from_bytes(buf).ok()?;
+        // Freshly generated checkpoints are clones of one running memory
+        // and share every page the program left alone in between; parsed
+        // apart they would each hold a private copy.
+        if let Some(prev) = checkpoints.last() {
+            c.memory.share_pages_with(&prev.memory);
         }
         checkpoints.push(Arc::new(c));
     }
@@ -190,23 +215,44 @@ fn load_cached(dir: &Path, spec: &SampleSpec, kernel: &str) -> Option<Profiled> 
     })
 }
 
-/// Write one workload's checkpoint set into the cache. Blobs are named
-/// by content hash, so identical checkpoints from different recipes
-/// share storage; the index ties a recipe to its blob list.
-fn store_cache(dir: &Path, spec: &SampleSpec, p: &Profiled) {
+/// Put `bytes` at `path` so that a reader sees the old file or the whole
+/// new one, never part of one: written under a temporary name in the same
+/// directory, then renamed over the final one. Not synced — after a power
+/// loss a blob is whatever the file system kept, which the hash check in
+/// [`load_cached`] detects and the store that follows repairs.
+fn publish(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, bytes)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
+}
+
+/// Write one workload's checkpoint set into the cache, best effort: the
+/// blobs first, each serialized once into `buf` and named by the hash of
+/// exactly the bytes written, then the index that ties the recipe to its
+/// blob list — so an index never names a blob that was not published
+/// before it. Identical checkpoints from different recipes share a name
+/// and a file. A store follows a miss, so whatever already sits under a
+/// name is overwritten, not trusted: that is what repairs a torn blob.
+fn store_cache(dir: &Path, spec: &SampleSpec, p: &Profiled, buf: &mut Vec<u8>) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let mut blobs = Vec::with_capacity(p.checkpoints.len());
     for c in &p.checkpoints {
-        let name = format!("{}.ckpt", c.content_hash());
-        let path = dir.join(&name);
-        if !path.exists() {
-            let _ = std::fs::write(&path, c.to_bytes());
+        c.to_bytes_into(buf);
+        let name = blob_name(buf);
+        if publish(&dir.join(&name), buf).is_err() {
+            return;
         }
         blobs.push(name);
     }
     let idx = CheckpointIndex {
+        format: INDEX_FORMAT,
         kernel: p.kernel.clone(),
         ref_model: spec.ref_model.clone(),
         interval_len: spec.interval_len,
@@ -216,13 +262,14 @@ fn store_cache(dir: &Path, spec: &SampleSpec, p: &Profiled) {
         blobs,
     };
     let text = serde_json::to_string_pretty(&idx).expect("index serializes");
-    let _ = std::fs::write(index_path(dir, spec, p.kernel.as_str()), text);
+    let _ = publish(&index_path(dir, spec, p.kernel.as_str()), text.as_bytes());
 }
 
-/// Profile one workload (or answer it from the cache).
-fn profile(spec: &SampleSpec, kernel: &str) -> Profiled {
+/// Profile one workload (or answer it from the cache). `buf` is the
+/// cache's blob buffer, one for the whole run.
+fn profile(spec: &SampleSpec, kernel: &str, buf: &mut Vec<u8>) -> Profiled {
     if let Some(dir) = &spec.checkpoint_dir {
-        if let Some(p) = load_cached(dir, spec, kernel) {
+        if let Some(p) = load_cached(dir, spec, kernel, buf) {
             return p;
         }
     }
@@ -241,7 +288,7 @@ fn profile(spec: &SampleSpec, kernel: &str) -> Profiled {
         total_intervals: set.total_intervals,
     };
     if let Some(dir) = &spec.checkpoint_dir {
-        store_cache(dir, spec, &p);
+        store_cache(dir, spec, &p, buf);
     }
     p
 }
@@ -257,7 +304,10 @@ fn profile(spec: &SampleSpec, kernel: &str) -> Profiled {
 /// Panics on an unknown personality or kernel name, or a workload that
 /// does not halt within the profiling budget.
 pub fn run_sampled(spec: &SampleSpec) -> CampaignReport {
-    let profiled: Vec<Profiled> = spec.workloads.iter().map(|w| profile(spec, w)).collect();
+    let profiled: Vec<Profiled> = {
+        let mut buf = Vec::new();
+        spec.workloads.iter().map(|w| profile(spec, w, &mut buf)).collect()
+    };
 
     let mut jobs = Vec::new();
     for config in &spec.configs {
@@ -337,4 +387,161 @@ pub fn run_sampled(spec: &SampleSpec) -> CampaignReport {
     }
     report.sampling = sampling;
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+    use std::time::SystemTime;
+
+    /// A checkpoint directory private to one test, removed on drop.
+    struct CacheDir(PathBuf);
+
+    impl CacheDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("sample-cache-{test}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            CacheDir(dir)
+        }
+
+        /// Every file in the directory: name → (length, modification time).
+        fn files(&self) -> BTreeMap<String, (u64, SystemTime)> {
+            let entries = std::fs::read_dir(&self.0).expect("the cold run made the directory");
+            entries
+                .map(|e| {
+                    let e = e.expect("directory entry");
+                    let meta = e.metadata().expect("metadata");
+                    let name = e.file_name().into_string().expect("utf-8 name");
+                    (name, (meta.len(), meta.modified().expect("mtime")))
+                })
+                .collect()
+        }
+
+        fn blobs(&self) -> Vec<String> {
+            self.files().into_keys().filter(|n| n.ends_with(".ckpt")).collect()
+        }
+    }
+
+    impl Drop for CacheDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn spec(kernel: &str, dir: &CacheDir) -> SampleSpec {
+        SampleSpec::new(vec![kernel.into()], vec![]).with_checkpoint_dir(&dir.0)
+    }
+
+    fn set_bytes(p: &Profiled) -> Vec<Vec<u8>> {
+        p.checkpoints.iter().map(|c| c.to_bytes()).collect()
+    }
+
+    #[test]
+    fn a_warm_run_hits_and_rewrites_nothing() {
+        let dir = CacheDir::new("warm");
+        let spec = spec("sjeng", &dir);
+        let mut buf = Vec::new();
+        let cold = profile(&spec, "sjeng", &mut buf);
+        let stored = dir.files();
+        assert_eq!(stored.len(), cold.checkpoints.len() + 1, "blobs + index: {stored:?}");
+        for blob in dir.blobs() {
+            let bytes = std::fs::read(dir.0.join(&blob)).unwrap();
+            assert_eq!(blob, blob_name(&bytes), "a blob is named by its file's bytes");
+            assert!(Checkpoint::try_from_bytes(&bytes).is_ok(), "and stands alone");
+        }
+
+        let hit = load_cached(&dir.0, &spec, "sjeng", &mut buf).expect("the stored set is a hit");
+        assert_eq!(set_bytes(&hit), set_bytes(&cold));
+        assert_eq!(
+            (hit.total_instructions, hit.total_intervals),
+            (cold.total_instructions, cold.total_intervals)
+        );
+        let warm = profile(&spec, "sjeng", &mut buf);
+        assert_eq!(set_bytes(&warm), set_bytes(&cold));
+        assert_eq!(dir.files(), stored, "a warm run writes nothing");
+
+        // Another recipe on the same directory is its own index.
+        let other = spec.clone().with_interval(4_000);
+        assert!(load_cached(&dir.0, &other, "sjeng", &mut buf).is_none());
+    }
+
+    #[test]
+    fn a_torn_blob_is_a_miss_that_the_same_run_repairs() {
+        let dir = CacheDir::new("torn");
+        let spec = spec("sjeng", &dir);
+        let mut buf = Vec::new();
+        let cold = profile(&spec, "sjeng", &mut buf);
+        let stored = dir.files();
+        let victim = dir.0.join(&dir.blobs()[1]);
+        let whole = std::fs::read(&victim).unwrap();
+
+        // Cut short (a run killed mid-write, before blobs were renamed
+        // into place), one bit flipped, grown: all under the valid name.
+        let damaged = [
+            whole[..whole.len() / 2].to_vec(),
+            whole[..whole.len() - 1].to_vec(),
+            {
+                let mut flipped = whole.clone();
+                *flipped.last_mut().unwrap() ^= 0x10;
+                flipped
+            },
+            [&whole[..], &[0]].concat(),
+            Vec::new(),
+        ];
+        for bytes in damaged {
+            std::fs::write(&victim, &bytes).unwrap();
+            assert!(load_cached(&dir.0, &spec, "sjeng", &mut buf).is_none(), "{} bytes", bytes.len());
+            let repaired = profile(&spec, "sjeng", &mut buf);
+            assert_eq!(set_bytes(&repaired), set_bytes(&cold));
+            assert_eq!(std::fs::read(&victim).unwrap(), whole, "the miss's store repaired it");
+            assert!(load_cached(&dir.0, &spec, "sjeng", &mut buf).is_some(), "the next run hits");
+        }
+        let names = |files: BTreeMap<String, _>| files.into_keys().collect::<Vec<_>>();
+        assert_eq!(names(dir.files()), names(stored), "no temporary file is left behind");
+
+        // A missing blob is the same miss.
+        std::fs::remove_file(&victim).unwrap();
+        assert!(load_cached(&dir.0, &spec, "sjeng", &mut buf).is_none());
+    }
+
+    #[test]
+    fn an_index_of_another_format_is_a_miss() {
+        let dir = CacheDir::new("format");
+        let spec = spec("sjeng", &dir);
+        let mut buf = Vec::new();
+        profile(&spec, "sjeng", &mut buf);
+        let index = index_path(&dir.0, &spec, "sjeng");
+        let current = std::fs::read_to_string(&index).unwrap();
+        let tag = format!("\"format\": {INDEX_FORMAT},");
+        assert!(current.contains(&tag), "{current}");
+        // What PR 17 wrote (no tag at all), and a tag from the future.
+        for other in ["", "\"format\": 1,", "\"format\": 3,"] {
+            std::fs::write(&index, current.replace(&tag, other)).unwrap();
+            assert!(load_cached(&dir.0, &spec, "sjeng", &mut buf).is_none(), "{other:?}");
+        }
+        std::fs::write(&index, &current[..current.len() / 2]).unwrap();
+        assert!(load_cached(&dir.0, &spec, "sjeng", &mut buf).is_none(), "a torn index");
+        std::fs::write(&index, &current).unwrap();
+        assert!(load_cached(&dir.0, &spec, "sjeng", &mut buf).is_some());
+    }
+
+    #[test]
+    fn a_loaded_set_shares_the_pages_its_checkpoints_have_in_common() {
+        // `gcc` at the sample-flow knobs: 8 checkpoints of ≈ 610 pages
+        // each, most of which the program leaves alone in between.
+        let dir = CacheDir::new("share");
+        let spec = spec("gcc", &dir).with_interval(2_000).with_max_checkpoints(8);
+        let mut buf = Vec::new();
+        let cold = profile(&spec, "gcc", &mut buf);
+        let loaded = load_cached(&dir.0, &spec, "gcc", &mut buf).expect("hit");
+        let pages = |p: &Profiled, count: fn(&riscv_isa::mem::SparseMemory) -> usize| {
+            p.checkpoints.iter().map(|c| count(&c.memory)).sum::<usize>()
+        };
+        let resident = pages(&loaded, |m| m.resident_pages());
+        let shared = pages(&loaded, |m| m.shared_pages());
+        assert_eq!(resident, pages(&cold, |m| m.resident_pages()));
+        assert!(loaded.checkpoints.len() > 1 && resident > 1_000, "{resident} pages");
+        assert!(shared * 10 >= resident * 6, "{shared} of {resident} pages shared");
+    }
 }

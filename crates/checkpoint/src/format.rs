@@ -61,9 +61,70 @@ struct Header {
     interval: usize,
 }
 
+/// Hash of a serialized blob, 16 hex digits — the name the checkpoint
+/// cache stores the blob under and the check it makes on the bytes it
+/// reads back, before parsing them.
+///
+/// Four independent lanes each take one little-endian word of every
+/// 32-byte block (xor, multiply by an odd constant, fold the high half
+/// down), so a block costs four multiplies that do not wait for one
+/// another and the hash runs at the speed the bytes arrive from memory.
+/// A short last block is zero-padded, and the length is folded in with
+/// the lanes at the end, which tells `"ab"` from `"ab\0"`. Every step is
+/// a bijection of the lane it updates, so two buffers of one length that
+/// differ in a single word never collide; the fold is there so that a
+/// flipped top bit, which a multiply alone leaves a single flipped bit,
+/// cannot be undone by one flipped bit of the next block. Not
+/// cryptographic, and not a stable interface either: the cache index
+/// carries a format tag, and a directory written under another tag is
+/// re-profiled.
+pub fn blob_hash(bytes: &[u8]) -> String {
+    const LANE_MUL: [u64; 4] = [
+        0x9e37_79b1_85eb_ca87,
+        0xc2b2_ae3d_27d4_eb4f,
+        0x1656_67b1_9e37_79f9,
+        0x85eb_ca77_c2b2_ae63,
+    ];
+    const FOLD_MUL: u64 = 0x27d4_eb2f_1656_67c5;
+    fn absorb(lanes: &mut [u64; 4], block: &[u8; 32]) {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let word = u64::from_le_bytes(block[i * 8..][..8].try_into().expect("8 bytes"));
+            let x = (*lane ^ word).wrapping_mul(LANE_MUL[i]);
+            *lane = x ^ (x >> 32);
+        }
+    }
+    let mut lanes = LANE_MUL;
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    for block in blocks {
+        absorb(&mut lanes, block);
+    }
+    if !tail.is_empty() {
+        let mut padded = [0u8; 32];
+        padded[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &padded);
+    }
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(FOLD_MUL);
+        h ^= h >> 32;
+    }
+    format!("{h:016x}")
+}
+
 impl Checkpoint {
-    /// Serialize to a self-contained byte blob.
+    /// Serialize to a self-contained byte blob: the header's length
+    /// (u64, little-endian), the header as JSON, then the memory image of
+    /// `SparseMemory::serialize_full`.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.to_bytes_into(&mut out);
+        out
+    }
+
+    /// [`Checkpoint::to_bytes`] into a buffer the caller reuses from one
+    /// checkpoint to the next (cleared first): a set is megabytes per
+    /// blob, written once each.
+    pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
         let header = serde_json::to_vec(&Header {
             state: self.state.clone(),
             instret: self.instret,
@@ -73,12 +134,10 @@ impl Checkpoint {
             interval: self.interval,
         })
         .expect("header serializes");
-        let mem = self.memory.serialize_full();
-        let mut out = Vec::with_capacity(16 + header.len() + mem.len());
+        out.clear();
         out.extend_from_slice(&(header.len() as u64).to_le_bytes());
         out.extend_from_slice(&header);
-        out.extend_from_slice(&mem);
-        out
+        self.memory.serialize_full_into(out);
     }
 
     /// Deserialize from [`Checkpoint::to_bytes`] output.
@@ -100,20 +159,23 @@ impl Checkpoint {
     ///
     /// A description of the first structural problem found.
     pub fn try_from_bytes(data: &[u8]) -> Result<Self, String> {
-        if data.len() < 8 {
+        let Some((hlen, body)) = data.split_first_chunk::<8>() else {
             return Err(format!("blob too short for length prefix: {} bytes", data.len()));
-        }
-        let hlen = u64::from_le_bytes(data[..8].try_into().expect("8 bytes")) as usize;
-        let body = &data[8..];
-        if hlen > body.len() {
+        };
+        let hlen = u64::from_le_bytes(*hlen);
+        let Some((header, image)) = usize::try_from(hlen)
+            .ok()
+            .and_then(|hlen| body.split_at_checked(hlen))
+        else {
             return Err(format!(
                 "header length {hlen} exceeds remaining {} bytes",
                 body.len()
             ));
-        }
-        let header: Header = serde_json::from_slice(&body[..hlen])
-            .map_err(|e| format!("header does not parse: {e}"))?;
-        let memory = SparseMemory::deserialize_full(&body[hlen..]);
+        };
+        let header: Header =
+            serde_json::from_slice(header).map_err(|e| format!("header does not parse: {e}"))?;
+        let memory = SparseMemory::try_deserialize_full(image)
+            .map_err(|e| format!("memory image does not parse: {e}"))?;
         Ok(Checkpoint {
             state: header.state,
             memory,
@@ -125,19 +187,10 @@ impl Checkpoint {
         })
     }
 
-    /// Content hash of the serialized blob (FNV-1a 64, hex) — the
-    /// on-disk file name under a checkpoint directory, so re-profiling
-    /// the same workload reuses identical blobs instead of rewriting
-    /// them.
+    /// [`blob_hash`] of the serialized blob: the file name a checkpoint
+    /// directory would store this checkpoint under.
     pub fn content_hash(&self) -> String {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in self.to_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        format!("{h:016x}")
+        blob_hash(&self.to_bytes())
     }
 
     /// Emit the Fig. 9-style restore loader: a bare-metal program (loaded
@@ -252,6 +305,8 @@ mod tests {
         let mut garbled = blob.clone();
         garbled[8] = b'!';
         assert!(Checkpoint::try_from_bytes(&garbled).is_err());
+        // Cut inside the memory image (every cut: `checkpoint_props`).
+        assert!(Checkpoint::try_from_bytes(&blob[..blob.len() - 1]).is_err());
         // The untouched blob still round-trips.
         assert!(Checkpoint::try_from_bytes(&blob).is_ok());
     }

@@ -16,7 +16,7 @@ pub mod format;
 pub mod generate;
 pub mod simpoint;
 
-pub use format::{Checkpoint, LOADER_BASE};
+pub use format::{blob_hash, Checkpoint, LOADER_BASE};
 pub use generate::{
     checkpoint_at_interval, generate_checkpoints, generate_checkpoints_with_ref, CheckpointSet,
     CLUSTER_SEED,

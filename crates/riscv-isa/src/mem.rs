@@ -17,6 +17,10 @@ const PAGE_MASK: u64 = PAGE_SIZE - 1;
 
 type Page = [u8; PAGE_SIZE as usize];
 
+/// Bytes of one page in a [`SparseMemory::serialize_full`] image: its
+/// index, then its contents.
+const PAGE_RECORD: usize = 8 + PAGE_SIZE as usize;
+
 /// Multiplicative hasher for small integer keys (page indices, pcs).
 ///
 /// The page map is probed on every guest memory access, where SipHash
@@ -168,35 +172,89 @@ impl SparseMemory {
     /// This is deliberately expensive — it is the "SSS" baseline snapshot
     /// of paper §III-C2, contrasted against the incremental COW clone.
     pub fn serialize_full(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.serialize_full_into(&mut out);
+        out
+    }
+
+    /// Append the [`Self::serialize_full`] image to `out`: the page
+    /// count, then `(index, bytes)` per page in ascending index order.
+    /// A caller that frames the image (a checkpoint blob) or serializes
+    /// many memories writes into one buffer instead of copying a second.
+    pub fn serialize_full_into(&self, out: &mut Vec<u8>) {
         let mut keys: Vec<_> = self.pages.keys().copied().collect();
         keys.sort_unstable();
-        let mut out = Vec::with_capacity(16 + self.pages.len() * (8 + PAGE_SIZE as usize));
-        out.extend_from_slice(&(self.pages.len() as u64).to_le_bytes());
+        out.reserve(8 + keys.len() * PAGE_RECORD);
+        out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
         for k in keys {
             out.extend_from_slice(&k.to_le_bytes());
             out.extend_from_slice(&self.pages[&k][..]);
         }
-        out
     }
 
     /// Rebuild a memory from the output of [`Self::serialize_full`].
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is truncated or malformed.
+    /// Panics if the buffer is truncated or malformed;
+    /// [`Self::try_deserialize_full`] is the form for bytes read from disk.
     pub fn deserialize_full(data: &[u8]) -> Self {
-        let n = u64::from_le_bytes(data[..8].try_into().unwrap()) as usize;
-        let mut pages = HashMap::with_capacity_and_hasher(n, IntBuildHasher::default());
-        let mut off = 8;
-        for _ in 0..n {
-            let k = u64::from_le_bytes(data[off..off + 8].try_into().unwrap());
-            off += 8;
-            let mut page = [0u8; PAGE_SIZE as usize];
-            page.copy_from_slice(&data[off..off + PAGE_SIZE as usize]);
-            off += PAGE_SIZE as usize;
-            pages.insert(k, Arc::new(page));
+        Self::try_deserialize_full(data).expect("valid memory image")
+    }
+
+    /// Rebuild a memory from the output of [`Self::serialize_full`],
+    /// accepting only what [`Self::serialize_full`] can have written: the
+    /// page count must account for every remaining byte (checked before
+    /// anything is allocated for it) and the page indices must ascend
+    /// strictly — so an accepted image re-serializes to the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first structural problem found.
+    pub fn try_deserialize_full(data: &[u8]) -> Result<Self, String> {
+        let Some((count, records)) = data.split_first_chunk::<8>() else {
+            return Err(format!("image too short for a page count: {} bytes", data.len()));
+        };
+        let n = u64::from_le_bytes(*count);
+        let expected = usize::try_from(n).ok().and_then(|n| n.checked_mul(PAGE_RECORD));
+        if expected != Some(records.len()) {
+            return Err(format!(
+                "page count {n} does not match the {} bytes that follow it",
+                records.len()
+            ));
         }
-        SparseMemory { pages }
+        let mut pages = HashMap::with_capacity_and_hasher(n as usize, IntBuildHasher::default());
+        let mut last = None;
+        for record in records.chunks_exact(PAGE_RECORD) {
+            let (index, bytes) = record.split_first_chunk::<8>().expect("record holds an index");
+            let k = u64::from_le_bytes(*index);
+            if last.is_some_and(|last| k <= last) {
+                return Err(format!("page index {k:#x} is out of order or repeated"));
+            }
+            last = Some(k);
+            let page: &Page = bytes.try_into().expect("record holds a page");
+            pages.insert(k, Arc::new(*page));
+        }
+        Ok(SparseMemory { pages })
+    }
+
+    /// Make every page that `other` holds at the same index with equal
+    /// bytes the *same* page (one `Arc`), and return how many were
+    /// joined. Memories cloned from one another share pages already;
+    /// this restores the sharing for memories that were rebuilt apart,
+    /// such as consecutive checkpoints of one run read back from disk. A
+    /// 4 KiB compare is cheaper than the page it frees.
+    pub fn share_pages_with(&mut self, other: &SparseMemory) -> usize {
+        let mut joined = 0;
+        for (k, page) in &mut self.pages {
+            if let Some(theirs) = other.pages.get(k) {
+                if !Arc::ptr_eq(page, theirs) && **page == **theirs {
+                    *page = Arc::clone(theirs);
+                    joined += 1;
+                }
+            }
+        }
+        joined
     }
 
     #[inline]
@@ -325,6 +383,59 @@ mod tests {
         assert_eq!(back.read_uint(0x10_0000, 8), 2);
         assert_eq!(back.read_uint(0xdead_b000, 4), 3);
         assert_eq!(back.resident_pages(), m.resident_pages());
+        assert_eq!(back.serialize_full(), blob, "the image is canonical");
+        let mut framed = vec![0xaa; 3];
+        m.serialize_full_into(&mut framed);
+        assert_eq!(framed[..3], [0xaa; 3], "appends, keeps what was there");
+        assert_eq!(framed[3..], blob[..]);
+    }
+
+    #[test]
+    fn malformed_images_are_errors_not_panics() {
+        let mut m = SparseMemory::new();
+        m.write_uint(0x1000, 8, 1);
+        m.write_uint(0x3000, 8, 2);
+        let blob = m.serialize_full();
+        for cut in 0..blob.len() {
+            assert!(SparseMemory::try_deserialize_full(&blob[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut long = blob.clone();
+        long.push(0);
+        assert!(SparseMemory::try_deserialize_full(&long).is_err(), "trailing byte");
+        // A page count no buffer could hold must fail before allocating.
+        for lie in [3, u64::MAX, u64::MAX / PAGE_RECORD as u64 + 1] {
+            let mut lying = blob.clone();
+            lying[..8].copy_from_slice(&lie.to_le_bytes());
+            assert!(SparseMemory::try_deserialize_full(&lying).is_err(), "count {lie}");
+        }
+        // Unsorted and repeated indices would not re-serialize as read.
+        let second = 8 + PAGE_RECORD;
+        for index in [0u64, 1] {
+            let mut unordered = blob.clone();
+            unordered[second..second + 8].copy_from_slice(&index.to_le_bytes());
+            assert!(SparseMemory::try_deserialize_full(&unordered).is_err(), "index {index}");
+        }
+        assert!(SparseMemory::try_deserialize_full(&blob).is_ok());
+    }
+
+    #[test]
+    fn share_pages_with_joins_equal_pages_only() {
+        let mut a = SparseMemory::new();
+        for page in 0..4u64 {
+            a.write_uint(page * PAGE_SIZE, 8, page + 1);
+        }
+        let mut b = SparseMemory::deserialize_full(&a.serialize_full());
+        b.write_uint(2 * PAGE_SIZE, 8, 99); // differs
+        b.write_uint(7 * PAGE_SIZE, 8, 5); // only in b
+        assert_eq!((a.shared_pages(), b.shared_pages()), (0, 0));
+        assert_eq!(b.share_pages_with(&a), 3);
+        assert_eq!((a.shared_pages(), b.shared_pages()), (3, 3));
+        assert_eq!(b.share_pages_with(&a), 0, "already joined");
+        // Joined pages are still copy-on-write.
+        b.write_uint(0, 8, 7);
+        assert_eq!((a.read_uint(0, 8), b.read_uint(0, 8)), (1, 7));
+        assert_eq!(b.read_uint(2 * PAGE_SIZE, 8), 99);
+        assert_eq!(b.resident_pages(), 5);
     }
 
     #[test]

@@ -86,6 +86,12 @@ const CHUNK_BYTES: usize = riscv_isa::mem::PAGE_SIZE as usize;
 /// duplicates only the chunk it lands in — the same copy-on-write idea,
 /// at the same granule, as the guest memory pages. Indexing by set yields
 /// that set's ways.
+///
+/// The same mechanism materializes the arrays: a new array is one
+/// all-invalid chunk that every full-size slot shares, and the first
+/// write to a slot copies it exactly as a write after a snapshot would,
+/// so booting and dropping a cache cost what the run touched, not the
+/// cache's size.
 #[derive(Debug, Clone)]
 struct CowSets {
     chunks: Vec<Arc<[Line]>>,
@@ -101,10 +107,17 @@ impl CowSets {
         let fit = (CHUNK_BYTES / (ways * std::mem::size_of::<Line>())).max(1);
         let chunk_shift = fit.ilog2();
         let per_chunk = 1 << chunk_shift;
-        let chunks = (0..n_sets)
-            .step_by(per_chunk)
-            .map(|first| vec![Line::invalid(); per_chunk.min(n_sets - first) * ways].into())
-            .collect();
+        let blank = |sets: usize| -> Arc<[Line]> {
+            std::iter::repeat_n(Line::invalid(), sets * ways).collect()
+        };
+        // The pristine chunk belongs to this array alone: a process-wide
+        // one would put every worker's boots, first writes and drops on
+        // one reference-count line.
+        let (full, tail) = (n_sets / per_chunk, n_sets % per_chunk);
+        let mut chunks = vec![blank(per_chunk); full];
+        if tail > 0 {
+            chunks.push(blank(tail));
+        }
         CowSets {
             chunks,
             n_sets,
@@ -122,12 +135,6 @@ impl CowSets {
     }
     fn lines(&self) -> impl Iterator<Item = &Line> {
         self.chunks.iter().flat_map(|c| c.iter())
-    }
-    /// Every line, mutably — unshares every chunk.
-    fn lines_mut(&mut self) -> impl Iterator<Item = &mut Line> {
-        self.chunks
-            .iter_mut()
-            .flat_map(|c| Arc::make_mut(c).iter_mut())
     }
 }
 
@@ -900,9 +907,16 @@ impl Cache {
     /// Panics if any line is dirty — only clean (instruction) caches may
     /// be flash-invalidated.
     pub fn invalidate_all_clean(&mut self) {
-        for l in self.sets.lines_mut() {
-            assert!(!l.dirty, "invalidate_all_clean on a dirty line");
-            *l = Line::invalid();
+        for chunk in &mut self.sets.chunks {
+            // A chunk without a valid line already is what this leaves,
+            // and may be one no fetch ever wrote: it stays shared.
+            if chunk.iter().all(|l| l.perm == Perm::None) {
+                continue;
+            }
+            for l in Arc::make_mut(chunk) {
+                assert!(!l.dirty, "invalidate_all_clean on a dirty line");
+                *l = Line::invalid();
+            }
         }
     }
 
@@ -926,8 +940,10 @@ impl Cache {
         self.sets.chunks.len()
     }
 
-    /// Chunks whose storage is currently shared with a snapshot (the
-    /// cache-array counterpart of `SparseMemory::shared_pages`).
+    /// Chunks whose storage is currently shared with anything — a
+    /// snapshot or, for a chunk never written since boot, the other
+    /// never-written chunks of its array (the cache-array counterpart of
+    /// `SparseMemory::shared_pages`).
     pub fn shared_chunks(&self) -> usize {
         let shared = |c: &&Arc<[Line]>| Arc::strong_count(c) > 1;
         self.sets.chunks.iter().filter(shared).count()
@@ -983,5 +999,47 @@ fn perform_access(l: &mut Line, req: &CoreReq, at: u64, l1_hit: bool) -> Complet
         data,
         fetch_block,
         l1_hit,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Separate allocations behind an array's chunk table.
+    fn allocations(sets: &CowSets) -> usize {
+        let distinct: BTreeSet<_> = sets.chunks.iter().map(|c| c.as_ptr()).collect();
+        distinct.len()
+    }
+
+    #[test]
+    fn an_array_is_allocated_by_its_first_writes_not_by_its_size() {
+        // (sets, ways): a small L1, `nh`'s 6 MiB L3, and a shape whose
+        // last chunk is short.
+        for (n_sets, ways) in [(256, 2), (16_384, 6), (1_001, 3)] {
+            let mut sets = CowSets::new(n_sets, ways);
+            let per_chunk = 1usize << sets.chunk_shift;
+            let tail = usize::from(n_sets % per_chunk > 0);
+            assert_eq!(sets.chunks.len(), n_sets.div_ceil(per_chunk));
+            assert_eq!(allocations(&sets), 1 + tail, "{n_sets} × {ways}: pristine chunk + tail");
+            assert_eq!(sets.lines().count(), n_sets * ways);
+            assert!(sets.lines().all(|l| l.perm == Perm::None && l.tag == u64::MAX));
+
+            // Five writes to three chunks (two of them through two
+            // sets each) materialize exactly those three.
+            let written = [0, 1, per_chunk, per_chunk + 1, n_sets - 1];
+            for &set in &written {
+                sets[set][ways - 1].tag = set as u64;
+            }
+            let touched: BTreeSet<_> = written.iter().map(|s| s >> sets.chunk_shift).collect();
+            assert_eq!(touched.len(), 3);
+            // (The last chunk is either one of the full-size slots or the
+            // short tail that was its own allocation from the start.)
+            assert_eq!(allocations(&sets), 1 + touched.len(), "{n_sets} × {ways}");
+            assert!(written.iter().all(|&set| sets[set][ways - 1].tag == set as u64));
+            let untouched = sets.lines().filter(|l| l.tag == u64::MAX).count();
+            assert_eq!(untouched, n_sets * ways - written.len(), "a write reaches one line");
+        }
     }
 }

@@ -808,6 +808,51 @@ mod tests {
         assert_eq!(sys.coherent_read(0x7_0000, 8), 3);
     }
 
+    #[test]
+    fn a_fresh_system_holds_only_the_chunks_its_requests_wrote() {
+        // Never cloned: what a chunk is shared with here is its level's
+        // other never-written chunks. L1s of eight chunks, so that one
+        // written chunk leaves several unwritten ones sharing.
+        let mut cfg = MemSystemConfig::tiny(1);
+        (cfg.l1i.size, cfg.l1d.size) = (16_384, 16_384);
+        let mut sys = MemSystem::new(cfg, DramModel::fixed(20), SparseMemory::new());
+        assert!(sys.caches().all(|c| c.chunks() >= 8));
+        assert!(unshared_chunks(&sys).is_empty(), "boot writes no chunk");
+
+        let settle = |sys: &mut MemSystem, id| {
+            run_until_complete(sys, id, 1000).expect("request completes");
+            while !sys.quiescent() {
+                sys.tick();
+            }
+        };
+        // A store miss installs one line per data level; a second store
+        // to its neighbour set lands in the chunks the first one made.
+        let one_each = ["l1d0", "l2_0", "l3"].map(|n| (n.to_string(), 1));
+        assert!(sys.submit_data(store_req(0, 0x2000, 1, 1)));
+        settle(&mut sys, 1);
+        assert_eq!(unshared_chunks(&sys), one_each);
+        assert!(sys.submit_data(store_req(0, 0x2040, 2, 2)));
+        settle(&mut sys, 2);
+        assert_eq!(unshared_chunks(&sys), one_each);
+        // 24 sets on: another chunk of each level.
+        assert!(sys.submit_data(store_req(0, 0x2000 + 24 * 64, 3, 3)));
+        settle(&mut sys, 3);
+        assert_eq!(unshared_chunks(&sys), one_each.clone().map(|(n, _)| (n, 2)));
+
+        // A fetch writes one L1I chunk (and reuses the L2/L3 chunks of
+        // the store beside it); `fence.i` empties that chunk in place and
+        // leaves the seven nobody wrote shared.
+        assert!(sys.submit_fetch(0, 0x2080, 4));
+        settle(&mut sys, 4);
+        let with_fetch = unshared_chunks(&sys);
+        assert_eq!(with_fetch[0], ("l1i0".to_string(), 1));
+        assert_eq!(with_fetch[1..], one_each.map(|(n, _)| (n, 2)));
+        sys.flush_l1i(0);
+        assert_eq!(unshared_chunks(&sys), with_fetch);
+        assert_eq!(sys.caches().next().expect("l1i0").valid_lines(), 0);
+        assert_eq!(sys.coherent_read(0x2040, 8), 2);
+    }
+
     /// Drive one load or store to completion (`sel` picks one of 96
     /// lines that share 12 L1D sets, so a run keeps evicting at every
     /// level of the tiny hierarchy).

@@ -4,9 +4,13 @@
 #   1. release build of the whole workspace,
 #   2. the full test suite (unit + integration + property + doc tests,
 #      and the CLI smokes of tests/cli_smoke.rs: triage, lifecycle, perf,
-#      and the two `--mp` smokes — litmus determinism with live `mp:`
+#      the two `--mp` smokes — litmus determinism with live `mp:`
 #      coverage; injected L2 probe/grant race -> ForbiddenOutcome ->
-#      minimize -> bundle -> `replay --bundle` at the same commit), then
+#      minimize -> bundle -> `replay --bundle` at the same commit — and
+#      the sampling smoke: three `campaign --sample` farms on one
+#      checkpoint directory, cold, warm and over a torn blob, with
+#      byte-identical bodies and the top-down identity on every sample
+#      window), then
 #      `xscore` again in an optimised build, where its model-based
 #      proptests (ROB ring, wakeup queues) and the skipper oracle run at
 #      full size (the debug build samples them), with the allocation
@@ -28,14 +32,7 @@
 #      campaign with the superblock trace tier as the DiffTest REF runs
 #      to completion twice with byte-identical deterministic report
 #      bodies,
-#   6. a sampling smoke — `campaign --sample` profiles one kernel,
-#      materializes at least 2 checkpoints into a reuse directory, fans
-#      the sample jobs through the worker pool, and exits 0 with a
-#      schema-clean `sampling` section; every sample window obeys the
-#      top-down identity (CPI-stack sum == window cycles x commit
-#      width), and a second run answering from the checkpoint cache
-#      emits a byte-identical deterministic report body,
-#   7. the benchmark's correctness check — `benchmark/run.sh --check`
+#   6. the benchmark's correctness check — `benchmark/run.sh --check`
 #      (about 10 s, no timing): kernels co-simulated to halt and
 #      compared with the REF alone, run()/step_one()/profiling legs
 #      against an independent personality, `sim_digest` stable across
@@ -236,64 +233,6 @@ assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
     "--ref nemu-trace campaign bodies differ between identical runs"
 print("trace-REF campaign OK:", s)
 EOF
-
-echo "== tier-1: sampling smoke (checkpoint farm -> weighted CPI) =="
-sample_a="$(mktemp /tmp/sample-smoke-a.XXXXXX.json)"
-sample_b="$(mktemp /tmp/sample-smoke-b.XXXXXX.json)"
-ckpt_dir="$(mktemp -d /tmp/sample-ckpts.XXXXXX)"
-trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$fuzz_bundles" "$ckpt_dir"' EXIT
-# Two identical farms sharing one checkpoint directory: the first
-# profiles and materializes the blobs, the second must answer from the
-# cache, and both deterministic bodies must agree byte for byte.
-for f in "$sample_a" "$sample_b"; do
-    timeout 600 target/release/campaign \
-        --sample \
-        --workloads sjeng \
-        --configs small-nh,small-yqh \
-        --interval 5000 \
-        --max-checkpoints 3 \
-        --checkpoint-dir "$ckpt_dir" \
-        --workers 3 \
-        --out "$f"
-done
-
-blobs=$(ls "$ckpt_dir"/*.ckpt 2>/dev/null | wc -l)
-if [ "$blobs" -lt 2 ]; then
-    echo "sampling smoke: expected >= 2 checkpoint blobs in $ckpt_dir, got $blobs" >&2
-    exit 1
-fi
-
-python3 - "$sample_a" "$sample_b" <<'EOF'
-import json, sys
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-assert a["schema_version"] == 6, a["schema_version"]
-sampling = a["sampling"]
-assert len(sampling) == 2, f"one summary per config cell: {len(sampling)}"
-for sm in sampling:
-    assert sm["workload"] == "kernel:sjeng" and sm["ref_model"] == "nemu-trace", sm
-    assert sm["checkpoints"] >= 2 and sm["aggregated"] >= 2, sm
-    assert 0 < sm["weighted_cpi_milli"] < 50_000, sm
-    assert sum(p["members"] for p in sm["phases"]) <= sm["total_intervals"], sm
-# Every measured window obeys the top-down identity exactly.
-sampled_jobs = [j for j in a["jobs"] if j.get("sample")]
-assert sampled_jobs, "no sample records in the report"
-for j in sampled_jobs:
-    s = j["sample"]
-    if s["window_cycles"] == 0:
-        continue
-    stack = sum(s["cpi_stack"].values())
-    width = j["perf"]["commit_width"]
-    assert stack == s["window_cycles"] * width, \
-        f"job {j['index']}: CPI-stack sum {stack} != {s['window_cycles']} x {width}"
-for r in (a, b):
-    del r["timing"]
-assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
-    "sampled campaign bodies differ between identical runs (cache round-trip)"
-print("sampling smoke OK:",
-      {f"{sm['config']}": sm["weighted_cpi_milli"] for sm in sampling})
-EOF
-target/release/perf_report "$sample_a" > /dev/null
 
 echo "== tier-1: benchmark --check (exit words, register files, digests; no timing) =="
 timeout 600 bash benchmark/run.sh --check

@@ -15,6 +15,12 @@
 //! |---|---|---|
 //! | PR 16 (`b944a9f`: an `Outbox` per request and per message, a `Vec` per `MemSystem::tick`) | 1.039 (51 951 calls) | 0.861 (11 202 calls in 13 009 ticks) |
 //! | PR 17 | 0.000 (none) | 0.217 (2 817 calls: 520 misses) |
+//! | PR 18 (cache arrays materialize on first write) | 0.000 (none) | 0.219 (2 852 calls: the same misses + 35 chunks first written inside the window) |
+//!
+//! The same allocator counts the bytes a boot asks for: a system's
+//! cache arrays materialize on first write (DESIGN §4 "LightSSS
+//! snapshots"), so `XsSystem::new` costs what the core needs, not what
+//! the preset's caches could hold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,24 +31,27 @@ thread_local! {
     /// Allocator calls made by this thread (the test harness's other
     /// threads do not disturb the count).
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn count() {
-        // Ignored during thread teardown, when the cell is gone.
+    fn count(bytes: usize) {
+        // Ignored during thread teardown, when the cells are gone.
         let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; counting touches only a
-// const-initialised thread-local `Cell`, which neither allocates nor
-// unwinds.
+// const-initialised thread-local `Cell`s, which neither allocate nor
+// unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's obligations are passed on as they came.
         unsafe { System.alloc(layout) }
     }
@@ -53,7 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         // SAFETY: as for `dealloc`, with the caller's `layout`/`new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -103,4 +112,25 @@ fn the_steady_state_tick_stays_inside_its_allocation_budget() {
     // that of a tick that really runs.
     assert!(mcf_ticks < WINDOW / 2, "mcf no longer skips: {mcf_ticks} real ticks");
     assert!(per_tick <= MISS_BOUND_BUDGET, "mcf: {per_tick:.3} allocator calls per real tick");
+}
+
+/// Bytes `XsSystem::new` may request on the paper's `nh` preset, whose
+/// cache arrays alone are 4 736 chunks (≈ 12 MiB of lines for 7.4 MiB of
+/// cache). PR 17 (`aeec463`) allocated and filled every one of them at
+/// boot, twice over — a `Vec`, then the `Arc<[Line]>` it was copied into:
+/// 21 527 500 bytes requested, ≈ 11 MiB of them live. Now an array is one
+/// pristine chunk and the boot asks for 556 364 bytes.
+const NH_BOOT_BUDGET: u64 = 3 << 19; // 1.5 MiB
+
+#[test]
+fn a_boot_allocates_for_the_core_not_for_the_size_of_the_caches() {
+    let cfg = XsConfig::preset("nh").expect("preset exists");
+    let program = workload("sjeng", Scale::Test).program;
+    let before = BYTES.get();
+    let sys = XsSystem::new(cfg, &program);
+    let bytes = BYTES.get() - before;
+    println!("nh: XsSystem::new requested {bytes} bytes");
+    assert!(bytes <= NH_BOOT_BUDGET, "nh: a boot requested {bytes} bytes");
+    let chunks: usize = sys.mem.caches().map(|c| c.chunks()).sum();
+    assert!(chunks > 4_000, "nh no longer has the arrays this bounds: {chunks} chunks");
 }

@@ -5,10 +5,12 @@
 //! So far this holds the triage smoke (injected bug → bundle → replay)
 //! with the hostile-bundle cases around it, the lifecycle smoke (crash
 //! ring → bundle → `pipeview`, `--lifecycle` determinism), the perf
-//! smoke (one kernel under `--telemetry` → `perf_report`) and the two
+//! smoke (one kernel under `--telemetry` → `perf_report`), the two
 //! `--mp` smokes (litmus determinism with live coherence coverage; the
-//! injected L2 race → forbidden outcome → bundle → replay); the other
-//! `ci.sh` blocks move here one by one.
+//! injected L2 race → forbidden outcome → bundle → replay) and the
+//! sampling smoke (`--sample` farms on one `--checkpoint-dir`: cold,
+//! warm, and over a torn blob); the other `ci.sh` blocks move here one
+//! by one.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -425,4 +427,79 @@ fn telemetry_snapshot_is_live_and_perf_report_renders_it() {
     let snapshot = scratch.path("snapshot.json");
     std::fs::write(&snapshot, serde_json::to_string(perf).unwrap()).unwrap();
     assert!(!rendered(perf_report, &[snapshot.to_str().unwrap()]).is_empty());
+}
+
+#[test]
+fn sampled_farms_share_a_checkpoint_cache_and_repair_it() {
+    // Three identical checkpoint farms on one reuse directory: the first
+    // profiles and stores the blobs, the second must answer from the
+    // cache, the third finds one blob cut short (a run killed mid-write)
+    // and must re-profile and repair it — all three exit 0 with the same
+    // deterministic body.
+    let scratch = Scratch::new("sample");
+    let ckpts = scratch.path("ckpts");
+    let farm = |name: &str| {
+        let file = scratch.path(name);
+        #[rustfmt::skip]
+        let out = campaign(&[
+            "--sample",
+            "--workloads", "sjeng",
+            "--configs", "small-nh,small-yqh",
+            "--interval", "5000",
+            "--max-checkpoints", "3",
+            "--checkpoint-dir", ckpts.to_str().unwrap(),
+            "--workers", "3",
+            "--out", file.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{name}: {}", stderr(&out));
+        report_body(&file)
+    };
+    // Every file of the cache: path → (length, modification time).
+    let cache_files = || {
+        let entries = std::fs::read_dir(&ckpts).expect("checkpoint directory exists");
+        let stat = |e: std::io::Result<std::fs::DirEntry>| {
+            let e = e.expect("directory entry");
+            let meta = e.metadata().expect("metadata");
+            (e.path(), (meta.len(), meta.modified().expect("mtime")))
+        };
+        entries.map(stat).collect::<std::collections::BTreeMap<_, _>>()
+    };
+    let count = |v: &Value| v.as_u64().unwrap_or_else(|| panic!("not a counter: {v:?}"));
+
+    let cold = farm("cold.json");
+    let sampling = cold["sampling"].as_array().expect("sampling section");
+    assert_eq!(sampling.len(), 2, "one summary per config cell");
+    for sm in sampling {
+        assert!(sm["workload"] == "kernel:sjeng" && sm["ref_model"] == "nemu-trace", "{sm:?}");
+        assert!(count(&sm["checkpoints"]) >= 2 && count(&sm["aggregated"]) >= 2, "{sm:?}");
+        assert!((1..50_000).contains(&count(&sm["weighted_cpi_milli"])), "{sm:?}");
+        let members: u64 = sm["phases"].as_array().unwrap().iter().map(|p| count(&p["members"])).sum();
+        assert!(members <= count(&sm["total_intervals"]), "{sm:?}");
+    }
+    // Every measured window obeys the top-down identity exactly.
+    let jobs = cold["jobs"].as_array().expect("jobs array");
+    let windows: Vec<_> = jobs.iter().filter(|j| !j["sample"].is_null()).collect();
+    assert!(!windows.is_empty(), "no sample records in the report");
+    for j in windows {
+        let (s, width) = (&j["sample"], count(&j["perf"]["commit_width"]));
+        let stack: u64 = s["cpi_stack"].as_object().expect("cpi stack").values().map(count).sum();
+        assert_eq!(stack, count(&s["window_cycles"]) * width, "job {}", j["index"]);
+    }
+
+    let stored = cache_files();
+    let is_blob = |p: &&PathBuf| p.extension().is_some_and(|e| e == "ckpt");
+    let blobs: Vec<&PathBuf> = stored.keys().filter(is_blob).collect();
+    assert!(blobs.len() >= 2, "{stored:?}");
+    assert!(farm("warm.json") == cold, "bodies differ across the cache round-trip");
+    assert_eq!(cache_files(), stored, "the warm farm hit the cache: nothing rewritten");
+
+    let whole = std::fs::read(blobs[0]).unwrap();
+    std::fs::write(blobs[0], &whole[..whole.len() / 2]).unwrap();
+    assert!(farm("repaired.json") == cold, "bodies differ over a torn blob");
+    assert_eq!(std::fs::read(blobs[0]).unwrap(), whole, "the torn blob was repaired");
+    let names = |files: std::collections::BTreeMap<PathBuf, _>| files.into_keys().collect::<Vec<_>>();
+    assert_eq!(names(cache_files()), names(stored), "no file added or left behind");
+
+    let perf_report = env!("CARGO_BIN_EXE_perf_report");
+    rendered(perf_report, &[scratch.path("cold.json").to_str().unwrap()]);
 }
