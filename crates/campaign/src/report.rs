@@ -11,8 +11,8 @@
 use crate::coverage::FuzzSummary;
 use crate::triage::TriageBundle;
 use minjie::{CoverageMap, DiffError, PerfSnapshot};
-use serde::{Deserialize, Serialize};
-use serde_json::{Map, Value};
+use serde::{Deserialize, Serialize, Sink};
+use serde_json::Value;
 use workloads::litmus::LitmusConfig;
 use workloads::TortureConfig;
 
@@ -340,36 +340,61 @@ pub struct CampaignReport {
     pub wall_clock: WallClock,
 }
 
-impl CampaignReport {
-    fn body_value(&self) -> Value {
-        let to_value = |v: &dyn serde::Serialize| v.serialize();
-        let mut m = Map::new();
-        m.insert("schema_version".into(), to_value(&SCHEMA_VERSION));
-        m.insert("workers".into(), to_value(&self.workers));
-        m.insert("summary".into(), to_value(&self.summary));
-        m.insert("jobs".into(), to_value(&self.jobs));
-        if let Some(fuzz) = &self.fuzz {
-            m.insert("fuzz".into(), to_value(fuzz));
-        }
-        if !self.sampling.is_empty() {
-            m.insert("sampling".into(), to_value(&self.sampling));
-        }
-        Value::Object(m)
-    }
+/// A report as it is written: the deterministic body, with the wall
+/// clock under `"timing"` when `timing` is set.
+struct Written<'a> {
+    report: &'a CampaignReport,
+    timing: bool,
+}
 
+impl Serialize for Written<'_> {
+    fn walk(&self, sink: &mut dyn Sink) {
+        let r = self.report;
+        // Keys in bytewise order, like every other object of the format.
+        let fields: [(&str, Option<&dyn Serialize>); 7] = [
+            ("fuzz", r.fuzz.as_ref().map(|f| f as _)),
+            ("jobs", Some(&r.jobs)),
+            ("sampling", (!r.sampling.is_empty()).then_some(&r.sampling as _)),
+            ("schema_version", Some(&SCHEMA_VERSION)),
+            ("summary", Some(&r.summary)),
+            ("timing", self.timing.then_some(&r.wall_clock as _)),
+            ("workers", Some(&r.workers)),
+        ];
+        let present = fields.into_iter().filter_map(|(key, value)| Some((key, value?)));
+        serde::walk_object(present, sink);
+    }
+}
+
+impl CampaignReport {
     /// The deterministic body: byte-identical across runs of the same
     /// campaign, independent of worker scheduling.
     pub fn deterministic_json(&self) -> String {
-        serde_json::to_string_pretty(&self.body_value()).expect("report body serializes")
+        let body = Written { report: self, timing: false };
+        serde_json::to_string_pretty(&body).expect("report body serializes")
     }
 
     /// The full report: deterministic body plus the `"timing"` section.
     pub fn full_json(&self) -> String {
-        let mut v = self.body_value();
-        if let Value::Object(m) = &mut v {
-            m.insert("timing".into(), serde::Serialize::serialize(&self.wall_clock));
-        }
-        serde_json::to_string_pretty(&v).expect("report serializes")
+        let full = Written { report: self, timing: true };
+        serde_json::to_string_pretty(&full).expect("report serializes")
+    }
+}
+
+/// Read the report (or bare `PerfSnapshot` artifact, which carries no
+/// `schema_version`) at `path` for one of the reading tools.
+///
+/// # Errors
+///
+/// One line saying why the file cannot be used: unreadable, not JSON, or
+/// a report of a schema other than [`SCHEMA_VERSION`].
+pub fn load(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let value = serde_json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    match value.get("schema_version") {
+        Some(found) if *found != SCHEMA_VERSION => Err(format!(
+            "{path}: report schema {found}, this build reads {SCHEMA_VERSION}"
+        )),
+        _ => Ok(value),
     }
 }
 

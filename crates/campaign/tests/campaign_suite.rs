@@ -152,6 +152,59 @@ fn identical_campaigns_produce_byte_identical_report_bodies() {
 }
 
 #[test]
+fn the_full_report_is_the_body_plus_timing_with_every_section_present() {
+    use serde_json::Value;
+    // Bundles from the injected bug, plus the two sections only fuzz and
+    // sampling campaigns write.
+    let mut report = bug_campaign(0..3).run();
+    assert!(report.jobs.iter().any(|j| j.triage.is_some()));
+    report.fuzz = Some(campaign::FuzzSummary {
+        fuzz_seed: 5,
+        rounds: vec![campaign::FuzzRound {
+            round: 0,
+            jobs: 3,
+            new_features: 40,
+            cumulative_features: 40,
+            corpus_size: 2,
+        }],
+        total_features: 40,
+    });
+    report.sampling.push(campaign::SamplingSummary {
+        workload: "kernel:sjeng".into(),
+        config: "small-nh".into(),
+        ref_model: "nemu-trace".into(),
+        interval_len: 5000,
+        total_intervals: 8,
+        total_instructions: 39_000,
+        checkpoints: 1,
+        aggregated: 1,
+        weighted_cpi_milli: 1042,
+        phases: vec![campaign::SamplingPhase {
+            job_index: 0,
+            interval: 3,
+            members: 8,
+            cpi_milli: 1042,
+        }],
+    });
+    let text = report.full_json();
+    let Value::Object(mut full) = serde_json::parse(&text).expect("valid JSON") else {
+        panic!("a report is an object");
+    };
+    let keys: Vec<&str> = full.keys().map(String::as_str).collect();
+    let all = ["fuzz", "jobs", "sampling", "schema_version", "summary", "timing", "workers"];
+    assert_eq!(keys, all);
+    // Printing the parsed tree sorts every object's keys: the same bytes
+    // back means the report was written in that order throughout.
+    assert_eq!(serde_json::to_string_pretty(&full).unwrap(), text);
+    assert_eq!(
+        full.remove("timing"),
+        Some(serde_json::to_value(&report.wall_clock).unwrap())
+    );
+    let body = serde_json::parse(&report.deterministic_json()).expect("valid JSON");
+    assert_eq!(Value::Object(full), body);
+}
+
+#[test]
 fn bundle_lifecycle_rings_are_bounded_and_well_formed() {
     // Size discipline: the always-on crash ring snapshotted into a
     // triage bundle is capped at LIFECYCLE_RING_CAP records per core

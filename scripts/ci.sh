@@ -10,7 +10,11 @@
 #      the sampling smoke: three `campaign --sample` farms on one
 #      checkpoint directory, cold, warm and over a torn blob, with
 #      byte-identical bodies and the top-down identity on every sample
-#      window), then
+#      window — the fuzz determinism smoke: two identical
+#      coverage-guided campaigns, byte-identical bodies, coverage
+#      growing strictly round over round — and the report readers'
+#      limits: a 200-job report read back in seconds, nesting bombs and
+#      other schema versions refused in one line), then
 #      `xscore` again in an optimised build, where its model-based
 #      proptests (ROB ring, wakeup queues) and the skipper oracle run at
 #      full size (the debug build samples them), with the allocation
@@ -18,10 +22,9 @@
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,
-#   4. a fuzz smoke — two identical coverage-guided campaigns must emit
-#      byte-identical deterministic report bodies with coverage growing
-#      strictly round-over-round, and an injected-bug fuzz campaign must
-#      find, triage, and replay the divergence,
+#   4. a fuzz smoke — an injected-bug fuzz campaign must find, triage,
+#      and replay the divergence (steps 3 and 4 read their reports with
+#      python's `json` on purpose: see the comment at step 3),
 #   5. a bench smoke — scripts/bench.sh emits a schema-clean
 #      BENCH_fig8.json covering every interpreter personality and the
 #      cycle model on both small presets; the regenerated cycle_model
@@ -68,6 +71,10 @@ timeout 600 target/release/campaign \
     --workers 4 \
     --out "$report"
 
+# This block and the fuzz-bug block below stay in python on purpose:
+# every Rust test reads a report with the same vendored serde_json that
+# wrote it, and `json.load` is the one parser here that is independent
+# of that writer — on a plain report and on one with a triage bundle.
 python3 - "$report" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
@@ -80,44 +87,10 @@ assert "timing" in r
 print("smoke campaign report OK:", s)
 EOF
 
-echo "== tier-1: fuzz smoke (determinism + coverage growth) =="
-fuzz_a="$(mktemp /tmp/fuzz-smoke-a.XXXXXX.json)"
-fuzz_b="$(mktemp /tmp/fuzz-smoke-b.XXXXXX.json)"
+echo "== tier-1: fuzz smoke (injected bug -> triage -> replay) =="
 fuzz_bug="$(mktemp /tmp/fuzz-bug.XXXXXX.json)"
 fuzz_bundles="$(mktemp -d /tmp/fuzz-bundles.XXXXXX)"
-trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
-# Same seed + same worker count twice: the deterministic body (report
-# minus the "timing" section) must be byte-identical, and every round
-# must contribute new coverage.
-for f in "$fuzz_a" "$fuzz_b"; do
-    timeout 300 target/release/campaign \
-        --fuzz --rounds 2 --fuzz-jobs 8 --fuzz-seed 5 \
-        --configs small-nh \
-        --workers 4 \
-        --out "$f"
-done
-
-python3 - "$fuzz_a" "$fuzz_b" <<'EOF'
-import json, sys
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-assert a["schema_version"] == 6, a["schema_version"]
-for r in (a, b):
-    del r["timing"]
-assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
-    "fuzz report bodies differ between identical runs"
-f = a["fuzz"]
-assert len(f["rounds"]) == 2, f
-for rnd in f["rounds"]:
-    assert rnd["new_features"] > 0, f"round {rnd['round']} found no new coverage: {f}"
-cums = [rnd["cumulative_features"] for rnd in f["rounds"]]
-assert all(x < y for x, y in zip(cums, cums[1:])), f"coverage not strictly growing: {cums}"
-assert f["total_features"] == cums[-1], f
-assert all(j.get("coverage") for j in a["jobs"]), "fuzz jobs missing coverage maps"
-print("fuzz smoke OK: deterministic body, coverage", cums)
-EOF
-
-echo "== tier-1: fuzz smoke (injected bug -> triage -> replay) =="
+trap 'rm -f "$report" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
 set +e
 timeout 300 target/release/campaign \
     --fuzz --rounds 2 --fuzz-jobs 4 --fuzz-seed 5 \
@@ -158,7 +131,7 @@ echo "== tier-1: bench smoke (BENCH_fig8.json + --ref nemu-trace campaign) =="
 bench_json="$(mktemp /tmp/bench-smoke.XXXXXX.json)"
 trace_a="$(mktemp /tmp/trace-ref-a.XXXXXX.json)"
 trace_b="$(mktemp /tmp/trace-ref-b.XXXXXX.json)"
-trap 'rm -f "$report" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles"' EXIT
+trap 'rm -f "$report" "$fuzz_bug" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$fuzz_bundles"' EXIT
 # Reduced fuel keeps the leg fast; the committed BENCH_fig8.json (which
 # golden_bench pins for speed ordering) is generated at full budget.
 MINJIE_BENCH_FUEL=20000000 MINJIE_BENCH_OUT="$bench_json" scripts/bench.sh

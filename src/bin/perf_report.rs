@@ -16,14 +16,14 @@
 //! one row per checkpoint with its weight, window CPI, and top-down
 //! slot shares, footed by the weighted estimate. Exit status: 0 on
 //! success, 1 if any rendered snapshot violates the top-down CPI
-//! identity or the digest/CPI cross-check, 2 on usage or parse errors.
+//! identity or the digest/CPI cross-check, 2 on usage or parse errors
+//! and on a report of another schema version.
 //!
 //! [`PerfSnapshot`]: minjie::PerfSnapshot
 
 use campaign::{JobRecord, SamplingSummary};
 use minjie::PerfSnapshot;
 use serde::Deserialize;
-use serde_json::Value;
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
@@ -121,10 +121,7 @@ fn main() {
         }
     }
     let path = path.unwrap_or_else(|| usage("missing report path"));
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| usage(&format!("read {path}: {e}")));
-    let value: Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| usage(&format!("parse {path}: {e:?}")));
+    let value = campaign::report::load(&path).unwrap_or_else(|e| usage(&e));
 
     let mut identity_ok = true;
     if value.get("jobs").is_some() {

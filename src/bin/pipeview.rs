@@ -19,7 +19,7 @@
 //!   the ASCII waterfall.
 //!
 //! Exit status: 0 on success (including an empty-but-well-formed ring),
-//! 2 on usage or parse errors.
+//! 2 on usage or parse errors and on a report of another schema version.
 
 use campaign::{JobRecord, TriageBundle};
 use serde::Deserialize;
@@ -102,7 +102,7 @@ fn main() {
         );
         render_records(&b.lifecycle_ring, o3);
     } else if let Some(path) = &report {
-        let value = read_json(path);
+        let value = campaign::report::load(path).unwrap_or_else(|e| usage(&e));
         let jobs: Vec<JobRecord> = Deserialize::deserialize(&value["jobs"])
             .unwrap_or_else(|e| usage(&format!("parse jobs in {path}: {e:?}")));
         let mut rendered = 0u64;

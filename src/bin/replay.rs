@@ -13,9 +13,10 @@
 //! deterministic-replay guarantee the LightSSS → DiffTest debug loop
 //! rests on. Exit status: 0 when the failure reproduces (or `--show` /
 //! `--report` rendering succeeds), 1 when it does not, 2 on usage
-//! errors and on a bundle that cannot be set up at all (another schema
-//! version, a configuration the model refuses, an unknown kernel or
-//! personality) — one `error:` line, nothing simulated.
+//! errors, on a report of another schema version, and on a bundle that
+//! cannot be set up at all (another schema version, a configuration the
+//! model refuses, an unknown kernel or personality) — one `error:` line,
+//! nothing simulated.
 
 use campaign::{verify_bundle, TriageBundle};
 use serde::Deserialize;
@@ -82,8 +83,7 @@ fn main() {
             }
         }
         (None, Some(path)) => {
-            let v: serde_json::Value = serde_json::from_str(&read(&path))
-                .unwrap_or_else(|e| usage(&format!("parse {path}: {e:?}")));
+            let v = campaign::report::load(&path).unwrap_or_else(|e| usage(&e));
             let Some(jobs) = v.get("jobs").and_then(|j| j.as_array()) else {
                 usage("report has no jobs array");
             };

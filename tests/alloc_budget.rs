@@ -21,6 +21,11 @@
 //! cache arrays materialize on first write (DESIGN §4 "LightSSS
 //! snapshots"), so `XsSystem::new` costs what the core needs, not what
 //! the preset's caches could hold.
+//!
+//! And the bytes a report asks for on its way to text: `full_json()`
+//! walks the report straight into the `String` it returns (DESIGN §4
+//! "`campaign`"), so it costs the growth of that one buffer, not a
+//! `Value` tree of the whole report beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,4 +138,32 @@ fn a_boot_allocates_for_the_core_not_for_the_size_of_the_caches() {
     assert!(bytes <= NH_BOOT_BUDGET, "nh: a boot requested {bytes} bytes");
     let chunks: usize = sys.mem.caches().map(|c| c.chunks()).sum();
     assert!(chunks > 4_000, "nh no longer has the arrays this bounds: {chunks} chunks");
+}
+
+/// Bytes `CampaignReport::full_json` may request per byte of the text it
+/// returns. The text is written into one `String` that doubles as it
+/// grows: 1 048 568 bytes requested for the 421 531 of this report
+/// (2.5 ×; doubling asks for 2–4 × the final length, and the body of
+/// these 40 jobs is deterministic, so the figure repeats). PR 18
+/// (`59581b8`) built a `BTreeMap<String, Value>` tree of the whole
+/// report first and printed that: 3 710 274 bytes requested for the
+/// same text (8.8 ×), nearly all of it live at once.
+const REPORT_BYTES_PER_BYTE: u64 = 3;
+
+#[test]
+fn a_report_is_written_without_a_tree_of_it() {
+    use campaign::{Campaign, JobSpec, WorkloadSource};
+    let cfg = workloads::TortureConfig::default();
+    let job = |seed| JobSpec::new(WorkloadSource::torture(seed, cfg), "small-nh");
+    let report = Campaign::new((0..40).map(job).collect()).with_workers(2).run();
+    assert_eq!(report.summary.halted, 40);
+    let before = BYTES.get();
+    let full = report.full_json();
+    let bytes = BYTES.get() - before;
+    println!("full_json: {bytes} bytes requested for {} of text", full.len());
+    assert!(
+        bytes <= REPORT_BYTES_PER_BYTE * full.len() as u64,
+        "full_json requested {bytes} bytes for {} of text",
+        full.len()
+    );
 }

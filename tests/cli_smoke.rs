@@ -7,10 +7,14 @@
 //! ring → bundle → `pipeview`, `--lifecycle` determinism), the perf
 //! smoke (one kernel under `--telemetry` → `perf_report`), the two
 //! `--mp` smokes (litmus determinism with live coherence coverage; the
-//! injected L2 race → forbidden outcome → bundle → replay) and the
+//! injected L2 race → forbidden outcome → bundle → replay), the
 //! sampling smoke (`--sample` farms on one `--checkpoint-dir`: cold,
-//! warm, and over a torn blob); the other `ci.sh` blocks move here one
-//! by one.
+//! warm, and over a torn blob), the fuzz determinism smoke (two
+//! same-seed `--fuzz` runs, coverage growing round over round) and the
+//! report readers' own limits (a 200-job report read back in seconds;
+//! nesting bombs and other schema versions refused in one line); the
+//! other `ci.sh` blocks move here one by one, except the two that read
+//! reports with python's `json` on purpose.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -70,6 +74,10 @@ fn report_body(path: &Path) -> Value {
     assert_eq!(report["schema_version"], campaign::SCHEMA_VERSION);
     assert!(report.remove("timing").is_some());
     Value::Object(report)
+}
+
+fn count(v: &Value) -> u64 {
+    v.as_u64().unwrap_or_else(|| panic!("not a counter: {v:?}"))
 }
 
 fn stderr(out: &Output) -> String {
@@ -387,7 +395,6 @@ fn telemetry_snapshot_is_live_and_perf_report_renders_it() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let r = read_json(&report);
     let perf = &r["jobs"][0]["perf"];
-    let count = |v: &Value| v.as_u64().unwrap_or_else(|| panic!("not a counter: {v:?}"));
     let cores = perf["cores"].as_array().expect("cores array");
 
     let mut cpi = std::collections::BTreeMap::<&str, u64>::new();
@@ -464,7 +471,6 @@ fn sampled_farms_share_a_checkpoint_cache_and_repair_it() {
         };
         entries.map(stat).collect::<std::collections::BTreeMap<_, _>>()
     };
-    let count = |v: &Value| v.as_u64().unwrap_or_else(|| panic!("not a counter: {v:?}"));
 
     let cold = farm("cold.json");
     let sampling = cold["sampling"].as_array().expect("sampling section");
@@ -502,4 +508,102 @@ fn sampled_farms_share_a_checkpoint_cache_and_repair_it() {
 
     let perf_report = env!("CARGO_BIN_EXE_perf_report");
     rendered(perf_report, &[scratch.path("cold.json").to_str().unwrap()]);
+}
+
+#[test]
+fn fuzz_campaign_bodies_are_deterministic_with_coverage_growing_each_round() {
+    // Same seed and worker count twice: the body must repeat byte for
+    // byte, and every round must contribute new coverage.
+    let scratch = Scratch::new("fuzz");
+    let body = |name: &str| {
+        let file = scratch.path(name);
+        #[rustfmt::skip]
+        let out = campaign(&[
+            "--fuzz", "--rounds", "2", "--fuzz-jobs", "8", "--fuzz-seed", "5",
+            "--configs", "small-nh",
+            "--workers", "4",
+            "--out", file.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        report_body(&file)
+    };
+    let (a, b) = (body("a.json"), body("b.json"));
+    assert!(a == b, "fuzz report bodies differ between identical runs");
+    let fuzz = &a["fuzz"];
+    let rounds = fuzz["rounds"].as_array().expect("rounds array");
+    assert_eq!(rounds.len(), 2, "{fuzz:?}");
+    for round in rounds {
+        assert!(count(&round["new_features"]) > 0, "a round found no new coverage: {fuzz:?}");
+    }
+    let cumulative: Vec<u64> = rounds.iter().map(|r| count(&r["cumulative_features"])).collect();
+    assert!(cumulative.windows(2).all(|w| w[0] < w[1]), "coverage not strictly growing: {cumulative:?}");
+    assert_eq!(cumulative.last(), Some(&count(&fuzz["total_features"])), "{fuzz:?}");
+    let jobs = a["jobs"].as_array().expect("jobs array");
+    let has_map = |j: &Value| j["coverage"].as_object().is_some_and(|m| !m.is_empty());
+    assert!(jobs.len() == 16 && jobs.iter().all(has_map), "fuzz jobs missing coverage maps");
+}
+
+/// The four ways a tool reads a file someone else wrote: (tool, the
+/// flags before the path).
+fn readers() -> [(&'static str, &'static [&'static str]); 4] {
+    [
+        (env!("CARGO_BIN_EXE_perf_report"), &[]),
+        (env!("CARGO_BIN_EXE_pipeview"), &["--report"]),
+        (env!("CARGO_BIN_EXE_replay"), &["--report"]),
+        (env!("CARGO_BIN_EXE_replay"), &["--bundle"]),
+    ]
+}
+
+/// `reader` must refuse `file` with exit 2 and one `error:` line that
+/// carries `diagnosis`.
+fn assert_refused(reader: (&str, &[&str]), file: &Path, diagnosis: &str) {
+    let (exe, flags) = reader;
+    let out = run(exe, &[flags, &[file.to_str().unwrap()][..]].concat());
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{exe} {flags:?}: {err}");
+    assert_eq!(err.lines().filter(|l| l.starts_with("error:")).count(), 1, "{exe} {flags:?}: {err}");
+    assert!(err.contains(diagnosis) && !err.contains("panicked"), "{exe} {flags:?}: {err}");
+    assert!(out.stdout.is_empty(), "{exe} {flags:?}: nothing is rendered");
+}
+
+#[test]
+fn a_200_job_report_reads_back_in_seconds_and_hostile_ones_are_refused() {
+    let scratch = Scratch::new("readers");
+    let report = scratch.path("report.json");
+    #[rustfmt::skip]
+    let out = campaign(&[
+        "--torture-seeds", "0..200",
+        "--configs", "small-nh",
+        "--workers", "2",
+        "--out", report.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    // Reading a report is linear in its size (it was quadratic: 12.7 s
+    // for these 2 MB in an optimised build).
+    let started = std::time::Instant::now();
+    let text = rendered(env!("CARGO_BIN_EXE_perf_report"), &[report.to_str().unwrap()]);
+    let took = started.elapsed();
+    assert_eq!(text.matches("=== job ").count(), 200);
+    assert!(took.as_secs() < 5, "perf_report took {took:?} on a 200-job report");
+
+    // Nesting far past any stack is a parse error, not a stack overflow.
+    for (name, open) in [("arrays.json", "["), ("objects.json", "{\"a\":")] {
+        let bomb = scratch.path(name);
+        std::fs::write(&bomb, open.repeat(200_000)).unwrap();
+        for reader in readers() {
+            assert_refused(reader, &bomb, "nesting deeper than 128");
+        }
+    }
+
+    // A report of another schema version is refused by everything that
+    // reads reports, before any of it is interpreted.
+    let Value::Object(mut old) = read_json(&report) else {
+        panic!("a report is an object");
+    };
+    old.insert("schema_version".into(), Value::from(5u64));
+    let stale = scratch.path("schema5.json");
+    std::fs::write(&stale, serde_json::to_string_pretty(&old).unwrap()).unwrap();
+    for reader in &readers()[..3] {
+        assert_refused(*reader, &stale, "report schema 5, this build reads 6");
+    }
 }
