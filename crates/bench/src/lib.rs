@@ -2,10 +2,11 @@
 //!
 //! This crate exists for its `benches/` directory: one harness per paper
 //! table or figure (see README.md and EXPERIMENTS.md). The library hosts
-//! shared helpers plus the [`fig8`] module: the measurement and
-//! `BENCH_fig8.json` report machinery for the interpreter-speed shootout,
-//! kept in the library so the bench binary, the CI bench-smoke leg, and
-//! `tests/golden_bench.rs` all share one schema definition.
+//! shared helpers plus the [`fig8`] module: the typed, deterministic body
+//! of the tracked `BENCH_fig8.json`, kept in the library so the
+//! `fig8_interpreters` harness that writes the file and
+//! `tests/golden_bench.rs` that reads it share one definition. No speed
+//! is recorded here; speeds over time live under `benchmark/`.
 
 pub mod fig8;
 

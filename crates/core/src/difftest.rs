@@ -10,6 +10,7 @@
 use crate::coverage::CommitCoverage;
 use crate::rules::{compare_csrs, CsrMismatch, CsrRuleTable, DiffRule, RuleStats};
 use nemu::hart::{self, Hart, StepInfo};
+use nemu::Interpreter;
 use riscv_isa::exec::load_extend;
 use riscv_isa::mem::{PhysMem, SparseMemory};
 use riscv_isa::state::{ArchState, StateDiff};
@@ -98,29 +99,23 @@ impl RefModel for NemuRef {
 }
 
 /// A runtime-selected REF personality: the bare architectural stepper
-/// (the default, and what [`NemuRef`] provides) or any interpreter from
-/// [`nemu::registry`] driven one commit at a time through `step_one()`
-/// (the caching tiers execute their cached decode there; only the
-/// default [`AnyRef::Arch`] is deliberately cache-free).
+/// (the default, and what [`NemuRef`] provides) or any interpreter
+/// [`nemu::registry`] boots, driven one commit at a time through
+/// `step_one()` (the caching tiers execute their cached decode there;
+/// only the default [`AnyRef::Arch`] is deliberately cache-free).
 ///
-/// Enum dispatch keeps [`RefModel`]'s `Clone` bound satisfiable (a
-/// `Box<dyn RefModel>` could not be), and makes the campaign `--ref`
-/// flag a pure configuration choice: DiffTest semantics are identical
-/// across variants, only the REF's internal caching layers differ.
+/// The registry is the one table of personalities: what it boots is what
+/// `--ref` accepts. DiffTest semantics are identical across variants,
+/// only the REF's internal caching layers differ.
+// The default REF stays inline: it is the one every commit steps unless
+// `--ref` says otherwise.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum AnyRef {
     /// The bare architectural stepper (default).
     Arch(NemuRef),
-    /// `nemu` — the uop-cache interpreter.
-    Nemu(nemu::Nemu),
-    /// `nemu-trace` — the superblock trace tier.
-    Trace(nemu::NemuTrace),
-    /// `spike-like`.
-    Spike(nemu::SpikeLike),
-    /// `dromajo-like`.
-    Dromajo(nemu::DromajoLike),
-    /// `qemu-tci-like`.
-    QemuTci(nemu::QemuTciLike),
+    /// A [`nemu::registry`] personality.
+    Registry(Box<dyn Interpreter>),
 }
 
 /// The `--ref` spelling of the default architectural stepper.
@@ -137,12 +132,7 @@ impl AnyRef {
     pub fn by_name(name: &str, program: &riscv_isa::asm::Program, hartid: u64) -> Option<Self> {
         let mut r = match name {
             ARCH_REF_NAME => AnyRef::arch(program, 0),
-            "nemu" => AnyRef::Nemu(nemu::Nemu::new(program)),
-            "nemu-trace" => AnyRef::Trace(nemu::NemuTrace::new(program)),
-            "spike-like" => AnyRef::Spike(nemu::SpikeLike::new(program)),
-            "dromajo-like" => AnyRef::Dromajo(nemu::DromajoLike::new(program)),
-            "qemu-tci-like" => AnyRef::QemuTci(nemu::QemuTciLike::new(program)),
-            _ => return None,
+            _ => AnyRef::Registry(nemu::registry::boot(name, program)?),
         };
         // `interp::boot` hardcodes hart 0; multi-hart presets need the
         // real id in mhartid.
@@ -160,32 +150,22 @@ impl AnyRef {
     fn hart(&self) -> &Hart {
         match self {
             AnyRef::Arch(r) => &r.hart,
-            AnyRef::Nemu(i) => nemu::Interpreter::hart(i),
-            AnyRef::Trace(i) => nemu::Interpreter::hart(i),
-            AnyRef::Spike(i) => nemu::Interpreter::hart(i),
-            AnyRef::Dromajo(i) => nemu::Interpreter::hart(i),
-            AnyRef::QemuTci(i) => nemu::Interpreter::hart(i),
+            AnyRef::Registry(i) => i.hart(),
         }
     }
 
     fn hart_mut(&mut self) -> &mut Hart {
         match self {
             AnyRef::Arch(r) => &mut r.hart,
-            AnyRef::Nemu(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::Trace(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::Spike(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::Dromajo(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::QemuTci(i) => nemu::Interpreter::hart_mut(i),
+            AnyRef::Registry(i) => i.hart_mut(),
         }
     }
 
     /// Re-import shadow state in personalities that keep one (the uop
     /// cache and trace tiers mirror the GPR file for their fast loops).
     fn resync_shadow(&mut self) {
-        match self {
-            AnyRef::Nemu(i) => i.resync(),
-            AnyRef::Trace(i) => i.resync(),
-            _ => {}
+        if let AnyRef::Registry(i) = self {
+            i.resync();
         }
     }
 }
@@ -194,11 +174,7 @@ impl RefModel for AnyRef {
     fn step(&mut self) -> StepInfo {
         match self {
             AnyRef::Arch(r) => r.step(),
-            AnyRef::Nemu(i) => nemu::Interpreter::step_one(i),
-            AnyRef::Trace(i) => nemu::Interpreter::step_one(i),
-            AnyRef::Spike(i) => nemu::Interpreter::step_one(i),
-            AnyRef::Dromajo(i) => nemu::Interpreter::step_one(i),
-            AnyRef::QemuTci(i) => nemu::Interpreter::step_one(i),
+            AnyRef::Registry(i) => i.step_one(),
         }
     }
     fn arch_state(&self) -> ArchState {
@@ -221,11 +197,7 @@ impl RefModel for AnyRef {
     fn patch_mem(&mut self, paddr: u64, size: u64, value: u64) {
         match self {
             AnyRef::Arch(r) => r.patch_mem(paddr, size, value),
-            AnyRef::Nemu(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::Trace(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::Spike(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::Dromajo(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::QemuTci(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
+            AnyRef::Registry(i) => i.mem_mut().write_uint(paddr, size, value),
         }
     }
     fn patch_csr(&mut self, csr: u16, value: u64) {
@@ -772,6 +744,27 @@ mod tests {
         a.add(T2, T0, T1);
         a.ebreak();
         a.assemble()
+    }
+
+    #[test]
+    fn every_ref_name_boots_and_a_clone_steps_like_its_original() {
+        let p = nop_program();
+        for name in AnyRef::names() {
+            let mut r = AnyRef::by_name(name, &p, 1)
+                .unwrap_or_else(|| panic!("`{name}` passes --ref validation but does not boot"));
+            assert_eq!(r.arch_state().csr.mhartid, 1, "{name}");
+            r.step();
+            r.step();
+            // A patch between steps must reach the clone's shadow state too.
+            r.patch_gpr(T1, 40);
+            let mut c = r.clone();
+            for _ in 0..3 {
+                assert_eq!(c.step(), r.step(), "{name}");
+            }
+            assert_eq!(c.arch_state(), r.arch_state(), "{name}");
+            assert_eq!(r.arch_state().gpr[T2 as usize], 41, "{name}");
+        }
+        assert!(AnyRef::by_name("no-such", &p, 0).is_none());
     }
 
     fn commit(pc: u64, inst: DecodedInst, wb: Option<(bool, u8, u64)>) -> CommitEvent {

@@ -160,14 +160,6 @@ impl Nemu {
         n
     }
 
-    /// Re-import architectural state after an external write to the hart.
-    /// Every `run_until` call re-imports on entry, so this is only a
-    /// courtesy to callers that patch `hart.state` and want the shadow
-    /// file coherent at once.
-    pub fn resync(&mut self) {
-        self.sync_regs_from_hart();
-    }
-
     fn refresh_fast_mem(&mut self) {
         // The fast path assumes flat physical memory: machine mode (or
         // bare satp) and no MPRV redirection.
@@ -616,6 +608,12 @@ impl Interpreter for Nemu {
     }
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
+    }
+    fn clone_box(&self) -> Box<dyn Interpreter> {
+        Box::new(self.clone())
+    }
+    fn resync(&mut self) {
+        self.sync_regs_from_hart();
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         let start = self.hart.instret;

@@ -70,7 +70,7 @@ impl CommitSink for LastCommit<'_> {
 }
 
 /// A whole-system RISC-V interpreter owning one hart and its memory.
-pub trait Interpreter {
+pub trait Interpreter: std::fmt::Debug + Send {
     /// Human-readable name used by the benchmark harness.
     fn name(&self) -> &'static str;
     /// The hart.
@@ -79,6 +79,15 @@ pub trait Interpreter {
     fn hart_mut(&mut self) -> &mut Hart;
     /// The guest physical memory.
     fn mem_mut(&mut self) -> &mut SparseMemory;
+    /// A boxed copy: what makes `Box<dyn Interpreter>` [`Clone`], so a
+    /// runtime-selected REF can be snapshotted and trial-executed.
+    fn clone_box(&self) -> Box<dyn Interpreter>;
+    /// Re-import architectural state after an external write to the
+    /// hart. Every `run_until` call re-imports on entry, so this is only
+    /// a courtesy to callers that patch `hart.state` and want a tier's
+    /// shadow register file coherent at once; tiers without one do
+    /// nothing.
+    fn resync(&mut self) {}
 
     /// Run until halt or until `max_steps` steps execute, reporting to
     /// `sink` at the granularity it asks for.
@@ -102,6 +111,12 @@ pub trait Interpreter {
         };
         self.run_until(1, &mut LastCommit(&mut last));
         last
+    }
+}
+
+impl Clone for Box<dyn Interpreter> {
+    fn clone(&self) -> Self {
+        self.clone_box()
     }
 }
 
@@ -187,6 +202,9 @@ impl Interpreter for DromajoLike {
     }
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
+    }
+    fn clone_box(&self) -> Box<dyn Interpreter> {
+        Box::new(self.clone())
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         drive(self, max_steps, sink.granularity(), sink, |i| {
@@ -411,6 +429,9 @@ impl Interpreter for SpikeLike {
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
     }
+    fn clone_box(&self) -> Box<dyn Interpreter> {
+        Box::new(self.clone())
+    }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         drive(self, max_steps, sink.granularity(), sink, Self::step)
     }
@@ -504,6 +525,9 @@ impl Interpreter for QemuTciLike {
     }
     fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
+    }
+    fn clone_box(&self) -> Box<dyn Interpreter> {
+        Box::new(self.clone())
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         drive(self, max_steps, sink.granularity(), sink, Self::step)

@@ -1,22 +1,8 @@
 //! DiffTest campaign CLI: shard a workload × config × seed matrix
 //! across a worker pool and emit a machine-readable JSON report.
 //!
-//! ```text
-//! campaign [--workloads mcf,lbm] [--configs small-nh,small-yqh]
-//!          [--torture-seeds 0..8] [--workers 4] [--max-cycles 40000000]
-//!          [--lightsss N] [--inject-bug mul-low-bit|addw-no-sext]
-//!          [--ref arch|nemu|nemu-trace|...] [--telemetry] [--lifecycle]
-//!          [--coverage] [--no-minimize] [--no-triage]
-//!          [--bundle-dir DIR] [--job-timeout-ms N] [--retries N]
-//!          [--retry-backoff-ms N] [--out report.json]
-//! campaign --fuzz [--rounds N] [--fuzz-jobs N] [--fuzz-seed N]
-//!          [--mp] [--inject-l2-race]
-//!          [--corpus-dir DIR] [--configs ...] [the flags above]
-//! campaign --sample --workloads k1,k2 [--configs ...]
-//!          [--ref nemu-trace] [--interval N] [--max-checkpoints K]
-//!          [--warmup N] [--window N] [--checkpoint-dir DIR]
-//!          [--workers N] [--max-cycles N] [--lightsss N] [--out FILE]
-//! ```
+//! `campaign --help` prints the flags of each mode; the lists are
+//! generated from [`FLAGS`], the one table of what every mode honours.
 //!
 //! The job list is the cross product of every named workload and every
 //! torture seed with every config, in that order, so reports are
@@ -30,32 +16,99 @@
 //! one warm-up + detail-window job per checkpoint × config fans across
 //! the pool, aggregating to weighted CPI in the report's `sampling`
 //! section. Exit status: 0 when every job halts or samples cleanly,
-//! 1 on any divergence/timeout/panic, 2 on usage errors.
+//! 1 on any divergence/timeout/panic, 2 on usage errors — a flag the
+//! selected mode does not honour among them.
 
 use campaign::{run_fuzz, run_sampled, Campaign, FuzzOpts, JobSpec, SampleSpec, Verdict, WorkloadSource};
 use minjie::AnyRef;
+use std::collections::BTreeMap;
 use workloads::TortureConfig;
 use xscore::{InjectedBug, XsConfig};
+
+/// The three things `campaign` runs, as bits of a flag's mode set.
+const MATRIX: u8 = 1;
+const FUZZ: u8 = 2;
+const SAMPLE: u8 = 4;
+const ALL: u8 = MATRIX | FUZZ | SAMPLE;
+
+/// (bit, the flag that selects the mode — the matrix is what runs without
+/// one —, its name in a diagnosis); of two selectors the earlier wins.
+const MODES: [(u8, &str, &str); 3] = [
+    (MATRIX, "", "the fixed matrix"),
+    (FUZZ, "--fuzz", "--fuzz"),
+    (SAMPLE, "--sample", "--sample"),
+];
+
+/// Every flag: its name, its value's placeholder (empty for a switch) and
+/// the modes that honour it. A flag given to a mode outside its set is
+/// refused, never dropped; a flag a mode implies counts as honoured
+/// (`--coverage` under `--fuzz`, whose jobs always collect coverage).
+#[rustfmt::skip]
+const FLAGS: &[(&str, &str, u8)] = &[
+    ("--fuzz", "", FUZZ),
+    ("--rounds", "N", FUZZ),
+    ("--fuzz-jobs", "N", FUZZ),
+    ("--fuzz-seed", "N", FUZZ),
+    ("--mp", "", FUZZ),
+    ("--corpus-dir", "DIR", FUZZ),
+    ("--sample", "", SAMPLE),
+    ("--interval", "N", SAMPLE),
+    ("--max-checkpoints", "K", SAMPLE),
+    ("--warmup", "N", SAMPLE),
+    ("--window", "N", SAMPLE),
+    ("--checkpoint-dir", "DIR", SAMPLE),
+    ("--workloads", "k1,k2", MATRIX | SAMPLE),
+    ("--torture-seeds", "A..B|s1,s2", MATRIX),
+    ("--configs", "c1,c2", ALL),
+    ("--workers", "N", ALL),
+    ("--max-cycles", "N", ALL),
+    ("--lightsss", "N", ALL),
+    ("--ref", "NAME", ALL),
+    ("--inject-bug", "mul-low-bit|addw-no-sext", MATRIX | FUZZ),
+    ("--inject-l2-race", "", MATRIX | FUZZ),
+    ("--telemetry", "", MATRIX),
+    ("--lifecycle", "", MATRIX | FUZZ),
+    ("--coverage", "", MATRIX | FUZZ),
+    ("--no-minimize", "", MATRIX | FUZZ),
+    ("--no-triage", "", ALL),
+    ("--bundle-dir", "DIR", ALL),
+    ("--job-timeout-ms", "N", MATRIX),
+    ("--retries", "N", MATRIX),
+    ("--retry-backoff-ms", "N", MATRIX),
+    ("--out", "FILE", ALL),
+];
+
+/// One `campaign [selector] [flag value]...` synopsis per mode, from
+/// [`FLAGS`].
+fn synopsis() -> String {
+    let mut text = String::new();
+    for (mode, selector, _) in MODES {
+        let lead = if text.is_empty() { "usage:" } else { "      " };
+        let mut line = format!("{lead} campaign {selector}").trim_end().to_string();
+        for (flag, value, modes) in FLAGS {
+            if modes & mode == 0 || selector == *flag {
+                continue;
+            }
+            let sep = if value.is_empty() { "" } else { " " };
+            let item = format!(" [{flag}{sep}{value}]");
+            if line.len() + item.len() > 79 {
+                text += &line;
+                text += "\n";
+                line = " ".repeat(15);
+            }
+            line += &item;
+        }
+        text += &line;
+        text += "\n";
+    }
+    text
+}
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: campaign [--workloads k1,k2] [--configs c1,c2] [--torture-seeds A..B|s1,s2]\n\
-         \x20               [--workers N] [--max-cycles N] [--lightsss N]\n\
-         \x20               [--inject-bug mul-low-bit|addw-no-sext] [--telemetry] [--lifecycle]\n\
-         \x20               [--coverage]\n\
-         \x20               [--ref NAME] [--no-minimize] [--no-triage] [--bundle-dir DIR]\n\
-         \x20               [--job-timeout-ms N] [--retries N] [--retry-backoff-ms N]\n\
-         \x20               [--out FILE]\n\
-         \x20      campaign --fuzz [--rounds N] [--fuzz-jobs N] [--fuzz-seed N]\n\
-         \x20               [--mp] [--inject-l2-race]\n\
-         \x20               [--corpus-dir DIR] [--configs c1,c2] [shared flags above]\n\
-         \x20      campaign --sample --workloads k1,k2 [--configs c1,c2] [--ref NAME]\n\
-         \x20               [--interval N] [--max-checkpoints K] [--warmup N] [--window N]\n\
-         \x20               [--checkpoint-dir DIR] [shared flags above]\n\
-         kernels: {}\n\
-         configs: {}\n\
-         refs: {}",
+        "{}kernels: {}\nconfigs: {}\nrefs: {}",
+        synopsis(),
         workloads::NAMES.join(", "),
         XsConfig::preset_names().join(", "),
         AnyRef::names().join(", ")
@@ -83,121 +136,91 @@ fn parse_seeds(spec: &str) -> Vec<u64> {
     }
 }
 
-fn main() {
-    let mut kernels: Vec<String> = Vec::new();
-    let mut configs: Vec<String> = vec!["small-nh".into()];
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut workers = 4usize;
-    let mut max_cycles: Option<u64> = None;
-    let mut lightsss: Option<u64> = None;
-    let mut fuzz = false;
-    let mut sample = false;
-    let mut interval: Option<u64> = None;
-    let mut max_checkpoints: Option<usize> = None;
-    let mut warmup: Option<u64> = None;
-    let mut window: Option<u64> = None;
-    let mut checkpoint_dir: Option<String> = None;
-    let mut rounds = 2u64;
-    let mut fuzz_jobs = 8usize;
-    let mut fuzz_seed = 0u64;
-    let mut corpus_dir: Option<String> = None;
-    let mut mp = false;
-    let mut inject_l2_race = false;
-    let mut coverage = false;
-    let mut inject: Option<InjectedBug> = None;
-    let mut ref_model: Option<String> = None;
-    let mut minimize = true;
-    let mut triage = true;
-    let mut telemetry = false;
-    let mut lifecycle = false;
-    let mut bundle_dir: Option<String> = None;
-    let mut job_timeout_ms: Option<u64> = None;
-    let mut retries: Option<u32> = None;
-    let mut retry_backoff_ms: Option<u64> = None;
-    let mut out: Option<String> = None;
+/// The flags that were given, by name, with their values (empty for a
+/// switch).
+struct Given(BTreeMap<&'static str, String>);
 
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| usage("missing value for flag"))
-        };
-        match flag.as_str() {
-            "--workloads" => {
-                kernels = value().split(',').map(str::to_string).collect();
+impl Given {
+    fn parse(mut args: impl Iterator<Item = String>) -> Self {
+        let mut given = BTreeMap::new();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                usage("help requested");
             }
-            "--configs" => {
-                configs = value().split(',').map(str::to_string).collect();
-            }
-            "--torture-seeds" => seeds = parse_seeds(&value()),
-            "--workers" => {
-                workers = value().parse().unwrap_or_else(|_| usage("bad --workers"));
-            }
-            "--max-cycles" => {
-                max_cycles =
-                    Some(value().parse().unwrap_or_else(|_| usage("bad --max-cycles")));
-            }
-            "--fuzz" => fuzz = true,
-            "--sample" => sample = true,
-            "--interval" => {
-                interval = Some(value().parse().unwrap_or_else(|_| usage("bad --interval")));
-            }
-            "--max-checkpoints" => {
-                max_checkpoints =
-                    Some(value().parse().unwrap_or_else(|_| usage("bad --max-checkpoints")));
-            }
-            "--warmup" => {
-                warmup = Some(value().parse().unwrap_or_else(|_| usage("bad --warmup")));
-            }
-            "--window" => {
-                window = Some(value().parse().unwrap_or_else(|_| usage("bad --window")));
-            }
-            "--checkpoint-dir" => checkpoint_dir = Some(value()),
-            "--rounds" => {
-                rounds = value().parse().unwrap_or_else(|_| usage("bad --rounds"));
-            }
-            "--fuzz-jobs" => {
-                fuzz_jobs = value().parse().unwrap_or_else(|_| usage("bad --fuzz-jobs"));
-            }
-            "--fuzz-seed" => {
-                fuzz_seed = value().parse().unwrap_or_else(|_| usage("bad --fuzz-seed"));
-            }
-            "--corpus-dir" => corpus_dir = Some(value()),
-            "--mp" => mp = true,
-            "--inject-l2-race" => inject_l2_race = true,
-            "--coverage" => coverage = true,
-            "--lightsss" => {
-                lightsss = Some(value().parse().unwrap_or_else(|_| usage("bad --lightsss")));
-            }
-            "--inject-bug" => {
-                inject = Some(match value().as_str() {
-                    "mul-low-bit" => InjectedBug::MulLowBit,
-                    "addw-no-sext" => InjectedBug::AddwNoSext,
-                    _ => usage("unknown --inject-bug"),
-                });
-            }
-            "--ref" => ref_model = Some(value()),
-            "--telemetry" => telemetry = true,
-            "--lifecycle" => lifecycle = true,
-            "--no-minimize" => minimize = false,
-            "--no-triage" => triage = false,
-            "--bundle-dir" => bundle_dir = Some(value()),
-            "--job-timeout-ms" => {
-                job_timeout_ms =
-                    Some(value().parse().unwrap_or_else(|_| usage("bad --job-timeout-ms")));
-            }
-            "--retries" => {
-                retries = Some(value().parse().unwrap_or_else(|_| usage("bad --retries")));
-            }
-            "--retry-backoff-ms" => {
-                retry_backoff_ms =
-                    Some(value().parse().unwrap_or_else(|_| usage("bad --retry-backoff-ms")));
-            }
-            "--out" => out = Some(value()),
-            "--help" | "-h" => usage("help requested"),
-            other => usage(&format!("unknown flag `{other}`")),
+            let Some(&(flag, value, _)) = FLAGS.iter().find(|f| f.0 == arg) else {
+                usage(&format!("unknown flag `{arg}`"));
+            };
+            let value = match value {
+                "" => String::new(),
+                _ => args.next().unwrap_or_else(|| usage(&format!("missing value for {flag}"))),
+            };
+            given.insert(flag, value);
         }
+        Given(given)
     }
+
+    /// The value `flag` was given with. (Flags are looked up by name, so a
+    /// misspelt lookup must not read as "not given".)
+    fn get(&self, flag: &str) -> Option<&String> {
+        debug_assert!(FLAGS.iter().any(|f| f.0 == flag), "{flag} is not in FLAGS");
+        self.0.get(flag)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn text(&self, flag: &str) -> Option<String> {
+        self.get(flag).cloned()
+    }
+
+    fn list(&self, flag: &str) -> Option<Vec<String>> {
+        Some(self.get(flag)?.split(',').map(str::to_string).collect())
+    }
+
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let parsed = self.get(flag)?.parse();
+        Some(parsed.unwrap_or_else(|_| usage(&format!("bad {flag}"))))
+    }
+
+    /// The selected mode; a given flag it does not honour is an error.
+    fn mode(&self) -> u8 {
+        let selected = MODES.iter().find(|m| self.0.contains_key(m.1));
+        let mode = selected.map_or(MATRIX, |m| m.0);
+        let names = |set: u8| {
+            let named = MODES.iter().filter(|m| m.0 & set != 0).map(|m| m.2);
+            named.collect::<Vec<_>>().join(", ")
+        };
+        for &(flag, _, modes) in FLAGS.iter().filter(|f| self.has(f.0)) {
+            if modes & mode == 0 {
+                reject(&format!(
+                    "`{flag}` is not honoured by {} (honoured by: {})",
+                    names(mode),
+                    names(modes)
+                ));
+            }
+        }
+        mode
+    }
+}
+
+fn main() {
+    let given = Given::parse(std::env::args().skip(1));
+    let mode = given.mode();
+    let kernels = given.list("--workloads").unwrap_or_default();
+    let configs = given.list("--configs").unwrap_or_else(|| vec!["small-nh".into()]);
+    let seeds = given.text("--torture-seeds").map(|s| parse_seeds(&s)).unwrap_or_default();
+    let workers: usize = given.num("--workers").unwrap_or(4);
+    let max_cycles: Option<u64> = given.num("--max-cycles");
+    let lightsss: Option<u64> = given.num("--lightsss");
+    let inject = given.text("--inject-bug").map(|bug| match bug.as_str() {
+        "mul-low-bit" => InjectedBug::MulLowBit,
+        "addw-no-sext" => InjectedBug::AddwNoSext,
+        _ => usage("unknown --inject-bug"),
+    });
+    let ref_model = given.text("--ref");
+    let minimize = !given.has("--no-minimize");
+    let triage = !given.has("--no-triage");
     for c in &configs {
         if XsConfig::preset(c).is_none() {
             usage(&format!("unknown config preset `{c}`"));
@@ -213,15 +236,12 @@ fn main() {
             usage(&format!("unknown --ref `{r}`"));
         }
     }
-    let report = if fuzz {
-        if !kernels.is_empty() || !seeds.is_empty() {
-            usage("--fuzz evolves its own recipes: drop --workloads/--torture-seeds");
-        }
+    let report = if mode == FUZZ {
         let opts = FuzzOpts {
-            rounds,
-            jobs_per_round: fuzz_jobs,
-            fuzz_seed,
-            configs: configs.clone(),
+            rounds: given.num("--rounds").unwrap_or(2),
+            jobs_per_round: given.num("--fuzz-jobs").unwrap_or(8),
+            fuzz_seed: given.num("--fuzz-seed").unwrap_or(0),
+            configs,
             workers,
             // Fuzz jobs are deliberately short: breadth over depth.
             max_cycles: max_cycles.unwrap_or(6_000_000),
@@ -229,10 +249,10 @@ fn main() {
             injected_bug: inject,
             minimize,
             triage,
-            lifecycle,
-            ref_model: ref_model.clone(),
-            mp,
-            inject_l2_race,
+            lifecycle: given.has("--lifecycle"),
+            ref_model,
+            mp: given.has("--mp"),
+            inject_l2_race: given.has("--inject-l2-race"),
         };
         if let Err(e) = opts.validate() {
             reject(&e);
@@ -250,7 +270,7 @@ fn main() {
                 );
             }
         }
-        if let Some(dir) = &corpus_dir {
+        if let Some(dir) = &given.text("--corpus-dir") {
             std::fs::create_dir_all(dir)
                 .unwrap_or_else(|e| usage(&format!("create {dir}: {e}")));
             for (i, recipe) in outcome.corpus.iter().enumerate() {
@@ -262,36 +282,33 @@ fn main() {
             eprintln!("corpus: {} recipes in {dir}", outcome.corpus.len());
         }
         outcome.report
-    } else if sample {
+    } else if mode == SAMPLE {
         if kernels.is_empty() {
             usage("--sample profiles named workloads: give --workloads");
-        }
-        if !seeds.is_empty() {
-            usage("--sample runs checkpoints, not torture seeds: drop --torture-seeds");
         }
         if ref_model.as_deref() == Some("arch") {
             usage("--sample profiles on a registry personality (nemu, nemu-trace, ...), not `arch`");
         }
-        let mut s = SampleSpec::new(kernels.clone(), configs.clone()).with_workers(workers);
-        if let Some(r) = &ref_model {
-            s = s.with_ref(r.clone());
+        let mut s = SampleSpec::new(kernels, configs).with_workers(workers);
+        if let Some(r) = ref_model {
+            s = s.with_ref(r);
         }
-        if let Some(i) = interval {
+        if let Some(i) = given.num("--interval") {
             s = s.with_interval(i);
         }
-        if let Some(k) = max_checkpoints {
+        if let Some(k) = given.num("--max-checkpoints") {
             s = s.with_max_checkpoints(k);
         }
-        if let Some(w) = warmup {
+        if let Some(w) = given.num("--warmup") {
             s = s.with_warmup(w);
         }
-        if let Some(w) = window {
+        if let Some(w) = given.num("--window") {
             s = s.with_window(w);
         }
         if let Some(c) = max_cycles {
             s = s.with_max_cycles(c);
         }
-        if let Some(d) = &checkpoint_dir {
+        if let Some(d) = &given.text("--checkpoint-dir") {
             s = s.with_checkpoint_dir(d);
         }
         s.lightsss_interval = lightsss;
@@ -310,9 +327,6 @@ fn main() {
         );
         run_sampled(&s)
     } else {
-        if mp {
-            usage("--mp schedules litmus recipes: it requires --fuzz");
-        }
         if kernels.is_empty() && seeds.is_empty() {
             usage("nothing to run: give --workloads and/or --torture-seeds (or --fuzz)");
         }
@@ -337,16 +351,16 @@ fn main() {
                 if let Some(bug) = inject {
                     spec = spec.with_injected_bug(bug);
                 }
-                if inject_l2_race {
+                if given.has("--inject-l2-race") {
                     spec = spec.with_l2_race();
                 }
-                if telemetry {
+                if given.has("--telemetry") {
                     spec = spec.with_telemetry();
                 }
-                if lifecycle {
+                if given.has("--lifecycle") {
                     spec = spec.with_lifecycle();
                 }
-                if coverage {
+                if given.has("--coverage") {
                     spec = spec.with_coverage();
                 }
                 if let Some(r) = &ref_model {
@@ -364,19 +378,19 @@ fn main() {
             .with_workers(workers)
             .with_minimization(minimize)
             .with_triage(triage);
-        if let Some(ms) = job_timeout_ms {
+        if let Some(ms) = given.num("--job-timeout-ms") {
             c = c.with_job_wall_timeout_ms(ms);
         }
-        if let Some(n) = retries {
+        if let Some(n) = given.num("--retries") {
             c = c.with_job_retries(n);
         }
-        if let Some(ms) = retry_backoff_ms {
+        if let Some(ms) = given.num("--retry-backoff-ms") {
             c = c.with_retry_backoff_ms(ms);
         }
         c.run()
     };
 
-    if let Some(dir) = &bundle_dir {
+    if let Some(dir) = &given.text("--bundle-dir") {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| usage(&format!("create {dir}: {e}")));
         for j in &report.jobs {
@@ -449,7 +463,7 @@ fn main() {
     );
 
     let json = report.full_json();
-    match &out {
+    match &given.text("--out") {
         Some(path) => {
             std::fs::write(path, &json).unwrap_or_else(|e| usage(&format!("write {path}: {e}")));
             eprintln!("report: {path}");

@@ -2,19 +2,21 @@
 //! `perf_report` binaries the way `scripts/ci.sh` used to in bash +
 //! python, asserting on exit codes and on the files they write.
 //!
-//! So far this holds the triage smoke (injected bug → bundle → replay)
-//! with the hostile-bundle cases around it, the lifecycle smoke (crash
-//! ring → bundle → `pipeview`, `--lifecycle` determinism), the perf
-//! smoke (one kernel under `--telemetry` → `perf_report`), the two
-//! `--mp` smokes (litmus determinism with live coherence coverage; the
-//! injected L2 race → forbidden outcome → bundle → replay), the
-//! sampling smoke (`--sample` farms on one `--checkpoint-dir`: cold,
-//! warm, and over a torn blob), the fuzz determinism smoke (two
-//! same-seed `--fuzz` runs, coverage growing round over round) and the
-//! report readers' own limits (a 200-job report read back in seconds;
-//! nesting bombs and other schema versions refused in one line); the
-//! other `ci.sh` blocks move here one by one, except the two that read
-//! reports with python's `json` on purpose.
+//! It holds the triage smoke (injected bug → bundle → replay) with the
+//! hostile-bundle cases around it, the lifecycle smoke (crash ring →
+//! bundle → `pipeview`, `--lifecycle` determinism), the perf smoke (one
+//! kernel under `--telemetry` → `perf_report`), the two `--mp` smokes
+//! (litmus determinism with live coherence coverage; the injected L2
+//! race → forbidden outcome → bundle → replay), the sampling smoke
+//! (`--sample` farms on one `--checkpoint-dir`: cold, warm, and over a
+//! torn blob), the fuzz determinism smoke (two same-seed `--fuzz` runs,
+//! coverage growing round over round), the trace tier as the DiffTest
+//! REF (`--ref nemu-trace`, twice, byte-identical), the flags a mode
+//! does not honour (exit 2, never dropped) and the report readers' own
+//! limits (a 200-job report read back in seconds; nesting bombs and
+//! other schema versions refused in one line). Every `ci.sh` block that
+//! could move is here; the two that stay read their reports with
+//! python's `json` on purpose.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -541,6 +543,67 @@ fn fuzz_campaign_bodies_are_deterministic_with_coverage_growing_each_round() {
     let jobs = a["jobs"].as_array().expect("jobs array");
     let has_map = |j: &Value| j["coverage"].as_object().is_some_and(|m| !m.is_empty());
     assert!(jobs.len() == 16 && jobs.iter().all(has_map), "fuzz jobs missing coverage maps");
+}
+
+#[test]
+fn trace_tier_as_the_difftest_ref_halts_everywhere_and_repeats_byte_for_byte() {
+    // The 12-job smoke matrix of `ci.sh` with the superblock trace tier
+    // as the REF, twice: all 12 halted, bodies identical without `timing`.
+    let scratch = Scratch::new("trace-ref");
+    let body = |name: &str| {
+        let file = scratch.path(name);
+        #[rustfmt::skip]
+        let out = campaign(&[
+            "--workloads", "mcf,libquantum",
+            "--configs", "small-nh,small-yqh",
+            "--torture-seeds", "0..4",
+            "--workers", "4",
+            "--ref", "nemu-trace",
+            "--out", file.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        report_body(&file)
+    };
+    let (a, b) = (body("a.json"), body("b.json"));
+    assert!(a == b, "--ref nemu-trace bodies differ between identical runs");
+    let s = &a["summary"];
+    assert!(s["total"] == 12u64 && s["halted"] == 12u64, "{s:?}");
+    assert_eq!(a["jobs"].as_array().map(Vec::len), Some(12));
+}
+
+#[test]
+fn a_flag_the_mode_does_not_honour_is_refused_not_dropped() {
+    // One dropped flag per mode: a usage error that names it, before
+    // anything is simulated.
+    let cases: [(&[&str], &str); 4] = [
+        (&["--sample", "--workloads", "sjeng", "--inject-bug", "mul-low-bit"], "--inject-bug"),
+        (&["--sample", "--workloads", "sjeng", "--telemetry"], "--telemetry"),
+        (&["--fuzz", "--rounds", "1", "--fuzz-jobs", "2", "--retries", "3"], "--retries"),
+        (&["--torture-seeds", "0..1", "--mp"], "--mp"),
+    ];
+    for (args, flag) in cases {
+        let out = campaign(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.lines().count() == 1 && err.contains(&format!("`{flag}` is not honoured by")), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing is reported");
+    }
+
+    // Fully honoured lines still run: every matrix switch at once, and
+    // `--coverage` under `--fuzz`, whose jobs collect coverage anyway.
+    let scratch = Scratch::new("flags");
+    let out = scratch.path("out.json");
+    #[rustfmt::skip]
+    let lines: [(&[&str], usize); 2] = [
+        (&["--torture-seeds", "0..1", "--telemetry", "--lifecycle", "--coverage", "--no-minimize",
+           "--job-timeout-ms", "600000", "--retries", "1", "--retry-backoff-ms", "1"], 1),
+        (&["--fuzz", "--rounds", "1", "--fuzz-jobs", "2", "--coverage"], 2),
+    ];
+    for (line, jobs) in lines {
+        let run = campaign(&[line, &["--out", out.to_str().unwrap()][..]].concat());
+        assert_eq!(run.status.code(), Some(0), "{line:?}: {}", stderr(&run));
+        assert_eq!(report_body(&out)["jobs"].as_array().map(Vec::len), Some(jobs), "{line:?}");
+    }
 }
 
 /// The four ways a tool reads a file someone else wrote: (tool, the
