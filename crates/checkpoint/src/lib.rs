@@ -7,8 +7,8 @@
 //! - [`simpoint`]: basic-block-vector profiling and k-means++ clustering,
 //! - [`generate`]: NEMU-driven checkpoint generation.
 //!
-//! The intended flow (reproduced end to end by the `perf_eval` example
-//! and the Fig. 12 bench): profile a workload with NEMU, cluster its
+//! The intended flow (reproduced end to end by `campaign --sample` and
+//! the `paper` bench's Fig. 14 section): profile a workload with NEMU, cluster its
 //! intervals, simulate only the representative checkpoints on the cycle
 //! model with warm-up, and report the weighted CPI.
 

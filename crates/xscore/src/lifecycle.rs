@@ -121,6 +121,36 @@ impl Lifecycle {
             self.squashed_at
         }
     }
+
+    /// What the core guarantees of a record and a file need not honour:
+    /// the uop retired or was squashed, not both and not neither, and no
+    /// stage was reached after that cycle.
+    ///
+    /// # Errors
+    ///
+    /// One line naming the field that breaks it.
+    pub fn check(&self) -> Result<(), String> {
+        let (s, end) = (&self.stamps, self.end_cycle());
+        if self.retired() == (self.squashed_at != 0) {
+            return Err(format!(
+                "committed {} and squashed_at {}: exactly one must be set",
+                self.committed, self.squashed_at
+            ));
+        }
+        let stamps = [
+            ("fetched", s.fetched),
+            ("decoded", s.decoded),
+            ("renamed", s.renamed),
+            ("dispatched", s.dispatched),
+            ("issued", s.issued),
+            ("executed", s.executed),
+            ("writeback", s.writeback),
+        ];
+        match stamps.iter().find(|(_, cycle)| *cycle > end) {
+            Some((stage, cycle)) => Err(format!("{stage} stamp {cycle} lies after the end cycle {end}")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Always-on bounded ring of the most recent finalized records.
@@ -421,14 +451,14 @@ pub fn render_waterfall(records: &[Lifecycle]) -> String {
         .filter(|&c| c != 0)
         .min()
         .unwrap_or(1);
-    let hi = records.iter().map(|r| r.end_cycle()).max().unwrap_or(lo).max(lo + 1);
-    let span = (hi - lo).max(1);
+    let hi = records.iter().map(|r| r.end_cycle()).max().unwrap_or(lo).max(lo.saturating_add(1));
+    let span = (hi - lo).max(1) as u128;
+    // Clamped into the window and scaled in 128 bits: a column of the
+    // lane whatever the stamp (a record that fails `Lifecycle::check` may
+    // carry one past `hi`).
     let col = |c: u64| -> Option<usize> {
-        if c == 0 {
-            None
-        } else {
-            Some((((c.max(lo) - lo) * (WATERFALL_COLS as u64 - 1)) / span) as usize)
-        }
+        let offset = (c.clamp(lo, hi) - lo) as u128 * (WATERFALL_COLS as u128 - 1);
+        (c != 0).then(|| (offset / span) as usize)
     };
     s.push_str(&format!(
         "waterfall: {} records, cycles {lo}..{hi}\n",
@@ -630,5 +660,21 @@ mod tests {
     #[test]
     fn empty_waterfall_renders() {
         assert!(render_waterfall(&[]).contains("no lifecycle records"));
+    }
+
+    #[test]
+    fn a_stamp_after_the_end_is_refused_and_still_renders_inside_the_lane() {
+        assert_eq!(rec(1, 100, 110).check(), Ok(()));
+        for stamp in [5_000, u64::MAX] {
+            let mut r = rec(1, 100, 110);
+            r.stamps.issued = stamp;
+            assert!(r.check().unwrap_err().contains("issued stamp"));
+            let lane_len = |line: &str| line.split('|').nth(1).map(str::len);
+            let lanes = render_waterfall(&[rec(0, 90, 95), r]);
+            assert!(lanes.lines().skip(2).all(|l| lane_len(l) == Some(WATERFALL_COLS)), "{lanes}");
+        }
+        let mut both = rec(1, 100, 110);
+        both.squashed_at = 105;
+        assert!(both.check().unwrap_err().contains("exactly one"));
     }
 }

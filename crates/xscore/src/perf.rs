@@ -180,17 +180,6 @@ impl PerfCounters {
     pub fn record_ready_n(&mut self, ready: usize, n: u64) {
         self.ready_hist[ready.min(15)] += n;
     }
-
-    /// Fraction of cycles in which more instructions were ready than the
-    /// paper's two-wide issue could service (the §IV-D2 "12.8%" metric).
-    pub fn frac_cycles_ready_gt(&self, k: usize) -> f64 {
-        let total: u64 = self.ready_hist.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let above: u64 = self.ready_hist[k + 1..].iter().sum();
-        above as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +243,5 @@ mod tests {
         assert_eq!(p.ready_hist[0], 1);
         assert_eq!(p.ready_hist[2], 1);
         assert_eq!(p.ready_hist[15], 1);
-        // 2 of 4 observations exceed 2.
-        assert!((p.frac_cycles_ready_gt(2) - 0.5).abs() < 1e-12);
     }
 }

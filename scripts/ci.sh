@@ -28,10 +28,13 @@
 #   4. a fuzz smoke — an injected-bug fuzz campaign must find, triage,
 #      and replay the divergence (steps 3 and 4 read their reports with
 #      python's `json` on purpose: see the comment at step 3),
-#   5. the tracked Fig. 8 body — the `fig8_interpreters` harness prints
-#      the interpreter shootout and rewrites BENCH_fig8.json, a pure
-#      function of the sources (no wall-clock in it), and the rewritten
-#      file must not differ from the committed one,
+#   5. the tracked paper body — the one `paper` harness measures every
+#      reproduced figure that is a simulated count (Figs. 8, 12, 14, 15,
+#      the ablations, the Table I / Fig. 6 snapshot legs, the DRAV rule
+#      count; all cycle-model runs under DiffTest), rewrites
+#      BENCH_paper.json, a pure function of the sources (no wall-clock
+#      in it), prints the tables, and the rewritten file must not differ
+#      from the committed one — a diff names the figure that moved,
 #   6. the benchmark's correctness check — `benchmark/run.sh --check`
 #      (about 10 s, no timing): kernels co-simulated to halt and
 #      compared with the REF alone, run()/step_one()/profiling legs
@@ -123,9 +126,9 @@ EOF
 echo "fuzz bug bundle: $fuzz_bundle"
 timeout 300 target/release/replay --bundle "$fuzz_bundle"
 
-echo "== tier-1: Fig. 8 harness (regenerated BENCH_fig8.json == committed) =="
-cargo bench -q -p minjie-bench --bench fig8_interpreters
-git diff --exit-code -- BENCH_fig8.json
+echo "== tier-1: paper harness (regenerated BENCH_paper.json == committed) =="
+timeout 300 cargo bench -q -p minjie-bench --bench paper
+git diff --exit-code -- BENCH_paper.json
 
 echo "== tier-1: benchmark --check (exit words, register files, digests; no timing) =="
 timeout 600 bash benchmark/run.sh --check

@@ -19,7 +19,10 @@
 //!   the ASCII waterfall.
 //!
 //! Exit status: 0 on success (including an empty-but-well-formed ring),
-//! 2 on usage or parse errors and on a report of another schema version.
+//! 2 on a bad flag (with the synopsis) and on a file that cannot be
+//! rendered — unreadable, not the JSON asked for, another schema version,
+//! or holding a lifecycle record the core could not have written (one
+//! `error:` line).
 
 use campaign::{JobRecord, TriageBundle};
 use serde::Deserialize;
@@ -36,10 +39,21 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
+/// A file that cannot be rendered: one line, as `campaign::report::load`
+/// words its own.
+fn fail(err: &str) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(2);
+}
+
 fn read_json(path: &str) -> Value {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| usage(&format!("read {path}: {e}")));
-    serde_json::from_str(&text).unwrap_or_else(|e| usage(&format!("parse {path}: {e:?}")))
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("parse {path}: {e}")))
+}
+
+/// `what` in `path`, typed.
+fn typed<T: Deserialize>(value: &Value, what: &str, path: &str) -> T {
+    T::deserialize(value).unwrap_or_else(|e| fail(&format!("parse {what} in {path}: {e}")))
 }
 
 /// Fold raw records into a digest so gap summaries work on any source.
@@ -53,6 +67,18 @@ fn digest_of(records: &[Lifecycle]) -> LifecycleDigest {
         }
     }
     d
+}
+
+/// The records read from `path`, each one checked — `--trace`,
+/// `--bundle` and `--report` all pass theirs through here before anything
+/// is rendered.
+fn checked<'a>(records: &'a [Lifecycle], path: &str) -> &'a [Lifecycle] {
+    for (i, r) in records.iter().enumerate() {
+        if let Err(e) = r.check() {
+            fail(&format!("{path}: lifecycle record {i} (seq {}): {e}", r.seq));
+        }
+    }
+    records
 }
 
 fn render_records(records: &[Lifecycle], o3: bool) {
@@ -94,17 +120,19 @@ fn main() {
     }
 
     if let Some(path) = &bundle {
-        let b: TriageBundle = Deserialize::deserialize(&read_json(path))
-            .unwrap_or_else(|e| usage(&format!("parse bundle in {path}: {e:?}")));
+        let b: TriageBundle = typed(&read_json(path), "bundle", path);
+        let ring = checked(&b.lifecycle_ring, path);
         println!(
             "bundle: job {} ({}) workload {} config {} at cycle {}",
             b.job_index, b.trigger, b.workload, b.config, b.at_cycle
         );
-        render_records(&b.lifecycle_ring, o3);
+        render_records(ring, o3);
     } else if let Some(path) = &report {
-        let value = campaign::report::load(path).unwrap_or_else(|e| usage(&e));
-        let jobs: Vec<JobRecord> = Deserialize::deserialize(&value["jobs"])
-            .unwrap_or_else(|e| usage(&format!("parse jobs in {path}: {e:?}")));
+        let value = campaign::report::load(path).unwrap_or_else(|e| fail(&e));
+        let jobs: Vec<JobRecord> = typed(&value["jobs"], "jobs", path);
+        for b in jobs.iter().filter_map(|j| j.triage.as_ref()) {
+            checked(&b.lifecycle_ring, path);
+        }
         let mut rendered = 0u64;
         for j in &jobs {
             if only_job.is_some_and(|n| n != j.index) {
@@ -132,8 +160,7 @@ fn main() {
             usage(&format!("no matching job in {path}"));
         }
     } else if let Some(path) = &trace {
-        let records: Vec<Lifecycle> = Deserialize::deserialize(&read_json(path))
-            .unwrap_or_else(|e| usage(&format!("parse lifecycle records in {path}: {e:?}")));
-        render_records(&records, o3);
+        let records: Vec<Lifecycle> = typed(&read_json(path), "lifecycle records", path);
+        render_records(checked(&records, path), o3);
     }
 }

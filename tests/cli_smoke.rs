@@ -287,6 +287,34 @@ fn crash_ring_reaches_the_bundle_and_pipeview_renders_it() {
     let perf_report = env!("CARGO_BIN_EXE_perf_report");
     let report = scratch.path("report.json");
     rendered(perf_report, &[report.to_str().unwrap(), "--lifecycle"]);
+
+    // A ring no core could have written — a stage stamped after the
+    // record's end cycle (the lane index used to run past its 48
+    // columns), the same near `u64::MAX` (the scaling used to overflow
+    // first) — or a file cut short is refused by `--bundle` and
+    // `--trace` alike.
+    let ring = serde_json::to_string(&read_json(Path::new(bundle))["lifecycle_ring"]).unwrap();
+    let sources = [("--bundle", std::fs::read_to_string(bundle).unwrap()), ("--trace", ring)];
+    let hostile = scratch.path("hostile.json");
+    for (flag, good) in &sources {
+        let cases = [
+            (with_issued(good, 4_000_000_000), "issued stamp 4000000000 lies after"),
+            (with_issued(good, u64::MAX), "issued stamp 18446744073709551615 lies after"),
+            (good[..good.len() / 2].to_string(), "parse"),
+        ];
+        for (text, diagnosis) in cases {
+            std::fs::write(&hostile, text).unwrap();
+            assert_refused((pipeview, &[flag]), &hostile, diagnosis);
+        }
+    }
+}
+
+/// `json` with its first `"issued"` stamp replaced by `stamp`.
+fn with_issued(json: &str, stamp: u64) -> String {
+    let key = json.find("\"issued\":").expect("an issued stamp") + "\"issued\":".len();
+    let digits = key + json[key..].find(|c: char| c.is_ascii_digit()).unwrap();
+    let end = digits + json[digits..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    format!("{}{stamp}{}", &json[..digits], &json[end..])
 }
 
 #[test]
