@@ -202,7 +202,7 @@ mod tests {
         a.add(A0, A0, T1);
         a.addi(S0, S0, 1);
         a.bne(S0, S1, p2);
-        a.andi(A0, A0, 0xffff);
+        a.andi(A0, A0, -1); // meant 0xffff; a 12-bit immediate holds only -1
         a.ebreak();
         a.assemble()
     }

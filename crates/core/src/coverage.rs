@@ -14,7 +14,7 @@
 //! Everything is pure integer data so coverage maps embed in the
 //! deterministic campaign report body without breaking byte-identical
 //! reruns. Collection is gated by `XsConfig::coverage`: the only
-//! per-commit cost when enabled is two hash-map bumps, and the default
+//! per-commit cost when enabled is two array adds, and the default
 //! path pays nothing.
 
 use crate::rules::{DiffRule, RuleStats};
@@ -22,24 +22,12 @@ use crate::telemetry::PerfSnapshot;
 use riscv_isa::op::FuClass;
 use riscv_isa::{DecodedInst, Op};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// Number of [`Op`] variants (`Illegal` is last by construction).
-pub const OP_COUNT: usize = Op::Illegal as usize + 1;
+/// Number of [`Op`] variants (from the instruction table).
+pub const OP_COUNT: usize = Op::COUNT;
 
-/// Number of [`FuClass`] variants (`Fmisc` is last by construction).
-pub const FU_CLASS_COUNT: usize = FuClass::Fmisc as usize + 1;
-
-/// The functional classes, in declaration order (index = `as usize`).
-pub const FU_CLASSES: [FuClass; FU_CLASS_COUNT] = [
-    FuClass::Alu,
-    FuClass::Mdu,
-    FuClass::Bru,
-    FuClass::Load,
-    FuClass::Store,
-    FuClass::Fma,
-    FuClass::Fmisc,
-];
+/// Number of [`FuClass`] variants.
+pub const FU_CLASS_COUNT: usize = FuClass::COUNT;
 
 /// Log2 bucket of a counter value: 0 for 0, else `1 + floor(log2(n))`.
 ///
@@ -55,18 +43,28 @@ pub fn bucket(n: u64) -> u8 {
 }
 
 /// Per-commit decode coverage, accumulated on DiffTest's hot path.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommitCoverage {
-    /// Commits per opcode (fused pairs count both halves).
-    pub ops: HashMap<Op, u64>,
+    /// Commits per opcode, indexed by `Op as usize` (fused pairs count
+    /// both halves).
+    pub ops: [u64; OP_COUNT],
     /// Commits per functional class, indexed by `FuClass as usize`.
     pub classes: [u64; FU_CLASS_COUNT],
+}
+
+impl Default for CommitCoverage {
+    fn default() -> Self {
+        CommitCoverage {
+            ops: [0; OP_COUNT],
+            classes: [0; FU_CLASS_COUNT],
+        }
+    }
 }
 
 impl CommitCoverage {
     /// Record one committed instruction.
     pub fn record(&mut self, inst: &DecodedInst) {
-        *self.ops.entry(inst.op).or_insert(0) += 1;
+        self.ops[inst.op as usize] += 1;
         self.classes[inst.fu_class() as usize] += 1;
     }
 }
@@ -94,14 +92,13 @@ pub struct CoverageMap {
 impl CoverageMap {
     /// Assemble the map from the end-of-run artifacts.
     pub fn from_run(commit: &CommitCoverage, stats: &RuleStats, perf: &PerfSnapshot) -> Self {
-        let mut opcodes: Vec<(String, u64)> = commit
-            .ops
+        let mut opcodes: Vec<(String, u64)> = Op::ALL
             .iter()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(op, &n)| (format!("{op:?}"), n))
+            .map(|&op| (format!("{op:?}"), commit.ops[op as usize]))
+            .filter(|&(_, n)| n > 0)
             .collect();
         opcodes.sort();
-        let mut op_classes: Vec<(String, u64)> = FU_CLASSES
+        let mut op_classes: Vec<(String, u64)> = FuClass::ALL
             .iter()
             .map(|&c| (format!("{c:?}"), commit.classes[c as usize]))
             .filter(|&(_, n)| n > 0)
@@ -249,13 +246,12 @@ mod tests {
 
     #[test]
     fn op_count_covers_every_variant() {
-        // Illegal is the last variant by construction; a few spot checks
-        // guard against reordering.
         assert!(OP_COUNT > 100);
-        assert!((Op::Add as usize) < OP_COUNT);
-        assert!((Op::Sh3add as usize) < OP_COUNT);
+        for (i, op) in Op::ALL.iter().enumerate() {
+            assert_eq!(*op as usize, i);
+        }
         assert_eq!(Op::Illegal as usize, OP_COUNT - 1);
-        for (i, c) in FU_CLASSES.iter().enumerate() {
+        for (i, c) in FuClass::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i);
         }
     }
@@ -268,8 +264,8 @@ mod tests {
         cov.record(&add);
         cov.record(&add);
         cov.record(&mul);
-        assert_eq!(cov.ops[&Op::Add], 2);
-        assert_eq!(cov.ops[&Op::Mul], 1);
+        assert_eq!(cov.ops[Op::Add as usize], 2);
+        assert_eq!(cov.ops[Op::Mul as usize], 1);
         assert_eq!(cov.classes[FuClass::Alu as usize], 2);
         assert_eq!(cov.classes[FuClass::Mdu as usize], 1);
     }

@@ -23,8 +23,12 @@
 //! assert!(prog.bytes.len() >= 5 * 4);
 //! ```
 
+use crate::disasm::mnemonic;
 use crate::encode::encode;
 use crate::op::{DecodedInst, Op};
+
+/// The dynamic rounding mode (`frm` decides), what arithmetic emitters use.
+const RM_DYN: u8 = 0b111;
 
 /// Integer register ABI constants.
 #[allow(missing_docs)]
@@ -198,7 +202,7 @@ macro_rules! fp3 {
         $(
             #[doc = concat!("Emit `", stringify!($name), " rd, rs1, rs2` (FP).")]
             pub fn $name(&mut self, rd: u8, rs1: u8, rs2: u8) {
-                self.emit_op(Op::$op, rd, rs1, rs2, 0, 0);
+                self.emit_fp(Op::$op, rd, rs1, rs2, 0, RM_DYN);
             }
         )*
     };
@@ -209,7 +213,7 @@ macro_rules! fp4 {
         $(
             #[doc = concat!("Emit `", stringify!($name), " rd, rs1, rs2, rs3` (FMA).")]
             pub fn $name(&mut self, rd: u8, rs1: u8, rs2: u8, rs3: u8) {
-                self.emit_op(Op::$op, rd, rs1, rs2, rs3, 0);
+                self.emit_fp(Op::$op, rd, rs1, rs2, rs3, RM_DYN);
             }
         )*
     };
@@ -304,20 +308,51 @@ impl Asm {
         self.raw16(0x0001);
     }
 
+    /// Encode and emit one instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the mnemonic and the operands, when a register index
+    /// or the immediate does not fit the instruction's shape.
+    fn emit(&mut self, d: DecodedInst) {
+        let raw = encode(&d).unwrap_or_else(|| {
+            panic!(
+                "cannot encode `{}`: operand out of range (rd={} rs1={} rs2={} rs3={} imm={})",
+                mnemonic(d.op),
+                d.rd,
+                d.rs1,
+                d.rs2,
+                d.rs3,
+                d.imm
+            )
+        });
+        self.raw32(raw);
+    }
+
     fn emit_op(&mut self, op: Op, rd: u8, rs1: u8, rs2: u8, rs3: u8, imm: i64) {
-        let d = DecodedInst {
+        self.emit(DecodedInst {
             op,
             rd,
             rs1,
             rs2,
             rs3,
             imm,
-            rm: if d_needs_rm(op) { 7 } else { 0 },
-            len: 4,
-            raw: 0,
-        };
-        let raw = encode(&d).unwrap_or_else(|| panic!("cannot encode {op:?}"));
-        self.raw32(raw);
+            ..Default::default()
+        });
+    }
+
+    /// Emit a floating-point operation with rounding mode `rm` (ignored by
+    /// operations that have none).
+    fn emit_fp(&mut self, op: Op, rd: u8, rs1: u8, rs2: u8, rs3: u8, rm: u8) {
+        self.emit(DecodedInst {
+            op,
+            rd,
+            rs1,
+            rs2,
+            rs3,
+            rm,
+            ..Default::default()
+        });
     }
 
     rrr! {
@@ -428,16 +463,9 @@ impl Asm {
     pub fn fcvt_d_l(&mut self, rd: u8, rs1: u8) {
         self.emit_op(Op::FcvtDL, rd, rs1, 0, 0, 0);
     }
-    /// Emit `fcvt.l.d rd, rs1` with round-to-zero.
+    /// Emit `fcvt.l.d rd, rs1` with round-to-zero, as compilers emit for casts.
     pub fn fcvt_l_d(&mut self, rd: u8, rs1: u8) {
-        let d = DecodedInst {
-            op: Op::FcvtLD,
-            rd,
-            rs1,
-            rm: 1, // RTZ, as compilers emit for casts
-            ..Default::default()
-        };
-        self.raw32(encode(&d).expect("fcvt.l.d encodes"));
+        self.emit_fp(Op::FcvtLD, rd, rs1, 0, 0, 1);
     }
     /// Emit `fmv_d_x rd, rs1`.
     pub fn fmv_d_x(&mut self, rd: u8, rs1: u8) {
@@ -449,7 +477,7 @@ impl Asm {
     }
     /// Emit `fsqrt.d rd, rs1`.
     pub fn fsqrt_d(&mut self, rd: u8, rs1: u8) {
-        self.emit_op(Op::FsqrtD, rd, rs1, 0, 0, 0);
+        self.emit_fp(Op::FsqrtD, rd, rs1, 0, 0, RM_DYN);
     }
 
     /// Emit `lui rd, imm20` (imm is the already-shifted 32-bit value).
@@ -705,31 +733,6 @@ impl Asm {
     }
 }
 
-fn d_needs_rm(op: Op) -> bool {
-    use Op::*;
-    matches!(
-        op,
-        FaddS
-            | FsubS
-            | FmulS
-            | FdivS
-            | FsqrtS
-            | FaddD
-            | FsubD
-            | FmulD
-            | FdivD
-            | FsqrtD
-            | FmaddS
-            | FmsubS
-            | FnmsubS
-            | FnmaddS
-            | FmaddD
-            | FmsubD
-            | FnmsubD
-            | FnmaddD
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::reg::*;
@@ -836,6 +839,58 @@ mod tests {
             8,
             "label address stored"
         );
+    }
+
+    /// One emitter per immediate-carrying shape: its last operand that fits
+    /// assembles and decodes back, the first that does not is refused by
+    /// name — never masked into a different instruction.
+    #[test]
+    fn out_of_range_operands_panic_by_name() {
+        type Emit = fn(&mut Asm, i64);
+        let cases: [(&str, Emit, i64, i64); 13] = [
+            ("addi", |a, i| a.addi(T0, T1, i), 2047, 2048),
+            ("addi", |a, i| a.addi(T0, T1, i), -2048, -2049),
+            ("andi", |a, i| a.andi(T0, T1, i), -1, 0xfff),
+            ("ld", |a, i| a.ld(T0, i, T1), 2047, 2048),
+            ("fld", |a, i| a.fld(FT0, i, T1), 2047, 2048),
+            ("sd", |a, i| a.sd(T0, i, T1), -2048, -2049),
+            ("fsd", |a, i| a.fsd(FT0, i, T1), -2048, -2049),
+            ("slli", |a, i| a.slli(T0, T1, i), 63, 64),
+            ("slliw", |a, i| a.slliw(T0, T1, i), 31, 32),
+            ("csrrw", |a, i| a.csrrw(T0, i as u16, T1), 4095, 4096),
+            ("csrrwi", |a, i| a.csrrwi(T0, 0x300, i as u8), 31, 32),
+            ("lui", |a, i| a.lui(T0, i), 0xffff_f000, 0x1_0000_0000),
+            ("auipc", |a, i| a.auipc(T0, i), -0x8000_0000, 0x800),
+        ];
+        for (name, emit, fits, too_far) in cases {
+            let mut a = Asm::new(0);
+            emit(&mut a, fits);
+            let d = decode32(words(&a.assemble())[0]);
+            let got = if name == "csrrwi" {
+                d.rs1 as i64
+            } else {
+                d.imm
+            };
+            assert_eq!(
+                (mnemonic(d.op), got),
+                (name, fits as i32 as i64),
+                "{name} {fits}"
+            );
+
+            let refused = std::panic::catch_unwind(|| emit(&mut Asm::new(0), too_far));
+            let msg = *refused
+                .expect_err("must be refused")
+                .downcast::<String>()
+                .unwrap();
+            assert!(
+                msg.contains(&format!("`{name}`")),
+                "{name} {too_far}: {msg}"
+            );
+            assert!(
+                msg.contains(&too_far.to_string()),
+                "{name} {too_far}: {msg}"
+            );
+        }
     }
 
     #[test]

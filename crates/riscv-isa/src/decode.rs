@@ -1,11 +1,13 @@
 //! Instruction decoding for 32-bit and compressed (RVC) encodings.
 //!
-//! The decoder maps raw bits into [`DecodedInst`]. Compressed instructions
-//! are expanded straight into the same operation space (e.g. `c.addi`
-//! becomes [`Op::Addi`] with `len == 2`), so everything past decode is
-//! encoding-agnostic.
+//! [`decode32`] owns no list of instructions: the table in [`crate::op`]
+//! classifies the word and this module extracts the operand fields the
+//! operation's [`Shape`] carries. [`decode16`] is written by hand — a
+//! compressed word has no row of its own; it is expanded straight into the
+//! operation of its 32-bit form (e.g. `c.addi` becomes [`Op::Addi`] with
+//! `len == 2`), so everything past decode is encoding-agnostic.
 
-use crate::op::{DecodedInst, Op};
+use crate::op::{classify, DecodedInst, Op, Shape};
 
 #[inline]
 fn sext(value: u64, bits: u32) -> i64 {
@@ -43,416 +45,52 @@ pub fn decode(raw: u32) -> DecodedInst {
     }
 }
 
-/// Decode a full 32-bit instruction.
+/// Decode a full 32-bit instruction: the table classifies the word, the
+/// operation's shape says which immediate the word carries.
 pub fn decode32(raw: u32) -> DecodedInst {
-    let opcode = raw & 0x7f;
-    let rd = ((raw >> 7) & 0x1f) as u8;
-    let funct3 = (raw >> 12) & 0x7;
-    let rs1 = ((raw >> 15) & 0x1f) as u8;
-    let rs2 = ((raw >> 20) & 0x1f) as u8;
-    let funct7 = (raw >> 25) & 0x7f;
-
-    let imm_i = sext((raw >> 20) as u64, 12);
-    let imm_s = sext((bits(raw, 31, 25) << 5) | bits(raw, 11, 7), 12);
-    let imm_b = sext(
-        (bit(raw, 31) << 12) | (bit(raw, 7) << 11) | (bits(raw, 30, 25) << 5) | (bits(raw, 11, 8) << 1),
-        13,
-    );
-    let imm_u = sext((raw & 0xffff_f000) as u64, 32);
-    let imm_j = sext(
-        (bit(raw, 31) << 20) | (bits(raw, 19, 12) << 12) | (bit(raw, 20) << 11) | (bits(raw, 30, 21) << 1),
-        21,
-    );
-
+    let op = classify(raw);
     let mut d = DecodedInst {
-        rd,
-        rs1,
-        rs2,
-        rm: funct3 as u8,
+        op,
+        rd: bits(raw, 11, 7) as u8,
+        rs1: bits(raw, 19, 15) as u8,
+        rs2: bits(raw, 24, 20) as u8,
+        rm: bits(raw, 14, 12) as u8,
         len: 4,
         raw,
         ..Default::default()
     };
-
-    macro_rules! inst {
-        ($op:expr, $imm:expr) => {{
-            d.op = $op;
-            d.imm = $imm;
-            d
-        }};
-        ($op:expr) => {{
-            d.op = $op;
-            d
-        }};
+    match op.shape() {
+        Shape::I | Shape::Load | Shape::FLoad => d.imm = sext(bits(raw, 31, 20), 12),
+        Shape::S | Shape::FStore => d.imm = sext((bits(raw, 31, 25) << 5) | bits(raw, 11, 7), 12),
+        Shape::B => {
+            d.imm = sext(
+                (bit(raw, 31) << 12)
+                    | (bit(raw, 7) << 11)
+                    | (bits(raw, 30, 25) << 5)
+                    | (bits(raw, 11, 8) << 1),
+                13,
+            )
+        }
+        Shape::U => d.imm = sext((raw & 0xffff_f000) as u64, 32),
+        Shape::J => {
+            d.imm = sext(
+                (bit(raw, 31) << 20)
+                    | (bits(raw, 19, 12) << 12)
+                    | (bit(raw, 20) << 11)
+                    | (bits(raw, 30, 21) << 1),
+                21,
+            )
+        }
+        Shape::Shamt6 => d.imm = bits(raw, 25, 20) as i64,
+        Shape::Shamt5 => d.imm = bits(raw, 24, 20) as i64,
+        Shape::Csr | Shape::CsrImm => d.imm = bits(raw, 31, 20) as i64,
+        Shape::Fma => d.rs3 = bits(raw, 31, 27) as u8,
+        // Hint fields are normalized so decode(encode(x)) is the identity.
+        Shape::Fence => (d.rd, d.rs1, d.rs2) = (0, 0, 0),
+        Shape::Sfence => d.rd = 0,
+        _ => {}
     }
-
-    match opcode {
-        0x37 => inst!(Op::Lui, imm_u),
-        0x17 => inst!(Op::Auipc, imm_u),
-        0x6f => inst!(Op::Jal, imm_j),
-        0x67 if funct3 == 0 => inst!(Op::Jalr, imm_i),
-        0x63 => {
-            let op = match funct3 {
-                0 => Op::Beq,
-                1 => Op::Bne,
-                4 => Op::Blt,
-                5 => Op::Bge,
-                6 => Op::Bltu,
-                7 => Op::Bgeu,
-                _ => Op::Illegal,
-            };
-            inst!(op, imm_b)
-        }
-        0x03 => {
-            let op = match funct3 {
-                0 => Op::Lb,
-                1 => Op::Lh,
-                2 => Op::Lw,
-                3 => Op::Ld,
-                4 => Op::Lbu,
-                5 => Op::Lhu,
-                6 => Op::Lwu,
-                _ => Op::Illegal,
-            };
-            inst!(op, imm_i)
-        }
-        0x23 => {
-            let op = match funct3 {
-                0 => Op::Sb,
-                1 => Op::Sh,
-                2 => Op::Sw,
-                3 => Op::Sd,
-                _ => Op::Illegal,
-            };
-            inst!(op, imm_s)
-        }
-        0x13 => {
-            // OP-IMM: shifts use a 6-bit shamt on RV64.
-            let shamt6 = bits(raw, 25, 20) as i64;
-            let funct6 = bits(raw, 31, 26);
-            match funct3 {
-                0 => inst!(Op::Addi, imm_i),
-                2 => inst!(Op::Slti, imm_i),
-                3 => inst!(Op::Sltiu, imm_i),
-                4 => inst!(Op::Xori, imm_i),
-                6 => inst!(Op::Ori, imm_i),
-                7 => inst!(Op::Andi, imm_i),
-                1 => match funct6 {
-                    0x00 => inst!(Op::Slli, shamt6),
-                    0x18 => match rs2 {
-                        0 => inst!(Op::Clz),
-                        1 => inst!(Op::Ctz),
-                        2 => inst!(Op::Cpop),
-                        4 => inst!(Op::SextB),
-                        5 => inst!(Op::SextH),
-                        _ => inst!(Op::Illegal),
-                    },
-                    _ => inst!(Op::Illegal),
-                },
-                5 => match funct6 {
-                    0x00 => inst!(Op::Srli, shamt6),
-                    0x10 => inst!(Op::Srai, shamt6),
-                    0x18 => inst!(Op::Rori, shamt6),
-                    _ => {
-                        let imm12 = bits(raw, 31, 20);
-                        match imm12 {
-                            0x287 => inst!(Op::OrcB),
-                            0x6b8 => inst!(Op::Rev8),
-                            _ => inst!(Op::Illegal),
-                        }
-                    }
-                },
-                _ => inst!(Op::Illegal),
-            }
-        }
-        0x33 => {
-            let op = match (funct7, funct3) {
-                (0x00, 0) => Op::Add,
-                (0x20, 0) => Op::Sub,
-                (0x00, 1) => Op::Sll,
-                (0x00, 2) => Op::Slt,
-                (0x00, 3) => Op::Sltu,
-                (0x00, 4) => Op::Xor,
-                (0x00, 5) => Op::Srl,
-                (0x20, 5) => Op::Sra,
-                (0x00, 6) => Op::Or,
-                (0x00, 7) => Op::And,
-                (0x01, 0) => Op::Mul,
-                (0x01, 1) => Op::Mulh,
-                (0x01, 2) => Op::Mulhsu,
-                (0x01, 3) => Op::Mulhu,
-                (0x01, 4) => Op::Div,
-                (0x01, 5) => Op::Divu,
-                (0x01, 6) => Op::Rem,
-                (0x01, 7) => Op::Remu,
-                (0x20, 7) => Op::Andn,
-                (0x20, 6) => Op::Orn,
-                (0x20, 4) => Op::Xnor,
-                (0x10, 2) => Op::Sh1add,
-                (0x10, 4) => Op::Sh2add,
-                (0x10, 6) => Op::Sh3add,
-                (0x05, 4) => Op::Min,
-                (0x05, 5) => Op::Minu,
-                (0x05, 6) => Op::Max,
-                (0x05, 7) => Op::Maxu,
-                (0x30, 1) => Op::Rol,
-                (0x30, 5) => Op::Ror,
-                _ => Op::Illegal,
-            };
-            inst!(op)
-        }
-        0x1b => {
-            let shamt5 = bits(raw, 24, 20) as i64;
-            let funct6 = bits(raw, 31, 26);
-            match funct3 {
-                0 => inst!(Op::Addiw, imm_i),
-                1 => match funct6 {
-                    0x00 if funct7 == 0 => inst!(Op::Slliw, shamt5),
-                    0x02 => inst!(Op::SlliUw, bits(raw, 25, 20) as i64),
-                    0x18 if funct7 == 0x30 => match rs2 {
-                        0 => inst!(Op::Clzw),
-                        1 => inst!(Op::Ctzw),
-                        2 => inst!(Op::Cpopw),
-                        _ => inst!(Op::Illegal),
-                    },
-                    _ => inst!(Op::Illegal),
-                },
-                5 => match funct7 {
-                    0x00 => inst!(Op::Srliw, shamt5),
-                    0x20 => inst!(Op::Sraiw, shamt5),
-                    0x30 => inst!(Op::Roriw, shamt5),
-                    _ => inst!(Op::Illegal),
-                },
-                _ => inst!(Op::Illegal),
-            }
-        }
-        0x3b => {
-            let op = match (funct7, funct3) {
-                (0x00, 0) => Op::Addw,
-                (0x20, 0) => Op::Subw,
-                (0x00, 1) => Op::Sllw,
-                (0x00, 5) => Op::Srlw,
-                (0x20, 5) => Op::Sraw,
-                (0x01, 0) => Op::Mulw,
-                (0x01, 4) => Op::Divw,
-                (0x01, 5) => Op::Divuw,
-                (0x01, 6) => Op::Remw,
-                (0x01, 7) => Op::Remuw,
-                (0x04, 0) => Op::AddUw,
-                (0x10, 2) => Op::Sh1addUw,
-                (0x10, 4) => Op::Sh2addUw,
-                (0x10, 6) => Op::Sh3addUw,
-                (0x04, 4) if rs2 == 0 => Op::ZextH,
-                (0x30, 1) => Op::Rolw,
-                (0x30, 5) => Op::Rorw,
-                _ => Op::Illegal,
-            };
-            inst!(op)
-        }
-        0x0f => {
-            // fm/pred/succ bits of fences are hints; normalize the
-            // register fields so decode(encode(x)) is the identity.
-            d.rd = 0;
-            d.rs1 = 0;
-            d.rs2 = 0;
-            match funct3 {
-                0 => inst!(Op::Fence),
-                1 => inst!(Op::FenceI),
-                _ => inst!(Op::Illegal),
-            }
-        }
-        0x73 => match funct3 {
-            0 => {
-                if funct7 == 0x09 {
-                    d.rd = 0;
-                    inst!(Op::SfenceVma)
-                } else if rd != 0 || rs1 != 0 {
-                    inst!(Op::Illegal)
-                } else {
-                    match bits(raw, 31, 20) {
-                        0x000 => inst!(Op::Ecall),
-                        0x001 => inst!(Op::Ebreak),
-                        0x302 => inst!(Op::Mret),
-                        0x102 => inst!(Op::Sret),
-                        0x105 => inst!(Op::Wfi),
-                        _ => inst!(Op::Illegal),
-                    }
-                }
-            }
-            1 => inst!(Op::Csrrw, bits(raw, 31, 20) as i64),
-            2 => inst!(Op::Csrrs, bits(raw, 31, 20) as i64),
-            3 => inst!(Op::Csrrc, bits(raw, 31, 20) as i64),
-            5 => inst!(Op::Csrrwi, bits(raw, 31, 20) as i64),
-            6 => inst!(Op::Csrrsi, bits(raw, 31, 20) as i64),
-            7 => inst!(Op::Csrrci, bits(raw, 31, 20) as i64),
-            _ => inst!(Op::Illegal),
-        },
-        0x2f => {
-            let funct5 = bits(raw, 31, 27);
-            let wide = match funct3 {
-                2 => false,
-                3 => true,
-                _ => return inst!(Op::Illegal),
-            };
-            let op = match (funct5, wide) {
-                (0x02, false) => Op::LrW,
-                (0x03, false) => Op::ScW,
-                (0x01, false) => Op::AmoswapW,
-                (0x00, false) => Op::AmoaddW,
-                (0x04, false) => Op::AmoxorW,
-                (0x0c, false) => Op::AmoandW,
-                (0x08, false) => Op::AmoorW,
-                (0x10, false) => Op::AmominW,
-                (0x14, false) => Op::AmomaxW,
-                (0x18, false) => Op::AmominuW,
-                (0x1c, false) => Op::AmomaxuW,
-                (0x02, true) => Op::LrD,
-                (0x03, true) => Op::ScD,
-                (0x01, true) => Op::AmoswapD,
-                (0x00, true) => Op::AmoaddD,
-                (0x04, true) => Op::AmoxorD,
-                (0x0c, true) => Op::AmoandD,
-                (0x08, true) => Op::AmoorD,
-                (0x10, true) => Op::AmominD,
-                (0x14, true) => Op::AmomaxD,
-                (0x18, true) => Op::AmominuD,
-                (0x1c, true) => Op::AmomaxuD,
-                _ => Op::Illegal,
-            };
-            inst!(op)
-        }
-        0x07 => match funct3 {
-            2 => inst!(Op::Flw, imm_i),
-            3 => inst!(Op::Fld, imm_i),
-            _ => inst!(Op::Illegal),
-        },
-        0x27 => match funct3 {
-            2 => inst!(Op::Fsw, imm_s),
-            3 => inst!(Op::Fsd, imm_s),
-            _ => inst!(Op::Illegal),
-        },
-        0x43 | 0x47 | 0x4b | 0x4f => {
-            d.rs3 = bits(raw, 31, 27) as u8;
-            let fmt = bits(raw, 26, 25);
-            let op = match (opcode, fmt) {
-                (0x43, 0) => Op::FmaddS,
-                (0x47, 0) => Op::FmsubS,
-                (0x4b, 0) => Op::FnmsubS,
-                (0x4f, 0) => Op::FnmaddS,
-                (0x43, 1) => Op::FmaddD,
-                (0x47, 1) => Op::FmsubD,
-                (0x4b, 1) => Op::FnmsubD,
-                (0x4f, 1) => Op::FnmaddD,
-                _ => Op::Illegal,
-            };
-            inst!(op)
-        }
-        0x53 => {
-            let op = match funct7 {
-                0x00 => Op::FaddS,
-                0x01 => Op::FaddD,
-                0x04 => Op::FsubS,
-                0x05 => Op::FsubD,
-                0x08 => Op::FmulS,
-                0x09 => Op::FmulD,
-                0x0c => Op::FdivS,
-                0x0d => Op::FdivD,
-                0x2c => Op::FsqrtS,
-                0x2d => Op::FsqrtD,
-                0x10 => match funct3 {
-                    0 => Op::FsgnjS,
-                    1 => Op::FsgnjnS,
-                    2 => Op::FsgnjxS,
-                    _ => Op::Illegal,
-                },
-                0x11 => match funct3 {
-                    0 => Op::FsgnjD,
-                    1 => Op::FsgnjnD,
-                    2 => Op::FsgnjxD,
-                    _ => Op::Illegal,
-                },
-                0x14 => match funct3 {
-                    0 => Op::FminS,
-                    1 => Op::FmaxS,
-                    _ => Op::Illegal,
-                },
-                0x15 => match funct3 {
-                    0 => Op::FminD,
-                    1 => Op::FmaxD,
-                    _ => Op::Illegal,
-                },
-                0x20 => {
-                    if rs2 == 1 {
-                        Op::FcvtSD
-                    } else {
-                        Op::Illegal
-                    }
-                }
-                0x21 => {
-                    if rs2 == 0 {
-                        Op::FcvtDS
-                    } else {
-                        Op::Illegal
-                    }
-                }
-                0x50 => match funct3 {
-                    2 => Op::FeqS,
-                    1 => Op::FltS,
-                    0 => Op::FleS,
-                    _ => Op::Illegal,
-                },
-                0x51 => match funct3 {
-                    2 => Op::FeqD,
-                    1 => Op::FltD,
-                    0 => Op::FleD,
-                    _ => Op::Illegal,
-                },
-                0x60 => match rs2 {
-                    0 => Op::FcvtWS,
-                    1 => Op::FcvtWuS,
-                    2 => Op::FcvtLS,
-                    3 => Op::FcvtLuS,
-                    _ => Op::Illegal,
-                },
-                0x61 => match rs2 {
-                    0 => Op::FcvtWD,
-                    1 => Op::FcvtWuD,
-                    2 => Op::FcvtLD,
-                    3 => Op::FcvtLuD,
-                    _ => Op::Illegal,
-                },
-                0x68 => match rs2 {
-                    0 => Op::FcvtSW,
-                    1 => Op::FcvtSWu,
-                    2 => Op::FcvtSL,
-                    3 => Op::FcvtSLu,
-                    _ => Op::Illegal,
-                },
-                0x69 => match rs2 {
-                    0 => Op::FcvtDW,
-                    1 => Op::FcvtDWu,
-                    2 => Op::FcvtDL,
-                    3 => Op::FcvtDLu,
-                    _ => Op::Illegal,
-                },
-                0x70 => match funct3 {
-                    0 if rs2 == 0 => Op::FmvXW,
-                    1 if rs2 == 0 => Op::FclassS,
-                    _ => Op::Illegal,
-                },
-                0x71 => match funct3 {
-                    0 if rs2 == 0 => Op::FmvXD,
-                    1 if rs2 == 0 => Op::FclassD,
-                    _ => Op::Illegal,
-                },
-                0x78 if funct3 == 0 && rs2 == 0 => Op::FmvWX,
-                0x79 if funct3 == 0 && rs2 == 0 => Op::FmvDX,
-                _ => Op::Illegal,
-            };
-            inst!(op)
-        }
-        _ => inst!(Op::Illegal),
-    }
+    d
 }
 
 /// Decode a 16-bit compressed (RVC) instruction into its expanded form.

@@ -1,8 +1,10 @@
 //! A compact disassembler used by trace logs, ArchDB dumps, and debug
 //! replays (the reproduction's analogue of reading a waveform next to a
-//! program listing).
+//! program listing). Mnemonics and operand syntax come from the
+//! instruction table in [`crate::op`]; this module owns only the register
+//! names and one format per [`Shape`].
 
-use crate::op::{DecodedInst, Op};
+use crate::op::{DecodedInst, Op, RegFile, Shape};
 
 /// ABI names of the integer registers.
 pub const GPR_NAMES: [&str; 32] = [
@@ -18,267 +20,48 @@ pub const FPR_NAMES: [&str; 32] = [
     "fs10", "fs11", "ft8", "ft9", "ft10", "ft11",
 ];
 
-/// Lower-case mnemonic of an operation.
+/// Lower-case mnemonic of an operation (the table's column).
 pub fn mnemonic(op: Op) -> &'static str {
-    use Op::*;
-    match op {
-        Lui => "lui",
-        Auipc => "auipc",
-        Jal => "jal",
-        Jalr => "jalr",
-        Beq => "beq",
-        Bne => "bne",
-        Blt => "blt",
-        Bge => "bge",
-        Bltu => "bltu",
-        Bgeu => "bgeu",
-        Lb => "lb",
-        Lh => "lh",
-        Lw => "lw",
-        Ld => "ld",
-        Lbu => "lbu",
-        Lhu => "lhu",
-        Lwu => "lwu",
-        Sb => "sb",
-        Sh => "sh",
-        Sw => "sw",
-        Sd => "sd",
-        Addi => "addi",
-        Slti => "slti",
-        Sltiu => "sltiu",
-        Xori => "xori",
-        Ori => "ori",
-        Andi => "andi",
-        Slli => "slli",
-        Srli => "srli",
-        Srai => "srai",
-        Add => "add",
-        Sub => "sub",
-        Sll => "sll",
-        Slt => "slt",
-        Sltu => "sltu",
-        Xor => "xor",
-        Srl => "srl",
-        Sra => "sra",
-        Or => "or",
-        And => "and",
-        Addiw => "addiw",
-        Slliw => "slliw",
-        Srliw => "srliw",
-        Sraiw => "sraiw",
-        Addw => "addw",
-        Subw => "subw",
-        Sllw => "sllw",
-        Srlw => "srlw",
-        Sraw => "sraw",
-        Fence => "fence",
-        FenceI => "fence.i",
-        Ecall => "ecall",
-        Ebreak => "ebreak",
-        Csrrw => "csrrw",
-        Csrrs => "csrrs",
-        Csrrc => "csrrc",
-        Csrrwi => "csrrwi",
-        Csrrsi => "csrrsi",
-        Csrrci => "csrrci",
-        Mul => "mul",
-        Mulh => "mulh",
-        Mulhsu => "mulhsu",
-        Mulhu => "mulhu",
-        Div => "div",
-        Divu => "divu",
-        Rem => "rem",
-        Remu => "remu",
-        Mulw => "mulw",
-        Divw => "divw",
-        Divuw => "divuw",
-        Remw => "remw",
-        Remuw => "remuw",
-        LrW => "lr.w",
-        ScW => "sc.w",
-        AmoswapW => "amoswap.w",
-        AmoaddW => "amoadd.w",
-        AmoxorW => "amoxor.w",
-        AmoandW => "amoand.w",
-        AmoorW => "amoor.w",
-        AmominW => "amomin.w",
-        AmomaxW => "amomax.w",
-        AmominuW => "amominu.w",
-        AmomaxuW => "amomaxu.w",
-        LrD => "lr.d",
-        ScD => "sc.d",
-        AmoswapD => "amoswap.d",
-        AmoaddD => "amoadd.d",
-        AmoxorD => "amoxor.d",
-        AmoandD => "amoand.d",
-        AmoorD => "amoor.d",
-        AmominD => "amomin.d",
-        AmomaxD => "amomax.d",
-        AmominuD => "amominu.d",
-        AmomaxuD => "amomaxu.d",
-        Flw => "flw",
-        Fsw => "fsw",
-        FmaddS => "fmadd.s",
-        FmsubS => "fmsub.s",
-        FnmsubS => "fnmsub.s",
-        FnmaddS => "fnmadd.s",
-        FaddS => "fadd.s",
-        FsubS => "fsub.s",
-        FmulS => "fmul.s",
-        FdivS => "fdiv.s",
-        FsqrtS => "fsqrt.s",
-        FsgnjS => "fsgnj.s",
-        FsgnjnS => "fsgnjn.s",
-        FsgnjxS => "fsgnjx.s",
-        FminS => "fmin.s",
-        FmaxS => "fmax.s",
-        FcvtWS => "fcvt.w.s",
-        FcvtWuS => "fcvt.wu.s",
-        FcvtLS => "fcvt.l.s",
-        FcvtLuS => "fcvt.lu.s",
-        FmvXW => "fmv.x.w",
-        FeqS => "feq.s",
-        FltS => "flt.s",
-        FleS => "fle.s",
-        FclassS => "fclass.s",
-        FcvtSW => "fcvt.s.w",
-        FcvtSWu => "fcvt.s.wu",
-        FcvtSL => "fcvt.s.l",
-        FcvtSLu => "fcvt.s.lu",
-        FmvWX => "fmv.w.x",
-        Fld => "fld",
-        Fsd => "fsd",
-        FmaddD => "fmadd.d",
-        FmsubD => "fmsub.d",
-        FnmsubD => "fnmsub.d",
-        FnmaddD => "fnmadd.d",
-        FaddD => "fadd.d",
-        FsubD => "fsub.d",
-        FmulD => "fmul.d",
-        FdivD => "fdiv.d",
-        FsqrtD => "fsqrt.d",
-        FsgnjD => "fsgnj.d",
-        FsgnjnD => "fsgnjn.d",
-        FsgnjxD => "fsgnjx.d",
-        FminD => "fmin.d",
-        FmaxD => "fmax.d",
-        FcvtSD => "fcvt.s.d",
-        FcvtDS => "fcvt.d.s",
-        FeqD => "feq.d",
-        FltD => "flt.d",
-        FleD => "fle.d",
-        FclassD => "fclass.d",
-        FcvtWD => "fcvt.w.d",
-        FcvtWuD => "fcvt.wu.d",
-        FcvtLD => "fcvt.l.d",
-        FcvtLuD => "fcvt.lu.d",
-        FmvXD => "fmv.x.d",
-        FcvtDW => "fcvt.d.w",
-        FcvtDWu => "fcvt.d.wu",
-        FcvtDL => "fcvt.d.l",
-        FcvtDLu => "fcvt.d.lu",
-        FmvDX => "fmv.d.x",
-        Mret => "mret",
-        Sret => "sret",
-        Wfi => "wfi",
-        SfenceVma => "sfence.vma",
-        Sh1add => "sh1add",
-        Sh2add => "sh2add",
-        Sh3add => "sh3add",
-        AddUw => "add.uw",
-        Sh1addUw => "sh1add.uw",
-        Sh2addUw => "sh2add.uw",
-        Sh3addUw => "sh3add.uw",
-        SlliUw => "slli.uw",
-        Andn => "andn",
-        Orn => "orn",
-        Xnor => "xnor",
-        Clz => "clz",
-        Ctz => "ctz",
-        Cpop => "cpop",
-        Clzw => "clzw",
-        Ctzw => "ctzw",
-        Cpopw => "cpopw",
-        Max => "max",
-        Min => "min",
-        Maxu => "maxu",
-        Minu => "minu",
-        SextB => "sext.b",
-        SextH => "sext.h",
-        ZextH => "zext.h",
-        Rol => "rol",
-        Ror => "ror",
-        Rori => "rori",
-        Rolw => "rolw",
-        Rorw => "rorw",
-        Roriw => "roriw",
-        OrcB => "orc.b",
-        Rev8 => "rev8",
-        Illegal => "illegal",
-    }
+    op.info().mnemonic
 }
 
-/// Render a decoded instruction as assembly text.
+/// Render a decoded instruction as assembly text, in the syntax of its
+/// [`Shape`].
 ///
 /// Branch and jump targets are shown as absolute addresses computed from
 /// `pc`.
 pub fn disassemble(d: &DecodedInst, pc: u64) -> String {
-    use Op::*;
     let m = mnemonic(d.op);
-    let x = |r: u8| GPR_NAMES[r as usize];
-    let f = |r: u8| FPR_NAMES[r as usize];
-    match d.op {
-        Illegal => format!("illegal {:#010x}", d.raw),
-        Lui | Auipc => format!("{m} {}, {:#x}", x(d.rd), (d.imm as u64 >> 12) & 0xfffff),
-        Jal => format!("{m} {}, {:#x}", x(d.rd), pc.wrapping_add(d.imm as u64)),
-        Jalr => format!("{m} {}, {}({})", x(d.rd), d.imm, x(d.rs1)),
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => format!(
-            "{m} {}, {}, {:#x}",
-            x(d.rs1),
-            x(d.rs2),
-            pc.wrapping_add(d.imm as u64)
-        ),
-        Lb | Lh | Lw | Ld | Lbu | Lhu | Lwu => {
-            format!("{m} {}, {}({})", x(d.rd), d.imm, x(d.rs1))
+    let shape = d.op.shape();
+    let files = shape.regs();
+    let reg = |slot: usize, idx: u8| match files[slot] {
+        Some(RegFile::F) => FPR_NAMES[idx as usize],
+        _ => GPR_NAMES[idx as usize],
+    };
+    let (rd, rs1, rs2) = (reg(0, d.rd), reg(1, d.rs1), reg(2, d.rs2));
+    let target = pc.wrapping_add(d.imm as u64);
+    match shape {
+        Shape::None if d.op == Op::Illegal => format!("illegal {:#010x}", d.raw),
+        Shape::None | Shape::Fence => m.to_string(),
+        Shape::U => format!("{m} {rd}, {:#x}", (d.imm as u64 >> 12) & 0xfffff),
+        Shape::J => format!("{m} {rd}, {target:#x}"),
+        Shape::B => format!("{m} {rs1}, {rs2}, {target:#x}"),
+        Shape::Load | Shape::FLoad => format!("{m} {rd}, {}({rs1})", d.imm),
+        Shape::S | Shape::FStore => format!("{m} {rs2}, {}({rs1})", d.imm),
+        Shape::I | Shape::Shamt6 | Shape::Shamt5 => format!("{m} {rd}, {rs1}, {}", d.imm),
+        Shape::Csr => format!("{m} {rd}, {:#x}, {rs1}", d.csr()),
+        Shape::CsrImm => format!("{m} {rd}, {:#x}, {}", d.csr(), d.rs1),
+        Shape::Lr => format!("{m} {rd}, ({rs1})"),
+        Shape::Amo => format!("{m} {rd}, {rs2}, ({rs1})"),
+        // Every other shape lists the registers it names, in field order.
+        _ => {
+            let regs = [rd, rs1, rs2, reg(3, d.rs3)];
+            let named: Vec<&str> = (0..4)
+                .filter(|&i| files[i].is_some())
+                .map(|i| regs[i])
+                .collect();
+            format!("{m} {}", named.join(", "))
         }
-        Flw | Fld => format!("{m} {}, {}({})", f(d.rd), d.imm, x(d.rs1)),
-        Sb | Sh | Sw | Sd => format!("{m} {}, {}({})", x(d.rs2), d.imm, x(d.rs1)),
-        Fsw | Fsd => format!("{m} {}, {}({})", f(d.rs2), d.imm, x(d.rs1)),
-        Addi | Slti | Sltiu | Xori | Ori | Andi | Addiw | Slli | Srli | Srai | Slliw | Srliw
-        | Sraiw | Rori | Roriw | SlliUw => {
-            format!("{m} {}, {}, {}", x(d.rd), x(d.rs1), d.imm)
-        }
-        Csrrw | Csrrs | Csrrc => format!("{m} {}, {:#x}, {}", x(d.rd), d.csr(), x(d.rs1)),
-        Csrrwi | Csrrsi | Csrrci => format!("{m} {}, {:#x}, {}", x(d.rd), d.csr(), d.rs1),
-        Ecall | Ebreak | Mret | Sret | Wfi | Fence | FenceI => m.to_string(),
-        SfenceVma => format!("{m} {}, {}", x(d.rs1), x(d.rs2)),
-        LrW | LrD => format!("{m} {}, ({})", x(d.rd), x(d.rs1)),
-        op if DecodedInst { op, ..*d }.is_amo() || matches!(op, ScW | ScD) => {
-            format!("{m} {}, {}, ({})", x(d.rd), x(d.rs2), x(d.rs1))
-        }
-        FmaddS | FmsubS | FnmsubS | FnmaddS | FmaddD | FmsubD | FnmsubD | FnmaddD => format!(
-            "{m} {}, {}, {}, {}",
-            f(d.rd),
-            f(d.rs1),
-            f(d.rs2),
-            f(d.rs3)
-        ),
-        FaddS | FsubS | FmulS | FdivS | FaddD | FsubD | FmulD | FdivD | FsgnjS | FsgnjnS
-        | FsgnjxS | FsgnjD | FsgnjnD | FsgnjxD | FminS | FmaxS | FminD | FmaxD => {
-            format!("{m} {}, {}, {}", f(d.rd), f(d.rs1), f(d.rs2))
-        }
-        FsqrtS | FsqrtD | FcvtSD | FcvtDS => format!("{m} {}, {}", f(d.rd), f(d.rs1)),
-        FeqS | FltS | FleS | FeqD | FltD | FleD => {
-            format!("{m} {}, {}, {}", x(d.rd), f(d.rs1), f(d.rs2))
-        }
-        FclassS | FclassD | FmvXW | FmvXD | FcvtWS | FcvtWuS | FcvtLS | FcvtLuS | FcvtWD
-        | FcvtWuD | FcvtLD | FcvtLuD => format!("{m} {}, {}", x(d.rd), f(d.rs1)),
-        FmvWX | FmvDX | FcvtSW | FcvtSWu | FcvtSL | FcvtSLu | FcvtDW | FcvtDWu | FcvtDL
-        | FcvtDLu => format!("{m} {}, {}", f(d.rd), x(d.rs1)),
-        Clz | Ctz | Cpop | Clzw | Ctzw | Cpopw | SextB | SextH | ZextH | OrcB | Rev8 => {
-            format!("{m} {}, {}", x(d.rd), x(d.rs1))
-        }
-        _ => format!("{m} {}, {}, {}", x(d.rd), x(d.rs1), x(d.rs2)),
     }
 }
 
@@ -322,11 +105,12 @@ mod tests {
 
     #[test]
     fn every_op_has_a_mnemonic() {
-        // Spot-check that mnemonics are non-empty and lowercase.
-        for op in [Op::Lui, Op::FnmaddD, Op::AmomaxuW, Op::Rev8, Op::Wfi] {
+        let mut seen = std::collections::HashSet::new();
+        for op in Op::ALL {
             let m = mnemonic(op);
-            assert!(!m.is_empty());
+            assert!(!m.is_empty(), "{op:?}");
             assert_eq!(m, m.to_lowercase());
+            assert!(seen.insert(m), "`{m}` names two operations");
         }
     }
 }

@@ -1,294 +1,90 @@
 //! Instruction encoding (32-bit forms only).
 //!
-//! [`encode`] is the inverse of [`crate::decode::decode32`] for every
-//! supported operation; the assembler in [`crate::asm`] is built on top of
-//! it. Compressed encodings are decode-only in this crate — the workload
-//! suite always emits 4-byte forms, while the decoder accepts both.
+//! [`encode`] is the inverse of [`crate::decode::decode32`] for every row of
+//! the instruction table in [`crate::op`]: the row gives the match bits, its
+//! [`Shape`] says which operand fields and which immediate form are laid
+//! over them — and which immediates fit, so an operand the word cannot hold
+//! is refused, never masked. The assembler in [`crate::asm`] is built on top
+//! of it. Compressed encodings are decode-only: the workload suite always
+//! emits 4-byte forms, while the decoder accepts both.
 
-use crate::op::{DecodedInst, Op};
+use crate::op::{DecodedInst, Op, Shape};
 
-#[inline]
-fn r_type(funct7: u32, rs2: u8, rs1: u8, funct3: u32, rd: u8) -> u32 {
-    (funct7 << 25) | ((rs2 as u32) << 20) | ((rs1 as u32) << 15) | (funct3 << 12) | ((rd as u32) << 7)
-}
-
-#[inline]
-fn i_type(imm: i64, rs1: u8, funct3: u32, rd: u8) -> u32 {
-    (((imm as u32) & 0xfff) << 20) | ((rs1 as u32) << 15) | (funct3 << 12) | ((rd as u32) << 7)
-}
-
-#[inline]
-fn s_type(imm: i64, rs2: u8, rs1: u8, funct3: u32) -> u32 {
-    let imm = imm as u32;
-    ((imm >> 5 & 0x7f) << 25)
-        | ((rs2 as u32) << 20)
-        | ((rs1 as u32) << 15)
-        | (funct3 << 12)
-        | ((imm & 0x1f) << 7)
-}
-
-#[inline]
-fn b_type(imm: i64, rs2: u8, rs1: u8, funct3: u32) -> u32 {
-    let imm = imm as u32;
-    ((imm >> 12 & 1) << 31)
-        | ((imm >> 5 & 0x3f) << 25)
-        | ((rs2 as u32) << 20)
-        | ((rs1 as u32) << 15)
-        | (funct3 << 12)
-        | ((imm >> 1 & 0xf) << 8)
-        | ((imm >> 11 & 1) << 7)
-}
-
-#[inline]
-fn u_type(imm: i64, rd: u8) -> u32 {
-    ((imm as u32) & 0xffff_f000) | ((rd as u32) << 7)
-}
-
-#[inline]
-fn j_type(imm: i64, rd: u8) -> u32 {
-    let imm = imm as u32;
-    ((imm >> 20 & 1) << 31)
-        | ((imm >> 1 & 0x3ff) << 21)
-        | ((imm >> 11 & 1) << 20)
-        | ((imm >> 12 & 0xff) << 12)
-        | ((rd as u32) << 7)
+/// The immediates a shape can carry, as `(lowest, highest, multiple of)` —
+/// the last a power of two; `None` for a shape without an immediate. A `U`
+/// immediate is the already-shifted 32-bit value, sign-extended or unsigned.
+pub fn imm_range(shape: Shape) -> Option<(i64, i64, i64)> {
+    match shape {
+        Shape::I | Shape::Load | Shape::FLoad | Shape::S | Shape::FStore => Some((-2048, 2047, 1)),
+        Shape::Shamt6 => Some((0, 63, 1)),
+        Shape::Shamt5 => Some((0, 31, 1)),
+        Shape::Csr | Shape::CsrImm => Some((0, 4095, 1)),
+        Shape::B => Some((-4096, 4094, 2)),
+        Shape::J => Some((-(1 << 20), (1 << 20) - 2, 2)),
+        Shape::U => Some((i32::MIN as i64, 0xffff_f000, 4096)),
+        _ => None,
+    }
 }
 
 /// Encode a decoded instruction back into its 32-bit form.
 ///
-/// Returns `None` for [`Op::Illegal`]. The `rm` field is honored for
-/// floating-point operations; everything else re-derives funct3 from the
-/// operation itself.
+/// Returns `None` for [`Op::Illegal`], for a register index above 31 and
+/// for an immediate outside [`imm_range`] of the operation's shape. The
+/// `rm` field is honored where the operation has a rounding mode;
+/// everything else takes funct3 from the table.
 ///
 /// ```
 /// use riscv_isa::{decode32, encode::encode, op::{DecodedInst, Op}};
 /// let inst = DecodedInst { op: Op::Add, rd: 3, rs1: 1, rs2: 2, ..Default::default() };
 /// let raw = encode(&inst).expect("encodable");
 /// assert_eq!(decode32(raw).op, Op::Add);
+/// let too_wide = DecodedInst { op: Op::Andi, imm: 0xfff, ..inst };
+/// assert_eq!(encode(&too_wide), None);
 /// ```
 pub fn encode(d: &DecodedInst) -> Option<u32> {
-    use Op::*;
-    let (rd, rs1, rs2, rs3, imm) = (d.rd, d.rs1, d.rs2, d.rs3, d.imm);
-    let rm = (d.rm & 0x7) as u32;
-
-    let raw = match d.op {
-        Lui => u_type(imm, rd) | 0x37,
-        Auipc => u_type(imm, rd) | 0x17,
-        Jal => j_type(imm, rd) | 0x6f,
-        Jalr => i_type(imm, rs1, 0, rd) | 0x67,
-        Beq => b_type(imm, rs2, rs1, 0) | 0x63,
-        Bne => b_type(imm, rs2, rs1, 1) | 0x63,
-        Blt => b_type(imm, rs2, rs1, 4) | 0x63,
-        Bge => b_type(imm, rs2, rs1, 5) | 0x63,
-        Bltu => b_type(imm, rs2, rs1, 6) | 0x63,
-        Bgeu => b_type(imm, rs2, rs1, 7) | 0x63,
-        Lb => i_type(imm, rs1, 0, rd) | 0x03,
-        Lh => i_type(imm, rs1, 1, rd) | 0x03,
-        Lw => i_type(imm, rs1, 2, rd) | 0x03,
-        Ld => i_type(imm, rs1, 3, rd) | 0x03,
-        Lbu => i_type(imm, rs1, 4, rd) | 0x03,
-        Lhu => i_type(imm, rs1, 5, rd) | 0x03,
-        Lwu => i_type(imm, rs1, 6, rd) | 0x03,
-        Sb => s_type(imm, rs2, rs1, 0) | 0x23,
-        Sh => s_type(imm, rs2, rs1, 1) | 0x23,
-        Sw => s_type(imm, rs2, rs1, 2) | 0x23,
-        Sd => s_type(imm, rs2, rs1, 3) | 0x23,
-        Addi => i_type(imm, rs1, 0, rd) | 0x13,
-        Slti => i_type(imm, rs1, 2, rd) | 0x13,
-        Sltiu => i_type(imm, rs1, 3, rd) | 0x13,
-        Xori => i_type(imm, rs1, 4, rd) | 0x13,
-        Ori => i_type(imm, rs1, 6, rd) | 0x13,
-        Andi => i_type(imm, rs1, 7, rd) | 0x13,
-        Slli => i_type(imm & 0x3f, rs1, 1, rd) | 0x13,
-        Srli => i_type(imm & 0x3f, rs1, 5, rd) | 0x13,
-        Srai => i_type((imm & 0x3f) | 0x400, rs1, 5, rd) | 0x13,
-        Add => r_type(0x00, rs2, rs1, 0, rd) | 0x33,
-        Sub => r_type(0x20, rs2, rs1, 0, rd) | 0x33,
-        Sll => r_type(0x00, rs2, rs1, 1, rd) | 0x33,
-        Slt => r_type(0x00, rs2, rs1, 2, rd) | 0x33,
-        Sltu => r_type(0x00, rs2, rs1, 3, rd) | 0x33,
-        Xor => r_type(0x00, rs2, rs1, 4, rd) | 0x33,
-        Srl => r_type(0x00, rs2, rs1, 5, rd) | 0x33,
-        Sra => r_type(0x20, rs2, rs1, 5, rd) | 0x33,
-        Or => r_type(0x00, rs2, rs1, 6, rd) | 0x33,
-        And => r_type(0x00, rs2, rs1, 7, rd) | 0x33,
-        Addiw => i_type(imm, rs1, 0, rd) | 0x1b,
-        Slliw => i_type(imm & 0x1f, rs1, 1, rd) | 0x1b,
-        Srliw => i_type(imm & 0x1f, rs1, 5, rd) | 0x1b,
-        Sraiw => i_type((imm & 0x1f) | 0x400, rs1, 5, rd) | 0x1b,
-        Addw => r_type(0x00, rs2, rs1, 0, rd) | 0x3b,
-        Subw => r_type(0x20, rs2, rs1, 0, rd) | 0x3b,
-        Sllw => r_type(0x00, rs2, rs1, 1, rd) | 0x3b,
-        Srlw => r_type(0x00, rs2, rs1, 5, rd) | 0x3b,
-        Sraw => r_type(0x20, rs2, rs1, 5, rd) | 0x3b,
-        Fence => i_type(0, 0, 0, 0) | 0x0f,
-        FenceI => i_type(0, 0, 1, 0) | 0x0f,
-        Ecall => 0x0000_0073,
-        Ebreak => 0x0010_0073,
-        Csrrw => i_type(imm, rs1, 1, rd) | 0x73,
-        Csrrs => i_type(imm, rs1, 2, rd) | 0x73,
-        Csrrc => i_type(imm, rs1, 3, rd) | 0x73,
-        Csrrwi => i_type(imm, rs1, 5, rd) | 0x73,
-        Csrrsi => i_type(imm, rs1, 6, rd) | 0x73,
-        Csrrci => i_type(imm, rs1, 7, rd) | 0x73,
-        Mul => r_type(0x01, rs2, rs1, 0, rd) | 0x33,
-        Mulh => r_type(0x01, rs2, rs1, 1, rd) | 0x33,
-        Mulhsu => r_type(0x01, rs2, rs1, 2, rd) | 0x33,
-        Mulhu => r_type(0x01, rs2, rs1, 3, rd) | 0x33,
-        Div => r_type(0x01, rs2, rs1, 4, rd) | 0x33,
-        Divu => r_type(0x01, rs2, rs1, 5, rd) | 0x33,
-        Rem => r_type(0x01, rs2, rs1, 6, rd) | 0x33,
-        Remu => r_type(0x01, rs2, rs1, 7, rd) | 0x33,
-        Mulw => r_type(0x01, rs2, rs1, 0, rd) | 0x3b,
-        Divw => r_type(0x01, rs2, rs1, 4, rd) | 0x3b,
-        Divuw => r_type(0x01, rs2, rs1, 5, rd) | 0x3b,
-        Remw => r_type(0x01, rs2, rs1, 6, rd) | 0x3b,
-        Remuw => r_type(0x01, rs2, rs1, 7, rd) | 0x3b,
-        LrW => amo(0x02, 0, rs1, 2, rd),
-        ScW => amo(0x03, rs2, rs1, 2, rd),
-        AmoswapW => amo(0x01, rs2, rs1, 2, rd),
-        AmoaddW => amo(0x00, rs2, rs1, 2, rd),
-        AmoxorW => amo(0x04, rs2, rs1, 2, rd),
-        AmoandW => amo(0x0c, rs2, rs1, 2, rd),
-        AmoorW => amo(0x08, rs2, rs1, 2, rd),
-        AmominW => amo(0x10, rs2, rs1, 2, rd),
-        AmomaxW => amo(0x14, rs2, rs1, 2, rd),
-        AmominuW => amo(0x18, rs2, rs1, 2, rd),
-        AmomaxuW => amo(0x1c, rs2, rs1, 2, rd),
-        LrD => amo(0x02, 0, rs1, 3, rd),
-        ScD => amo(0x03, rs2, rs1, 3, rd),
-        AmoswapD => amo(0x01, rs2, rs1, 3, rd),
-        AmoaddD => amo(0x00, rs2, rs1, 3, rd),
-        AmoxorD => amo(0x04, rs2, rs1, 3, rd),
-        AmoandD => amo(0x0c, rs2, rs1, 3, rd),
-        AmoorD => amo(0x08, rs2, rs1, 3, rd),
-        AmominD => amo(0x10, rs2, rs1, 3, rd),
-        AmomaxD => amo(0x14, rs2, rs1, 3, rd),
-        AmominuD => amo(0x18, rs2, rs1, 3, rd),
-        AmomaxuD => amo(0x1c, rs2, rs1, 3, rd),
-        Flw => i_type(imm, rs1, 2, rd) | 0x07,
-        Fld => i_type(imm, rs1, 3, rd) | 0x07,
-        Fsw => s_type(imm, rs2, rs1, 2) | 0x27,
-        Fsd => s_type(imm, rs2, rs1, 3) | 0x27,
-        FmaddS => fma(0x43, 0, rs3, rs2, rs1, rm, rd),
-        FmsubS => fma(0x47, 0, rs3, rs2, rs1, rm, rd),
-        FnmsubS => fma(0x4b, 0, rs3, rs2, rs1, rm, rd),
-        FnmaddS => fma(0x4f, 0, rs3, rs2, rs1, rm, rd),
-        FmaddD => fma(0x43, 1, rs3, rs2, rs1, rm, rd),
-        FmsubD => fma(0x47, 1, rs3, rs2, rs1, rm, rd),
-        FnmsubD => fma(0x4b, 1, rs3, rs2, rs1, rm, rd),
-        FnmaddD => fma(0x4f, 1, rs3, rs2, rs1, rm, rd),
-        FaddS => r_type(0x00, rs2, rs1, rm, rd) | 0x53,
-        FsubS => r_type(0x04, rs2, rs1, rm, rd) | 0x53,
-        FmulS => r_type(0x08, rs2, rs1, rm, rd) | 0x53,
-        FdivS => r_type(0x0c, rs2, rs1, rm, rd) | 0x53,
-        FsqrtS => r_type(0x2c, 0, rs1, rm, rd) | 0x53,
-        FaddD => r_type(0x01, rs2, rs1, rm, rd) | 0x53,
-        FsubD => r_type(0x05, rs2, rs1, rm, rd) | 0x53,
-        FmulD => r_type(0x09, rs2, rs1, rm, rd) | 0x53,
-        FdivD => r_type(0x0d, rs2, rs1, rm, rd) | 0x53,
-        FsqrtD => r_type(0x2d, 0, rs1, rm, rd) | 0x53,
-        FsgnjS => r_type(0x10, rs2, rs1, 0, rd) | 0x53,
-        FsgnjnS => r_type(0x10, rs2, rs1, 1, rd) | 0x53,
-        FsgnjxS => r_type(0x10, rs2, rs1, 2, rd) | 0x53,
-        FsgnjD => r_type(0x11, rs2, rs1, 0, rd) | 0x53,
-        FsgnjnD => r_type(0x11, rs2, rs1, 1, rd) | 0x53,
-        FsgnjxD => r_type(0x11, rs2, rs1, 2, rd) | 0x53,
-        FminS => r_type(0x14, rs2, rs1, 0, rd) | 0x53,
-        FmaxS => r_type(0x14, rs2, rs1, 1, rd) | 0x53,
-        FminD => r_type(0x15, rs2, rs1, 0, rd) | 0x53,
-        FmaxD => r_type(0x15, rs2, rs1, 1, rd) | 0x53,
-        FcvtSD => r_type(0x20, 1, rs1, rm, rd) | 0x53,
-        FcvtDS => r_type(0x21, 0, rs1, rm, rd) | 0x53,
-        FeqS => r_type(0x50, rs2, rs1, 2, rd) | 0x53,
-        FltS => r_type(0x50, rs2, rs1, 1, rd) | 0x53,
-        FleS => r_type(0x50, rs2, rs1, 0, rd) | 0x53,
-        FeqD => r_type(0x51, rs2, rs1, 2, rd) | 0x53,
-        FltD => r_type(0x51, rs2, rs1, 1, rd) | 0x53,
-        FleD => r_type(0x51, rs2, rs1, 0, rd) | 0x53,
-        FcvtWS => r_type(0x60, 0, rs1, rm, rd) | 0x53,
-        FcvtWuS => r_type(0x60, 1, rs1, rm, rd) | 0x53,
-        FcvtLS => r_type(0x60, 2, rs1, rm, rd) | 0x53,
-        FcvtLuS => r_type(0x60, 3, rs1, rm, rd) | 0x53,
-        FcvtWD => r_type(0x61, 0, rs1, rm, rd) | 0x53,
-        FcvtWuD => r_type(0x61, 1, rs1, rm, rd) | 0x53,
-        FcvtLD => r_type(0x61, 2, rs1, rm, rd) | 0x53,
-        FcvtLuD => r_type(0x61, 3, rs1, rm, rd) | 0x53,
-        FcvtSW => r_type(0x68, 0, rs1, rm, rd) | 0x53,
-        FcvtSWu => r_type(0x68, 1, rs1, rm, rd) | 0x53,
-        FcvtSL => r_type(0x68, 2, rs1, rm, rd) | 0x53,
-        FcvtSLu => r_type(0x68, 3, rs1, rm, rd) | 0x53,
-        FcvtDW => r_type(0x69, 0, rs1, rm, rd) | 0x53,
-        FcvtDWu => r_type(0x69, 1, rs1, rm, rd) | 0x53,
-        FcvtDL => r_type(0x69, 2, rs1, rm, rd) | 0x53,
-        FcvtDLu => r_type(0x69, 3, rs1, rm, rd) | 0x53,
-        FmvXW => r_type(0x70, 0, rs1, 0, rd) | 0x53,
-        FclassS => r_type(0x70, 0, rs1, 1, rd) | 0x53,
-        FmvXD => r_type(0x71, 0, rs1, 0, rd) | 0x53,
-        FclassD => r_type(0x71, 0, rs1, 1, rd) | 0x53,
-        FmvWX => r_type(0x78, 0, rs1, 0, rd) | 0x53,
-        FmvDX => r_type(0x79, 0, rs1, 0, rd) | 0x53,
-        Mret => 0x3020_0073,
-        Sret => 0x1020_0073,
-        Wfi => 0x1050_0073,
-        SfenceVma => r_type(0x09, rs2, rs1, 0, 0) | 0x73,
-        Sh1add => r_type(0x10, rs2, rs1, 2, rd) | 0x33,
-        Sh2add => r_type(0x10, rs2, rs1, 4, rd) | 0x33,
-        Sh3add => r_type(0x10, rs2, rs1, 6, rd) | 0x33,
-        AddUw => r_type(0x04, rs2, rs1, 0, rd) | 0x3b,
-        Sh1addUw => r_type(0x10, rs2, rs1, 2, rd) | 0x3b,
-        Sh2addUw => r_type(0x10, rs2, rs1, 4, rd) | 0x3b,
-        Sh3addUw => r_type(0x10, rs2, rs1, 6, rd) | 0x3b,
-        SlliUw => i_type((imm & 0x3f) | 0x080, rs1, 1, rd) | 0x1b,
-        Andn => r_type(0x20, rs2, rs1, 7, rd) | 0x33,
-        Orn => r_type(0x20, rs2, rs1, 6, rd) | 0x33,
-        Xnor => r_type(0x20, rs2, rs1, 4, rd) | 0x33,
-        Clz => i_type(0x600, rs1, 1, rd) | 0x13,
-        Ctz => i_type(0x601, rs1, 1, rd) | 0x13,
-        Cpop => i_type(0x602, rs1, 1, rd) | 0x13,
-        Clzw => i_type(0x600, rs1, 1, rd) | 0x1b,
-        Ctzw => i_type(0x601, rs1, 1, rd) | 0x1b,
-        Cpopw => i_type(0x602, rs1, 1, rd) | 0x1b,
-        Max => r_type(0x05, rs2, rs1, 6, rd) | 0x33,
-        Min => r_type(0x05, rs2, rs1, 4, rd) | 0x33,
-        Maxu => r_type(0x05, rs2, rs1, 7, rd) | 0x33,
-        Minu => r_type(0x05, rs2, rs1, 5, rd) | 0x33,
-        SextB => i_type(0x604, rs1, 1, rd) | 0x13,
-        SextH => i_type(0x605, rs1, 1, rd) | 0x13,
-        ZextH => r_type(0x04, 0, rs1, 4, rd) | 0x3b,
-        Rol => r_type(0x30, rs2, rs1, 1, rd) | 0x33,
-        Ror => r_type(0x30, rs2, rs1, 5, rd) | 0x33,
-        Rori => i_type((imm & 0x3f) | 0x600, rs1, 5, rd) | 0x13,
-        Rolw => r_type(0x30, rs2, rs1, 1, rd) | 0x3b,
-        Rorw => r_type(0x30, rs2, rs1, 5, rd) | 0x3b,
-        Roriw => i_type((imm & 0x1f) | 0x600, rs1, 5, rd) | 0x1b,
-        OrcB => i_type(0x287, rs1, 5, rd) | 0x13,
-        Rev8 => i_type(0x6b8, rs1, 5, rd) | 0x13,
-        Illegal => return None,
+    let info = d.op.info();
+    if d.op == Op::Illegal || (d.rd | d.rs1 | d.rs2 | d.rs3) > 31 {
+        return None;
+    }
+    if let Some((lo, hi, step)) = imm_range(info.shape) {
+        if d.imm < lo || d.imm > hi || d.imm & (step - 1) != 0 {
+            return None;
+        }
+    }
+    let [rd, rs1, rs2, rs3] = info.shape.regs().map(|file| file.is_some());
+    let field = |live: bool, reg: u8, at: u32| if live { (reg as u32) << at } else { 0 };
+    let imm = d.imm as u32;
+    let operands = match info.shape {
+        Shape::I | Shape::Load | Shape::FLoad | Shape::Csr | Shape::Shamt6 | Shape::Shamt5 => {
+            imm << 20
+        }
+        // The rs1 field of a `csrr*i` is its zimm, not a register it reads.
+        Shape::CsrImm => imm << 20 | (d.rs1 as u32) << 15,
+        Shape::S | Shape::FStore => (imm >> 5 & 0x7f) << 25 | (imm & 0x1f) << 7,
+        Shape::B => {
+            (imm >> 12 & 1) << 31
+                | (imm >> 5 & 0x3f) << 25
+                | (imm >> 1 & 0xf) << 8
+                | (imm >> 11 & 1) << 7
+        }
+        Shape::U => imm & 0xffff_f000,
+        Shape::J => {
+            (imm >> 20 & 1) << 31
+                | (imm >> 1 & 0x3ff) << 21
+                | (imm >> 11 & 1) << 20
+                | (imm >> 12 & 0xff) << 12
+        }
+        _ if info.rm_live() => (d.rm as u32 & 7) << 12,
+        _ => 0,
     };
-    Some(raw)
-}
-
-#[inline]
-fn amo(funct5: u32, rs2: u8, rs1: u8, funct3: u32, rd: u8) -> u32 {
-    // aq/rl bits are left clear; the decoder ignores them.
-    (funct5 << 27)
-        | ((rs2 as u32) << 20)
-        | ((rs1 as u32) << 15)
-        | (funct3 << 12)
-        | ((rd as u32) << 7)
-        | 0x2f
-}
-
-#[inline]
-fn fma(opcode: u32, fmt: u32, rs3: u8, rs2: u8, rs1: u8, rm: u32, rd: u8) -> u32 {
-    ((rs3 as u32) << 27)
-        | (fmt << 25)
-        | ((rs2 as u32) << 20)
-        | ((rs1 as u32) << 15)
-        | (rm << 12)
-        | ((rd as u32) << 7)
-        | opcode
+    Some(
+        info.bits
+            | field(rd, d.rd, 7)
+            | field(rs1, d.rs1, 15)
+            | field(rs2, d.rs2, 20)
+            | field(rs3, d.rs3, 27)
+            | operands,
+    )
 }
 
 #[cfg(test)]

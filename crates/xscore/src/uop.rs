@@ -3,7 +3,7 @@
 
 use crate::bpu::BranchPrediction;
 use riscv_isa::exec::int_compute;
-use riscv_isa::op::{DecodedInst, Op};
+use riscv_isa::op::{DecodedInst, Op, RegFile};
 use riscv_isa::trap::{Exception, Trap};
 use serde::{Deserialize, Serialize};
 
@@ -49,30 +49,18 @@ impl Uop {
     /// compact the array: `sltu rd, x0, rs2` reads its one source as
     /// operand *two*.
     pub fn new(pc: u64, inst: DecodedInst, npc: u64) -> Self {
-        let mut srcs = [None; 3];
-        let slot = |fp: bool, idx: u8| {
-            if !fp && idx == 0 {
-                None
-            } else {
-                Some(SrcReg { fp, idx })
-            }
-        };
-        if uses_rs1(&inst) {
-            srcs[0] = slot(inst.rs1_is_fpr(), inst.rs1);
-        }
-        if uses_rs2(&inst) {
-            srcs[1] = slot(inst.rs2_is_fpr(), inst.rs2);
-        }
-        if inst.is_fma() {
-            srcs[2] = slot(true, inst.rs3);
-        }
+        let [rd, rs1, rs2, rs3] = inst.op.shape().regs();
         Uop {
             pc,
             inst,
             fused: None,
             predicted_npc: npc,
-            srcs,
-            dest: dest_of(&inst),
+            srcs: [
+                operand(rs1, inst.rs1),
+                operand(rs2, inst.rs2),
+                operand(rs3, inst.rs3),
+            ],
+            dest: operand(rd, inst.rd),
         }
     }
 
@@ -117,15 +105,22 @@ pub(crate) struct PreUop {
     pub fetched_at: u64,
 }
 
+/// The register an operand field names, given the file its instruction's
+/// shape puts it in: `None` for a field the shape does not use and for
+/// the integer zero register, which is never renamed.
+fn operand(file: Option<RegFile>, idx: u8) -> Option<SrcReg> {
+    match file? {
+        RegFile::X if idx == 0 => None,
+        file => Some(SrcReg {
+            fp: file == RegFile::F,
+            idx,
+        }),
+    }
+}
+
 /// The destination register of a single (unfused) instruction.
 pub fn dest_of(d: &DecodedInst) -> Option<SrcReg> {
-    if d.writes_fpr() {
-        Some(SrcReg { fp: true, idx: d.rd })
-    } else if d.writes_gpr() {
-        Some(SrcReg { fp: false, idx: d.rd })
-    } else {
-        None
-    }
+    operand(d.op.shape().regs()[0], d.rd)
 }
 
 /// Is the single instruction `d` a register move (see
@@ -136,31 +131,6 @@ pub fn is_reg_move(d: &DecodedInst) -> bool {
         Op::Add => d.rd != 0 && ((d.rs1 == 0) != (d.rs2 == 0)),
         _ => false,
     }
-}
-
-fn uses_rs1(d: &DecodedInst) -> bool {
-    !matches!(
-        d.op,
-        Op::Lui | Op::Auipc | Op::Jal | Op::Ecall | Op::Ebreak | Op::Mret | Op::Sret | Op::Wfi
-            | Op::Fence | Op::FenceI | Op::Csrrwi | Op::Csrrsi | Op::Csrrci | Op::Illegal
-    )
-}
-
-fn uses_rs2(d: &DecodedInst) -> bool {
-    use Op::*;
-    d.is_branch()
-        || matches!(d.op, Sb | Sh | Sw | Sd | Fsw | Fsd | ScW | ScD)
-        || d.is_amo()
-        || matches!(d.op, SfenceVma)
-        || (d.rs2_is_fpr())
-        || matches!(
-            d.op,
-            Add | Sub | Sll | Slt | Sltu | Xor | Srl | Sra | Or | And | Addw | Subw | Sllw
-                | Srlw | Sraw | Mul | Mulh | Mulhsu | Mulhu | Div | Divu | Rem | Remu | Mulw
-                | Divw | Divuw | Remw | Remuw | Sh1add | Sh2add | Sh3add | AddUw | Sh1addUw
-                | Sh2addUw | Sh3addUw | Andn | Orn | Xnor | Max | Min | Maxu | Minu | Rol | Ror
-                | Rolw | Rorw
-        )
 }
 
 /// Try to fuse two consecutive decoded instructions into one macro-op
@@ -345,6 +315,46 @@ mod tests {
         let u = Uop::new(0, fma, 4);
         assert_eq!(u.srcs[2], Some(SrcReg { fp: true, idx: 4 }));
         assert_eq!(u.dest, Some(SrcReg { fp: true, idx: 1 }));
+    }
+
+    /// Every operation: the sources and the destination are the registers
+    /// its shape reads and writes, each in its own slot, and an integer
+    /// `x0` leaves a hole where a floating-point `f0` does not.
+    #[test]
+    fn every_op_sources_and_dest_follow_its_shape() {
+        for op in Op::ALL {
+            let files = op.shape().regs();
+            for idx in [[0u8; 4], [1, 2, 3, 4]] {
+                let inst = DecodedInst {
+                    op,
+                    rd: idx[0],
+                    rs1: idx[1],
+                    rs2: idx[2],
+                    rs3: idx[3],
+                    len: 4,
+                    ..Default::default()
+                };
+                let u = Uop::new(0, inst, 4);
+                let slots = [u.dest, u.srcs[0], u.srcs[1], u.srcs[2]];
+                for (slot, (file, idx)) in slots.into_iter().zip(files.into_iter().zip(idx)) {
+                    let want = match file {
+                        Some(RegFile::F) => Some(SrcReg { fp: true, idx }),
+                        Some(RegFile::X) if idx != 0 => Some(SrcReg { fp: false, idx }),
+                        _ => None,
+                    };
+                    assert_eq!(slot, want, "{op:?} {idx}");
+                }
+                assert_eq!(
+                    u.dest.is_some(),
+                    inst.writes_fpr() || inst.writes_gpr(),
+                    "{op:?}"
+                );
+                assert_eq!(u.dest, dest_of(&inst));
+            }
+        }
+        // `sltu rd, x0, rs2` reads its one source as operand two.
+        let u = Uop::new(0, di(Op::Sltu, 3, 0, 7, 0), 4);
+        assert_eq!(u.srcs, [None, Some(SrcReg { fp: false, idx: 7 }), None]);
     }
 
     #[test]

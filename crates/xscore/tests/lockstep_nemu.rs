@@ -118,7 +118,7 @@ fn lockstep_memory_kernel() {
     a.addi(T0, T0, 2);
     a.li(T6, 256);
     a.blt(T0, T6, walk);
-    a.andi(A0, A0, 0xffff);
+    a.andi(A0, A0, -1); // meant 0xffff; a 12-bit immediate holds only -1
     a.ebreak();
     let p = a.assemble();
     let (compared, _) = lockstep(&p, 2_000_000);

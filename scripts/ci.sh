@@ -21,7 +21,9 @@
 #      `xscore` again in an optimised build, where its model-based
 #      proptests (ROB ring, wakeup queues) and the skipper oracle run at
 #      full size (the debug build samples them), with the allocation
-#      budget of the DUT tick (tests/alloc_budget.rs) beside it,
+#      budget of the DUT tick (tests/alloc_budget.rs) beside it, and
+#      `riscv-isa` likewise: the generated decoder against the linear
+#      scan of the instruction table on 4 M words, all 65 536 RVC words,
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,
@@ -57,8 +59,9 @@ cargo test -q
 echo "== tier-1: cargo test -q --workspace =="
 cargo test -q --workspace
 
-echo "== tier-1: cargo test -q --release -p xscore (+ the tick's allocation budget) =="
+echo "== tier-1: cargo test -q --release -p xscore -p riscv-isa (+ the tick's allocation budget) =="
 cargo test -q --release -p xscore
+cargo test -q --release -p riscv-isa
 cargo test -q --release --test alloc_budget
 
 echo "== tier-1: smoke campaign (2 workloads x 2 configs x 4 seeds) =="
