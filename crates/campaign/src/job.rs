@@ -260,10 +260,6 @@ pub struct JobSpec {
     /// Collect coverage maps (decode, diff-rule, pipeline-event); the
     /// record's `coverage` field is populated only when set.
     pub coverage: bool,
-    /// Per-attempt wall-clock limit, milliseconds (None defers to the
-    /// campaign-level policy). Exhausting every attempt is a
-    /// [`WallTimeout`](crate::Verdict::WallTimeout).
-    pub wall_timeout_ms: Option<u64>,
     /// DiffTest REF personality name (None keeps the default
     /// architectural stepper).
     pub ref_model: Option<String>,
@@ -290,7 +286,6 @@ impl JobSpec {
             telemetry: false,
             lifecycle: false,
             coverage: false,
-            wall_timeout_ms: None,
             ref_model: None,
             checkpoint: None,
         }
@@ -341,13 +336,6 @@ impl JobSpec {
     /// Enable coverage-map collection for this job.
     pub fn with_coverage(mut self) -> Self {
         self.coverage = true;
-        self
-    }
-
-    /// Set a per-attempt wall-clock limit for this job (overrides the
-    /// campaign-level policy).
-    pub fn with_wall_timeout_ms(mut self, ms: u64) -> Self {
-        self.wall_timeout_ms = Some(ms);
         self
     }
 

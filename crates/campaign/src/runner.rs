@@ -207,9 +207,8 @@ fn base_record(index: usize, spec: &JobSpec) -> JobRecord {
 /// retried after an exponentially growing backoff. Returns the record
 /// and the number of attempts made.
 fn execute_job_with_policy(index: usize, spec: &JobSpec, policy: JobPolicy) -> (JobRecord, u64) {
-    let limit_ms = match spec.wall_timeout_ms.or(policy.wall_timeout_ms) {
-        Some(ms) => ms,
-        None => return (execute_job(index, spec, policy), 1),
+    let Some(limit_ms) = policy.wall_timeout_ms else {
+        return (execute_job(index, spec, policy), 1);
     };
     let max_attempts = 1 + u64::from(policy.retries);
     let mut backoff = policy.backoff_ms;

@@ -16,7 +16,6 @@ use crate::job::{error_class, JobSpec, WorkloadSource};
 use crate::report::MinimizedRepro;
 use minjie::{debug_window, ArchDb, CoSimEnd, DebugWindow, DiffError, RunStats, Salvage};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use xscore::{CpiStack, InjectedBug};
 
 /// Bundle schema version (independent of the report schema).
@@ -132,28 +131,16 @@ pub struct TriageBundle {
 
 /// Extract the commit-trace tail from a debug-mode trace.
 pub fn commit_tail(trace: &ArchDb) -> Vec<CommitTailEntry> {
-    let Some(t) = trace.table("instr_commit") else {
-        return Vec::new();
-    };
-    let skip = t.len().saturating_sub(COMMIT_TAIL_LEN);
-    t.rows()
-        .skip(skip)
-        .map(|(cycle, v)| CommitTailEntry {
-            cycle: *cycle,
-            hart: v.get("hart").and_then(Value::as_u64).unwrap_or(0),
-            pc: v.get("pc").and_then(Value::as_u64).unwrap_or(0),
-            op: v
-                .get("inst")
-                .and_then(|i| i.get("op"))
-                .map(|op| match op {
-                    Value::String(s) => s.clone(),
-                    other => other.to_string(),
-                })
-                .unwrap_or_default(),
-            wb: v
-                .get("wb")
-                .and_then(|w| <Option<(bool, u8, u64)> as serde::Deserialize>::deserialize(w).ok())
-                .flatten(),
+    let commits = &trace.instr_commit;
+    commits
+        .rows()
+        .skip(commits.len().saturating_sub(COMMIT_TAIL_LEN))
+        .map(|c| CommitTailEntry {
+            cycle: c.cycle,
+            hart: c.hart as u64,
+            pc: c.pc,
+            op: format!("{:?}", c.inst.op),
+            wb: c.wb,
         })
         .collect()
 }
@@ -577,6 +564,30 @@ mod tests {
             }
             assert_eq!(serde_json::to_string(&source).unwrap(), json);
         }
+    }
+
+    #[test]
+    fn commit_tail_is_the_last_commits_oldest_first() {
+        use riscv_isa::op::{DecodedInst, Op};
+        let commit = |c: u64| xscore::CommitEvent {
+            hart: (c % 2) as usize,
+            pc: 0x8000_0000 + 4 * c,
+            inst: DecodedInst { op: Op::ALL[c as usize], ..Default::default() },
+            wb: (c % 2 == 0).then_some((false, 5, c)),
+            cycle: 100 + c,
+            ..Default::default()
+        };
+        let mut trace = ArchDb::new();
+        (0..COMMIT_TAIL_LEN as u64 + 8).for_each(|c| trace.instr_commit.push(commit(c)));
+        let tail = commit_tail(&trace);
+        assert_eq!(tail.len(), COMMIT_TAIL_LEN);
+        for (e, c) in tail.iter().zip(8..) {
+            let from = commit(c);
+            assert_eq!((e.cycle, e.hart, e.pc, e.wb), (from.cycle, c % 2, from.pc, from.wb));
+            // The bundle's `op` is the variant name, as serde spells it.
+            assert_eq!(serde_json::to_string(&e.op).unwrap(), serde_json::to_string(&from.inst.op).unwrap());
+        }
+        assert!(commit_tail(&ArchDb::new()).is_empty());
     }
 
     #[test]

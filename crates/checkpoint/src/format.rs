@@ -8,7 +8,7 @@
 //! CSR with `li`/`csrw`/`fld` sequences and jumps to the checkpointed pc.
 
 use riscv_isa::asm::{reg, Asm, Program};
-use riscv_isa::csr::addr;
+use riscv_isa::csr::{addr, mstatus};
 use riscv_isa::mem::SparseMemory;
 use riscv_isa::state::ArchState;
 use serde::{Deserialize, Serialize};
@@ -197,23 +197,33 @@ impl Checkpoint {
     /// beside the memory image) that reconstructs the architectural state
     /// with base-ISA instructions only, then jumps to the checkpointed pc.
     ///
-    /// The loader restores, in order: machine CSRs, floating-point
-    /// registers (via a staging area), integer registers, and finally
-    /// transfers control with an `mret` whose `mepc` is the target pc —
-    /// no debug-mode features required.
+    /// The loader restores, in order: machine and supervisor CSRs,
+    /// floating-point registers (via a staging area), integer registers,
+    /// and finally transfers control with an `mret` whose `mepc` is the
+    /// target pc — no debug-mode features required.
     pub fn restore_loader(&self) -> Program {
         let s = &self.state;
         let mut a = Asm::new(LOADER_BASE);
-        // CSRs first (while registers are free for staging).
-        let csrs: [(u16, u64); 10] = [
-            (addr::MSTATUS, s.csr.mstatus),
+        // CSRs first (while registers are free for staging). `mstatus`
+        // goes in with MIE clear: the loader runs in M-mode, and once `mie`
+        // and `mip` are back a pending interrupt must wait for the target.
+        let csrs: [(u16, u64); 18] = [
+            (addr::MSTATUS, s.csr.mstatus & !mstatus::MIE),
             (addr::MEDELEG, s.csr.medeleg),
             (addr::MIDELEG, s.csr.mideleg),
             (addr::MIE, s.csr.mie),
+            (addr::MIP, s.csr.mip),
             (addr::MTVEC, s.csr.mtvec),
+            (addr::MCOUNTEREN, s.csr.mcounteren),
             (addr::MSCRATCH, s.csr.mscratch),
+            (addr::MCAUSE, s.csr.mcause),
+            (addr::MTVAL, s.csr.mtval),
             (addr::STVEC, s.csr.stvec),
+            (addr::SCOUNTEREN, s.csr.scounteren),
             (addr::SSCRATCH, s.csr.sscratch),
+            (addr::SEPC, s.csr.sepc),
+            (addr::SCAUSE, s.csr.scause),
+            (addr::STVAL, s.csr.stval),
             (addr::SATP, s.csr.satp),
             (addr::FCSR, s.csr.fcsr),
         ];
@@ -227,12 +237,14 @@ impl Checkpoint {
         for i in 0..32u8 {
             a.fld(i, (i as i64) * 8, reg::T1);
         }
-        // mepc = target pc; privilege restored through mstatus.MPP
-        // (already written above; we re-write MPP to the target level).
+        // mepc = target pc; the `mret` restores the privilege from MPP and
+        // the interrupt enable from MPIE.
         a.li(reg::T0, s.pc as i64);
         a.csrrw(reg::ZERO, addr::MEPC, reg::T0);
         let mpp = (s.csr.privilege as u64) << 11;
-        a.li(reg::T0, (s.csr.mstatus & !(0b11 << 11) | mpp) as i64);
+        let mpie = if s.csr.mstatus & mstatus::MIE != 0 { mstatus::MPIE } else { 0 };
+        let rest = s.csr.mstatus & !(mstatus::MPP | mstatus::MPIE | mstatus::MIE);
+        a.li(reg::T0, (rest | mpp | mpie) as i64);
         a.csrrw(reg::ZERO, addr::MSTATUS, reg::T0);
         // Integer registers last (x1..x31), then mret.
         for i in 1..32u8 {
@@ -252,6 +264,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use nemu::hart::{self, Hart};
+    use riscv_isa::csr::{CsrFile, Privilege};
     use riscv_isa::mem::PhysMem;
 
     fn sample_checkpoint() -> Checkpoint {
@@ -260,9 +273,17 @@ mod tests {
             state.gpr[i] = (i as u64) * 0x1111;
             state.fpr[i] = f64::from_bits((i as u64) << 52 | 0x3ff0_0000_0000_0000).to_bits();
         }
-        state.csr.mscratch = 0xdead_beef;
-        state.csr.mtvec = 0x8000_4000;
-        state.csr.fcsr = 0x21;
+        // Inside an S-mode trap handler, an undelegated interrupt pending:
+        // every software-writable CSR a distinct legal value.
+        let csr = &mut state.csr;
+        csr.privilege = Privilege::Supervisor;
+        csr.mstatus |= mstatus::MIE | mstatus::SPIE | mstatus::SPP | mstatus::SUM;
+        (csr.medeleg, csr.mideleg, csr.mie, csr.mip) = (0xb109, 0x200, 0x8a2, 0x22);
+        (csr.mtvec, csr.mcounteren, csr.mscratch) = (0x8000_4000, 0b101, 0xdead_beef);
+        (csr.mepc, csr.mcause, csr.mtval) = (0x8000_0f00, (1 << 63) | 7, 0x8000_0f04);
+        (csr.stvec, csr.scounteren, csr.sscratch) = (0x8000_5001, 0b011, 0xfeed_f00d);
+        (csr.sepc, csr.scause, csr.stval) = (0x8000_2468, 13, 0x4000_1008);
+        (csr.satp, csr.fcsr) = ((8 << 60) | 0x8_0030, 0x21);
         let mut memory = SparseMemory::new();
         memory.write_uint(0x8000_1234, 4, 0x0010_0073); // ebreak at target pc
         memory.write_uint(0x8002_0000, 8, 42);
@@ -340,10 +361,18 @@ mod tests {
         // All architectural registers restored.
         assert_eq!(hart.state.gpr, c.state.gpr);
         assert_eq!(hart.state.fpr, c.state.fpr);
-        assert_eq!(hart.state.csr.mscratch, 0xdead_beef);
-        assert_eq!(hart.state.csr.mtvec, 0x8000_4000);
-        assert_eq!(hart.state.csr.fcsr, 0x21);
-        assert_eq!(hart.state.csr.privilege, c.state.csr.privilege);
+        // The whole CSR file, but for what the closing `mret` rewrites
+        // (`mepc`, MPIE, MPP) and the counters that ran meanwhile.
+        let restored = &hart.state.csr;
+        let expected = CsrFile {
+            mepc: c.state.pc,
+            mstatus: c.state.csr.mstatus & !mstatus::MPP | mstatus::MPIE,
+            mcycle: restored.mcycle,
+            minstret: restored.minstret,
+            time: restored.time,
+            ..c.state.csr.clone()
+        };
+        assert_eq!(restored, &expected);
         // Memory image intact.
         assert_eq!(mem.read_uint(0x8002_0000, 8), 42);
     }

@@ -238,7 +238,7 @@ impl CoSim {
         for out in &outs {
             for c in &out.commits {
                 if self.debug_mode {
-                    self.archdb.insert("instr_commit", c.cycle, c);
+                    self.archdb.instr_commit.push(c.clone());
                 }
                 self.state.diff.on_commit(c)?;
                 if c.halted {
@@ -252,7 +252,7 @@ impl CoSim {
             for d in &out.drains {
                 self.state.diff.on_sbuffer_drain(d);
                 if self.debug_mode {
-                    self.archdb.insert("sbuffer_drain", d.cycle, d);
+                    self.archdb.sbuffer_drain.push(*d);
                 }
             }
         }
@@ -260,7 +260,7 @@ impl CoSim {
         // `XsConfig::lifecycle` is on, so this is free on the default path).
         for core in &mut self.state.sys.cores {
             for rec in core.take_lifecycle_trace() {
-                self.archdb.insert("lifecycle", rec.end_cycle(), &rec);
+                self.archdb.lifecycle.push(rec);
             }
         }
         // An early `?` above forfeits the buffer — fine, errors end the run.
@@ -735,7 +735,7 @@ mod tests {
                     "replay window bounded"
                 );
                 // Debug-mode trace captured commit events around the bug.
-                assert!(replay.trace.table("instr_commit").is_some());
+                assert!(!replay.trace.instr_commit.is_empty());
                 // The replayed window did real work: its CPI stack is live.
                 assert!(replay.window_cpi.total() > 0);
             }

@@ -163,11 +163,6 @@ impl CoverageMap {
         out
     }
 
-    /// Distinct opcodes committed.
-    pub fn opcode_count(&self) -> usize {
-        self.opcodes.len()
-    }
-
     /// Count of a named diff rule (0 when untriggered).
     pub fn rule_count(&self, rule: DiffRule) -> u64 {
         self.rules

@@ -724,11 +724,6 @@ impl DiffTest<NemuRef> {
             .collect();
         DiffTest::new(refs, GlobalMemory::new(program))
     }
-
-    /// Patch an FP register in a NEMU REF.
-    pub fn patch_nemu_fpr(&mut self, hart: usize, rd: u8, v: u64) {
-        self.refs[hart].hart.state.fpr[rd as usize] = v;
-    }
 }
 
 #[cfg(test)]

@@ -31,15 +31,6 @@ impl AccessType {
             AccessType::Store => Exception::StorePageFault,
         }
     }
-
-    /// The access-fault exception for this access type.
-    pub fn access_fault(self) -> Exception {
-        match self {
-            AccessType::Fetch => Exception::InstAccessFault,
-            AccessType::Load => Exception::LoadAccessFault,
-            AccessType::Store => Exception::StoreAccessFault,
-        }
-    }
 }
 
 /// PTE flag bits.

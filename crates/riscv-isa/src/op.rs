@@ -631,12 +631,6 @@ impl DecodedInst {
         self.op.class() == Class::Branch
     }
 
-    /// Returns true for unconditional jumps (JAL/JALR).
-    #[inline]
-    pub fn is_jump(&self) -> bool {
-        self.op.class() == Class::Jump
-    }
-
     /// Returns true if this is any control-flow instruction.
     #[inline]
     pub fn is_control_flow(&self) -> bool {
@@ -659,12 +653,6 @@ impl DecodedInst {
     #[inline]
     pub fn is_amo(&self) -> bool {
         matches!(self.op.class(), Class::Amo(_))
-    }
-
-    /// Returns true for any memory-access instruction.
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        self.mem_size() != 0
     }
 
     /// Memory access size in bytes for loads/stores/AMOs (0 otherwise).

@@ -502,9 +502,10 @@ impl Core {
     }
 
     /// Drain the full-trace lifecycle records accumulated since the last
-    /// call. Always empty unless `cfg.lifecycle` is enabled.
-    pub fn take_lifecycle_trace(&mut self) -> Vec<Lifecycle> {
-        std::mem::take(&mut self.life_trace)
+    /// call (the buffer is kept for the next cycle's). Always empty unless
+    /// `cfg.lifecycle` is enabled.
+    pub fn take_lifecycle_trace(&mut self) -> std::vec::Drain<'_, Lifecycle> {
+        self.life_trace.drain(..)
     }
 
     /// True once the core executed the halt convention (ebreak).

@@ -21,6 +21,7 @@
 use crate::perf::PerfCounters;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use uncore::{Hist, HIST_BUCKETS};
 
 /// Capacity of the always-on per-core ring buffer (and therefore the
 /// upper bound on the ring snapshot embedded in a triage bundle).
@@ -181,29 +182,11 @@ impl LifecycleRing {
     pub fn snapshot(&self) -> Vec<Lifecycle> {
         self.buf.iter().copied().collect()
     }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// Number of power-of-two buckets per gap histogram (bucket 15 is
-/// ">= 2^14 cycles").
-pub const GAP_BUCKETS: usize = 16;
-
-fn gap_bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros() as usize).min(GAP_BUCKETS - 1)
-    }
-}
+/// ">= 2^14 cycles"): a gap lands in its [`Hist::bucket_of`].
+pub const GAP_BUCKETS: usize = HIST_BUCKETS;
 
 /// Always-on, pure-integer summary of every finalized lifecycle record.
 ///
@@ -268,10 +251,10 @@ impl LifecycleDigest {
         let g_issue = s.issued.saturating_sub(s.dispatched);
         let g_exec = s.writeback.saturating_sub(s.issued);
         let g_commit = rec.committed.saturating_sub(s.writeback);
-        self.gap_fetch_rename[gap_bucket(g_front)] += 1;
-        self.gap_rename_issue[gap_bucket(g_issue)] += 1;
-        self.gap_issue_writeback[gap_bucket(g_exec)] += 1;
-        self.gap_writeback_commit[gap_bucket(g_commit)] += 1;
+        self.gap_fetch_rename[Hist::bucket_of(g_front)] += 1;
+        self.gap_rename_issue[Hist::bucket_of(g_issue)] += 1;
+        self.gap_issue_writeback[Hist::bucket_of(g_exec)] += 1;
+        self.gap_writeback_commit[Hist::bucket_of(g_commit)] += 1;
         // Largest gap wins; ties resolve to the earliest stage so the
         // attribution stays deterministic.
         let exec_slot = if rec.mem { DS_MEMORY } else { DS_OTHER };
@@ -375,15 +358,6 @@ impl LifecycleDigest {
     }
 }
 
-fn bucket_label(i: usize) -> String {
-    match i {
-        0 => "0".into(),
-        1 => "1".into(),
-        i if i == GAP_BUCKETS - 1 => format!(">={}", 1u64 << (GAP_BUCKETS - 2)),
-        i => format!("{}-{}", 1u64 << (i - 1), (1u64 << i) - 1),
-    }
-}
-
 fn render_gap_hist(out: &mut String, name: &str, hist: &[u64; GAP_BUCKETS]) {
     let total: u64 = hist.iter().sum();
     if total == 0 {
@@ -397,7 +371,7 @@ fn render_gap_hist(out: &mut String, name: &str, hist: &[u64; GAP_BUCKETS]) {
             continue;
         }
         let bar = "#".repeat(((c * 40) / max).max(1) as usize);
-        out.push_str(&format!("    {:>12} {:>10} {bar}\n", bucket_label(i), c));
+        out.push_str(&format!("    {:>12} {:>10} {bar}\n", Hist::bucket_label(i), c));
     }
 }
 
@@ -567,16 +541,6 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].seq, 2);
         assert_eq!(snap[2].seq, 4);
-    }
-
-    #[test]
-    fn gap_buckets_are_log2() {
-        assert_eq!(gap_bucket(0), 0);
-        assert_eq!(gap_bucket(1), 1);
-        assert_eq!(gap_bucket(2), 2);
-        assert_eq!(gap_bucket(3), 2);
-        assert_eq!(gap_bucket(4), 3);
-        assert_eq!(gap_bucket(1 << 20), GAP_BUCKETS - 1);
     }
 
     #[test]

@@ -29,7 +29,10 @@
 #      wall-clock timeout and a JSON-validity check on the report,
 #   4. a fuzz smoke — an injected-bug fuzz campaign must find, triage,
 #      and replay the divergence (steps 3 and 4 read their reports with
-#      python's `json` on purpose: see the comment at step 3),
+#      python's `json` on purpose: see the comment at step 3), then the
+#      §IV-C example must reproduce its race and show the commits'
+#      writebacks: it is the only end-to-end exercise of LightSSS replay
+#      -> ArchDB -> timeline, and its regression went unseen for want of one,
 #   5. the tracked paper body — the one `paper` harness measures every
 #      reproduced figure that is a simulated count (Figs. 8, 12, 14, 15,
 #      the ablations, the Table I / Fig. 6 snapshot legs, the DRAV rule
@@ -128,6 +131,12 @@ EOF
 )"
 echo "fuzz bug bundle: $fuzz_bundle"
 timeout 300 target/release/replay --bundle "$fuzz_bundle"
+
+echo "== tier-1: debug_session example (L2 race -> replay -> ArchDB timeline) =="
+session="$(timeout 120 cargo run -q --release --example debug_session)"
+for want in "reproduced = true" "^== instr_commit events" "^ *[0-9]* | hart=.* wb="; do
+    grep -q "$want" <<<"$session" || { echo "debug_session: no line matches '$want'" >&2; exit 1; }
+done
 
 echo "== tier-1: paper harness (regenerated BENCH_paper.json == committed) =="
 timeout 300 cargo bench -q -p minjie-bench --bench paper

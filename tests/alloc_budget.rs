@@ -26,6 +26,11 @@
 //! walks the report straight into the `String` it returns (DESIGN §4
 //! "`campaign`"), so it costs the growth of that one buffer, not a
 //! `Value` tree of the whole report beside it.
+//!
+//! And what a traced row costs: ArchDB keeps the struct the probe
+//! emitted in a `VecDeque` (DESIGN §4 "Telemetry"), so a run with the
+//! full lifecycle trace or the debug-mode commit trace on goes to the
+//! allocator when a ring doubles, not per row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -166,4 +171,36 @@ fn a_report_is_written_without_a_tree_of_it() {
         "full_json requested {bytes} bytes for {} of text",
         full.len()
     );
+}
+
+/// Allocator calls per thousand ArchDB rows. Measured on the Test-scale
+/// `sjeng` run below, past the warm-up: 0.06 with the lifecycle trace on
+/// (5 calls for 84 807 rows) and 0.11 in debug mode (7 for 64 228) — the
+/// rings doubling. PR 22 (`9ab2faa`) lowered every row to a `Value` tree
+/// on insert — a `Map`, a `String` per key and a nested map per struct
+/// field: 22 726 and 24 672 calls per thousand rows.
+const ROW_BUDGET: f64 = 1.0;
+
+/// Run Test-scale `sjeng` on `cfg` under DiffTest and return the allocator
+/// calls per thousand rows ArchDB took after the first `WARM_UP` cycles.
+fn calls_per_thousand_rows(cfg: XsConfig, debug_mode: bool) -> f64 {
+    use minjie::{CoSim, CoSimEnd};
+    let mut cosim = CoSim::new(cfg, &workload("sjeng", Scale::Test).program);
+    cosim.debug_mode = debug_mode;
+    assert!(matches!(cosim.run(WARM_UP), CoSimEnd::OutOfCycles));
+    let (calls, rows) = (CALLS.get(), cosim.archdb.records_inserted());
+    assert!(matches!(cosim.run(10_000_000), CoSimEnd::Halted(_)));
+    let (calls, rows) = (CALLS.get() - calls, cosim.archdb.records_inserted() - rows);
+    assert!(rows > 50_000, "the window traced only {rows} rows");
+    println!("debug_mode {debug_mode}: {calls} calls for {rows} rows");
+    calls as f64 * 1000.0 / rows as f64
+}
+
+#[test]
+fn a_traced_row_is_a_struct_copy_not_a_tree() {
+    let cfg = XsConfig::preset("small-nh").expect("preset exists");
+    let lifecycle = calls_per_thousand_rows(cfg.clone().with_lifecycle(), false);
+    let debug = calls_per_thousand_rows(cfg, true);
+    assert!(lifecycle <= ROW_BUDGET, "lifecycle trace: {lifecycle:.2} allocator calls per 1000 rows");
+    assert!(debug <= ROW_BUDGET, "debug mode: {debug:.2} allocator calls per 1000 rows");
 }

@@ -12,7 +12,6 @@
 use minjie::{CoSim, CoSimEnd};
 use proptest::prelude::*;
 use riscv_isa::asm::{reg::*, Asm, Program};
-use serde::Deserialize;
 use workloads::{random_program, TortureConfig};
 use xscore::{Lifecycle, SquashCause, XsConfig};
 
@@ -35,12 +34,7 @@ fn lifecycle_trace_cfg(
 ) -> (Vec<Lifecycle>, CoSimEnd) {
     let mut cosim = CoSim::new(cfg, program);
     let end = cosim.run(max_cycles);
-    let table = cosim.archdb.table("lifecycle").expect("lifecycle table exists");
-    let trace = table
-        .rows()
-        .map(|(_, v)| Deserialize::deserialize(v).expect("lifecycle record deserializes"))
-        .collect();
-    (trace, end)
+    (cosim.archdb.lifecycle.rows().copied().collect(), end)
 }
 
 /// The retired record executing `pc`, if any (first dynamic instance).
