@@ -19,7 +19,7 @@
 //! line) is refused with the first line that differs.
 
 use crate::geomean;
-use minjie::{CoSim, CoSimEnd, CsrRuleTable, RunStats, Snapshotable};
+use minjie::{csr_field_rules, CoSim, CoSimEnd, RunStats, Snapshotable};
 use nemu::registry::PERSONALITIES;
 use nemu::Interpreter;
 use riscv_isa::asm::Program;
@@ -639,7 +639,7 @@ pub fn measure(b: &Budgets) -> PaperBody {
         fig15,
         ablation: measure_ablation(b, threads),
         snapshots: measure_snapshots(b, threads),
-        drav: Drav { csr_field_rules: CsrRuleTable::standard().len() as u64 },
+        drav: Drav { csr_field_rules: csr_field_rules().len() as u64 },
     }
 }
 

@@ -8,7 +8,7 @@
 //! CSR with `li`/`csrw`/`fld` sequences and jumps to the checkpointed pc.
 
 use riscv_isa::asm::{reg, Asm, Program};
-use riscv_isa::csr::{addr, mstatus};
+use riscv_isa::csr::{addr, mstatus, Kind};
 use riscv_isa::mem::SparseMemory;
 use riscv_isa::state::ArchState;
 use serde::{Deserialize, Serialize};
@@ -207,27 +207,8 @@ impl Checkpoint {
         // CSRs first (while registers are free for staging). `mstatus`
         // goes in with MIE clear: the loader runs in M-mode, and once `mie`
         // and `mip` are back a pending interrupt must wait for the target.
-        let csrs: [(u16, u64); 18] = [
-            (addr::MSTATUS, s.csr.mstatus & !mstatus::MIE),
-            (addr::MEDELEG, s.csr.medeleg),
-            (addr::MIDELEG, s.csr.mideleg),
-            (addr::MIE, s.csr.mie),
-            (addr::MIP, s.csr.mip),
-            (addr::MTVEC, s.csr.mtvec),
-            (addr::MCOUNTEREN, s.csr.mcounteren),
-            (addr::MSCRATCH, s.csr.mscratch),
-            (addr::MCAUSE, s.csr.mcause),
-            (addr::MTVAL, s.csr.mtval),
-            (addr::STVEC, s.csr.stvec),
-            (addr::SCOUNTEREN, s.csr.scounteren),
-            (addr::SSCRATCH, s.csr.sscratch),
-            (addr::SEPC, s.csr.sepc),
-            (addr::SCAUSE, s.csr.scause),
-            (addr::STVAL, s.csr.stval),
-            (addr::SATP, s.csr.satp),
-            (addr::FCSR, s.csr.fcsr),
-        ];
-        for (csr, v) in csrs {
+        for (csr, _, v) in s.csr.stored().filter(|field| field.1 == Kind::Restored) {
+            let v = if csr == addr::MSTATUS { v & !mstatus::MIE } else { v };
             a.li(reg::T0, v as i64);
             a.csrrw(reg::ZERO, csr, reg::T0);
         }

@@ -8,7 +8,7 @@
 //! Memory rule, exactly as in §III-B2b.
 
 use crate::coverage::CommitCoverage;
-use crate::rules::{compare_csrs, CsrMismatch, CsrRuleTable, DiffRule, RuleStats};
+use crate::rules::{is_counter, CsrMismatch, DiffRule, RuleStats};
 use nemu::hart::{self, Hart, StepInfo};
 use nemu::Interpreter;
 use riscv_isa::exec::load_extend;
@@ -426,8 +426,6 @@ pub struct DiffTest<R: RefModel> {
     refs: Vec<R>,
     /// The global memory (multi-core store ordering).
     pub global_mem: GlobalMemory,
-    /// The static CSR rule table.
-    pub csr_rules: CsrRuleTable,
     /// Rule application statistics.
     pub stats: RuleStats,
     /// Commits verified.
@@ -444,7 +442,6 @@ impl<R: RefModel> DiffTest<R> {
         DiffTest {
             refs,
             global_mem,
-            csr_rules: CsrRuleTable::standard(),
             stats: RuleStats::default(),
             commits_checked: 0,
             coverage: None,
@@ -581,7 +578,7 @@ impl<R: RefModel> DiffTest<R> {
             self.stats.record(DiffRule::MmioLoad);
             return Ok(());
         }
-        if e.inst.is_system() && CsrRuleTable::is_counter(e.inst.csr()) {
+        if e.inst.is_system() && is_counter(e.inst.csr()) {
             self.refs[hart].patch_gpr(dut_rd, dut_v);
             self.stats.record(DiffRule::CounterRead);
             return Ok(());
@@ -649,27 +646,21 @@ impl<R: RefModel> DiffTest<R> {
         Some(raw)
     }
 
-    /// Full-state comparison (periodic or at end of simulation).
+    /// Full-state comparison (periodic or at end of simulation): total
+    /// over [`ArchState`] but for the free-running rows of the CSR table.
     ///
     /// # Errors
     ///
-    /// Returns the first field mismatch not covered by CSR rules.
+    /// Returns the first field on which DUT and REF differ.
     pub fn compare_state(&self, hart: usize, dut: &ArchState) -> Result<(), DiffError> {
-        let r = self.refs[hart].arch_state();
-        if let Some(d) = dut.first_diff(&r) {
-            // CSR differences go through the rule table.
-            if matches!(d, StateDiff::Csr) {
-                if let Some(m) = compare_csrs(&dut.csr, &r.csr, &self.csr_rules) {
-                    return Err(DiffError::Csr { hart, mismatch: m });
-                }
-                return Ok(());
-            }
-            return Err(DiffError::State {
+        match dut.first_diff(&self.refs[hart].arch_state()) {
+            None => Ok(()),
+            Some(StateDiff::Csr { csr, lhs, rhs }) => Err(DiffError::Csr {
                 hart,
-                diff: d.to_string(),
-            });
+                mismatch: CsrMismatch { csr, dut: lhs, reference: rhs },
+            }),
+            Some(d) => Err(DiffError::State { hart, diff: d.to_string() }),
         }
-        Ok(())
     }
 
     /// Rule-soundness guard: a forced event at the same pc twice in a row
@@ -1130,5 +1121,27 @@ mod tests {
             dt.compare_state(0, &dut_state2),
             Err(DiffError::State { .. })
         ));
+    }
+
+    /// The comparison is total over the CSR file: a hart that ended in
+    /// the wrong mode or with the wrong id is an error, and only the
+    /// free-running counters may differ.
+    #[test]
+    fn state_comparison_sees_the_whole_csr_file() {
+        use riscv_isa::csr::{CsrFile, Privilege};
+        let p = nop_program();
+        let dt = DiffTest::for_program(&p, 1);
+        let differing = |change: fn(&mut CsrFile)| {
+            let mut dut = dt.reference(0).arch_state();
+            change(&mut dut.csr);
+            dt.compare_state(0, &dut)
+        };
+        let wrong_mode = differing(|c| c.privilege = Privilege::User);
+        assert!(matches!(wrong_mode, Err(DiffError::State { .. })), "{wrong_mode:?}");
+        let wrong_hart = differing(|c| c.mhartid = 1);
+        assert!(matches!(wrong_hart, Err(DiffError::Csr { .. })), "{wrong_hart:?}");
+        assert_eq!(differing(|c| c.mcycle = 1), Ok(()));
+        assert_eq!(differing(|c| c.minstret = 2), Ok(()));
+        assert_eq!(differing(|c| c.time = 3), Ok(()));
     }
 }

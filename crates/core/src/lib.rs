@@ -53,5 +53,5 @@ pub use cosim::{
 pub use coverage::{bucket, CommitCoverage, CoverageMap, FU_CLASS_COUNT, OP_COUNT};
 pub use difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, NemuRef, RefModel, ARCH_REF_NAME};
 pub use lightsss::{LightSss, Snapshot, Snapshotable, Sss};
-pub use rules::{compare_csrs, CsrFieldKind, CsrFieldRule, CsrRuleTable, DiffRule, RuleStats};
+pub use rules::{csr_field_rules, CsrFieldKind, CsrFieldRule, DiffRule, RuleStats};
 pub use telemetry::{BpuStats, CacheSnap, CoreSnapshot, PerfSnapshot, TlbStats};

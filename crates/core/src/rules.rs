@@ -8,9 +8,13 @@
 //!
 //! This module defines the rule vocabulary and the CSR field-rule table
 //! (the "at least 120 rules" of §III-B2 devised from the privilege
-//! specification).
+//! specification). The table is not written here: it is read off
+//! `riscv_isa::csr::ROWS`, the one CSR table the `CsrFile` itself is
+//! generated from, so a rule's mask *is* the mask `CsrFile::write` applies
+//! and the set a full-state comparison skips *is* the set of `Ignore`
+//! rules (`tests::every_rule_holds_on_the_csr_file` checks both).
 
-use riscv_isa::csr::{addr, CsrFile};
+use riscv_isa::csr::{self, Access, Kind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -37,8 +41,6 @@ pub enum DiffRule {
     CounterRead,
     /// Fused macro-op pairs commit as one DUT event; the REF steps twice.
     MacroFusion,
-    /// A CSR field-level rule from the static table.
-    CsrField,
 }
 
 impl DiffRule {
@@ -51,7 +53,6 @@ impl DiffRule {
             DiffRule::MmioLoad => "mmio-load",
             DiffRule::CounterRead => "counter-read",
             DiffRule::MacroFusion => "macro-fusion",
-            DiffRule::CsrField => "csr-field",
         }
     }
 }
@@ -81,125 +82,42 @@ pub struct CsrFieldRule {
     pub name: String,
 }
 
-/// The static CSR rule table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CsrRuleTable {
-    rules: Vec<CsrFieldRule>,
+/// The standard RV64 machine/supervisor rule table, one pass over the CSR
+/// table: per address, a free-running row is an `Ignore` rule, a row with
+/// named sub-fields a `WarlMask` rule per field, an unimplemented row a
+/// `ReadOnlyZero` rule, and a row whose write mask drops bits a `WarlMask`
+/// rule of that mask. Devised from the privilege specification like the
+/// paper's set; the count is ≥ 120 (checked by a unit test).
+pub fn csr_field_rules() -> Vec<CsrFieldRule> {
+    use CsrFieldKind::*;
+    let mut rules = Vec::new();
+    for row in csr::ROWS {
+        for csr in row.addrs.0..=row.addrs.1 {
+            let name = if row.addrs.0 == row.addrs.1 {
+                row.name.to_string()
+            } else {
+                format!("{}{}", row.name, row.first + csr - row.addrs.0)
+            };
+            let mut push = |mask, kind, name| rules.push(CsrFieldRule { csr, mask, kind, name });
+            match (row.kind, row.access) {
+                (Kind::FreeRunning, _) => push(u64::MAX, Ignore, name),
+                _ if !row.fields.is_empty() => {
+                    for (field, mask) in row.fields {
+                        push(*mask, WarlMask, format!("{name}.{field}"));
+                    }
+                }
+                (_, Access::Zero) => push(u64::MAX, ReadOnlyZero, name),
+                (_, Access::Mask(mask)) if mask != u64::MAX => push(mask, WarlMask, name),
+                _ => {}
+            }
+        }
+    }
+    rules
 }
 
-impl CsrRuleTable {
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Iterate over the rules.
-    pub fn iter(&self) -> impl Iterator<Item = &CsrFieldRule> {
-        self.rules.iter()
-    }
-
-    /// The ignore-mask for a CSR (union of Ignore-field masks).
-    pub fn ignore_mask(&self, csr: u16) -> u64 {
-        self.rules
-            .iter()
-            .filter(|r| r.csr == csr && r.kind == CsrFieldKind::Ignore)
-            .fold(0, |m, r| m | r.mask)
-    }
-
-    /// The standard RV64 machine/supervisor rule table.
-    ///
-    /// Devised from the privilege specification like the paper's set; the
-    /// count is ≥ 120 (checked by a unit test).
-    pub fn standard() -> Self {
-        let mut rules = Vec::new();
-        let mut push = |csr: u16, mask: u64, kind: CsrFieldKind, name: &str| {
-            rules.push(CsrFieldRule {
-                csr,
-                mask,
-                kind,
-                name: name.to_string(),
-            });
-        };
-        use CsrFieldKind::*;
-        // Free-running counters (mcycle/minstret + user shadows + time).
-        push(addr::MCYCLE, u64::MAX, Ignore, "mcycle");
-        push(addr::MINSTRET, u64::MAX, Ignore, "minstret");
-        push(addr::CYCLE, u64::MAX, Ignore, "cycle");
-        push(addr::INSTRET, u64::MAX, Ignore, "instret");
-        push(addr::TIME, u64::MAX, Ignore, "time");
-        // 29 machine hardware performance counters + their events.
-        for i in 3..32u16 {
-            push(0xb00 + i, u64::MAX, Ignore, &format!("mhpmcounter{i}"));
-            push(0xc00 + i, u64::MAX, Ignore, &format!("hpmcounter{i}"));
-            push(0x320 + i, u64::MAX, ReadOnlyZero, &format!("mhpmevent{i}"));
-        }
-        // mstatus fields (each WARL field is its own rule).
-        for (mask, name) in [
-            (1u64 << 1, "mstatus.SIE"),
-            (1 << 3, "mstatus.MIE"),
-            (1 << 5, "mstatus.SPIE"),
-            (1 << 7, "mstatus.MPIE"),
-            (1 << 8, "mstatus.SPP"),
-            (0b11 << 11, "mstatus.MPP"),
-            (0b11 << 13, "mstatus.FS"),
-            (0b11 << 15, "mstatus.XS"),
-            (1 << 17, "mstatus.MPRV"),
-            (1 << 18, "mstatus.SUM"),
-            (1 << 19, "mstatus.MXR"),
-            (1 << 20, "mstatus.TVM"),
-            (1 << 21, "mstatus.TW"),
-            (1 << 22, "mstatus.TSR"),
-            (0b11 << 32, "mstatus.UXL"),
-            (0b11 << 34, "mstatus.SXL"),
-            (1 << 63, "mstatus.SD"),
-        ] {
-            push(addr::MSTATUS, mask, WarlMask, name);
-        }
-        // mip/mie implemented bits (each standard interrupt its own rule).
-        for (bit, n) in [(1u16, "SSI"), (3, "MSI"), (5, "STI"), (7, "MTI"), (9, "SEI"), (11, "MEI")]
-        {
-            push(addr::MIP, 1 << bit, WarlMask, &format!("mip.{n}"));
-            push(addr::MIE, 1 << bit, WarlMask, &format!("mie.{n}"));
-        }
-        // PMP is unimplemented: reads as zero.
-        for i in 0..16u16 {
-            push(addr::PMPCFG0 + i, u64::MAX, ReadOnlyZero, &format!("pmpcfg{i}"));
-        }
-        for i in 0..16u16 {
-            push(
-                addr::PMPADDR0 + i,
-                u64::MAX,
-                ReadOnlyZero,
-                &format!("pmpaddr{i}"),
-            );
-        }
-        // WARL trap vectors and delegation masks.
-        push(addr::MTVEC, !0b10, WarlMask, "mtvec");
-        push(addr::STVEC, !0b10, WarlMask, "stvec");
-        push(addr::MEDELEG, 0xb3ff, WarlMask, "medeleg");
-        push(addr::MIDELEG, 0x222, WarlMask, "mideleg");
-        push(addr::MCOUNTEREN, 0b111, WarlMask, "mcounteren");
-        push(addr::SCOUNTEREN, 0b111, WarlMask, "scounteren");
-        push(addr::SATP, 0x8fff_ffff_ffff_ffff, WarlMask, "satp");
-        push(addr::MEPC, !1, WarlMask, "mepc");
-        push(addr::SEPC, !1, WarlMask, "sepc");
-        push(addr::FCSR, 0xff, WarlMask, "fcsr");
-        CsrRuleTable { rules }
-    }
-
-    /// CSR addresses whose reads are DUT-trusted (counter-read rule).
-    pub fn is_counter(csr: u16) -> bool {
-        matches!(
-            csr,
-            addr::MCYCLE | addr::MINSTRET | addr::CYCLE | addr::INSTRET | addr::TIME
-        ) || (0xb03..=0xb1f).contains(&csr)
-            || (0xc03..=0xc1f).contains(&csr)
-    }
+/// CSR addresses whose reads are DUT-trusted (counter-read rule).
+pub fn is_counter(csr: u16) -> bool {
+    csr::row(csr).is_some_and(|row| row.kind == Kind::FreeRunning)
 }
 
 /// A CSR comparison mismatch.
@@ -207,75 +125,10 @@ impl CsrRuleTable {
 pub struct CsrMismatch {
     /// CSR address.
     pub csr: u16,
-    /// DUT value (masked).
+    /// DUT value.
     pub dut: u64,
-    /// REF value (masked).
+    /// REF value.
     pub reference: u64,
-}
-
-/// Compare two CSR files under the rule table. Counters and ignore-fields
-/// are excluded; everything else must match exactly.
-pub fn compare_csrs(dut: &CsrFile, reference: &CsrFile, table: &CsrRuleTable) -> Option<CsrMismatch> {
-    let compared: &[u16] = &[
-        addr::MSTATUS,
-        addr::MTVEC,
-        addr::MEDELEG,
-        addr::MIDELEG,
-        addr::MIE,
-        addr::MIP,
-        addr::MSCRATCH,
-        addr::MEPC,
-        addr::MCAUSE,
-        addr::MTVAL,
-        addr::MCOUNTEREN,
-        addr::STVEC,
-        addr::SSCRATCH,
-        addr::SEPC,
-        addr::SCAUSE,
-        addr::STVAL,
-        addr::SATP,
-        addr::SCOUNTEREN,
-        addr::FCSR,
-    ];
-    for &csr in compared {
-        let ignore = table.ignore_mask(csr);
-        // Read raw fields, bypassing privilege checks.
-        let (d, r) = (raw_csr(dut, csr), raw_csr(reference, csr));
-        let (dm, rm) = (d & !ignore, r & !ignore);
-        if dm != rm {
-            return Some(CsrMismatch {
-                csr,
-                dut: dm,
-                reference: rm,
-            });
-        }
-    }
-    None
-}
-
-fn raw_csr(f: &CsrFile, csr: u16) -> u64 {
-    match csr {
-        addr::MSTATUS => f.mstatus,
-        addr::MTVEC => f.mtvec,
-        addr::MEDELEG => f.medeleg,
-        addr::MIDELEG => f.mideleg,
-        addr::MIE => f.mie,
-        addr::MIP => f.mip,
-        addr::MSCRATCH => f.mscratch,
-        addr::MEPC => f.mepc,
-        addr::MCAUSE => f.mcause,
-        addr::MTVAL => f.mtval,
-        addr::MCOUNTEREN => f.mcounteren,
-        addr::STVEC => f.stvec,
-        addr::SSCRATCH => f.sscratch,
-        addr::SEPC => f.sepc,
-        addr::SCAUSE => f.scause,
-        addr::STVAL => f.stval,
-        addr::SATP => f.satp,
-        addr::SCOUNTEREN => f.scounteren,
-        addr::FCSR => f.fcsr,
-        _ => 0,
-    }
 }
 
 /// Statistics over applied diff-rules.
@@ -311,43 +164,48 @@ impl RuleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riscv_isa::csr::{addr, CsrFile};
+
+    /// The union of a CSR's field masks of one kind.
+    fn mask(rules: &[CsrFieldRule], csr: u16, kind: CsrFieldKind) -> u64 {
+        let of_kind = rules.iter().filter(|r| r.csr == csr && r.kind == kind);
+        of_kind.fold(0, |m, r| m | r.mask)
+    }
 
     #[test]
     fn standard_table_has_at_least_120_rules() {
-        let t = CsrRuleTable::standard();
+        let t = csr_field_rules();
         assert!(t.len() >= 120, "only {} rules", t.len());
     }
 
     #[test]
     fn counters_are_ignored_in_comparison() {
-        let t = CsrRuleTable::standard();
         let a = CsrFile::new(0);
         let mut b = CsrFile::new(0);
         b.mcycle = 999;
         b.minstret = 123;
         b.time = 7;
-        assert_eq!(compare_csrs(&a, &b, &t), None);
+        assert_eq!(a.first_mismatch(&b), None);
     }
 
     #[test]
     fn real_divergence_is_caught() {
-        let t = CsrRuleTable::standard();
         let a = CsrFile::new(0);
         let mut b = CsrFile::new(0);
         b.mscratch = 1;
-        let m = compare_csrs(&a, &b, &t).expect("mismatch");
-        assert_eq!(m.csr, addr::MSCRATCH);
+        let m = a.first_mismatch(&b).expect("mismatch");
+        assert_eq!(m.0, addr::MSCRATCH);
         let mut c = CsrFile::new(0);
         c.mcause = 5;
-        assert!(compare_csrs(&a, &c, &t).is_some());
+        assert!(a.first_mismatch(&c).is_some());
     }
 
     #[test]
     fn counter_csr_classification() {
-        assert!(CsrRuleTable::is_counter(addr::MCYCLE));
-        assert!(CsrRuleTable::is_counter(addr::TIME));
-        assert!(CsrRuleTable::is_counter(0xb10));
-        assert!(!CsrRuleTable::is_counter(addr::MSCRATCH));
+        assert!(is_counter(addr::MCYCLE));
+        assert!(is_counter(addr::TIME));
+        assert!(is_counter(0xb10));
+        assert!(!is_counter(addr::MSCRATCH));
     }
 
     #[test]
@@ -363,8 +221,66 @@ mod tests {
 
     #[test]
     fn ignore_masks_compose() {
-        let t = CsrRuleTable::standard();
-        assert_eq!(t.ignore_mask(addr::MCYCLE), u64::MAX);
-        assert_eq!(t.ignore_mask(addr::MSCRATCH), 0);
+        let t = csr_field_rules();
+        assert_eq!(mask(&t, addr::MCYCLE, CsrFieldKind::Ignore), u64::MAX);
+        assert_eq!(mask(&t, addr::MSCRATCH, CsrFieldKind::Ignore), 0);
+    }
+
+    /// The rule set as facts: 163 distinct `(csr, mask, kind, name)` rules
+    /// whose sorted listing hashes (FNV-1a) to what the hand-typed
+    /// `standard()` body produced before the CSR table generated it.
+    #[test]
+    fn the_163_rules_are_pinned() {
+        let mut lines: Vec<String> = csr_field_rules()
+            .iter()
+            .map(|r| format!("{:#05x} {:#018x} {:?} {}\n", r.csr, r.mask, r.kind, r.name))
+            .collect();
+        lines.sort();
+        lines.dedup();
+        assert_eq!(lines.len(), 163);
+        let digest = lines.concat().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0xdb81_ae00_277b_e174, "the rule set moved:\n{}", lines.concat());
+    }
+
+    /// The first reader of the rule kinds: each rule is a fact about
+    /// `CsrFile`, checked on it.
+    #[test]
+    fn every_rule_holds_on_the_csr_file() {
+        let table = csr_field_rules();
+        let patterns = [0, u64::MAX, 0x5555_5555_5555_5555, 0xaaaa_aaaa_aaaa_aaaa];
+        for rule in &table {
+            let mut file = CsrFile::new(0);
+            match rule.kind {
+                // Written from M-mode, the stored value never has a bit
+                // outside the CSR's rules.
+                CsrFieldKind::WarlMask => {
+                    let implemented = mask(&table, rule.csr, CsrFieldKind::WarlMask);
+                    for value in patterns {
+                        file.write(rule.csr, value).expect("writable in M-mode");
+                        let stored = file.raw(rule.csr).expect("a WARL rule is on a field");
+                        assert_eq!(stored & !implemented, 0, "{} after {value:#x}", rule.name);
+                    }
+                }
+                // Reads zero; a write is accepted and changes nothing.
+                CsrFieldKind::ReadOnlyZero => {
+                    for value in patterns {
+                        file.write(rule.csr, value).expect("writes are dropped, not refused");
+                        assert_eq!(file.read(rule.csr), Ok(0), "{}", rule.name);
+                    }
+                    assert_eq!(file, CsrFile::new(0), "{}", rule.name);
+                }
+                // A full-state comparison skips the row, whatever it holds.
+                // (`time` has no writable address; `counters_are_ignored_in_comparison`
+                // sets its field.)
+                CsrFieldKind::Ignore => {
+                    assert!(rule.mask == u64::MAX && is_counter(rule.csr), "{}", rule.name);
+                    if file.write(rule.csr, 0x1234).is_ok() {
+                        assert_eq!(file.first_mismatch(&CsrFile::new(0)), None, "{}", rule.name);
+                    }
+                }
+            }
+        }
     }
 }

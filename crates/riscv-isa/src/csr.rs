@@ -1,9 +1,14 @@
 //! Control and status registers, privilege levels, and trap entry/return.
 //!
-//! [`CsrFile`] implements the machine- and supervisor-mode CSR subset
-//! needed to boot bare-metal and OS-like workloads, with WARL masking as
-//! specified. The DiffTest CSR diff-rule table in the `minjie` crate is
-//! generated from the same field masks defined here.
+//! What each CSR *is* is written once, in the `csr_table!` rows below: its
+//! address, name, the [`CsrFile`] field and reset value if it stores one,
+//! what reads and writes reach ([`Access`]), its named WARL sub-fields, and
+//! how state comparison and checkpoints treat it ([`Kind`]). From the rows
+//! come [`addr`], `CsrFile` itself, the plain paths of [`CsrFile::read`] /
+//! [`CsrFile::write`] (their arms are the irregular rows: views, gates,
+//! `mstatus`, `mip`, `satp`'s MODE), the compared set of a full-state
+//! check, the restore loader's list and the DRAV rule table of `minjie` —
+//! so adding a CSR is one row plus whatever is irregular about it.
 
 use crate::trap::{Exception, Interrupt, Trap};
 use serde::{Deserialize, Serialize};
@@ -32,67 +37,38 @@ impl Privilege {
     }
 }
 
-/// CSR addresses used throughout the workspace.
-#[allow(missing_docs)]
-pub mod addr {
-    pub const FFLAGS: u16 = 0x001;
-    pub const FRM: u16 = 0x002;
-    pub const FCSR: u16 = 0x003;
-    pub const CYCLE: u16 = 0xc00;
-    pub const TIME: u16 = 0xc01;
-    pub const INSTRET: u16 = 0xc02;
-    pub const SSTATUS: u16 = 0x100;
-    pub const SIE: u16 = 0x104;
-    pub const STVEC: u16 = 0x105;
-    pub const SCOUNTEREN: u16 = 0x106;
-    pub const SSCRATCH: u16 = 0x140;
-    pub const SEPC: u16 = 0x141;
-    pub const SCAUSE: u16 = 0x142;
-    pub const STVAL: u16 = 0x143;
-    pub const SIP: u16 = 0x144;
-    pub const SATP: u16 = 0x180;
-    pub const MVENDORID: u16 = 0xf11;
-    pub const MARCHID: u16 = 0xf12;
-    pub const MIMPID: u16 = 0xf13;
-    pub const MHARTID: u16 = 0xf14;
-    pub const MSTATUS: u16 = 0x300;
-    pub const MISA: u16 = 0x301;
-    pub const MEDELEG: u16 = 0x302;
-    pub const MIDELEG: u16 = 0x303;
-    pub const MIE: u16 = 0x304;
-    pub const MTVEC: u16 = 0x305;
-    pub const MCOUNTEREN: u16 = 0x306;
-    pub const MSCRATCH: u16 = 0x340;
-    pub const MEPC: u16 = 0x341;
-    pub const MCAUSE: u16 = 0x342;
-    pub const MTVAL: u16 = 0x343;
-    pub const MIP: u16 = 0x344;
-    pub const PMPCFG0: u16 = 0x3a0;
-    pub const PMPADDR0: u16 = 0x3b0;
-    pub const MCYCLE: u16 = 0xb00;
-    pub const MINSTRET: u16 = 0xb02;
+/// Named bit masks that are also listed by name: `FIELDS` is what a row of
+/// the CSR table cites as its sub-fields.
+macro_rules! fields {
+    ($($field:ident = $mask:expr;)*) => {
+        $(pub const $field: u64 = $mask;)*
+        /// Every field above with its name: one DRAV rule each.
+        pub const FIELDS: &[(&str, u64)] = &[$((stringify!($field), $field)),*];
+    };
 }
 
 /// mstatus field masks.
 #[allow(missing_docs)]
 pub mod mstatus {
-    pub const SIE: u64 = 1 << 1;
-    pub const MIE: u64 = 1 << 3;
-    pub const SPIE: u64 = 1 << 5;
-    pub const MPIE: u64 = 1 << 7;
-    pub const SPP: u64 = 1 << 8;
-    pub const MPP: u64 = 0b11 << 11;
-    pub const FS: u64 = 0b11 << 13;
-    pub const XS: u64 = 0b11 << 15;
-    pub const MPRV: u64 = 1 << 17;
-    pub const SUM: u64 = 1 << 18;
-    pub const MXR: u64 = 1 << 19;
-    pub const TVM: u64 = 1 << 20;
-    pub const TW: u64 = 1 << 21;
-    pub const TSR: u64 = 1 << 22;
-    pub const UXL: u64 = 0b11 << 32;
-    pub const SXL: u64 = 0b11 << 34;
-    pub const SD: u64 = 1 << 63;
+    fields! {
+        SIE = 1 << 1;
+        MIE = 1 << 3;
+        SPIE = 1 << 5;
+        MPIE = 1 << 7;
+        SPP = 1 << 8;
+        MPP = 0b11 << 11;
+        FS = 0b11 << 13;
+        XS = 0b11 << 15;
+        MPRV = 1 << 17;
+        SUM = 1 << 18;
+        MXR = 1 << 19;
+        TVM = 1 << 20;
+        TW = 1 << 21;
+        TSR = 1 << 22;
+        UXL = 0b11 << 32;
+        SXL = 0b11 << 34;
+        SD = 1 << 63;
+    }
 
     /// Bits writable through the mstatus CSR.
     pub const WRITE_MASK: u64 =
@@ -101,63 +77,24 @@ pub mod mstatus {
     pub const SSTATUS_MASK: u64 = SIE | SPIE | SPP | FS | XS | SUM | MXR | UXL | SD;
 }
 
-/// The CSR file of one hart.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CsrFile {
-    /// Current privilege level.
-    pub privilege: Privilege,
-    /// Machine status register (sstatus is a masked view of it).
-    pub mstatus: u64,
-    /// Machine exception delegation.
-    pub medeleg: u64,
-    /// Machine interrupt delegation.
-    pub mideleg: u64,
-    /// Machine interrupt enable.
-    pub mie: u64,
-    /// Machine interrupt pending.
-    pub mip: u64,
-    /// Machine trap vector.
-    pub mtvec: u64,
-    /// Machine counter enable.
-    pub mcounteren: u64,
-    /// Machine scratch.
-    pub mscratch: u64,
-    /// Machine exception PC.
-    pub mepc: u64,
-    /// Machine trap cause.
-    pub mcause: u64,
-    /// Machine trap value.
-    pub mtval: u64,
-    /// Cycle counter.
-    pub mcycle: u64,
-    /// Retired-instruction counter.
-    pub minstret: u64,
-    /// Supervisor trap vector.
-    pub stvec: u64,
-    /// Supervisor counter enable.
-    pub scounteren: u64,
-    /// Supervisor scratch.
-    pub sscratch: u64,
-    /// Supervisor exception PC.
-    pub sepc: u64,
-    /// Supervisor trap cause.
-    pub scause: u64,
-    /// Supervisor trap value.
-    pub stval: u64,
-    /// Supervisor address translation and protection.
-    pub satp: u64,
-    /// Floating-point CSR (frm in bits 7:5, fflags in bits 4:0).
-    pub fcsr: u64,
-    /// Hart id.
-    pub mhartid: u64,
-    /// Wall-clock time source (read through the `time` CSR).
-    pub time: u64,
-}
-
-impl Default for CsrFile {
-    fn default() -> Self {
-        Self::new(0)
+/// mip / mie bit masks: one per standard interrupt, at its cause code.
+#[allow(missing_docs)]
+pub mod mip {
+    use crate::trap::Interrupt::*;
+    fields! {
+        SSI = 1 << SupervisorSoftware.code();
+        MSI = 1 << MachineSoftware.code();
+        STI = 1 << SupervisorTimer.code();
+        MTI = 1 << MachineTimer.code();
+        SEI = 1 << SupervisorExternal.code();
+        MEI = 1 << MachineExternal.code();
     }
+
+    /// The supervisor-level bits: what mideleg can delegate, and what
+    /// M-mode software can set pending.
+    pub const S_LEVEL: u64 = SSI | STI | SEI;
+    /// Every implemented bit.
+    pub const ALL: u64 = S_LEVEL | MSI | MTI | MEI;
 }
 
 /// misa value: RV64 with IMAFDC + S + U.
@@ -171,6 +108,176 @@ pub const MISA_RV64GCSU: u64 = (2 << 62) // MXL = 64
     | (1 << 18) // S
     | (1 << 20); // U
 
+/// medeleg's implemented bits: every exception but `EcallFromM`, which no
+/// mode that could be delegated from can raise.
+const DELEGABLE_EXCEPTIONS: u64 = {
+    let (mut mask, mut code) = (0, 0);
+    while code < 64 {
+        mask |= (Exception::from_code(code).is_some() as u64) << code;
+        code += 1;
+    }
+    mask & !(1 << Exception::EcallFromM.code())
+};
+
+/// What stands behind a row's address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// A field written WARL by mask: it becomes `value & mask`.
+    Mask(u64),
+    /// Arms of [`CsrFile::read`] / [`CsrFile::write`]: a view of another
+    /// row's field, an irregular write, a gate. With no `read` arm the row
+    /// reads as its field; with no `write` arm a write is illegal.
+    Hand,
+    /// Reads as this constant; writes are dropped.
+    Const(u64),
+    /// Unimplemented: reads zero and drops writes, and the DRAV table says
+    /// so with a `ReadOnlyZero` rule.
+    Zero,
+}
+
+/// How a full-state comparison and a checkpoint treat a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// DUT and REF must agree.
+    Exact,
+    /// [`Kind::Exact`], and a checkpoint's restore loader writes it back.
+    Restored,
+    /// Free-running: excluded from comparison, and a read of it is trusted
+    /// to the DUT (the counter-read diff-rule).
+    FreeRunning,
+}
+
+/// One row of the CSR table: one CSR, or a numbered range of alike ones.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrRow {
+    /// First and last address (equal for a single CSR).
+    pub addrs: (u16, u16),
+    /// Lower-case name; in a range, address `a` is `name` followed by
+    /// `first + a - addrs.0` (`mhpmcounter3`: `first` is 3).
+    pub name: &'static str,
+    /// The number `addrs.0` carries in that naming.
+    pub first: u16,
+    /// What reads and writes reach.
+    pub access: Access,
+    /// How state comparison and checkpoints treat it.
+    pub kind: Kind,
+    /// Named WARL sub-fields, where the DRAV table has a rule for each.
+    pub fields: &'static [(&'static str, u64)],
+}
+
+/// `CONST = address [..= last], "name" [+ first], [field = reset]?, access, kind [, sub-fields];`
+/// — a row with `[field = reset]` is a `u64` of [`CsrFile`], the others
+/// store nothing of their own.
+macro_rules! csr_table {
+    (@or $value:expr, $default:expr) => { $value };
+    (@or $default:expr) => { $default };
+    ($(
+        $addr:ident = $lo:literal $(..= $hi:literal)?, $name:literal $(+ $first:literal)?,
+        $([$field:ident = $reset:expr],)? $access:ident $(($arg:expr))?, $kind:ident
+        $(, $fields:expr)?;
+    )*) => {
+        /// CSR addresses used throughout the workspace (a range goes by
+        /// its first address).
+        #[allow(missing_docs)]
+        pub mod addr {
+            $( pub const $addr: u16 = $lo; )*
+        }
+
+        /// Every row.
+        pub const ROWS: &[CsrRow] = &[$( CsrRow {
+            addrs: ($lo, csr_table!(@or $($hi,)? $lo)),
+            name: $name,
+            first: csr_table!(@or $($first,)? 0),
+            access: Access::$access $(($arg))?,
+            kind: Kind::$kind,
+            fields: csr_table!(@or $($fields,)? &[]),
+        }, )*];
+
+        /// The CSR file of one hart: the privilege mode and one field per
+        /// row that stores a value, in table order, under the row's name.
+        #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct CsrFile {
+            /// Current privilege level.
+            pub privilege: Privilege,
+            $($( #[doc = concat!("`", $name, "`, as stored.")] pub $field: u64, )?)*
+        }
+
+        /// Hart 0 out of reset.
+        const RESET: CsrFile = CsrFile {
+            privilege: Privilege::Machine,
+            $($( $field: $reset, )?)*
+        };
+
+        impl CsrFile {
+            /// Every field with its row's address and kind, in table order.
+            pub fn stored(&self) -> impl Iterator<Item = (u16, Kind, u64)> {
+                [$($( ($lo, Kind::$kind, self.$field), )?)*].into_iter()
+            }
+
+            fn stored_mut(&mut self) -> impl Iterator<Item = (u16, &mut u64)> {
+                [$($( ($lo, &mut self.$field), )?)*].into_iter()
+            }
+        }
+    };
+}
+
+// Rows with a field stand in `CsrFile`'s field order, which every serialized
+// state (checkpoint blobs, snapshots) spells out; a view follows its field.
+csr_table! {
+    // Out of reset the FPU is on (FS dirty) and UXL = SXL = 2 (64-bit).
+    MSTATUS = 0x300, "mstatus", [mstatus = mstatus::FS | 2 << 32 | 2 << 34], Hand, Restored,
+        mstatus::FIELDS;
+    SSTATUS = 0x100, "sstatus", Hand, Exact; // mstatus under SSTATUS_MASK
+    MISA = 0x301, "misa", Const(MISA_RV64GCSU), Exact;
+    MEDELEG = 0x302, "medeleg", [medeleg = 0], Mask(DELEGABLE_EXCEPTIONS), Restored;
+    MIDELEG = 0x303, "mideleg", [mideleg = 0], Mask(mip::S_LEVEL), Restored;
+    MIE = 0x304, "mie", [mie = 0], Mask(mip::ALL), Restored, mip::FIELDS;
+    SIE = 0x104, "sie", Hand, Exact; // mie under mideleg
+    MIP = 0x344, "mip", [mip = 0], Hand, Restored, mip::FIELDS; // software reaches S_LEVEL only
+    SIP = 0x144, "sip", Hand, Exact; // mip under mideleg, SSIP writable
+    MTVEC = 0x305, "mtvec", [mtvec = 0], Mask(!0b10), Restored;
+    MCOUNTEREN = 0x306, "mcounteren", [mcounteren = 0], Mask(0b111), Restored;
+    MSCRATCH = 0x340, "mscratch", [mscratch = 0], Mask(u64::MAX), Restored;
+    // Not `Restored`: the restore loader's mret spends it on the checkpointed pc.
+    MEPC = 0x341, "mepc", [mepc = 0], Mask(!1), Exact;
+    MCAUSE = 0x342, "mcause", [mcause = 0], Mask(u64::MAX), Restored;
+    MTVAL = 0x343, "mtval", [mtval = 0], Mask(u64::MAX), Restored;
+    MCYCLE = 0xb00, "mcycle", [mcycle = 0], Mask(u64::MAX), FreeRunning;
+    CYCLE = 0xc00, "cycle", Hand, FreeRunning; // mcycle, behind counter-enable bit 0
+    MINSTRET = 0xb02, "minstret", [minstret = 0], Mask(u64::MAX), FreeRunning;
+    INSTRET = 0xc02, "instret", Hand, FreeRunning; // minstret, behind counter-enable bit 2
+    STVEC = 0x105, "stvec", [stvec = 0], Mask(!0b10), Restored;
+    SCOUNTEREN = 0x106, "scounteren", [scounteren = 0], Mask(0b111), Restored;
+    SSCRATCH = 0x140, "sscratch", [sscratch = 0], Mask(u64::MAX), Restored;
+    SEPC = 0x141, "sepc", [sepc = 0], Mask(!1), Restored;
+    SCAUSE = 0x142, "scause", [scause = 0], Mask(u64::MAX), Restored;
+    STVAL = 0x143, "stval", [stval = 0], Mask(u64::MAX), Restored;
+    // MODE's top bit (Bare or Sv39) and the PPN; `write` ignores a write naming another mode.
+    SATP = 0x180, "satp", [satp = 0], Mask(0x8fff_ffff_ffff_ffff), Restored;
+    FCSR = 0x003, "fcsr", [fcsr = 0], Mask(0xff), Restored; // frm in bits 7:5, fflags in bits 4:0
+    FFLAGS = 0x001, "fflags", Hand, Exact;
+    FRM = 0x002, "frm", Hand, Exact;
+    MHARTID = 0xf14, "mhartid", [mhartid = 0], Hand, Exact; // `CsrFile::new` sets it
+    TIME = 0xc01, "time", [time = 0], Hand, FreeRunning; // behind counter-enable bit 1
+    MVENDORID = 0xf11, "mvendorid", Const(0), Exact;
+    MARCHID = 0xf12, "marchid", Const(25), Exact; // XiangShan's registered open-source marchid
+    MIMPID = 0xf13, "mimpid", Const(0), Exact;
+    // No hardware performance counter beyond the three above, and no PMP.
+    MHPMCOUNTER3 = 0xb03..=0xb1f, "mhpmcounter" + 3, Zero, FreeRunning;
+    HPMCOUNTER3 = 0xc03..=0xc1f, "hpmcounter" + 3, Zero, FreeRunning; // not gated by the enables
+    MHPMEVENT3 = 0x323..=0x33f, "mhpmevent" + 3, Zero, Exact;
+    PMPCFG0 = 0x3a0..=0x3af, "pmpcfg" + 0, Zero, Exact;
+    PMPADDR0 = 0x3b0..=0x3bf, "pmpaddr" + 0, Zero, Exact;
+    // pmpaddr16–63 behave like 0–15, but the DRAV table has never had rules
+    // for them: `Const(0)` where `Zero` would add 48 `ReadOnlyZero` rules.
+    PMPADDR16 = 0x3c0..=0x3ef, "pmpaddr" + 16, Const(0), Exact;
+}
+
+/// The row that holds `csr`, if the address is implemented.
+pub fn row(csr: u16) -> Option<&'static CsrRow> {
+    ROWS.iter().find(|row| (row.addrs.0..=row.addrs.1).contains(&csr))
+}
+
 impl CsrFile {
     /// Create a reset-state CSR file for hart `hartid`.
     ///
@@ -178,32 +285,28 @@ impl CsrFile {
     /// (`mstatus.FS = dirty`) so that bare-metal workloads can use the FPU
     /// without an enabling stub.
     pub fn new(hartid: u64) -> Self {
-        CsrFile {
-            privilege: Privilege::Machine,
-            mstatus: mstatus::FS | (2 << 32) | (2 << 34), // FS=initial-dirty is set below
-            medeleg: 0,
-            mideleg: 0,
-            mie: 0,
-            mip: 0,
-            mtvec: 0,
-            mcounteren: 0,
-            mscratch: 0,
-            mepc: 0,
-            mcause: 0,
-            mtval: 0,
-            mcycle: 0,
-            minstret: 0,
-            stvec: 0,
-            scounteren: 0,
-            sscratch: 0,
-            sepc: 0,
-            scause: 0,
-            stval: 0,
-            satp: 0,
-            fcsr: 0,
-            mhartid: hartid,
-            time: 0,
+        CsrFile { mhartid: hartid, ..RESET }
+    }
+
+    /// What the address holds, bypassing privilege checks and `read`'s
+    /// arms: its field, its constant or zero; `None` for a view and for an
+    /// address with no row.
+    pub fn raw(&self, csr: u16) -> Option<u64> {
+        match (self.stored().find(|field| field.0 == csr), row(csr)?.access) {
+            (Some(field), _) => Some(field.2),
+            (None, Access::Const(v)) => Some(v),
+            (None, Access::Zero) => Some(0),
+            (None, _) => None,
         }
+    }
+
+    /// The first field on which two files disagree, as `(address, self's
+    /// value, other's value)`; [`Kind::FreeRunning`] rows are skipped.
+    pub fn first_mismatch(&self, other: &CsrFile) -> Option<(u16, u64, u64)> {
+        self.stored()
+            .zip(other.stored())
+            .find(|(lhs, rhs)| lhs.2 != rhs.2 && lhs.1 != Kind::FreeRunning)
+            .map(|(lhs, rhs)| (lhs.0, lhs.2, rhs.2))
     }
 
     #[inline]
@@ -229,52 +332,14 @@ impl CsrFile {
             FFLAGS => self.fcsr & 0x1f,
             FRM => (self.fcsr >> 5) & 0x7,
             FCSR => self.fcsr & 0xff,
-            CYCLE => self.counter_read(0)?,
-            TIME => self.counter_read(1)?,
-            INSTRET => self.counter_read(2)?,
+            CYCLE => self.mcycle,
+            INSTRET => self.minstret,
             SSTATUS => self.mstatus_read() & mstatus::SSTATUS_MASK,
             SIE => self.mie & self.mideleg,
-            STVEC => self.stvec,
-            SCOUNTEREN => self.scounteren,
-            SSCRATCH => self.sscratch,
-            SEPC => self.sepc,
-            SCAUSE => self.scause,
-            STVAL => self.stval,
             SIP => self.mip & self.mideleg,
-            SATP => {
-                if self.privilege == Privilege::Supervisor
-                    && self.mstatus & mstatus::TVM != 0
-                {
-                    return Err(Exception::IllegalInstruction);
-                }
-                self.satp
-            }
-            MVENDORID => 0,
-            MARCHID => 25, // XiangShan's registered open-source marchid
-            MIMPID => 0,
-            MHARTID => self.mhartid,
             MSTATUS => self.mstatus_read(),
-            MISA => MISA_RV64GCSU,
-            MEDELEG => self.medeleg,
-            MIDELEG => self.mideleg,
-            MIE => self.mie,
-            MTVEC => self.mtvec,
-            MCOUNTEREN => self.mcounteren,
-            MSCRATCH => self.mscratch,
-            MEPC => self.mepc,
-            MCAUSE => self.mcause,
-            MTVAL => self.mtval,
-            MIP => self.mip,
-            MCYCLE => self.mcycle,
-            MINSTRET => self.minstret,
-            // PMP registers read as zero (no PMP implemented).
-            c if (PMPCFG0..PMPCFG0 + 16).contains(&c) => 0,
-            c if (PMPADDR0..PMPADDR0 + 64).contains(&c) => 0,
-            // Unimplemented hardware performance counters read as zero.
-            c if (0xb03..=0xb1f).contains(&c) => 0,
-            c if (0xc03..=0xc1f).contains(&c) => 0,
-            c if (0x323..=0x33f).contains(&c) => 0, // mhpmevent
-            _ => return Err(Exception::IllegalInstruction),
+            // Every other row reads as what it holds.
+            _ => self.raw(csr).ok_or(Exception::IllegalInstruction)?,
         })
     }
 
@@ -291,97 +356,56 @@ impl CsrFile {
         }
         use addr::*;
         match csr {
-            FFLAGS => self.fcsr = (self.fcsr & !0x1f) | (value & 0x1f),
-            FRM => self.fcsr = (self.fcsr & !0xe0) | ((value & 0x7) << 5),
-            FCSR => self.fcsr = value & 0xff,
+            FFLAGS => self.fcsr = merge(self.fcsr, value, 0x1f),
+            FRM => self.fcsr = merge(self.fcsr, value << 5, 0xe0),
             SSTATUS => {
                 let mask = mstatus::SSTATUS_MASK & mstatus::WRITE_MASK;
-                self.mstatus = (self.mstatus & !mask) | (value & mask);
+                self.mstatus = merge(self.mstatus, value, mask);
             }
-            SIE => {
-                self.mie = (self.mie & !self.mideleg) | (value & self.mideleg);
-            }
-            STVEC => self.stvec = value & !0b10,
-            SCOUNTEREN => self.scounteren = value & 0b111,
-            SSCRATCH => self.sscratch = value,
-            SEPC => self.sepc = value & !1,
-            SCAUSE => self.scause = value,
-            STVAL => self.stval = value,
-            SIP => {
-                // Only SSIP is software-writable from S-mode.
-                let mask = self.mideleg & (1 << Interrupt::SupervisorSoftware.code());
-                self.mip = (self.mip & !mask) | (value & mask);
-            }
-            SATP => {
-                if self.privilege == Privilege::Supervisor
-                    && self.mstatus & mstatus::TVM != 0
-                {
-                    return Err(Exception::IllegalInstruction);
-                }
-                let mode = value >> 60;
-                if mode == 0 || mode == 8 {
-                    self.satp = value & 0x8fff_ffff_ffff_ffff;
-                }
-                // Other modes: WARL, write ignored.
-            }
+            SIE => self.mie = merge(self.mie, value, self.mideleg),
+            // Only SSIP is software-writable from S-mode.
+            SIP => self.mip = merge(self.mip, value, self.mideleg & mip::SSI),
+            // MODE is WARL too: a write naming anything but Bare or Sv39 is ignored whole.
+            SATP if !matches!(value >> 60, 0 | 8) => {}
             MSTATUS => {
-                self.mstatus =
-                    (self.mstatus & !mstatus::WRITE_MASK) | (value & mstatus::WRITE_MASK);
+                self.mstatus = merge(self.mstatus, value, mstatus::WRITE_MASK);
                 // MPP is WARL: only 0/1/3 are legal; map 2 to 0.
                 if (self.mstatus >> 11) & 3 == 2 {
                     self.mstatus &= !mstatus::MPP;
                 }
             }
-            MISA => {} // WARL, fixed
-            MEDELEG => self.medeleg = value & 0xb3ff, // delegable exceptions
-            MIDELEG => self.mideleg = value & 0x222,  // delegable (S) interrupts
-            MIE => self.mie = value & 0xaaa,
-            MTVEC => self.mtvec = value & !0b10,
-            MCOUNTEREN => self.mcounteren = value & 0b111,
-            MSCRATCH => self.mscratch = value,
-            MEPC => self.mepc = value & !1,
-            MCAUSE => self.mcause = value,
-            MTVAL => self.mtval = value,
-            MIP => {
-                let mask = 0x222; // S-level bits writable from M-mode
-                self.mip = (self.mip & !mask) | (value & mask);
-            }
-            MCYCLE => self.mcycle = value,
-            MINSTRET => self.minstret = value,
-            c if (PMPCFG0..PMPCFG0 + 16).contains(&c) => {}
-            c if (PMPADDR0..PMPADDR0 + 64).contains(&c) => {}
-            c if (0xb03..=0xb1f).contains(&c) => {}
-            c if (0x323..=0x33f).contains(&c) => {}
-            _ => return Err(Exception::IllegalInstruction),
+            MIP => self.mip = merge(self.mip, value, mip::S_LEVEL),
+            _ => match row(csr).map(|row| row.access) {
+                Some(Access::Mask(mask)) => {
+                    let field = self.stored_mut().find(|field| field.0 == csr);
+                    *field.expect("a Mask row has a field").1 = value & mask;
+                }
+                Some(Access::Const(_) | Access::Zero) => {}
+                _ => return Err(Exception::IllegalInstruction),
+            },
         }
         Ok(())
     }
 
-    fn counter_read(&self, which: u16) -> Result<u64, Exception> {
-        // User-level counters are gated by mcounteren/scounteren.
-        let bit = 1u64 << which;
-        if self.privilege < Privilege::Machine && self.mcounteren & bit == 0 {
-            return Err(Exception::IllegalInstruction);
-        }
-        if self.privilege == Privilege::User && self.scounteren & bit == 0 {
-            return Err(Exception::IllegalInstruction);
-        }
-        Ok(match which {
-            0 => self.mcycle,
-            1 => self.time,
-            _ => self.minstret,
-        })
-    }
-
+    /// What every access passes first: the privilege the address demands,
+    /// and the gate some rows stand behind.
     fn check_privilege(&self, csr: u16) -> Result<(), Exception> {
-        let required = (csr >> 8) & 0b11;
-        if (self.privilege as u16) < required {
-            return Err(Exception::IllegalInstruction);
-        }
-        // FP CSRs require an enabled FPU.
-        if matches!(csr, addr::FFLAGS | addr::FRM | addr::FCSR)
-            && self.mstatus & mstatus::FS == 0
-        {
+        use addr::*;
+        let gated = match csr {
+            // FP CSRs require an enabled FPU.
+            FFLAGS | FRM | FCSR => self.mstatus & mstatus::FS == 0,
+            // satp traps in S-mode under TVM.
+            SATP => self.privilege == Privilege::Supervisor && self.mstatus & mstatus::TVM != 0,
+            // User-level counters need their mcounteren bit below M-mode
+            // and their scounteren bit in U-mode.
+            CYCLE | TIME | INSTRET => {
+                let bit = 1 << (csr - CYCLE);
+                self.privilege < Privilege::Machine && self.mcounteren & bit == 0
+                    || self.privilege == Privilege::User && self.scounteren & bit == 0
+            }
+            _ => false,
+        };
+        if (self.privilege as u16) < (csr >> 8) & 0b11 || gated {
             return Err(Exception::IllegalInstruction);
         }
         Ok(())
@@ -517,6 +541,11 @@ impl CsrFile {
     pub fn frm(&self) -> u8 {
         ((self.fcsr >> 5) & 0x7) as u8
     }
+}
+
+/// `old` with the bits under `mask` taken from `new`.
+fn merge(old: u64, new: u64, mask: u64) -> u64 {
+    (old & !mask) | (new & mask)
 }
 
 fn vector_target(tvec: u64, is_interrupt: bool, code: u64) -> u64 {
@@ -703,5 +732,112 @@ mod tests {
         c.write(addr::MSTATUS, mstatus::TSR).unwrap();
         c.privilege = Privilege::Supervisor;
         assert_eq!(c.sret(), Err(Exception::IllegalInstruction));
+    }
+
+    /// What the rows cannot say about themselves one at a time.
+    #[test]
+    fn the_table_is_well_formed() {
+        let file = CsrFile::new(0);
+        for (i, row) in ROWS.iter().enumerate() {
+            let (lo, hi) = row.addrs;
+            assert!(lo <= hi, "{}", row.name);
+            for other in &ROWS[..i] {
+                let disjoint = other.addrs.1 < lo || hi < other.addrs.0;
+                assert!(disjoint, "{} overlaps {}", row.name, other.name);
+            }
+            // A masked write needs a field to land in, at a writable address.
+            let has_field = file.stored().any(|field| field.0 == lo);
+            if let Access::Mask(_) = row.access {
+                assert!(has_field && lo == hi && lo >> 10 != 0b11, "{}", row.name);
+            }
+            // Only a field can be compared or restored, so `Kind` on a row
+            // without one says no more than free-running or not.
+            assert!(has_field || row.kind != Kind::Restored, "{}", row.name);
+        }
+        // The masks the table derives are the privileged specification's.
+        assert_eq!(DELEGABLE_EXCEPTIONS, 0xb3ff);
+        assert_eq!((mip::S_LEVEL, mip::ALL), (0x222, 0xaaa));
+    }
+
+    /// One word per field, `privilege` first: what a digest folds.
+    fn words(c: &CsrFile) -> [u64; 24] {
+        [
+            c.privilege as u64, c.mstatus, c.medeleg, c.mideleg, c.mie, c.mip, c.mtvec,
+            c.mcounteren, c.mscratch, c.mepc, c.mcause, c.mtval, c.mcycle, c.minstret, c.stvec,
+            c.scounteren, c.sscratch, c.sepc, c.scause, c.stval, c.satp, c.fcsr, c.mhartid,
+            c.time,
+        ]
+    }
+
+    fn fold(digest: &mut u64, word: u64) {
+        *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23);
+    }
+
+    fn fold_result<T>(digest: &mut u64, r: Result<T, Exception>, word: impl Fn(T) -> u64) {
+        match r {
+            Ok(v) => {
+                fold(digest, 1);
+                fold(digest, word(v));
+            }
+            Err(e) => fold(digest, 2 + e.code()),
+        }
+    }
+
+    /// The semantics of `read` and `write`, cell by cell: every address in
+    /// every mode under every gate, from a file whose every field holds a
+    /// distinct arbitrary pattern. The constant was computed by this body
+    /// on the hand-written `match` arms the table replaced.
+    #[test]
+    fn read_write_semantics_are_pinned() {
+        let mut base = CsrFile::new(5);
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for field in [
+            &mut base.mstatus, &mut base.medeleg, &mut base.mideleg, &mut base.mie,
+            &mut base.mip, &mut base.mtvec, &mut base.mcounteren, &mut base.mscratch,
+            &mut base.mepc, &mut base.mcause, &mut base.mtval, &mut base.mcycle,
+            &mut base.minstret, &mut base.stvec, &mut base.scounteren, &mut base.sscratch,
+            &mut base.sepc, &mut base.scause, &mut base.stval, &mut base.satp, &mut base.fcsr,
+            &mut base.time,
+        ] {
+            seed = seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e_f767_814f);
+            *field = seed ^ (seed >> 29);
+        }
+        let values = [
+            0,
+            u64::MAX,
+            0x5555_5555_5555_5555,
+            0xaaaa_aaaa_aaaa_aaaa,
+            (8 << 60) | 0x12_3456,      // a legal satp mode
+            (1 << 60) | 0x1000 | 0xbeef, // an illegal satp mode, MPP = 2
+        ];
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        words(&CsrFile::new(5)).into_iter().for_each(|x| fold(&mut digest, x)); // the reset state
+        for privilege in [Privilege::Machine, Privilege::Supervisor, Privilege::User] {
+            for gates in 0..16u64 {
+                let mut c = base.clone();
+                c.privilege = privilege;
+                let on = |bit: u64| gates >> bit & 1 != 0;
+                c.mstatus &= !(mstatus::FS | mstatus::TVM);
+                if on(0) {
+                    c.mstatus |= mstatus::FS;
+                }
+                if on(1) {
+                    c.mstatus |= mstatus::TVM;
+                }
+                c.mideleg = if on(2) { 0x222 } else { 0 };
+                (c.mcounteren, c.scounteren) = if on(3) { (7, 7) } else { (0, 0) };
+                for csr in 0..4096u16 {
+                    fold_result(&mut digest, c.read(csr), |v| v);
+                    for value in values {
+                        let mut w = c.clone();
+                        fold_result(&mut digest, w.write(csr, value), |()| 0);
+                        if w != c {
+                            words(&w).into_iter().for_each(|x| fold(&mut digest, x));
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x4ca7_19cd_9612_31a0, "CSR semantics moved");
     }
 }

@@ -5,7 +5,7 @@
 //! DUT (`xscore`) and the REF (`nemu`) project their internal state onto
 //! this type — that projection is the `f_Pi` mapping of the paper.
 
-use crate::csr::CsrFile;
+use crate::csr::{CsrFile, Privilege};
 use serde::{Deserialize, Serialize};
 
 /// Architectural state of one hart: PC, register files, and the CSR file.
@@ -49,9 +49,10 @@ impl ArchState {
 
     /// Describe the first difference against another state, if any.
     ///
-    /// Counters (`mcycle`, `minstret`, `time`) are excluded — they are
-    /// CSR diff-rules in the MINJIE rule table, never strict-equality
-    /// checks.
+    /// Total over the state: the pc, every register, the privilege mode and
+    /// every `CsrFile` field, except the fields whose row in the CSR table
+    /// is free-running (`mcycle`, `minstret`, `time`) — those are diff-rules
+    /// in the MINJIE rule table, never strict-equality checks.
     pub fn first_diff(&self, other: &ArchState) -> Option<StateDiff> {
         if self.pc != other.pc {
             return Some(StateDiff::Pc {
@@ -77,17 +78,14 @@ impl ArchState {
                 });
             }
         }
-        let mut a = self.csr.clone();
-        let mut b = other.csr.clone();
-        // Neutralize free-running counters before comparing.
-        a.mcycle = 0;
-        b.mcycle = 0;
-        a.minstret = 0;
-        b.minstret = 0;
-        a.time = 0;
-        b.time = 0;
-        if a != b {
-            return Some(StateDiff::Csr);
+        if self.csr.privilege != other.csr.privilege {
+            return Some(StateDiff::Privilege {
+                lhs: self.csr.privilege,
+                rhs: other.csr.privilege,
+            });
+        }
+        if let Some((csr, lhs, rhs)) = self.csr.first_mismatch(&other.csr) {
+            return Some(StateDiff::Csr { csr, lhs, rhs });
         }
         None
     }
@@ -121,8 +119,22 @@ pub enum StateDiff {
         /// Right-hand value.
         rhs: u64,
     },
-    /// Some CSR differs (beyond the always-excluded counters).
-    Csr,
+    /// The harts are in different privilege modes.
+    Privilege {
+        /// Left-hand mode.
+        lhs: Privilege,
+        /// Right-hand mode.
+        rhs: Privilege,
+    },
+    /// A CSR that is not free-running differs.
+    Csr {
+        /// Address of the CSR's row.
+        csr: u16,
+        /// Left-hand raw value.
+        lhs: u64,
+        /// Right-hand raw value.
+        rhs: u64,
+    },
 }
 
 impl std::fmt::Display for StateDiff {
@@ -135,7 +147,8 @@ impl std::fmt::Display for StateDiff {
             StateDiff::Fpr { index, lhs, rhs } => {
                 write!(f, "f{index}: {lhs:#x} vs {rhs:#x}")
             }
-            StateDiff::Csr => write!(f, "csr state differs"),
+            StateDiff::Privilege { lhs, rhs } => write!(f, "privilege: {lhs:?} vs {rhs:?}"),
+            StateDiff::Csr { csr, lhs, rhs } => write!(f, "csr {csr:#x}: {lhs:#x} vs {rhs:#x}"),
         }
     }
 }
@@ -143,6 +156,7 @@ impl std::fmt::Display for StateDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::addr;
 
     #[test]
     fn x0_is_hardwired() {
@@ -178,7 +192,21 @@ mod tests {
 
         let mut other = base.clone();
         other.csr.mscratch = 7;
-        assert_eq!(base.first_diff(&other), Some(StateDiff::Csr));
+        assert!(matches!(
+            base.first_diff(&other),
+            Some(StateDiff::Csr { csr: addr::MSCRATCH, lhs: 0, rhs: 7 })
+        ));
+
+        let mut other = base.clone();
+        other.csr.privilege = Privilege::User;
+        assert!(matches!(base.first_diff(&other), Some(StateDiff::Privilege { .. })));
+
+        let mut other = base.clone();
+        other.csr.mhartid = 1;
+        assert!(matches!(
+            base.first_diff(&other),
+            Some(StateDiff::Csr { csr: addr::MHARTID, .. })
+        ));
     }
 
     #[test]

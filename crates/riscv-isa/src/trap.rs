@@ -26,7 +26,7 @@ pub enum Exception {
 impl Exception {
     /// The mcause/scause code for this exception.
     #[inline]
-    pub fn code(self) -> u64 {
+    pub const fn code(self) -> u64 {
         self as u64
     }
 
@@ -41,7 +41,7 @@ impl Exception {
     }
 
     /// Reconstruct from an mcause code.
-    pub fn from_code(code: u64) -> Option<Self> {
+    pub const fn from_code(code: u64) -> Option<Self> {
         use Exception::*;
         Some(match code {
             0 => InstAddrMisaligned,
@@ -104,7 +104,7 @@ impl Interrupt {
     /// The interrupt code (low bits of mcause; the top bit is set
     /// separately when written to mcause).
     #[inline]
-    pub fn code(self) -> u64 {
+    pub const fn code(self) -> u64 {
         self as u64
     }
 

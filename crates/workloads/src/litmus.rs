@@ -44,6 +44,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use riscv_isa::asm::{reg, Asm, Program};
+use riscv_isa::csr::addr::MHARTID;
 use riscv_isa::op::{DecodedInst, Op};
 use serde::{Deserialize, Serialize};
 
@@ -74,8 +75,6 @@ pub const GO_TOKEN: i64 = 0x100;
 /// exhaustion the round proceeds (go) or records a sync timeout (res).
 pub const GO_SPIN: i64 = 1 << 12;
 pub const RES_SPIN: i64 = 1 << 16;
-/// MHARTID CSR number.
-const CSR_MHARTID: u16 = 0xf14;
 /// Registers the per-round filler may clobber.
 const FILLER_WINDOW: [u8; 5] = [reg::A6, reg::A7, reg::S9, reg::S10, reg::S11];
 
@@ -417,7 +416,7 @@ impl LitmusProgram {
             "kept-mask length must equal round count"
         );
         let mut a = Asm::new(0x8000_0000);
-        a.csrrs(T0, CSR_MHARTID, ZERO);
+        a.csrrs(T0, MHARTID, ZERO);
         let h0 = a.label();
         let h1 = a.label();
         a.beqz(T0, h0);

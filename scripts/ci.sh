@@ -24,6 +24,9 @@
 #      budget of the DUT tick (tests/alloc_budget.rs) beside it, and
 #      `riscv-isa` likewise: the generated decoder against the linear
 #      scan of the instruction table on 4 M words, all 65 536 RVC words,
+#      and the CSR sweep — every address x mode x gate x value through
+#      `CsrFile::read`/`write`, against the digest of the hand-written
+#      arms the CSR table replaced,
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,

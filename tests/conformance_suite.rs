@@ -29,6 +29,8 @@ use riscv_isa::exec::{amo_compute, branch_taken, int_compute};
 use riscv_isa::Op;
 
 const FUEL: u64 = 2_000_000;
+mod common;
+
 const BASE: u64 = 0x8000_0000;
 
 /// Run `p` on every registered interpreter personality; assert they all
@@ -983,4 +985,13 @@ fn rv64a_sc_corner_cases() {
     a.bind(cell_b);
     a.zeros(8);
     assert_eq!(conform(&a.assemble()), 1 + 1 + 1 + 0x11 + 0x12 + 0x22);
+}
+
+// ---------------------------------------------------------------------
+// Zicsr, across the CSR table
+// ---------------------------------------------------------------------
+
+#[test]
+fn csr_table_walk_conforms() {
+    conform(&common::csr_table_walk());
 }

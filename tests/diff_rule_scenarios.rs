@@ -6,6 +6,10 @@
 //! - §IV-C: the injected L2 Probe/GrantData race on a dual-core system,
 //!   caught by the global-memory rule and debugged through LightSSS.
 //!
+//! and the walk over the CSR table (`common::csr_table_walk`): the one
+//! programme that drives the DUT's serialising CSR path across every row,
+//! under DiffTest, ending in the total full-state comparison.
+//!
 //! The declarative scenarios (Fig. 3, the dual-core counter, the clean
 //! reader/writer) run as inline-program campaign jobs, asserting rule
 //! firings and exception counts through the campaign's job records. The
@@ -18,6 +22,8 @@ use minjie::{CoSim, CoSimEnd, DiffRule};
 use riscv_isa::asm::{reg::*, Asm, Program};
 use riscv_isa::csr::addr as csr;
 use xscore::XsConfig;
+
+mod common;
 
 fn small_nh(cores: usize) -> XsConfig {
     let mut c = XsConfig::preset("small-nh").expect("preset exists");
@@ -299,4 +305,20 @@ fn dual_core_l2_race_bug_is_caught_and_replayed() {
         replay.trace.records_inserted() > 0,
         "debug-mode trace captured"
     );
+}
+
+#[test]
+fn csr_table_walk_halts_clean_under_difftest() {
+    use nemu::Interpreter;
+    let p = common::csr_table_walk();
+    let want = nemu::Nemu::new(&p).run(10_000_000).exit_code.expect("the REF alone halts");
+    for preset in ["small-nh", "small-yqh"] {
+        let mut cosim = CoSim::new(XsConfig::preset(preset).expect("preset exists"), &p);
+        match cosim.run(8_000_000) {
+            CoSimEnd::Halted(code) => assert_eq!(code, want, "{preset}"),
+            other => panic!("{preset}: {other:?}"),
+        }
+        // Every free-running row was read: the DUT's values stood.
+        assert!(cosim.state.diff.stats.count(DiffRule::CounterRead) > 0, "{preset}");
+    }
 }
