@@ -18,7 +18,7 @@
 //!   that cannot be built is one [`Verdict::Panicked`], not a dead pool
 //!   — and yields a [`Verdict`].
 //! - On a divergence (or a litmus forbidden outcome), the ddmin
-//!   [`minimize`] pass shrinks the failing source's kept-mask while the
+//!   [`minimize()`] pass shrinks the failing source's kept-mask while the
 //!   same failure class reproduces, and the report attaches the
 //!   `(seed, cfg, mask)` reproducer plus the LightSSS replay window.
 //! - Failed jobs (divergence, cycle-budget timeout, forbidden outcome,

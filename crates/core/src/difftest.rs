@@ -100,9 +100,10 @@ impl RefModel for NemuRef {
 
 /// A runtime-selected REF personality: the bare architectural stepper
 /// (the default, and what [`NemuRef`] provides) or any interpreter
-/// [`nemu::registry`] boots, driven one commit at a time through
-/// `step_one()` (the caching tiers execute their cached decode there;
-/// only the default [`AnyRef::Arch`] is deliberately cache-free).
+/// [`nemu::registry`] boots, driven one commit at a time through its
+/// `step_one()` — one virtual call into the tier's own single-step body
+/// (the caching tiers execute their cached decode there; only the
+/// default [`AnyRef::Arch`] is deliberately cache-free).
 ///
 /// The registry is the one table of personalities: what it boots is what
 /// `--ref` accepts. DiffTest semantics are identical across variants,

@@ -22,7 +22,7 @@
 //!   ([`riscv_isa::fpu`]) rather than softfloat.
 
 use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
-use crate::interp::{self, CommitSink, Granularity, Interpreter, RunResult};
+use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
 use riscv_isa::exec::{branch_taken, int_compute, load_extend};
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
@@ -115,8 +115,8 @@ pub struct Nemu {
     regs: [u64; 33],
     code: Vec<Uop>,
     map: HashMap<u64, u32, IntBuildHasher>,
-    /// Where the commit-granular path expects its next uop: the slot
-    /// after the one it last executed.
+    /// Where `step_one` expects its next uop: the slot after the one it
+    /// last executed.
     cursor: u32,
     capacity: usize,
     fast_mem: bool,
@@ -275,12 +275,7 @@ impl Nemu {
 
     /// System events invalidate cached translations/uops.
     fn after_system_step(&mut self, info: &StepInfo) {
-        if matches!(
-            info.inst.op,
-            Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
-        ) || info.inst.op == Op::Csrrw && info.inst.csr() == riscv_isa::csr::addr::SATP
-            || info.trap.is_some()
-        {
+        if info.invalidates_decodes() {
             self.flush();
         }
         self.refresh_fast_mem();
@@ -292,33 +287,6 @@ impl Nemu {
         self.sync_regs_to_hart(retired);
         let info = self.arch_step();
         self.sync_regs_from_hart();
-        info
-    }
-
-    /// One step of the commit-granular path: `hart::execute` on the uop
-    /// cache's decoded instruction, directly on `hart.state` (no shadow
-    /// file). Falls back to [`hart::step`] when the uop cache cannot
-    /// serve the pc (translation active, odd pc) or a trap is pending.
-    fn commit_step(&mut self) -> StepInfo {
-        let pc = self.hart.state.pc;
-        if !self.fast_mem
-            || pc & 1 != 0
-            || self.hart.pending_injection.is_some()
-            || self.hart.state.csr.pending_interrupt().is_some()
-        {
-            return self.arch_step();
-        }
-        let upc = match self.code.get(self.cursor as usize) {
-            Some(u) if u.pc == pc && u.handler != Handler::Goto => self.cursor,
-            _ => self.lookup_or_fill(pc).expect("fast_mem holds, so fill succeeds"),
-        };
-        let Uop { handler, inst, .. } = self.code[upc as usize];
-        self.cursor = upc + 1;
-        let mut info = StepInfo::at(pc);
-        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
-        if handler == Handler::Slow || !retired {
-            self.after_system_step(&info);
-        }
         info
     }
 
@@ -615,12 +583,38 @@ impl Interpreter for Nemu {
     fn resync(&mut self) {
         self.sync_regs_from_hart();
     }
+    /// `hart::execute` on the uop cache's decoded instruction, directly on
+    /// `hart.state` (no shadow file). Falls back to [`hart::step`] when the
+    /// uop cache cannot serve the pc (translation active, odd pc) or a
+    /// trap is pending.
+    fn step_one(&mut self) -> StepInfo {
+        if self.hart.is_halted() {
+            return hart::step(&mut self.hart, &mut self.mem);
+        }
+        let pc = self.hart.state.pc;
+        if !self.fast_mem
+            || pc & 1 != 0
+            || self.hart.pending_injection.is_some()
+            || self.hart.state.csr.pending_interrupt().is_some()
+        {
+            return self.arch_step();
+        }
+        let upc = match self.code.get(self.cursor as usize) {
+            Some(u) if u.pc == pc && u.handler != Handler::Goto => self.cursor,
+            _ => self.lookup_or_fill(pc).expect("fast_mem holds, so fill succeeds"),
+        };
+        let Uop { handler, inst, .. } = self.code[upc as usize];
+        self.cursor = upc + 1;
+        let mut info = StepInfo::at(pc);
+        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
+        if handler == Handler::Slow || !retired {
+            self.after_system_step(&info);
+        }
+        info
+    }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         let start = self.hart.instret;
         match sink.granularity() {
-            Granularity::Commit => {
-                return interp::drive(self, max_steps, Granularity::Commit, sink, Self::commit_step);
-            }
             Granularity::Block => self.run_fast::<true>(max_steps, sink),
             Granularity::Nothing => self.run_fast::<false>(max_steps, sink),
         }

@@ -42,7 +42,14 @@ pub struct MemAccess {
 
 /// The observable outcome of stepping one instruction — the information an
 /// instruction-commit probe extracts (paper §III-B3).
+///
+/// 16-byte aligned (the size stays 112): every `step_one()` moves the
+/// record into its caller's slot 16 bytes at a time, and at 8-byte
+/// alignment some stack placements (random per process) make one of
+/// those moves straddle a page, which costs the stepping loop a third to
+/// a half of its speed (measured).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(align(16))]
 pub struct StepInfo {
     /// PC of the instruction.
     pub pc: u64,
@@ -78,6 +85,19 @@ impl StepInfo {
     /// system instruction ([`DecodedInst::ends_block`]) or any trap.
     pub fn ends_block(&self) -> bool {
         self.inst.ends_block() || self.trap.is_some()
+    }
+
+    /// True when this step may change what the instruction at a pc
+    /// decodes to, so a tier that caches decoded instructions must drop
+    /// them: `fence.i`, `sfence.vma`, and — since they retarget fetch
+    /// translation under a cache keyed by virtual pc — a privilege change
+    /// (`mret`, `sret`, any trap) or a `csrrw` to `satp`.
+    pub fn invalidates_decodes(&self) -> bool {
+        matches!(
+            self.inst.op,
+            Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
+        ) || self.inst.op == Op::Csrrw && self.inst.csr() == riscv_isa::csr::addr::SATP
+            || self.trap.is_some()
     }
 }
 

@@ -19,16 +19,13 @@ pub struct RunResult {
 }
 
 /// How much of the executed stream a [`CommitSink`] wants to see. A tier
-/// picks its execution loop from this: only [`Granularity::Commit`]
-/// forces instruction-at-a-time execution.
+/// picks its execution loop from this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
     /// Nothing: only the architectural effect is wanted.
     Nothing,
     /// [`CommitSink::block`] once per BBV basic block.
     Block,
-    /// [`CommitSink::commit`] with the full [`StepInfo`] of every step.
-    Commit,
 }
 
 /// The consumer side of [`Interpreter::run_until`].
@@ -44,8 +41,6 @@ pub trait CommitSink {
     fn granularity(&self) -> Granularity;
     /// A block of `len` steps that started at `pc` has ended.
     fn block(&mut self, _pc: u64, _len: u64) {}
-    /// One step executed.
-    fn commit(&mut self, _info: &StepInfo) {}
 }
 
 /// The sink of [`Interpreter::run`]: wants nothing.
@@ -54,18 +49,6 @@ struct NoSink;
 impl CommitSink for NoSink {
     fn granularity(&self) -> Granularity {
         Granularity::Nothing
-    }
-}
-
-/// The sink of [`Interpreter::step_one`]: keeps the last commit.
-struct LastCommit<'a>(&'a mut StepInfo);
-
-impl CommitSink for LastCommit<'_> {
-    fn granularity(&self) -> Granularity {
-        Granularity::Commit
-    }
-    fn commit(&mut self, info: &StepInfo) {
-        *self.0 = *info;
     }
 }
 
@@ -89,6 +72,12 @@ pub trait Interpreter: std::fmt::Debug + Send {
     /// nothing.
     fn resync(&mut self) {}
 
+    /// Execute one step and report its commit information exactly as
+    /// [`hart::step`] does (a halted hart reports `halted` and executes
+    /// nothing): the tier's own single-step body, the one DiffTest and
+    /// every other per-commit consumer call.
+    fn step_one(&mut self) -> StepInfo;
+
     /// Run until halt or until `max_steps` steps execute, reporting to
     /// `sink` at the granularity it asks for.
     ///
@@ -100,18 +89,6 @@ pub trait Interpreter: std::fmt::Debug + Send {
     fn run(&mut self, max_steps: u64) -> RunResult {
         self.run_until(max_steps, &mut NoSink)
     }
-
-    /// Execute one step and report its commit information (a halted hart
-    /// reports `halted` and executes nothing).
-    fn step_one(&mut self) -> StepInfo {
-        // What a halted hart reports; any step executed overwrites it.
-        let mut last = StepInfo {
-            halted: true,
-            ..StepInfo::at(self.hart().state.pc)
-        };
-        self.run_until(1, &mut LastCommit(&mut last));
-        last
-    }
 }
 
 impl Clone for Box<dyn Interpreter> {
@@ -120,37 +97,27 @@ impl Clone for Box<dyn Interpreter> {
     }
 }
 
-/// [`Interpreter::run_until`] for a tier (or a tier's commit-granular
-/// path) that executes through a one-step function: blocks are derived
-/// from the [`StepInfo`] stream. `granularity` is the sink's.
-///
-/// Kept out of line: inlined into `step_one`, the record's copy into the
-/// caller's slot is split field by field and stalls on the stores that
-/// just built it, which costs a quarter of the stepping speed (measured).
-#[inline(never)]
+/// [`Interpreter::run_until`] for a tier that executes through its own
+/// [`Interpreter::step_one`]: blocks are derived from the [`StepInfo`]
+/// stream.
 pub(crate) fn drive<I: Interpreter>(
     interp: &mut I,
     max_steps: u64,
-    granularity: Granularity,
     sink: &mut dyn CommitSink,
-    mut step: impl FnMut(&mut I) -> StepInfo,
 ) -> RunResult {
+    let blocks = sink.granularity() == Granularity::Block;
     let start = interp.hart().instret;
     let (mut block_pc, mut block_len) = (interp.hart().state.pc, 0u64);
     let mut steps = 0;
     while steps < max_steps && !interp.hart().is_halted() {
-        let info = step(interp);
+        let info = interp.step_one();
         steps += 1;
-        match granularity {
-            Granularity::Nothing => {}
-            Granularity::Commit => sink.commit(&info),
-            Granularity::Block => {
-                block_len += 1;
-                if info.ends_block() {
-                    sink.block(block_pc, block_len);
-                    block_pc = interp.hart().state.pc;
-                    block_len = 0;
-                }
+        if blocks {
+            block_len += 1;
+            if info.ends_block() {
+                sink.block(block_pc, block_len);
+                block_pc = interp.hart().state.pc;
+                block_len = 0;
             }
         }
     }
@@ -206,10 +173,11 @@ impl Interpreter for DromajoLike {
     fn clone_box(&self) -> Box<dyn Interpreter> {
         Box::new(self.clone())
     }
+    fn step_one(&mut self) -> StepInfo {
+        hart::step(&mut self.hart, &mut self.mem)
+    }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
-        drive(self, max_steps, sink.granularity(), sink, |i| {
-            hart::step(&mut i.hart, &mut i.mem)
-        })
+        drive(self, max_steps, sink)
     }
 }
 
@@ -274,48 +242,21 @@ impl SpikeLike {
         }
     }
 
-    fn lookup(&mut self) -> Result<DecodedInst, crate::hart::ExecError> {
-        let pc = self.hart.state.pc;
-        let idx = ((pc >> 1) & self.mask) as usize;
-        let e = &self.cache[idx];
-        if e.tag == pc {
+    /// Whether slot `idx` holds the decode of the instruction at `pc`
+    /// (filling it on a miss); false when the fetch faults.
+    fn lookup(&mut self, pc: u64, idx: usize) -> bool {
+        if self.cache[idx].tag == pc {
             self.hits += 1;
-            return Ok(e.inst);
+            return true;
         }
         self.misses += 1;
-        let inst = hart::fetch(&mut self.hart, &mut self.mem)?;
-        self.cache[idx] = CacheEntry { tag: pc, inst };
-        Ok(inst)
-    }
-
-    fn step(&mut self) -> StepInfo {
-        if self.hart.pending_injection.is_some() || self.hart.state.csr.pending_interrupt().is_some()
-        {
-            return hart::step(&mut self.hart, &mut self.mem);
-        }
-        let d = match self.lookup() {
-            Ok(d) => d,
-            Err(_) => return hart::step(&mut self.hart, &mut self.mem),
-        };
-        let mut info = StepInfo::at(self.hart.state.pc);
-        info.inst = d;
-        if execute_fp_soft(&mut self.hart, &d, &mut info) {
-            hart::retire(&mut self.hart);
-            return info;
-        }
-        match hart::execute(&mut self.hart, &mut self.mem, &d, &mut info) {
-            Ok(()) => {
-                hart::retire(&mut self.hart);
-                if matches!(d.op, Op::FenceI | Op::SfenceVma) {
-                    self.flush_cache();
-                }
+        match hart::fetch(&mut self.hart, &mut self.mem) {
+            Ok(inst) => {
+                self.cache[idx] = CacheEntry { tag: pc, inst };
+                true
             }
-            Err(e) => {
-                let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
-                hart::take_trap(&mut self.hart, trap, &mut info);
-            }
+            Err(_) => false,
         }
-        info
     }
 
     fn flush_cache(&mut self) {
@@ -432,8 +373,34 @@ impl Interpreter for SpikeLike {
     fn clone_box(&self) -> Box<dyn Interpreter> {
         Box::new(self.clone())
     }
+    fn step_one(&mut self) -> StepInfo {
+        let pc = self.hart.state.pc;
+        let idx = ((pc >> 1) & self.mask) as usize;
+        let uncached = self.hart.is_halted()
+            || self.hart.pending_injection.is_some()
+            || self.hart.state.csr.pending_interrupt().is_some()
+            || !self.lookup(pc, idx);
+        let info = if uncached {
+            hart::step(&mut self.hart, &mut self.mem)
+        } else {
+            let d = &self.cache[idx].inst;
+            let mut info = StepInfo::at(pc);
+            if execute_fp_soft(&mut self.hart, d, &mut info) {
+                info.inst = *d;
+                hart::retire(&mut self.hart);
+            } else {
+                hart::execute_and_retire(&mut self.hart, &mut self.mem, d, &mut info);
+            }
+            info
+        };
+        // The cache is keyed by virtual pc.
+        if info.invalidates_decodes() {
+            self.flush_cache();
+        }
+        info
+    }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
-        drive(self, max_steps, sink.granularity(), sink, Self::step)
+        drive(self, max_steps, sink)
     }
 }
 
@@ -475,9 +442,28 @@ impl QemuTciLike {
             scratch: [0; 4],
         }
     }
+}
 
-    fn step(&mut self) -> StepInfo {
-        if self.hart.pending_injection.is_some() || self.hart.state.csr.pending_interrupt().is_some()
+impl Interpreter for QemuTciLike {
+    fn name(&self) -> &'static str {
+        "qemu-tci-like"
+    }
+    fn hart(&self) -> &Hart {
+        &self.hart
+    }
+    fn hart_mut(&mut self) -> &mut Hart {
+        &mut self.hart
+    }
+    fn mem_mut(&mut self) -> &mut SparseMemory {
+        &mut self.mem
+    }
+    fn clone_box(&self) -> Box<dyn Interpreter> {
+        Box::new(self.clone())
+    }
+    fn step_one(&mut self) -> StepInfo {
+        if self.hart.is_halted()
+            || self.hart.pending_injection.is_some()
+            || self.hart.state.csr.pending_interrupt().is_some()
         {
             return hart::step(&mut self.hart, &mut self.mem);
         }
@@ -511,26 +497,8 @@ impl QemuTciLike {
         }
         info
     }
-}
-
-impl Interpreter for QemuTciLike {
-    fn name(&self) -> &'static str {
-        "qemu-tci-like"
-    }
-    fn hart(&self) -> &Hart {
-        &self.hart
-    }
-    fn hart_mut(&mut self) -> &mut Hart {
-        &mut self.hart
-    }
-    fn mem_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-    fn clone_box(&self) -> Box<dyn Interpreter> {
-        Box::new(self.clone())
-    }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
-        drive(self, max_steps, sink.granularity(), sink, Self::step)
+        drive(self, max_steps, sink)
     }
 }
 

@@ -17,11 +17,12 @@
 //! instruction-for-instruction — which is also what makes [`Nemu`] an
 //! "easy-to-develop REF for DiffTest" exactly as the paper uses it.
 //!
-//! One stepping contract serves every consumer:
+//! One stepping contract of two methods serves every consumer:
+//! [`Interpreter::step_one`] is each tier's own single-step body and
+//! returns the full [`StepInfo`] of the step (DiffTest), and
 //! [`Interpreter::run_until`] executes under a fuel budget and reports to
 //! a [`CommitSink`] at the [`Granularity`] the sink asks for — nothing
-//! (`run()`), one `(block_pc, len)` per basic block (BBV profiling), or
-//! the full [`StepInfo`] of every step (`step_one()`, DiffTest).
+//! (`run()`) or one `(block_pc, len)` per basic block (BBV profiling).
 //!
 //! # Example
 //!

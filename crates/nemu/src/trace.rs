@@ -36,7 +36,7 @@
 //! that [`crate::fast::Nemu`]'s `chase` pays on every branch.
 
 use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
-use crate::interp::{self, CommitSink, Granularity, Interpreter, RunResult};
+use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
 use riscv_isa::exec::int_compute;
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
@@ -190,8 +190,8 @@ pub struct NemuTrace {
     regs: [u64; 33],
     code: Vec<TUop>,
     map: HashMap<u64, u32, IntBuildHasher>,
-    /// Where the commit-granular path expects its next uop: the slot
-    /// after the one it last executed.
+    /// Where `step_one` expects its next uop: the slot after the one it
+    /// last executed.
     cursor: u32,
     capacity: usize,
     /// Instruction fetch is untranslated: traces may be built/entered.
@@ -443,12 +443,7 @@ impl NemuTrace {
 
     /// System events invalidate cached traces/translations.
     fn after_system_step(&mut self, info: &StepInfo) {
-        if matches!(
-            info.inst.op,
-            Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
-        ) || info.inst.op == Op::Csrrw && info.inst.csr() == riscv_isa::csr::addr::SATP
-            || info.trap.is_some()
-        {
+        if info.invalidates_decodes() {
             self.flush();
         } else if matches!(
             info.inst.op,
@@ -467,37 +462,6 @@ impl NemuTrace {
         self.sync_regs_to_hart(retired);
         let info = self.arch_step();
         self.sync_regs_from_hart();
-        info
-    }
-
-    /// One step of the commit-granular path: `hart::execute` on the
-    /// trace buffer's decoded instruction, directly on `hart.state` (no
-    /// shadow file, no micro-TLBs — `execute` translates for itself).
-    /// Falls back to [`hart::step`] when no trace can serve the pc
-    /// (fetch translation active, odd pc) or a trap is pending.
-    fn commit_step(&mut self) -> StepInfo {
-        let pc = self.hart.state.pc;
-        if !self.fetch_fast
-            || pc & 1 != 0
-            || self.hart.pending_injection.is_some()
-            || self.hart.state.csr.pending_interrupt().is_some()
-        {
-            return self.arch_step();
-        }
-        let upc = match self.code.get(self.cursor as usize) {
-            Some(u) if u.pc == pc && u.h < H_CHAIN => self.cursor,
-            _ => match self.map.get(&pc) {
-                Some(&u) => u,
-                None => self.fill(pc).expect("fetch_fast holds, so fill succeeds"),
-            },
-        };
-        let TUop { h, inst, .. } = self.code[upc as usize];
-        self.cursor = upc + 1;
-        let mut info = StepInfo::at(pc);
-        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
-        if h == H_SLOW || !retired {
-            self.after_system_step(&info);
-        }
         info
     }
 
@@ -1064,12 +1028,42 @@ impl Interpreter for NemuTrace {
     fn resync(&mut self) {
         self.sync_regs_from_hart();
     }
+    /// `hart::execute` on the trace buffer's decoded instruction, directly
+    /// on `hart.state` (no shadow file, no micro-TLBs — `execute`
+    /// translates for itself). Falls back to [`hart::step`] when no trace
+    /// can serve the pc (fetch translation active, odd pc) or a trap is
+    /// pending.
+    fn step_one(&mut self) -> StepInfo {
+        if self.hart.is_halted() {
+            return hart::step(&mut self.hart, &mut self.mem);
+        }
+        let pc = self.hart.state.pc;
+        if !self.fetch_fast
+            || pc & 1 != 0
+            || self.hart.pending_injection.is_some()
+            || self.hart.state.csr.pending_interrupt().is_some()
+        {
+            return self.arch_step();
+        }
+        let upc = match self.code.get(self.cursor as usize) {
+            Some(u) if u.pc == pc && u.h < H_CHAIN => self.cursor,
+            _ => match self.map.get(&pc) {
+                Some(&u) => u,
+                None => self.fill(pc).expect("fetch_fast holds, so fill succeeds"),
+            },
+        };
+        let TUop { h, inst, .. } = self.code[upc as usize];
+        self.cursor = upc + 1;
+        let mut info = StepInfo::at(pc);
+        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
+        if h == H_SLOW || !retired {
+            self.after_system_step(&info);
+        }
+        info
+    }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         let start = self.hart.instret;
         match sink.granularity() {
-            Granularity::Commit => {
-                return interp::drive(self, max_steps, Granularity::Commit, sink, Self::commit_step);
-            }
             Granularity::Block => self.run_fast::<true>(max_steps, sink),
             Granularity::Nothing => self.run_fast::<false>(max_steps, sink),
         }

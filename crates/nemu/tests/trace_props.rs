@@ -11,15 +11,14 @@
 
 //!
 //! The second half pins the stepping contract every tier shares
-//! ([`Interpreter::run_until`] + [`CommitSink`]): the commit-granular
-//! path of the two caching tiers must report `hart::step`'s
+//! ([`Interpreter::step_one`] + [`Interpreter::run_until`]): every
+//! personality's own `step_one()` must report `hart::step`'s
 //! [`StepInfo`] stream field for field, and every personality's
-//! block-granular stream must be the one that rule derives from it.
+//! block-granular stream must be the one [`CommitSink`]'s rule derives
+//! from it.
 
 use nemu::hart::{self, Hart};
-use nemu::{
-    CommitSink, DromajoLike, Granularity, Interpreter, Nemu, NemuTrace, RunResult, StepInfo,
-};
+use nemu::{CommitSink, DromajoLike, Granularity, Interpreter, NemuTrace, RunResult, StepInfo};
 use proptest::prelude::*;
 use riscv_isa::asm::{reg::*, Asm, Program};
 use riscv_isa::csr::addr as csr;
@@ -132,7 +131,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The stepping contract: run_until + CommitSink.
+// The stepping contract: step_one + run_until.
 // ---------------------------------------------------------------------
 
 /// What torture programs never do: FP loads/stores/FMA, CSR
@@ -240,12 +239,7 @@ fn assert_arch_eq(t: &Hart, r: &Hart, ctx: &str) {
 /// `(0 | 1, k)` is `k` calls of `step_one()`, each compared field for
 /// field; `(2, k)` is one `run(k)`; `(3, k)` patches a GPR from outside
 /// and calls the tier's `resync`.
-fn check_stepping<T: Interpreter>(
-    mut tier: T,
-    resync: fn(&mut T),
-    p: &Program,
-    script: &[(u8, u64)],
-) {
+fn check_stepping(mut tier: Box<dyn Interpreter>, p: &Program, script: &[(u8, u64)]) {
     let (mut rh, mut rm): (Hart, SparseMemory) = nemu::boot(p);
     for (n, &(action, k)) in script.iter().enumerate() {
         let ctx = format!("{} action {n} = ({action}, {k})", tier.name());
@@ -265,7 +259,7 @@ fn check_stepping<T: Interpreter>(
                 // a0..a5 never hold an address in either program family.
                 let (rd, value) = (A0 + (k % 6) as u8, k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 tier.hart_mut().state.write_gpr(rd, value);
-                resync(&mut tier);
+                tier.resync();
                 rh.state.write_gpr(rd, value);
             }
             _ => {
@@ -345,19 +339,21 @@ fn check_blocks(p: &Program, fuels: &[u64]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (a) `step_one()` on the two caching tiers is `hart::step`, field
+    /// (a) Every personality's own `step_one()` is `hart::step`, field
     /// for field — across cached-decode hits, fills, the flush events
     /// (`fence.i`, traps, `mret`), RVC, FP and counter reads — however it
-    /// is interleaved with `run(k)` chunks (which switch to the shadow
-    /// register file and back) and external GPR patches.
+    /// is interleaved with `run(k)` chunks (which switch the caching
+    /// tiers to their shadow register file and back) and external GPR
+    /// patches.
     #[test]
     fn step_one_streams_match_hart_step(
         seed in 0u64..30_000,
         script in prop::collection::vec((0u8..4, 1u64..60), 8..40),
     ) {
         let p = contract_program(seed);
-        check_stepping(Nemu::new(&p), Nemu::resync, &p, &script);
-        check_stepping(NemuTrace::new(&p), NemuTrace::resync, &p, &script);
+        for pers in nemu::registry::PERSONALITIES {
+            check_stepping((pers.build)(&p), &p, &script);
+        }
     }
 
     /// (b) The block-granular stream of every personality is the one

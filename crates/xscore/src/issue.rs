@@ -220,7 +220,7 @@ impl IssueQueue {
     /// and remove them.
     ///
     /// The picks come best policy key first — oldest for AGE,
-    /// unconfident-branch-slice entries first for PUBS [PriorityIssue],
+    /// unconfident-branch-slice entries first for PUBS (`PriorityIssue`),
     /// age breaking ties. Returns the number of entries that were ready
     /// before selection. No allocation, and no work at all when nothing
     /// is ready: the age list is walked once per priority class,

@@ -26,7 +26,9 @@
 #      scan of the instruction table on 4 M words, all 65 536 RVC words,
 #      and the CSR sweep — every address x mode x gate x value through
 #      `CsrFile::read`/`write`, against the digest of the hand-written
-#      arms the CSR table replaced,
+#      arms the CSR table replaced — and the rustdoc links gate: `cargo
+#      doc` with broken intra-doc links denied, so deleting an item a doc
+#      comment links to fails here and not in a reader's browser,
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,
@@ -69,6 +71,9 @@ echo "== tier-1: cargo test -q --release -p xscore -p riscv-isa (+ the tick's al
 cargo test -q --release -p xscore
 cargo test -q --release -p riscv-isa
 cargo test -q --release --test alloc_budget
+
+echo "== tier-1: rustdoc intra-doc links =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 
 echo "== tier-1: smoke campaign (2 workloads x 2 configs x 4 seeds) =="
 report="$(mktemp /tmp/campaign-smoke.XXXXXX.json)"

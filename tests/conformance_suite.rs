@@ -19,8 +19,9 @@
 //! an op and operand matrix, the architectural exit code must equal what
 //! [`int_compute`] / [`branch_taken`] / [`amo_compute`] say in isolation.
 //! A final block pins the trace-tier invalidation rules (`fence.i`,
-//! `sfence.vma`, satp rewrite, indirect-jump retarget) with programs
-//! whose *results* change if stale traces or micro-TLB entries survive.
+//! `sfence.vma`, satp rewrite, indirect-jump retarget) and the decode
+//! caches' flush on `mret` with programs whose *results* change if stale
+//! traces, decodes or micro-TLB entries survive.
 
 use nemu::registry::PERSONALITIES;
 use nemu::{Interpreter, NemuTrace};
@@ -787,6 +788,71 @@ fn trace_pin_indirect_jump_retarget_repatches_chains() {
         "indirect-edge inline cache never repatched: {:?}",
         t.stats
     );
+}
+
+#[test]
+fn decode_caches_pin_mret_into_a_new_address_space() {
+    // M-mode runs `f: addi a0,a0,1; ecall`. The handler copies `addi
+    // a0,a0,2; ecall` to f's offset in frame 0xc000_0000, maps VA
+    // 0x8000_0000 there with a 1 GiB Sv39 leaf and `mret`s to f in
+    // S-mode; the S-mode ecall ends the run. Same virtual pc, other
+    // instruction: a decode cache keyed by virtual pc that survives the
+    // `mret` returns 2 instead of 3.
+    let root: u64 = 0x8300_0000;
+    let frame: u64 = 0xc000_0000;
+    let pte = (frame >> 12) << 10 | PTE_FLAGS;
+    let mut a = Asm::new(BASE);
+    let (f, handler, second, template) = (a.label(), a.label(), a.label(), a.label());
+    a.la(T0, handler);
+    a.csrrw(ZERO, riscv_isa::csr::addr::MTVEC, T0);
+    a.li(A0, 0);
+    a.li(S1, 0);
+    a.bind(f);
+    a.addi(A0, A0, 1);
+    a.ecall();
+    a.align(2);
+    a.bind(handler);
+    a.bnez(S1, second);
+    a.li(S1, 1);
+    // Copy the template to f's offset in the frame.
+    a.la(T0, template);
+    a.la(T1, f);
+    a.li(T2, (frame - BASE) as i64);
+    a.add(T2, T2, T1);
+    a.lw(T3, 0, T0);
+    a.sw(T3, 0, T2);
+    a.lw(T3, 4, T0);
+    a.sw(T3, 4, T2);
+    // Root entry 2 (VA 0x8000_0000) -> the frame; satp = Sv39 @ root.
+    a.li(T0, pte as i64);
+    a.li(T2, (root + 16) as i64);
+    a.sd(T0, 0, T2);
+    a.li(T0, ((8u64 << 60) | (root >> 12)) as i64);
+    a.csrrw(ZERO, riscv_isa::csr::addr::SATP, T0);
+    // MPP = S, mepc = f.
+    a.li(T0, 3 << 11);
+    a.csrrc(ZERO, riscv_isa::csr::addr::MSTATUS, T0);
+    a.li(T0, 1 << 11);
+    a.csrrs(ZERO, riscv_isa::csr::addr::MSTATUS, T0);
+    a.csrrw(ZERO, riscv_isa::csr::addr::MEPC, T1);
+    a.mret();
+    a.bind(second);
+    a.ebreak();
+    a.align(2);
+    a.bind(template);
+    a.addi(A0, A0, 2);
+    a.ecall();
+    let p = a.assemble();
+    assert_eq!(conform(&p), 3);
+    for pers in PERSONALITIES {
+        let mut e = (pers.build)(&p);
+        for _ in 0..FUEL {
+            if e.step_one().halted {
+                break;
+            }
+        }
+        assert_eq!(e.hart().halted, Some(3), "{}: step_one()", pers.name);
+    }
 }
 
 // ---------------------------------------------------------------------
