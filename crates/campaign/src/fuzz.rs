@@ -73,7 +73,7 @@ pub struct FuzzOpts {
     /// captured regardless).
     pub lifecycle: bool,
     /// DiffTest REF personality for every job (None keeps the default
-    /// architectural stepper).
+    /// REF).
     pub ref_model: Option<String>,
     /// Mix two-hart litmus recipes into the exploration stream (the
     /// `mp:` coverage family then steers exploitation toward

@@ -260,8 +260,7 @@ pub struct JobSpec {
     /// Collect coverage maps (decode, diff-rule, pipeline-event); the
     /// record's `coverage` field is populated only when set.
     pub coverage: bool,
-    /// DiffTest REF personality name (None keeps the default
-    /// architectural stepper).
+    /// DiffTest REF personality name (None keeps the default REF).
     pub ref_model: Option<String>,
     /// The materialized checkpoint of a [`WorkloadSource::Sample`]
     /// recipe — a cache, not configuration: `run_sampled` attaches the

@@ -83,7 +83,7 @@ pub struct TriageBundle {
     pub max_cycles: u64,
     /// LightSSS snapshot interval.
     pub lightsss_interval: Option<u64>,
-    /// DiffTest REF personality (None = default architectural stepper).
+    /// DiffTest REF personality (None = the default REF).
     /// Recorded so a replay re-verifies against the same REF tier.
     pub ref_model: Option<String>,
     /// What ended the job: `"diverged"`, `"timeout"`, `"panicked"`, or

@@ -7,7 +7,7 @@
 //! replay with debugging information enabled.
 
 use crate::archdb::ArchDb;
-use crate::difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, NemuRef, ARCH_REF_NAME};
+use crate::difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, DEFAULT_REF_NAME};
 use crate::lightsss::{LightSss, Snapshotable};
 use riscv_isa::asm::Program;
 use riscv_isa::mem::SparseMemory;
@@ -129,19 +129,16 @@ impl CoSim {
     pub fn new(cfg: XsConfig, program: &Program) -> Self {
         let harts = cfg.cores;
         let (coverage, lifecycle) = (cfg.coverage, cfg.lifecycle);
-        let ref_model = cfg
-            .ref_model
-            .clone()
-            .unwrap_or_else(|| ARCH_REF_NAME.to_string());
+        let ref_model = cfg.ref_model.as_deref().unwrap_or(DEFAULT_REF_NAME);
+        let diff = DiffTest::for_program_with_ref(ref_model, program, harts);
         let sys = XsSystem::new(cfg, program);
-        let diff = DiffTest::for_program_with_ref(&ref_model, program, harts);
         Self::booted(sys, diff, coverage, lifecycle)
     }
 
     /// Boot co-simulation from an architectural checkpoint: the DUT is
     /// rebuilt over the checkpointed memory image with core 0 restored
-    /// to the checkpointed state, and the DiffTest REF is the bare
-    /// architectural stepper resumed from the same state — so commits
+    /// to the checkpointed state, and the DiffTest REF is the default
+    /// one ([`AnyRef::restored`]) resumed from the same state — so commits
     /// are verified from the first restored instruction on, exactly as
     /// in a from-reset run. Checkpoints are single-hart (§III-D3
     /// profiles one hart), so the configuration is clamped to one core.
@@ -151,10 +148,7 @@ impl CoSim {
         let mut sys = XsSystem::from_memory(cfg, memory.clone(), state.pc);
         sys.restore(state);
         let diff = DiffTest::new(
-            vec![AnyRef::Arch(NemuRef::from_state(
-                state.clone(),
-                memory.clone(),
-            ))],
+            vec![AnyRef::restored(state.clone(), memory.clone())],
             GlobalMemory::from_memory(memory.clone()),
         );
         Self::booted(sys, diff, coverage, lifecycle)
@@ -771,6 +765,33 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_replay_under_the_default_ref_reproduces_the_divergence() {
+        // 3 000 clean iterations, then the one `mul` the injected bug
+        // corrupts: the divergence strikes long after the first snapshot.
+        let mut a = Asm::new(0x8000_0000);
+        a.li(S0, 0);
+        a.li(S1, 3_000);
+        let top = a.bound_label();
+        a.addi(S0, S0, 1);
+        a.bne(S0, S1, top);
+        a.mul(A0, S0, S1);
+        a.ebreak();
+        let mut cfg = tiny_cfg(1);
+        cfg.injected_bug = Some(xscore::InjectedBug::MulLowBit);
+        let mut cosim = CoSim::new(cfg, &a.assemble()).with_lightsss(500);
+        let r = cosim.state.diff.reference(0);
+        assert!(matches!(r, AnyRef::Registry(i) if i.name() == DEFAULT_REF_NAME));
+        let CoSimEnd::Bug(report) = cosim.run(500_000) else {
+            panic!("the corrupted mul must diverge");
+        };
+        let replay = report.replay.expect("lightsss enabled");
+        assert!(!replay.fallback_reset, "restored from a snapshot");
+        assert!(replay.reproduced, "{:?}", report.error);
+        assert_eq!(replay.at_commit, report.at_commit);
+        assert!(!replay.trace.instr_commit.is_empty());
+    }
+
+    #[test]
     fn isolated_run_matches_direct_run() {
         let stats = run_isolated(tiny_cfg(1), &branchy_program(), 500_000, None)
             .expect("no panic");
@@ -846,6 +867,11 @@ mod tests {
         // after the restore diverges inside the sample run.
         let mut cfg = tiny_cfg(1);
         cfg.injected_bug = Some(xscore::InjectedBug::MulLowBit);
+        // Sampled windows check against the same REF as full runs.
+        let (state, mem) = profile_to(&branchy_program(), 3_000);
+        let restored = CoSim::from_checkpoint(cfg.clone(), &state, &mem);
+        let r = restored.state.diff.reference(0);
+        assert!(matches!(r, AnyRef::Registry(i) if i.name() == DEFAULT_REF_NAME));
         let stats = sample_from(cfg, 3_000, (500, 2_000));
         assert!(
             matches!(stats.end, CoSimEnd::Bug(_)),

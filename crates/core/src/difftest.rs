@@ -62,13 +62,6 @@ impl NemuRef {
             mem,
         }
     }
-
-    /// Build from explicit state and memory (checkpoint restore).
-    pub fn from_state(state: ArchState, mem: SparseMemory) -> Self {
-        let mut hart = Hart::new(state.pc, state.csr.mhartid);
-        hart.state = state;
-        NemuRef { hart, mem }
-    }
 }
 
 impl RefModel for NemuRef {
@@ -98,32 +91,35 @@ impl RefModel for NemuRef {
     }
 }
 
-/// A runtime-selected REF personality: the bare architectural stepper
-/// (the default, and what [`NemuRef`] provides) or any interpreter
-/// [`nemu::registry`] boots, driven one commit at a time through its
-/// `step_one()` — one virtual call into the tier's own single-step body
-/// (the caching tiers execute their cached decode there; only the
-/// default [`AnyRef::Arch`] is deliberately cache-free).
+/// A runtime-selected REF personality: any interpreter [`nemu::registry`]
+/// boots — by default [`DEFAULT_REF_NAME`], NEMU's uop-cache tier — or the
+/// bare architectural stepper [`NemuRef`], driven one commit at a time.
+/// A registry personality steps through its `step_one()`: one virtual
+/// call into the tier's own single-step body, which executes the tier's
+/// cached decode. [`AnyRef::Arch`] is the cache-free `--ref arch`, kept
+/// to compare against: it fetches and decodes on every commit.
 ///
 /// The registry is the one table of personalities: what it boots is what
 /// `--ref` accepts. DiffTest semantics are identical across variants,
 /// only the REF's internal caching layers differ.
-// The default REF stays inline: it is the one every commit steps unless
-// `--ref` says otherwise.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum AnyRef {
-    /// The bare architectural stepper (default).
+    /// The bare architectural stepper (`--ref arch`).
     Arch(NemuRef),
-    /// A [`nemu::registry`] personality.
+    /// A [`nemu::registry`] personality (the default among them).
     Registry(Box<dyn Interpreter>),
 }
 
-/// The `--ref` spelling of the default architectural stepper.
+/// The `--ref` spelling of the cache-free architectural stepper.
 pub const ARCH_REF_NAME: &str = "arch";
 
+/// The REF DiffTest boots when none is named (`XsConfig::ref_model` is
+/// `None`): the paper's NEMU, the uop-cache tier.
+pub const DEFAULT_REF_NAME: &str = "nemu";
+
 impl AnyRef {
-    /// Boot the default architectural REF.
+    /// Boot the cache-free architectural REF.
     pub fn arch(program: &riscv_isa::asm::Program, hartid: u64) -> Self {
         AnyRef::Arch(NemuRef::new(program, hartid))
     }
@@ -139,6 +135,14 @@ impl AnyRef {
         // real id in mhartid.
         r.hart_mut().state.csr.mhartid = hartid;
         Some(r)
+    }
+
+    /// The default REF resumed from a restored architectural state (which
+    /// carries its mhartid) over its memory: checkpoint restore.
+    pub fn restored(state: ArchState, mem: SparseMemory) -> Self {
+        let mut hart = Hart::new(state.pc, state.csr.mhartid);
+        hart.state = state;
+        AnyRef::Registry(Box::new(nemu::Nemu::from_parts(hart, mem)))
     }
 
     /// Every accepted `--ref` name.
@@ -752,6 +756,36 @@ mod tests {
             assert_eq!(r.arch_state().gpr[T2 as usize], 41, "{name}");
         }
         assert!(AnyRef::by_name("no-such", &p, 0).is_none());
+    }
+
+    /// The default REF caches decoded instructions, and DiffTest patches
+    /// its memory: a word it already executed, patched through
+    /// `patch_mem`, runs as the new instruction once a `fence.i` has.
+    #[test]
+    fn a_patched_cached_instruction_runs_new_after_fence_i() {
+        let mut a = Asm::new(0x8000_0000);
+        let site = a.bound_label();
+        a.addi(A0, A0, 1);
+        a.fence_i();
+        a.addi(T0, T0, 1);
+        a.li(T1, 2);
+        a.bne(T0, T1, site);
+        a.ebreak();
+        let p = a.assemble();
+        let mut patch = Asm::new(0);
+        patch.addi(A0, A0, 100);
+        let word = u32::from_le_bytes(patch.assemble().bytes[..4].try_into().unwrap());
+
+        let mut r = AnyRef::by_name(DEFAULT_REF_NAME, &p, 0).expect("the default REF boots");
+        assert!(matches!(&r, AnyRef::Registry(i) if i.name() == DEFAULT_REF_NAME));
+        assert_eq!(r.step().wb, Some((false, A0, 1)));
+        r.patch_mem(p.entry, 4, u64::from(word));
+        // fence.i, the counter, the bound and the branch back to the site.
+        for _ in 0..4 {
+            r.step();
+        }
+        let info = r.step();
+        assert_eq!((info.pc, info.wb), (p.entry, Some((false, A0, 101))));
     }
 
     fn commit(pc: u64, inst: DecodedInst, wb: Option<(bool, u8, u64)>) -> CommitEvent {

@@ -51,7 +51,9 @@ pub use cosim::{
     CoSimState, DebugWindow, ReplayReport, RunStats, Salvage, SampleWindowStats,
 };
 pub use coverage::{bucket, CommitCoverage, CoverageMap, FU_CLASS_COUNT, OP_COUNT};
-pub use difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, NemuRef, RefModel, ARCH_REF_NAME};
+pub use difftest::{
+    AnyRef, DiffError, DiffTest, GlobalMemory, NemuRef, RefModel, ARCH_REF_NAME, DEFAULT_REF_NAME,
+};
 pub use lightsss::{LightSss, Snapshot, Snapshotable, Sss};
 pub use rules::{csr_field_rules, CsrFieldKind, CsrFieldRule, DiffRule, RuleStats};
 pub use telemetry::{BpuStats, CacheSnap, CoreSnapshot, PerfSnapshot, TlbStats};

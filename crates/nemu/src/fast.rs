@@ -113,11 +113,14 @@ pub struct Nemu {
     /// Live only inside [`Self::run_fast`]; `hart.state.gpr` is the
     /// truth everywhere else.
     regs: [u64; 33],
+    /// The uop cache: grows with the uops filled, up to `capacity`.
     code: Vec<Uop>,
     map: HashMap<u64, u32, IntBuildHasher>,
     /// Where `step_one` expects its next uop: the slot after the one it
     /// last executed.
     cursor: u32,
+    /// Entries at which `fill` flushes the cache (a bound, not a
+    /// reservation: a boot allocates no uop).
     capacity: usize,
     fast_mem: bool,
     /// Cache/trace statistics.
@@ -149,7 +152,7 @@ impl Nemu {
             hart,
             mem,
             regs: [0; 33],
-            code: Vec::with_capacity(capacity),
+            code: Vec::new(),
             map: HashMap::default(),
             cursor: 0,
             capacity,
@@ -675,7 +678,6 @@ mod tests {
     fn capacity_flush() {
         // A tiny cache forces flushes on a program with many blocks.
         let mut a = Asm::new(0x8000_0000);
-        let mut labels: Vec<u32> = Vec::new();
         // A long chain of jumps creating many 1-instruction blocks.
         for _ in 0..200 {
             let l = a.label();
@@ -685,11 +687,12 @@ mod tests {
         a.li(A0, 9);
         a.ebreak();
         let p = a.assemble();
-        labels.clear();
         let mut n = Nemu::with_capacity(&p, 128);
+        assert_eq!(n.code.capacity(), 0, "a boot reserves no uop");
         let r = n.run(100_000);
         assert_eq!(r.exit_code, Some(9));
         assert!(n.stats.flushes >= 1, "capacity flush expected");
+        assert!(n.code.len() <= 128, "the capacity bounds the cache");
     }
 
     #[test]

@@ -149,8 +149,8 @@ pub struct XsConfig {
     /// last-N ring buffer, and the digest — are always on regardless.
     pub lifecycle: bool,
     /// DiffTest REF personality by name (`"arch"`, `"nemu"`,
-    /// `"nemu-trace"`, ...). `None` selects the default architectural
-    /// stepper. A string rather than an enum: xscore cannot depend on
+    /// `"nemu-trace"`, ...). `None` selects DiffTest's default REF
+    /// (`minjie::DEFAULT_REF_NAME`). A string rather than an enum: xscore cannot depend on
     /// the interpreter crate, so resolution happens in the co-sim layer.
     pub ref_model: Option<String>,
     /// Event-driven idle-cycle skipping: when every core's tick is a

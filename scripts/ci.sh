@@ -31,7 +31,9 @@
 #      comment links to fails here and not in a reader's browser,
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
-#      wall-clock timeout and a JSON-validity check on the report,
+#      wall-clock timeout and a JSON-validity check on the report, plus
+#      a 3-job run under `--ref arch` (the cache-free REF that is no
+#      longer the default) that must finish with zero divergences,
 #   4. a fuzz smoke — an injected-bug fuzz campaign must find, triage,
 #      and replay the divergence (steps 3 and 4 read their reports with
 #      python's `json` on purpose: see the comment at step 3), then the
@@ -77,21 +79,25 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspac
 
 echo "== tier-1: smoke campaign (2 workloads x 2 configs x 4 seeds) =="
 report="$(mktemp /tmp/campaign-smoke.XXXXXX.json)"
+arch_report="$(mktemp /tmp/campaign-arch.XXXXXX.json)"
 fuzz_bug="$(mktemp /tmp/fuzz-bug.XXXXXX.json)"
 fuzz_bundles="$(mktemp -d /tmp/fuzz-bundles.XXXXXX)"
-trap 'rm -f "$report" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
+trap 'rm -f "$report" "$arch_report" "$fuzz_bug"; rm -rf "$fuzz_bundles"' EXIT
 timeout 600 target/release/campaign \
     --workloads mcf,libquantum \
     --configs small-nh,small-yqh \
     --torture-seeds 0..4 \
     --workers 4 \
     --out "$report"
+timeout 600 target/release/campaign \
+    --workloads mcf --configs small-nh --torture-seeds 0..2 \
+    --ref arch --workers 2 --out "$arch_report"
 
 # This block and the fuzz-bug block below stay in python on purpose:
 # every Rust test reads a report with the same vendored serde_json that
 # wrote it, and `json.load` is the one parser here that is independent
 # of that writer — on a plain report and on one with a triage bundle.
-python3 - "$report" <<'EOF'
+python3 - "$report" "$arch_report" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
 assert r["schema_version"] == 6, r["schema_version"]
@@ -101,6 +107,9 @@ assert len(r["jobs"]) == 12
 assert all(j["cycles"] > 0 and j["commits_checked"] > 0 for j in r["jobs"])
 assert "timing" in r
 print("smoke campaign report OK:", s)
+a = json.load(open(sys.argv[2]))["summary"]
+assert a["total"] == 3 and a["halted"] == 3 and a["diverged"] == 0, a
+print("--ref arch smoke OK:", a)
 EOF
 
 echo "== tier-1: fuzz smoke (injected bug -> triage -> replay) =="

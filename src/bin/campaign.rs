@@ -20,7 +20,7 @@
 //! selected mode does not honour among them.
 
 use campaign::{run_fuzz, run_sampled, Campaign, FuzzOpts, JobSpec, SampleSpec, Verdict, WorkloadSource};
-use minjie::AnyRef;
+use minjie::{AnyRef, ARCH_REF_NAME, DEFAULT_REF_NAME};
 use std::collections::BTreeMap;
 use workloads::TortureConfig;
 use xscore::{InjectedBug, XsConfig};
@@ -107,7 +107,7 @@ fn synopsis() -> String {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "{}kernels: {}\nconfigs: {}\nrefs: {}",
+        "{}kernels: {}\nconfigs: {}\nrefs: {} (DiffTest default {DEFAULT_REF_NAME})",
         synopsis(),
         workloads::NAMES.join(", "),
         XsConfig::preset_names().join(", "),
@@ -286,8 +286,11 @@ fn main() {
         if kernels.is_empty() {
             usage("--sample profiles named workloads: give --workloads");
         }
-        if ref_model.as_deref() == Some("arch") {
-            usage("--sample profiles on a registry personality (nemu, nemu-trace, ...), not `arch`");
+        if ref_model.as_deref() == Some(ARCH_REF_NAME) {
+            usage(&format!(
+                "--sample profiles on a registry personality ({DEFAULT_REF_NAME}, nemu-trace, ...), \
+                 not `{ARCH_REF_NAME}`"
+            ));
         }
         let mut s = SampleSpec::new(kernels, configs).with_workers(workers);
         if let Some(r) = ref_model {

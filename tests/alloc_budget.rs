@@ -27,6 +27,10 @@
 //! "`campaign`"), so it costs the growth of that one buffer, not a
 //! `Value` tree of the whole report beside it.
 //!
+//! And the bytes a REF boot asks for: NEMU's uop cache grows with the
+//! uops it fills, so DiffTest's default REF costs the program, not the
+//! cache it could hold.
+//!
 //! And what a traced row costs: ArchDB keeps the struct the probe
 //! emitted in a `VecDeque` (DESIGN §4 "Telemetry"), so a run with the
 //! full lifecycle trace or the debug-mode commit trace on goes to the
@@ -143,6 +147,26 @@ fn a_boot_allocates_for_the_core_not_for_the_size_of_the_caches() {
     assert!(bytes <= NH_BOOT_BUDGET, "nh: a boot requested {bytes} bytes");
     let chunks: usize = sys.mem.caches().map(|c| c.chunks()).sum();
     assert!(chunks > 4_000, "nh no longer has the arrays this bounds: {chunks} chunks");
+}
+
+/// Bytes booting DiffTest's default REF may request. The uop cache's
+/// capacity is a flush bound, not a reservation, so a boot costs the
+/// program's pages: 5 396 bytes for Test-scale `sjeng`. While `Nemu`
+/// reserved its 16 384 64-byte uops up front, the same boot requested
+/// 1 053 972 — per hart, per job.
+const REF_BOOT_BUDGET: u64 = 64 << 10;
+
+#[test]
+fn a_ref_boot_allocates_for_the_program_not_for_the_uop_cache() {
+    let program = workload("sjeng", Scale::Test).program;
+    let before = BYTES.get();
+    let r = minjie::AnyRef::by_name(minjie::DEFAULT_REF_NAME, &program, 0);
+    let bytes = BYTES.get() - before;
+    assert!(r.is_some(), "the default REF boots");
+    println!("{}: a REF boot requested {bytes} bytes", minjie::DEFAULT_REF_NAME);
+    assert!(bytes <= REF_BOOT_BUDGET, "a REF boot requested {bytes} bytes");
+    // That the capacity still flushes the cache is `nemu`'s
+    // `capacity_flush`.
 }
 
 /// Bytes `CampaignReport::full_json` may request per byte of the text it

@@ -21,7 +21,9 @@
 //! A final block pins the trace-tier invalidation rules (`fence.i`,
 //! `sfence.vma`, satp rewrite, indirect-jump retarget) and the decode
 //! caches' flush on `mret` with programs whose *results* change if stale
-//! traces, decodes or micro-TLB entries survive.
+//! traces, decodes or micro-TLB entries survive. The last block runs
+//! co-simulated jobs under DiffTest's default REF and under the
+//! cache-free `arch` stepper and asserts identical job records.
 
 use nemu::registry::PERSONALITIES;
 use nemu::{Interpreter, NemuTrace};
@@ -1060,4 +1062,66 @@ fn rv64a_sc_corner_cases() {
 #[test]
 fn csr_table_walk_conforms() {
     conform(&common::csr_table_walk());
+}
+
+// ---------------------------------------------------------------------
+// DiffTest's default REF against the cache-free `arch` stepper
+// ---------------------------------------------------------------------
+
+/// Which REF DiffTest steps is invisible to results: every golden kernel
+/// on every single-hart preset, a two-hart litmus job and a torture job
+/// per injected-bug arm produce the same job record — verdict (the
+/// divergence, for the bugs), cycles, commits checked, instret, rule
+/// applications, replay commit and perf snapshot — under the default REF
+/// and under `--ref arch`.
+#[test]
+fn the_default_ref_is_invisible_to_results() {
+    use campaign::{Campaign, JobSpec, Verdict, WorkloadSource};
+    use xscore::InjectedBug;
+
+    let mut jobs = Vec::new();
+    for config in ["yqh", "nh", "small-nh", "small-yqh"] {
+        for kernel in ["sjeng", "hmmer", "mcf", "libquantum"] {
+            jobs.push(JobSpec::new(WorkloadSource::kernel(kernel), config));
+        }
+    }
+    let litmus = WorkloadSource::litmus(3, workloads::LitmusConfig::default());
+    jobs.push(JobSpec::new(litmus, "small-nh").with_cores(2));
+    // Listing the arms through a match makes a new one fail to compile
+    // until it is added here.
+    let bugs = [InjectedBug::MulLowBit, InjectedBug::AddwNoSext].map(|bug| match bug {
+        InjectedBug::MulLowBit | InjectedBug::AddwNoSext => bug,
+    });
+    for bug in bugs {
+        // Seed 4 retires a `mul` and an `addw` whose result needs the
+        // sign extension, so either bug corrupts a writeback.
+        let torture = WorkloadSource::torture(4, workloads::TortureConfig::default());
+        let spec = JobSpec::new(torture, "small-nh").with_injected_bug(bug);
+        jobs.push(spec.with_lightsss(2_000));
+    }
+    let run = |ref_model: Option<&str>| {
+        let specs = jobs.iter().map(|s| match ref_model {
+            Some(r) => s.clone().with_ref(r),
+            None => s.clone(),
+        });
+        let campaign = Campaign::new(specs.collect()).with_workers(2);
+        campaign.with_minimization(false).with_triage(false).run().jobs
+    };
+    let (default, arch) = (run(None), run(Some(minjie::ARCH_REF_NAME)));
+    for (d, a) in default.iter().zip(&arch) {
+        let label = format!("{} on {}", d.workload, d.config);
+        assert_eq!(
+            serde_json::to_string(d).expect("records serialize"),
+            serde_json::to_string(a).expect("records serialize"),
+            "{label}: the default REF and `arch` disagree"
+        );
+    }
+    let verdicts: Vec<_> = default.iter().map(|j| &j.verdict).collect();
+    let (clean, caught) = verdicts.split_at(verdicts.len() - bugs.len());
+    assert!(clean.iter().all(|v| matches!(v, Verdict::Halted { .. })), "{clean:?}");
+    assert!(caught.iter().all(|v| matches!(v, Verdict::Diverged { .. })), "{caught:?}");
+    for j in &default[default.len() - bugs.len()..] {
+        let replay = j.replay.as_ref().expect("a divergence under LightSSS replays");
+        assert!(replay.reproduced && replay.at_commit > 0, "{replay:?}");
+    }
 }

@@ -87,7 +87,7 @@ fn pinned_round_is_deterministic() {
     assert_eq!(a.corpus, b.corpus);
 }
 
-/// Every interpreter personality (plus the architectural default REF)
+/// Every interpreter personality (plus the cache-free `arch` REF)
 /// backs a small fixed-seed fuzz round without diverging. The list is
 /// derived from [`nemu::registry`], not written out, so adding a
 /// personality enrolls it here automatically instead of silently
