@@ -408,7 +408,7 @@ fn measure_fig8(b: &Budgets, threads: usize) -> Fig8 {
     let presets = CYCLE_PRESETS.iter().map(|s| s.to_string()).collect();
     let mut spec = campaign::SampleSpec::new(vec![SAMPLED_WORKLOAD.into()], presets)
         .with_max_cycles(b.max_cycles);
-    spec.triage = false;
+    spec.policy.triage = false;
     let sampled = campaign::run_sampled(&spec).sampling;
 
     let configs = CYCLE_PRESETS.map(|p| XsConfig::preset(p).expect("tracked preset exists"));

@@ -22,13 +22,12 @@
 use crate::coverage::{minimize_corpus, CoverageSet, FuzzRound, FuzzSummary};
 use crate::job::{JobSpec, WorkloadSource};
 use crate::report::{CampaignReport, CampaignSummary, WallClock};
-use crate::runner::Campaign;
+use crate::runner::{Campaign, Policy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use workloads::litmus::{LitmusConfig, LitmusProgram, LitmusShape};
 use workloads::{TortureConfig, TortureProgram};
-use xscore::InjectedBug;
 
 /// Salt mixed into litmus recipe seeds so a litmus recipe and a torture
 /// recipe sharing a slot seed still draw independent knob streams.
@@ -44,9 +43,10 @@ pub struct Recipe {
     pub config: String,
 }
 
-/// Fuzz-campaign options. Everything that influences the report body
-/// lives here, so a `FuzzOpts` value is a complete reproducer of a
-/// fuzz campaign's deterministic output.
+/// Fuzz-campaign options: the fuzzer's own knobs, the template its jobs
+/// are built from and the pool policy. Everything that influences the
+/// report body lives here, so a `FuzzOpts` value is a complete
+/// reproducer of a fuzz campaign's deterministic output.
 #[derive(Debug, Clone)]
 pub struct FuzzOpts {
     /// Rounds to run.
@@ -57,52 +57,30 @@ pub struct FuzzOpts {
     pub fuzz_seed: u64,
     /// Configuration presets, rotated across fresh recipes.
     pub configs: Vec<String>,
-    /// Worker threads.
-    pub workers: usize,
-    /// Per-job cycle budget (fuzz jobs are deliberately short).
-    pub max_cycles: u64,
-    /// LightSSS snapshot interval (None disables snapshots).
-    pub lightsss_interval: Option<u64>,
-    /// Deliberate DUT corruption (verification-flow tests only).
-    pub injected_bug: Option<InjectedBug>,
-    /// Delta-debug diverged recipes into minimized reproducers.
-    pub minimize: bool,
-    /// Triage failed jobs into self-contained replay bundles.
-    pub triage: bool,
-    /// Stream full lifecycle traces on every job (the crash ring is
-    /// captured regardless).
-    pub lifecycle: bool,
-    /// DiffTest REF personality for every job (None keeps the default
-    /// REF).
-    pub ref_model: Option<String>,
     /// Mix two-hart litmus recipes into the exploration stream (the
     /// `mp:` coverage family then steers exploitation toward
     /// coherence-event novelty).
     pub mp: bool,
-    /// Arm the §IV-C L2 probe/grant race fault on every job
-    /// (verification-flow tests only).
-    pub inject_l2_race: bool,
+    /// The template of every job: a job takes its recipe's source and
+    /// preset from the recipe and collects coverage maps, and a litmus
+    /// job runs on two cores.
+    pub job: JobSpec,
+    /// Workers, minimization, triage and wall-clock policy.
+    pub policy: Policy,
 }
 
 impl FuzzOpts {
-    /// Default policy: 2 rounds of 8 jobs on `small-nh`, 4 workers,
-    /// 6 M cycles per job, minimization and triage on.
+    /// Default options: 2 rounds of 8 jobs on `small-nh`, 6 M cycles per
+    /// job (breadth over depth), the default [`Policy`].
     pub fn new(fuzz_seed: u64) -> Self {
         FuzzOpts {
             rounds: 2,
             jobs_per_round: 8,
             fuzz_seed,
             configs: vec!["small-nh".into()],
-            workers: 4,
-            max_cycles: 6_000_000,
-            lightsss_interval: None,
-            injected_bug: None,
-            minimize: true,
-            triage: true,
-            lifecycle: false,
-            ref_model: None,
             mp: false,
-            inject_l2_race: false,
+            job: JobSpec::default().with_max_cycles(6_000_000),
+            policy: Policy::default(),
         }
     }
 }
@@ -341,31 +319,17 @@ impl FuzzOpts {
     }
 }
 
-/// The job a recipe runs as (coverage maps always on).
-fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
-    let mut spec = JobSpec::new(r.source.clone(), r.config.clone())
-        .with_max_cycles(opts.max_cycles)
-        .with_coverage();
-    if matches!(r.source, WorkloadSource::Litmus { .. }) {
-        // Litmus programs are two-hart by construction.
-        spec = spec.with_cores(2);
+/// The job a recipe runs as: the template with coverage maps on, and two
+/// cores for a litmus program, which is two-hart by construction.
+pub(crate) fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
+    let litmus = matches!(r.source, WorkloadSource::Litmus { .. });
+    JobSpec {
+        workload: r.source.clone(),
+        config: r.config.clone(),
+        coverage: true,
+        cores: if litmus { Some(2) } else { opts.job.cores },
+        ..opts.job.clone()
     }
-    if opts.inject_l2_race {
-        spec = spec.with_l2_race();
-    }
-    if let Some(iv) = opts.lightsss_interval {
-        spec = spec.with_lightsss(iv);
-    }
-    if let Some(bug) = opts.injected_bug {
-        spec = spec.with_injected_bug(bug);
-    }
-    if opts.lifecycle {
-        spec = spec.with_lifecycle();
-    }
-    if let Some(r) = &opts.ref_model {
-        spec = spec.with_ref(r.clone());
-    }
-    spec
 }
 
 /// Plan one round's recipes: round 0 (or an empty corpus) is pure
@@ -427,11 +391,11 @@ pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
     for round in 0..opts.rounds {
         let recipes = plan_round(opts, round, &corpus);
         let specs = recipes.iter().map(|r| job_spec(r, opts)).collect();
-        let report = Campaign::new(specs)
-            .with_workers(opts.workers)
-            .with_minimization(opts.minimize)
-            .with_triage(opts.triage)
-            .run();
+        let report = Campaign {
+            jobs: specs,
+            policy: opts.policy,
+        }
+        .run();
         let jobs_this_round = report.jobs.len() as u64;
         let mut new_features = 0;
         for (recipe, mut job) in recipes.into_iter().zip(report.jobs) {
@@ -469,7 +433,7 @@ pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
     let kept = minimize_corpus(&corpus.iter().map(|(_, f, _)| f.clone()).collect::<Vec<_>>());
     let corpus: Vec<Recipe> = kept.into_iter().map(|i| corpus[i].0.clone()).collect();
     let report = CampaignReport {
-        workers: opts.workers.max(1) as u64,
+        workers: opts.policy.workers.max(1) as u64,
         summary: CampaignSummary::tally(&all_jobs),
         jobs: all_jobs,
         fuzz: Some(FuzzSummary {
@@ -552,7 +516,7 @@ mod tests {
         let spec = job_spec(&recipes[1], &opts);
         assert_eq!(spec.cores, Some(2));
         assert!(!spec.inject_l2_race);
-        opts.inject_l2_race = true;
+        opts.job.inject_l2_race = true;
         assert!(job_spec(&recipes[1], &opts).inject_l2_race);
     }
 
@@ -561,10 +525,13 @@ mod tests {
         let mut opts = FuzzOpts::new(11);
         opts.rounds = 2;
         opts.jobs_per_round = 3;
-        opts.workers = 2;
-        opts.max_cycles = 3_000_000;
-        opts.minimize = false;
-        opts.triage = false;
+        opts.job.max_cycles = 3_000_000;
+        opts.policy = Policy {
+            workers: 2,
+            minimize: false,
+            triage: false,
+            ..Policy::default()
+        };
         let a = run_fuzz(&opts);
         let b = run_fuzz(&opts);
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Job specifications: what one campaign slot runs.
 
 use checkpoint::Checkpoint;
-use minjie::{CoSim, DiffError, RunStats};
+use minjie::{CoSim, DiffError, RunStats, DEFAULT_REF_NAME};
 use riscv_isa::asm::Program;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -260,7 +260,8 @@ pub struct JobSpec {
     /// Collect coverage maps (decode, diff-rule, pipeline-event); the
     /// record's `coverage` field is populated only when set.
     pub coverage: bool,
-    /// DiffTest REF personality name (None keeps the default REF).
+    /// DiffTest REF personality name (None keeps the default REF, the
+    /// only one a sample job can be verified against).
     pub ref_model: Option<String>,
     /// The materialized checkpoint of a [`WorkloadSource::Sample`]
     /// recipe — a cache, not configuration: `run_sampled` attaches the
@@ -271,12 +272,14 @@ pub struct JobSpec {
     pub(crate) checkpoint: Option<Arc<Checkpoint>>,
 }
 
-impl JobSpec {
-    /// A job with default limits (40 M cycles, no snapshots).
-    pub fn new(workload: WorkloadSource, config: impl Into<String>) -> Self {
+impl Default for JobSpec {
+    /// A job template: default limits (40 M cycles, no snapshots, nothing
+    /// armed), no workload and no preset yet. Every job generator builds
+    /// its jobs from one as `JobSpec { workload, config, ..template }`.
+    fn default() -> Self {
         JobSpec {
-            workload,
-            config: config.into(),
+            workload: WorkloadSource::kernel(""),
+            config: String::new(),
             cores: None,
             injected_bug: None,
             inject_l2_race: false,
@@ -287,6 +290,17 @@ impl JobSpec {
             coverage: false,
             ref_model: None,
             checkpoint: None,
+        }
+    }
+}
+
+impl JobSpec {
+    /// A job with default limits (40 M cycles, no snapshots).
+    pub fn new(workload: WorkloadSource, config: impl Into<String>) -> Self {
+        JobSpec {
+            workload,
+            config: config.into(),
+            ..JobSpec::default()
         }
     }
 
@@ -375,6 +389,12 @@ impl JobSpec {
             cfg = cfg.with_coverage();
         }
         if let Some(r) = &self.ref_model {
+            if self.workload.sample_window().is_some() && r != DEFAULT_REF_NAME {
+                return Err(format!(
+                    "a sample job cannot be verified against `{r}`: a checkpoint \
+                     restores into DiffTest's default REF `{DEFAULT_REF_NAME}` only"
+                ));
+            }
             cfg = cfg.with_ref_model(r.clone());
         }
         cfg.validate()?;
@@ -499,6 +519,23 @@ mod tests {
             .config()
             .unwrap_err();
         assert!(err.contains("no shared last-level cache"), "{err}");
+        // A checkpoint boots the default REF whatever the job names, so a
+        // sample job naming another is refused rather than mislabelled.
+        let sample = JobSpec::new(
+            WorkloadSource::Sample {
+                kernel: "sjeng".into(),
+                ref_model: "nemu-trace".into(),
+                interval_len: 5_000,
+                interval: 1,
+                warmup: 100,
+                window: 100,
+            },
+            "small-nh",
+        );
+        assert!(sample.config().is_ok());
+        assert!(sample.clone().with_ref(DEFAULT_REF_NAME).config().is_ok());
+        let err = sample.with_ref("arch").config().unwrap_err();
+        assert!(err.contains("cannot be verified against `arch`"), "{err}");
     }
 
     #[test]

@@ -12,11 +12,16 @@
 //!   this type; its serde form is the bundle schema's `source` field.
 //! - [`JobSpec`] names one run: a recipe, an [`XsConfig`] preset slug,
 //!   and limits. [`JobSpec::boot`] turns it into a live co-simulation.
-//! - [`Campaign`] shards jobs across a `std::thread` worker pool. One
-//!   executor serves every mode: each job boots *and* runs inside
-//!   [`minjie::run_isolated_boot`]'s panic boundary — so even a recipe
-//!   that cannot be built is one [`Verdict::Panicked`], not a dead pool
-//!   — and yields a [`Verdict`].
+//! - [`Campaign`] shards jobs across a `std::thread` worker pool under
+//!   one [`Policy`] (workers, minimization, triage, wall-clock limit and
+//!   retries). One executor serves every mode: each job boots *and* runs
+//!   inside [`minjie::run_isolated_boot`]'s panic boundary — so even a
+//!   recipe that cannot be built is one [`Verdict::Panicked`], not a dead
+//!   pool — and yields a [`Verdict`].
+//! - The fixed matrix, [`run_fuzz`] and [`run_sampled`] are job
+//!   generators over that executor: each builds every job from one
+//!   [`JobSpec`] template, replacing only the workload, the preset and
+//!   its own overrides, and hands the pool one [`Policy`].
 //! - On a divergence (or a litmus forbidden outcome), the ddmin
 //!   [`minimize()`] pass shrinks the failing source's kept-mask while the
 //!   same failure class reproduces, and the report attaches the
@@ -44,7 +49,7 @@
 //!   checkpoint × configuration flows through the same worker pool —
 //!   warm-up, then a DiffTest-verified detail window — aggregating to
 //!   a weighted-CPI estimate in the report's `sampling` section.
-//! - With `FuzzOpts::mp` on, the exploration stream interleaves
+//! - With [`FuzzOpts::mp`] on, the exploration stream interleaves
 //!   two-hart litmus recipes; a run whose final observation set falls
 //!   outside the shape's allowed-outcome mask becomes a
 //!   [`Verdict::ForbiddenOutcome`], which ddmins over rounds and
@@ -87,8 +92,64 @@ pub use report::{
     CampaignReport, CampaignSummary, JobRecord, MinimizedRepro, ReplayWindow, SampleRecord,
     SamplingPhase, SamplingSummary, Verdict, WallClock, SCHEMA_VERSION,
 };
-pub use runner::Campaign;
+pub use runner::{Campaign, Policy};
 pub use sample::{run_sampled, SampleSpec};
 pub use triage::{
     bundle_spec, triage, verify_bundle, BundleVerification, TriageBundle, BUNDLE_SCHEMA_VERSION,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minjie::DEFAULT_REF_NAME;
+    use std::sync::Arc;
+    use workloads::Scale;
+    use xscore::InjectedBug;
+
+    /// `job` with the fields a generator sets put back to `template`'s:
+    /// what remains must be the template, field for field.
+    fn assert_from_template(mut job: JobSpec, template: &JobSpec) {
+        job.workload = template.workload.clone();
+        job.config = template.config.clone();
+        job.checkpoint = None;
+        assert_eq!(format!("{job:?}"), format!("{template:?}"));
+    }
+
+    #[test]
+    fn generated_jobs_are_their_template_but_for_workload_config_and_mode_overrides() {
+        let template = JobSpec::default()
+            .with_max_cycles(123_456)
+            .with_lightsss(700)
+            .with_injected_bug(InjectedBug::MulLowBit)
+            .with_l2_race()
+            .with_telemetry()
+            .with_lifecycle()
+            .with_ref(DEFAULT_REF_NAME);
+
+        // Fuzz: coverage always on; a litmus recipe runs on two cores.
+        let mut opts = FuzzOpts::new(0);
+        opts.job = template.clone();
+        for recipe in [fresh_recipe(1, "small-nh"), fresh_litmus_recipe(2, "small-yqh")] {
+            let mut job = fuzz::job_spec(&recipe, &opts);
+            assert_eq!(job.workload, recipe.source);
+            assert_eq!(job.config, recipe.config);
+            assert!(job.coverage);
+            let litmus = matches!(recipe.source, WorkloadSource::Litmus { .. });
+            assert_eq!(job.cores, litmus.then_some(2));
+            (job.coverage, job.cores) = (template.coverage, template.cores);
+            assert_from_template(job, &template);
+        }
+
+        // Sample: the checkpoint's recipe, with the checkpoint attached.
+        let mut spec = SampleSpec::new(vec!["sjeng".into()], vec!["small-yqh".into()]);
+        spec.job = template.clone();
+        let program = workloads::workload("sjeng", Scale::Test).program;
+        let c = checkpoint::checkpoint_at_interval(DEFAULT_REF_NAME, &program, 5_000, 1);
+        let c = Arc::new(c);
+        let job = sample::sample_job(&spec, "sjeng", "small-yqh", &c);
+        assert_eq!(job.workload.describe(), "sample:sjeng:interval=1");
+        assert_eq!(job.config, "small-yqh");
+        assert!(job.checkpoint.as_ref().is_some_and(|j| Arc::ptr_eq(j, &c)));
+        assert_from_template(job, &template);
+    }
+}

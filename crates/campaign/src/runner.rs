@@ -36,85 +36,74 @@ use workloads::litmus::LitmusExit;
 /// original budget).
 const MINIMIZE_MAX_CYCLES: u64 = 20_000_000;
 
-/// A configured campaign: jobs plus execution policy.
+/// The pool knobs every mode shares: how many workers run the jobs and
+/// what becomes of a job that fails or runs long. Each worker holds its
+/// own copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Policy {
+    /// Worker threads (0 runs as 1).
+    pub workers: usize,
+    /// Delta-debug failed generated jobs into minimized reproducers.
+    pub minimize: bool,
+    /// Triage failed jobs into self-contained replay bundles.
+    pub triage: bool,
+    /// Per-attempt wall-clock limit, milliseconds (None disables it).
+    pub wall_timeout_ms: Option<u64>,
+    /// Retries after a wall-clock timeout before giving up.
+    pub retries: u32,
+    /// Backoff before the first retry, milliseconds (doubles each
+    /// retry).
+    pub backoff_ms: u64,
+}
+
+impl Default for Policy {
+    /// 4 workers, minimization and triage on, no wall-clock limit (and,
+    /// once one is set, 1 retry after 50 ms).
+    fn default() -> Self {
+        Policy {
+            workers: 4,
+            minimize: true,
+            triage: true,
+            wall_timeout_ms: None,
+            retries: 1,
+            backoff_ms: 50,
+        }
+    }
+}
+
+/// A configured campaign: jobs plus the pool policy.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     /// The job list (report order).
     pub jobs: Vec<JobSpec>,
-    /// Worker threads.
-    pub workers: usize,
-    /// Delta-debug diverged torture jobs into minimized reproducers.
-    pub minimize_failures: bool,
-    /// Triage failed jobs into self-contained replay bundles.
-    pub triage: bool,
-    /// Per-attempt wall-clock limit applied to every job that does not
-    /// carry its own (None disables the limit).
-    pub job_wall_timeout_ms: Option<u64>,
-    /// Retries after a wall-clock timeout before giving up.
-    pub job_retries: u32,
-    /// Backoff before the first retry, milliseconds (doubles each
-    /// retry).
-    pub retry_backoff_ms: u64,
-}
-
-/// Execution policy one worker needs (copied into the pool).
-#[derive(Clone, Copy)]
-struct JobPolicy {
-    minimize_failures: bool,
-    triage: bool,
-    wall_timeout_ms: Option<u64>,
-    retries: u32,
-    backoff_ms: u64,
+    /// Workers, minimization, triage and wall-clock policy.
+    pub policy: Policy,
 }
 
 impl Campaign {
-    /// A campaign over `jobs` with default policy (4 workers,
-    /// minimization and triage on, no wall-clock limit).
+    /// A campaign over `jobs` with the default [`Policy`].
     pub fn new(jobs: Vec<JobSpec>) -> Self {
         Campaign {
             jobs,
-            workers: 4,
-            minimize_failures: true,
-            triage: true,
-            job_wall_timeout_ms: None,
-            job_retries: 1,
-            retry_backoff_ms: 50,
+            policy: Policy::default(),
         }
     }
 
     /// Set the worker-thread count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.policy.workers = workers.max(1);
         self
     }
 
     /// Enable or disable failure minimization.
     pub fn with_minimization(mut self, on: bool) -> Self {
-        self.minimize_failures = on;
+        self.policy.minimize = on;
         self
     }
 
     /// Enable or disable rollback-replay triage of failed jobs.
     pub fn with_triage(mut self, on: bool) -> Self {
-        self.triage = on;
-        self
-    }
-
-    /// Set a per-attempt wall-clock limit for every job.
-    pub fn with_job_wall_timeout_ms(mut self, ms: u64) -> Self {
-        self.job_wall_timeout_ms = Some(ms);
-        self
-    }
-
-    /// Set the retry budget after wall-clock timeouts.
-    pub fn with_job_retries(mut self, retries: u32) -> Self {
-        self.job_retries = retries;
-        self
-    }
-
-    /// Set the initial retry backoff (doubles each retry).
-    pub fn with_retry_backoff_ms(mut self, ms: u64) -> Self {
-        self.retry_backoff_ms = ms;
+        self.policy.triage = on;
         self
     }
 
@@ -124,18 +113,12 @@ impl Campaign {
         let queue: Arc<Mutex<VecDeque<(usize, JobSpec)>>> =
             Arc::new(Mutex::new(self.jobs.iter().cloned().enumerate().collect()));
         let (tx, rx) = mpsc::channel::<(usize, JobRecord, u64, u64)>();
+        let (policy, workers) = (self.policy, self.policy.workers.max(1));
 
         std::thread::scope(|s| {
-            for _ in 0..self.workers.max(1) {
+            for _ in 0..workers {
                 let queue = Arc::clone(&queue);
                 let tx = tx.clone();
-                let policy = JobPolicy {
-                    minimize_failures: self.minimize_failures,
-                    triage: self.triage,
-                    wall_timeout_ms: self.job_wall_timeout_ms,
-                    retries: self.job_retries,
-                    backoff_ms: self.retry_backoff_ms,
-                };
                 s.spawn(move || loop {
                     let next = queue.lock().expect("queue lock").pop_front();
                     let Some((idx, spec)) = next else { break };
@@ -164,7 +147,7 @@ impl Campaign {
                 per_job_attempts.push(attempts);
             }
             CampaignReport {
-                workers: self.workers.max(1) as u64,
+                workers: workers as u64,
                 summary: CampaignSummary::tally(&jobs),
                 jobs,
                 fuzz: None,
@@ -206,7 +189,7 @@ fn base_record(index: usize, spec: &JobSpec) -> JobRecord {
 /// runaway thread is detached — its result, if any, is discarded) and
 /// retried after an exponentially growing backoff. Returns the record
 /// and the number of attempts made.
-fn execute_job_with_policy(index: usize, spec: &JobSpec, policy: JobPolicy) -> (JobRecord, u64) {
+fn execute_job_with_policy(index: usize, spec: &JobSpec, policy: Policy) -> (JobRecord, u64) {
     let Some(limit_ms) = policy.wall_timeout_ms else {
         return (execute_job(index, spec, policy), 1);
     };
@@ -251,7 +234,7 @@ fn execute_job_with_policy(index: usize, spec: &JobSpec, policy: JobPolicy) -> (
 /// panic boundary, then minimize and triage whatever failed. Sample
 /// jobs take the same path as reset-state jobs — they only boot from a
 /// checkpoint and carry a measured window.
-fn execute_job(index: usize, spec: &JobSpec, policy: JobPolicy) -> JobRecord {
+fn execute_job(index: usize, spec: &JobSpec, policy: Policy) -> JobRecord {
     let mut record = base_record(index, spec);
     let cfg = match spec.config() {
         Ok(cfg) => cfg,
@@ -261,7 +244,7 @@ fn execute_job(index: usize, spec: &JobSpec, policy: JobPolicy) -> JobRecord {
         }
     };
     let (mut result, checkpoint) = spec.run(cfg);
-    if let (true, Ok(stats)) = (policy.minimize_failures, &result) {
+    if let (true, Ok(stats)) = (policy.minimize, &result) {
         record.minimized = minimize_failure(spec, &stats.end);
     }
     if policy.triage {
@@ -448,21 +431,25 @@ mod tests {
     fn wall_clock_timeout_exhausts_retries() {
         // A long torture run cannot finish within 1 ms: every attempt
         // times out and the job is written off as WallTimeout. Attempt
-        // counts land in the timing section only.
+        // counts land in the timing section only. The abandoned attempts
+        // keep running to their cycle budget, so it stays small: far
+        // above 1 ms of simulation, well under a second.
         let slow = TortureConfig {
             body_len: 200,
             iterations: 50_000,
             ..Default::default()
         };
         let jobs = vec![JobSpec::new(WorkloadSource::torture(0, slow), "small-nh")
-            .with_max_cycles(200_000_000)];
-        let report = Campaign::new(jobs)
-            .with_workers(1)
-            .with_minimization(false)
-            .with_job_wall_timeout_ms(1)
-            .with_job_retries(1)
-            .with_retry_backoff_ms(1)
-            .run();
+            .with_max_cycles(2_000_000)];
+        let policy = Policy {
+            workers: 1,
+            minimize: false,
+            wall_timeout_ms: Some(1),
+            retries: 1,
+            backoff_ms: 1,
+            ..Policy::default()
+        };
+        let report = Campaign { jobs, policy }.run();
         assert_eq!(report.summary.timeout, 1, "{}", report.deterministic_json());
         match &report.jobs[0].verdict {
             Verdict::WallTimeout { limit_ms, attempts } => {
@@ -483,10 +470,12 @@ mod tests {
             JobSpec::new(WorkloadSource::torture(1, quick_torture()), "small-nh")
                 .with_max_cycles(4_000_000),
         ];
-        let report = Campaign::new(jobs)
-            .with_workers(1)
-            .with_job_wall_timeout_ms(120_000)
-            .run();
+        let policy = Policy {
+            workers: 1,
+            wall_timeout_ms: Some(120_000),
+            ..Policy::default()
+        };
+        let report = Campaign { jobs, policy }.run();
         assert_eq!(report.summary.halted, 1, "{}", report.deterministic_json());
         assert_eq!(report.wall_clock.attempts, vec![1]);
     }

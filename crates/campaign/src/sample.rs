@@ -14,15 +14,16 @@
 
 use crate::job::{JobSpec, WorkloadSource};
 use crate::report::{CampaignReport, SamplingPhase, SamplingSummary};
-use crate::runner::Campaign;
+use crate::runner::{Campaign, Policy};
 use checkpoint::{blob_hash, generate_checkpoints_with_ref, weighted_cpi_milli, Checkpoint};
 use serde::{Deserialize, Serialize};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// What to sample: the workload × configuration matrix plus the
-/// profiling and measurement knobs.
+/// What to sample: the workload × configuration matrix, the profiling
+/// and measurement knobs, the template of every sample job and the pool
+/// policy.
 #[derive(Debug, Clone)]
 pub struct SampleSpec {
     /// Kernel names to profile and sample (see `workloads::workload`).
@@ -31,7 +32,8 @@ pub struct SampleSpec {
     pub configs: Vec<String>,
     /// Profiling personality (the `--ref` flag; `nemu-trace` is the
     /// fast default — the conformance tier pins that every personality
-    /// yields the identical selection).
+    /// yields the identical selection). Sample jobs are verified against
+    /// DiffTest's default REF whatever this names.
     pub ref_model: String,
     /// Profiling interval length, instructions.
     pub interval_len: u64,
@@ -43,16 +45,14 @@ pub struct SampleSpec {
     pub warmup: u64,
     /// Measured-window instruction budget per sample job.
     pub window: u64,
-    /// Cycle budget per sample job.
-    pub max_cycles: u64,
-    /// LightSSS snapshot interval for sample jobs (None disables).
-    pub lightsss_interval: Option<u64>,
     /// Directory for the checkpoint cache (None disables caching).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Worker threads.
-    pub workers: usize,
-    /// Triage failed sample jobs into replay bundles.
-    pub triage: bool,
+    /// The template of every sample job: a job takes its checkpoint's
+    /// recipe and a preset, and carries the checkpoint itself.
+    pub job: JobSpec,
+    /// Workers, triage and wall-clock policy (a sample has nothing to
+    /// minimize).
+    pub policy: Policy,
 }
 
 impl SampleSpec {
@@ -69,11 +69,9 @@ impl SampleSpec {
             max_profile_insts: 50_000_000,
             warmup: 1_000,
             window: 5_000,
-            max_cycles: 40_000_000,
-            lightsss_interval: None,
             checkpoint_dir: None,
-            workers: 4,
-            triage: true,
+            job: JobSpec::default(),
+            policy: Policy::default(),
         }
     }
 
@@ -112,7 +110,7 @@ impl SampleSpec {
 
     /// Set the per-job cycle budget.
     pub fn with_max_cycles(mut self, max_cycles: u64) -> Self {
-        self.max_cycles = max_cycles;
+        self.job.max_cycles = max_cycles;
         self
     }
 
@@ -124,7 +122,7 @@ impl SampleSpec {
 
     /// Set the worker-thread count.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.policy.workers = workers.max(1);
         self
     }
 }
@@ -293,6 +291,31 @@ fn profile(spec: &SampleSpec, kernel: &str, buf: &mut Vec<u8>) -> Profiled {
     p
 }
 
+/// The job that measures checkpoint `c` of `kernel` on `config`: the
+/// template on the checkpoint's recipe, with the checkpoint attached —
+/// the farm already holds it, so its jobs must not re-profile to derive
+/// it.
+pub(crate) fn sample_job(
+    spec: &SampleSpec,
+    kernel: &str,
+    config: &str,
+    c: &Arc<Checkpoint>,
+) -> JobSpec {
+    JobSpec {
+        workload: WorkloadSource::Sample {
+            kernel: kernel.into(),
+            ref_model: spec.ref_model.clone(),
+            interval_len: spec.interval_len,
+            interval: c.interval as u64,
+            warmup: spec.warmup,
+            window: spec.window,
+        },
+        config: config.into(),
+        checkpoint: Some(Arc::clone(c)),
+        ..spec.job.clone()
+    }
+}
+
 /// Run the checkpoint farm: profile, fan out, aggregate.
 ///
 /// Job order (and therefore report order) is configuration-major, then
@@ -313,34 +336,16 @@ pub fn run_sampled(spec: &SampleSpec) -> CampaignReport {
     for config in &spec.configs {
         for p in &profiled {
             for c in &p.checkpoints {
-                let mut j = JobSpec::new(
-                    WorkloadSource::Sample {
-                        kernel: p.kernel.clone(),
-                        ref_model: spec.ref_model.clone(),
-                        interval_len: spec.interval_len,
-                        interval: c.interval as u64,
-                        warmup: spec.warmup,
-                        window: spec.window,
-                    },
-                    config.clone(),
-                )
-                .with_max_cycles(spec.max_cycles);
-                // The farm already holds the materialized checkpoint:
-                // its jobs must not re-profile to derive it.
-                j.checkpoint = Some(Arc::clone(c));
-                if let Some(i) = spec.lightsss_interval {
-                    j = j.with_lightsss(i);
-                }
-                jobs.push(j);
+                jobs.push(sample_job(spec, &p.kernel, config, c));
             }
         }
     }
 
-    let mut report = Campaign::new(jobs)
-        .with_workers(spec.workers)
-        .with_minimization(false)
-        .with_triage(spec.triage)
-        .run();
+    let mut report = Campaign {
+        jobs,
+        policy: spec.policy,
+    }
+    .run();
 
     // Aggregate in the same nested order the jobs were built in.
     let mut sampling = Vec::new();

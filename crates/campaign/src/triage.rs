@@ -615,6 +615,21 @@ mod tests {
             }
         });
         assert!(e.contains("unknown profiling personality `nosuch`"), "{e}");
+        // A sample job boots the default REF from its checkpoint, so a
+        // bundle naming another REF for one would replay under a false
+        // label.
+        let e = refused(&|b| {
+            b.source = WorkloadSource::Sample {
+                kernel: "sjeng".into(),
+                ref_model: "nemu-trace".into(),
+                interval_len: 5_000,
+                interval: 1,
+                warmup: 100,
+                window: 100,
+            };
+            b.ref_model = Some("arch".into());
+        });
+        assert!(e.contains("cannot be verified against `arch`"), "{e}");
         // A preset that exists but cannot run this job is diagnosed as
         // such, not as an unknown preset.
         let e = refused(&|b| {

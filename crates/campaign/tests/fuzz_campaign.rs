@@ -14,12 +14,13 @@ fn bug_opts(bug: InjectedBug) -> FuzzOpts {
     opts.rounds = 3; // convergence bound: the bug must fall within this
     opts.jobs_per_round = 4;
     opts.configs = vec!["small-nh".into()];
-    opts.workers = 2;
-    opts.max_cycles = 3_000_000;
-    opts.lightsss_interval = Some(2_000);
-    opts.injected_bug = Some(bug);
-    opts.minimize = false; // keep the wall clock small; minimizer has its own tier
-    opts.triage = true;
+    opts.job = opts
+        .job
+        .with_max_cycles(3_000_000)
+        .with_lightsss(2_000)
+        .with_injected_bug(bug);
+    opts.policy.workers = 2;
+    opts.policy.minimize = false; // keep the wall clock small; minimizer has its own tier
     opts
 }
 
@@ -94,9 +95,9 @@ fn every_personality_catches_injected_bug() {
     assert!(names.len() >= 5, "personality registry lost a tier: {names:?}");
     for name in names {
         let mut opts = bug_opts(InjectedBug::MulLowBit);
-        opts.triage = false; // reproduction depth is covered above; this
-                             // tier only pins detection per REF
-        opts.ref_model = Some(name.to_string());
+        opts.policy.triage = false; // reproduction depth is covered above;
+                                    // this tier only pins detection per REF
+        opts.job.ref_model = Some(name.to_string());
         let out = run_fuzz(&opts);
         assert!(
             out.report.summary.diverged > 0,

@@ -14,10 +14,12 @@
 #      coverage-guided campaigns, byte-identical bodies, coverage
 #      growing strictly round over round — the trace tier as the
 #      DiffTest REF: the 12-job matrix under `--ref nemu-trace`, twice,
-#      byte-identical — the flags a `campaign` mode does not honour:
-#      refused with exit 2, never dropped — and the report readers'
-#      limits: a 200-job report read back in seconds, nesting bombs and
-#      other schema versions refused in one line), then
+#      byte-identical — the mode-specific flags a `campaign` mode does
+#      not honour: refused with exit 2, never dropped, while a job flag
+#      such as `--telemetry` reaches `--sample`'s jobs — and the report
+#      readers' limits: a 200-job report read back in seconds, nesting
+#      bombs, other schema versions and a job whose `triage` is not a
+#      bundle refused in one line), then
 #      `xscore` again in an optimised build, where its model-based
 #      proptests (ROB ring, wakeup queues) and the skipper oracle run at
 #      full size (the debug build samples them), with the allocation

@@ -19,7 +19,9 @@
 //! 1 on any divergence/timeout/panic, 2 on usage errors — a flag the
 //! selected mode does not honour among them.
 
-use campaign::{run_fuzz, run_sampled, Campaign, FuzzOpts, JobSpec, SampleSpec, Verdict, WorkloadSource};
+use campaign::{
+    run_fuzz, run_sampled, Campaign, FuzzOpts, JobSpec, Policy, SampleSpec, Verdict, WorkloadSource,
+};
 use minjie::{AnyRef, ARCH_REF_NAME, DEFAULT_REF_NAME};
 use std::collections::BTreeMap;
 use workloads::TortureConfig;
@@ -43,6 +45,9 @@ const MODES: [(u8, &str, &str); 3] = [
 /// the modes that honour it. A flag given to a mode outside its set is
 /// refused, never dropped; a flag a mode implies counts as honoured
 /// (`--coverage` under `--fuzz`, whose jobs always collect coverage).
+/// Every flag that sets a job-template or pool-policy field is honoured
+/// by all modes (see [`Given::apply`]); only mode-specific flags are
+/// masked.
 #[rustfmt::skip]
 const FLAGS: &[(&str, &str, u8)] = &[
     ("--fuzz", "", FUZZ),
@@ -64,17 +69,17 @@ const FLAGS: &[(&str, &str, u8)] = &[
     ("--max-cycles", "N", ALL),
     ("--lightsss", "N", ALL),
     ("--ref", "NAME", ALL),
-    ("--inject-bug", "mul-low-bit|addw-no-sext", MATRIX | FUZZ),
-    ("--inject-l2-race", "", MATRIX | FUZZ),
-    ("--telemetry", "", MATRIX),
-    ("--lifecycle", "", MATRIX | FUZZ),
-    ("--coverage", "", MATRIX | FUZZ),
-    ("--no-minimize", "", MATRIX | FUZZ),
+    ("--inject-bug", "mul-low-bit|addw-no-sext", ALL),
+    ("--inject-l2-race", "", ALL),
+    ("--telemetry", "", ALL),
+    ("--lifecycle", "", ALL),
+    ("--coverage", "", ALL),
+    ("--no-minimize", "", ALL),
     ("--no-triage", "", ALL),
     ("--bundle-dir", "DIR", ALL),
-    ("--job-timeout-ms", "N", MATRIX),
-    ("--retries", "N", MATRIX),
-    ("--retry-backoff-ms", "N", MATRIX),
+    ("--job-timeout-ms", "N", ALL),
+    ("--retries", "N", ALL),
+    ("--retry-backoff-ms", "N", ALL),
     ("--out", "FILE", ALL),
 ];
 
@@ -202,6 +207,30 @@ impl Given {
         }
         mode
     }
+
+    /// Set the job-template and pool-policy fields the flags name over a
+    /// mode's defaults — the one place every mode's jobs and pool are
+    /// configured.
+    fn apply(&self, job: &mut JobSpec, policy: &mut Policy) {
+        job.max_cycles = self.num("--max-cycles").unwrap_or(job.max_cycles);
+        job.lightsss_interval = self.num("--lightsss");
+        job.injected_bug = self.text("--inject-bug").map(|bug| match bug.as_str() {
+            "mul-low-bit" => InjectedBug::MulLowBit,
+            "addw-no-sext" => InjectedBug::AddwNoSext,
+            _ => usage("unknown --inject-bug"),
+        });
+        job.inject_l2_race = self.has("--inject-l2-race");
+        job.telemetry = self.has("--telemetry");
+        job.lifecycle = self.has("--lifecycle");
+        job.coverage = self.has("--coverage");
+        job.ref_model = self.text("--ref");
+        policy.workers = self.num("--workers").unwrap_or(policy.workers);
+        policy.minimize = !self.has("--no-minimize");
+        policy.triage = !self.has("--no-triage");
+        policy.wall_timeout_ms = self.num("--job-timeout-ms");
+        policy.retries = self.num("--retries").unwrap_or(policy.retries);
+        policy.backoff_ms = self.num("--retry-backoff-ms").unwrap_or(policy.backoff_ms);
+    }
 }
 
 fn main() {
@@ -210,17 +239,7 @@ fn main() {
     let kernels = given.list("--workloads").unwrap_or_default();
     let configs = given.list("--configs").unwrap_or_else(|| vec!["small-nh".into()]);
     let seeds = given.text("--torture-seeds").map(|s| parse_seeds(&s)).unwrap_or_default();
-    let workers: usize = given.num("--workers").unwrap_or(4);
-    let max_cycles: Option<u64> = given.num("--max-cycles");
-    let lightsss: Option<u64> = given.num("--lightsss");
-    let inject = given.text("--inject-bug").map(|bug| match bug.as_str() {
-        "mul-low-bit" => InjectedBug::MulLowBit,
-        "addw-no-sext" => InjectedBug::AddwNoSext,
-        _ => usage("unknown --inject-bug"),
-    });
     let ref_model = given.text("--ref");
-    let minimize = !given.has("--no-minimize");
-    let triage = !given.has("--no-triage");
     for c in &configs {
         if XsConfig::preset(c).is_none() {
             usage(&format!("unknown config preset `{c}`"));
@@ -237,29 +256,18 @@ fn main() {
         }
     }
     let report = if mode == FUZZ {
-        let opts = FuzzOpts {
-            rounds: given.num("--rounds").unwrap_or(2),
-            jobs_per_round: given.num("--fuzz-jobs").unwrap_or(8),
-            fuzz_seed: given.num("--fuzz-seed").unwrap_or(0),
-            configs,
-            workers,
-            // Fuzz jobs are deliberately short: breadth over depth.
-            max_cycles: max_cycles.unwrap_or(6_000_000),
-            lightsss_interval: lightsss,
-            injected_bug: inject,
-            minimize,
-            triage,
-            lifecycle: given.has("--lifecycle"),
-            ref_model,
-            mp: given.has("--mp"),
-            inject_l2_race: given.has("--inject-l2-race"),
-        };
+        let mut opts = FuzzOpts::new(given.num("--fuzz-seed").unwrap_or(0));
+        opts.rounds = given.num("--rounds").unwrap_or(opts.rounds);
+        opts.jobs_per_round = given.num("--fuzz-jobs").unwrap_or(opts.jobs_per_round);
+        opts.configs = configs;
+        opts.mp = given.has("--mp");
+        given.apply(&mut opts.job, &mut opts.policy);
         if let Err(e) = opts.validate() {
             reject(&e);
         }
         eprintln!(
             "fuzz campaign: {} rounds x {} jobs on {} workers (seed {})",
-            opts.rounds, opts.jobs_per_round, opts.workers, opts.fuzz_seed
+            opts.rounds, opts.jobs_per_round, opts.policy.workers, opts.fuzz_seed
         );
         let outcome = run_fuzz(&opts);
         if let Some(f) = &outcome.report.fuzz {
@@ -292,8 +300,11 @@ fn main() {
                  not `{ARCH_REF_NAME}`"
             ));
         }
-        let mut s = SampleSpec::new(kernels, configs).with_workers(workers);
-        if let Some(r) = ref_model {
+        let mut s = SampleSpec::new(kernels, configs);
+        given.apply(&mut s.job, &mut s.policy);
+        // `--ref` names the profiling personality here: a checkpoint
+        // restores into DiffTest's default REF only.
+        if let Some(r) = s.job.ref_model.take() {
             s = s.with_ref(r);
         }
         if let Some(i) = given.num("--interval") {
@@ -308,20 +319,15 @@ fn main() {
         if let Some(w) = given.num("--window") {
             s = s.with_window(w);
         }
-        if let Some(c) = max_cycles {
-            s = s.with_max_cycles(c);
-        }
         if let Some(d) = &given.text("--checkpoint-dir") {
             s = s.with_checkpoint_dir(d);
         }
-        s.lightsss_interval = lightsss;
-        s.triage = triage;
         eprintln!(
             "sample campaign: {} workloads x {} configs on {} workers \
              (ref {}, interval {}, k<={}, warmup {}, window {})",
             s.workloads.len(),
             s.configs.len(),
-            s.workers,
+            s.policy.workers,
             s.ref_model,
             s.interval_len,
             s.max_checkpoints,
@@ -333,64 +339,24 @@ fn main() {
         if kernels.is_empty() && seeds.is_empty() {
             usage("nothing to run: give --workloads and/or --torture-seeds (or --fuzz)");
         }
-        let torture_cfg = TortureConfig::default();
+        let (mut template, mut policy) = (JobSpec::default(), Policy::default());
+        given.apply(&mut template, &mut policy);
+        let torture = |&seed: &u64| WorkloadSource::torture(seed, TortureConfig::default());
         let mut jobs = Vec::new();
         for config in &configs {
-            for k in &kernels {
-                jobs.push((WorkloadSource::kernel(k.clone()), config.clone()));
-            }
-            for &seed in &seeds {
-                jobs.push((WorkloadSource::torture(seed, torture_cfg), config.clone()));
+            let kernels = kernels.iter().map(WorkloadSource::kernel);
+            for workload in kernels.chain(seeds.iter().map(torture)) {
+                let mut job = template.clone();
+                (job.workload, job.config) = (workload, config.clone());
+                jobs.push(job);
             }
         }
-        let jobs: Vec<JobSpec> = jobs
-            .into_iter()
-            .map(|(source, config)| {
-                let mut spec = JobSpec::new(source, config)
-                    .with_max_cycles(max_cycles.unwrap_or(40_000_000));
-                if let Some(interval) = lightsss {
-                    spec = spec.with_lightsss(interval);
-                }
-                if let Some(bug) = inject {
-                    spec = spec.with_injected_bug(bug);
-                }
-                if given.has("--inject-l2-race") {
-                    spec = spec.with_l2_race();
-                }
-                if given.has("--telemetry") {
-                    spec = spec.with_telemetry();
-                }
-                if given.has("--lifecycle") {
-                    spec = spec.with_lifecycle();
-                }
-                if given.has("--coverage") {
-                    spec = spec.with_coverage();
-                }
-                if let Some(r) = &ref_model {
-                    spec = spec.with_ref(r.clone());
-                }
-                spec
-            })
-            .collect();
-
         if let Some(e) = jobs.iter().find_map(|j| j.config().err()) {
             reject(&e);
         }
-        eprintln!("campaign: {} jobs on {} workers", jobs.len(), workers);
-        let mut c = Campaign::new(jobs)
-            .with_workers(workers)
-            .with_minimization(minimize)
-            .with_triage(triage);
-        if let Some(ms) = given.num("--job-timeout-ms") {
-            c = c.with_job_wall_timeout_ms(ms);
-        }
-        if let Some(n) = given.num("--retries") {
-            c = c.with_job_retries(n);
-        }
-        if let Some(ms) = given.num("--retry-backoff-ms") {
-            c = c.with_retry_backoff_ms(ms);
-        }
-        c.run()
+        let workers = policy.workers;
+        eprintln!("campaign: {} jobs on {workers} workers", jobs.len());
+        Campaign { jobs, policy }.run()
     };
 
     if let Some(dir) = &given.text("--bundle-dir") {

@@ -13,12 +13,13 @@
 //! deterministic-replay guarantee the LightSSS → DiffTest debug loop
 //! rests on. Exit status: 0 when the failure reproduces (or `--show` /
 //! `--report` rendering succeeds), 1 when it does not, 2 on usage
-//! errors, on a report of another schema version, and on a bundle that
+//! errors, on a report of another schema version or whose jobs do not
+//! parse (a malformed bundle among them), and on a bundle that
 //! cannot be set up at all (another schema version, a configuration the
 //! model refuses, an unknown kernel or personality) — one `error:` line,
 //! nothing simulated.
 
-use campaign::{verify_bundle, TriageBundle};
+use campaign::{verify_bundle, JobRecord, TriageBundle};
 use serde::Deserialize;
 
 fn usage(err: &str) -> ! {
@@ -84,28 +85,17 @@ fn main() {
         }
         (None, Some(path)) => {
             let v = campaign::report::load(&path).unwrap_or_else(|e| usage(&e));
-            let Some(jobs) = v.get("jobs").and_then(|j| j.as_array()) else {
-                usage("report has no jobs array");
-            };
-            let mut rendered = 0u64;
-            for j in jobs {
-                let idx = j.get("index").and_then(|i| i.as_u64()).unwrap_or(0);
-                if job.is_some_and(|want| want != idx) {
-                    continue;
-                }
-                let Some(t) = j.get("triage") else { continue };
-                if t.is_null() {
-                    continue;
-                }
-                match TriageBundle::deserialize(t) {
-                    Ok(bundle) => {
-                        print!("{}", bundle.render());
-                        rendered += 1;
-                    }
-                    Err(e) => eprintln!("job {idx}: malformed bundle: {e:?}"),
-                }
+            let jobs = Vec::<JobRecord>::deserialize(&v["jobs"])
+                .unwrap_or_else(|e| usage(&format!("parse jobs in {path}: {e}")));
+            let bundles: Vec<&TriageBundle> = jobs
+                .iter()
+                .filter(|j| job.is_none_or(|want| want == j.index))
+                .filter_map(|j| j.triage.as_ref())
+                .collect();
+            for bundle in &bundles {
+                print!("{}", bundle.render());
             }
-            if rendered == 0 {
+            if bundles.is_empty() {
                 eprintln!(
                     "no triage bundles{} in {path}",
                     job.map(|n| format!(" for job {n}")).unwrap_or_default()

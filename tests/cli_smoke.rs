@@ -11,10 +11,11 @@
 //! (`--sample` farms on one `--checkpoint-dir`: cold, warm, and over a
 //! torn blob), the fuzz determinism smoke (two same-seed `--fuzz` runs,
 //! coverage growing round over round), the trace tier as the DiffTest
-//! REF (`--ref nemu-trace`, twice, byte-identical), the flags a mode
-//! does not honour (exit 2, never dropped) and the report readers' own
-//! limits (a 200-job report read back in seconds; nesting bombs and
-//! other schema versions refused in one line). Every `ci.sh` block that
+//! REF (`--ref nemu-trace`, twice, byte-identical), the mode-specific
+//! flags a mode does not honour (exit 2, never dropped) beside a job flag
+//! reaching `--sample`'s jobs, and the report readers' own limits (a
+//! 200-job report read back in seconds; nesting bombs, other schema
+//! versions and a malformed bundle refused in one line). Every `ci.sh` block that
 //! could move is here; the two that stay read their reports with
 //! python's `json` on purpose.
 
@@ -604,9 +605,9 @@ fn a_flag_the_mode_does_not_honour_is_refused_not_dropped() {
     // One dropped flag per mode: a usage error that names it, before
     // anything is simulated.
     let cases: [(&[&str], &str); 4] = [
-        (&["--sample", "--workloads", "sjeng", "--inject-bug", "mul-low-bit"], "--inject-bug"),
-        (&["--sample", "--workloads", "sjeng", "--telemetry"], "--telemetry"),
-        (&["--fuzz", "--rounds", "1", "--fuzz-jobs", "2", "--retries", "3"], "--retries"),
+        (&["--sample", "--workloads", "sjeng", "--rounds", "1"], "--rounds"),
+        (&["--torture-seeds", "0..1", "--interval", "5000"], "--interval"),
+        (&["--fuzz", "--rounds", "1", "--fuzz-jobs", "2", "--torture-seeds", "0..1"], "--torture-seeds"),
         (&["--torture-seeds", "0..1", "--mp"], "--mp"),
     ];
     for (args, flag) in cases {
@@ -631,6 +632,22 @@ fn a_flag_the_mode_does_not_honour_is_refused_not_dropped() {
         let run = campaign(&[line, &["--out", out.to_str().unwrap()][..]].concat());
         assert_eq!(run.status.code(), Some(0), "{line:?}: {}", stderr(&run));
         assert_eq!(report_body(&out)["jobs"].as_array().map(Vec::len), Some(jobs), "{line:?}");
+    }
+
+    // A job flag reaches every mode's jobs: `--telemetry`, once refused
+    // under `--sample`, fills every sample job's occupancy histograms.
+    #[rustfmt::skip]
+    let run = campaign(&["--sample", "--workloads", "sjeng", "--max-checkpoints", "2", "--telemetry",
+                         "--out", out.to_str().unwrap()]);
+    assert_eq!(run.status.code(), Some(0), "{}", stderr(&run));
+    let body = report_body(&out);
+    let jobs = body["jobs"].as_array().expect("jobs array");
+    assert!(!jobs.is_empty());
+    for j in jobs {
+        for c in j["perf"]["cores"].as_array().expect("cores array") {
+            let samples = count(&c["perf"]["rob_occupancy"]["samples"]);
+            assert!(samples > 0, "job {}", j["index"]);
+        }
     }
 }
 
@@ -696,5 +713,15 @@ fn a_200_job_report_reads_back_in_seconds_and_hostile_ones_are_refused() {
     std::fs::write(&stale, serde_json::to_string_pretty(&old).unwrap()).unwrap();
     for reader in &readers()[..3] {
         assert_refused(*reader, &stale, "report schema 5, this build reads 6");
+    }
+
+    // So is a report whose job 0 carries a `triage` that is not a bundle
+    // (`replay --report` used to skip it and look for another).
+    let text = std::fs::read_to_string(&report).unwrap();
+    let text = text.replacen("\"triage\": null", "\"triage\": \"not a bundle\"", 1);
+    let broken = scratch.path("not-a-bundle.json");
+    std::fs::write(&broken, text).unwrap();
+    for reader in &readers()[..3] {
+        assert_refused(*reader, &broken, "parse jobs in");
     }
 }

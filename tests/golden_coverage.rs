@@ -9,7 +9,7 @@
 //! don't loosen the pin. Floors sit ~15% under the measured values so
 //! benign model tuning doesn't trip them.
 
-use campaign::{run_fuzz, CoverageSet, FuzzOpts};
+use campaign::{run_fuzz, CoverageSet, FuzzOpts, Policy};
 use minjie::DiffRule;
 use std::collections::BTreeSet;
 
@@ -18,11 +18,19 @@ fn pinned_round() -> campaign::FuzzOutcome {
     opts.rounds = 1;
     opts.jobs_per_round = 12;
     opts.configs = vec!["small-nh".into()];
-    opts.workers = 4;
-    opts.max_cycles = 6_000_000;
-    opts.minimize = false;
-    opts.triage = false;
+    opts.job.max_cycles = 6_000_000;
+    opts.policy = quiet_pool();
     run_fuzz(&opts)
+}
+
+/// Four workers, neither minimization nor triage.
+fn quiet_pool() -> Policy {
+    Policy {
+        workers: 4,
+        minimize: false,
+        triage: false,
+        ..Policy::default()
+    }
 }
 
 #[test]
@@ -102,11 +110,8 @@ fn every_personality_serves_as_fuzz_ref() {
         opts.rounds = 1;
         opts.jobs_per_round = 4;
         opts.configs = vec!["small-nh".into()];
-        opts.workers = 4;
-        opts.max_cycles = 4_000_000;
-        opts.minimize = false;
-        opts.triage = false;
-        opts.ref_model = Some(r.to_string());
+        opts.job = opts.job.with_max_cycles(4_000_000).with_ref(r);
+        opts.policy = quiet_pool();
         let out = run_fuzz(&opts);
         assert_eq!(
             out.report.summary.halted, out.report.summary.total,
