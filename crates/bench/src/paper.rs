@@ -722,12 +722,7 @@ impl PaperBody {
 /// [`SCHEMA_VERSION`], is not exactly what its parsed body serializes
 /// to, holds a derived figure its counts do not give, or fails a gate.
 pub fn load(text: &str) -> Result<PaperBody, String> {
-    let value = serde_json::parse(text).map_err(|e| format!("parse: {e}"))?;
-    let found = value.get_or_null("schema_version");
-    if *found != SCHEMA_VERSION {
-        return Err(format!("bench schema {found}, this build reads {SCHEMA_VERSION}"));
-    }
-    let body = PaperBody::deserialize(&value).map_err(|e| format!("not a bench body: {e}"))?;
+    let body: PaperBody = minjie::files::load(text, "bench", SCHEMA_VERSION)?;
     if let Some((line, found, _)) = first_difference(text, &body.to_json()) {
         return Err(format!(
             "line {line}: {found} is not what this body serializes to (an unknown key, or a hand edit)"

@@ -1,6 +1,6 @@
 //! Campaign-side coverage accounting: the accumulated feature set a
-//! fuzz scheduler steers by, the per-round fuzz summary embedded in the
-//! deterministic report body, and greedy corpus minimization.
+//! fuzz scheduler steers by and the per-round fuzz summary embedded in
+//! the deterministic report body.
 //!
 //! A *feature* is a `(key, bucket)` pair produced by
 //! [`CoverageMap::features`] — e.g. `("op:Mulw", 3)` or
@@ -28,15 +28,6 @@ impl CoverageSet {
     /// True when nothing has been absorbed yet.
     pub fn is_empty(&self) -> bool {
         self.features.is_empty()
-    }
-
-    /// How many of `feats` are novel (new key, or strictly higher
-    /// bucket), without mutating the set.
-    pub fn novelty(&self, feats: &[(String, u8)]) -> u64 {
-        feats
-            .iter()
-            .filter(|(k, b)| self.features.get(k).is_none_or(|&seen| *b > seen))
-            .count() as u64
     }
 
     /// Absorb `feats`, returning how many were novel.
@@ -98,32 +89,6 @@ pub struct FuzzSummary {
     pub total_features: u64,
 }
 
-/// Greedy set-cover corpus minimization: returns the (sorted) indices
-/// of a subset of `features` whose union — key → max bucket — equals
-/// the union of all entries. A recipe that uniquely holds any feature
-/// (or uniquely holds its highest bucket) is therefore never dropped.
-pub fn minimize_corpus(features: &[Vec<(String, u8)>]) -> Vec<usize> {
-    let mut kept: Vec<usize> = Vec::new();
-    let mut covered = CoverageSet::default();
-    loop {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, feats) in features.iter().enumerate() {
-            if kept.contains(&i) {
-                continue;
-            }
-            let gain = covered.novelty(feats);
-            if gain > 0 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((i, gain));
-            }
-        }
-        let Some((i, _)) = best else { break };
-        covered.absorb_features(&features[i]);
-        kept.push(i);
-    }
-    kept.sort_unstable();
-    kept
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,44 +107,5 @@ mod tests {
         assert_eq!(set.absorb_features(&feats(&[("op:Add", 5), ("op:Mul", 1)])), 1);
         assert_eq!(set.absorb_features(&feats(&[("op:Add", 3)])), 0);
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn novelty_is_a_dry_run_of_absorb() {
-        let mut set = CoverageSet::default();
-        set.absorb_features(&feats(&[("a", 2)]));
-        let probe = feats(&[("a", 3), ("b", 1)]);
-        assert_eq!(set.novelty(&probe), 2);
-        assert_eq!(set.len(), 1, "novelty must not mutate");
-        assert_eq!(set.absorb_features(&probe), 2);
-    }
-
-    #[test]
-    fn minimization_preserves_the_coverage_union() {
-        let corpus = vec![
-            feats(&[("a", 1), ("b", 1)]),
-            feats(&[("a", 1)]), // subset of 0 — droppable
-            feats(&[("c", 4)]), // unique key — must survive
-            feats(&[("b", 7)]), // unique highest bucket of b — must survive
-        ];
-        let kept = minimize_corpus(&corpus);
-        assert!(kept.contains(&2), "unique key dropped: {kept:?}");
-        assert!(kept.contains(&3), "unique max bucket dropped: {kept:?}");
-        assert!(!kept.contains(&1), "redundant recipe kept: {kept:?}");
-        let mut full = CoverageSet::default();
-        let mut min = CoverageSet::default();
-        for f in &corpus {
-            full.absorb_features(f);
-        }
-        for &i in &kept {
-            min.absorb_features(&corpus[i]);
-        }
-        assert_eq!(full, min);
-    }
-
-    #[test]
-    fn minimizing_an_empty_corpus_is_empty() {
-        assert!(minimize_corpus(&[]).is_empty());
-        assert!(minimize_corpus(&[Vec::new()]).is_empty());
     }
 }

@@ -19,13 +19,12 @@
 //!
 //! [`TriageBundle`]: crate::TriageBundle
 
-use crate::coverage::{minimize_corpus, CoverageSet, FuzzRound, FuzzSummary};
+use crate::coverage::{CoverageSet, FuzzRound, FuzzSummary};
 use crate::job::{JobSpec, WorkloadSource};
 use crate::report::{CampaignReport, CampaignSummary, WallClock};
 use crate::runner::{Campaign, Policy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use workloads::litmus::{LitmusConfig, LitmusProgram, LitmusShape};
 use workloads::{TortureConfig, TortureProgram};
 
@@ -33,8 +32,8 @@ use workloads::{TortureConfig, TortureProgram};
 /// recipe sharing a slot seed still draw independent knob streams.
 const LITMUS_SALT: u64 = 0x11a7_b05e_ed0c_ab1e;
 
-/// One corpus entry: a complete, serializable workload reproducer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One corpus entry: a complete workload reproducer.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recipe {
     /// The generated program: a torture source, or — two harts, the job
     /// runs dual-core — a litmus source.
@@ -91,9 +90,6 @@ pub struct FuzzOutcome {
     /// The campaign report (all rounds' jobs in order, `fuzz` section
     /// populated).
     pub report: CampaignReport,
-    /// The minimized corpus: recipes that still jointly hold every
-    /// covered feature (greedy set cover).
-    pub corpus: Vec<Recipe>,
     /// The accumulated coverage.
     pub coverage: CoverageSet,
 }
@@ -335,7 +331,7 @@ pub(crate) fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
 /// Plan one round's recipes: round 0 (or an empty corpus) is pure
 /// exploration; later rounds spend ~3/4 of their slots mutating the
 /// highest-novelty corpus entries and the rest on fresh exploration.
-fn plan_round(opts: &FuzzOpts, round: u64, corpus: &[(Recipe, Vec<(String, u8)>, u64)]) -> Vec<Recipe> {
+fn plan_round(opts: &FuzzOpts, round: u64, corpus: &[(Recipe, u64)]) -> Vec<Recipe> {
     let slots = opts.jobs_per_round.max(1);
     let config_for = |slot: usize| opts.configs[slot % opts.configs.len()].as_str();
     // With `--mp` on, every other fresh slot explores a litmus recipe;
@@ -359,7 +355,7 @@ fn plan_round(opts: &FuzzOpts, round: u64, corpus: &[(Recipe, Vec<(String, u8)>,
     // Priority: novelty at admission (desc), then admission order —
     // the scheduler of the tentpole, and fully deterministic.
     let mut order: Vec<usize> = (0..corpus.len()).collect();
-    order.sort_by(|&a, &b| corpus[b].2.cmp(&corpus[a].2).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| corpus[b].1.cmp(&corpus[a].1).then(a.cmp(&b)));
     let exploit = slots - slots / 4;
     for slot in 0..slots {
         let mseed = mix(opts.fuzz_seed, round, slot as u64);
@@ -384,7 +380,7 @@ pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
         panic!("{e}");
     }
     let mut coverage = CoverageSet::default();
-    let mut corpus: Vec<(Recipe, Vec<(String, u8)>, u64)> = Vec::new();
+    let mut corpus: Vec<(Recipe, u64)> = Vec::new();
     let mut all_jobs = Vec::new();
     let mut rounds = Vec::new();
     let mut wall = WallClock::default();
@@ -399,15 +395,10 @@ pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
         let jobs_this_round = report.jobs.len() as u64;
         let mut new_features = 0;
         for (recipe, mut job) in recipes.into_iter().zip(report.jobs) {
-            let feats = job
-                .coverage
-                .as_ref()
-                .map(|c| c.features())
-                .unwrap_or_default();
-            let novelty = coverage.absorb_features(&feats);
+            let novelty = job.coverage.as_ref().map_or(0, |c| coverage.absorb(c));
             new_features += novelty;
             if novelty > 0 {
-                corpus.push((recipe, feats, novelty));
+                corpus.push((recipe, novelty));
             }
             let index = all_jobs.len() as u64;
             job.index = index;
@@ -427,11 +418,6 @@ pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
             corpus_size: corpus.len() as u64,
         });
     }
-    // Shrink the corpus to a set-cover of the accumulated coverage:
-    // recipes made redundant by later discoveries are dropped, recipes
-    // uniquely holding a feature never are.
-    let kept = minimize_corpus(&corpus.iter().map(|(_, f, _)| f.clone()).collect::<Vec<_>>());
-    let corpus: Vec<Recipe> = kept.into_iter().map(|i| corpus[i].0.clone()).collect();
     let report = CampaignReport {
         workers: opts.policy.workers.max(1) as u64,
         summary: CampaignSummary::tally(&all_jobs),
@@ -444,11 +430,7 @@ pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
         sampling: Vec::new(),
         wall_clock: wall,
     };
-    FuzzOutcome {
-        report,
-        corpus,
-        coverage,
-    }
+    FuzzOutcome { report, coverage }
 }
 
 #[cfg(test)]
@@ -547,7 +529,6 @@ mod tests {
             "coverage must grow round-over-round: {fuzz:?}"
         );
         assert_eq!(fuzz.total_features, a.coverage.len() as u64);
-        assert!(!a.corpus.is_empty());
         // Job records were re-indexed globally.
         for (i, j) in a.report.jobs.iter().enumerate() {
             assert_eq!(j.index, i as u64);

@@ -82,7 +82,7 @@ pub mod runner;
 pub mod sample;
 pub mod triage;
 
-pub use coverage::{minimize_corpus, CoverageSet, FuzzRound, FuzzSummary};
+pub use coverage::{CoverageSet, FuzzRound, FuzzSummary};
 pub use fuzz::{
     fresh_litmus_recipe, fresh_recipe, mutate_recipe, run_fuzz, FuzzOpts, FuzzOutcome, Recipe,
 };
@@ -95,7 +95,8 @@ pub use report::{
 pub use runner::{Campaign, Policy};
 pub use sample::{run_sampled, SampleSpec};
 pub use triage::{
-    bundle_spec, triage, verify_bundle, BundleVerification, TriageBundle, BUNDLE_SCHEMA_VERSION,
+    bundle_spec, load_bundle, triage, verify_bundle, BundleVerification, TriageBundle,
+    BUNDLE_SCHEMA_VERSION,
 };
 
 #[cfg(test)]

@@ -6,13 +6,13 @@
 //! (wall-clock measurements, which legitimately vary run to run).
 //! [`CampaignReport::deterministic_json`] renders only the body;
 //! [`CampaignReport::full_json`] appends the timing section under the
-//! `"timing"` key.
+//! `"timing"` key, and [`load`] reads that text back into the same
+//! typed report.
 
 use crate::coverage::FuzzSummary;
 use crate::triage::TriageBundle;
 use minjie::{CoverageMap, DiffError, PerfSnapshot};
-use serde::{Deserialize, Serialize, Sink};
-use serde_json::Value;
+use serde::{Deserialize, Serialize, Sink, Value};
 use workloads::litmus::LitmusConfig;
 use workloads::TortureConfig;
 
@@ -378,24 +378,43 @@ impl CampaignReport {
         let full = Written { report: self, timing: true };
         serde_json::to_string_pretty(&full).expect("report serializes")
     }
+
+    /// Read the text [`full_json`](Self::full_json) wrote.
+    ///
+    /// # Errors
+    ///
+    /// One line saying why the text cannot be used: not JSON, a report of
+    /// a schema other than [`SCHEMA_VERSION`] or of none, or not a report.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        minjie::files::load(text, "report", SCHEMA_VERSION)
+    }
 }
 
-/// Read the report (or bare `PerfSnapshot` artifact, which carries no
-/// `schema_version`) at `path` for one of the reading tools.
+/// A report as it is read: `Written`'s keys, `sampling` absent when
+/// empty and the wall clock under `timing` (`schema_version` is
+/// [`minjie::files::load`]'s to check).
+impl Deserialize for CampaignReport {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let field = |key| v.get_or_null(key);
+        Ok(CampaignReport {
+            workers: Deserialize::deserialize(field("workers"))?,
+            summary: Deserialize::deserialize(field("summary"))?,
+            jobs: Deserialize::deserialize(field("jobs"))?,
+            fuzz: Deserialize::deserialize(field("fuzz"))?,
+            sampling: Option::deserialize(field("sampling"))?.unwrap_or_default(),
+            wall_clock: Deserialize::deserialize(field("timing"))?,
+        })
+    }
+}
+
+/// Read the report at `path` for one of the reading tools.
 ///
 /// # Errors
 ///
-/// One line saying why the file cannot be used: unreadable, not JSON, or
-/// a report of a schema other than [`SCHEMA_VERSION`].
-pub fn load(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let value = serde_json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    match value.get("schema_version") {
-        Some(found) if *found != SCHEMA_VERSION => Err(format!(
-            "{path}: report schema {found}, this build reads {SCHEMA_VERSION}"
-        )),
-        _ => Ok(value),
-    }
+/// One line saying why the file cannot be used: unreadable, or
+/// [`CampaignReport::from_json`]'s diagnosis.
+pub fn load(path: &str) -> Result<CampaignReport, String> {
+    minjie::files::read(path, CampaignReport::from_json)
 }
 
 #[cfg(test)]
@@ -459,9 +478,10 @@ mod tests {
             sampling: Vec::new(),
             wall_clock: WallClock::default(),
         };
-        let v: Value = serde_json::from_str(&r.full_json()).expect("valid JSON");
-        assert_eq!(v["schema_version"], SCHEMA_VERSION);
-        assert_eq!(v["jobs"][0]["workload"], "kernel:mcf");
+        let text = r.full_json();
+        let back = CampaignReport::from_json(&text).expect("a report reads back");
+        assert_eq!(back.jobs[0].workload, "kernel:mcf");
+        assert_eq!(back.full_json(), text);
     }
 
     #[test]

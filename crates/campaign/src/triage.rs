@@ -295,6 +295,16 @@ pub fn triage(
     Some(b)
 }
 
+/// Read the bundle at `path` for one of the reading tools.
+///
+/// # Errors
+///
+/// One line saying why the file cannot be used: unreadable, or
+/// [`TriageBundle::from_json`]'s diagnosis.
+pub fn load_bundle(path: &str) -> Result<TriageBundle, String> {
+    minjie::files::read(path, TriageBundle::from_json)
+}
+
 /// Rebuild the [`JobSpec`] a bundle describes.
 pub fn bundle_spec(b: &TriageBundle) -> JobSpec {
     JobSpec {
@@ -410,6 +420,17 @@ pub fn verify_bundle(b: &TriageBundle) -> Result<BundleVerification, String> {
 }
 
 impl TriageBundle {
+    /// Read the text `campaign --bundle-dir` wrote.
+    ///
+    /// # Errors
+    ///
+    /// One line saying why the text cannot be used: not JSON, a bundle of
+    /// a schema other than [`BUNDLE_SCHEMA_VERSION`] or of none, or not a
+    /// bundle.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        minjie::files::load(text, "bundle", BUNDLE_SCHEMA_VERSION)
+    }
+
     /// Render the bundle as a human-readable triage card.
     pub fn render(&self) -> String {
         let mut s = String::new();

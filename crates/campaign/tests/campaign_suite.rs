@@ -1,9 +1,25 @@
 //! Campaign-runner integration: the injected-bug acceptance pipeline
 //! (catch → minimize → report) and report determinism.
 
-use campaign::{error_class, Campaign, JobSpec, Verdict, WorkloadSource};
+use campaign::{error_class, Campaign, CampaignReport, JobSpec, TriageBundle, Verdict, WorkloadSource};
 use workloads::{TortureConfig, TortureProgram};
 use xscore::InjectedBug;
+
+/// `report` as `campaign --out` writes it and the readers load it: the
+/// text and every bundle in it must read back and print back byte for
+/// byte, so a field dropped on read fails here.
+fn read_back(report: &CampaignReport) -> CampaignReport {
+    let text = report.full_json();
+    let read = CampaignReport::from_json(&text).unwrap_or_else(|e| panic!("{e}"));
+    assert!(read.full_json() == text, "the report does not read back byte for byte");
+    for bundle in read.jobs.iter().filter_map(|j| j.triage.as_ref()) {
+        // As `campaign --bundle-dir` writes it.
+        let text = serde_json::to_string_pretty(bundle).unwrap();
+        let read = TriageBundle::from_json(&text).unwrap_or_else(|e| panic!("{e}"));
+        assert!(serde_json::to_string_pretty(&read).unwrap() == text, "a bundle does not read back");
+    }
+    read
+}
 
 fn bug_campaign(seeds: std::ops::Range<u64>) -> Campaign {
     let cfg = TortureConfig::default();
@@ -20,7 +36,7 @@ fn bug_campaign(seeds: std::ops::Range<u64>) -> Campaign {
 
 #[test]
 fn injected_bug_is_caught_minimized_and_reported() {
-    let report = bug_campaign(0..6).run();
+    let report = read_back(&bug_campaign(0..6).run());
     assert_eq!(report.summary.total, 6);
     assert!(
         report.summary.diverged >= 2,
@@ -76,7 +92,7 @@ fn diverged_jobs_carry_a_bundle_that_replays_at_the_same_commit() {
     // must yield a replay bundle for every divergence, and re-executing
     // the bundle's recipe from reset must reproduce the identical
     // DiffError at the identical commit index.
-    let report = bug_campaign(0..3).run();
+    let report = read_back(&bug_campaign(0..3).run());
     let mut verified = 0;
     for j in &report.jobs {
         let Verdict::Diverged { error } = &j.verdict else {
@@ -112,7 +128,7 @@ fn clean_presets_never_diverge_on_the_same_seeds() {
                 .with_max_cycles(8_000_000)
         })
         .collect();
-    let report = Campaign::new(jobs).with_workers(4).run();
+    let report = read_back(&Campaign::new(jobs).with_workers(4).run());
     assert_eq!(report.summary.halted, 6, "{}", report.deterministic_json());
 }
 
@@ -141,19 +157,14 @@ fn identical_campaigns_produce_byte_identical_report_bodies() {
     for leak in ["total_ms", "per_job_ms", "\"timing\"", "wall_clock"] {
         assert!(!body.contains(leak), "timing leak: {leak}");
     }
-    // And the full reports are valid JSON with the timing section.
-    let full: serde_json::Value = serde_json::from_str(&a.full_json()).expect("valid JSON");
-    assert!(full["timing"]["total_ms"].as_u64().is_some());
-    assert!(full["timing"]["attempts"].as_array().is_some());
-    assert_eq!(
-        full["jobs"][0]["workload"],
-        "torture:seed=0"
-    );
+    // And the full reports read back, timing section included.
+    let full = read_back(&a);
+    assert_eq!(full.wall_clock.attempts.len(), 4);
+    assert_eq!(full.jobs[0].workload, "torture:seed=0");
 }
 
 #[test]
 fn the_full_report_is_the_body_plus_timing_with_every_section_present() {
-    use serde_json::Value;
     // Bundles from the injected bug, plus the two sections only fuzz and
     // sampling campaigns write.
     let mut report = bug_campaign(0..3).run();
@@ -187,21 +198,19 @@ fn the_full_report_is_the_body_plus_timing_with_every_section_present() {
         }],
     });
     let text = report.full_json();
-    let Value::Object(mut full) = serde_json::parse(&text).expect("valid JSON") else {
-        panic!("a report is an object");
-    };
-    let keys: Vec<&str> = full.keys().map(String::as_str).collect();
+    let keys: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("  \"")?.split_once('"').map(|(key, _)| key))
+        .collect();
     let all = ["fuzz", "jobs", "sampling", "schema_version", "summary", "timing", "workers"];
     assert_eq!(keys, all);
-    // Printing the parsed tree sorts every object's keys: the same bytes
-    // back means the report was written in that order throughout.
-    assert_eq!(serde_json::to_string_pretty(&full).unwrap(), text);
-    assert_eq!(
-        full.remove("timing"),
-        Some(serde_json::to_value(&report.wall_clock).unwrap())
-    );
-    let body = serde_json::parse(&report.deterministic_json()).expect("valid JSON");
-    assert_eq!(Value::Object(full), body);
+    // Every section reads back, so the full text prints back whole; the
+    // body is that text without the timing section.
+    let read = read_back(&report);
+    assert_eq!(read.fuzz, report.fuzz);
+    let timing = serde_json::to_string_pretty(&report.wall_clock).unwrap().replace('\n', "\n  ");
+    let body = report.deterministic_json();
+    assert_eq!(text.replacen(&format!(",\n  \"timing\": {timing}"), "", 1), body);
 }
 
 #[test]
@@ -237,13 +246,10 @@ fn bundle_lifecycle_rings_are_bounded_and_well_formed() {
             );
             assert!(r.stamps.fetched > 0, "job {}: unfetched ring record", j.index);
         }
-        // The ring survives a JSON round trip inside the bundle.
-        let json = serde_json::to_string(bundle).expect("bundle serializes");
-        let back: campaign::TriageBundle =
-            serde_json::from_str(&json).expect("bundle deserializes");
-        assert_eq!(back.lifecycle_ring.len(), bundle.lifecycle_ring.len());
     }
     assert!(bundles >= 1, "no bundle produced to inspect");
+    // The rings survive a JSON round trip inside their bundles.
+    read_back(&report);
 }
 
 #[test]
@@ -251,9 +257,7 @@ fn worker_count_does_not_change_the_report_body() {
     let serial = bug_campaign(0..3).with_workers(1).run();
     let parallel = bug_campaign(0..3).with_workers(4).run();
     // Bodies differ only in the recorded worker count; job records match.
-    let js = |r: &campaign::CampaignReport| {
-        serde_json::from_str::<serde_json::Value>(&r.deterministic_json()).unwrap()["jobs"].clone()
-    };
+    let js = |r: &CampaignReport| serde_json::to_string(&read_back(r).jobs).unwrap();
     assert_eq!(js(&serial), js(&parallel));
 }
 

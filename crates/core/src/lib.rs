@@ -12,7 +12,8 @@
 //!   manager and the eager SSS baseline (§III-C, Table I, Fig. 6),
 //! - [`archdb`] — the probe-schema event database (§III-B3),
 //! - [`cosim`] — the integrated workflow: DUT + REFs + DiffTest +
-//!   LightSSS + ArchDB, with on-demand debug-mode replay (§III-E, §IV-C).
+//!   LightSSS + ArchDB, with on-demand debug-mode replay (§III-E, §IV-C),
+//! - [`files`] — the schema gate every file read back passes through.
 //!
 //! The DUT is the `xscore` cycle-level XiangShan model; the REF is a
 //! `nemu` architectural hart per core — the same N-to-1 arrangement the
@@ -41,6 +42,7 @@ pub mod archdb;
 pub mod cosim;
 pub mod coverage;
 pub mod difftest;
+pub mod files;
 pub mod lightsss;
 pub mod rules;
 pub mod telemetry;

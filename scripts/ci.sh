@@ -17,9 +17,12 @@
 #      byte-identical — the mode-specific flags a `campaign` mode does
 #      not honour: refused with exit 2, never dropped, while a job flag
 #      such as `--telemetry` reaches `--sample`'s jobs — and the report
-#      readers' limits: a 200-job report read back in seconds, nesting
-#      bombs, other schema versions and a job whose `triage` is not a
-#      bundle refused in one line), then
+#      and bundle readers' limits: a 200-job report read back in seconds,
+#      nesting bombs, reports of another schema version or of none, a
+#      bundle of another schema under `pipeview --bundle` and `replay
+#      --bundle [--show]`, and a job whose `triage` is not a bundle
+#      refused in one line; every report and bundle the smokes write reads
+#      back through the typed loaders byte for byte), then
 #      `xscore` again in an optimised build, where its model-based
 #      proptests (ROB ring, wakeup queues) and the skipper oracle run at
 #      full size (the debug build samples them), with the allocation
@@ -37,11 +40,13 @@
 #      a 3-job run under `--ref arch` (the cache-free REF that is no
 #      longer the default) that must finish with zero divergences,
 #   4. a fuzz smoke — an injected-bug fuzz campaign must find, triage,
-#      and replay the divergence (steps 3 and 4 read their reports with
-#      python's `json` on purpose: see the comment at step 3), then the
-#      §IV-C example must reproduce its race and show the commits'
-#      writebacks: it is the only end-to-end exercise of LightSSS replay
-#      -> ArchDB -> timeline, and its regression went unseen for want of one,
+#      and replay the divergence, and `pipeview --bundle` must render the
+#      same bundle through the bundle gate (steps 3 and 4 read their
+#      reports with python's `json` on purpose: see the comment at step
+#      3), then the §IV-C example must reproduce its race and show the
+#      commits' writebacks: it is the only end-to-end exercise of
+#      LightSSS replay -> ArchDB -> timeline, and its regression went
+#      unseen for want of one,
 #   5. the tracked paper body — the one `paper` harness measures every
 #      reproduced figure that is a simulated count (Figs. 8, 12, 14, 15,
 #      the ablations, the Table I / Fig. 6 snapshot legs, the DRAV rule
@@ -150,6 +155,7 @@ EOF
 )"
 echo "fuzz bug bundle: $fuzz_bundle"
 timeout 300 target/release/replay --bundle "$fuzz_bundle"
+timeout 60 target/release/pipeview --bundle "$fuzz_bundle" >/dev/null
 
 echo "== tier-1: debug_session example (L2 race -> replay -> ArchDB timeline) =="
 session="$(timeout 120 cargo run -q --release --example debug_session)"

@@ -8,8 +8,7 @@
 //! torture seed with every config, in that order, so reports are
 //! deterministic for a given command line. `--fuzz` replaces the fixed
 //! matrix with a coverage-guided campaign: rounds of torture recipes
-//! scheduled by coverage novelty, with the surviving corpus written to
-//! `--corpus-dir` as one JSON recipe per file. `--sample` runs the
+//! scheduled by coverage novelty. `--sample` runs the
 //! checkpoint farm instead: each workload is profiled on the `--ref`
 //! personality, SimPoint clustering picks representative intervals
 //! (checkpoints cached under `--checkpoint-dir` by content hash), and
@@ -55,7 +54,6 @@ const FLAGS: &[(&str, &str, u8)] = &[
     ("--fuzz-jobs", "N", FUZZ),
     ("--fuzz-seed", "N", FUZZ),
     ("--mp", "", FUZZ),
-    ("--corpus-dir", "DIR", FUZZ),
     ("--sample", "", SAMPLE),
     ("--interval", "N", SAMPLE),
     ("--max-checkpoints", "K", SAMPLE),
@@ -277,17 +275,6 @@ fn main() {
                     r.round, r.jobs, r.new_features, r.cumulative_features, r.corpus_size
                 );
             }
-        }
-        if let Some(dir) = &given.text("--corpus-dir") {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| usage(&format!("create {dir}: {e}")));
-            for (i, recipe) in outcome.corpus.iter().enumerate() {
-                let path = format!("{dir}/recipe{i:04}.json");
-                let json = serde_json::to_string_pretty(recipe).expect("recipes serialize");
-                std::fs::write(&path, json)
-                    .unwrap_or_else(|e| usage(&format!("write {path}: {e}")));
-            }
-            eprintln!("corpus: {} recipes in {dir}", outcome.corpus.len());
         }
         outcome.report
     } else if mode == SAMPLE {

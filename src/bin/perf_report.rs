@@ -5,10 +5,9 @@
 //! perf_report REPORT.json [--job N] [--lifecycle]
 //! ```
 //!
-//! `REPORT.json` is either a campaign report (`campaign --out`), in
-//! which case every job's embedded [`PerfSnapshot`] is rendered (or just
-//! job `N` with `--job`), or a bare `PerfSnapshot` JSON artifact (as
-//! written by the CI perf-smoke step). `--lifecycle` additionally
+//! `REPORT.json` is a campaign report (`campaign --out`): every job's
+//! embedded [`PerfSnapshot`] is rendered (or just job `N` with `--job`).
+//! `--lifecycle` additionally
 //! renders each snapshot's lifecycle digest (per-stage gap histograms,
 //! squash causes, dominant-stall attribution) and cross-checks it
 //! against the CPI-stack layer. A report with a `sampling` section
@@ -17,13 +16,12 @@
 //! slot shares, footed by the weighted estimate. Exit status: 0 on
 //! success, 1 if any rendered snapshot violates the top-down CPI
 //! identity or the digest/CPI cross-check, 2 on usage or parse errors
-//! and on a report of another schema version.
+//! and on a report of another schema version or of none.
 //!
 //! [`PerfSnapshot`]: minjie::PerfSnapshot
 
 use campaign::{JobRecord, SamplingSummary};
 use minjie::PerfSnapshot;
-use serde::Deserialize;
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
@@ -121,59 +119,38 @@ fn main() {
         }
     }
     let path = path.unwrap_or_else(|| usage("missing report path"));
-    let value = campaign::report::load(&path).unwrap_or_else(|e| usage(&e));
+    let report = campaign::report::load(&path).unwrap_or_else(|e| usage(&e));
 
     let mut identity_ok = true;
-    if value.get("jobs").is_some() {
-        // A campaign report: render each job's embedded snapshot.
-        let jobs: Vec<JobRecord> = Deserialize::deserialize(&value["jobs"])
-            .unwrap_or_else(|e| usage(&format!("parse jobs in {path}: {e:?}")));
-        let mut rendered = 0u64;
-        for j in &jobs {
-            if only_job.is_some_and(|n| n != j.index) {
-                continue;
-            }
-            rendered += 1;
-            println!(
-                "=== job {} {} {} [{}] cycles={} ===",
-                j.index,
-                j.workload,
-                j.config,
-                j.verdict.label(),
-                j.cycles
-            );
-            print!("{}", j.perf.render());
-            if !j.perf.cpi_identity_holds() {
-                identity_ok = false;
-                println!("!! top-down CPI identity VIOLATED for job {}", j.index);
-            }
-            if lifecycle && !render_lifecycle(&j.perf) {
-                identity_ok = false;
-            }
-            println!();
+    let mut rendered = 0u64;
+    for j in &report.jobs {
+        if only_job.is_some_and(|n| n != j.index) {
+            continue;
         }
-        if rendered == 0 {
-            usage(&format!("no matching job in {path}"));
-        }
-        if let Some(sampling) = value.get("sampling") {
-            let summaries: Vec<SamplingSummary> = Deserialize::deserialize(sampling)
-                .unwrap_or_else(|e| usage(&format!("parse sampling in {path}: {e:?}")));
-            for sm in &summaries {
-                render_sampling(sm, &jobs);
-            }
-        }
-    } else {
-        // A bare PerfSnapshot artifact (CI perf-smoke output).
-        let snap: PerfSnapshot = Deserialize::deserialize(&value)
-            .unwrap_or_else(|e| usage(&format!("parse snapshot in {path}: {e:?}")));
-        print!("{}", snap.render());
-        if !snap.cpi_identity_holds() {
+        rendered += 1;
+        println!(
+            "=== job {} {} {} [{}] cycles={} ===",
+            j.index,
+            j.workload,
+            j.config,
+            j.verdict.label(),
+            j.cycles
+        );
+        print!("{}", j.perf.render());
+        if !j.perf.cpi_identity_holds() {
             identity_ok = false;
-            println!("!! top-down CPI identity VIOLATED");
+            println!("!! top-down CPI identity VIOLATED for job {}", j.index);
         }
-        if lifecycle && !render_lifecycle(&snap) {
+        if lifecycle && !render_lifecycle(&j.perf) {
             identity_ok = false;
         }
+        println!();
+    }
+    if rendered == 0 {
+        usage(&format!("no matching job in {path}"));
+    }
+    for sm in &report.sampling {
+        render_sampling(sm, &report.jobs);
     }
     if !identity_ok {
         std::process::exit(1);

@@ -20,13 +20,10 @@
 //!
 //! Exit status: 0 on success (including an empty-but-well-formed ring),
 //! 2 on a bad flag (with the synopsis) and on a file that cannot be
-//! rendered — unreadable, not the JSON asked for, another schema version,
-//! or holding a lifecycle record the core could not have written (one
-//! `error:` line).
+//! rendered — unreadable, not the JSON asked for, a report or bundle of
+//! another schema version or of none, or holding a lifecycle record the
+//! core could not have written (one `error:` line).
 
-use campaign::{JobRecord, TriageBundle};
-use serde::Deserialize;
-use serde_json::Value;
 use xscore::{render_gap_summary, render_o3pipeview, render_waterfall, Lifecycle, LifecycleDigest};
 
 fn usage(err: &str) -> ! {
@@ -39,21 +36,11 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
-/// A file that cannot be rendered: one line, as `campaign::report::load`
-/// words its own.
+/// A file that cannot be rendered: one line, as the report and bundle
+/// loaders word their own.
 fn fail(err: &str) -> ! {
     eprintln!("error: {err}");
     std::process::exit(2);
-}
-
-fn read_json(path: &str) -> Value {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
-    serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("parse {path}: {e}")))
-}
-
-/// `what` in `path`, typed.
-fn typed<T: Deserialize>(value: &Value, what: &str, path: &str) -> T {
-    T::deserialize(value).unwrap_or_else(|e| fail(&format!("parse {what} in {path}: {e}")))
 }
 
 /// Fold raw records into a digest so gap summaries work on any source.
@@ -120,7 +107,7 @@ fn main() {
     }
 
     if let Some(path) = &bundle {
-        let b: TriageBundle = typed(&read_json(path), "bundle", path);
+        let b = campaign::load_bundle(path).unwrap_or_else(|e| fail(&e));
         let ring = checked(&b.lifecycle_ring, path);
         println!(
             "bundle: job {} ({}) workload {} config {} at cycle {}",
@@ -128,8 +115,7 @@ fn main() {
         );
         render_records(ring, o3);
     } else if let Some(path) = &report {
-        let value = campaign::report::load(path).unwrap_or_else(|e| fail(&e));
-        let jobs: Vec<JobRecord> = typed(&value["jobs"], "jobs", path);
+        let jobs = campaign::report::load(path).unwrap_or_else(|e| fail(&e)).jobs;
         for b in jobs.iter().filter_map(|j| j.triage.as_ref()) {
             checked(&b.lifecycle_ring, path);
         }
@@ -160,7 +146,9 @@ fn main() {
             usage(&format!("no matching job in {path}"));
         }
     } else if let Some(path) = &trace {
-        let records: Vec<Lifecycle> = typed(&read_json(path), "lifecycle records", path);
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
+        let records: Vec<Lifecycle> =
+            serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("parse {path}: {e}")));
         render_records(checked(&records, path), o3);
     }
 }

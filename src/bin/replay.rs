@@ -13,14 +13,13 @@
 //! deterministic-replay guarantee the LightSSS → DiffTest debug loop
 //! rests on. Exit status: 0 when the failure reproduces (or `--show` /
 //! `--report` rendering succeeds), 1 when it does not, 2 on usage
-//! errors, on a report of another schema version or whose jobs do not
-//! parse (a malformed bundle among them), and on a bundle that
-//! cannot be set up at all (another schema version, a configuration the
+//! errors, on a report or bundle of another schema version or of none,
+//! or that does not parse (a malformed bundle in a report among them),
+//! and on a bundle that cannot be set up at all (a configuration the
 //! model refuses, an unknown kernel or personality) — one `error:` line,
-//! nothing simulated.
+//! nothing simulated or rendered.
 
-use campaign::{verify_bundle, JobRecord, TriageBundle};
-use serde::Deserialize;
+use campaign::{verify_bundle, TriageBundle};
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
@@ -29,10 +28,6 @@ fn usage(err: &str) -> ! {
          \x20      replay --report FILE [--job N]"
     );
     std::process::exit(2);
-}
-
-fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| usage(&format!("read {path}: {e}")))
 }
 
 fn main() {
@@ -59,8 +54,7 @@ fn main() {
 
     match (bundle_path, report_path) {
         (Some(path), None) => {
-            let bundle: TriageBundle = serde_json::from_str(&read(&path))
-                .unwrap_or_else(|e| usage(&format!("parse {path}: {e:?}")));
+            let bundle = campaign::load_bundle(&path).unwrap_or_else(|e| usage(&e));
             print!("{}", bundle.render());
             if show_only {
                 return;
@@ -84,9 +78,7 @@ fn main() {
             }
         }
         (None, Some(path)) => {
-            let v = campaign::report::load(&path).unwrap_or_else(|e| usage(&e));
-            let jobs = Vec::<JobRecord>::deserialize(&v["jobs"])
-                .unwrap_or_else(|e| usage(&format!("parse jobs in {path}: {e}")));
+            let jobs = campaign::report::load(&path).unwrap_or_else(|e| usage(&e)).jobs;
             let bundles: Vec<&TriageBundle> = jobs
                 .iter()
                 .filter(|j| job.is_none_or(|want| want == j.index))

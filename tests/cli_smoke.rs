@@ -13,13 +13,15 @@
 //! coverage growing round over round), the trace tier as the DiffTest
 //! REF (`--ref nemu-trace`, twice, byte-identical), the mode-specific
 //! flags a mode does not honour (exit 2, never dropped) beside a job flag
-//! reaching `--sample`'s jobs, and the report readers' own limits (a
-//! 200-job report read back in seconds; nesting bombs, other schema
-//! versions and a malformed bundle refused in one line). Every `ci.sh` block that
-//! could move is here; the two that stay read their reports with
-//! python's `json` on purpose.
+//! reaching `--sample`'s jobs, and the report and bundle readers' own
+//! limits (a 200-job report read back in seconds; nesting bombs, other
+//! schema versions, a missing one and a malformed bundle refused in one
+//! line). Every report and bundle a campaign here writes is read back
+//! through the readers' typed loaders and must print back byte for byte.
+//! Every `ci.sh` block that could move is here; the two that stay read
+//! their reports with python's `json` on purpose.
 
-use serde_json::Value;
+use campaign::{CampaignReport, JobRecord, TriageBundle, Verdict, WorkloadSource};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -63,24 +65,46 @@ fn replay(bundle: &Path) -> Output {
     )
 }
 
-fn read_json(path: &Path) -> Value {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path:?}: {e:?}"))
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"))
 }
 
-/// A campaign report without its `timing` section: the part that must
-/// repeat byte for byte.
-fn report_body(path: &Path) -> Value {
-    let Value::Object(mut report) = read_json(path) else {
-        panic!("a report is an object");
-    };
-    assert_eq!(report["schema_version"], campaign::SCHEMA_VERSION);
-    assert!(report.remove("timing").is_some());
-    Value::Object(report)
+/// The report at `path` as the readers load it. It must print back to
+/// the file byte for byte, so a field dropped on read fails here.
+fn load_report(path: &Path) -> CampaignReport {
+    let report = campaign::report::load(path.to_str().unwrap()).unwrap_or_else(|e| panic!("{e}"));
+    assert!(report.full_json() == read(path), "{path:?} does not read back byte for byte");
+    report
 }
 
-fn count(v: &Value) -> u64 {
-    v.as_u64().unwrap_or_else(|| panic!("not a counter: {v:?}"))
+/// The bundle at `path` as the readers load it, printing back likewise.
+fn load_bundle(path: &Path) -> TriageBundle {
+    let bundle = campaign::load_bundle(path.to_str().unwrap()).unwrap_or_else(|e| panic!("{e}"));
+    let text = serde_json::to_string_pretty(&bundle).unwrap();
+    assert!(text == read(path), "{path:?} does not read back byte for byte");
+    bundle
+}
+
+/// Check the bundles `campaign --bundle-dir` wrote into `dir` for
+/// `report`: one file per triaged job, nothing else, each the bundle
+/// embedded in its job.
+fn check_bundle_dir(report: &CampaignReport, dir: &Path) {
+    let mut files = 0;
+    for j in &report.jobs {
+        let Some(embedded) = &j.triage else { continue };
+        let file = dir.join(format!("job{}.bundle.json", j.index));
+        let text = serde_json::to_string_pretty(&load_bundle(&file)).unwrap();
+        assert!(text == serde_json::to_string_pretty(embedded).unwrap(), "{file:?} is not job {}'s bundle", j.index);
+        files += 1;
+    }
+    assert_eq!(std::fs::read_dir(dir).expect("bundle directory").count(), files);
+}
+
+/// `text` with its first `"schema_version": <from>` made `<to>`.
+fn with_schema(text: &str, from: u64, to: u64) -> String {
+    let key = format!("\"schema_version\": {from}");
+    assert!(text.contains(&key), "no {key}");
+    text.replacen(&key, &format!("\"schema_version\": {to}"), 1)
 }
 
 fn stderr(out: &Output) -> String {
@@ -108,7 +132,7 @@ fn injected_bug_campaign(
     seeds: &str,
     configs: &str,
     workers: &str,
-) -> (Value, PathBuf) {
+) -> (CampaignReport, PathBuf) {
     let report = scratch.path("report.json");
     let bundles = scratch.path("bundles");
     #[rustfmt::skip]
@@ -129,8 +153,8 @@ fn injected_bug_campaign(
         "diverged jobs exit 1: {}",
         stderr(&out)
     );
-    let r = read_json(&report);
-    assert_eq!(r["schema_version"], campaign::SCHEMA_VERSION);
+    let r = load_report(&report);
+    check_bundle_dir(&r, &bundles);
     (r, bundles)
 }
 
@@ -138,31 +162,18 @@ fn injected_bug_campaign(
 /// return the bundle file of its first diverged job.
 fn diverged_bundle(scratch: &Scratch) -> PathBuf {
     let (r, bundles) = injected_bug_campaign(scratch, "0..3", "small-nh", "3");
-    let jobs = r["jobs"].as_array().expect("jobs array");
-    let job = jobs
+    let job = r
+        .jobs
         .iter()
-        .find(|j| j["verdict"].get("Diverged").is_some())
+        .find(|j| matches!(j.verdict, Verdict::Diverged { .. }))
         .expect("injected bug produced no divergence");
-    let b = &job["triage"];
-    assert!(!b.is_null(), "diverged jobs carry a triage bundle");
-    assert_eq!(b["schema_version"], campaign::BUNDLE_SCHEMA_VERSION);
-    assert_eq!(b["trigger"], "diverged");
-    assert_eq!(b["reproduced"], true);
-    assert!(
-        b["at_commit"].as_u64().unwrap() > 0,
-        "bundle lacks the commit anchor"
-    );
-    assert!(
-        !b["commit_tail"].as_array().unwrap().is_empty(),
-        "bundle lacks the commit tail"
-    );
-    let file = bundles.join(format!("job{}.bundle.json", job["index"].as_u64().unwrap()));
-    assert_eq!(
-        &read_json(&file),
-        b,
-        "the bundle file is the embedded bundle"
-    );
-    file
+    let b = job.triage.as_ref().expect("diverged jobs carry a triage bundle");
+    assert_eq!(b.schema_version, campaign::BUNDLE_SCHEMA_VERSION);
+    assert_eq!(b.trigger, "diverged");
+    assert!(b.reproduced);
+    assert!(b.at_commit > 0, "bundle lacks the commit anchor");
+    assert!(!b.commit_tail.is_empty(), "bundle lacks the commit tail");
+    bundles.join(format!("job{}.bundle.json", job.index))
 }
 
 #[test]
@@ -180,50 +191,43 @@ fn triage_bundle_replays_at_the_same_commit() {
 #[test]
 fn hostile_bundles_are_setup_errors_not_panics() {
     let scratch = Scratch::new("hostile");
-    let good = read_json(&diverged_bundle(&scratch));
-    let sample = serde_json::from_str::<Value>(
-        r#"{"Sample":{"interval":1,"interval_len":5000,"kernel":"sjeng",
-            "ref_model":"nosuch","warmup":100,"window":100}}"#,
-    )
-    .unwrap();
-    let kernel = serde_json::from_str::<Value>(r#"{"Kernel":{"name":"nosuch"}}"#).unwrap();
-    // (case, fields to overwrite, the diagnosis `replay` must print)
+    let file = diverged_bundle(&scratch);
+    let good = load_bundle(&file);
+
+    // A bundle of another schema is not rendered, let alone replayed.
+    let stale = scratch.path("schema.bundle.json");
+    std::fs::write(&stale, with_schema(&read(&file), campaign::BUNDLE_SCHEMA_VERSION, 99)).unwrap();
+    for reader in &readers()[3..] {
+        assert_refused(*reader, &stale, "bundle schema 99, this build reads 5");
+    }
+
+    let edited = |edit: &dyn Fn(&mut TriageBundle)| {
+        let mut b = good.clone();
+        edit(&mut b);
+        serde_json::to_string_pretty(&b).unwrap()
+    };
+    let sample = WorkloadSource::Sample {
+        kernel: "sjeng".into(),
+        ref_model: "nosuch".into(),
+        interval_len: 5000,
+        interval: 1,
+        warmup: 100,
+        window: 100,
+    };
+    // (case, the bundle, the diagnosis `replay` must print)
     let cases = [
-        (
-            "schema",
-            vec![("schema_version", Value::from(99u64))],
-            "bundle schema version 99",
-        ),
-        (
-            "kernel",
-            vec![("source", kernel)],
-            "unknown workload `nosuch`",
-        ),
-        (
-            "ref-model",
-            vec![("source", sample)],
-            "unknown profiling personality `nosuch`",
-        ),
+        ("kernel", edited(&|b| b.source = WorkloadSource::kernel("nosuch")), "unknown workload `nosuch`"),
+        ("ref-model", edited(&|b| b.source = sample.clone()), "unknown profiling personality `nosuch`"),
         // The preset exists; the model refuses it for this core count.
         (
             "config",
-            vec![
-                ("config", Value::from("small-yqh")),
-                ("cores", Value::from(2u64)),
-            ],
+            edited(&|b| (b.config, b.cores) = ("small-yqh".into(), Some(2))),
             "no shared last-level cache",
         ),
     ];
-    for (name, edits, diagnosis) in cases {
-        let mut b = good.clone();
-        let Value::Object(map) = &mut b else {
-            panic!("a bundle is an object");
-        };
-        for (key, value) in edits {
-            map.insert(key.into(), value);
-        }
+    for (name, text, diagnosis) in cases {
         let file = scratch.path(&format!("{name}.bundle.json"));
-        std::fs::write(&file, serde_json::to_string_pretty(&b).unwrap()).unwrap();
+        std::fs::write(&file, text).unwrap();
         let out = replay(&file);
         let err = stderr(&out);
         assert_eq!(
@@ -252,34 +256,28 @@ fn crash_ring_reaches_the_bundle_and_pipeview_renders_it() {
 
     // Every failing job's bundle carries the always-on crash ring: the
     // last uops in flight before the divergence, capped and cause-tagged.
-    let jobs = r["jobs"].as_array().expect("jobs array");
-    assert_eq!(jobs.len(), 12);
-    let bundled: Vec<&Value> = jobs.iter().filter(|j| !j["triage"].is_null()).collect();
+    assert_eq!(r.jobs.len(), 12);
+    let bundled: Vec<&JobRecord> = r.jobs.iter().filter(|j| j.triage.is_some()).collect();
     assert!(
         !bundled.is_empty(),
         "injected bug produced no triage bundle"
     );
     for j in &bundled {
-        let (index, b) = (&j["index"], &j["triage"]);
-        assert_eq!(b["schema_version"], campaign::BUNDLE_SCHEMA_VERSION);
-        let ring = b["lifecycle_ring"].as_array().expect("ring array");
+        let (index, ring) = (j.index, &j.triage.as_ref().unwrap().lifecycle_ring);
         assert!(!ring.is_empty(), "job {index}: empty crash ring");
         assert!(ring.len() <= 64, "job {index}: ring overflows its cap");
         for rec in ring {
             assert!(
-                rec["committed"].as_u64().unwrap() > 0 || !rec["cause"].is_null(),
+                rec.retired() || rec.cause.is_some(),
                 "job {index}: ring record neither retired nor cause-tagged"
             );
-            assert!(
-                rec["stamps"]["fetched"].as_u64().unwrap() > 0,
-                "job {index}: unfetched ring record"
-            );
+            assert!(rec.stamps.fetched > 0, "job {index}: unfetched ring record");
         }
     }
 
     // pipeview renders the bundle's ring as a waterfall and as
     // O3PipeView; perf_report renders the report's lifecycle section.
-    let index = bundled[0]["index"].as_u64().unwrap();
+    let index = bundled[0].index;
     let bundle = bundles.join(format!("job{index}.bundle.json"));
     let bundle = bundle.to_str().unwrap();
     let pipeview = env!("CARGO_BIN_EXE_pipeview");
@@ -294,7 +292,7 @@ fn crash_ring_reaches_the_bundle_and_pipeview_renders_it() {
     // columns), the same near `u64::MAX` (the scaling used to overflow
     // first) — or a file cut short is refused by `--bundle` and
     // `--trace` alike.
-    let ring = serde_json::to_string(&read_json(Path::new(bundle))["lifecycle_ring"]).unwrap();
+    let ring = serde_json::to_string(&load_bundle(Path::new(bundle)).lifecycle_ring).unwrap();
     let sources = [("--bundle", std::fs::read_to_string(bundle).unwrap()), ("--trace", ring)];
     let hostile = scratch.path("hostile.json");
     for (flag, good) in &sources {
@@ -335,22 +333,19 @@ fn lifecycle_campaign_bodies_are_deterministic() {
             "--out", file.to_str().unwrap(),
         ]);
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-        report_body(&file)
+        load_report(&file)
     };
     let (a, b) = (body("a.json"), body("b.json"));
-    assert!(a == b, "--lifecycle bodies differ between identical runs");
-    let jobs = a["jobs"].as_array().unwrap().iter();
-    let cores = jobs.flat_map(|j| j["perf"]["cores"].as_array().unwrap());
-    let retired: u64 = cores
-        .map(|c| c["perf"]["lifecycle"]["retired"].as_u64().unwrap())
-        .sum();
+    assert!(a.deterministic_json() == b.deterministic_json(), "--lifecycle bodies differ between identical runs");
+    let cores = a.jobs.iter().flat_map(|j| &j.perf.cores);
+    let retired: u64 = cores.map(|c| c.perf.lifecycle.retired).sum();
     assert!(retired > 0, "lifecycle digest never counted a retire");
 }
 
 /// Run the 12-job two-hart litmus fuzz round of the mp smokes (plus
 /// `extra` flags) into `scratch/<name>`; returns the exit code and the
-/// report body.
-fn mp_campaign(scratch: &Scratch, name: &str, extra: &[&str]) -> (Option<i32>, Value) {
+/// report.
+fn mp_campaign(scratch: &Scratch, name: &str, extra: &[&str]) -> (Option<i32>, CampaignReport) {
     let file = scratch.path(name);
     #[rustfmt::skip]
     let mut args = vec![
@@ -361,7 +356,7 @@ fn mp_campaign(scratch: &Scratch, name: &str, extra: &[&str]) -> (Option<i32>, V
         "--out", file.to_str().unwrap(),
     ];
     args.extend_from_slice(extra);
-    (campaign(&args).status.code(), report_body(&file))
+    (campaign(&args).status.code(), load_report(&file))
 }
 
 #[test]
@@ -371,13 +366,13 @@ fn mp_litmus_bodies_are_deterministic_with_live_coherence_coverage() {
     let scratch = Scratch::new("mp");
     let (code, a) = mp_campaign(&scratch, "a.json", &[]);
     assert_eq!(code, Some(0));
-    assert!(a == mp_campaign(&scratch, "b.json", &[]).1, "mp bodies differ between identical runs");
-    let s = &a["summary"];
-    assert!(s["total"] == 12u64 && s["halted"] == 12u64, "{s:?}");
-    assert!(s["diverged"] == 0u64 && s["forbidden"] == 0u64, "{s:?}");
-    let jobs = a["jobs"].as_array().expect("jobs array").iter();
-    let hits = jobs.flat_map(|j| j["coverage"]["mp"].as_array().into_iter().flatten());
-    let live = hits.filter(|hit| hit[1].as_u64().is_some_and(|n| n > 0)).count();
+    let b = mp_campaign(&scratch, "b.json", &[]).1;
+    assert!(a.deterministic_json() == b.deterministic_json(), "mp bodies differ between identical runs");
+    let s = &a.summary;
+    assert!(s.total == 12 && s.halted == 12, "{s:?}");
+    assert!(s.diverged == 0 && s.forbidden == 0, "{s:?}");
+    let hits = a.jobs.iter().flat_map(|j| j.coverage.iter().flat_map(|c| &c.mp));
+    let live = hits.filter(|(_, bucket)| *bucket > 0).count();
     assert!(live > 0, "mp campaign recorded no coherence coverage");
 }
 
@@ -392,19 +387,20 @@ fn injected_l2_race_is_a_forbidden_outcome_that_replays() {
     let flags = ["--inject-l2-race", "--bundle-dir", bundles.to_str().unwrap()];
     let (code, r) = mp_campaign(&scratch, "race.json", &flags);
     assert_eq!(code, Some(1), "forbidden outcomes exit 1");
-    assert!(r["summary"]["forbidden"].as_u64().unwrap() >= 1, "{:?}", r["summary"]);
-    let jobs = r["jobs"].as_array().expect("jobs array");
-    let job = jobs
+    assert!(r.summary.forbidden >= 1, "{:?}", r.summary);
+    check_bundle_dir(&r, &bundles);
+    let job = r
+        .jobs
         .iter()
-        .find(|j| j["verdict"].get("ForbiddenOutcome").is_some())
+        .find(|j| matches!(j.verdict, Verdict::ForbiddenOutcome { .. }))
         .expect("forbidden tally has no matching job verdict");
-    let m = &job["minimized"];
-    assert_eq!(m["error_class"], "ForbiddenOutcome", "{m:?}");
-    assert!(!m["litmus"].is_null() && m["torture"].is_null(), "repro lost its litmus recipe");
-    let b = &job["triage"];
-    assert!(b["trigger"] == "forbidden-outcome" && b["reproduced"] == true, "{b:?}");
-    assert!(b["forbidden_exit"].as_u64().is_some_and(|w| w != 0), "no forbidden exit word");
-    let bundle = bundles.join(format!("job{}.bundle.json", job["index"].as_u64().unwrap()));
+    let m = job.minimized.as_ref().expect("a minimized reproducer");
+    assert_eq!(m.error_class, "ForbiddenOutcome", "{m:?}");
+    assert!(m.litmus.is_some() && m.torture.is_none(), "repro lost its litmus recipe");
+    let b = job.triage.as_ref().expect("a triage bundle");
+    assert!(b.trigger == "forbidden-outcome" && b.reproduced, "{b:?}");
+    assert!(b.forbidden_exit.is_some_and(|w| w != 0), "no forbidden exit word");
+    let bundle = bundles.join(format!("job{}.bundle.json", job.index));
     let out = replay(&bundle);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
@@ -424,18 +420,18 @@ fn telemetry_snapshot_is_live_and_perf_report_renders_it() {
         "--out", report.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let r = read_json(&report);
-    let perf = &r["jobs"][0]["perf"];
-    let cores = perf["cores"].as_array().expect("cores array");
+    let r = load_report(&report);
+    let perf = &r.jobs[0].perf;
+    let cores = &perf.cores;
 
     let mut cpi = std::collections::BTreeMap::<&str, u64>::new();
     for core in cores {
-        for (k, v) in core["perf"]["cpi"].as_object().expect("cpi stack") {
-            *cpi.entry(k).or_default() += count(v);
+        for (k, v) in core.perf.cpi.components() {
+            *cpi.entry(k).or_default() += v;
         }
     }
-    let cycles = cores.iter().map(|c| count(&c["perf"]["cycles"])).max();
-    let slots = cycles.expect("a core") * count(&perf["commit_width"]);
+    let cycles = cores.iter().map(|c| c.perf.cycles).max();
+    let slots = cycles.expect("a core") * perf.commit_width;
     assert_eq!(cpi.values().sum::<u64>(), slots, "{cpi:?}");
     // The components a real kernel run must exercise (rob_full/iq_full
     // can legitimately stay zero on a short run).
@@ -443,28 +439,20 @@ fn telemetry_snapshot_is_live_and_perf_report_renders_it() {
         assert!(cpi[key] > 0, "CPI component {key} is zero: {cpi:?}");
     }
 
-    let caches = perf["caches"].as_array().expect("caches array").iter();
-    let l1d: Vec<&Value> = caches
-        .filter(|c| c["name"].as_str().is_some_and(|n| n.starts_with("l1d")))
-        .map(|c| &c["stats"])
-        .collect();
-    assert!(!l1d.is_empty(), "no L1D in {:?}", perf["caches"]);
+    let l1d: Vec<_> = perf.caches.iter().filter(|c| c.name.starts_with("l1d")).map(|c| &c.stats).collect();
+    assert!(!l1d.is_empty(), "no L1D in {:?}", perf.caches);
     for s in l1d {
-        assert!(count(&s["hits"]) > 0 && count(&s["misses"]) > 0, "{s:?}");
+        assert!(s.hits > 0 && s.misses > 0, "{s:?}");
     }
-    assert!(count(&perf["dram"]["accesses"]) > 0, "{:?}", perf["dram"]);
+    assert!(perf.dram.accesses > 0, "{:?}", perf.dram);
     for c in cores {
-        assert!(count(&c["perf"]["rob_occupancy"]["samples"]) > 0);
+        assert!(c.perf.rob_occupancy.samples > 0);
     }
-    let l1_hit = &perf["mem_latency"]["l1_hit"];
-    assert!(count(&l1_hit["samples"]) > 0, "{:?}", perf["mem_latency"]);
+    assert!(perf.mem_latency.l1_hit.samples > 0, "{:?}", perf.mem_latency);
 
-    // perf_report renders the report, and the bare snapshot artifact.
+    // perf_report renders the report.
     let perf_report = env!("CARGO_BIN_EXE_perf_report");
     assert!(!rendered(perf_report, &[report.to_str().unwrap()]).is_empty());
-    let snapshot = scratch.path("snapshot.json");
-    std::fs::write(&snapshot, serde_json::to_string(perf).unwrap()).unwrap();
-    assert!(!rendered(perf_report, &[snapshot.to_str().unwrap()]).is_empty());
 }
 
 #[test]
@@ -490,8 +478,9 @@ fn sampled_farms_share_a_checkpoint_cache_and_repair_it() {
             "--out", file.to_str().unwrap(),
         ]);
         assert_eq!(out.status.code(), Some(0), "{name}: {}", stderr(&out));
-        report_body(&file)
+        file
     };
+    let body = |name: &str| load_report(&farm(name)).deterministic_json();
     // Every file of the cache: path → (length, modification time).
     let cache_files = || {
         let entries = std::fs::read_dir(&ckpts).expect("checkpoint directory exists");
@@ -503,36 +492,33 @@ fn sampled_farms_share_a_checkpoint_cache_and_repair_it() {
         entries.map(stat).collect::<std::collections::BTreeMap<_, _>>()
     };
 
-    let cold = farm("cold.json");
-    let sampling = cold["sampling"].as_array().expect("sampling section");
-    assert_eq!(sampling.len(), 2, "one summary per config cell");
-    for sm in sampling {
-        assert!(sm["workload"] == "kernel:sjeng" && sm["ref_model"] == "nemu-trace", "{sm:?}");
-        assert!(count(&sm["checkpoints"]) >= 2 && count(&sm["aggregated"]) >= 2, "{sm:?}");
-        assert!((1..50_000).contains(&count(&sm["weighted_cpi_milli"])), "{sm:?}");
-        let members: u64 = sm["phases"].as_array().unwrap().iter().map(|p| count(&p["members"])).sum();
-        assert!(members <= count(&sm["total_intervals"]), "{sm:?}");
+    let report = load_report(&farm("cold.json"));
+    let cold = report.deterministic_json();
+    assert_eq!(report.sampling.len(), 2, "one summary per config cell");
+    for sm in &report.sampling {
+        assert!(sm.workload == "kernel:sjeng" && sm.ref_model == "nemu-trace", "{sm:?}");
+        assert!(sm.checkpoints >= 2 && sm.aggregated >= 2, "{sm:?}");
+        assert!((1..50_000).contains(&sm.weighted_cpi_milli), "{sm:?}");
+        let members: u64 = sm.phases.iter().map(|p| p.members).sum();
+        assert!(members <= sm.total_intervals, "{sm:?}");
     }
     // Every measured window obeys the top-down identity exactly.
-    let jobs = cold["jobs"].as_array().expect("jobs array");
-    let windows: Vec<_> = jobs.iter().filter(|j| !j["sample"].is_null()).collect();
+    let windows: Vec<_> = report.jobs.iter().filter_map(|j| Some((j, j.sample.as_ref()?))).collect();
     assert!(!windows.is_empty(), "no sample records in the report");
-    for j in windows {
-        let (s, width) = (&j["sample"], count(&j["perf"]["commit_width"]));
-        let stack: u64 = s["cpi_stack"].as_object().expect("cpi stack").values().map(count).sum();
-        assert_eq!(stack, count(&s["window_cycles"]) * width, "job {}", j["index"]);
+    for (j, s) in windows {
+        assert_eq!(s.cpi_stack.total(), s.window_cycles * j.perf.commit_width, "job {}", j.index);
     }
 
     let stored = cache_files();
     let is_blob = |p: &&PathBuf| p.extension().is_some_and(|e| e == "ckpt");
     let blobs: Vec<&PathBuf> = stored.keys().filter(is_blob).collect();
     assert!(blobs.len() >= 2, "{stored:?}");
-    assert!(farm("warm.json") == cold, "bodies differ across the cache round-trip");
+    assert!(body("warm.json") == cold, "bodies differ across the cache round-trip");
     assert_eq!(cache_files(), stored, "the warm farm hit the cache: nothing rewritten");
 
     let whole = std::fs::read(blobs[0]).unwrap();
     std::fs::write(blobs[0], &whole[..whole.len() / 2]).unwrap();
-    assert!(farm("repaired.json") == cold, "bodies differ over a torn blob");
+    assert!(body("repaired.json") == cold, "bodies differ over a torn blob");
     assert_eq!(std::fs::read(blobs[0]).unwrap(), whole, "the torn blob was repaired");
     let names = |files: std::collections::BTreeMap<PathBuf, _>| files.into_keys().collect::<Vec<_>>();
     assert_eq!(names(cache_files()), names(stored), "no file added or left behind");
@@ -556,22 +542,20 @@ fn fuzz_campaign_bodies_are_deterministic_with_coverage_growing_each_round() {
             "--out", file.to_str().unwrap(),
         ]);
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-        report_body(&file)
+        load_report(&file)
     };
     let (a, b) = (body("a.json"), body("b.json"));
-    assert!(a == b, "fuzz report bodies differ between identical runs");
-    let fuzz = &a["fuzz"];
-    let rounds = fuzz["rounds"].as_array().expect("rounds array");
-    assert_eq!(rounds.len(), 2, "{fuzz:?}");
-    for round in rounds {
-        assert!(count(&round["new_features"]) > 0, "a round found no new coverage: {fuzz:?}");
+    assert!(a.deterministic_json() == b.deterministic_json(), "fuzz report bodies differ between identical runs");
+    let fuzz = a.fuzz.as_ref().expect("a fuzz section");
+    assert_eq!(fuzz.rounds.len(), 2, "{fuzz:?}");
+    for round in &fuzz.rounds {
+        assert!(round.new_features > 0, "a round found no new coverage: {fuzz:?}");
     }
-    let cumulative: Vec<u64> = rounds.iter().map(|r| count(&r["cumulative_features"])).collect();
+    let cumulative: Vec<u64> = fuzz.rounds.iter().map(|r| r.cumulative_features).collect();
     assert!(cumulative.windows(2).all(|w| w[0] < w[1]), "coverage not strictly growing: {cumulative:?}");
-    assert_eq!(cumulative.last(), Some(&count(&fuzz["total_features"])), "{fuzz:?}");
-    let jobs = a["jobs"].as_array().expect("jobs array");
-    let has_map = |j: &Value| j["coverage"].as_object().is_some_and(|m| !m.is_empty());
-    assert!(jobs.len() == 16 && jobs.iter().all(has_map), "fuzz jobs missing coverage maps");
+    assert_eq!(cumulative.last(), Some(&fuzz.total_features), "{fuzz:?}");
+    let has_map = |j: &JobRecord| j.coverage.as_ref().is_some_and(|c| !c.features().is_empty());
+    assert!(a.jobs.len() == 16 && a.jobs.iter().all(has_map), "fuzz jobs missing coverage maps");
 }
 
 #[test]
@@ -591,13 +575,13 @@ fn trace_tier_as_the_difftest_ref_halts_everywhere_and_repeats_byte_for_byte() {
             "--out", file.to_str().unwrap(),
         ]);
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-        report_body(&file)
+        load_report(&file)
     };
     let (a, b) = (body("a.json"), body("b.json"));
-    assert!(a == b, "--ref nemu-trace bodies differ between identical runs");
-    let s = &a["summary"];
-    assert!(s["total"] == 12u64 && s["halted"] == 12u64, "{s:?}");
-    assert_eq!(a["jobs"].as_array().map(Vec::len), Some(12));
+    assert!(a.deterministic_json() == b.deterministic_json(), "--ref nemu-trace bodies differ between identical runs");
+    let s = &a.summary;
+    assert!(s.total == 12 && s.halted == 12, "{s:?}");
+    assert_eq!(a.jobs.len(), 12);
 }
 
 #[test]
@@ -631,7 +615,7 @@ fn a_flag_the_mode_does_not_honour_is_refused_not_dropped() {
     for (line, jobs) in lines {
         let run = campaign(&[line, &["--out", out.to_str().unwrap()][..]].concat());
         assert_eq!(run.status.code(), Some(0), "{line:?}: {}", stderr(&run));
-        assert_eq!(report_body(&out)["jobs"].as_array().map(Vec::len), Some(jobs), "{line:?}");
+        assert_eq!(load_report(&out).jobs.len(), jobs, "{line:?}");
     }
 
     // A job flag reaches every mode's jobs: `--telemetry`, once refused
@@ -640,25 +624,26 @@ fn a_flag_the_mode_does_not_honour_is_refused_not_dropped() {
     let run = campaign(&["--sample", "--workloads", "sjeng", "--max-checkpoints", "2", "--telemetry",
                          "--out", out.to_str().unwrap()]);
     assert_eq!(run.status.code(), Some(0), "{}", stderr(&run));
-    let body = report_body(&out);
-    let jobs = body["jobs"].as_array().expect("jobs array");
+    let jobs = load_report(&out).jobs;
     assert!(!jobs.is_empty());
     for j in jobs {
-        for c in j["perf"]["cores"].as_array().expect("cores array") {
-            let samples = count(&c["perf"]["rob_occupancy"]["samples"]);
-            assert!(samples > 0, "job {}", j["index"]);
+        for c in &j.perf.cores {
+            assert!(c.perf.rob_occupancy.samples > 0, "job {}", j.index);
         }
     }
 }
 
-/// The four ways a tool reads a file someone else wrote: (tool, the
-/// flags before the path).
-fn readers() -> [(&'static str, &'static [&'static str]); 4] {
+/// The six ways a tool reads a file someone else wrote: (tool, the
+/// flags before the path) — three report readers, then three bundle
+/// readers.
+fn readers() -> [(&'static str, &'static [&'static str]); 6] {
     [
         (env!("CARGO_BIN_EXE_perf_report"), &[]),
         (env!("CARGO_BIN_EXE_pipeview"), &["--report"]),
         (env!("CARGO_BIN_EXE_replay"), &["--report"]),
         (env!("CARGO_BIN_EXE_replay"), &["--bundle"]),
+        (env!("CARGO_BIN_EXE_pipeview"), &["--bundle"]),
+        (env!("CARGO_BIN_EXE_replay"), &["--show", "--bundle"]),
     ]
 }
 
@@ -686,12 +671,14 @@ fn a_200_job_report_reads_back_in_seconds_and_hostile_ones_are_refused() {
         "--out", report.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = read(&report);
+    assert_eq!(load_report(&report).jobs.len(), 200);
     // Reading a report is linear in its size (it was quadratic: 12.7 s
     // for these 2 MB in an optimised build).
     let started = std::time::Instant::now();
-    let text = rendered(env!("CARGO_BIN_EXE_perf_report"), &[report.to_str().unwrap()]);
+    let shown = rendered(env!("CARGO_BIN_EXE_perf_report"), &[report.to_str().unwrap()]);
     let took = started.elapsed();
-    assert_eq!(text.matches("=== job ").count(), 200);
+    assert_eq!(shown.matches("=== job ").count(), 200);
     assert!(took.as_secs() < 5, "perf_report took {took:?} on a 200-job report");
 
     // Nesting far past any stack is a parse error, not a stack overflow.
@@ -703,25 +690,24 @@ fn a_200_job_report_reads_back_in_seconds_and_hostile_ones_are_refused() {
         }
     }
 
-    // A report of another schema version is refused by everything that
-    // reads reports, before any of it is interpreted.
-    let Value::Object(mut old) = read_json(&report) else {
-        panic!("a report is an object");
-    };
-    old.insert("schema_version".into(), Value::from(5u64));
+    // A report of another schema version, or of none, is refused by
+    // everything that reads reports, before any of it is interpreted.
     let stale = scratch.path("schema5.json");
-    std::fs::write(&stale, serde_json::to_string_pretty(&old).unwrap()).unwrap();
+    std::fs::write(&stale, with_schema(&text, campaign::SCHEMA_VERSION, 5)).unwrap();
+    let line = format!("\n  \"schema_version\": {},", campaign::SCHEMA_VERSION);
+    assert!(text.contains(&line));
+    let unversioned = scratch.path("unversioned.json");
+    std::fs::write(&unversioned, text.replacen(&line, "", 1)).unwrap();
     for reader in &readers()[..3] {
         assert_refused(*reader, &stale, "report schema 5, this build reads 6");
+        assert_refused(*reader, &unversioned, "report schema missing, this build reads 6");
     }
 
     // So is a report whose job 0 carries a `triage` that is not a bundle
     // (`replay --report` used to skip it and look for another).
-    let text = std::fs::read_to_string(&report).unwrap();
-    let text = text.replacen("\"triage\": null", "\"triage\": \"not a bundle\"", 1);
     let broken = scratch.path("not-a-bundle.json");
-    std::fs::write(&broken, text).unwrap();
+    std::fs::write(&broken, text.replacen("\"triage\": null", "\"triage\": \"not a bundle\"", 1)).unwrap();
     for reader in &readers()[..3] {
-        assert_refused(*reader, &broken, "parse jobs in");
+        assert_refused(*reader, &broken, "not a report body");
     }
 }

@@ -92,7 +92,6 @@ fn pinned_round_is_deterministic() {
     let a = pinned_round();
     let b = pinned_round();
     assert_eq!(a.report.deterministic_json(), b.report.deterministic_json());
-    assert_eq!(a.corpus, b.corpus);
 }
 
 /// Every interpreter personality (plus the cache-free `arch` REF)
