@@ -425,10 +425,20 @@ impl TriageBundle {
     /// # Errors
     ///
     /// One line saying why the text cannot be used: not JSON, a bundle of
-    /// a schema other than [`BUNDLE_SCHEMA_VERSION`] or of none, or not a
-    /// bundle.
+    /// a schema other than [`BUNDLE_SCHEMA_VERSION`] or of none, not a
+    /// bundle, or a crash ring no core could have written.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        minjie::files::load(text, "bundle", BUNDLE_SCHEMA_VERSION)
+        let bundle: Self = minjie::files::load(text, "bundle", BUNDLE_SCHEMA_VERSION)?;
+        bundle.check_ring()?;
+        Ok(bundle)
+    }
+
+    /// One line naming the first crash-ring record that fails
+    /// [`xscore::Lifecycle::check`], if any does.
+    pub(crate) fn check_ring(&self) -> Result<(), String> {
+        self.lifecycle_ring.iter().enumerate().try_for_each(|(i, r)| {
+            r.check().map_err(|e| format!("lifecycle record {i} (seq {}): {e}", r.seq))
+        })
     }
 
     /// Render the bundle as a human-readable triage card.
@@ -498,7 +508,9 @@ impl TriageBundle {
             "window CPI stack",
         ));
         if !self.lifecycle_ring.is_empty() {
-            s.push_str(&xscore::render_waterfall(&self.lifecycle_ring));
+            let ring = &self.lifecycle_ring;
+            s.push_str(&xscore::render_waterfall(ring));
+            s.push_str(&xscore::render_gap_summary(&xscore::LifecycleDigest::of(ring)));
         }
         if !self.commit_tail.is_empty() {
             s.push_str(&format!(

@@ -242,6 +242,20 @@ pub const DOMINANT_STALL_NAMES: [&'static str; 8] = [
 ];
 
 impl LifecycleDigest {
+    /// The digest of `records` alone, each folded as the core folds the
+    /// record it finalizes (a squashed one with its own cause).
+    pub fn of(records: &[Lifecycle]) -> Self {
+        let mut d = Self::default();
+        for r in records {
+            if r.retired() {
+                d.observe_retired(r);
+            } else if let Some(cause) = r.cause {
+                d.observe_squashed(r, cause);
+            }
+        }
+        d
+    }
+
     /// Fold a retired record into the digest.
     pub fn observe_retired(&mut self, rec: &Lifecycle) {
         self.retired += 1;

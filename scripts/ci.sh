@@ -19,8 +19,9 @@
 #      such as `--telemetry` reaches `--sample`'s jobs — and the report
 #      and bundle readers' limits: a 200-job report read back in seconds,
 #      nesting bombs, reports of another schema version or of none, a
-#      bundle of another schema under `pipeview --bundle` and `replay
-#      --bundle [--show]`, and a job whose `triage` is not a bundle
+#      bundle of another schema under `replay --bundle [--show | --o3]`,
+#      a crash ring no core could have written under every report and
+#      bundle reader, and a job whose `triage` is not a bundle
 #      refused in one line; every report and bundle the smokes write reads
 #      back through the typed loaders byte for byte), then
 #      `xscore` again in an optimised build, where its model-based
@@ -40,8 +41,9 @@
 #      a 3-job run under `--ref arch` (the cache-free REF that is no
 #      longer the default) that must finish with zero divergences,
 #   4. a fuzz smoke — an injected-bug fuzz campaign must find, triage,
-#      and replay the divergence, and `pipeview --bundle` must render the
-#      same bundle through the bundle gate (steps 3 and 4 read their
+#      and replay the divergence, and `replay --bundle --o3` must export
+#      the same bundle's crash ring as O3PipeView `fetch` lines through
+#      the bundle gate (steps 3 and 4 read their
 #      reports with python's `json` on purpose: see the comment at step
 #      3), then the §IV-C example must reproduce its race and show the
 #      commits' writebacks: it is the only end-to-end exercise of
@@ -155,7 +157,8 @@ EOF
 )"
 echo "fuzz bug bundle: $fuzz_bundle"
 timeout 300 target/release/replay --bundle "$fuzz_bundle"
-timeout 60 target/release/pipeview --bundle "$fuzz_bundle" >/dev/null
+o3="$(timeout 60 target/release/replay --bundle "$fuzz_bundle" --o3)"
+grep -q "^O3PipeView:fetch:" <<<"$o3" || { echo "replay --o3: no O3PipeView:fetch: line" >&2; exit 1; }
 
 echo "== tier-1: debug_session example (L2 race -> replay -> ArchDB timeline) =="
 session="$(timeout 120 cargo run -q --release --example debug_session)"

@@ -1,10 +1,11 @@
-//! CLI smoke tier: drives the built `campaign`, `replay`, `pipeview` and
+//! CLI smoke tier: drives the built `campaign`, `replay` and
 //! `perf_report` binaries the way `scripts/ci.sh` used to in bash +
 //! python, asserting on exit codes and on the files they write.
 //!
 //! It holds the triage smoke (injected bug → bundle → replay) with the
 //! hostile-bundle cases around it, the lifecycle smoke (crash ring →
-//! bundle → `pipeview`, `--lifecycle` determinism), the perf smoke (one
+//! bundle → `replay`'s card and `--o3`, a ring no core could have written
+//! refused by every reader, `--lifecycle` determinism), the perf smoke (one
 //! kernel under `--telemetry` → `perf_report`), the two `--mp` smokes
 //! (litmus determinism with live coherence coverage; the injected L2
 //! race → forbidden outcome → bundle → replay), the sampling smoke
@@ -197,7 +198,7 @@ fn hostile_bundles_are_setup_errors_not_panics() {
     // A bundle of another schema is not rendered, let alone replayed.
     let stale = scratch.path("schema.bundle.json");
     std::fs::write(&stale, with_schema(&read(&file), campaign::BUNDLE_SCHEMA_VERSION, 99)).unwrap();
-    for reader in &readers()[3..] {
+    for reader in &readers()[2..] {
         assert_refused(*reader, &stale, "bundle schema 99, this build reads 5");
     }
 
@@ -250,7 +251,7 @@ fn hostile_bundles_are_setup_errors_not_panics() {
 }
 
 #[test]
-fn crash_ring_reaches_the_bundle_and_pipeview_renders_it() {
+fn crash_ring_reaches_the_bundle_and_replay_renders_it() {
     let scratch = Scratch::new("crash-ring");
     let (r, bundles) = injected_bug_campaign(&scratch, "0..6", "small-nh,small-yqh", "4");
 
@@ -275,35 +276,37 @@ fn crash_ring_reaches_the_bundle_and_pipeview_renders_it() {
         }
     }
 
-    // pipeview renders the bundle's ring as a waterfall and as
-    // O3PipeView; perf_report renders the report's lifecycle section.
-    let index = bundled[0].index;
+    // `replay` renders the bundle's ring on its card, the waterfall with
+    // the ring's gap summary, and as O3PipeView, one `fetch` line per
+    // record; perf_report renders the report's lifecycle section.
+    let (index, ring) = (bundled[0].index, &bundled[0].triage.as_ref().unwrap().lifecycle_ring);
     let bundle = bundles.join(format!("job{index}.bundle.json"));
     let bundle = bundle.to_str().unwrap();
-    let pipeview = env!("CARGO_BIN_EXE_pipeview");
-    assert!(!rendered(pipeview, &["--bundle", bundle]).is_empty());
-    assert!(rendered(pipeview, &["--bundle", bundle, "--o3"]).contains("O3PipeView"));
-    let perf_report = env!("CARGO_BIN_EXE_perf_report");
+    let replay = env!("CARGO_BIN_EXE_replay");
+    let card = rendered(replay, &["--show", "--bundle", bundle]);
+    assert!(card.contains("\nwaterfall: ") && card.contains("\nlifecycle digest: "), "{card}");
+    let o3 = rendered(replay, &["--o3", "--bundle", bundle]);
+    assert_eq!(o3.lines().filter(|l| l.starts_with("O3PipeView:fetch:")).count(), ring.len(), "{o3}");
     let report = scratch.path("report.json");
-    rendered(perf_report, &[report.to_str().unwrap(), "--lifecycle"]);
+    rendered(env!("CARGO_BIN_EXE_perf_report"), &[report.to_str().unwrap(), "--lifecycle"]);
 
     // A ring no core could have written — a stage stamped after the
     // record's end cycle (the lane index used to run past its 48
     // columns), the same near `u64::MAX` (the scaling used to overflow
-    // first) — or a file cut short is refused by `--bundle` and
-    // `--trace` alike.
-    let ring = serde_json::to_string(&load_bundle(Path::new(bundle)).lifecycle_ring).unwrap();
-    let sources = [("--bundle", std::fs::read_to_string(bundle).unwrap()), ("--trace", ring)];
-    let hostile = scratch.path("hostile.json");
-    for (flag, good) in &sources {
+    // first) — or a file cut short is refused by every bundle reader, and
+    // a report whose job carries such a bundle by every report reader.
+    let (readers, hostile) = (readers(), scratch.path("hostile.json"));
+    for (good, readers) in [(read(&report), &readers[..2]), (read(Path::new(bundle)), &readers[2..])] {
         let cases = [
-            (with_issued(good, 4_000_000_000), "issued stamp 4000000000 lies after"),
-            (with_issued(good, u64::MAX), "issued stamp 18446744073709551615 lies after"),
+            (with_issued(&good, 4_000_000_000), "issued stamp 4000000000 lies after"),
+            (with_issued(&good, u64::MAX), "issued stamp 18446744073709551615 lies after"),
             (good[..good.len() / 2].to_string(), "parse"),
         ];
         for (text, diagnosis) in cases {
             std::fs::write(&hostile, text).unwrap();
-            assert_refused((pipeview, &[flag]), &hostile, diagnosis);
+            for reader in readers {
+                assert_refused(*reader, &hostile, diagnosis);
+            }
         }
     }
 }
@@ -633,17 +636,16 @@ fn a_flag_the_mode_does_not_honour_is_refused_not_dropped() {
     }
 }
 
-/// The six ways a tool reads a file someone else wrote: (tool, the
-/// flags before the path) — three report readers, then three bundle
+/// The five ways a tool reads a file someone else wrote: (tool, the
+/// flags before the path) — two report readers, then three bundle
 /// readers.
-fn readers() -> [(&'static str, &'static [&'static str]); 6] {
+fn readers() -> [(&'static str, &'static [&'static str]); 5] {
     [
         (env!("CARGO_BIN_EXE_perf_report"), &[]),
-        (env!("CARGO_BIN_EXE_pipeview"), &["--report"]),
         (env!("CARGO_BIN_EXE_replay"), &["--report"]),
         (env!("CARGO_BIN_EXE_replay"), &["--bundle"]),
-        (env!("CARGO_BIN_EXE_pipeview"), &["--bundle"]),
         (env!("CARGO_BIN_EXE_replay"), &["--show", "--bundle"]),
+        (env!("CARGO_BIN_EXE_replay"), &["--o3", "--bundle"]),
     ]
 }
 
@@ -698,7 +700,7 @@ fn a_200_job_report_reads_back_in_seconds_and_hostile_ones_are_refused() {
     assert!(text.contains(&line));
     let unversioned = scratch.path("unversioned.json");
     std::fs::write(&unversioned, text.replacen(&line, "", 1)).unwrap();
-    for reader in &readers()[..3] {
+    for reader in &readers()[..2] {
         assert_refused(*reader, &stale, "report schema 5, this build reads 6");
         assert_refused(*reader, &unversioned, "report schema missing, this build reads 6");
     }
@@ -707,7 +709,7 @@ fn a_200_job_report_reads_back_in_seconds_and_hostile_ones_are_refused() {
     // (`replay --report` used to skip it and look for another).
     let broken = scratch.path("not-a-bundle.json");
     std::fs::write(&broken, text.replacen("\"triage\": null", "\"triage\": \"not a bundle\"", 1)).unwrap();
-    for reader in &readers()[..3] {
+    for reader in &readers()[..2] {
         assert_refused(*reader, &broken, "not a report body");
     }
 }

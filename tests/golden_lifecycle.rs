@@ -6,14 +6,15 @@
 //! rename / issue / writeback / commit cycles) are pinned *exactly* —
 //! the tracer is an observability surface, so any drift in fetch,
 //! scheduling, or the memory pipeline must be acknowledged here. A
-//! byte-identical rerun guard and proptest invariants (monotone stamps
-//! on retired uops, cause tags on squashed ones) ride along.
+//! byte-identical rerun guard, the digest folded from a whole trace
+//! against the core's own, and proptest invariants (monotone stamps on
+//! retired uops, cause tags on squashed ones) ride along.
 
-use minjie::{CoSim, CoSimEnd};
+use minjie::{CoSim, CoSimEnd, PerfSnapshot};
 use proptest::prelude::*;
 use riscv_isa::asm::{reg::*, Asm, Program};
-use workloads::{random_program, TortureConfig};
-use xscore::{Lifecycle, SquashCause, XsConfig};
+use workloads::{random_litmus, random_program, workload, LitmusConfig, Scale, TortureConfig};
+use xscore::{Lifecycle, LifecycleDigest, SquashCause, XsConfig};
 
 const BASE: u64 = 0x8000_0000;
 const DATA: i64 = 0x8002_0000;
@@ -286,12 +287,36 @@ fn lifecycle_trace_is_byte_identical_across_reruns() {
     assert!(!a.is_empty(), "trace is empty");
 }
 
+#[test]
+fn the_digest_of_the_trace_is_the_cores_own() {
+    // The digest a reader folds from records (`replay`'s gap summary)
+    // is the one the core keeps: on a kernel and a two-hart litmus
+    // program whose whole trace fits the table, they agree field for
+    // field.
+    let cfg = XsConfig::preset("small-nh").expect("preset").with_lifecycle();
+    let mut dual = cfg.clone();
+    dual.cores = 2;
+    let runs = [
+        (cfg, workload("sjeng", Scale::Test).program),
+        (dual, random_litmus(1, &LitmusConfig::default())),
+    ];
+    for (cfg, program) in runs {
+        let mut cosim = CoSim::new(cfg, &program);
+        let end = cosim.run(6_000_000);
+        assert!(matches!(end, CoSimEnd::Halted(_)), "did not halt: {end:?}");
+        let (db, sys) = (&cosim.archdb, &cosim.state.sys);
+        assert_eq!(db.lifecycle.len() as u64, db.records_inserted(), "the trace overflowed its table");
+        let trace: Vec<Lifecycle> = db.lifecycle.rows().copied().collect();
+        assert_eq!(LifecycleDigest::of(&trace), PerfSnapshot::collect(sys).lifecycle_digest());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// On random torture programs every retired uop's stamps are
     /// monotone through the pipe and every squashed uop carries a
-    /// cause tag — the invariants pipeview's waterfall rendering
+    /// cause tag — the invariants the ring's waterfall rendering
     /// relies on.
     #[test]
     fn stamps_monotone_and_squashes_tagged(seed in 0u64..10_000) {
