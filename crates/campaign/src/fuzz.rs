@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workloads::litmus::{LitmusConfig, LitmusProgram, LitmusShape};
 use workloads::{TortureConfig, TortureProgram};
+use xscore::RunKnobs;
 
 /// Salt mixed into litmus recipe seeds so a litmus recipe and a torture
 /// recipe sharing a slot seed still draw independent knob streams.
@@ -322,8 +323,8 @@ pub(crate) fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
     JobSpec {
         workload: r.source.clone(),
         config: r.config.clone(),
-        coverage: true,
         cores: if litmus { Some(2) } else { opts.job.cores },
+        run: RunKnobs { coverage: true, ..opts.job.run },
         ..opts.job.clone()
     }
 }
@@ -497,9 +498,9 @@ mod tests {
         // The spec a litmus recipe runs as is dual-core.
         let spec = job_spec(&recipes[1], &opts);
         assert_eq!(spec.cores, Some(2));
-        assert!(!spec.inject_l2_race);
-        opts.job.inject_l2_race = true;
-        assert!(job_spec(&recipes[1], &opts).inject_l2_race);
+        assert!(!spec.run.inject_l2_race);
+        opts.job.run.inject_l2_race = true;
+        assert!(job_spec(&recipes[1], &opts).run.inject_l2_race);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use workloads::litmus::{LitmusConfig, LitmusExit, LitmusProgram};
 use workloads::{Scale, TortureConfig, TortureProgram};
-use xscore::{InjectedBug, XsConfig};
+use xscore::{InjectedBug, RunKnobs, XsConfig};
 
 /// Where a job's program comes from — the one serializable recipe the
 /// whole stack speaks: job lists, the fuzz corpus, minimized
@@ -243,23 +243,13 @@ pub struct JobSpec {
     pub config: String,
     /// Core-count override (None keeps the preset's).
     pub cores: Option<usize>,
-    /// Deliberate DUT corruption (verification-flow tests only).
-    pub injected_bug: Option<InjectedBug>,
-    /// Arm the §IV-C L2 probe/grant race fault in core 0's L2
-    /// (verification-flow tests only).
-    pub inject_l2_race: bool,
     /// Cycle budget; exceeding it is a [`Timeout`](crate::Verdict::Timeout).
     pub max_cycles: u64,
     /// LightSSS snapshot interval (None disables snapshots).
     pub lightsss_interval: Option<u64>,
-    /// Enable per-cycle telemetry (occupancy and latency histograms).
-    pub telemetry: bool,
-    /// Stream full per-instruction lifecycle traces into ArchDB (the
-    /// cheap ring and digest are always on regardless).
-    pub lifecycle: bool,
-    /// Collect coverage maps (decode, diff-rule, pipeline-event); the
-    /// record's `coverage` field is populated only when set.
-    pub coverage: bool,
+    /// What the run observes and which faults it arms; a fuzz job's
+    /// record carries a `coverage` map only when coverage is on.
+    pub run: RunKnobs,
     /// DiffTest REF personality name (None keeps the default REF, the
     /// only one a sample job can be verified against).
     pub ref_model: Option<String>,
@@ -281,13 +271,9 @@ impl Default for JobSpec {
             workload: WorkloadSource::kernel(""),
             config: String::new(),
             cores: None,
-            injected_bug: None,
-            inject_l2_race: false,
             max_cycles: 40_000_000,
             lightsss_interval: None,
-            telemetry: false,
-            lifecycle: false,
-            coverage: false,
+            run: RunKnobs::default(),
             ref_model: None,
             checkpoint: None,
         }
@@ -312,13 +298,13 @@ impl JobSpec {
 
     /// Arm a deliberate DUT bug.
     pub fn with_injected_bug(mut self, bug: InjectedBug) -> Self {
-        self.injected_bug = Some(bug);
+        self.run.injected_bug = Some(bug);
         self
     }
 
     /// Arm the §IV-C L2 probe/grant race fault.
     pub fn with_l2_race(mut self) -> Self {
-        self.inject_l2_race = true;
+        self.run.inject_l2_race = true;
         self
     }
 
@@ -336,19 +322,19 @@ impl JobSpec {
 
     /// Enable per-cycle telemetry (occupancy and latency histograms).
     pub fn with_telemetry(mut self) -> Self {
-        self.telemetry = true;
+        self.run.telemetry = true;
         self
     }
 
     /// Enable full-trace lifecycle streaming for this job.
     pub fn with_lifecycle(mut self) -> Self {
-        self.lifecycle = true;
+        self.run.lifecycle = true;
         self
     }
 
     /// Enable coverage-map collection for this job.
     pub fn with_coverage(mut self) -> Self {
-        self.coverage = true;
+        self.run.coverage = true;
         self
     }
 
@@ -373,29 +359,13 @@ impl JobSpec {
         if let Some(cores) = self.cores {
             cfg.cores = cores;
         }
-        if let Some(bug) = self.injected_bug {
-            cfg.injected_bug = Some(bug);
-        }
-        if self.inject_l2_race {
-            cfg = cfg.with_l2_race();
-        }
-        if self.telemetry {
-            cfg = cfg.with_telemetry();
-        }
-        if self.lifecycle {
-            cfg = cfg.with_lifecycle();
-        }
-        if self.coverage {
-            cfg = cfg.with_coverage();
-        }
-        if let Some(r) = &self.ref_model {
-            if self.workload.sample_window().is_some() && r != DEFAULT_REF_NAME {
-                return Err(format!(
-                    "a sample job cannot be verified against `{r}`: a checkpoint \
-                     restores into DiffTest's default REF `{DEFAULT_REF_NAME}` only"
-                ));
-            }
-            cfg = cfg.with_ref_model(r.clone());
+        cfg.run = self.run;
+        let sample = self.workload.sample_window().is_some();
+        if let Some(r) = self.ref_model.as_deref().filter(|r| sample && *r != DEFAULT_REF_NAME) {
+            return Err(format!(
+                "a sample job cannot be verified against `{r}`: a checkpoint \
+                 restores into DiffTest's default REF `{DEFAULT_REF_NAME}` only"
+            ));
         }
         cfg.validate()?;
         Ok(cfg)
@@ -440,7 +410,8 @@ impl JobSpec {
             ..
         } = &self.workload
         else {
-            return (CoSim::new(cfg, &self.workload.build()), None);
+            let ref_name = self.ref_model.as_deref().unwrap_or(DEFAULT_REF_NAME);
+            return (CoSim::new_with_ref(cfg, &self.workload.build(), ref_name), None);
         };
         // Deterministic, so a re-derived state matches the one the farm
         // materialized byte for byte.
@@ -508,7 +479,7 @@ mod tests {
             .with_injected_bug(InjectedBug::MulLowBit);
         let c = j.build_config().unwrap();
         assert_eq!(c.cores, 2);
-        assert_eq!(c.injected_bug, Some(InjectedBug::MulLowBit));
+        assert_eq!(c.run.injected_bug, Some(InjectedBug::MulLowBit));
         assert!(JobSpec::new(WorkloadSource::kernel("mcf"), "bogus")
             .build_config()
             .is_none());
@@ -536,6 +507,22 @@ mod tests {
         assert!(sample.clone().with_ref(DEFAULT_REF_NAME).config().is_ok());
         let err = sample.with_ref("arch").config().unwrap_err();
         assert!(err.contains("cannot be verified against `arch`"), "{err}");
+    }
+
+    /// Every `--ref` name reaches DiffTest: the REF a job boots is the
+    /// personality it names, not only an unknown name failing to boot.
+    #[test]
+    fn a_jobs_ref_is_the_ref_difftest_boots() {
+        use minjie::{AnyRef, ARCH_REF_NAME};
+        for name in AnyRef::names() {
+            let job = JobSpec::new(WorkloadSource::kernel("sjeng"), "small-nh").with_ref(name);
+            let (cosim, _) = job.boot(job.config().unwrap());
+            let booted = match cosim.state.diff.reference(0) {
+                AnyRef::Arch(_) => ARCH_REF_NAME,
+                AnyRef::Registry(i) => i.name(),
+            };
+            assert_eq!(booted, name);
+        }
     }
 
     #[test]

@@ -134,10 +134,10 @@ mod tests {
             let mut job = fuzz::job_spec(&recipe, &opts);
             assert_eq!(job.workload, recipe.source);
             assert_eq!(job.config, recipe.config);
-            assert!(job.coverage);
+            assert!(job.run.coverage);
             let litmus = matches!(recipe.source, WorkloadSource::Litmus { .. });
             assert_eq!(job.cores, litmus.then_some(2));
-            (job.coverage, job.cores) = (template.coverage, template.cores);
+            (job.run.coverage, job.cores) = (template.run.coverage, template.cores);
             assert_from_template(job, &template);
         }
 

@@ -385,12 +385,13 @@ impl CampaignReport {
     ///
     /// One line saying why the text cannot be used: not JSON, a report of
     /// a schema other than [`SCHEMA_VERSION`] or of none, not a report, or
-    /// a job whose bundle carries a crash ring no core could have written.
+    /// a job whose bundle asks for a core count the model cannot build or
+    /// carries a crash ring no core could have written.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let report: Self = minjie::files::load(text, "report", SCHEMA_VERSION)?;
         for j in &report.jobs {
             if let Some(b) = &j.triage {
-                b.check_ring().map_err(|e| format!("job {}: {e}", j.index))?;
+                b.check().map_err(|e| format!("job {}: {e}", j.index))?;
             }
         }
         Ok(report)

@@ -24,7 +24,7 @@ use crate::report::{
     Verdict, WallClock,
 };
 use crate::triage::triage;
-use minjie::{run_isolated_boot, CoSim, CoSimEnd};
+use minjie::{run_isolated_boot, CoSimEnd};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -360,8 +360,13 @@ fn minimize_failure(spec: &JobSpec, end: &CoSimEnd) -> Option<MinimizedRepro> {
     let cfg = spec.build_config()?;
     let budget = spec.max_cycles.min(MINIMIZE_MAX_CYCLES);
     let outcome = minimize(&initial, |mask| {
-        let candidate = spec.workload.with_mask(mask);
-        let boot = Box::new(|| CoSim::new(cfg.clone(), &candidate.build()));
+        // The job with its workload swapped, so the candidate boots on
+        // the job's REF.
+        let candidate = JobSpec {
+            workload: spec.workload.with_mask(mask),
+            ..spec.clone()
+        };
+        let boot = Box::new(|| candidate.boot(cfg.clone()).0);
         run_isolated_boot(boot, None, budget, None).is_ok_and(|stats| reproduces(&stats.end))
     });
     Some(MinimizedRepro {
@@ -383,6 +388,7 @@ mod tests {
     use super::*;
     use crate::job::WorkloadSource;
     use workloads::TortureConfig;
+    use xscore::InjectedBug;
 
     fn quick_torture() -> TortureConfig {
         TortureConfig {
@@ -411,6 +417,32 @@ mod tests {
         }
         assert_eq!(report.wall_clock.per_job_ms.len(), 6);
         assert_eq!(report.wall_clock.attempts, vec![1; 6]);
+    }
+
+    #[test]
+    fn minimizer_candidates_run_on_the_jobs_ref() {
+        let (job, end) = (0..6)
+            .find_map(|seed| {
+                let job = JobSpec::new(
+                    WorkloadSource::torture(seed, TortureConfig::default()),
+                    "small-nh",
+                )
+                .with_injected_bug(InjectedBug::MulLowBit)
+                .with_max_cycles(8_000_000);
+                let end = job.run(job.config().unwrap()).0.expect("no panic").end;
+                matches!(end, CoSimEnd::Bug(_)).then_some((job, end))
+            })
+            .expect("the injected bug diverges on some seed");
+        let on_nemu = minimize_failure(&job, &end).expect("a diverged torture job minimizes");
+        assert!(on_nemu.minimized_kept < on_nemu.original_kept, "{on_nemu:?}");
+        let on_arch = minimize_failure(&job.clone().with_ref("arch"), &end).unwrap();
+        let same = format!("{on_arch:?}") == format!("{on_nemu:?}");
+        assert!(same, "the REFs agree on every candidate: {on_arch:?}");
+        // A REF that cannot boot fails every candidate, so nothing is
+        // dropped; a minimizer that booted `nemu` instead would shrink.
+        let on_none = minimize_failure(&job.with_ref("nosuch"), &end).unwrap();
+        assert!(on_none.minimizer_runs > 0);
+        assert_eq!(on_none.minimized_kept, on_none.original_kept, "{on_none:?}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::job::{error_class, JobSpec, WorkloadSource};
 use crate::report::MinimizedRepro;
 use minjie::{debug_window, ArchDb, CoSimEnd, DebugWindow, DiffError, RunStats, Salvage};
 use serde::{Deserialize, Serialize};
-use xscore::{CpiStack, InjectedBug};
+use xscore::{CpiStack, InjectedBug, RunKnobs, XsConfig};
 
 /// Bundle schema version (independent of the report schema).
 /// v4: litmus sources, the `"forbidden-outcome"` trigger with its raw
@@ -176,10 +176,10 @@ pub fn triage(
         source: spec.workload.clone(),
         config: spec.config.clone(),
         cores: spec.cores.map(|c| c as u64),
-        injected_bug: spec.injected_bug,
-        inject_l2_race: spec.inject_l2_race,
-        telemetry: spec.telemetry,
-        lifecycle: spec.lifecycle,
+        injected_bug: spec.run.injected_bug,
+        inject_l2_race: spec.run.inject_l2_race,
+        telemetry: spec.run.telemetry,
+        lifecycle: spec.run.lifecycle,
         max_cycles: spec.max_cycles,
         lightsss_interval: spec.lightsss_interval,
         ref_model: spec.ref_model.clone(),
@@ -309,12 +309,15 @@ pub fn load_bundle(path: &str) -> Result<TriageBundle, String> {
 pub fn bundle_spec(b: &TriageBundle) -> JobSpec {
     JobSpec {
         cores: b.cores.map(|c| c as usize),
-        injected_bug: b.injected_bug,
-        inject_l2_race: b.inject_l2_race,
         max_cycles: b.max_cycles,
         lightsss_interval: b.lightsss_interval,
-        telemetry: b.telemetry,
-        lifecycle: b.lifecycle,
+        run: RunKnobs {
+            injected_bug: b.injected_bug,
+            inject_l2_race: b.inject_l2_race,
+            telemetry: b.telemetry,
+            lifecycle: b.lifecycle,
+            ..RunKnobs::default()
+        },
         ref_model: b.ref_model.clone(),
         ..JobSpec::new(b.source.clone(), b.config.clone())
     }
@@ -426,16 +429,21 @@ impl TriageBundle {
     ///
     /// One line saying why the text cannot be used: not JSON, a bundle of
     /// a schema other than [`BUNDLE_SCHEMA_VERSION`] or of none, not a
-    /// bundle, or a crash ring no core could have written.
+    /// bundle, a core count the model cannot build, or a crash ring no
+    /// core could have written.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let bundle: Self = minjie::files::load(text, "bundle", BUNDLE_SCHEMA_VERSION)?;
-        bundle.check_ring()?;
+        bundle.check()?;
         Ok(bundle)
     }
 
-    /// One line naming the first crash-ring record that fails
-    /// [`xscore::Lifecycle::check`], if any does.
-    pub(crate) fn check_ring(&self) -> Result<(), String> {
+    /// One line naming what no run could have written: a core count
+    /// [`XsConfig::check_cores`] refuses, or the first crash-ring record
+    /// that fails [`xscore::Lifecycle::check`].
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if let Some(cores) = self.cores {
+            XsConfig::check_cores(cores).map_err(|e| format!("bundle asks for {e}"))?;
+        }
         self.lifecycle_ring.iter().enumerate().try_for_each(|(i, r)| {
             r.check().map_err(|e| format!("lifecycle record {i} (seq {}): {e}", r.seq))
         })
@@ -459,6 +467,11 @@ impl TriageBundle {
         if let Some(bug) = self.injected_bug {
             s.push_str(&format!("injected bug: {bug:?}\n"));
         }
+        if self.inject_l2_race {
+            s.push_str("l2 race: armed\n");
+        }
+        let ref_name = self.ref_model.as_deref().unwrap_or(minjie::DEFAULT_REF_NAME);
+        s.push_str(&format!("ref: {ref_name}\n"));
         s.push_str(&format!(
             "limits: {} cycles, lightsss {}\n",
             self.max_cycles,
@@ -671,6 +684,12 @@ mod tests {
         });
         assert!(e.contains("no shared last-level cache"), "{e}");
         assert!(!e.contains("unknown configuration preset"), "{e}");
+        // A core count no system here can build is refused before one
+        // core is.
+        let e = refused(&|b| b.cores = Some(0));
+        assert!(e.contains("0 cores: a system needs at least one hart"), "{e}");
+        let e = refused(&|b| b.cores = Some(1 << 32));
+        assert!(e.contains("4294967296 cores: the model builds at most 16 harts"), "{e}");
     }
 
     #[test]

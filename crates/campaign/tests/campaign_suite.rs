@@ -73,9 +73,8 @@ fn injected_bug_is_caught_minimized_and_reported() {
             mask[i as usize] = true;
         }
         let program = t.emit_subset(&mask);
-        let cfg = xscore::XsConfig::preset("small-nh")
-            .unwrap()
-            .with_injected_bug(InjectedBug::MulLowBit);
+        let mut cfg = xscore::XsConfig::preset("small-nh").unwrap();
+        cfg.run.injected_bug = Some(InjectedBug::MulLowBit);
         match minjie::run_isolated(cfg, &program, 8_000_000, None) {
             Ok(minjie::RunStats {
                 end: minjie::CoSimEnd::Bug(b),

@@ -71,9 +71,9 @@ proptest! {
     fn minimized_torture_program_reproduces_the_same_error_class(seed in 0u64..500) {
         let tcfg = TortureConfig { body_len: 30, iterations: 4, ..Default::default() };
         let cfg = || {
-            XsConfig::preset("small-nh")
-                .expect("preset exists")
-                .with_injected_bug(InjectedBug::MulLowBit)
+            let mut cfg = XsConfig::preset("small-nh").expect("preset exists");
+            cfg.run.injected_bug = Some(InjectedBug::MulLowBit);
+            cfg
         };
         let t = TortureProgram::generate(seed, &tcfg);
         let full = run_isolated(cfg(), &t.emit(), 2_000_000, None).expect("no panic");

@@ -115,7 +115,7 @@ pub struct CoSim {
 const REPLAY_TRACE_CAP: usize = 65_536;
 
 /// Per-table row cap of the full lifecycle trace streamed under
-/// `XsConfig::lifecycle` — keeps the newest window so a long run cannot
+/// `RunKnobs::lifecycle` — keeps the newest window so a long run cannot
 /// grow the database without bound.
 const LIFECYCLE_TRACE_CAP: usize = 262_144;
 
@@ -125,14 +125,23 @@ const LIFECYCLE_TRACE_CAP: usize = 262_144;
 const MAX_STANDALONE_SKIP: u64 = 1 << 20;
 
 impl CoSim {
-    /// Boot a program under co-simulation.
+    /// Boot a program under co-simulation against DiffTest's default
+    /// REF ([`DEFAULT_REF_NAME`]).
     pub fn new(cfg: XsConfig, program: &Program) -> Self {
-        let harts = cfg.cores;
-        let (coverage, lifecycle) = (cfg.coverage, cfg.lifecycle);
-        let ref_model = cfg.ref_model.as_deref().unwrap_or(DEFAULT_REF_NAME);
-        let diff = DiffTest::for_program_with_ref(ref_model, program, harts);
+        Self::new_with_ref(cfg, program, DEFAULT_REF_NAME)
+    }
+
+    /// Boot a program under co-simulation against the REF personality
+    /// `ref_name` (one of [`AnyRef::names`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown personality name.
+    pub fn new_with_ref(cfg: XsConfig, program: &Program, ref_name: &str) -> Self {
+        let diff = DiffTest::for_program_with_ref(ref_name, program, cfg.cores);
+        let run = cfg.run;
         let sys = XsSystem::new(cfg, program);
-        Self::booted(sys, diff, coverage, lifecycle)
+        Self::booted(sys, diff, run.coverage, run.lifecycle)
     }
 
     /// Boot co-simulation from an architectural checkpoint: the DUT is
@@ -144,14 +153,14 @@ impl CoSim {
     /// profiles one hart), so the configuration is clamped to one core.
     pub fn from_checkpoint(mut cfg: XsConfig, state: &ArchState, memory: &SparseMemory) -> Self {
         cfg.cores = 1;
-        let (coverage, lifecycle) = (cfg.coverage, cfg.lifecycle);
+        let run = cfg.run;
         let mut sys = XsSystem::from_memory(cfg, memory.clone(), state.pc);
         sys.restore(state);
         let diff = DiffTest::new(
             vec![AnyRef::restored(state.clone(), memory.clone())],
             GlobalMemory::from_memory(memory.clone()),
         );
-        Self::booted(sys, diff, coverage, lifecycle)
+        Self::booted(sys, diff, run.coverage, run.lifecycle)
     }
 
     /// The harness over a freshly booted DUT and DiffTest engine.
@@ -208,7 +217,7 @@ impl CoSim {
         self.step_cycle_until(cap)
     }
 
-    /// Advance one cycle, then — when `XsConfig::event_driven` is on and
+    /// Advance one cycle, then — when `RunKnobs::event_driven` is on and
     /// no core made progress — skip ahead to just before the next
     /// scheduled event, but never past `limit` or past the next LightSSS
     /// snapshot-due cycle (snapshots must be captured at the same cycles
@@ -251,7 +260,7 @@ impl CoSim {
             }
         }
         // Drain full-trace lifecycle records (empty unless
-        // `XsConfig::lifecycle` is on, so this is free on the default path).
+        // `RunKnobs::lifecycle` is on, so this is free on the default path).
         for core in &mut self.state.sys.cores {
             for rec in core.take_lifecycle_trace() {
                 self.archdb.lifecycle.push(rec);
@@ -468,7 +477,7 @@ pub struct RunStats {
     pub rule_counts: Vec<(String, u64)>,
     /// Unified cross-layer performance snapshot at the end of the run.
     pub perf: crate::telemetry::PerfSnapshot,
-    /// Coverage map of the run (`Some` only under `XsConfig::coverage`).
+    /// Coverage map of the run (`Some` only under `RunKnobs::coverage`).
     pub coverage: Option<crate::coverage::CoverageMap>,
     /// The always-on lifecycle ring: the last
     /// [`xscore::LIFECYCLE_RING_CAP`] finished uops per core (core order),
@@ -749,7 +758,7 @@ mod tests {
         a.ebreak();
         let program = a.assemble();
         let mut cfg = tiny_cfg(1);
-        cfg.injected_bug = Some(xscore::InjectedBug::MulLowBit);
+        cfg.run.injected_bug = Some(xscore::InjectedBug::MulLowBit);
         let mut cosim = CoSim::new(cfg, &program).with_lightsss(1 << 40);
         let end = cosim.run(500_000);
         let CoSimEnd::Bug(report) = end else {
@@ -777,7 +786,7 @@ mod tests {
         a.mul(A0, S0, S1);
         a.ebreak();
         let mut cfg = tiny_cfg(1);
-        cfg.injected_bug = Some(xscore::InjectedBug::MulLowBit);
+        cfg.run.injected_bug = Some(xscore::InjectedBug::MulLowBit);
         let mut cosim = CoSim::new(cfg, &a.assemble()).with_lightsss(500);
         let r = cosim.state.diff.reference(0);
         assert!(matches!(r, AnyRef::Registry(i) if i.name() == DEFAULT_REF_NAME));
@@ -866,7 +875,7 @@ mod tests {
         // The restored REF must keep verifying commits: a DUT corrupted
         // after the restore diverges inside the sample run.
         let mut cfg = tiny_cfg(1);
-        cfg.injected_bug = Some(xscore::InjectedBug::MulLowBit);
+        cfg.run.injected_bug = Some(xscore::InjectedBug::MulLowBit);
         // Sampled windows check against the same REF as full runs.
         let (state, mem) = profile_to(&branchy_program(), 3_000);
         let restored = CoSim::from_checkpoint(cfg.clone(), &state, &mem);

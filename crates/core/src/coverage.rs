@@ -13,7 +13,7 @@
 //!
 //! Everything is pure integer data so coverage maps embed in the
 //! deterministic campaign report body without breaking byte-identical
-//! reruns. Collection is gated by `XsConfig::coverage`: the only
+//! reruns. Collection is gated by `RunKnobs::coverage`: the only
 //! per-commit cost when enabled is two array adds, and the default
 //! path pays nothing.
 

@@ -114,8 +114,8 @@ pub enum AnyRef {
 /// The `--ref` spelling of the cache-free architectural stepper.
 pub const ARCH_REF_NAME: &str = "arch";
 
-/// The REF DiffTest boots when none is named (`XsConfig::ref_model` is
-/// `None`): the paper's NEMU, the uop-cache tier.
+/// The REF DiffTest boots when none is named ([`CoSim::new`](crate::CoSim::new),
+/// a job whose `ref_model` is `None`): the paper's NEMU, the uop-cache tier.
 pub const DEFAULT_REF_NAME: &str = "nemu";
 
 impl AnyRef {
@@ -436,7 +436,7 @@ pub struct DiffTest<R: RefModel> {
     /// Commits verified.
     pub commits_checked: u64,
     /// Decode-level coverage, accumulated per commit when enabled
-    /// (`XsConfig::coverage`); `None` keeps the default path free.
+    /// (`RunKnobs::coverage`); `None` keeps the default path free.
     pub coverage: Option<CommitCoverage>,
     forced_guard: HashMap<(usize, u64, &'static str), u32>,
 }

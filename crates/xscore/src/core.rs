@@ -198,7 +198,7 @@ impl Shared<'_> {
 
     fn record_lifecycle(&mut self, rec: Lifecycle) {
         self.life_ring.push(rec);
-        if self.cfg.lifecycle {
+        if self.cfg.run.lifecycle {
             self.life_trace.push(rec);
         }
     }
@@ -388,7 +388,7 @@ pub struct Core {
     /// UART output bytes.
     pub output: Vec<u8>,
     // Lifecycle tracing: the last-N ring is always on; the full-trace
-    // buffer only fills when `cfg.lifecycle` is set (drained by the
+    // buffer only fills when `cfg.run.lifecycle` is set (drained by the
     // co-sim layer into ArchDB).
     life_ring: LifecycleRing,
     life_trace: Vec<Lifecycle>,
@@ -503,7 +503,7 @@ impl Core {
 
     /// Drain the full-trace lifecycle records accumulated since the last
     /// call (the buffer is kept for the next cycle's). Always empty unless
-    /// `cfg.lifecycle` is enabled.
+    /// `cfg.run.lifecycle` is enabled.
     pub fn take_lifecycle_trace(&mut self) -> std::vec::Drain<'_, Lifecycle> {
         self.life_trace.drain(..)
     }
@@ -628,7 +628,7 @@ impl Core {
     fn account(&mut self, mem: &MemSystem, n: u64, idle_slots: u64) {
         self.csr.mcycle = self.cycle;
         self.csr.time = self.cycle;
-        if self.cfg.telemetry {
+        if self.cfg.run.telemetry {
             self.record_occupancies(mem, n);
         }
         if idle_slots > 0 {

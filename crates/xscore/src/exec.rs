@@ -186,7 +186,7 @@ fn execute_and_writeback(sh: &mut Shared, idx: RobIdx) -> Option<Redirect> {
         value = r.bits;
         fflags = r.flags;
     }
-    if let Some(bug) = sh.cfg.injected_bug {
+    if let Some(bug) = sh.cfg.run.injected_bug {
         value = apply_injected_bug(bug, d.op, value);
     }
 

@@ -49,7 +49,7 @@ pub mod tage;
 pub mod tlbs;
 pub mod uop;
 
-pub use config::{InjectedBug, IssuePolicy, MemoryModel, XsConfig};
+pub use config::{InjectedBug, IssuePolicy, MemoryModel, RunKnobs, XsConfig, MAX_CORES};
 pub use core::{Core, CycleOutput};
 pub use lifecycle::{
     render_gap_summary, render_o3pipeview, render_waterfall, LifeStamps, Lifecycle,

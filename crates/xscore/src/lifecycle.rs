@@ -9,7 +9,7 @@
 //!   [`LIFECYCLE_RING_CAP`] records, snapshotted into triage bundles on
 //!   campaign failures so every diverged/timeout job ships a pipeline
 //!   waterfall of its final window, and
-//! * a **full-trace mode** (gated behind `XsConfig::lifecycle`) that
+//! * a **full-trace mode** (gated behind `RunKnobs::lifecycle`) that
 //!   streams every record into ArchDB and can be exported as
 //!   gem5-O3PipeView/Konata-compatible text ([`render_o3pipeview`]).
 //!

@@ -233,7 +233,7 @@ impl LsuIssue {
     #[inline]
     fn issue_load(&mut self, sh: &mut Shared, tag: RobTag) {
         let idx = tag.idx;
-        if sh.cfg.telemetry {
+        if sh.cfg.run.telemetry {
             let c = sh.rob.cold_mut(idx);
             if c.issued_at == 0 {
                 c.issued_at = sh.cycle;
@@ -356,7 +356,7 @@ fn finish_load(sh: &mut Shared, idx: RobIdx, value: u64) {
     if has_dest {
         sh.regs.write(fp, p, value);
     }
-    if sh.cfg.telemetry && issued_at > 0 {
+    if sh.cfg.run.telemetry && issued_at > 0 {
         sh.perf.load_to_use.record(cycle.saturating_sub(issued_at));
     }
 }

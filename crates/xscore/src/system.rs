@@ -31,7 +31,7 @@ impl XsSystem {
     /// Build from a pre-populated physical memory.
     pub fn from_memory(cfg: XsConfig, backing: SparseMemory, boot_pc: u64) -> Self {
         let mut mem = MemSystem::new(cfg.mem_system_config(), cfg.memory.build(), backing);
-        if cfg.inject_l2_race {
+        if cfg.run.inject_l2_race {
             mem.inject_l2_race_bug(0);
         }
         let cores = (0..cfg.cores)
@@ -94,7 +94,7 @@ impl XsSystem {
     }
 
     /// Advance one cycle; when event-driven skipping is enabled
-    /// (`cfg.event_driven`) and every core's tick was a provable no-op,
+    /// (`cfg.run.event_driven`) and every core's tick was a provable no-op,
     /// additionally bulk-advance the clock to just before the next
     /// scheduled event — memory-system delivery/completion or per-core
     /// queued work — charging the skipped span so every counter,
@@ -105,7 +105,7 @@ impl XsSystem {
     /// contract.
     pub fn tick_skipping_into(&mut self, limit: u64, outs: &mut Vec<CycleOutput>) {
         self.tick_into(outs);
-        if !self.cores[0].cfg.event_driven || self.cores.iter().any(|c| c.made_progress()) {
+        if !self.cores[0].cfg.run.event_driven || self.cores.iter().any(|c| c.made_progress()) {
             return;
         }
         let now = self.mem.cycle();

@@ -73,8 +73,8 @@ fn main() {
     println!("== run with the L2 Probe/GrantData race injected into core 0 ==");
     // The fault is part of the boot, so the reset state LightSSS falls
     // back to carries it too. The model is deterministic: the race fires.
-    let mut buggy =
-        CoSim::new(cfg.with_l2_race(), &shared_counter_program(80)).with_lightsss(10_000);
+    cfg.run.inject_l2_race = true;
+    let mut buggy = CoSim::new(cfg, &shared_counter_program(80)).with_lightsss(10_000);
     let CoSimEnd::Bug(report) = buggy.run(30_000_000) else {
         panic!("the injected race must diverge");
     };

@@ -41,9 +41,10 @@
 #      a 3-job run under `--ref arch` (the cache-free REF that is no
 #      longer the default) that must finish with zero divergences,
 #   4. a fuzz smoke — an injected-bug fuzz campaign must find, triage,
-#      and replay the divergence, and `replay --bundle --o3` must export
+#      and replay the divergence, `replay --bundle --o3` must export
 #      the same bundle's crash ring as O3PipeView `fetch` lines through
-#      the bundle gate (steps 3 and 4 read their
+#      the bundle gate, and its `replay --show` card must name the bug
+#      and the REF the bundle replays under (steps 3 and 4 read their
 #      reports with python's `json` on purpose: see the comment at step
 #      3), then the §IV-C example must reproduce its race and show the
 #      commits' writebacks: it is the only end-to-end exercise of
@@ -159,6 +160,10 @@ echo "fuzz bug bundle: $fuzz_bundle"
 timeout 300 target/release/replay --bundle "$fuzz_bundle"
 o3="$(timeout 60 target/release/replay --bundle "$fuzz_bundle" --o3)"
 grep -q "^O3PipeView:fetch:" <<<"$o3" || { echo "replay --o3: no O3PipeView:fetch: line" >&2; exit 1; }
+card="$(timeout 60 target/release/replay --show --bundle "$fuzz_bundle")"
+for want in "^injected bug: MulLowBit$" "^ref: nemu$"; do
+    grep -q "$want" <<<"$card" || { echo "replay --show: no '$want' line on the card" >&2; exit 1; }
+done
 
 echo "== tier-1: debug_session example (L2 race -> replay -> ArchDB timeline) =="
 session="$(timeout 120 cargo run -q --release --example debug_session)"

@@ -212,15 +212,15 @@ impl Given {
     fn apply(&self, job: &mut JobSpec, policy: &mut Policy) {
         job.max_cycles = self.num("--max-cycles").unwrap_or(job.max_cycles);
         job.lightsss_interval = self.num("--lightsss");
-        job.injected_bug = self.text("--inject-bug").map(|bug| match bug.as_str() {
+        job.run.injected_bug = self.text("--inject-bug").map(|bug| match bug.as_str() {
             "mul-low-bit" => InjectedBug::MulLowBit,
             "addw-no-sext" => InjectedBug::AddwNoSext,
             _ => usage("unknown --inject-bug"),
         });
-        job.inject_l2_race = self.has("--inject-l2-race");
-        job.telemetry = self.has("--telemetry");
-        job.lifecycle = self.has("--lifecycle");
-        job.coverage = self.has("--coverage");
+        job.run.inject_l2_race = self.has("--inject-l2-race");
+        job.run.telemetry = self.has("--telemetry");
+        job.run.lifecycle = self.has("--lifecycle");
+        job.run.coverage = self.has("--coverage");
         job.ref_model = self.text("--ref");
         policy.workers = self.num("--workers").unwrap_or(policy.workers);
         policy.minimize = !self.has("--no-minimize");

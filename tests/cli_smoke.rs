@@ -225,6 +225,10 @@ fn hostile_bundles_are_setup_errors_not_panics() {
             edited(&|b| (b.config, b.cores) = ("small-yqh".into(), Some(2))),
             "no shared last-level cache",
         ),
+        // A core count no system here can build: refused by every bundle
+        // reader before a core is built or a card rendered.
+        ("cores-0", edited(&|b| b.cores = Some(0)), "bundle asks for 0 cores"),
+        ("cores-2^32", edited(&|b| b.cores = Some(1 << 32)), "at most 16 harts"),
     ];
     for (name, text, diagnosis) in cases {
         let file = scratch.path(&format!("{name}.bundle.json"));
@@ -236,7 +240,13 @@ fn hostile_bundles_are_setup_errors_not_panics() {
             Some(2),
             "{name}: setup errors exit 2: {err}"
         );
+        assert_eq!(err.lines().filter(|l| l.starts_with("error:")).count(), 1, "{name}: {err}");
         assert!(err.contains(diagnosis), "{name}: {err}");
+        if name.starts_with("cores") {
+            for reader in &readers()[2..] {
+                assert_refused(*reader, &file, diagnosis);
+            }
+        }
         assert!(
             !err.contains("unknown configuration preset"),
             "{name}: {err}"

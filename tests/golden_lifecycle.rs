@@ -260,10 +260,8 @@ fn lifecycle_trace_unchanged_by_event_skip() {
     // to the skipping run's.
     let p = mispredict_program();
     let run = |on: bool| {
-        let cfg = XsConfig::preset("small-nh")
-            .expect("preset")
-            .with_lifecycle()
-            .with_event_driven(on);
+        let mut cfg = XsConfig::preset("small-nh").expect("preset").with_lifecycle();
+        cfg.run.event_driven = on;
         let (trace, end) = lifecycle_trace_cfg(cfg, &p, 100_000);
         assert!(
             matches!(end, CoSimEnd::Halted(_)),

@@ -110,16 +110,15 @@ fn same_seed_runs_identical_with_traffic_in_flight() {
 #[test]
 fn event_skip_equivalence_is_exact() {
     // The cycle-skip equivalence suite: with the event queue force-
-    // disabled (`with_event_driven(false)`), a tick-by-tick run must be
+    // disabled (`run.event_driven = false`), a tick-by-tick run must be
     // indistinguishable from the skipping run — same cycle count, same
     // commit trace, and the same serialized PerfSnapshot (which covers
     // the CPI stack, lifecycle digest, and telemetry histograms).
     for (name, config) in [("mcf", "small-nh"), ("libquantum", "small-yqh")] {
         let program = WorkloadSource::kernel(name).build();
         let run = |on: bool| {
-            let cfg = XsConfig::preset(config)
-                .expect("known preset")
-                .with_event_driven(on);
+            let mut cfg = XsConfig::preset(config).expect("known preset");
+            cfg.run.event_driven = on;
             let mut sys = XsSystem::new(cfg, &program);
             let commits = sys.run_collect(300_000);
             let snap = PerfSnapshot::collect(&sys);
@@ -163,9 +162,8 @@ fn event_skip_shadow_check_on_torture_seeds() {
         for seed in 0..16 {
             let program = WorkloadSource::torture(seed, TortureConfig::default()).build();
             let run = |on: bool| {
-                let cfg = XsConfig::preset(config)
-                    .expect("known preset")
-                    .with_event_driven(on);
+                let mut cfg = XsConfig::preset(config).expect("known preset");
+                cfg.run.event_driven = on;
                 let mut sys = XsSystem::new(cfg, &program);
                 let commits = sys.run_collect(8_000_000);
                 assert!(sys.all_halted(), "torture {seed}/{config}: did not halt");

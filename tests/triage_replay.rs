@@ -22,9 +22,8 @@ proptest! {
             ..Default::default()
         };
         let program = TortureProgram::generate(seed, &tcfg).emit();
-        let cfg = XsConfig::preset("small-nh")
-            .expect("preset exists")
-            .with_injected_bug(InjectedBug::MulLowBit);
+        let mut cfg = XsConfig::preset("small-nh").expect("preset exists");
+        cfg.run.injected_bug = Some(InjectedBug::MulLowBit);
         let mut cosim = CoSim::new(cfg, &program).with_lightsss(500);
         let end = cosim.run(2_000_000);
         let CoSimEnd::Bug(bug) = end else {
