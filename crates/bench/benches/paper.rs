@@ -140,9 +140,12 @@ fn mips(instructions: u64, took: Duration) -> f64 {
     instructions as f64 / took.as_secs_f64() / 1e6
 }
 
-/// Figure 8 itself. The shape to check: the trace tier fastest, then the
-/// NEMU uop-cache tier, Spike-like (decode cache), Dromajo- and QEMU-TCI-like
-/// trailing, the fast tiers' lead larger on fp (host FP vs SoftFloat).
+/// Figure 8 itself. The order measured: the NEMU uop-cache tier fastest,
+/// then the trace tier (level with it on `namd`), Spike-like (decode
+/// cache), Dromajo- and QEMU-TCI-like trailing. The uop-cache tier's lead
+/// over Spike-like is larger on int than on fp: its integer ops have
+/// inline arms, while its FP ops still go through `fp_execute`. The
+/// paper's lead is larger on fp (host FP vs SoftFloat).
 fn fig8_speeds() {
     println!("\n== Figure 8: interpreter performance (MIPS), Test inputs [speed: stdout only] ==");
     print!("{:<12}", "benchmark");

@@ -482,24 +482,25 @@ impl<R: RefModel> DiffTest<R> {
 
         // --- Trap events -------------------------------------------------
         if let Some(dut_trap) = e.trap {
-            // Trial-step the REF: does it trap identically on its own?
-            let snapshot = self.refs[hart].clone();
+            // Trial-step the REF: does it trap identically on its own? Only
+            // a page fault can need the REF back as it was (the rule
+            // below), so only a page fault pays for the clone.
+            let page_fault = matches!(dut_trap, Trap::Exception(cause, _) if cause.is_page_fault());
+            let snapshot = page_fault.then(|| self.refs[hart].clone());
             let info = self.refs[hart].step();
             if info.trap == Some(dut_trap) && info.pc == e.pc {
                 return Ok(());
             }
             // Speculative page-fault rule: DUT-only page faults are legal;
             // the REF is forced to take the same fault.
-            if let Trap::Exception(cause, tval) = dut_trap {
-                if cause.is_page_fault() {
-                    self.refs[hart] = snapshot;
-                    self.guard(hart, e.pc, "speculative-page-fault")?;
-                    self.refs[hart].inject_exception(cause, tval);
-                    let info = self.refs[hart].step();
-                    debug_assert_eq!(info.trap, Some(dut_trap));
-                    self.stats.record(DiffRule::SpeculativePageFault);
-                    return Ok(());
-                }
+            if let (Trap::Exception(cause, tval), Some(snapshot)) = (dut_trap, snapshot) {
+                self.refs[hart] = snapshot;
+                self.guard(hart, e.pc, "speculative-page-fault")?;
+                self.refs[hart].inject_exception(cause, tval);
+                let info = self.refs[hart].step();
+                debug_assert_eq!(info.trap, Some(dut_trap));
+                self.stats.record(DiffRule::SpeculativePageFault);
+                return Ok(());
             }
             return Err(DiffError::Trap {
                 hart,

@@ -18,12 +18,15 @@
 //! - **pseudo-instruction specialization**: `li`/`mv`/`ret`/`auipc` get
 //!   dedicated handlers with fully inlined operands (`auipc` folds
 //!   `pc + imm` into a load-immediate at decode time).
+//! - **per-op handlers**: the hot integer ops, every load and store width
+//!   and every branch condition have their semantics inline in their own
+//!   arm; only the cold tail dispatches again through [`int_compute`].
 //! - **host floating point**: FP arithmetic uses the host FPU
 //!   ([`riscv_isa::fpu`]) rather than softfloat.
 
 use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
 use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
-use riscv_isa::exec::{branch_taken, int_compute, load_extend};
+use riscv_isa::exec::int_compute;
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
 use riscv_isa::mmu::{self, AccessType};
@@ -34,32 +37,65 @@ const UNRESOLVED: u32 = u32::MAX;
 const MAX_TRACE: usize = 64;
 
 /// Dispatch class of a uop (the "execution routine" pointer of Fig. 7).
+/// The hot integer ops, every load and store width and every branch
+/// condition have an arm of their own; the rest of the integer ALU (M,
+/// Zb*, the other W forms) shares `AluRR`/`AluRI`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Handler {
     /// `rd = imm` (li, lui, and auipc with the pc folded in).
     Li,
     /// `rd = rs1` (mv).
     Mv,
-    /// Two-register ALU op via [`int_compute`].
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Slt,
+    Sltu,
+    Addw,
+    Addi,
+    Andi,
+    Ori,
+    Xori,
+    Slli,
+    Srli,
+    Srai,
+    Addiw,
+    /// Any other two-register ALU op, via [`int_compute`].
     AluRR,
-    /// Register-immediate ALU op via [`int_compute`].
+    /// Any other register-immediate ALU op, via [`int_compute`].
     AluRI,
-    /// Integer load.
-    Load,
-    /// FP load.
-    FLoad,
-    /// Integer store.
-    Store,
-    /// FP store.
-    FStore,
+    Lb,
+    Lh,
+    Lw,
+    /// The one integer load that can read `MTIME`.
+    Ld,
+    Lbu,
+    Lhu,
+    Lwu,
+    Flw,
+    /// The one FP load that can read `MTIME`.
+    Fld,
+    Sb,
+    Sh,
+    Sw,
+    Sd,
+    Fsw,
+    Fsd,
     /// Direct jump with link.
     Jal,
     /// Indirect jump (hash-list query).
     Jalr,
     /// `ret` — jalr x0, 0(ra), specialized.
     Ret,
-    /// Conditional branch with chained both edges.
-    Branch,
+    /// Conditional branches, chained on both edges.
+    Beq,
+    Bne,
+    Blt,
+    Bge,
+    Bltu,
+    Bgeu,
     /// Trace-length-cap sentinel: transfer to `pc` through the outer loop
     /// without consuming an instruction.
     Goto,
@@ -115,7 +151,7 @@ pub struct Nemu {
     regs: [u64; 33],
     /// The uop cache: grows with the uops filled, up to `capacity`.
     code: Vec<Uop>,
-    map: HashMap<u64, u32, IntBuildHasher>,
+    map: UopMap,
     /// Where `step_one` expects its next uop: the slot after the one it
     /// last executed.
     cursor: u32,
@@ -256,15 +292,8 @@ impl Nemu {
         Some(head)
     }
 
-    /// The upc of an already-cached `pc`.
-    fn lookup(&mut self, pc: u64) -> Option<u32> {
-        let u = *self.map.get(&pc)?;
-        self.stats.uop_hits += 1;
-        Some(u)
-    }
-
     fn lookup_or_fill(&mut self, pc: u64) -> Option<u32> {
-        self.lookup(pc).or_else(|| self.fill(pc))
+        lookup(&self.map, &mut self.stats, pc).or_else(|| self.fill(pc))
     }
 
     /// One architectural step through [`hart::step`], followed by the
@@ -296,13 +325,18 @@ impl Nemu {
     /// The fast execution loop. With `BLOCKS`, `sink.block` hears every
     /// basic block (from the control-flow handlers and the slow steps).
     /// Out of line so that `run_until` stays a small dispatcher.
+    ///
+    /// The dispatch loop runs on disjoint borrows of the shadow register
+    /// file, the uop array, the pc→upc map, the stats, the memory and the
+    /// hart, so that `upc`, `steps` and those pointers stay in registers
+    /// across the handlers; each uop is read in place.
     #[inline(never)]
     fn run_fast<const BLOCKS: bool>(&mut self, max_steps: u64, sink: &mut dyn CommitSink) {
         self.sync_regs_from_hart();
+        // Instructions executed; `hart.instret` has been credited with
+        // the first `synced` of them (see `sync_regs_to_hart`).
         let mut steps = 0u64;
-        // Instructions the loop retired that `hart.instret` has not been
-        // credited with yet (see `sync_regs_to_hart`).
-        let mut retired = 0u64;
+        let mut synced = 0u64;
         let mut block_pc = self.hart.state.pc;
         let mut block_mark = 0u64;
         // The current block ends with the step just counted.
@@ -317,9 +351,9 @@ impl Nemu {
         }
         macro_rules! slow_step {
             () => {{
-                let info = self.slow_step(retired);
-                retired = 0;
+                let info = self.slow_step(steps - synced);
                 steps += 1;
+                synced = steps;
                 if info.ends_block() {
                     end_block!(self.hart.state.pc);
                 }
@@ -336,191 +370,268 @@ impl Nemu {
                 slow_step!();
                 continue;
             };
+            let Nemu {
+                hart,
+                mem,
+                regs,
+                code,
+                map,
+                stats,
+                ..
+            } = &mut *self;
+            // A slice: its pointer and length are values, not a `Vec`
+            // header to re-read after every call the arms make.
+            let code = &mut code[..];
             // Tight dispatch loop: stays inside the uop cache until a
             // slow event, an unresolved edge, or fuel runs out.
             while steps < max_steps {
-                let uop = self.code[upc as usize];
+                let uop = &code[upc as usize];
                 steps += 1;
-                retired += 1;
                 // Control transfer to `$target_pc`, which ends the block:
                 // on to `$next` when the target is cached, else through
                 // the outer loop.
                 macro_rules! transfer {
                     ($next:expr, $target_pc:expr) => {{
-                        end_block!($target_pc);
+                        let target_pc = $target_pc;
+                        end_block!(target_pc);
                         match $next {
                             Some(u) => upc = u,
                             None => {
-                                self.hart.state.pc = $target_pc;
+                                hart.state.pc = target_pc;
                                 continue 'outer;
                             }
                         }
                     }};
                 }
-                match uop.handler {
-                    Handler::Li => {
-                        self.regs[uop.rd as usize] = uop.imm as u64;
+                macro_rules! alu_rr {
+                    (|$a:ident, $b:ident| $v:expr) => {{
+                        let $a = regs[uop.rs1 as usize];
+                        let $b = regs[uop.rs2 as usize];
+                        regs[uop.rd as usize] = $v;
                         upc += 1;
-                    }
-                    Handler::Mv => {
-                        self.regs[uop.rd as usize] = self.regs[uop.rs1 as usize];
+                    }};
+                }
+                macro_rules! alu_ri {
+                    (|$a:ident, $i:ident| $v:expr) => {{
+                        let $a = regs[uop.rs1 as usize];
+                        let $i = uop.imm as u64;
+                        regs[uop.rd as usize] = $v;
                         upc += 1;
-                    }
-                    Handler::AluRI => {
-                        let a = self.regs[uop.rs1 as usize];
-                        self.regs[uop.rd as usize] =
-                            int_compute(uop.inst.op, a, uop.imm as u64)
-                                .expect("AluRI ops are int_compute-able");
+                    }};
+                }
+                macro_rules! load {
+                    ($size:expr, |$raw:ident| $v:expr) => {{
+                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
+                        let $raw = mem.read_uint(va, $size);
+                        regs[uop.rd as usize] = $v;
                         upc += 1;
-                    }
-                    Handler::AluRR => {
-                        let a = self.regs[uop.rs1 as usize];
-                        let b = self.regs[uop.rs2 as usize];
-                        self.regs[uop.rd as usize] = int_compute(uop.inst.op, a, b)
-                            .expect("AluRR ops are int_compute-able");
-                        upc += 1;
-                    }
-                    Handler::Load => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let raw = if va == MTIME {
-                            self.hart.state.csr.time
-                        } else {
-                            self.mem.read_uint(va, uop.inst.mem_size())
-                        };
-                        self.regs[uop.rd as usize] = load_extend(uop.inst.op, raw);
-                        upc += 1;
-                    }
-                    Handler::FLoad => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let raw = self.mem.read_uint(va, uop.inst.mem_size());
-                        self.hart.state.fpr[uop.inst.rd as usize] = if uop.inst.op == Op::Flw {
-                            0xffff_ffff_0000_0000 | raw
-                        } else {
-                            raw
-                        };
-                        upc += 1;
-                    }
-                    Handler::Store => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let v = self.regs[uop.rs2 as usize];
+                    }};
+                }
+                // `UART_TX` takes a store of any width, integer or FP.
+                macro_rules! store {
+                    ($size:expr, $v:expr) => {{
+                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
+                        let v = $v;
                         if va == UART_TX {
-                            self.hart.output.push(v as u8);
+                            hart.output.push(v as u8);
                         } else {
-                            self.mem.write_uint(va, uop.inst.mem_size(), v);
+                            mem.write_uint(va, $size, v);
                         }
                         upc += 1;
-                    }
-                    Handler::FStore => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let v = self.hart.state.fpr[uop.inst.rs2 as usize];
-                        self.mem.write_uint(va, uop.inst.mem_size(), v);
-                        upc += 1;
-                    }
-                    Handler::Nop => upc += 1,
-                    Handler::HostFp => {
-                        let d = &uop.inst;
-                        let a = if d.rs1_is_fpr() {
-                            self.hart.state.fpr[d.rs1 as usize]
-                        } else {
-                            self.regs[d.rs1 as usize]
-                        };
-                        let b = if d.rs2_is_fpr() {
-                            self.hart.state.fpr[d.rs2 as usize]
-                        } else {
-                            self.regs[d.rs2 as usize]
-                        };
-                        let c = self.hart.state.fpr[d.rs3 as usize];
-                        let rm = if d.rm == 7 {
-                            self.hart.state.csr.frm()
-                        } else {
-                            d.rm
-                        };
-                        let r = fp_execute(d.op, a, b, c, rm);
-                        self.hart.state.csr.set_fflags(r.flags);
-                        if d.writes_fpr() {
-                            self.hart.state.fpr[d.rd as usize] = r.bits;
-                        } else {
-                            self.regs[uop.rd as usize] = r.bits;
-                        }
-                        upc += 1;
-                    }
-                    Handler::Jal => {
-                        self.regs[uop.rd as usize] = uop.next_pc;
-                        let target_pc = uop.pc.wrapping_add(uop.imm as u64);
-                        transfer!(self.chase(upc, target_pc, true), target_pc);
-                    }
-                    Handler::Ret => {
-                        let target_pc = self.regs[1] & !1;
-                        transfer!(self.lookup(target_pc), target_pc);
-                    }
-                    Handler::Jalr => {
-                        let target_pc =
-                            self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
-                        self.regs[uop.rd as usize] = uop.next_pc;
-                        transfer!(self.lookup(target_pc), target_pc);
-                    }
-                    Handler::Branch => {
-                        let a = self.regs[uop.rs1 as usize];
-                        let b = self.regs[uop.rs2 as usize];
-                        let taken = branch_taken(uop.inst.op, a, b);
+                    }};
+                }
+                macro_rules! branch {
+                    (|$a:ident, $b:ident| $taken:expr) => {{
+                        let $a = regs[uop.rs1 as usize];
+                        let $b = regs[uop.rs2 as usize];
+                        let taken = $taken;
                         let target_pc = if taken {
                             uop.pc.wrapping_add(uop.imm as u64)
                         } else {
                             uop.next_pc
                         };
-                        transfer!(self.chase(upc, target_pc, taken), target_pc);
+                        transfer!(chase(code, map, stats, upc, target_pc, taken), target_pc);
+                    }};
+                }
+                match uop.handler {
+                    Handler::Li => {
+                        regs[uop.rd as usize] = uop.imm as u64;
+                        upc += 1;
                     }
+                    Handler::Mv => {
+                        regs[uop.rd as usize] = regs[uop.rs1 as usize];
+                        upc += 1;
+                    }
+                    Handler::Add => alu_rr!(|a, b| a.wrapping_add(b)),
+                    Handler::Sub => alu_rr!(|a, b| a.wrapping_sub(b)),
+                    Handler::And => alu_rr!(|a, b| a & b),
+                    Handler::Or => alu_rr!(|a, b| a | b),
+                    Handler::Xor => alu_rr!(|a, b| a ^ b),
+                    Handler::Slt => alu_rr!(|a, b| ((a as i64) < (b as i64)) as u64),
+                    Handler::Sltu => alu_rr!(|a, b| (a < b) as u64),
+                    Handler::Addw => alu_rr!(|a, b| a.wrapping_add(b) as i32 as i64 as u64),
+                    Handler::Addi => alu_ri!(|a, i| a.wrapping_add(i)),
+                    Handler::Andi => alu_ri!(|a, i| a & i),
+                    Handler::Ori => alu_ri!(|a, i| a | i),
+                    Handler::Xori => alu_ri!(|a, i| a ^ i),
+                    Handler::Slli => alu_ri!(|a, i| a << (i & 63)),
+                    Handler::Srli => alu_ri!(|a, i| a >> (i & 63)),
+                    Handler::Srai => alu_ri!(|a, i| ((a as i64) >> (i & 63)) as u64),
+                    Handler::Addiw => alu_ri!(|a, i| a.wrapping_add(i) as i32 as i64 as u64),
+                    Handler::AluRR => alu_rr!(|a, b| int_compute(uop.inst.op, a, b)
+                        .expect("AluRR ops are int_compute-able")),
+                    Handler::AluRI => alu_ri!(|a, i| int_compute(uop.inst.op, a, i)
+                        .expect("AluRI ops are int_compute-able")),
+                    Handler::Lb => load!(1, |raw| raw as i8 as i64 as u64),
+                    Handler::Lh => load!(2, |raw| raw as i16 as i64 as u64),
+                    Handler::Lw => load!(4, |raw| raw as i32 as i64 as u64),
+                    Handler::Lbu => load!(1, |raw| raw),
+                    Handler::Lhu => load!(2, |raw| raw),
+                    Handler::Lwu => load!(4, |raw| raw),
+                    Handler::Ld => {
+                        // `MTIME` answers 8-byte loads only (`hart`'s rule).
+                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
+                        regs[uop.rd as usize] = if va == MTIME {
+                            hart.state.csr.time
+                        } else {
+                            mem.read_uint(va, 8)
+                        };
+                        upc += 1;
+                    }
+                    Handler::Flw => {
+                        // NaN-boxed; `fpr` is indexed by the unredirected rd.
+                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
+                        hart.state.fpr[uop.inst.rd as usize] =
+                            0xffff_ffff_0000_0000 | mem.read_uint(va, 4);
+                        upc += 1;
+                    }
+                    Handler::Fld => {
+                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
+                        hart.state.fpr[uop.inst.rd as usize] = if va == MTIME {
+                            hart.state.csr.time
+                        } else {
+                            mem.read_uint(va, 8)
+                        };
+                        upc += 1;
+                    }
+                    Handler::Sb => store!(1, regs[uop.rs2 as usize]),
+                    Handler::Sh => store!(2, regs[uop.rs2 as usize]),
+                    Handler::Sw => store!(4, regs[uop.rs2 as usize]),
+                    Handler::Sd => store!(8, regs[uop.rs2 as usize]),
+                    Handler::Fsw => store!(4, hart.state.fpr[uop.rs2 as usize]),
+                    Handler::Fsd => store!(8, hart.state.fpr[uop.rs2 as usize]),
+                    Handler::Nop => upc += 1,
+                    Handler::HostFp => {
+                        let d = &uop.inst;
+                        let a = if d.rs1_is_fpr() {
+                            hart.state.fpr[d.rs1 as usize]
+                        } else {
+                            regs[d.rs1 as usize]
+                        };
+                        let b = if d.rs2_is_fpr() {
+                            hart.state.fpr[d.rs2 as usize]
+                        } else {
+                            regs[d.rs2 as usize]
+                        };
+                        let c = hart.state.fpr[d.rs3 as usize];
+                        let rm = if d.rm == 7 {
+                            hart.state.csr.frm()
+                        } else {
+                            d.rm
+                        };
+                        let r = fp_execute(d.op, a, b, c, rm);
+                        hart.state.csr.set_fflags(r.flags);
+                        if d.writes_fpr() {
+                            hart.state.fpr[d.rd as usize] = r.bits;
+                        } else {
+                            regs[uop.rd as usize] = r.bits;
+                        }
+                        upc += 1;
+                    }
+                    Handler::Jal => {
+                        regs[uop.rd as usize] = uop.next_pc;
+                        let target_pc = uop.pc.wrapping_add(uop.imm as u64);
+                        transfer!(chase(code, map, stats, upc, target_pc, true), target_pc);
+                    }
+                    Handler::Ret => {
+                        let target_pc = regs[1] & !1;
+                        transfer!(lookup(map, stats, target_pc), target_pc);
+                    }
+                    Handler::Jalr => {
+                        // The target first: rd may alias rs1.
+                        let target_pc = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
+                        regs[uop.rd as usize] = uop.next_pc;
+                        transfer!(lookup(map, stats, target_pc), target_pc);
+                    }
+                    Handler::Beq => branch!(|a, b| a == b),
+                    Handler::Bne => branch!(|a, b| a != b),
+                    Handler::Blt => branch!(|a, b| (a as i64) < (b as i64)),
+                    Handler::Bge => branch!(|a, b| (a as i64) >= (b as i64)),
+                    Handler::Bltu => branch!(|a, b| a < b),
+                    Handler::Bgeu => branch!(|a, b| a >= b),
                     Handler::Goto => {
                         // Sentinel: no instruction executed, re-enter via
                         // the outer loop at the continuation pc.
                         steps -= 1;
-                        retired -= 1;
-                        self.hart.state.pc = uop.pc;
+                        hart.state.pc = uop.pc;
                         continue 'outer;
                     }
                     Handler::Slow => {
                         // Take back the optimistic count; the slow step
                         // retires (or traps) architecturally.
                         steps -= 1;
-                        retired -= 1;
-                        self.hart.state.pc = uop.pc;
+                        hart.state.pc = uop.pc;
                         slow_step!();
                         continue 'outer;
                     }
                 }
             }
             // Fuel exhausted inside the block: record the resume pc.
-            self.hart.state.pc = self.code[upc as usize].pc;
+            hart.state.pc = code[upc as usize].pc;
             break;
         }
         if BLOCKS && steps > block_mark {
             sink.block(block_pc, steps - block_mark);
         }
-        self.sync_regs_to_hart(retired);
+        self.sync_regs_to_hart(steps - synced);
     }
+}
 
-    /// Follow (and memoize) a chained control-flow edge.
-    fn chase(&mut self, upc: u32, target_pc: u64, taken_edge: bool) -> Option<u32> {
-        let cached = if taken_edge {
-            self.code[upc as usize].target
-        } else {
-            self.code[upc as usize].fallthru
-        };
-        if cached != UNRESOLVED && self.code[cached as usize].pc == target_pc {
-            self.stats.uop_hits += 1;
-            return Some(cached);
-        }
-        if let Some(u) = self.lookup(target_pc) {
-            let slot = if taken_edge {
-                &mut self.code[upc as usize].target
-            } else {
-                &mut self.code[upc as usize].fallthru
-            };
-            *slot = u;
-            return Some(u);
-        }
-        None
+type UopMap = HashMap<u64, u32, IntBuildHasher>;
+
+/// The upc of an already-cached `pc`.
+#[inline]
+fn lookup(map: &UopMap, stats: &mut NemuStats, pc: u64) -> Option<u32> {
+    let u = *map.get(&pc)?;
+    stats.uop_hits += 1;
+    Some(u)
+}
+
+/// Follow a chained control-flow edge of the uop at `upc`, memoizing it
+/// on first use.
+#[inline]
+fn chase(
+    code: &mut [Uop],
+    map: &UopMap,
+    stats: &mut NemuStats,
+    upc: u32,
+    target_pc: u64,
+    taken_edge: bool,
+) -> Option<u32> {
+    let uop = &code[upc as usize];
+    let cached = if taken_edge { uop.target } else { uop.fallthru };
+    if cached != UNRESOLVED && code[cached as usize].pc == target_pc {
+        stats.uop_hits += 1;
+        return Some(cached);
     }
+    let u = lookup(map, stats, target_pc)?;
+    let uop = &mut code[upc as usize];
+    *(if taken_edge {
+        &mut uop.target
+    } else {
+        &mut uop.fallthru
+    }) = u;
+    Some(u)
 }
 
 /// Classify an instruction into its fast-path handler.
@@ -531,18 +642,49 @@ fn classify(d: &DecodedInst) -> Handler {
         | Csrrc | Csrrwi | Csrrsi | Csrrci | LrW | LrD | ScW | ScD => Handler::Slow,
         _ if d.is_amo() => Handler::Slow,
         Fence => Handler::Nop,
-        Lui => Handler::Li,
-        Auipc => Handler::Li,
+        Lui | Auipc => Handler::Li,
         Addi if d.rs1 == 0 => Handler::Li,
         Addi if d.imm == 0 => Handler::Mv,
+        Addi => Handler::Addi,
+        Add => Handler::Add,
+        Sub => Handler::Sub,
+        And => Handler::And,
+        Or => Handler::Or,
+        Xor => Handler::Xor,
+        Slt => Handler::Slt,
+        Sltu => Handler::Sltu,
+        Addw => Handler::Addw,
+        Andi => Handler::Andi,
+        Ori => Handler::Ori,
+        Xori => Handler::Xori,
+        Slli => Handler::Slli,
+        Srli => Handler::Srli,
+        Srai => Handler::Srai,
+        Addiw => Handler::Addiw,
         Jal => Handler::Jal,
         Jalr if d.rd == 0 && d.rs1 == 1 && d.imm == 0 => Handler::Ret,
         Jalr => Handler::Jalr,
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => Handler::Branch,
-        Lb | Lh | Lw | Ld | Lbu | Lhu | Lwu => Handler::Load,
-        Flw | Fld => Handler::FLoad,
-        Sb | Sh | Sw | Sd => Handler::Store,
-        Fsw | Fsd => Handler::FStore,
+        Beq => Handler::Beq,
+        Bne => Handler::Bne,
+        Blt => Handler::Blt,
+        Bge => Handler::Bge,
+        Bltu => Handler::Bltu,
+        Bgeu => Handler::Bgeu,
+        Lb => Handler::Lb,
+        Lh => Handler::Lh,
+        Lw => Handler::Lw,
+        Ld => Handler::Ld,
+        Lbu => Handler::Lbu,
+        Lhu => Handler::Lhu,
+        Lwu => Handler::Lwu,
+        Flw => Handler::Flw,
+        Fld => Handler::Fld,
+        Sb => Handler::Sb,
+        Sh => Handler::Sh,
+        Sw => Handler::Sw,
+        Sd => Handler::Sd,
+        Fsw => Handler::Fsw,
+        Fsd => Handler::Fsd,
         op => {
             if int_compute(op, 0, 0).is_some() {
                 if crate::hart::has_imm_operand(op) {

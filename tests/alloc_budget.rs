@@ -29,7 +29,9 @@
 //!
 //! And the bytes a REF boot asks for: NEMU's uop cache grows with the
 //! uops it fills, so DiffTest's default REF costs the program, not the
-//! cache it could hold.
+//! cache it could hold. Once warm, NEMU's `run()` goes to the allocator
+//! only for a page it touches first or a uop it fills, never per
+//! instruction.
 //!
 //! And what a traced row costs: ArchDB keeps the struct the probe
 //! emitted in a `VecDeque` (DESIGN §4 "Telemetry"), so a run with the
@@ -167,6 +169,32 @@ fn a_ref_boot_allocates_for_the_program_not_for_the_uop_cache() {
     assert!(bytes <= REF_BOOT_BUDGET, "a REF boot requested {bytes} bytes");
     // That the capacity still flushes the cache is `nemu`'s
     // `capacity_flush`.
+}
+
+/// Instructions a `nemu` `run()` of Test-scale `sjeng` (84 503 in all)
+/// executes before its window opens: by then the uop cache holds 52 of
+/// the 53 uops the kernel ever fills, and memory every page it touches.
+const REF_WARM_UP: u64 = 10_000;
+
+#[test]
+fn a_warm_nemu_run_allocates_for_new_pages_and_uops_only() {
+    use nemu::Interpreter;
+    let program = workload("sjeng", Scale::Test).program;
+    let mut n = nemu::Nemu::new(&program);
+    assert!(n.run(REF_WARM_UP).exit_code.is_none(), "sjeng halted inside the warm-up");
+    let (pages, uops, calls) = (n.mem_mut().resident_pages(), n.stats.uop_fills, CALLS.get());
+    let r = n.run(u64::MAX);
+    let calls = CALLS.get() - calls;
+    let pages = (n.mem_mut().resident_pages() - pages) as u64;
+    let uops = n.stats.uop_fills - uops;
+    println!("nemu run(): {calls} calls in {} instructions, {pages} new pages, {uops} new uops", r.instructions);
+    assert!(r.exit_code.is_some(), "sjeng did not halt");
+    assert!(r.instructions > 50_000, "the window ran only {} instructions", r.instructions);
+    // A page first touched is one allocation; a uop filled may grow the
+    // uop array (for itself and its trace's length-cap sentinel) and the
+    // pc map once each.
+    let budget = pages + 3 * uops;
+    assert!(calls <= budget, "a warm run() made {calls} allocator calls (budget {budget})");
 }
 
 /// Bytes `CampaignReport::full_json` may request per byte of the text it

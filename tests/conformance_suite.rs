@@ -37,8 +37,8 @@ mod common;
 const BASE: u64 = 0x8000_0000;
 
 /// Run `p` on every registered interpreter personality; assert they all
-/// halt with identical architectural state and return the common exit
-/// code.
+/// halt with identical architectural state and UART output, and return
+/// the common exit code.
 fn conform(p: &Program) -> u64 {
     let mut engines: Vec<(&'static str, Box<dyn Interpreter>)> = PERSONALITIES
         .iter()
@@ -63,6 +63,7 @@ fn conform(p: &Program) -> u64 {
         assert_eq!(head.1.hart().state.pc, e.hart().state.pc, "{name}: pc");
         assert_eq!(head.1.hart().state.gpr, e.hart().state.gpr, "{name}: gpr file");
         assert_eq!(head.1.hart().state.fpr, e.hart().state.fpr, "{name}: fpr file");
+        assert_eq!(head.1.hart().output, e.hart().output, "{name}: UART output");
     }
     r0.exit_code.unwrap()
 }
@@ -167,6 +168,56 @@ fn rv64i_loads_and_stores_all_widths() {
     a.bind(data);
     a.zeros(32);
     conform(&a.assemble());
+}
+
+/// The MMIO edges, through `run()` and through `step_one()` on every
+/// personality, with a nonzero `time`: `MTIME` answers 8-byte loads only,
+/// integer (`ld`) or FP (`fld`), so a narrower load there reads memory;
+/// `UART_TX` takes every store, integer (`sd`) or FP (`fsd`), and none of
+/// them reaches memory.
+#[test]
+fn mmio_edges_conform() {
+    use nemu::hart::{MTIME, UART_TX};
+    const TIME: u64 = 0x1234_5678_9abc_def0;
+    let mut a = Asm::new(BASE);
+    a.li(T0, MTIME as i64);
+    a.lw(S1, 0, T0);
+    a.lh(S2, 0, T0);
+    a.lb(S3, 0, T0);
+    a.ld(S4, 0, T0);
+    a.fld(FT0, 0, T0);
+    a.li(T1, UART_TX as i64);
+    a.li(T2, b'A' as i64);
+    a.sd(T2, 0, T1);
+    a.li(T2, b'B' as i64);
+    a.fmv_d_x(FT1, T2);
+    a.fsd(FT1, 0, T1);
+    a.ld(S5, 0, T1);
+    a.li(A0, 7);
+    a.ebreak();
+    let p = a.assemble();
+    for pers in PERSONALITIES {
+        for stepped in [false, true] {
+            let mut e = (pers.build)(&p);
+            e.hart_mut().state.csr.time = TIME;
+            if stepped {
+                for _ in 0..FUEL {
+                    if e.step_one().halted {
+                        break;
+                    }
+                }
+            } else {
+                e.run(FUEL);
+            }
+            let via = format!("{} via {}", pers.name, if stepped { "step_one()" } else { "run()" });
+            let h = e.hart();
+            assert_eq!(h.halted, Some(7), "{via}: exit code");
+            let loads = [S1, S2, S3, S4, S5].map(|r| h.state.gpr[r as usize]);
+            assert_eq!(loads, [0, 0, 0, TIME, 0], "{via}: lw/lh/lb/ld from MTIME, ld from UART_TX");
+            assert_eq!(h.state.fpr[FT0 as usize], TIME, "{via}: fld from MTIME");
+            assert_eq!(h.output, b"AB", "{via}: sd and fsd to UART_TX");
+        }
+    }
 }
 
 #[test]
@@ -512,7 +563,7 @@ fn fastpath_ret_and_call_specialization() {
 #[test]
 fn exec_int_compute_matrix() {
     type Emit = fn(&mut Asm, u8, u8, u8);
-    let ops: [(Op, Emit); 28] = [
+    let ops: [(Op, Emit); 30] = [
         (Op::Add, Asm::add),
         (Op::Sub, Asm::sub),
         (Op::Sll, Asm::sll),
@@ -526,6 +577,8 @@ fn exec_int_compute_matrix() {
         (Op::Addw, Asm::addw),
         (Op::Subw, Asm::subw),
         (Op::Sllw, Asm::sllw),
+        (Op::Srlw, Asm::srlw),
+        (Op::Sraw, Asm::sraw),
         (Op::Mul, Asm::mul),
         (Op::Mulh, Asm::mulh),
         (Op::Mulhu, Asm::mulhu),
@@ -543,7 +596,7 @@ fn exec_int_compute_matrix() {
         (Op::Ror, Asm::ror),
     ];
     // One program per op covering the whole operand matrix keeps the
-    // test fast (4 engines x 28 programs, not x 28 x 64).
+    // test fast (5 engines x 30 programs, not x 30 x 64).
     for (op, emit) in ops {
         let mut a = Asm::new(BASE);
         let mut expect = 0u64;
@@ -556,6 +609,50 @@ fn exec_int_compute_matrix() {
                 a.add(A0, A0, A3);
                 expect = expect.wrapping_add(
                     int_compute(op, x, y).unwrap_or_else(|| panic!("{op:?} not pure")),
+                );
+            }
+        }
+        a.ebreak();
+        assert_eq!(conform(&a.assemble()), expect, "{op:?} matrix");
+    }
+}
+
+/// The immediate forms against the same oracle, at the edges of the
+/// 12-bit immediate and of the shift amounts (5 bits for the W forms).
+/// `addi` with a zero immediate is the fast tiers' `mv`; each of these
+/// ops is a handler of its own in `nemu` or `nemu-trace`, or both.
+#[test]
+fn exec_int_compute_imm_matrix() {
+    type EmitI = fn(&mut Asm, u8, u8, i64);
+    const IMMS: [i64; 5] = [-2048, -1, 0, 1, 2047];
+    const SHAMTS: [i64; 5] = [0, 1, 31, 32, 63];
+    const SHAMTS_W: [i64; 3] = [0, 1, 31];
+    let ops: [(Op, EmitI, &[i64]); 13] = [
+        (Op::Addi, Asm::addi, &IMMS),
+        (Op::Slti, Asm::slti, &IMMS),
+        (Op::Sltiu, Asm::sltiu, &IMMS),
+        (Op::Xori, Asm::xori, &IMMS),
+        (Op::Ori, Asm::ori, &IMMS),
+        (Op::Andi, Asm::andi, &IMMS),
+        (Op::Slli, Asm::slli, &SHAMTS),
+        (Op::Srli, Asm::srli, &SHAMTS),
+        (Op::Srai, Asm::srai, &SHAMTS),
+        (Op::Addiw, Asm::addiw, &IMMS),
+        (Op::Slliw, Asm::slliw, &SHAMTS_W),
+        (Op::Srliw, Asm::srliw, &SHAMTS_W),
+        (Op::Sraiw, Asm::sraiw, &SHAMTS_W),
+    ];
+    for (op, emit, imms) in ops {
+        let mut a = Asm::new(BASE);
+        let mut expect = 0u64;
+        a.li(A0, 0);
+        for &x in &OPERANDS {
+            for &imm in imms {
+                a.li(A1, x as i64);
+                emit(&mut a, A3, A1, imm);
+                a.add(A0, A0, A3);
+                expect = expect.wrapping_add(
+                    int_compute(op, x, imm as u64).unwrap_or_else(|| panic!("{op:?} not pure")),
                 );
             }
         }
