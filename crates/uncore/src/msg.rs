@@ -125,30 +125,15 @@ impl MsgKind {
     }
 }
 
-/// A routed message with its delivery time.
+/// A routed message (its delivery cycle is kept by the queue it waits in).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Msg {
-    /// Cycle at which the destination observes the message.
-    pub at: u64,
     /// Sender.
     pub src: Node,
     /// Receiver.
     pub dst: Node,
     /// Payload.
     pub kind: MsgKind,
-}
-
-impl PartialOrd for Msg {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Msg {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse ordering on time for use in a max-heap as earliest-first.
-        other.at.cmp(&self.at)
-    }
 }
 
 /// A core-side memory request kind.
@@ -214,23 +199,5 @@ mod tests {
         assert_eq!(line_of(0x1234), 0x1200);
         assert_eq!(line_of(0x1240), 0x1240);
         assert_eq!(line_of(0x7f), 0x40);
-    }
-
-    #[test]
-    fn msg_heap_order_is_earliest_first() {
-        use std::collections::BinaryHeap;
-        let mk = |at| Msg {
-            at,
-            src: Node::L1d(0),
-            dst: Node::L2(0),
-            kind: MsgKind::ReleaseAck { line: 0 },
-        };
-        let mut h = BinaryHeap::new();
-        h.push(mk(5));
-        h.push(mk(1));
-        h.push(mk(3));
-        assert_eq!(h.pop().unwrap().at, 1);
-        assert_eq!(h.pop().unwrap().at, 3);
-        assert_eq!(h.pop().unwrap().at, 5);
     }
 }

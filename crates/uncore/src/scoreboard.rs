@@ -83,9 +83,9 @@ impl CoherenceScoreboard {
             .collect()
     }
 
-    /// Observe one routed message (called by the hierarchy router).
-    pub fn observe(&mut self, msg: &Msg) {
-        let at = msg.at;
+    /// Observe one routed message as it is delivered at cycle `at`
+    /// (called by the hierarchy router).
+    pub fn observe(&mut self, at: u64, msg: &Msg) {
         match &msg.kind {
             MsgKind::Acquire { line, need } => {
                 self.outstanding_acquires.insert((*line, msg.src), *need);
@@ -201,25 +201,20 @@ mod tests {
     }
 
     fn msg(src: Node, dst: Node, kind: MsgKind) -> Msg {
-        Msg {
-            at: 1,
-            src,
-            dst,
-            kind,
-        }
+        Msg { src, dst, kind }
     }
 
     #[test]
     fn clean_handoff_passes() {
         let mut sb = CoherenceScoreboard::new(topo());
         // L2(0) acquires Trunk.
-        sb.observe(&msg(Node::L2(0), Node::L3, MsgKind::Acquire { line: 0x100, need: Perm::Trunk }));
-        sb.observe(&msg(Node::L3, Node::L2(0), MsgKind::Grant { line: 0x100, perm: Perm::Trunk, data: None }));
+        sb.observe(1, &msg(Node::L2(0), Node::L3, MsgKind::Acquire { line: 0x100, need: Perm::Trunk }));
+        sb.observe(1, &msg(Node::L3, Node::L2(0), MsgKind::Grant { line: 0x100, perm: Perm::Trunk, data: None }));
         // L3 probes it away before granting to L2(1).
-        sb.observe(&msg(Node::L3, Node::L2(0), MsgKind::Probe { line: 0x100, cap: Perm::None }));
-        sb.observe(&msg(Node::L2(0), Node::L3, MsgKind::ProbeAck { line: 0x100, now: Perm::None, data: None }));
-        sb.observe(&msg(Node::L2(1), Node::L3, MsgKind::Acquire { line: 0x100, need: Perm::Trunk }));
-        sb.observe(&msg(Node::L3, Node::L2(1), MsgKind::Grant { line: 0x100, perm: Perm::Trunk, data: None }));
+        sb.observe(1, &msg(Node::L3, Node::L2(0), MsgKind::Probe { line: 0x100, cap: Perm::None }));
+        sb.observe(1, &msg(Node::L2(0), Node::L3, MsgKind::ProbeAck { line: 0x100, now: Perm::None, data: None }));
+        sb.observe(1, &msg(Node::L2(1), Node::L3, MsgKind::Acquire { line: 0x100, need: Perm::Trunk }));
+        sb.observe(1, &msg(Node::L3, Node::L2(1), MsgKind::Grant { line: 0x100, perm: Perm::Trunk, data: None }));
         assert!(sb.clean(), "{:?}", sb.violations);
     }
 
@@ -227,8 +222,8 @@ mod tests {
     fn double_trunk_is_flagged() {
         let mut sb = CoherenceScoreboard::new(topo());
         for core in [0, 1] {
-            sb.observe(&msg(Node::L2(core), Node::L3, MsgKind::Acquire { line: 0x100, need: Perm::Trunk }));
-            sb.observe(&msg(Node::L3, Node::L2(core), MsgKind::Grant { line: 0x100, perm: Perm::Trunk, data: None }));
+            sb.observe(1, &msg(Node::L2(core), Node::L3, MsgKind::Acquire { line: 0x100, need: Perm::Trunk }));
+            sb.observe(1, &msg(Node::L3, Node::L2(core), MsgKind::Grant { line: 0x100, perm: Perm::Trunk, data: None }));
         }
         assert!(!sb.clean());
         assert!(sb.violations[0].description.contains("Trunk"));
@@ -237,22 +232,22 @@ mod tests {
     #[test]
     fn probe_ack_without_probe_is_flagged() {
         let mut sb = CoherenceScoreboard::new(topo());
-        sb.observe(&msg(Node::L2(0), Node::L3, MsgKind::ProbeAck { line: 0x40, now: Perm::None, data: None }));
+        sb.observe(1, &msg(Node::L2(0), Node::L3, MsgKind::ProbeAck { line: 0x40, now: Perm::None, data: None }));
         assert!(!sb.clean());
     }
 
     #[test]
     fn grant_without_acquire_is_flagged() {
         let mut sb = CoherenceScoreboard::new(topo());
-        sb.observe(&msg(Node::L3, Node::L2(0), MsgKind::Grant { line: 0x40, perm: Perm::Branch, data: None }));
+        sb.observe(1, &msg(Node::L3, Node::L2(0), MsgKind::Grant { line: 0x40, perm: Perm::Branch, data: None }));
         assert!(!sb.clean());
     }
 
     #[test]
     fn probe_ack_above_cap_is_flagged() {
         let mut sb = CoherenceScoreboard::new(topo());
-        sb.observe(&msg(Node::L3, Node::L2(0), MsgKind::Probe { line: 0x40, cap: Perm::None }));
-        sb.observe(&msg(Node::L2(0), Node::L3, MsgKind::ProbeAck { line: 0x40, now: Perm::Branch, data: None }));
+        sb.observe(1, &msg(Node::L3, Node::L2(0), MsgKind::Probe { line: 0x40, cap: Perm::None }));
+        sb.observe(1, &msg(Node::L2(0), Node::L3, MsgKind::ProbeAck { line: 0x40, now: Perm::Branch, data: None }));
         assert!(!sb.clean());
     }
 }

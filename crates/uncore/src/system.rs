@@ -92,21 +92,40 @@ pub struct MemLatencyHists {
     pub dram: Hist,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TimedCompletion(Completion);
+/// An entry of the two event heaps: `item` acts at cycle `at`, and `seq`
+/// is its place in the order the system scheduled things. `Eq` and `Ord`
+/// both compare `(at, seq)`, `Ord` reversed so that the max-heap pops the
+/// earliest entry and, of entries due in one cycle, the first scheduled.
+#[derive(Debug, Clone)]
+struct Timed<T> {
+    at: u64,
+    seq: u64,
+    item: T,
+}
 
-impl PartialOrd for TimedCompletion {
+impl<T> PartialEq for Timed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl<T> Eq for Timed<T> {}
+impl<T> PartialOrd for Timed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for TimedCompletion {
+impl<T> Ord for Timed<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.at.cmp(&self.0.at) // min-heap on completion time
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
 /// The whole coherent memory system below the cores.
+///
+/// Events due in the same cycle act in the order they were scheduled, and
+/// a cycle's message deliveries precede its completions. The counter that
+/// records that order is a field, so a clone (a LightSSS snapshot) replays
+/// ties exactly as the original would.
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     cfg: MemSystemConfig,
@@ -115,8 +134,10 @@ pub struct MemSystem {
     l1d: Vec<Cache>,
     l2: Vec<Cache>,
     l3: Option<Cache>,
-    wheel: BinaryHeap<Msg>,
-    done: BinaryHeap<TimedCompletion>,
+    wheel: BinaryHeap<Timed<Msg>>,
+    done: BinaryHeap<Timed<Completion>>,
+    /// The `seq` the next scheduled message or completion is stamped with.
+    seq: u64,
     dram: DramModel,
     backing: SparseMemory,
     /// Coherence scoreboard (present when enabled in the config).
@@ -136,12 +157,11 @@ impl MemSystem {
         let mut l1i = Vec::new();
         let mut l1d = Vec::new();
         let mut l2 = Vec::new();
-        let llc_parent = Node::Dram;
         let l3 = cfg.l3.as_ref().map(|c3| {
             let children = (0..cfg.cores).map(Node::L2).collect();
             let mut c = c3.clone();
             c.name = "l3".into();
-            Cache::new(c, Node::L3, llc_parent, children)
+            Cache::new(c, Node::L3, Node::Dram, children)
         });
         for core in 0..cfg.cores {
             let mut ci = cfg.l1i.clone();
@@ -160,22 +180,7 @@ impl MemSystem {
                 vec![Node::L1i(core), Node::L1d(core)],
             ));
         }
-        let scoreboard = cfg.scoreboard.then(|| {
-            let mut parents = HashMap::new();
-            for core in 0..cfg.cores {
-                parents.insert(Node::L1i(core), Node::L2(core));
-                parents.insert(Node::L1d(core), Node::L2(core));
-                parents.insert(
-                    Node::L2(core),
-                    if cfg.l3.is_some() { Node::L3 } else { Node::Dram },
-                );
-            }
-            if cfg.l3.is_some() {
-                parents.insert(Node::L3, Node::Dram);
-            }
-            CoherenceScoreboard::new(parents)
-        });
-        MemSystem {
+        let mut sys = MemSystem {
             cfg,
             cycle: 0,
             l1i,
@@ -184,13 +189,19 @@ impl MemSystem {
             l3,
             wheel: BinaryHeap::new(),
             done: BinaryHeap::new(),
+            seq: 0,
             dram,
             backing,
-            scoreboard,
+            scoreboard: None,
             inflight_since: HashMap::new(),
             lat: MemLatencyHists::default(),
             outbox: Outbox::default(),
+        };
+        if sys.cfg.scoreboard {
+            let parents = sys.caches().map(|c| (c.node, c.parent)).collect();
+            sys.scoreboard = Some(CoherenceScoreboard::new(parents));
         }
+        sys
     }
 
     /// Current cycle.
@@ -203,7 +214,7 @@ impl MemSystem {
     /// `None` when the memory system is fully quiescent.
     pub fn next_event_cycle(&self) -> Option<u64> {
         let wheel = self.wheel.peek().map(|m| m.at);
-        let done = self.done.peek().map(|c| c.0.at);
+        let done = self.done.peek().map(|c| c.at);
         match (wheel, done) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -262,26 +273,20 @@ impl MemSystem {
     }
 
     /// Advance one cycle, appending the completions due this cycle (in
-    /// due order) to a buffer the caller can reuse from cycle to cycle.
+    /// the order they were scheduled) to a buffer the caller can reuse
+    /// from cycle to cycle.
     pub fn tick_into(&mut self, out: &mut Vec<Completion>) {
         self.cycle += 1;
-        // Deliver all messages due now.
-        while let Some(top) = self.wheel.peek() {
-            if top.at > self.cycle {
-                break;
-            }
-            let msg = self.wheel.pop().expect("peeked");
+        // Deliver all messages due now, then collect due completions.
+        while self.wheel.peek().is_some_and(|m| m.at <= self.cycle) {
+            let msg = self.wheel.pop().expect("peeked").item;
             if let Some(sb) = &mut self.scoreboard {
-                sb.observe(&msg);
+                sb.observe(self.cycle, &msg);
             }
             self.deliver(msg);
         }
-        // Collect due completions.
-        while let Some(top) = self.done.peek() {
-            if top.0.at > self.cycle {
-                break;
-            }
-            let c = self.done.pop().expect("peeked").0;
+        while self.done.peek().is_some_and(|c| c.at <= self.cycle) {
+            let c = self.done.pop().expect("peeked").item;
             if self.cfg.telemetry {
                 let key = (c.req.kind == AccessKind::Fetch, c.req.core, c.req.id);
                 if let Some(since) = self.inflight_since.remove(&key) {
@@ -367,12 +372,9 @@ impl MemSystem {
     }
 
     fn schedule(&mut self, src: Node, dst: Node, kind: MsgKind, latency: u64) {
-        self.wheel.push(Msg {
-            at: self.cycle + latency.max(1),
-            src,
-            dst,
-            kind,
-        });
+        let at = self.cycle + latency.max(1);
+        self.wheel.push(Timed { at, seq: self.seq, item: Msg { src, dst, kind } });
+        self.seq += 1;
     }
 
     /// Put what the cache at `from` left in `out` on its way, and `out`
@@ -383,7 +385,8 @@ impl MemSystem {
             self.schedule(from, dst, kind, latency);
         }
         for c in out.completions.drain(..) {
-            self.done.push(TimedCompletion(c));
+            self.done.push(Timed { at: c.at, seq: self.seq, item: c });
+            self.seq += 1;
         }
         self.outbox = out;
     }
@@ -554,6 +557,30 @@ mod tests {
 
     fn sys_first_latency_floor() -> u64 {
         1
+    }
+
+    #[test]
+    fn same_cycle_completions_leave_in_submit_order() {
+        let mut sys = new_sys(1);
+        assert!(sys.submit_data(load_req(0, 0x1000, 1)));
+        run_until_complete(&mut sys, 1, 1000).expect("warm-up load");
+        while !sys.quiescent() {
+            sys.tick();
+        }
+        // A miss first, then four hits to the warm line in the same cycle:
+        // the hits tie on their completion cycle, the miss is due later.
+        assert!(sys.submit_data(load_req(0, 0x3000, 9)));
+        for id in 10..14 {
+            assert!(sys.submit_data(load_req(0, 0x1000 + (id - 10) * 8, id)));
+        }
+        let mut order = Vec::new();
+        while order.len() < 5 {
+            order.extend(sys.tick().into_iter().map(|c| (c.req.id, c.at)));
+        }
+        let ids: Vec<u64> = order.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [10, 11, 12, 13, 9]);
+        assert!(order[..4].iter().all(|&(_, at)| at == order[0].1), "{order:?}");
+        assert!(order[4].1 > order[0].1, "{order:?}");
     }
 
     #[test]

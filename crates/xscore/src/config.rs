@@ -6,6 +6,7 @@
 //! configurable").
 
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 use uncore::{CacheConfig, DdrConfig, DramModel, LinkLatencies, MemSystemConfig};
 
 /// Issue-queue selection policy (paper §IV-D).
@@ -132,6 +133,17 @@ macro_rules! machine_table {
     };
 }
 
+/// Every named preset: its slug, then its constructor. The slugs are
+/// stable identifiers: campaign reports and the `campaign` CLI refer to
+/// configurations by them.
+const PRESETS: [(&str, fn() -> XsConfig); 5] = [
+    ("yqh", XsConfig::yqh),
+    ("nh", XsConfig::nh),
+    ("nh-dual", XsConfig::nh_dual),
+    ("small-nh", XsConfig::small_nh),
+    ("small-yqh", XsConfig::small_yqh),
+];
+
 const KB: usize = 1024;
 const MB: usize = 1024 * KB;
 
@@ -222,51 +234,38 @@ machine_table! {
 impl XsConfig {
     /// NH as a dual-core (the tape-out configuration).
     pub fn nh_dual() -> Self {
-        let mut c = Self::nh();
-        c.cores = 2;
-        c
+        XsConfig { cores: 2, ..Self::nh() }
     }
 
     /// NH with caches shrunk to a few KB and a fixed-AMAT memory, so
     /// cache- and memory-boundary behaviour shows up within test-sized
     /// workloads. The verification suite's default DiffTest target.
     pub fn small_nh() -> Self {
-        let mut c = Self::nh();
-        c.name = "small-NH".into();
-        c.l1i = CacheConfig::new("l1i", 8192, 2, 2, 4);
-        c.l1d = CacheConfig::new("l1d", 8192, 2, 4, 8);
-        c.l2 = CacheConfig::new("l2", 32768, 4, 10, 8);
-        c.l3 = Some(CacheConfig::new("l3", 131072, 4, 20, 16));
-        c.memory = MemoryModel::FixedAmat(40);
-        c
+        XsConfig {
+            name: "small-NH".into(),
+            l1i: CacheConfig::new("l1i", 8192, 2, 2, 4),
+            l1d: CacheConfig::new("l1d", 8192, 2, 4, 8),
+            l2: CacheConfig::new("l2", 32768, 4, 10, 8),
+            l3: Some(CacheConfig::new("l3", 131072, 4, 20, 16)),
+            memory: MemoryModel::FixedAmat(40),
+            ..Self::nh()
+        }
     }
 
     /// YQH with a fixed-AMAT memory, sized for test workloads.
     pub fn small_yqh() -> Self {
-        let mut c = Self::yqh();
-        c.name = "small-YQH".into();
-        c.memory = MemoryModel::FixedAmat(60);
-        c
+        XsConfig { name: "small-YQH".into(), memory: MemoryModel::FixedAmat(60), ..Self::yqh() }
     }
 
-    /// Every named preset, for campaign-style enumeration.
-    ///
-    /// The slugs are stable identifiers: campaign reports and the
-    /// `campaign` CLI refer to configurations by these names.
+    /// Every preset's slug, for campaign-style enumeration.
     pub fn preset_names() -> &'static [&'static str] {
-        &["yqh", "nh", "nh-dual", "small-nh", "small-yqh"]
+        static SLUGS: LazyLock<[&str; PRESETS.len()]> = LazyLock::new(|| PRESETS.map(|p| p.0));
+        &*SLUGS
     }
 
     /// Look up a preset by slug (see [`XsConfig::preset_names`]).
     pub fn preset(name: &str) -> Option<Self> {
-        match name {
-            "yqh" => Some(Self::yqh()),
-            "nh" => Some(Self::nh()),
-            "nh-dual" => Some(Self::nh_dual()),
-            "small-nh" => Some(Self::small_nh()),
-            "small-yqh" => Some(Self::small_yqh()),
-            _ => None,
-        }
+        PRESETS.iter().find(|(slug, _)| *slug == name).map(|(_, new)| new())
     }
 
     /// Reject a configuration the model cannot simulate faithfully.
