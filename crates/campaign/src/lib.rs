@@ -14,10 +14,14 @@
 //!   and limits. [`JobSpec::boot`] turns it into a live co-simulation.
 //! - [`Campaign`] shards jobs across a `std::thread` worker pool under
 //!   one [`Policy`] (workers, minimization, triage, wall-clock limit and
-//!   retries). One executor serves every mode: each job boots *and* runs
-//!   inside [`minjie::run_isolated_boot`]'s panic boundary — so even a
-//!   recipe that cannot be built is one [`Verdict::Panicked`], not a dead
-//!   pool — and yields a [`Verdict`].
+//!   retries); workers take the next job by index. One executor serves
+//!   every mode: each job boots *and* runs inside
+//!   [`minjie::run_isolated_boot`]'s panic boundary — so even a recipe
+//!   that cannot be built is one [`Verdict::Panicked`], not a dead pool —
+//!   and yields a [`Verdict`]. Each attempt runs inside
+//!   [`minjie::within_deadline`]: one past the wall-clock limit stops in
+//!   its own stepping loop, its record is discarded, and it is retried or
+//!   written off as a [`Verdict::WallTimeout`].
 //! - The fixed matrix, [`run_fuzz`] and [`run_sampled`] are job
 //!   generators over that executor: each builds every job from one
 //!   [`JobSpec`] template, replacing only the workload, the preset and

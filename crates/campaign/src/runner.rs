@@ -1,8 +1,8 @@
 //! The parallel campaign runner.
 //!
 //! Shards a job list across a `std::thread` worker pool (no external
-//! runtime: a mutex-guarded queue feeds workers, an mpsc channel
-//! collects results). Each job boots and runs inside
+//! runtime: workers take the next job index from an atomic cursor, an
+//! mpsc channel collects results). Each job boots and runs inside
 //! [`minjie::run_isolated_boot`]'s panic boundary, so a crashing
 //! simulation — or a recipe that cannot even be built — downs one job,
 //! not the pool. Results reassemble in job order, making the report body
@@ -13,7 +13,8 @@
 //! preceded the first snapshot interval), re-executes the failure
 //! window in debug mode, and embeds a self-contained
 //! [`TriageBundle`](crate::TriageBundle) in the job record. An optional
-//! wall-clock timeout bounds each attempt, with bounded
+//! wall-clock limit bounds each attempt inside
+//! [`minjie::within_deadline`], so an attempt past it stops, with bounded
 //! retry-with-backoff before the job is written off as a
 //! [`Verdict::WallTimeout`].
 
@@ -24,10 +25,9 @@ use crate::report::{
     Verdict, WallClock,
 };
 use crate::triage::triage;
-use minjie::{run_isolated_boot, CoSimEnd};
-use std::collections::VecDeque;
+use minjie::{run_isolated_boot, within_deadline, CoSimEnd};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use workloads::litmus::LitmusExit;
 
@@ -110,20 +110,20 @@ impl Campaign {
     /// Run every job and assemble the report.
     pub fn run(&self) -> CampaignReport {
         let campaign_start = Instant::now();
-        let queue: Arc<Mutex<VecDeque<(usize, JobSpec)>>> =
-            Arc::new(Mutex::new(self.jobs.iter().cloned().enumerate().collect()));
+        let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, JobRecord, u64, u64)>();
         let (policy, workers) = (self.policy, self.policy.workers.max(1));
 
         std::thread::scope(|s| {
             for _ in 0..workers {
-                let queue = Arc::clone(&queue);
-                let tx = tx.clone();
+                let (next, tx) = (&next, tx.clone());
                 s.spawn(move || loop {
-                    let next = queue.lock().expect("queue lock").pop_front();
-                    let Some((idx, spec)) = next else { break };
+                    // Relaxed: the cursor hands out indices and publishes
+                    // nothing else (records come back over the channel).
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(spec) = self.jobs.get(idx) else { break };
                     let t0 = Instant::now();
-                    let (record, attempts) = execute_job_with_policy(idx, &spec, policy);
+                    let (record, attempts) = execute_job_with_policy(idx, spec, policy);
                     let ms = t0.elapsed().as_millis() as u64;
                     if tx.send((idx, record, ms, attempts)).is_err() {
                         break;
@@ -184,50 +184,35 @@ fn base_record(index: usize, spec: &JobSpec) -> JobRecord {
     }
 }
 
-/// Run one job under the wall-clock policy: each attempt executes on a
-/// dedicated thread; an attempt exceeding the limit is abandoned (the
-/// runaway thread is detached — its result, if any, is discarded) and
-/// retried after an exponentially growing backoff. Returns the record
-/// and the number of attempts made.
+/// Run one job under the wall-clock policy: each attempt runs inside
+/// [`within_deadline`], so an attempt past the limit stops in its own
+/// stepping loop and its record is discarded; it is retried after an
+/// exponentially growing backoff. No limit (or one too far out for an
+/// `Instant`) is one attempt with no deadline. Returns the record and the
+/// number of attempts made.
 fn execute_job_with_policy(index: usize, spec: &JobSpec, policy: Policy) -> (JobRecord, u64) {
-    let Some(limit_ms) = policy.wall_timeout_ms else {
-        return (execute_job(index, spec, policy), 1);
-    };
-    let max_attempts = 1 + u64::from(policy.retries);
+    let (attempts, limit) = (1 + u64::from(policy.retries), policy.wall_timeout_ms);
     let mut backoff = policy.backoff_ms;
-    for attempt in 1..=max_attempts {
-        let (tx, rx) = mpsc::channel();
-        let spec_for_attempt = spec.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(execute_job(index, &spec_for_attempt, policy));
-        });
-        match rx.recv_timeout(Duration::from_millis(limit_ms)) {
-            Ok(record) => return (record, attempt),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if attempt == max_attempts {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(backoff));
-                backoff = backoff.saturating_mul(2);
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // The attempt thread died without reporting — treat like
-                // a contained panic (execute_job itself never panics, so
-                // this is a thread-infrastructure failure).
-                let mut record = base_record(index, spec);
-                record.verdict = Verdict::Panicked {
-                    message: "job attempt thread terminated without a result".into(),
-                };
-                return (record, attempt);
-            }
+    for attempt in 1..=attempts {
+        let run = || execute_job(index, spec, policy);
+        let stop = limit.and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
+        let Some(stop) = stop else {
+            return (run(), attempt);
+        };
+        if let Some(record) = within_deadline(stop, run) {
+            return (record, attempt);
+        }
+        if attempt < attempts {
+            std::thread::sleep(Duration::from_millis(backoff));
+            backoff = backoff.saturating_mul(2);
         }
     }
     let mut record = base_record(index, spec);
     record.verdict = Verdict::WallTimeout {
-        limit_ms,
-        attempts: max_attempts,
+        limit_ms: limit.unwrap_or_default(),
+        attempts,
     };
-    (record, max_attempts)
+    (record, attempts)
 }
 
 /// Run one job to a deterministic record: boot and simulate inside the
@@ -463,16 +448,14 @@ mod tests {
     fn wall_clock_timeout_exhausts_retries() {
         // A long torture run cannot finish within 1 ms: every attempt
         // times out and the job is written off as WallTimeout. Attempt
-        // counts land in the timing section only. The abandoned attempts
-        // keep running to their cycle budget, so it stays small: far
-        // above 1 ms of simulation, well under a second.
+        // counts land in the timing section only.
         let slow = TortureConfig {
             body_len: 200,
             iterations: 50_000,
             ..Default::default()
         };
         let jobs = vec![JobSpec::new(WorkloadSource::torture(0, slow), "small-nh")
-            .with_max_cycles(2_000_000)];
+            .with_max_cycles(200_000_000)];
         let policy = Policy {
             workers: 1,
             minimize: false,
@@ -498,17 +481,21 @@ mod tests {
 
     #[test]
     fn generous_wall_clock_limit_does_not_disturb_results() {
-        let jobs = vec![
-            JobSpec::new(WorkloadSource::torture(1, quick_torture()), "small-nh")
-                .with_max_cycles(4_000_000),
-        ];
-        let policy = Policy {
-            workers: 1,
-            wall_timeout_ms: Some(120_000),
-            ..Policy::default()
-        };
-        let report = Campaign { jobs, policy }.run();
-        assert_eq!(report.summary.halted, 1, "{}", report.deterministic_json());
-        assert_eq!(report.wall_clock.attempts, vec![1]);
+        // A limit an `Instant` cannot hold is no deadline, never an
+        // overflow panic.
+        for limit in [Some(120_000), Some(u64::MAX)] {
+            let jobs = vec![
+                JobSpec::new(WorkloadSource::torture(1, quick_torture()), "small-nh")
+                    .with_max_cycles(4_000_000),
+            ];
+            let policy = Policy {
+                workers: 1,
+                wall_timeout_ms: limit,
+                ..Policy::default()
+            };
+            let report = Campaign { jobs, policy }.run();
+            assert_eq!(report.summary.halted, 1, "{limit:?}: {}", report.deterministic_json());
+            assert_eq!(report.wall_clock.attempts, vec![1]);
+        }
     }
 }

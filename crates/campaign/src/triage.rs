@@ -344,9 +344,10 @@ pub struct BundleVerification {
 /// # Errors
 ///
 /// Setup failures that prevent the run from even starting, each with a
-/// one-line diagnosis: a bundle from another schema version, a
-/// configuration the model refuses, a recipe naming a kernel or
-/// personality this build does not have.
+/// one-line diagnosis: a bundle from another schema version, one the load
+/// gate refuses ([`TriageBundle::from_json`]), a configuration the model
+/// refuses, a recipe naming a kernel or personality this build does not
+/// have.
 pub fn verify_bundle(b: &TriageBundle) -> Result<BundleVerification, String> {
     if b.schema_version != BUNDLE_SCHEMA_VERSION {
         return Err(format!(
@@ -354,6 +355,7 @@ pub fn verify_bundle(b: &TriageBundle) -> Result<BundleVerification, String> {
             b.schema_version
         ));
     }
+    b.check()?;
     let spec = bundle_spec(b);
     let cfg = spec.config()?;
     spec.workload.check()?;
@@ -429,8 +431,8 @@ impl TriageBundle {
     ///
     /// One line saying why the text cannot be used: not JSON, a bundle of
     /// a schema other than [`BUNDLE_SCHEMA_VERSION`] or of none, not a
-    /// bundle, a core count the model cannot build, or a crash ring no
-    /// core could have written.
+    /// bundle, a core count the model cannot build, a LightSSS interval
+    /// of 0, or a crash ring no core could have written.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let bundle: Self = minjie::files::load(text, "bundle", BUNDLE_SCHEMA_VERSION)?;
         bundle.check()?;
@@ -438,11 +440,14 @@ impl TriageBundle {
     }
 
     /// One line naming what no run could have written: a core count
-    /// [`XsConfig::check_cores`] refuses, or the first crash-ring record
-    /// that fails [`xscore::Lifecycle::check`].
+    /// [`XsConfig::check_cores`] refuses, a LightSSS interval of 0, or the
+    /// first crash-ring record that fails [`xscore::Lifecycle::check`].
     pub(crate) fn check(&self) -> Result<(), String> {
         if let Some(cores) = self.cores {
             XsConfig::check_cores(cores).map_err(|e| format!("bundle asks for {e}"))?;
+        }
+        if self.lightsss_interval == Some(0) {
+            return Err("bundle asks for a LightSSS interval of 0 cycles".into());
         }
         self.lifecycle_ring.iter().enumerate().try_for_each(|(i, r)| {
             r.check().map_err(|e| format!("lifecycle record {i} (seq {}): {e}", r.seq))
@@ -690,6 +695,8 @@ mod tests {
         assert!(e.contains("0 cores: a system needs at least one hart"), "{e}");
         let e = refused(&|b| b.cores = Some(1 << 32));
         assert!(e.contains("4294967296 cores: the model builds at most 16 harts"), "{e}");
+        let e = refused(&|b| b.lightsss_interval = Some(0));
+        assert!(e.contains("LightSSS interval of 0 cycles"), "{e}");
     }
 
     #[test]

@@ -12,6 +12,8 @@ use crate::lightsss::{LightSss, Snapshotable};
 use riscv_isa::asm::Program;
 use riscv_isa::mem::SparseMemory;
 use riscv_isa::state::ArchState;
+use std::cell::Cell;
+use std::time::Instant;
 use xscore::{XsConfig, XsSystem};
 
 /// The snapshotable simulation state: the DUT and the verification state
@@ -123,6 +125,16 @@ const LIFECYCLE_TRACE_CAP: usize = 262_144;
 /// driving the loop themselves supply their own deadline through
 /// [`CoSim::step_cycle_until`]).
 const MAX_STANDALONE_SKIP: u64 = 1 << 20;
+
+/// Loop iterations between two reads of the clock while a
+/// [`within_deadline`] stop is set.
+const DEADLINE_POLL: u32 = 1024;
+
+thread_local! {
+    /// The wall-clock stop of the enclosing [`within_deadline`] on this
+    /// thread: written by it alone, read by [`CoSim::run_to`] alone.
+    static STOP: Cell<Option<Instant>> = const { Cell::new(None) };
+}
 
 impl CoSim {
     /// Boot a program under co-simulation against DiffTest's default
@@ -285,12 +297,21 @@ impl CoSim {
     /// instructions in total (`None`), every hart halts, DiffTest
     /// diverges, or `deadline` (an absolute cycle) arrives. A target met
     /// on the very cycle the deadline arrives still counts as met; a halt
-    /// on that cycle reports `OutOfCycles`.
+    /// on that cycle reports `OutOfCycles`. Inside [`within_deadline`] the
+    /// loop also ends as `OutOfCycles` once the wall-clock stop has
+    /// passed (read every [`DEADLINE_POLL`] iterations).
     fn run_to(&mut self, target: u64, deadline: u64) -> Option<CoSimEnd> {
         if self.state.sys.cores[0].instret() >= target {
             return None;
         }
+        let (stop, mut polls) = (STOP.get(), 0u32);
         while self.state.time() < deadline {
+            if let Some(stop) = stop {
+                polls = polls.wrapping_add(1);
+                if polls % DEADLINE_POLL == 0 && Instant::now() >= stop {
+                    return Some(CoSimEnd::OutOfCycles);
+                }
+            }
             if self.state.sys.all_halted() {
                 return Some(CoSimEnd::Halted(
                     self.state.sys.cores[0].halted.unwrap_or(0),
@@ -424,6 +445,26 @@ pub fn debug_window(start: Box<dyn FnOnce() -> CoSimState + '_>, budget: u64) ->
         lifecycle_ring: cosim.lifecycle_ring(),
         trace: cosim.archdb,
     }
+}
+
+/// Run `f` under a wall-clock deadline: the twin of
+/// [`run_isolated_boot`]'s panic boundary. Every stepping loop `f` enters
+/// on this thread — a run, its LightSSS replay, a minimizer candidate, a
+/// triage window — ends as `OutOfCycles` once `stop` has passed. Returns
+/// `None` when `f` finished at or after `stop`, so nothing a cut-short
+/// loop computed escapes: the deadline can discard a result, never change
+/// one.
+pub fn within_deadline<T>(stop: Instant, f: impl FnOnce() -> T) -> Option<T> {
+    /// Puts the enclosing stop back, also when `f` unwinds.
+    struct Restore(Option<Instant>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            STOP.set(self.0);
+        }
+    }
+    let _outer = Restore(STOP.replace(Some(stop)));
+    let out = f();
+    (Instant::now() < stop).then_some(out)
 }
 
 /// Render a caught panic payload as text.
@@ -910,6 +951,20 @@ mod tests {
         let w = debug_window(Box::new(|| panic!("no such workload")), 1_000);
         assert_eq!(w.panic.as_deref(), Some("no such workload"));
         assert_eq!((w.at_cycle, w.at_commit), (0, 0));
+    }
+
+    #[test]
+    fn a_passed_deadline_stops_the_loop_and_discards_its_result() {
+        let mut cosim = CoSim::new(tiny_cfg(1), &branchy_program());
+        let end = within_deadline(Instant::now(), || cosim.run(500_000));
+        assert!(end.is_none(), "a result finished past the stop is discarded");
+        assert!(!cosim.state.sys.all_halted(), "the loop stopped at its first poll");
+        // The stop ends with its boundary: the same harness now runs on.
+        assert!(matches!(cosim.run(500_000), CoSimEnd::Halted(_)));
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let run = || run_isolated(tiny_cfg(1), &branchy_program(), 500_000, None);
+        let stats = within_deadline(far, run).expect("in time").expect("no panic");
+        assert!(matches!(stats.end, CoSimEnd::Halted(_)));
     }
 
     #[test]

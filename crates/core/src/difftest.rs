@@ -64,33 +64,6 @@ impl NemuRef {
     }
 }
 
-impl RefModel for NemuRef {
-    fn step(&mut self) -> StepInfo {
-        hart::step(&mut self.hart, &mut self.mem)
-    }
-    fn arch_state(&self) -> ArchState {
-        self.hart.state.clone()
-    }
-    fn inject_exception(&mut self, cause: Exception, tval: u64) {
-        self.hart.pending_injection = Some((cause, tval));
-    }
-    fn force_sc_fail(&mut self) {
-        self.hart.force_sc_fail = true;
-    }
-    fn patch_gpr(&mut self, rd: u8, value: u64) {
-        self.hart.state.write_gpr(rd, value);
-    }
-    fn patch_fpr(&mut self, rd: u8, value: u64) {
-        self.hart.state.fpr[rd as usize] = value;
-    }
-    fn patch_mem(&mut self, paddr: u64, size: u64, value: u64) {
-        self.mem.write_uint(paddr, size, value);
-    }
-    fn patch_csr(&mut self, csr: u16, value: u64) {
-        let _ = self.hart.state.csr.write(csr, value);
-    }
-}
-
 /// A runtime-selected REF personality: any interpreter [`nemu::registry`]
 /// boots — by default [`DEFAULT_REF_NAME`], NEMU's uop-cache tier — or the
 /// bare architectural stepper [`NemuRef`], driven one commit at a time.
@@ -178,7 +151,7 @@ impl AnyRef {
 impl RefModel for AnyRef {
     fn step(&mut self) -> StepInfo {
         match self {
-            AnyRef::Arch(r) => r.step(),
+            AnyRef::Arch(r) => hart::step(&mut r.hart, &mut r.mem),
             AnyRef::Registry(i) => i.step_one(),
         }
     }
@@ -201,7 +174,7 @@ impl RefModel for AnyRef {
     }
     fn patch_mem(&mut self, paddr: u64, size: u64, value: u64) {
         match self {
-            AnyRef::Arch(r) => r.patch_mem(paddr, size, value),
+            AnyRef::Arch(r) => r.mem.write_uint(paddr, size, value),
             AnyRef::Registry(i) => i.mem_mut().write_uint(paddr, size, value),
         }
     }
@@ -713,16 +686,6 @@ impl DiffTest<AnyRef> {
     }
 }
 
-impl DiffTest<NemuRef> {
-    /// Convenience constructor: one NEMU REF per hart over a program.
-    pub fn for_program(program: &riscv_isa::asm::Program, harts: usize) -> Self {
-        let refs = (0..harts)
-            .map(|h| NemuRef::new(program, h as u64))
-            .collect();
-        DiffTest::new(refs, GlobalMemory::new(program))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,7 +770,7 @@ mod tests {
     #[test]
     fn matching_commits_pass() {
         let p = nop_program();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         // li T0, 1 == addi t0, x0, 1
         let i1 = riscv_isa::decode32(0x0010_0293);
         let e = commit(0x8000_0000, i1, Some((false, 5, 1)));
@@ -818,7 +781,7 @@ mod tests {
     #[test]
     fn wrong_value_is_detected() {
         let p = nop_program();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         let i1 = riscv_isa::decode32(0x0010_0293);
         let e = commit(0x8000_0000, i1, Some((false, 5, 99)));
         let err = dt.on_commit(&e).unwrap_err();
@@ -828,7 +791,7 @@ mod tests {
     #[test]
     fn wrong_pc_is_detected() {
         let p = nop_program();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         let i1 = riscv_isa::decode32(0x0010_0293);
         let e = commit(0x8000_0010, i1, None);
         assert!(matches!(dt.on_commit(&e), Err(DiffError::Pc { .. })));
@@ -837,7 +800,7 @@ mod tests {
     #[test]
     fn page_fault_rule_forces_ref() {
         let p = nop_program();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         let e = CommitEvent {
             trap: Some(Trap::Exception(Exception::LoadPageFault, 0x4000_0000)),
             ..commit(0x8000_0000, DecodedInst::default(), None)
@@ -846,7 +809,7 @@ mod tests {
         assert_eq!(dt.stats.count(DiffRule::SpeculativePageFault), 1);
         // The REF took the fault: its mcause reflects it.
         assert_eq!(
-            dt.reference(0).hart.state.csr.mcause,
+            dt.reference(0).hart().state.csr.mcause,
             Exception::LoadPageFault.code()
         );
     }
@@ -854,7 +817,7 @@ mod tests {
     #[test]
     fn repeated_forced_fault_is_a_bug() {
         let p = nop_program();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         let e = CommitEvent {
             trap: Some(Trap::Exception(Exception::LoadPageFault, 0x4000_0000)),
             ..commit(0x8000_0000, DecodedInst::default(), None)
@@ -870,7 +833,7 @@ mod tests {
     #[test]
     fn global_memory_rule_patches_ref() {
         let p = nop_program();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         // Another hart's store lands in the global memory.
         dt.on_sbuffer_drain(&SbufferDrainEvent {
             hart: 1,
@@ -906,7 +869,7 @@ mod tests {
         a.ld(T0, 0, T1); // t1=0.. reads address 0 -> 0 in REF
         a.ebreak();
         let p2 = a.assemble();
-        let mut dt2 = DiffTest::for_program(&p2, 1);
+        let mut dt2 = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p2, 1);
         dt2.global_mem = dt.global_mem.clone();
         let mut e2 = e;
         e2.mem = Some(xscore::CommitMem {
@@ -920,7 +883,7 @@ mod tests {
         dt2.on_commit(&e2).expect("global memory rule");
         assert_eq!(dt2.stats.count(DiffRule::GlobalMemoryLoad), 1);
         // REF register and local memory were patched.
-        assert_eq!(dt2.reference(0).hart.state.read_gpr(5), 777);
+        assert_eq!(dt2.reference(0).hart().state.read_gpr(5), 777);
     }
 
     #[test]
@@ -929,7 +892,7 @@ mod tests {
         a.ld(T0, 0, T1);
         a.ebreak();
         let p = a.assemble();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         let ld = DecodedInst {
             op: Op::Ld,
             rd: 5,
@@ -973,7 +936,7 @@ mod tests {
         let mut a = Asm::new(0x8000_0000);
         a.ld(T0, 0, T1);
         a.ebreak();
-        let mut dt = DiffTest::for_program(&a.assemble(), 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &a.assemble(), 1);
         dt.on_sbuffer_drain(&drain(LOC, 8, 111));
         dt.on_sbuffer_drain(&drain(LOC, 8, 222)); // displaces 111
         for i in 0..later as u64 {
@@ -1026,7 +989,7 @@ mod tests {
         a.sd(T1, 0, T1);
         a.ebreak();
         let p = a.assemble();
-        let mut dt = DiffTest::for_program(&p, 1);
+        let mut dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         for i in 0..64u64 {
             dt.on_sbuffer_drain(&drain(0x8010_0000 + 4096 * i, 8, i));
         }
@@ -1036,10 +999,14 @@ mod tests {
         dt.on_sbuffer_drain(&drain(0x8010_0000, 8, 7));
         assert_eq!(dt.global_mem.mem.shared_pages(), resident - 1);
         // The REF's local memory: run it up to and over its one store.
-        let resident = dt.refs[0].mem.resident_pages();
-        assert_eq!(dt.refs[0].mem.shared_pages(), resident);
+        let shared = |dt: &DiffTest<AnyRef>| match &dt.refs[0] {
+            AnyRef::Arch(r) => (r.mem.resident_pages(), r.mem.shared_pages()),
+            AnyRef::Registry(_) => unreachable!("built as `{ARCH_REF_NAME}`"),
+        };
+        let (resident, before) = shared(&dt);
+        assert_eq!(before, resident);
         while dt.refs[0].step().mem.is_none_or(|m| !m.is_store) {}
-        assert_eq!(dt.refs[0].mem.shared_pages(), resident - 1);
+        assert_eq!(shared(&dt).1, resident - 1);
         drop(snapshot);
         assert_eq!(dt.global_mem.mem.shared_pages(), 0);
     }
@@ -1142,7 +1109,7 @@ mod tests {
     #[test]
     fn state_comparison_with_csr_rules() {
         let p = nop_program();
-        let dt = DiffTest::for_program(&p, 1);
+        let dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         let mut dut_state = dt.reference(0).arch_state();
         dut_state.csr.mcycle = 42424242; // counters may diverge
         dt.compare_state(0, &dut_state).expect("counters ignored");
@@ -1166,7 +1133,7 @@ mod tests {
     fn state_comparison_sees_the_whole_csr_file() {
         use riscv_isa::csr::{CsrFile, Privilege};
         let p = nop_program();
-        let dt = DiffTest::for_program(&p, 1);
+        let dt = DiffTest::for_program_with_ref(ARCH_REF_NAME, &p, 1);
         let differing = |change: fn(&mut CsrFile)| {
             let mut dut = dt.reference(0).arch_state();
             change(&mut dut.csr);

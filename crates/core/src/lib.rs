@@ -49,8 +49,8 @@ pub mod telemetry;
 
 pub use archdb::ArchDb;
 pub use cosim::{
-    debug_window, panic_message, run_isolated, run_isolated_boot, BugReport, CoSim, CoSimEnd,
-    CoSimState, DebugWindow, ReplayReport, RunStats, Salvage, SampleWindowStats,
+    debug_window, panic_message, run_isolated, run_isolated_boot, within_deadline, BugReport,
+    CoSim, CoSimEnd, CoSimState, DebugWindow, ReplayReport, RunStats, Salvage, SampleWindowStats,
 };
 pub use coverage::{bucket, CommitCoverage, CoverageMap, FU_CLASS_COUNT, OP_COUNT};
 pub use difftest::{

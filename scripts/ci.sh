@@ -15,14 +15,16 @@
 #      growing strictly round over round — the trace tier as the
 #      DiffTest REF: the 12-job matrix under `--ref nemu-trace`, twice,
 #      byte-identical — the mode-specific flags a `campaign` mode does
-#      not honour: refused with exit 2, never dropped, while a job flag
-#      such as `--telemetry` reaches `--sample`'s jobs — and the report
+#      not honour, and a `--lightsss` or `--job-timeout-ms` of 0: refused
+#      with exit 2, never dropped or run, while a job flag such as
+#      `--telemetry` reaches `--sample`'s jobs — and the report
 #      and bundle readers' limits: a 200-job report read back in seconds,
 #      nesting bombs, reports of another schema version or of none, a
 #      bundle of another schema under `replay --bundle [--show | --o3]`,
 #      a crash ring no core could have written under every report and
-#      bundle reader, and a job whose `triage` is not a bundle
-#      refused in one line; every report and bundle the smokes write reads
+#      bundle reader, a bundle asking for 0 cores or a LightSSS interval
+#      of 0 under every bundle reader, and a job whose `triage` is not a
+#      bundle refused in one line; every report and bundle the smokes write reads
 #      back through the typed loaders byte for byte), then
 #      `xscore` again in an optimised build, where its model-based
 #      proptests (ROB ring, wakeup queues) and the skipper oracle run at

@@ -186,6 +186,15 @@ impl Given {
         Some(parsed.unwrap_or_else(|_| usage(&format!("bad {flag}"))))
     }
 
+    /// A count that must be positive: a 0 is refused, never run.
+    fn positive(&self, flag: &str, what: &str) -> Option<u64> {
+        let n = self.num(flag)?;
+        if n == 0 {
+            reject(&format!("`{flag} 0`: {what} must be positive"));
+        }
+        Some(n)
+    }
+
     /// The selected mode; a given flag it does not honour is an error.
     fn mode(&self) -> u8 {
         let selected = MODES.iter().find(|m| self.0.contains_key(m.1));
@@ -211,7 +220,7 @@ impl Given {
     /// configured.
     fn apply(&self, job: &mut JobSpec, policy: &mut Policy) {
         job.max_cycles = self.num("--max-cycles").unwrap_or(job.max_cycles);
-        job.lightsss_interval = self.num("--lightsss");
+        job.lightsss_interval = self.positive("--lightsss", "the snapshot interval");
         job.run.injected_bug = self.text("--inject-bug").map(|bug| match bug.as_str() {
             "mul-low-bit" => InjectedBug::MulLowBit,
             "addw-no-sext" => InjectedBug::AddwNoSext,
@@ -225,7 +234,7 @@ impl Given {
         policy.workers = self.num("--workers").unwrap_or(policy.workers);
         policy.minimize = !self.has("--no-minimize");
         policy.triage = !self.has("--no-triage");
-        policy.wall_timeout_ms = self.num("--job-timeout-ms");
+        policy.wall_timeout_ms = self.positive("--job-timeout-ms", "the wall-clock limit");
         policy.retries = self.num("--retries").unwrap_or(policy.retries);
         policy.backoff_ms = self.num("--retry-backoff-ms").unwrap_or(policy.backoff_ms);
     }

@@ -13,8 +13,9 @@
 //! torn blob), the fuzz determinism smoke (two same-seed `--fuzz` runs,
 //! coverage growing round over round), the trace tier as the DiffTest
 //! REF (`--ref nemu-trace`, twice, byte-identical), the mode-specific
-//! flags a mode does not honour (exit 2, never dropped) beside a job flag
-//! reaching `--sample`'s jobs, and the report and bundle readers' own
+//! flags a mode does not honour and a `--lightsss` or `--job-timeout-ms`
+//! of 0 (exit 2, never dropped or run) beside a job flag reaching
+//! `--sample`'s jobs, and the report and bundle readers' own
 //! limits (a 200-job report read back in seconds; nesting bombs, other
 //! schema versions, a missing one and a malformed bundle refused in one
 //! line). Every report and bundle a campaign here writes is read back
@@ -225,10 +226,12 @@ fn hostile_bundles_are_setup_errors_not_panics() {
             edited(&|b| (b.config, b.cores) = ("small-yqh".into(), Some(2))),
             "no shared last-level cache",
         ),
-        // A core count no system here can build: refused by every bundle
-        // reader before a core is built or a card rendered.
-        ("cores-0", edited(&|b| b.cores = Some(0)), "bundle asks for 0 cores"),
-        ("cores-2^32", edited(&|b| b.cores = Some(1 << 32)), "at most 16 harts"),
+        // A core count no system here can build, or a snapshot interval
+        // of 0: refused at the load gate (`gate-`) by every bundle reader
+        // before a core is built or a card rendered.
+        ("gate-cores-0", edited(&|b| b.cores = Some(0)), "bundle asks for 0 cores"),
+        ("gate-cores-2^32", edited(&|b| b.cores = Some(1 << 32)), "at most 16 harts"),
+        ("gate-lightsss-0", edited(&|b| b.lightsss_interval = Some(0)), "LightSSS interval of 0 cycles"),
     ];
     for (name, text, diagnosis) in cases {
         let file = scratch.path(&format!("{name}.bundle.json"));
@@ -242,7 +245,7 @@ fn hostile_bundles_are_setup_errors_not_panics() {
         );
         assert_eq!(err.lines().filter(|l| l.starts_with("error:")).count(), 1, "{name}: {err}");
         assert!(err.contains(diagnosis), "{name}: {err}");
-        if name.starts_with("cores") {
+        if name.starts_with("gate-") {
             for reader in &readers()[2..] {
                 assert_refused(*reader, &file, diagnosis);
             }
@@ -599,19 +602,23 @@ fn trace_tier_as_the_difftest_ref_halts_everywhere_and_repeats_byte_for_byte() {
 
 #[test]
 fn a_flag_the_mode_does_not_honour_is_refused_not_dropped() {
-    // One dropped flag per mode: a usage error that names it, before
+    // One dropped flag per mode, and a zero snapshot interval or
+    // wall-clock limit: a usage error that names the flag, before
     // anything is simulated.
-    let cases: [(&[&str], &str); 4] = [
-        (&["--sample", "--workloads", "sjeng", "--rounds", "1"], "--rounds"),
-        (&["--torture-seeds", "0..1", "--interval", "5000"], "--interval"),
-        (&["--fuzz", "--rounds", "1", "--fuzz-jobs", "2", "--torture-seeds", "0..1"], "--torture-seeds"),
-        (&["--torture-seeds", "0..1", "--mp"], "--mp"),
+    #[rustfmt::skip]
+    let cases: [(&[&str], &str); 6] = [
+        (&["--sample", "--workloads", "sjeng", "--rounds", "1"], "`--rounds` is not honoured by"),
+        (&["--torture-seeds", "0..1", "--interval", "5000"], "`--interval` is not honoured by"),
+        (&["--fuzz", "--rounds", "1", "--fuzz-jobs", "2", "--torture-seeds", "0..1"], "`--torture-seeds` is not honoured by"),
+        (&["--torture-seeds", "0..1", "--mp"], "`--mp` is not honoured by"),
+        (&["--torture-seeds", "0..1", "--lightsss", "0"], "`--lightsss 0`: the snapshot interval must be positive"),
+        (&["--torture-seeds", "0..1", "--job-timeout-ms", "0"], "`--job-timeout-ms 0`: the wall-clock limit must be positive"),
     ];
-    for (args, flag) in cases {
+    for (args, diagnosis) in cases {
         let out = campaign(args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
-        assert!(err.lines().count() == 1 && err.contains(&format!("`{flag}` is not honoured by")), "{args:?}: {err}");
+        assert!(err.lines().count() == 1 && err.contains(diagnosis), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing is reported");
     }
 
