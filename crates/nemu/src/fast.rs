@@ -24,11 +24,11 @@
 //! - **host floating point**: FP arithmetic uses the host FPU
 //!   ([`riscv_isa::fpu`]) rather than softfloat.
 
-use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
+use crate::hart::{self, Hart, StepInfo};
 use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
-use riscv_isa::exec::int_compute;
+use riscv_isa::exec::{has_imm_operand, int_compute};
 use riscv_isa::fpu::fp_execute;
-use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
+use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory, MTIME, UART_TX};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
 use std::collections::HashMap;
@@ -687,7 +687,7 @@ fn classify(d: &DecodedInst) -> Handler {
         Fsd => Handler::Fsd,
         op => {
             if int_compute(op, 0, 0).is_some() {
-                if crate::hart::has_imm_operand(op) {
+                if has_imm_operand(op) {
                     Handler::AluRI
                 } else {
                     Handler::AluRR

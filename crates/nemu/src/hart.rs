@@ -7,21 +7,14 @@
 //! (forced page faults), forced SC failures, and load/memory patching.
 
 use riscv_isa::csr::Privilege;
-use riscv_isa::exec::{amo_compute, branch_taken, int_compute, load_extend};
+use riscv_isa::exec::{amo_compute, branch_taken, has_imm_operand, int_compute, load_extend};
 use riscv_isa::fpu::fp_execute;
-use riscv_isa::mem::PhysMem;
+use riscv_isa::mem::{PhysMem, MTIME, RESERVATION_GRANULE, UART_TX};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
 use riscv_isa::state::ArchState;
 use riscv_isa::trap::{Exception, Trap};
 use serde::{Deserialize, Serialize};
-
-/// UART transmit register (write-only MMIO).
-pub const UART_TX: u64 = 0x1000_0000;
-/// CLINT mtime register (read-only MMIO in this model).
-pub const MTIME: u64 = 0x0200_bff8;
-/// Reservation granule for LR/SC, in bytes.
-pub const RESERVATION_GRANULE: u64 = 64;
 
 /// A memory access performed by one instruction (probe payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -587,30 +580,6 @@ fn handle_proxy_ecall<M: PhysMem>(
     }
     hart.state.pc = hart.state.pc.wrapping_add(4);
     Ok(())
-}
-
-#[inline]
-pub(crate) fn has_imm_operand(op: Op) -> bool {
-    use Op::*;
-    matches!(
-        op,
-        Addi | Slti
-            | Sltiu
-            | Xori
-            | Ori
-            | Andi
-            | Slli
-            | Srli
-            | Srai
-            | Addiw
-            | Slliw
-            | Srliw
-            | Sraiw
-            | Lui
-            | Rori
-            | Roriw
-            | SlliUw
-    )
 }
 
 /// Step one instruction: interrupt check, fetch, decode, execute, retire.

@@ -35,11 +35,11 @@
 //! can never dangle, so chained transfers skip the target-revalidation
 //! that [`crate::fast::Nemu`]'s `chase` pays on every branch.
 
-use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
+use crate::hart::{self, Hart, StepInfo};
 use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
-use riscv_isa::exec::int_compute;
+use riscv_isa::exec::{has_imm_operand, int_compute};
 use riscv_isa::fpu::fp_execute;
-use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
+use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory, MTIME, UART_TX};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
 use std::collections::HashMap;
@@ -996,7 +996,7 @@ fn classify(d: &DecodedInst) -> u8 {
         Fsw | Fsd => H_FSTORE,
         op => {
             if int_compute(op, 0, 0).is_some() {
-                if crate::hart::has_imm_operand(op) {
+                if has_imm_operand(op) {
                     H_ALU_RI
                 } else {
                     H_ALU_RR

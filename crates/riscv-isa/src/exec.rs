@@ -7,7 +7,18 @@
 //!
 //! [`nemu`]: https://docs.rs/nemu
 
-use crate::op::Op;
+use crate::op::{Op, Shape};
+
+/// True when [`int_compute`]'s second operand is the instruction's
+/// immediate rather than `rs2`: the operand shapes that carry one
+/// (`I`, the two shift-amount shapes, and `U`).
+#[inline]
+pub fn has_imm_operand(op: Op) -> bool {
+    matches!(
+        op.shape(),
+        Shape::I | Shape::Shamt6 | Shape::Shamt5 | Shape::U
+    )
+}
 
 /// Compute the result of a two-operand integer operation.
 ///

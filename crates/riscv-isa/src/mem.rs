@@ -13,6 +13,13 @@ use std::sync::Arc;
 
 /// Page size in bytes (matches the Sv39 base page).
 pub const PAGE_SIZE: u64 = 4096;
+
+/// UART transmit register: write-only MMIO in every model's device map.
+pub const UART_TX: u64 = 0x1000_0000;
+/// CLINT `mtime` register: read-only MMIO.
+pub const MTIME: u64 = 0x0200_bff8;
+/// LR/SC reservation granule, in bytes.
+pub const RESERVATION_GRANULE: u64 = 64;
 const PAGE_MASK: u64 = PAGE_SIZE - 1;
 
 type Page = [u8; PAGE_SIZE as usize];

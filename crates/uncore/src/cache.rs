@@ -7,6 +7,15 @@
 //! Acquire/Grant and shrink with Probe/ProbeAck — the protocol of
 //! [`crate::msg`].
 //!
+//! The transaction engine says each protocol step once: `serve` starts an
+//! acquire-type transaction (probe the children, else acquire from the
+//! parent, else grant or complete), `install_or_evict` places a granted
+//! line or evicts a victim first, `probe_children` probes every child
+//! above a cap, and `txn_epilogue` serves what waited on a line when a
+//! transaction on it retires. The order in which they push messages and
+//! completions, and bump counters, is behaviour (DESIGN.md "`uncore`
+//! event order").
+//!
 //! The §IV-C case-study bug ("L2 MSHR does not handle the overlapping of
 //! Probe and GrantData correctly") is available as a fault injection via
 //! [`CacheConfig::inject_probe_grant_race`].
@@ -210,6 +219,16 @@ enum TxnState {
     GrantWait,
 }
 
+impl TxnState {
+    /// The line this transaction is evicting, if any.
+    fn victim(self) -> Option<u64> {
+        match self {
+            TxnState::EvictRecall { victim, .. } | TxnState::ReleaseWait { victim } => Some(victim),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Txn {
     line: u64,
@@ -217,6 +236,19 @@ struct Txn {
     requester: Requester,
     /// Grant buffered while the victim eviction completes.
     buffered_grant: Option<(Perm, Option<Box<LineData>>)>,
+}
+
+impl Txn {
+    /// A transaction on `line` for `requester`, in a placeholder state
+    /// until it is served.
+    fn new(line: u64, requester: Requester) -> Self {
+        Txn {
+            line,
+            state: TxnState::AcquireParent,
+            requester,
+            buffered_grant: None,
+        }
+    }
 }
 
 /// Messages and completions produced by one cache in one cycle.
@@ -293,21 +325,12 @@ impl Cache {
             .unwrap_or_else(|| panic!("{:?} is not a child of {}", node, self.cfg.name))
     }
 
-    fn has_txn_on(&self, line: u64) -> bool {
-        self.txns
-            .iter()
-            .any(|t| t.line == line && !matches!(t.requester, Requester::ParentProbe { .. }))
-    }
-
     /// True when any transaction (including parent probes and evictions)
     /// concerns `line` — used for per-line serialization.
     fn line_busy(&self, line: u64) -> bool {
-        self.txns.iter().any(|t| {
-            t.line == line
-                || matches!(t.state,
-                    TxnState::EvictRecall { victim, .. } | TxnState::ReleaseWait { victim }
-                        if victim == line)
-        })
+        self.txns
+            .iter()
+            .any(|t| t.line == line || t.state.victim() == Some(line))
     }
 
     /// Number of in-flight transactions (for MSHR occupancy stats).
@@ -327,30 +350,29 @@ impl Cache {
             line_of(req.addr + req.size.max(1) - 1) == line,
             "core requests must not cross a line"
         );
+        let need = perm_for(req.kind);
         if self.line_busy(line) {
             // Merge into the existing miss when the permission suffices.
-            for t in &mut self.txns {
-                if t.line == line {
-                    if let Requester::Core(reqs) = &mut t.requester {
-                        let need = perm_for(req.kind);
-                        let have = txn_need(reqs);
-                        if have.covers(need) {
-                            reqs.push(req);
-                            return true;
-                        }
-                    }
+            let miss = self.txns.iter_mut().find_map(|t| match &mut t.requester {
+                Requester::Core(reqs) if t.line == line && txn_need(reqs).covers(need) => {
+                    Some(reqs)
                 }
+                _ => None,
+            });
+            if let Some(reqs) = miss {
+                reqs.push(req);
+                return true;
             }
             self.stats.mshr_stalls += 1;
             return false;
         }
-        let need = perm_for(req.kind);
-        if let Some(l) = self.line_ref(line) {
+        if let Some((s, w)) = self.find_line(line) {
+            let l = &self.sets[s][w];
             if l.perm.covers(need) && l.max_child_perm() == Perm::None {
                 self.stats.hits += 1;
-                let (s, w) = self.find_line(line).expect("line present");
-                let completion = perform_access(&mut self.sets[s][w], &req, now + self.cfg.hit_latency, true);
-                out.completions.push(completion);
+                let at = now + self.cfg.hit_latency;
+                out.completions
+                    .push(perform_access(&mut self.sets[s][w], &req, at, true));
                 return true;
             }
         }
@@ -359,17 +381,7 @@ impl Cache {
             return false;
         }
         self.stats.misses += 1;
-        let mut txn = Txn {
-            line,
-            state: TxnState::AcquireParent, // placeholder, fixed by begin_serve
-            requester: Requester::Core(vec![req]),
-            buffered_grant: None,
-        };
-        if self.begin_serve(&mut txn, now, out) {
-            self.txn_epilogue(line, now, out);
-        } else {
-            self.txns.push(txn);
-        }
+        self.serve(Txn::new(line, Requester::Core(vec![req])), now, out);
         true
     }
 
@@ -385,17 +397,7 @@ impl Cache {
                 if self.line_busy(line) {
                     self.waiting_acquires.push_back((slot, need, line));
                 } else {
-                    let mut txn = Txn {
-                        line,
-                        state: TxnState::AcquireParent,
-                        requester: Requester::Child { slot, need },
-                        buffered_grant: None,
-                    };
-                    if self.begin_serve(&mut txn, now, out) {
-                        self.txn_epilogue(line, now, out);
-                    } else {
-                        self.txns.push(txn);
-                    }
+                    self.serve(Txn::new(line, Requester::Child { slot, need }), now, out);
                 }
             }
             MsgKind::Grant { line, perm, data } => {
@@ -438,91 +440,100 @@ impl Cache {
     }
 
     /// Start (or restart) serving an acquire-type transaction: probe
-    /// conflicting children, then acquire from the parent, then grant.
-    /// Returns true when the transaction completed synchronously.
-    fn begin_serve(&mut self, txn: &mut Txn, now: u64, out: &mut Outbox) -> bool {
+    /// conflicting children, else acquire from the parent, else grant.
+    /// The transaction waits in the MSHRs for whatever it asked for, or
+    /// retires on the spot.
+    fn serve(&mut self, mut txn: Txn, now: u64, out: &mut Outbox) {
         let line = txn.line;
-        let need = match &txn.requester {
-            Requester::Child { need, .. } => *need,
-            Requester::Core(reqs) => txn_need(reqs),
-            _ => unreachable!("begin_serve on non-acquire txn"),
+        let (need, except) = match &txn.requester {
+            Requester::Child { slot, need } => (*need, Some(*slot)),
+            Requester::Core(reqs) => (txn_need(reqs), None),
+            Requester::ParentProbe { .. } => unreachable!("serve on a parent probe"),
         };
-        let exclude = match &txn.requester {
-            Requester::Child { slot, .. } => Some(*slot),
-            _ => None,
-        };
-        if let Some((s, w)) = self.find_line(line) {
-            let l = &self.sets[s][w];
-            if l.perm.covers(need) {
-                // Locally sufficient: shrink other children first.
-                let cap = if need == Perm::Trunk {
-                    Perm::None
-                } else {
-                    Perm::Branch
-                };
-                let mut outstanding = 0;
-                for (slot, child) in self.children.iter().enumerate() {
-                    if Some(slot) != exclude && l.child_perm[slot] > cap {
-                        out.msgs.push((*child, MsgKind::Probe { line, cap }));
-                        outstanding += 1;
-                    }
+        if self.line_ref(line).is_some_and(|l| l.perm.covers(need)) {
+            // Locally sufficient: shrink other children first.
+            let cap = if need == Perm::Trunk {
+                Perm::None
+            } else {
+                Perm::Branch
+            };
+            match self.probe_children(line, cap, except, out) {
+                0 => self.finish_serve(txn, now, out),
+                outstanding => {
+                    txn.state = TxnState::ProbeChildren { outstanding };
+                    self.txns.push(txn);
                 }
-                self.stats.probes_sent += outstanding as u64;
-                return if outstanding > 0 {
-                    txn.state = TxnState::ProbeChildren {
-                        outstanding: outstanding as usize,
-                    };
-                    false
-                } else {
-                    self.finish_serve(txn, now, out)
-                };
             }
+        } else {
+            // Grow our own permission.
+            out.msgs
+                .push((self.parent, MsgKind::Acquire { line, need }));
+            txn.state = TxnState::AcquireParent;
+            self.txns.push(txn);
         }
-        // Grow our own permission.
-        out.msgs.push((self.parent, MsgKind::Acquire { line, need }));
-        txn.state = TxnState::AcquireParent;
-        false
     }
 
     /// Complete an acquire-type transaction: update directory/data and
-    /// respond to the requester. Returns true when fully done (core
-    /// requests); child grants keep the line serialized until GrantAck.
-    fn finish_serve(&mut self, txn: &mut Txn, now: u64, out: &mut Outbox) -> bool {
+    /// respond to the requester. Core requests retire here; a child grant
+    /// keeps the line serialized until its GrantAck.
+    fn finish_serve(&mut self, mut txn: Txn, now: u64, out: &mut Outbox) {
         let line = txn.line;
-        let latency = self.cfg.hit_latency;
+        let at = now + self.cfg.hit_latency;
         let (s, w) = self.find_line(line).expect("line installed by now");
-        match &txn.requester {
+        let l = &mut self.sets[s][w];
+        match txn.requester {
             Requester::Child { slot, need } => {
-                let l = &mut self.sets[s][w];
-                l.child_perm[*slot] = *need;
-                if *need == Perm::Trunk {
+                l.child_perm[slot] = need;
+                if need == Perm::Trunk {
                     for (i, p) in l.child_perm.iter_mut().enumerate() {
-                        if i != *slot {
+                        if i != slot {
                             *p = Perm::None;
                         }
                     }
                 }
+                let data = Some(Box::new(l.data));
                 out.msgs.push((
-                    self.children[*slot],
+                    self.children[slot],
                     MsgKind::Grant {
                         line,
-                        perm: *need,
-                        data: Some(Box::new(l.data)),
+                        perm: need,
+                        data,
                     },
                 ));
                 txn.state = TxnState::GrantWait;
-                false
+                self.txns.push(txn);
             }
-            Requester::Core(reqs) => {
+            Requester::Core(ref reqs) => {
                 for req in reqs {
-                    let l = &mut self.sets[s][w];
-                    let completion = perform_access(l, req, now + latency, false);
-                    out.completions.push(completion);
+                    out.completions.push(perform_access(l, req, at, false));
                 }
-                true
+                self.txn_epilogue(line, now, out);
             }
-            _ => unreachable!("finish_serve on non-acquire txn"),
+            Requester::ParentProbe { .. } => unreachable!("finish_serve on a parent probe"),
         }
+    }
+
+    /// Probe every child other than `except` that holds `line` above
+    /// `cap`; returns how many were probed.
+    fn probe_children(
+        &mut self,
+        line: u64,
+        cap: Perm,
+        except: Option<usize>,
+        out: &mut Outbox,
+    ) -> usize {
+        let Some(l) = self.line_ref(line) else {
+            return 0;
+        };
+        let mut n = 0;
+        for (slot, &child) in self.children.iter().enumerate() {
+            if Some(slot) != except && l.child_perm[slot] > cap {
+                out.msgs.push((child, MsgKind::Probe { line, cap }));
+                n += 1;
+            }
+        }
+        self.stats.probes_sent += n as u64;
+        n
     }
 
     fn on_grant(
@@ -538,163 +549,101 @@ impl Cache {
             .iter()
             .position(|t| t.line == line && t.state == TxnState::AcquireParent)
             .unwrap_or_else(|| panic!("{}: unexpected grant for {line:#x}", self.cfg.name));
-        let mut txn = self.txns.swap_remove(idx);
-        // Install: find a way (existing line for upgrades, else a victim).
-        if self.find_line(line).is_some() {
-            let l = self.line_mut(line).expect("present");
-            l.perm = perm;
-            if let Some(d) = data {
-                if !l.dirty {
-                    l.data = *d;
-                }
-            }
-            l.installed_at = now;
-            if self.begin_serve(&mut txn, now, out) {
-                self.complete_txn(txn, now, out);
-            } else {
-                self.txns.push(txn);
-            }
-            return;
-        }
-        let set = self.set_index(line);
-        match self.pick_victim(set, line) {
-            VictimChoice::Free(w) => {
-                self.install(set, w, line, perm, data.as_deref(), now);
-                if self.begin_serve(&mut txn, now, out) {
-                    self.complete_txn(txn, now, out);
-                } else {
-                    self.txns.push(txn);
-                }
-            }
-            VictimChoice::Evict(wv) => {
-                let victim = self.sets[set][wv].tag;
-                self.stats.evictions += 1;
-                let recalled = self.recall_children(victim, out);
-                txn.buffered_grant = Some((perm, data));
-                if recalled > 0 {
-                    txn.state = TxnState::EvictRecall {
-                        outstanding: recalled,
-                        victim,
-                    };
-                    self.txns.push(txn);
-                } else {
-                    self.release_victim(victim, out);
-                    txn.state = TxnState::ReleaseWait { victim };
-                    self.txns.push(txn);
-                }
+        let txn = self.txns.swap_remove(idx);
+        let Some(l) = self.line_mut(line) else {
+            return self.install_or_evict(txn, perm, data, now, out);
+        };
+        // An upgrade of a line we hold.
+        l.perm = perm;
+        if let Some(d) = data {
+            if !l.dirty {
+                l.data = *d;
             }
         }
+        l.installed_at = now;
+        self.serve(txn, now, out);
     }
 
-    /// Send recall probes to children holding `victim`; returns how many.
-    fn recall_children(&mut self, victim: u64, out: &mut Outbox) -> usize {
-        let Some(l) = self.line_ref(victim) else {
-            return 0;
-        };
-        let mut n = 0;
-        for (slot, child) in self.children.iter().enumerate() {
-            if l.child_perm[slot] > Perm::None {
-                out.msgs.push((
-                    *child,
-                    MsgKind::Probe {
-                        line: victim,
-                        cap: Perm::None,
+    /// Install a granted line in a free way and serve `txn`, or make room
+    /// first: pick a victim, recall it from the children, then release
+    /// it, with the grant buffered in `txn` until the parent's ReleaseAck.
+    fn install_or_evict(
+        &mut self,
+        mut txn: Txn,
+        perm: Perm,
+        data: Option<Box<LineData>>,
+        now: u64,
+        out: &mut Outbox,
+    ) {
+        let set = self.set_index(txn.line);
+        match self.pick_victim(set) {
+            VictimChoice::Free(w) => {
+                let l = &mut self.sets[set][w];
+                *l = Line {
+                    tag: txn.line,
+                    perm,
+                    installed_at: now,
+                    ..Line::invalid()
+                };
+                if let Some(d) = data {
+                    l.data = *d;
+                }
+                self.serve(txn, now, out);
+            }
+            VictimChoice::Evict(w) => {
+                let victim = self.sets[set][w].tag;
+                self.stats.evictions += 1;
+                txn.buffered_grant = Some((perm, data));
+                txn.state = match self.probe_children(victim, Perm::None, None, out) {
+                    0 => {
+                        self.release_victim(victim, out);
+                        TxnState::ReleaseWait { victim }
+                    }
+                    outstanding => TxnState::EvictRecall {
+                        outstanding,
+                        victim,
                     },
-                ));
-                n += 1;
+                };
+                self.txns.push(txn);
             }
         }
-        self.stats.probes_sent += n as u64;
-        n
     }
 
     /// Issue the Release for a fully recalled victim.
     fn release_victim(&mut self, victim: u64, out: &mut Outbox) {
         let l = self.line_mut(victim).expect("victim present");
-        let data = if l.dirty {
-            Some(Box::new(l.data))
-        } else {
-            None
-        };
+        let data = l.dirty.then(|| Box::new(l.data));
+        *l = Line::invalid();
         if data.is_some() {
             self.stats.writebacks += 1;
         }
         out.msgs.push((self.parent, MsgKind::Release { line: victim, data }));
-        let l = self.line_mut(victim).expect("victim present");
-        *l = Line::invalid();
     }
 
     fn on_release_ack(&mut self, released: u64, now: u64, out: &mut Outbox) {
-        let idx = self
-            .txns
-            .iter()
-            .position(|t| matches!(t.state, TxnState::ReleaseWait { victim } if victim == released));
+        let idx = self.txns.iter().position(
+            |t| matches!(t.state, TxnState::ReleaseWait { victim } if victim == released),
+        );
         let Some(idx) = idx else { return };
         let mut txn = self.txns.swap_remove(idx);
         // The victim line is gone: serve anything that was deferred on it
         // (a parent probe answers "None" now; a queued acquire restarts).
         self.txn_epilogue(released, now, out);
-        // Resume the buffered install.
+        // Resume the buffered install (which may need another victim when
+        // the set is under heavy pressure).
         let (perm, data) = txn.buffered_grant.take().expect("grant buffered");
-        let set = self.set_index(txn.line);
-        match self.pick_victim(set, txn.line) {
-            VictimChoice::Free(w) => {
-                self.install(set, w, txn.line, perm, data.as_deref(), now);
-                if self.begin_serve(&mut txn, now, out) {
-                    self.complete_txn(txn, now, out);
-                } else {
-                    self.txns.push(txn);
-                }
-            }
-            VictimChoice::Evict(wv) => {
-                // Another victim needed (set under heavy pressure).
-                let victim = self.sets[set][wv].tag;
-                self.stats.evictions += 1;
-                let recalled = self.recall_children(victim, out);
-                txn.buffered_grant = Some((perm, data));
-                if recalled > 0 {
-                    txn.state = TxnState::EvictRecall {
-                        outstanding: recalled,
-                        victim,
-                    };
-                } else {
-                    self.release_victim(victim, out);
-                    txn.state = TxnState::ReleaseWait { victim };
-                }
-                self.txns.push(txn);
-            }
-        }
+        self.install_or_evict(txn, perm, data, now, out);
     }
 
-    fn install(
-        &mut self,
-        set: usize,
-        way: usize,
-        line: u64,
-        perm: Perm,
-        data: Option<&LineData>,
-        now: u64,
-    ) {
-        let l = &mut self.sets[set][way];
-        *l = Line::invalid();
-        l.tag = line;
-        l.perm = perm;
-        if let Some(d) = data {
-            l.data = *d;
-        }
-        l.installed_at = now;
-    }
-
-    fn pick_victim(&self, set: usize, _incoming: u64) -> VictimChoice {
+    fn pick_victim(&self, set: usize) -> VictimChoice {
         // Prefer an invalid way, then a way with no child copies (clean
         // first), finally any non-busy way that needs recall.
         if let Some(w) = self.sets[set].iter().position(|l| l.perm == Perm::None) {
             return VictimChoice::Free(w);
         }
-        let busy = |l: &Line| self.line_busy(l.tag);
         let mut candidate: Option<usize> = None;
         for (w, l) in self.sets[set].iter().enumerate() {
-            if busy(l) {
+            if self.line_busy(l.tag) {
                 continue;
             }
             if l.max_child_perm() == Perm::None && !l.dirty {
@@ -707,54 +656,28 @@ impl Cache {
 
     fn on_probe(&mut self, line: u64, cap: Perm, now: u64, out: &mut Outbox) {
         // Defer while we are mid-transaction with installed state on the
-        // line (probing children or evicting it).
+        // line (probing children, granting it, or evicting it).
         let blocking = self.txns.iter().any(|t| {
-            t.line == line
-                && matches!(
-                    t.state,
-                    TxnState::ProbeChildren { .. }
-                        | TxnState::EvictRecall { .. }
-                        | TxnState::ReleaseWait { .. }
-                        | TxnState::GrantWait
-                )
-        }) || self
-            .txns
-            .iter()
-            .any(|t| matches!(t.state, TxnState::EvictRecall { victim, .. } | TxnState::ReleaseWait { victim } if victim == line));
+            (t.line == line && t.state != TxnState::AcquireParent) || t.state.victim() == Some(line)
+        });
         if blocking {
             self.deferred_probes.push_back((line, cap));
-            return;
-        }
-        let Some((s, w)) = self.find_line(line) else {
+        } else if self.find_line(line).is_none() {
             // We no longer hold the line (e.g. it raced with our Release).
-            out.msgs.push((
-                self.parent,
-                MsgKind::ProbeAck {
-                    line,
-                    now: Perm::None,
-                    data: None,
-                },
-            ));
-            return;
-        };
-        let l = &self.sets[s][w];
-        let mut outstanding = 0;
-        for (slot, child) in self.children.iter().enumerate() {
-            if l.child_perm[slot] > cap {
-                out.msgs.push((*child, MsgKind::Probe { line, cap }));
-                outstanding += 1;
-            }
-        }
-        self.stats.probes_sent += outstanding as u64;
-        if outstanding > 0 {
-            self.txns.push(Txn {
+            let ack = MsgKind::ProbeAck {
                 line,
-                state: TxnState::ProbeChildren { outstanding },
-                requester: Requester::ParentProbe { cap },
-                buffered_grant: None,
-            });
+                now: Perm::None,
+                data: None,
+            };
+            out.msgs.push((self.parent, ack));
         } else {
-            self.probe_ack_now(line, cap, now, out);
+            match self.probe_children(line, cap, None, out) {
+                0 => self.probe_ack_now(line, cap, now, out),
+                outstanding => self.txns.push(Txn {
+                    state: TxnState::ProbeChildren { outstanding },
+                    ..Txn::new(line, Requester::ParentProbe { cap })
+                }),
+            }
         }
     }
 
@@ -821,53 +744,35 @@ impl Cache {
             .unwrap_or_else(|| panic!("{}: stray ProbeAck for {line:#x}", self.cfg.name));
         let mut txn = self.txns.swap_remove(idx);
         match &mut txn.state {
-            TxnState::ProbeChildren { outstanding } => {
+            TxnState::ProbeChildren { outstanding } | TxnState::EvictRecall { outstanding, .. }
+                if *outstanding > 1 =>
+            {
                 *outstanding -= 1;
-                if *outstanding > 0 {
-                    self.txns.push(txn);
-                    return;
-                }
-                match txn.requester.clone() {
-                    Requester::ParentProbe { cap } => {
-                        self.probe_ack_now(line, cap, now, out);
-                        self.txn_epilogue(line, now, out);
-                    }
-                    _ => {
-                        if self.finish_serve(&mut txn, now, out) {
-                            self.complete_txn(txn, now, out);
-                        } else {
-                            self.txns.push(txn);
-                        }
-                    }
-                }
-            }
-            TxnState::EvictRecall { outstanding, victim } => {
-                *outstanding -= 1;
-                if *outstanding == 0 {
-                    let victim = *victim;
-                    self.release_victim(victim, out);
-                    txn.state = TxnState::ReleaseWait { victim };
-                }
                 self.txns.push(txn);
             }
+            &mut TxnState::EvictRecall { victim, .. } => {
+                self.release_victim(victim, out);
+                txn.state = TxnState::ReleaseWait { victim };
+                self.txns.push(txn);
+            }
+            TxnState::ProbeChildren { .. } => match txn.requester {
+                Requester::ParentProbe { cap } => {
+                    self.probe_ack_now(line, cap, now, out);
+                    self.txn_epilogue(line, now, out);
+                }
+                _ => self.finish_serve(txn, now, out),
+            },
             _ => unreachable!("probe ack in unexpected state"),
         }
     }
 
-    /// Called when an acquire-type transaction fully completes.
-    fn complete_txn(&mut self, txn: Txn, now: u64, out: &mut Outbox) {
-        self.txn_epilogue(txn.line, now, out);
-    }
-
-    /// After any transaction on `line` retires: run deferred probes and
-    /// queued child acquires.
+    /// After any transaction on `line` retires: run a deferred probe, then
+    /// — unless that probe is itself under way — a queued child acquire.
     fn txn_epilogue(&mut self, line: u64, now: u64, out: &mut Outbox) {
-        if let Some(pos) = self.deferred_probes.iter().position(|(l, _)| *l == line) {
-            let (l, cap) = self.deferred_probes.remove(pos).expect("present");
-            self.on_probe(l, cap, now, out);
-            // A deferred probe may itself spawn a txn on this line; queued
-            // acquires wait for the next epilogue in that case.
-            if self.has_txn_on(line) {
+        if let Some(pos) = self.deferred_probes.iter().position(|&(l, _)| l == line) {
+            let (_, cap) = self.deferred_probes.remove(pos).expect("present");
+            self.on_probe(line, cap, now, out);
+            if self.line_busy(line) {
                 return;
             }
         }
@@ -876,18 +781,8 @@ impl Cache {
             .iter()
             .position(|&(_, _, l)| l == line)
         {
-            let (slot, need, l) = self.waiting_acquires.remove(pos).expect("present");
-            let mut txn = Txn {
-                line: l,
-                state: TxnState::AcquireParent,
-                requester: Requester::Child { slot, need },
-                buffered_grant: None,
-            };
-            if self.begin_serve(&mut txn, now, out) {
-                self.complete_txn(txn, now, out);
-            } else {
-                self.txns.push(txn);
-            }
+            let (slot, need, _) = self.waiting_acquires.remove(pos).expect("present");
+            self.serve(Txn::new(line, Requester::Child { slot, need }), now, out);
         }
     }
 
@@ -950,6 +845,7 @@ impl Cache {
     }
 }
 
+/// Where a granted line goes: an invalid way, or a way to evict first.
 enum VictimChoice {
     Free(usize),
     Evict(usize),

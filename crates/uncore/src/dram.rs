@@ -2,10 +2,10 @@
 //!
 //! Two models mirror the paper's two evaluation platforms (§IV-B):
 //!
-//! - [`DramModel::FixedAmat`]: a constant access latency with unlimited
+//! - [`DramModel::fixed`]: a constant access latency with unlimited
 //!   bandwidth — the FPGA platform's "padding cycles" configuration
 //!   (YQH-FPGA-90C-AMAT, NH-FPGA-250C-AMAT).
-//! - [`DramModel::Ddr`]: a bank/row-buffer model with a shared data bus —
+//! - [`DramModel::ddr`]: a bank/row-buffer model with a shared data bus —
 //!   the DDR4-1600/2400 configurations used for chips and RTL simulation.
 
 use serde::{Deserialize, Serialize};
@@ -56,19 +56,19 @@ pub struct DramStats {
     pub row_misses: u64,
 }
 
-/// The memory-controller timing model.
+/// The memory-controller timing model and what it has counted.
 #[derive(Debug, Clone)]
-pub enum DramModel {
+pub struct DramModel {
+    timing: Timing,
+    stats: DramStats,
+}
+
+#[derive(Debug, Clone)]
+enum Timing {
     /// Constant latency, unlimited bandwidth (FPGA-style AMAT padding).
-    FixedAmat {
-        /// Cycles per access.
-        latency: u64,
-        /// Accesses serviced.
-        accesses: u64,
-    },
+    Fixed(u64),
     /// Banked row-buffer model with a shared data bus.
     Ddr {
-        /// Timing parameters.
         cfg: DdrConfig,
         /// Open row per bank.
         open_rows: Vec<Option<u64>>,
@@ -76,91 +76,64 @@ pub enum DramModel {
         bank_busy: Vec<u64>,
         /// Cycle until which the data bus is busy.
         bus_busy: u64,
-        /// Row-buffer hit count.
-        row_hits: u64,
-        /// Row-buffer miss count.
-        row_misses: u64,
-        /// Accesses serviced.
-        accesses: u64,
     },
 }
 
 impl DramModel {
     /// Create the fixed-AMAT model.
     pub fn fixed(latency: u64) -> Self {
-        DramModel::FixedAmat {
-            latency,
-            accesses: 0,
+        DramModel {
+            timing: Timing::Fixed(latency),
+            stats: DramStats::default(),
         }
     }
 
     /// Create the DDR model.
     pub fn ddr(cfg: DdrConfig) -> Self {
-        DramModel::Ddr {
+        let timing = Timing::Ddr {
             open_rows: vec![None; cfg.banks],
             bank_busy: vec![0; cfg.banks],
             bus_busy: 0,
-            row_hits: 0,
-            row_misses: 0,
-            accesses: 0,
             cfg,
+        };
+        DramModel {
+            timing,
+            stats: DramStats::default(),
         }
     }
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> DramStats {
-        match self {
-            DramModel::FixedAmat { accesses, .. } => DramStats {
-                accesses: *accesses,
-                ..Default::default()
-            },
-            DramModel::Ddr {
-                row_hits,
-                row_misses,
-                accesses,
-                ..
-            } => DramStats {
-                accesses: *accesses,
-                row_hits: *row_hits,
-                row_misses: *row_misses,
-            },
-        }
+        self.stats
     }
 
     /// Latency (from `now`) of an access to line address `line`.
     pub fn access(&mut self, line: u64, now: u64) -> u64 {
-        match self {
-            DramModel::FixedAmat { latency, accesses } => {
-                *accesses += 1;
-                *latency
-            }
-            DramModel::Ddr {
+        self.stats.accesses += 1;
+        let (cfg, open_rows, bank_busy, bus_busy) = match &mut self.timing {
+            Timing::Fixed(latency) => return *latency,
+            Timing::Ddr {
                 cfg,
                 open_rows,
                 bank_busy,
                 bus_busy,
-                row_hits,
-                row_misses,
-                accesses,
-            } => {
-                *accesses += 1;
-                let bank = ((line >> 6) as usize) % cfg.banks;
-                let row = line >> 13;
-                let start = now.max(bank_busy[bank]).max(*bus_busy);
-                let service = if open_rows[bank] == Some(row) {
-                    *row_hits += 1;
-                    cfg.row_hit
-                } else {
-                    *row_misses += 1;
-                    open_rows[bank] = Some(row);
-                    cfg.row_miss
-                };
-                let done = start + service;
-                bank_busy[bank] = done;
-                *bus_busy = start + cfg.bus_interval;
-                done - now
-            }
-        }
+            } => (cfg, open_rows, bank_busy, bus_busy),
+        };
+        let bank = ((line >> 6) as usize) % cfg.banks;
+        let row = line >> 13;
+        let start = now.max(bank_busy[bank]).max(*bus_busy);
+        let service = if open_rows[bank] == Some(row) {
+            self.stats.row_hits += 1;
+            cfg.row_hit
+        } else {
+            self.stats.row_misses += 1;
+            open_rows[bank] = Some(row);
+            cfg.row_miss
+        };
+        let done = start + service;
+        bank_busy[bank] = done;
+        *bus_busy = start + cfg.bus_interval;
+        done - now
     }
 }
 

@@ -41,8 +41,6 @@ impl Perm {
 /// A node in the memory hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Node {
-    /// A core-side port (instruction fetch unit or LSU of core `n`).
-    Core(usize),
     /// The instruction cache of core `n`.
     L1i(usize),
     /// The data cache of core `n`.
@@ -108,21 +106,6 @@ pub enum MsgKind {
         /// Line address.
         line: u64,
     },
-}
-
-impl MsgKind {
-    /// Line address this message concerns.
-    pub fn line(&self) -> u64 {
-        match self {
-            MsgKind::Acquire { line, .. }
-            | MsgKind::Grant { line, .. }
-            | MsgKind::Probe { line, .. }
-            | MsgKind::ProbeAck { line, .. }
-            | MsgKind::Release { line, .. }
-            | MsgKind::ReleaseAck { line }
-            | MsgKind::GrantAck { line } => *line,
-        }
-    }
 }
 
 /// A routed message (its delivery cycle is kept by the queue it waits in).

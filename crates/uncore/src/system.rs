@@ -154,30 +154,33 @@ pub struct MemSystem {
 impl MemSystem {
     /// Build a memory system over a backing physical memory.
     pub fn new(cfg: MemSystemConfig, dram: DramModel, backing: SparseMemory) -> Self {
-        let mut l1i = Vec::new();
-        let mut l1d = Vec::new();
-        let mut l2 = Vec::new();
+        let level = |tpl: &CacheConfig, name: String, node, parent, children| {
+            Cache::new(
+                CacheConfig {
+                    name,
+                    ..tpl.clone()
+                },
+                node,
+                parent,
+                children,
+            )
+        };
         let l3 = cfg.l3.as_ref().map(|c3| {
             let children = (0..cfg.cores).map(Node::L2).collect();
-            let mut c = c3.clone();
-            c.name = "l3".into();
-            Cache::new(c, Node::L3, Node::Dram, children)
+            level(c3, "l3".into(), Node::L3, Node::Dram, children)
         });
+        let l2_parent = if l3.is_some() { Node::L3 } else { Node::Dram };
+        let (mut l1i, mut l1d, mut l2) = (Vec::new(), Vec::new(), Vec::new());
         for core in 0..cfg.cores {
-            let mut ci = cfg.l1i.clone();
-            ci.name = format!("l1i{core}");
-            let mut cd = cfg.l1d.clone();
-            cd.name = format!("l1d{core}");
-            let mut c2 = cfg.l2.clone();
-            c2.name = format!("l2_{core}");
-            l1i.push(Cache::new(ci, Node::L1i(core), Node::L2(core), vec![]));
-            l1d.push(Cache::new(cd, Node::L1d(core), Node::L2(core), vec![]));
-            let l2_parent = if l3.is_some() { Node::L3 } else { Node::Dram };
-            l2.push(Cache::new(
+            let (i, d, c2) = (Node::L1i(core), Node::L1d(core), Node::L2(core));
+            l1i.push(level(&cfg.l1i, format!("l1i{core}"), i, c2, vec![]));
+            l1d.push(level(&cfg.l1d, format!("l1d{core}"), d, c2, vec![]));
+            l2.push(level(
+                &cfg.l2,
+                format!("l2_{core}"),
                 c2,
-                Node::L2(core),
                 l2_parent,
-                vec![Node::L1i(core), Node::L1d(core)],
+                vec![i, d],
             ));
         }
         let mut sys = MemSystem {
@@ -236,14 +239,7 @@ impl MemSystem {
     ///
     /// Panics if the access crosses a cache line.
     pub fn submit_data(&mut self, req: CoreReq) -> bool {
-        let key = (false, req.core, req.id);
-        let mut out = std::mem::take(&mut self.outbox);
-        let ok = self.l1d[req.core].submit_core(req, self.cycle, &mut out);
-        self.route_outbox(Node::L1d(req.core), out);
-        if ok && self.cfg.telemetry {
-            self.inflight_since.insert(key, self.cycle);
-        }
-        ok
+        self.submit(Node::L1d(req.core), req)
     }
 
     /// Submit an instruction fetch (32-byte block at `addr`).
@@ -256,11 +252,17 @@ impl MemSystem {
             data: 0,
             id,
         };
-        let mut out = std::mem::take(&mut self.outbox);
-        let ok = self.l1i[core].submit_core(req, self.cycle, &mut out);
-        self.route_outbox(Node::L1i(core), out);
+        self.submit(Node::L1i(core), req)
+    }
+
+    /// Offer `req` to the L1 at `l1`; a request it takes is timed from
+    /// now when telemetry is on.
+    fn submit(&mut self, l1: Node, req: CoreReq) -> bool {
+        let (now, mut out) = (self.cycle, std::mem::take(&mut self.outbox));
+        let ok = self.cache_mut(l1).submit_core(req, now, &mut out);
+        self.route_outbox(l1, out);
         if ok && self.cfg.telemetry {
-            self.inflight_since.insert((true, core, id), self.cycle);
+            self.inflight_since.insert(inflight_key(&req), now);
         }
         ok
     }
@@ -288,8 +290,7 @@ impl MemSystem {
         while self.done.peek().is_some_and(|c| c.at <= self.cycle) {
             let c = self.done.pop().expect("peeked").item;
             if self.cfg.telemetry {
-                let key = (c.req.kind == AccessKind::Fetch, c.req.core, c.req.id);
-                if let Some(since) = self.inflight_since.remove(&key) {
+                if let Some(since) = self.inflight_since.remove(&inflight_key(&c.req)) {
                     let rtt = c.at.saturating_sub(since);
                     if c.l1_hit {
                         self.lat.l1_hit.record(rtt);
@@ -406,28 +407,12 @@ impl MemSystem {
             u64::from_le_bytes(buf)
         };
         // Freshest first: L1D dirty, L2 dirty, L3 dirty, backing memory.
-        for c in &self.l1d {
-            if let Some((d, dirty, _)) = c.peek_line(line) {
-                if dirty {
-                    return grab(d);
-                }
-            }
-        }
-        for c in &self.l2 {
-            if let Some((d, dirty, _)) = c.peek_line(line) {
-                if dirty {
-                    return grab(d);
-                }
-            }
-        }
-        if let Some(c) = &self.l3 {
-            if let Some((d, dirty, _)) = c.peek_line(line) {
-                if dirty {
-                    return grab(d);
-                }
-            }
-        }
-        self.backing.read_uint(addr, size)
+        let mut levels = self.l1d.iter().chain(&self.l2).chain(&self.l3);
+        let dirty = levels.find_map(|c| match c.peek_line(line) {
+            Some((d, true, _)) => Some(grab(d)),
+            _ => None,
+        });
+        dirty.unwrap_or_else(|| self.backing.read_uint(addr, size))
     }
 
     /// Direct backing-memory access (program loading before boot).
@@ -494,6 +479,12 @@ impl MemSystem {
     pub fn quiescent(&self) -> bool {
         self.wheel.is_empty() && self.done.is_empty() && self.caches().all(|c| c.active_txns() == 0)
     }
+}
+
+/// The key of an in-flight request's submit cycle: fetches and data
+/// requests number their ids apart.
+fn inflight_key(req: &CoreReq) -> (bool, usize, u64) {
+    (req.kind == AccessKind::Fetch, req.core, req.id)
 }
 
 /// Drive the system until a specific request id completes (test helper).
@@ -934,6 +925,130 @@ mod tests {
             prop_assert!(live.scoreboard.as_ref().unwrap().clean());
             prop_assert!(snapshot.scoreboard.as_ref().unwrap().clean());
         }
+    }
+
+    /// FNV-1a step over one little-endian word.
+    fn fnv(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Fold completions into a digest: `(at, core, id, data)` and the
+    /// fetch block.
+    fn fold_completions(h: &mut u64, done: Vec<Completion>) {
+        for c in done {
+            for v in [c.at, c.req.core as u64, c.req.id, c.data] {
+                fnv(h, v);
+            }
+            for word in c.fetch_block.iter().flat_map(|b| b.chunks(8)) {
+                fnv(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            }
+        }
+    }
+
+    /// Two cores submitting every cycle for `cycles` cycles from a seeded
+    /// xorshift — loads, stores, `LoadExclusive`s and fetches over 48
+    /// lines whose 4 KiB and 16 KiB strides collide in every level of the
+    /// tiny hierarchy — then a drain. Returns the FNV-1a digest of every
+    /// completion, then of each level's counters and the controller's.
+    fn contended_traffic(sys: &mut MemSystem, mut seed: u64, cycles: u64) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut id = 0;
+        for _ in 0..cycles {
+            for core in 0..2 {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                let line =
+                    0x10_0000 + (seed & 3) * 4096 + (seed >> 2) % 6 * 16_384 + (seed >> 5 & 1) * 64;
+                let word = (seed >> 6 & 7) * 8;
+                id += 1;
+                let kind = match seed >> 9 & 7 {
+                    0..=2 => AccessKind::Load,
+                    3 | 4 => AccessKind::Store,
+                    5 => AccessKind::LoadExclusive,
+                    _ => {
+                        sys.submit_fetch(core, line + (word & 32), id);
+                        continue;
+                    }
+                };
+                sys.submit_data(CoreReq {
+                    core,
+                    kind,
+                    addr: line + word,
+                    size: 8,
+                    data: seed,
+                    id,
+                });
+            }
+            fold_completions(&mut h, sys.tick());
+        }
+        for _ in 0..100_000 {
+            if sys.quiescent() {
+                break;
+            }
+            fold_completions(&mut h, sys.tick());
+        }
+        for (_, s) in sys.stats() {
+            let CacheStats {
+                hits,
+                misses,
+                writebacks,
+                probes_sent,
+                probes_received,
+                evictions,
+                injected_races,
+                mshr_stalls,
+            } = s;
+            for v in [
+                hits,
+                misses,
+                writebacks,
+                probes_sent,
+                probes_received,
+                evictions,
+                injected_races,
+                mshr_stalls,
+            ] {
+                fnv(&mut h, v);
+            }
+        }
+        let DramStats {
+            accesses,
+            row_hits,
+            row_misses,
+        } = sys.dram_stats();
+        for v in [accesses, row_hits, row_misses] {
+            fnv(&mut h, v);
+        }
+        h
+    }
+
+    /// Every protocol step of the engine under two-core contention: which
+    /// way gets evicted, what a transaction's retirement serves next, and
+    /// the order of completions all move this digest.
+    #[test]
+    fn contended_two_core_traffic_is_pinned() {
+        let dram = DramModel::ddr(crate::dram::DdrConfig::ddr4_2400());
+        let mut sys = MemSystem::new(MemSystemConfig::tiny(2), dram, SparseMemory::new());
+        let digest = contended_traffic(&mut sys, 0x9e37_79b9_7f4a_7c15, 15_000);
+        let sb = sys.scoreboard.as_ref().expect("scoreboard on");
+        assert!(sb.clean(), "{:?}", sb.violations);
+        assert!(sys.quiescent());
+        let stats: HashMap<String, CacheStats> = sys.stats().into_iter().collect();
+        for level in ["l1d0", "l1d1", "l2_0", "l2_1", "l3"] {
+            let s = &stats[level];
+            assert!(s.evictions > 0 && s.writebacks > 0, "{level}: {s:?}");
+        }
+        for level in ["l2_0", "l2_1", "l3"] {
+            assert!(stats[level].probes_sent > 0, "{level}: {:?}", stats[level]);
+        }
+        // Each L2 probes both of its children.
+        for level in ["l1i0", "l1d0", "l1i1", "l1d1"] {
+            assert!(stats[level].probes_received > 0, "{level}: {:?}", stats[level]);
+        }
+        assert_eq!(digest, 0xd62d_08c9_7c7c_04c3, "digest {digest:#018x}");
     }
 
     #[test]

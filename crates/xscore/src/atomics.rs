@@ -3,12 +3,13 @@
 //! load and the store back. Retiring the instruction is commit's job:
 //! this unit only says how its memory side ended ([`AtomicEnd`]).
 
-use crate::core::{Progress, Shared, RESERVATION_GRANULE};
+use crate::core::{Progress, Shared};
 use crate::lsu_issue::{InflightArena, MemReqKind};
 use crate::perf::PerfCounters;
 use crate::tlbs::MmuResult;
 use crate::uop::CommitMem;
 use riscv_isa::exec::{amo_compute, load_extend};
+use riscv_isa::mem::RESERVATION_GRANULE;
 use riscv_isa::mmu::AccessType;
 use riscv_isa::op::Op;
 use riscv_isa::trap::Exception;

@@ -2,12 +2,13 @@
 //! instructions that execute at the ROB head.
 
 use crate::atomics::AtomicEnd;
-use crate::core::{Progress, Redirect, Shared, UART_TX};
+use crate::core::{Progress, Redirect, Shared};
 use crate::lifecycle::SquashCause;
 use crate::prf::Rat;
 use crate::rob::{RobIdx, RobState};
 use crate::uop::CommitEvent;
 use riscv_isa::csr::{self, Privilege};
+use riscv_isa::mem::UART_TX;
 use riscv_isa::op::{DecodedInst, Op};
 use riscv_isa::trap::{Exception, Trap};
 

@@ -38,13 +38,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use uncore::{Completion, MemSystem};
 
-/// UART transmit MMIO address (matches the NEMU REF device map).
-pub const UART_TX: u64 = 0x1000_0000;
-/// CLINT mtime MMIO address.
-pub const MTIME: u64 = 0x0200_bff8;
-/// LR/SC reservation granule.
-pub const RESERVATION_GRANULE: u64 = 64;
-
 /// A coherent view over the memory system for the PTW and fetch
 /// translation: reads see the freshest committed data anywhere in the
 /// hierarchy, but *not* the store buffer — the Fig. 3 window.

@@ -7,7 +7,7 @@ use crate::issue::Picks;
 use crate::lifecycle::SquashCause;
 use crate::rob::{RobIdx, RobState, RobTag};
 use crate::uop::exec_fused;
-use riscv_isa::exec::{branch_taken, int_compute};
+use riscv_isa::exec::{branch_taken, has_imm_operand, int_compute};
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::op::{DecodedInst, FuClass, Op};
 
@@ -226,29 +226,6 @@ fn apply_injected_bug(bug: InjectedBug, op: Op, value: u64) -> u64 {
         AddwNoSext if op == Op::Addw => value & 0xffff_ffff,
         _ => value,
     }
-}
-
-#[inline]
-fn has_imm_operand(op: Op) -> bool {
-    use Op::*;
-    matches!(
-        op,
-        Addi | Slti
-            | Sltiu
-            | Xori
-            | Ori
-            | Andi
-            | Slli
-            | Srli
-            | Srai
-            | Addiw
-            | Slliw
-            | Srliw
-            | Sraiw
-            | Rori
-            | Roriw
-            | SlliUw
-    )
 }
 
 fn fu_latency(class: FuClass, d: &DecodedInst) -> u64 {

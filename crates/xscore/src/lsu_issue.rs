@@ -3,7 +3,7 @@
 //! delivery queues, the arena of requests in flight to the L1D, data-
 //! side completions, and the store-buffer drain.
 
-use crate::core::{Progress, Shared, MTIME, UART_TX};
+use crate::core::{Progress, Shared};
 use crate::frontend::FETCH_ID_FLAG;
 use crate::issue::Picks;
 use crate::lsu::ForwardResult;
@@ -11,6 +11,7 @@ use crate::rob::{RobIdx, RobState, RobTag};
 use crate::tlbs::MmuResult;
 use crate::uop::CommitMem;
 use riscv_isa::exec::load_extend;
+use riscv_isa::mem::{MTIME, UART_TX};
 use riscv_isa::mmu::AccessType;
 use riscv_isa::op::FuClass;
 use uncore::{AccessKind, Completion, CoreReq};

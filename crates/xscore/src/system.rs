@@ -422,7 +422,7 @@ mod tests {
     fn uart_mmio_store() {
         let (code, sys) = run_program(
             |a| {
-                a.li(T0, crate::core::UART_TX as i64);
+                a.li(T0, riscv_isa::mem::UART_TX as i64);
                 a.li(T1, b'O' as i64);
                 a.sb(T1, 0, T0);
                 a.li(T1, b'K' as i64);

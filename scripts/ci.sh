@@ -3,7 +3,10 @@
 #
 #   1. release build of the whole workspace,
 #   2. the full test suite (unit + integration + property + doc tests,
-#      and the CLI smokes of tests/cli_smoke.rs: triage, lifecycle, perf,
+#      among them `uncore`'s contention pin: two cores' seeded traffic
+#      through the tiny hierarchy, every completion and counter in one
+#      digest, so a change to the order of the protocol engine's steps
+#      fails here, and the CLI smokes of tests/cli_smoke.rs: triage, lifecycle, perf,
 #      the two `--mp` smokes — litmus determinism with live `mp:`
 #      coverage; injected L2 probe/grant race -> ForbiddenOutcome ->
 #      minimize -> bundle -> `replay --bundle` at the same commit — and

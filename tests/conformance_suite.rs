@@ -177,7 +177,7 @@ fn rv64i_loads_and_stores_all_widths() {
 /// them reaches memory.
 #[test]
 fn mmio_edges_conform() {
-    use nemu::hart::{MTIME, UART_TX};
+    use riscv_isa::mem::{MTIME, UART_TX};
     const TIME: u64 = 0x1234_5678_9abc_def0;
     let mut a = Asm::new(BASE);
     a.li(T0, MTIME as i64);
