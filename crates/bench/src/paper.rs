@@ -4,7 +4,7 @@
 //! that is a *simulated* count has a section — Fig. 8, Fig. 12, Figs. 14
 //! and 15, the ablations, the Table I / Fig. 6 snapshot legs, the DRAV
 //! rule count — and every cycle-model number in them comes from
-//! [`minjie::run_isolated`] / [`minjie::run_isolated_boot`], DiffTest on.
+//! [`minjie::run_isolated`], DiffTest on.
 //! Sections hold integers: counts, and beside them the figures derived
 //! from those counts (`ipc_milli`, `*_geomean_ipc_milli`, `*_ppm`,
 //! `*_permille`), which [`load`] recomputes. A speed is printed by the
@@ -380,7 +380,8 @@ fn verified(what: &str, run: Result<RunStats, String>) -> RunStats {
 fn matrix(configs: &[XsConfig], suite: &[Workload], b: &Budgets, threads: usize) -> Vec<Vec<RunStats>> {
     let mut runs = fan_out(configs.len() * suite.len(), threads, |i| {
         let (cfg, w) = (configs[i / suite.len()].clone(), &suite[i % suite.len()]);
-        verified(w.name, minjie::run_isolated(cfg, &w.program, b.max_cycles, None))
+        let boot = Box::new(|| minjie::CoSim::new(cfg, &w.program));
+        verified(w.name, minjie::run_isolated(boot, None, b.max_cycles, None))
     })
     .into_iter();
     configs.iter().map(|_| runs.by_ref().take(suite.len()).collect()).collect()
@@ -492,7 +493,7 @@ fn measure_pubs(b: &Budgets, threads: usize) -> (Fig14, Fig15) {
     let runs = fan_out(set.checkpoints.len() * 2, threads, |i| {
         let (c, cfg) = (&set.checkpoints[i / 2], policies[i % 2].clone());
         let boot = Box::new(|| CoSim::from_checkpoint(cfg, &c.state, &c.memory));
-        let run = minjie::run_isolated_boot(boot, Some((warmup, window)), b.max_cycles, None);
+        let run = minjie::run_isolated(boot, Some((warmup, window)), b.max_cycles, None);
         verified("a sjeng checkpoint", run)
     });
     let mut fig14 = Fig14 {

@@ -383,7 +383,7 @@ impl JobSpec {
             checkpoint = c;
             cosim
         };
-        let result = minjie::run_isolated_boot(
+        let result = minjie::run_isolated(
             Box::new(boot),
             self.workload.sample_window(),
             self.max_cycles,

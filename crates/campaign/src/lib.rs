@@ -16,7 +16,7 @@
 //!   one [`Policy`] (workers, minimization, triage, wall-clock limit and
 //!   retries); workers take the next job by index. One executor serves
 //!   every mode: each job boots *and* runs inside
-//!   [`minjie::run_isolated_boot`]'s panic boundary — so even a recipe
+//!   [`minjie::run_isolated`]'s panic boundary — so even a recipe
 //!   that cannot be built is one [`Verdict::Panicked`], not a dead pool —
 //!   and yields a [`Verdict`]. Each attempt runs inside
 //!   [`minjie::within_deadline`]: one past the wall-clock limit stops in
@@ -30,14 +30,18 @@
 //!   [`minimize()`] pass shrinks the failing source's kept-mask while the
 //!   same failure class reproduces, and the report attaches the
 //!   `(seed, cfg, mask)` reproducer plus the LightSSS replay window.
+//! - A run stops at its divergence and hands back its rollback point;
+//!   the replay belongs to the executor. [`replay_divergence`] runs a
+//!   diverged job's debug window ([`minjie::debug_window`]) at most
+//!   once — when LightSSS or triage is on — and that one window fills
+//!   both the record's replay window and the bundle.
 //! - Failed jobs (divergence, cycle-budget timeout, forbidden outcome,
 //!   panic) go through one [`triage()`]: roll back to the older retained
 //!   LightSSS snapshot — or the reset state when the failure preceded
 //!   the first snapshot, or a reboot from the recipe when nothing was
-//!   salvaged — re-execute the failure window in debug mode
-//!   ([`minjie::debug_window`]), and embed a self-contained
-//!   [`TriageBundle`] that [`verify_bundle`] (and the `replay` binary)
-//!   can reproduce at the identical commit index.
+//!   salvaged — re-execute the failure window in debug mode, and embed
+//!   a self-contained [`TriageBundle`] that [`verify_bundle`] (and the
+//!   `replay` binary) can reproduce at the identical commit index.
 //! - [`CampaignReport`] renders to JSON with wall-clock timing
 //!   segregated from the deterministic body, so identical campaigns
 //!   produce byte-identical report bodies.
@@ -99,8 +103,8 @@ pub use report::{
 pub use runner::{Campaign, Policy};
 pub use sample::{run_sampled, SampleSpec};
 pub use triage::{
-    bundle_spec, load_bundle, triage, verify_bundle, BundleVerification, TriageBundle,
-    BUNDLE_SCHEMA_VERSION,
+    bundle_spec, load_bundle, replay_divergence, triage, verify_bundle, BundleVerification,
+    TriageBundle, BUNDLE_SCHEMA_VERSION,
 };
 
 #[cfg(test)]

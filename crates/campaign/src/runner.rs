@@ -3,7 +3,7 @@
 //! Shards a job list across a `std::thread` worker pool (no external
 //! runtime: workers take the next job index from an atomic cursor, an
 //! mpsc channel collects results). Each job boots and runs inside
-//! [`minjie::run_isolated_boot`]'s panic boundary, so a crashing
+//! [`minjie::run_isolated`]'s panic boundary, so a crashing
 //! simulation — or a recipe that cannot even be built — downs one job,
 //! not the pool. Results reassemble in job order, making the report body
 //! independent of worker interleaving.
@@ -12,8 +12,10 @@
 //! retained LightSSS snapshot (or the reset state when the failure
 //! preceded the first snapshot interval), re-executes the failure
 //! window in debug mode, and embeds a self-contained
-//! [`TriageBundle`](crate::TriageBundle) in the job record. An optional
-//! wall-clock limit bounds each attempt inside
+//! [`TriageBundle`](crate::TriageBundle) in the job record. A
+//! divergence's window runs at most once, after the run's harness is
+//! gone, and fills both the record's LightSSS replay and the bundle.
+//! An optional wall-clock limit bounds each attempt inside
 //! [`minjie::within_deadline`], so an attempt past it stops, with bounded
 //! retry-with-backoff before the job is written off as a
 //! [`Verdict::WallTimeout`].
@@ -21,11 +23,10 @@
 use crate::job::{error_class, JobSpec, WorkloadSource};
 use crate::minimize::minimize;
 use crate::report::{
-    CampaignReport, CampaignSummary, JobRecord, MinimizedRepro, ReplayWindow, SampleRecord,
-    Verdict, WallClock,
+    CampaignReport, CampaignSummary, JobRecord, MinimizedRepro, SampleRecord, Verdict, WallClock,
 };
-use crate::triage::triage;
-use minjie::{run_isolated_boot, within_deadline, CoSimEnd};
+use crate::triage::{replay_divergence, triage};
+use minjie::{run_isolated, within_deadline, CoSimEnd};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -232,9 +233,17 @@ fn execute_job(index: usize, spec: &JobSpec, policy: Policy) -> JobRecord {
     if let (true, Ok(stats)) = (policy.minimize, &result) {
         record.minimized = minimize_failure(spec, &stats.end);
     }
+    // A divergence's one debug window feeds both the record and the bundle.
+    let replay = match &mut result {
+        Ok(stats) if policy.triage || spec.lightsss_interval.is_some() => replay_divergence(stats),
+        _ => None,
+    };
+    if spec.lightsss_interval.is_some() {
+        record.replay = replay.as_ref().map(|(r, _)| r.clone());
+    }
     if policy.triage {
         let outcome = result.as_mut().map_err(|m| m.as_str());
-        record.triage = triage(index as u64, spec, outcome, record.minimized.clone());
+        record.triage = triage(index as u64, spec, outcome, record.minimized.clone(), replay);
     }
     let stats = match result {
         Ok(stats) => stats,
@@ -301,18 +310,7 @@ fn execute_job(index: usize, spec: &JobSpec, policy: Policy) -> JobRecord {
             Some(s) if s.completed_window => sampled(s),
             _ => Verdict::Timeout,
         },
-        CoSimEnd::Bug(bug) => {
-            record.replay = bug.replay.as_ref().map(|r| ReplayWindow {
-                from_cycle: r.from_cycle,
-                fallback_reset: r.fallback_reset,
-                at_cycle: bug.at_cycle,
-                at_commit: r.at_commit,
-                cycles_replayed: r.cycles_replayed,
-                reproduced: r.reproduced,
-                trace_records: r.trace.records_inserted(),
-            });
-            Verdict::Diverged { error: bug.error }
-        }
+        CoSimEnd::Bug(bug) => Verdict::Diverged { error: bug.error },
     };
     record
 }
@@ -352,7 +350,7 @@ fn minimize_failure(spec: &JobSpec, end: &CoSimEnd) -> Option<MinimizedRepro> {
             ..spec.clone()
         };
         let boot = Box::new(|| candidate.boot(cfg.clone()).0);
-        run_isolated_boot(boot, None, budget, None).is_ok_and(|stats| reproduces(&stats.end))
+        run_isolated(boot, None, budget, None).is_ok_and(|stats| reproduces(&stats.end))
     });
     Some(MinimizedRepro {
         seed,
@@ -428,6 +426,40 @@ mod tests {
         let on_none = minimize_failure(&job.with_ref("nosuch"), &end).unwrap();
         assert!(on_none.minimizer_runs > 0);
         assert_eq!(on_none.minimized_kept, on_none.original_kept, "{on_none:?}");
+    }
+
+    #[test]
+    fn one_debug_window_fills_both_the_replay_and_the_bundle() {
+        let jobs: Vec<JobSpec> = (0..3)
+            .map(|seed| {
+                JobSpec::new(WorkloadSource::torture(seed, TortureConfig::default()), "small-nh")
+                    .with_injected_bug(InjectedBug::MulLowBit)
+                    .with_max_cycles(8_000_000)
+                    .with_lightsss(2_000)
+            })
+            .collect();
+        let run = |triage| {
+            let campaign = Campaign::new(jobs.clone()).with_workers(2).with_minimization(false);
+            campaign.with_triage(triage).run()
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(on.summary.diverged > 0, "{}", on.deterministic_json());
+        for (with, without) in on.jobs.iter().zip(&off.jobs) {
+            let Verdict::Diverged { .. } = with.verdict else {
+                assert!(with.replay.is_none() && with.triage.is_none());
+                continue;
+            };
+            let (r, r_off) = (&with.replay, &without.replay);
+            assert_eq!(format!("{r:?}"), format!("{r_off:?}"), "triage changed the replay");
+            let r = r.as_ref().expect("LightSSS on: the record carries the replay");
+            let b = with.triage.as_ref().expect("triage on: the job carries a bundle");
+            assert!(without.triage.is_none());
+            assert_eq!(
+                (r.from_cycle, r.fallback_reset, r.cycles_replayed, r.trace_records, r.reproduced),
+                (b.snapshot_cycle, b.fallback_reset, b.cycles_replayed, b.trace_records, b.reproduced),
+            );
+            assert!(r.reproduced, "{r:?}");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! strikes at the *identical commit index*.
 
 use crate::job::{error_class, JobSpec, WorkloadSource};
-use crate::report::MinimizedRepro;
-use minjie::{debug_window, ArchDb, CoSimEnd, DebugWindow, DiffError, RunStats, Salvage};
+use crate::report::{MinimizedRepro, ReplayWindow};
+use minjie::{debug_window, ArchDb, CoSimEnd, DebugWindow, DiffError, RunStats};
 use serde::{Deserialize, Serialize};
 use xscore::{CpiStack, InjectedBug, RunKnobs, XsConfig};
 
@@ -145,15 +145,39 @@ pub fn commit_tail(trace: &ArchDb) -> Vec<CommitTailEntry> {
         .collect()
 }
 
+/// Re-execute a diverged run's failure window in debug mode: from its
+/// rollback point ([`RunStats::salvage`]) for `at_cycle − from +
+/// REPLAY_SLACK` cycles. The failure reproduces when the same
+/// [`DiffError`] strikes at the same commit index. `None` unless the run
+/// diverged; the salvage is taken, so the window runs once.
+pub fn replay_divergence(stats: &mut RunStats) -> Option<(ReplayWindow, DebugWindow)> {
+    let CoSimEnd::Bug(bug) = &stats.end else {
+        return None;
+    };
+    let s = stats.salvage.take()?;
+    let (from, fallback_reset) = (s.snapshot_cycle, s.fallback_reset);
+    let budget = bug.at_cycle.saturating_sub(from) + REPLAY_SLACK;
+    let w = debug_window(Box::new(move || s.state), budget);
+    let replay = ReplayWindow {
+        from_cycle: from,
+        fallback_reset,
+        at_cycle: bug.at_cycle,
+        at_commit: if w.error.is_some() { w.at_commit } else { 0 },
+        cycles_replayed: w.at_cycle.saturating_sub(from),
+        reproduced: w.error.as_ref() == Some(&bug.error) && w.at_commit == bug.at_commit,
+        trace_records: w.trace.records_inserted(),
+    };
+    Some((replay, w))
+}
+
 /// Triage a finished job: `None` when it did not fail, otherwise the
 /// bundle for whichever way it did. Matching the outcome picks the
 /// trigger, the failure anchor, where the debug-mode window starts and
 /// what counts as reproducing; one [`debug_window`] result then fills
 /// the bundle.
 ///
-/// - **diverged** — with LightSSS on, the run already rolled back and
-///   replayed, and its debrief is the window; without, re-execute the
-///   failing prefix from the salvaged reset state.
+/// - **diverged** — `replay` is the run's one [`replay_divergence`]
+///   window, the same that fills the job record's replay.
 /// - **timeout** (cycle budget) — re-execute the final window from the
 ///   salvaged snapshot, capturing what the pipeline was doing when the
 ///   budget ran out.
@@ -168,6 +192,7 @@ pub fn triage(
     spec: &JobSpec,
     outcome: Result<&mut RunStats, &str>,
     minimized: Option<MinimizedRepro>,
+    replay: Option<(ReplayWindow, DebugWindow)>,
 ) -> Option<TriageBundle> {
     let mut b = TriageBundle {
         schema_version: BUNDLE_SCHEMA_VERSION,
@@ -210,7 +235,6 @@ pub fn triage(
         };
         debug_window(Box::new(boot), budget)
     };
-    let from_salvage = |s: Salvage, budget: u64| debug_window(Box::new(move || s.state), budget);
     // Halting, or running out of budget, at the original end cycle with
     // no divergence en route is the same run: the model is deterministic.
     let runs_to =
@@ -239,25 +263,12 @@ pub fn triage(
                     b.lifecycle_ring = std::mem::take(ring);
                     b.error = Some(bug.error.clone());
                     b.error_class = Some(error_class(&bug.error).to_string());
-                    if let Some(r) = &bug.replay {
-                        b.snapshot_cycle = r.from_cycle;
-                        b.fallback_reset = r.fallback_reset;
-                        b.reproduced = r.reproduced;
-                        b.cycles_replayed = r.cycles_replayed;
-                        b.trace_records = r.trace.records_inserted();
-                        b.commit_tail = commit_tail(&r.trace);
-                        b.window_cpi = r.window_cpi;
-                        return Some(b);
-                    }
-                    let Some(s) = stats.salvage.take() else {
+                    let Some((r, w)) = replay else {
                         return Some(b);
                     };
-                    b.snapshot_cycle = s.snapshot_cycle;
-                    b.fallback_reset = s.fallback_reset;
-                    let budget = bug.at_cycle.saturating_sub(s.snapshot_cycle) + REPLAY_SLACK;
-                    let w = from_salvage(s, budget);
-                    b.reproduced =
-                        w.error.as_ref() == Some(&bug.error) && w.at_commit == bug.at_commit;
+                    b.snapshot_cycle = r.from_cycle;
+                    b.fallback_reset = r.fallback_reset;
+                    b.reproduced = r.reproduced;
                     w
                 }
                 CoSimEnd::OutOfCycles => {
@@ -266,7 +277,8 @@ pub fn triage(
                     b.lifecycle_ring = std::mem::take(ring);
                     b.snapshot_cycle = s.snapshot_cycle;
                     b.fallback_reset = s.fallback_reset;
-                    let w = from_salvage(s, stats.cycles.saturating_sub(b.snapshot_cycle));
+                    let budget = stats.cycles.saturating_sub(b.snapshot_cycle);
+                    let w = debug_window(Box::new(move || s.state), budget);
                     b.reproduced = runs_to(&w, stats.cycles);
                     w
                 }
@@ -577,6 +589,13 @@ mod tests {
         spec.run(spec.build_config().unwrap()).0
     }
 
+    /// Triage a finished run the way the campaign executor does: a
+    /// divergence's one window first, then the bundle.
+    fn triaged(spec: &JobSpec, stats: &mut RunStats) -> Option<TriageBundle> {
+        let replay = replay_divergence(stats);
+        triage(0, spec, Ok(stats), None, replay)
+    }
+
     /// The bundle schema's `source` field, one value per variant,
     /// captured from the bundles PR 13 wrote (when the field was a
     /// hand-mirrored copy of the recipe enum). Holding the literals is
@@ -645,7 +664,7 @@ mod tests {
     fn hostile_bundles_are_refused_with_a_diagnosis() {
         let spec = mul_bug_spec();
         let mut stats = run(&spec).expect("no panic");
-        let good = triage(0, &spec, Ok(&mut stats), None).expect("diverged");
+        let good = triaged(&spec, &mut stats).expect("diverged");
         let refused = |edit: &dyn Fn(&mut TriageBundle)| {
             let mut b = good.clone();
             edit(&mut b);
@@ -708,7 +727,7 @@ mod tests {
             "expected a divergence, got {:?}",
             stats.end
         );
-        let bundle = triage(0, &spec, Ok(&mut stats), None).expect("failed jobs are triaged");
+        let bundle = triaged(&spec, &mut stats).expect("failed jobs are triaged");
         assert_eq!(bundle.trigger, "diverged");
         assert!(bundle.reproduced, "rollback replay reproduces");
         assert_eq!(bundle.error_class.as_deref(), Some("Writeback"));
@@ -752,7 +771,7 @@ mod tests {
             .as_ref()
             .expect("timeout salvages a rollback point");
         assert!(!salvage.fallback_reset, "snapshots were retained");
-        let bundle = triage(0, &spec, Ok(&mut stats), None).expect("failed jobs are triaged");
+        let bundle = triaged(&spec, &mut stats).expect("failed jobs are triaged");
         assert_eq!(bundle.trigger, "timeout");
         assert!(!bundle.lifecycle_ring.is_empty(), "ring captured at budget exhaustion");
         assert!(bundle.reproduced, "window replays to the same end cycle");
@@ -769,7 +788,7 @@ mod tests {
         let spec = JobSpec::new(WorkloadSource::inline("ok", a.assemble()), "small-nh");
         let mut stats = run(&spec).expect("no panic");
         assert!(matches!(stats.end, CoSimEnd::Halted(7)), "{:?}", stats.end);
-        assert!(triage(0, &spec, Ok(&mut stats), None).is_none());
+        assert!(triaged(&spec, &mut stats).is_none());
     }
 
     #[test]
@@ -791,7 +810,7 @@ mod tests {
         .with_ref("nosuch")
         .with_max_cycles(10_000);
         let message = run(&spec).expect_err("boot panics");
-        let bundle = triage(0, &spec, Err(&message), None).expect("failed jobs are triaged");
+        let bundle = triage(0, &spec, Err(&message), None, None).expect("failed jobs are triaged");
         assert_eq!(bundle.trigger, "panicked");
         assert_eq!(bundle.panic.as_deref(), Some(message.as_str()));
         assert!(bundle.reproduced, "panic message matches on replay");

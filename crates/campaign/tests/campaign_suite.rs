@@ -75,7 +75,8 @@ fn injected_bug_is_caught_minimized_and_reported() {
         let program = t.emit_subset(&mask);
         let mut cfg = xscore::XsConfig::preset("small-nh").unwrap();
         cfg.run.injected_bug = Some(InjectedBug::MulLowBit);
-        match minjie::run_isolated(cfg, &program, 8_000_000, None) {
+        let boot = Box::new(|| minjie::CoSim::new(cfg, &program));
+        match minjie::run_isolated(boot, None, 8_000_000, None) {
             Ok(minjie::RunStats {
                 end: minjie::CoSimEnd::Bug(b),
                 ..

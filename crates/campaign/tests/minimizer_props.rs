@@ -4,7 +4,7 @@
 //! reproduces the same `DiffError` class as the original failure.
 
 use campaign::{error_class, minimize};
-use minjie::{run_isolated, CoSimEnd};
+use minjie::{run_isolated, CoSim, CoSimEnd};
 use proptest::prelude::*;
 use workloads::{TortureConfig, TortureProgram};
 use xscore::{InjectedBug, XsConfig};
@@ -75,8 +75,9 @@ proptest! {
             cfg.run.injected_bug = Some(InjectedBug::MulLowBit);
             cfg
         };
+        let run = |p| run_isolated(Box::new(|| CoSim::new(cfg(), &p)), None, 2_000_000, None);
         let t = TortureProgram::generate(seed, &tcfg);
-        let full = run_isolated(cfg(), &t.emit(), 2_000_000, None).expect("no panic");
+        let full = run(t.emit()).expect("no panic");
         let CoSimEnd::Bug(bug) = full.end else {
             // This seed drew no Mul: nothing to minimize.
             return Ok(());
@@ -85,7 +86,7 @@ proptest! {
         let initial = vec![true; t.len()];
         let out = minimize(&initial, |mask| {
             matches!(
-                run_isolated(cfg(), &t.emit_subset(mask), 2_000_000, None),
+                run(t.emit_subset(mask)),
                 Ok(minjie::RunStats { end: CoSimEnd::Bug(b), .. })
                     if error_class(&b.error) == class
             )
@@ -95,8 +96,7 @@ proptest! {
         }
         prop_assert!(out.kept_count() <= t.len());
         // The final mask reproduces the class (the oracle accepted it).
-        let replay = run_isolated(cfg(), &t.emit_subset(&out.kept), 2_000_000, None)
-            .expect("no panic");
+        let replay = run(t.emit_subset(&out.kept)).expect("no panic");
         match replay.end {
             CoSimEnd::Bug(b) => prop_assert_eq!(error_class(&b.error), class),
             other => {

@@ -140,16 +140,6 @@ impl Checkpoint {
         self.memory.serialize_full_into(out);
     }
 
-    /// Deserialize from [`Checkpoint::to_bytes`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed blob; [`Checkpoint::try_from_bytes`] is the
-    /// non-panicking form (on-disk blobs can be truncated or stale).
-    pub fn from_bytes(data: &[u8]) -> Self {
-        Self::try_from_bytes(data).expect("valid checkpoint blob")
-    }
-
     /// Deserialize from [`Checkpoint::to_bytes`] output, rejecting
     /// malformed blobs instead of panicking — the checkpoint farm reads
     /// blobs back from a reuse directory, where truncated writes and
@@ -283,7 +273,7 @@ mod tests {
     fn byte_roundtrip() {
         let c = sample_checkpoint();
         let blob = c.to_bytes();
-        let mut back = Checkpoint::from_bytes(&blob);
+        let mut back = Checkpoint::try_from_bytes(&blob).expect("valid checkpoint blob");
         assert_eq!(back.state, c.state);
         assert_eq!(back.instret, 1_000_000);
         assert_eq!(back.weight, 0.25);

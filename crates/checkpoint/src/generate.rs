@@ -9,6 +9,7 @@
 
 use crate::format::Checkpoint;
 use crate::simpoint::{simpoints, BbvCollector, SimPoint};
+use nemu::registry::DEFAULT_REF_NAME;
 use riscv_isa::asm::Program;
 use riscv_isa::mem::SparseMemory;
 use riscv_isa::state::ArchState;
@@ -60,7 +61,7 @@ pub fn generate_checkpoints(
     k: usize,
     max_insts: u64,
 ) -> CheckpointSet {
-    generate_checkpoints_with_ref("nemu", program, interval_len, k, max_insts)
+    generate_checkpoints_with_ref(DEFAULT_REF_NAME, program, interval_len, k, max_insts)
 }
 
 /// [`generate_checkpoints`] with an explicit profiling personality from

@@ -2,9 +2,10 @@
 //!
 //! [`CoSim`] wires a [`xscore::XsSystem`] DUT, per-hart NEMU REFs under
 //! [`DiffTest`], the [`LightSss`] snapshot manager, and [`ArchDb`] event
-//! recording into the paper's workflow: launch the simulation, and when
-//! DiffTest reports a mismatch, roll back to the older snapshot and
-//! replay with debugging information enabled.
+//! recording into the paper's workflow: launch the simulation, stop when
+//! DiffTest reports a mismatch, and on demand roll back to the older
+//! snapshot ([`CoSim::rollback_point`]) and replay it with debugging
+//! information enabled ([`debug_window`]).
 
 use crate::archdb::ArchDb;
 use crate::difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, DEFAULT_REF_NAME};
@@ -57,7 +58,7 @@ pub enum CoSimEnd {
     Bug(BugReport),
 }
 
-/// A detected bug, with the LightSSS replay debrief.
+/// A detected bug: the divergence and where it struck.
 #[derive(Debug)]
 pub struct BugReport {
     /// The divergence DiffTest reported.
@@ -68,31 +69,6 @@ pub struct BugReport {
     /// divergence was detected — the anchor a deterministic replay must
     /// hit again.
     pub at_commit: u64,
-    /// Replay information, when LightSSS was enabled.
-    pub replay: Option<ReplayReport>,
-}
-
-/// The result of the on-demand debug-mode replay (§III-C3).
-#[derive(Debug)]
-pub struct ReplayReport {
-    /// Cycle of the snapshot the replay started from (0 for the
-    /// reset-state fallback).
-    pub from_cycle: u64,
-    /// True when no snapshot had been retained yet and the replay fell
-    /// back to the reset state.
-    pub fallback_reset: bool,
-    /// Cycles re-simulated (bounded by 2 × interval when a snapshot was
-    /// available).
-    pub cycles_replayed: u64,
-    /// The error reproduced identically.
-    pub reproduced: bool,
-    /// Commit index at which the replay reproduced the error (0 when it
-    /// did not reproduce).
-    pub at_commit: u64,
-    /// CPI stack of the replayed window alone (end minus start).
-    pub window_cpi: xscore::CpiStack,
-    /// Events captured in debug mode during the replay.
-    pub trace: ArchDb,
 }
 
 /// The co-simulation harness.
@@ -120,11 +96,6 @@ const REPLAY_TRACE_CAP: usize = 65_536;
 /// `RunKnobs::lifecycle` — keeps the newest window so a long run cannot
 /// grow the database without bound.
 const LIFECYCLE_TRACE_CAP: usize = 262_144;
-
-/// Idle-skip bound of a standalone [`CoSim::step_cycle`] call (callers
-/// driving the loop themselves supply their own deadline through
-/// [`CoSim::step_cycle_until`]).
-const MAX_STANDALONE_SKIP: u64 = 1 << 20;
 
 /// Loop iterations between two reads of the clock while a
 /// [`within_deadline`] stop is set.
@@ -202,31 +173,10 @@ impl CoSim {
         }
     }
 
-    /// The reset state captured at boot.
-    pub fn reset_state(&self) -> &CoSimState {
-        &self.reset
-    }
-
     /// Enable LightSSS with the given snapshot interval (cycles).
     pub fn with_lightsss(mut self, interval: u64) -> Self {
         self.lightsss = Some(LightSss::new(interval));
         self
-    }
-
-    /// Advance one cycle, verifying every commit.
-    ///
-    /// When the event-driven skipper is on, the step may additionally
-    /// jump over a bounded idle span (see [`CoSim::step_cycle_until`]).
-    ///
-    /// # Errors
-    ///
-    /// The first [`DiffError`] found.
-    pub fn step_cycle(&mut self) -> Result<(), DiffError> {
-        // Standalone steps bound the idle skip so a scheduling bug (an
-        // event that was never queued) degrades into early landings
-        // instead of a single jump to the caller's whole budget.
-        let cap = self.state.time().saturating_add(MAX_STANDALONE_SKIP);
-        self.step_cycle_until(cap)
     }
 
     /// Advance one cycle, then — when `RunKnobs::event_driven` is on and
@@ -283,7 +233,9 @@ impl CoSim {
         Ok(())
     }
 
-    /// Run to completion, with automatic LightSSS replay on a bug.
+    /// Run to completion, stopping at the first divergence. Nothing is
+    /// re-executed here: a caller that wants the failure window in debug
+    /// mode passes [`CoSim::rollback_point`] to [`debug_window`].
     ///
     /// `max_cycles` is a simulated-cycle budget (not a step count): with
     /// the event-driven skipper on, one step may consume many cycles.
@@ -318,14 +270,10 @@ impl CoSim {
                 ));
             }
             if let Err(error) = self.step_cycle_until(deadline) {
-                let at_cycle = self.state.time();
-                let at_commit = self.state.diff.commits_checked;
-                let replay = self.replay(&error);
                 return Some(CoSimEnd::Bug(BugReport {
                     error,
-                    at_cycle,
-                    at_commit,
-                    replay,
+                    at_cycle: self.state.time(),
+                    at_commit: self.state.diff.commits_checked,
                 }));
             }
             if self.state.sys.cores[0].instret() >= target {
@@ -335,10 +283,12 @@ impl CoSim {
         Some(CoSimEnd::OutOfCycles)
     }
 
-    /// The preferred rollback start: the oldest retained snapshot,
-    /// falling back to the reset state when LightSSS is off or the first
-    /// snapshot interval has not elapsed yet.
-    fn rollback_point(&self) -> Salvage {
+    /// Where to roll back to re-execute a failure (§III-C3, Fig. 5d): the
+    /// older retained LightSSS snapshot, falling back to the reset state
+    /// captured at boot when LightSSS is off or its first interval has
+    /// not elapsed yet (no snapshot retained). Hand it to
+    /// [`debug_window`] to replay the window in debug mode.
+    pub fn rollback_point(&self) -> Salvage {
         match self.lightsss.as_ref().and_then(LightSss::oldest) {
             Some(snap) => Salvage {
                 snapshot_cycle: snap.at,
@@ -357,34 +307,6 @@ impl CoSim {
     fn lifecycle_ring(&self) -> Vec<xscore::Lifecycle> {
         let cores = self.state.sys.cores.iter();
         cores.flat_map(|c| c.lifecycle_ring()).collect()
-    }
-
-    /// On-demand debugging: restore the older snapshot and re-simulate in
-    /// debug mode until the error reproduces (§III-C3, Fig. 5d).
-    ///
-    /// Returns `None` only when LightSSS is disabled entirely. When the
-    /// failure strikes before the first snapshot interval — so no
-    /// snapshot has been retained — the replay falls back to the reset
-    /// state instead of panicking on `oldest()`, starting from cycle 0.
-    pub fn replay(&self, original: &DiffError) -> Option<ReplayReport> {
-        let interval = self.lightsss.as_ref()?.interval;
-        let from = self.rollback_point();
-        let budget = if from.fallback_reset {
-            // The whole failing prefix is the window: reset → failure.
-            self.state.time() + 10_000
-        } else {
-            4 * interval + 10_000
-        };
-        let w = debug_window(Box::new(move || from.state), budget);
-        Some(ReplayReport {
-            from_cycle: from.snapshot_cycle,
-            fallback_reset: from.fallback_reset,
-            cycles_replayed: w.at_cycle.saturating_sub(from.snapshot_cycle),
-            reproduced: w.error.as_ref() == Some(original),
-            at_commit: if w.error.is_some() { w.at_commit } else { 0 },
-            window_cpi: w.window_cpi,
-            trace: w.trace,
-        })
     }
 }
 
@@ -413,9 +335,10 @@ pub struct DebugWindow {
 /// snapshot, or a fresh boot) with commit tracing on and run for up to
 /// `budget` cycles, all inside a panic boundary — a window that panics
 /// (even while booting) reports the message and whatever it had
-/// captured. This is the only debug-mode run in the platform: the in-run
-/// LightSSS replay and the campaign's triage both end up here. (`start`
-/// is boxed, not generic, for the reason given at [`run_isolated_boot`].)
+/// captured. This is the only debug-mode run in the platform: a replay
+/// from [`CoSim::rollback_point`] or [`RunStats::salvage`], and each of
+/// the campaign's triage windows, end up here. (`start` is boxed, not
+/// generic, for the reason given at [`run_isolated`].)
 pub fn debug_window(start: Box<dyn FnOnce() -> CoSimState + '_>, budget: u64) -> DebugWindow {
     let mut booted = None;
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -448,9 +371,8 @@ pub fn debug_window(start: Box<dyn FnOnce() -> CoSimState + '_>, budget: u64) ->
 }
 
 /// Run `f` under a wall-clock deadline: the twin of
-/// [`run_isolated_boot`]'s panic boundary. Every stepping loop `f` enters
-/// on this thread — a run, its LightSSS replay, a minimizer candidate, a
-/// triage window — ends as `OutOfCycles` once `stop` has passed. Returns
+/// [`run_isolated`]'s panic boundary. Every stepping loop `f` enters
+/// on this thread — a run, a minimizer candidate, a debug window — ends as `OutOfCycles` once `stop` has passed. Returns
 /// `None` when `f` finished at or after `stop`, so nothing a cut-short
 /// loop computed escapes: the deadline can discard a result, never change
 /// one.
@@ -527,16 +449,15 @@ pub struct RunStats {
     /// The measured window (`Some` exactly when the run was given a
     /// warm-up/window pair).
     pub window: Option<SampleWindowStats>,
-    /// A rollback start point, salvaged when the run ends without its
-    /// own replay debrief: on a cycle-budget timeout (oldest snapshot, or
-    /// the reset state), and on a divergence with LightSSS disabled
-    /// (reset state).
+    /// The run's [`CoSim::rollback_point`], kept when the run failed: on
+    /// every divergence and every cycle budget that ran out (`None` for a
+    /// halt or a filled sample window).
     pub salvage: Option<Salvage>,
 }
 
-/// A rollback start point salvaged from a finished run, so a
-/// campaign-level triage pass can re-execute the failure window after
-/// the isolated run has already torn the harness down.
+/// A rollback start point, kept past the end of its run so the failure
+/// window can be re-executed ([`debug_window`]) after the isolated run
+/// has already torn the harness down.
 pub struct Salvage {
     /// Cycle of the salvaged state (0 for the reset fallback).
     pub snapshot_cycle: u64,
@@ -556,26 +477,6 @@ impl std::fmt::Debug for Salvage {
     }
 }
 
-/// Boot and run a program from reset inside a panic boundary — see
-/// [`run_isolated_boot`].
-///
-/// # Errors
-///
-/// The panic payload (as text) if the simulation panicked.
-pub fn run_isolated(
-    cfg: XsConfig,
-    program: &Program,
-    max_cycles: u64,
-    lightsss_interval: Option<u64>,
-) -> Result<RunStats, String> {
-    run_isolated_boot(
-        Box::new(|| CoSim::new(cfg, program)),
-        None,
-        max_cycles,
-        lightsss_interval,
-    )
-}
-
 /// Construct and run a co-simulation inside a panic boundary.
 ///
 /// A campaign worker must survive a crashing job: `boot` — which builds
@@ -589,8 +490,8 @@ pub fn run_isolated(
 /// half of the paper's §III-D3 sampled-performance flow: retire `warmup`
 /// instructions to warm caches, TLBs and predictors (they start cold at
 /// a restore), then measure a `window`-instruction detail window and
-/// stop. DiffTest verifies every commit of both phases, and LightSSS
-/// rollback/replay applies exactly as to a plain run.
+/// stop. DiffTest verifies every commit of both phases, and a failure
+/// keeps its rollback point exactly as a plain run's does.
 ///
 /// `boot` is boxed rather than generic on purpose: this body clones and
 /// tears down whole [`CoSimState`]s, and one copy of it per calling
@@ -599,7 +500,7 @@ pub fn run_isolated(
 /// # Errors
 ///
 /// The panic payload (as text) if booting or simulating panicked.
-pub fn run_isolated_boot(
+pub fn run_isolated(
     boot: Box<dyn FnOnce() -> CoSim + '_>,
     sample: Option<(u64, u64)>,
     max_cycles: u64,
@@ -637,15 +538,8 @@ pub fn run_isolated_boot(
         };
         let completed = end.is_none();
         let end = end.unwrap_or(CoSimEnd::OutOfCycles);
-        let salvage = match &end {
-            CoSimEnd::OutOfCycles if !completed => Some(cosim.rollback_point()),
-            CoSimEnd::Bug(bug) if bug.replay.is_none() => Some(Salvage {
-                snapshot_cycle: 0,
-                fallback_reset: true,
-                state: (*cosim.reset).clone(),
-            }),
-            _ => None,
-        };
+        let failed = !completed && !matches!(end, CoSimEnd::Halted(_));
+        let salvage = failed.then(|| cosim.rollback_point());
         let mut rule_counts: Vec<(String, u64)> = cosim
             .state
             .diff
@@ -735,6 +629,15 @@ mod tests {
         assert!(cosim.state.diff.commits_checked > 2_000);
     }
 
+    /// Re-execute `bug`'s failure window in debug mode from the
+    /// harness's rollback point: `(from cycle, reset fallback, window)`.
+    fn replay(cosim: &CoSim, bug: &BugReport) -> (u64, bool, DebugWindow) {
+        let from = cosim.rollback_point();
+        let (cycle, reset) = (from.snapshot_cycle, from.fallback_reset);
+        let budget = bug.at_cycle - cycle + 10_000;
+        (cycle, reset, debug_window(Box::new(move || from.state), budget))
+    }
+
     #[test]
     fn injected_wrong_value_is_caught_and_replayed() {
         let mut cosim =
@@ -755,33 +658,25 @@ mod tests {
                 cosim.state.sys.cores[0].inject_fault_gpr(18, 1 << 17);
                 bug_armed = false;
             }
-            if let Err(error) = cosim.step_cycle() {
-                let at_cycle = cosim.state.time();
-                let at_commit = cosim.state.diff.commits_checked;
-                let replay = cosim.replay(&error);
-                end = Some(CoSimEnd::Bug(BugReport {
-                    error,
-                    at_cycle,
-                    at_commit,
-                    replay,
-                }));
+            if let bug @ CoSimEnd::Bug(_) = cosim.run(1) {
+                end = Some(bug);
                 break;
             }
         }
         match end.expect("simulation ended") {
             CoSimEnd::Bug(report) => {
                 assert!(matches!(report.error, DiffError::Writeback { .. }));
-                let replay = report.replay.expect("lightsss enabled");
-                assert!(replay.from_cycle <= report.at_cycle);
-                assert!(!replay.fallback_reset, "snapshots were retained");
+                let (from_cycle, fallback_reset, window) = replay(&cosim, &report);
+                assert!(from_cycle <= report.at_cycle);
+                assert!(!fallback_reset, "snapshots were retained");
                 assert!(
-                    report.at_cycle - replay.from_cycle <= 2 * 2_000 + 2_000,
+                    report.at_cycle - from_cycle <= 2 * 2_000 + 2_000,
                     "replay window bounded"
                 );
                 // Debug-mode trace captured commit events around the bug.
-                assert!(!replay.trace.instr_commit.is_empty());
+                assert!(!window.trace.instr_commit.is_empty());
                 // The replayed window did real work: its CPI stack is live.
-                assert!(replay.window_cpi.total() > 0);
+                assert!(window.window_cpi.total() > 0);
             }
             other => panic!("expected a bug, got {other:?}"),
         }
@@ -807,11 +702,11 @@ mod tests {
         };
         assert_eq!(report.at_commit, 1, "first commit diverges");
         assert_eq!(cosim.lightsss.as_ref().unwrap().retained(), 0);
-        let replay = report.replay.expect("replay must not require a snapshot");
-        assert!(replay.fallback_reset, "reset-state fallback taken");
-        assert_eq!(replay.from_cycle, 0);
-        assert!(replay.reproduced, "reset replay reproduces the divergence");
-        assert_eq!(replay.at_commit, report.at_commit);
+        let (from_cycle, fallback_reset, window) = replay(&cosim, &report);
+        assert!(fallback_reset, "reset-state fallback taken");
+        assert_eq!(from_cycle, 0);
+        assert_eq!(window.error, Some(report.error), "reset replay reproduces the divergence");
+        assert_eq!(window.at_commit, report.at_commit);
     }
 
     #[test]
@@ -834,17 +729,17 @@ mod tests {
         let CoSimEnd::Bug(report) = cosim.run(500_000) else {
             panic!("the corrupted mul must diverge");
         };
-        let replay = report.replay.expect("lightsss enabled");
-        assert!(!replay.fallback_reset, "restored from a snapshot");
-        assert!(replay.reproduced, "{:?}", report.error);
-        assert_eq!(replay.at_commit, report.at_commit);
-        assert!(!replay.trace.instr_commit.is_empty());
+        let (_, fallback_reset, window) = replay(&cosim, &report);
+        assert!(!fallback_reset, "restored from a snapshot");
+        assert_eq!(window.error.as_ref(), Some(&report.error), "{:?}", report.error);
+        assert_eq!(window.at_commit, report.at_commit);
+        assert!(!window.trace.instr_commit.is_empty());
     }
 
     #[test]
     fn isolated_run_matches_direct_run() {
-        let stats = run_isolated(tiny_cfg(1), &branchy_program(), 500_000, None)
-            .expect("no panic");
+        let boot = Box::new(|| CoSim::new(tiny_cfg(1), &branchy_program()));
+        let stats = run_isolated(boot, None, 500_000, None).expect("no panic");
         assert!(matches!(stats.end, CoSimEnd::Halted(_)));
         assert!(stats.commits_checked > 2_000);
         assert!(stats.instret > 0 && stats.cycles > 0);
@@ -859,7 +754,7 @@ mod tests {
             entry: 0x8000_0000,
             bytes: Vec::new(),
         };
-        let r = run_isolated(tiny_cfg(1), &bogus, 10_000, None);
+        let r = run_isolated(Box::new(|| CoSim::new(tiny_cfg(1), &bogus)), None, 10_000, None);
         if let Err(msg) = r {
             assert!(!msg.is_empty());
         }
@@ -885,7 +780,7 @@ mod tests {
     fn sample_from(cfg: XsConfig, insts: u64, sample: (u64, u64)) -> RunStats {
         let (state, mem) = profile_to(&branchy_program(), insts);
         let boot = Box::new(|| CoSim::from_checkpoint(cfg, &state, &mem));
-        run_isolated_boot(boot, Some(sample), 500_000, None).expect("no panic")
+        run_isolated(boot, Some(sample), 500_000, None).expect("no panic")
     }
 
     #[test]
@@ -929,6 +824,7 @@ mod tests {
             stats.end
         );
         assert!(!stats.window.expect("window").completed);
+        assert!(stats.salvage.is_some(), "a divergence keeps its rollback point");
     }
 
     #[test]
@@ -946,7 +842,7 @@ mod tests {
     fn a_panicking_boot_is_contained() {
         // Whatever `boot` does — build a program, derive a checkpoint —
         // runs inside the boundary.
-        let r = run_isolated_boot(Box::new(|| panic!("no such workload")), None, 1_000, None);
+        let r = run_isolated(Box::new(|| panic!("no such workload")), None, 1_000, None);
         assert_eq!(r.unwrap_err(), "no such workload");
         let w = debug_window(Box::new(|| panic!("no such workload")), 1_000);
         assert_eq!(w.panic.as_deref(), Some("no such workload"));
@@ -962,7 +858,8 @@ mod tests {
         // The stop ends with its boundary: the same harness now runs on.
         assert!(matches!(cosim.run(500_000), CoSimEnd::Halted(_)));
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let run = || run_isolated(tiny_cfg(1), &branchy_program(), 500_000, None);
+        let boot = Box::new(|| CoSim::new(tiny_cfg(1), &branchy_program()));
+        let run = || run_isolated(boot, None, 500_000, None);
         let stats = within_deadline(far, run).expect("in time").expect("no panic");
         assert!(matches!(stats.end, CoSimEnd::Halted(_)));
     }

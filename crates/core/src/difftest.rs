@@ -89,7 +89,7 @@ pub const ARCH_REF_NAME: &str = "arch";
 
 /// The REF DiffTest boots when none is named ([`CoSim::new`](crate::CoSim::new),
 /// a job whose `ref_model` is `None`): the paper's NEMU, the uop-cache tier.
-pub const DEFAULT_REF_NAME: &str = "nemu";
+pub use nemu::registry::DEFAULT_REF_NAME;
 
 impl AnyRef {
     /// Boot the cache-free architectural REF.

@@ -12,7 +12,9 @@
 //!   manager and the eager SSS baseline (§III-C, Table I, Fig. 6),
 //! - [`archdb`] — the probe-schema event database (§III-B3),
 //! - [`cosim`] — the integrated workflow: DUT + REFs + DiffTest +
-//!   LightSSS + ArchDB, with on-demand debug-mode replay (§III-E, §IV-C),
+//!   LightSSS + ArchDB: a run stops at the divergence and hands back its
+//!   rollback point, and [`debug_window`] replays it in debug mode on
+//!   demand (§III-E, §IV-C),
 //! - [`files`] — the schema gate every file read back passes through.
 //!
 //! The DUT is the `xscore` cycle-level XiangShan model; the REF is a
@@ -49,8 +51,8 @@ pub mod telemetry;
 
 pub use archdb::ArchDb;
 pub use cosim::{
-    debug_window, panic_message, run_isolated, run_isolated_boot, within_deadline, BugReport,
-    CoSim, CoSimEnd, CoSimState, DebugWindow, ReplayReport, RunStats, Salvage, SampleWindowStats,
+    debug_window, panic_message, run_isolated, within_deadline, BugReport, CoSim, CoSimEnd,
+    CoSimState, DebugWindow, RunStats, Salvage, SampleWindowStats,
 };
 pub use coverage::{bucket, CommitCoverage, CoverageMap, FU_CLASS_COUNT, OP_COUNT};
 pub use difftest::{

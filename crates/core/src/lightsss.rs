@@ -71,7 +71,7 @@ impl<S: Snapshotable> LightSss<S> {
     /// The first snapshot is due once `interval` cycles have elapsed —
     /// a failure inside the first interval therefore finds no retained
     /// snapshot, and rollback must fall back to the reset state (see
-    /// `CoSim::replay`).
+    /// [`CoSim::rollback_point`](crate::CoSim::rollback_point)).
     pub fn tick(&mut self, state: &S) -> bool {
         let now = state.time();
         let due = match self.last_at {

@@ -22,6 +22,10 @@ pub struct Personality {
     pub build: fn(&Program) -> Box<dyn Interpreter>,
 }
 
+/// The personality DiffTest boots as its REF when none is named: the
+/// paper's NEMU, the uop-cache tier (the one name every default points at).
+pub const DEFAULT_REF_NAME: &str = "nemu";
+
 /// All interpreter personalities, slowest-architecture first.
 pub const PERSONALITIES: &[Personality] = &[
     Personality {

@@ -162,8 +162,6 @@ machine_table! {
     ittage: bool = false, true;
     /// Return-address-stack depth.
     ras_depth: usize = 16, 32;
-    /// Fetch width in bytes per cycle (8 x 4B in both generations).
-    fetch_bytes: u64 = 32, 32;
     /// Decode/rename width (instructions per cycle).
     decode_width: usize = 6, 6;
     /// Commit width (instructions per cycle).
@@ -184,8 +182,6 @@ machine_table! {
     iq_entries: usize = 16, 32;
     /// Issue width of each ALU issue queue.
     alu_iq_width: usize = 2, 2;
-    /// Number of ALU pipelines.
-    alu_units: usize = 4, 4;
     /// Number of load pipelines (bank-interleaved).
     load_units: usize = 2, 2;
     /// Number of store pipelines.

@@ -7,7 +7,7 @@
 //! cargo run --release --example debug_session
 //! ```
 
-use minjie::{CoSim, CoSimEnd};
+use minjie::{debug_window, CoSim, CoSimEnd};
 use riscv_isa::asm::{reg::*, Asm};
 use riscv_isa::csr::addr as csr;
 use xscore::XsConfig;
@@ -80,10 +80,16 @@ fn main() {
     };
     println!("DiffTest reports: {:?}", report.error);
     println!("detected at cycle {}", report.at_cycle);
-    let replay = report.replay.expect("LightSSS enabled");
+    // On demand (§III-C3): roll back to the older LightSSS snapshot and
+    // re-execute the window in debug mode until the failure strikes again.
+    let from = buggy.rollback_point();
+    let from_cycle = from.snapshot_cycle;
+    let replay = debug_window(Box::new(move || from.state), report.at_cycle - from_cycle + 10_000);
+    let reproduced =
+        replay.error.as_ref() == Some(&report.error) && replay.at_commit == report.at_commit;
     println!(
-        "LightSSS: restored the snapshot at cycle {}, replayed {} cycles in debug mode, reproduced = {}",
-        replay.from_cycle, replay.cycles_replayed, replay.reproduced
+        "LightSSS: restored the snapshot at cycle {from_cycle}, replayed {} cycles in debug mode, reproduced = {reproduced}",
+        replay.at_cycle - from_cycle
     );
     // ArchDB: the debug-mode trace around the failure, rendered by the
     // timeline viewer (the repo's stand-in for the paper's Waveform

@@ -2,7 +2,8 @@
 # Tier-1 verification gate. Every PR must pass this script unchanged:
 #
 #   1. release build of the whole workspace,
-#   2. the full test suite (unit + integration + property + doc tests,
+#   2. the full test suite, one `--workspace` run that includes the root
+#      package (unit + integration + property + doc tests,
 #      among them `uncore`'s contention pin: two cores' seeded traffic
 #      through the tiny hierarchy, every completion and counter in one
 #      digest, so a change to the order of the protocol engine's steps
@@ -78,10 +79,7 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test -q =="
-cargo test -q
-
-echo "== tier-1: cargo test -q --workspace =="
+echo "== tier-1: cargo test -q --workspace (the root package's tests among them) =="
 cargo test -q --workspace
 
 echo "== tier-1: cargo test -q --release -p xscore -p riscv-isa (+ the tick's allocation budget) =="

@@ -280,7 +280,7 @@ fn dual_core_l2_race_bug_is_caught_and_replayed() {
         cosim.state.sys.mem.inject_l2_race_bug(0);
         match cosim.run(10_000_000) {
             CoSimEnd::Bug(report) => {
-                caught = Some(report);
+                caught = Some((cosim, report));
                 break;
             }
             CoSimEnd::Halted(code) => {
@@ -291,16 +291,19 @@ fn dual_core_l2_race_bug_is_caught_and_replayed() {
             CoSimEnd::OutOfCycles => panic!("did not converge"),
         }
     }
-    let report = caught.expect("the injected L2 race must be detected");
+    let (cosim, report) = caught.expect("the injected L2 race must be detected");
     assert!(
         matches!(report.error, minjie::DiffError::Writeback { .. }),
         "{:?}",
         report.error
     );
-    // LightSSS replay reproduces the mismatch within the 2N window and
-    // captures debug events.
-    let replay = report.replay.expect("lightsss enabled");
-    assert!(replay.from_cycle <= report.at_cycle);
+    // The replay from the LightSSS rollback point stays within the 2N
+    // window and captures debug events.
+    let from = cosim.rollback_point();
+    let from_cycle = from.snapshot_cycle;
+    let budget = report.at_cycle - from_cycle + 10_000;
+    let replay = minjie::debug_window(Box::new(move || from.state), budget);
+    assert!(from_cycle <= report.at_cycle);
     assert!(
         replay.trace.records_inserted() > 0,
         "debug-mode trace captured"

@@ -115,7 +115,7 @@ fn fault_injection_is_always_caught() {
                 cosim.state.sys.cores[0].inject_fault_gpr(reg, 1 << 13);
                 armed = false;
             }
-            if cosim.step_cycle().is_err() {
+            if matches!(cosim.run(1), CoSimEnd::Bug(_)) {
                 caught = true;
                 break;
             }

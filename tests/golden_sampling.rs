@@ -60,7 +60,8 @@ const PINNED: &[(&str, &str, u64)] = &[
 fn full_cpi_milli(workload: &str, config: &str) -> u64 {
     let program = workloads::workload(workload, Scale::Test).program;
     let cfg = XsConfig::preset(config).expect("known preset");
-    let stats = minjie::run_isolated(cfg, &program, 100_000_000, None).expect("full run");
+    let boot = Box::new(|| minjie::CoSim::new(cfg, &program));
+    let stats = minjie::run_isolated(boot, None, 100_000_000, None).expect("full run");
     assert!(
         matches!(stats.end, minjie::CoSimEnd::Halted(_)),
         "{workload}/{config}: full run did not halt: {:?}",

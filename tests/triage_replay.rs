@@ -4,7 +4,7 @@
 //! trace and the *identical* diff-rule verdict — replay is a pure
 //! function of the snapshot, not of when or how often it runs.
 
-use minjie::{CoSim, CoSimEnd};
+use minjie::{debug_window, CoSim, CoSimEnd};
 use proptest::prelude::*;
 use workloads::{TortureConfig, TortureProgram};
 use xscore::{InjectedBug, XsConfig};
@@ -36,15 +36,20 @@ proptest! {
         // independent COW clones of the same snapshot, so they must be
         // indistinguishable: same verdict, same commit anchor, same
         // per-cycle commit trace.
-        let r1 = cosim.replay(&bug.error).expect("lightsss enabled");
-        let r2 = cosim.replay(&bug.error).expect("lightsss enabled");
-        prop_assert!(r1.reproduced, "first replay reproduces");
-        prop_assert!(r2.reproduced, "second replay reproduces");
+        let replay = || {
+            let from = cosim.rollback_point();
+            let (cycle, reset) = (from.snapshot_cycle, from.fallback_reset);
+            let w = debug_window(Box::new(move || from.state), bug.at_cycle - cycle + 10_000);
+            (cycle, reset, w)
+        };
+        let ((from1, reset1, r1), (from2, reset2, r2)) = (replay(), replay());
+        prop_assert_eq!(r1.error.as_ref(), Some(&bug.error), "first replay reproduces");
+        prop_assert_eq!(r2.error.as_ref(), Some(&bug.error), "second replay reproduces");
         prop_assert_eq!(r1.at_commit, bug.at_commit, "replay hits the detection anchor");
         prop_assert_eq!(r1.at_commit, r2.at_commit);
-        prop_assert_eq!(r1.from_cycle, r2.from_cycle);
-        prop_assert_eq!(r1.fallback_reset, r2.fallback_reset);
-        prop_assert_eq!(r1.cycles_replayed, r2.cycles_replayed);
+        prop_assert_eq!(from1, from2);
+        prop_assert_eq!(reset1, reset2);
+        prop_assert_eq!(r1.at_cycle - from1, r2.at_cycle - from2, "cycles replayed");
         prop_assert_eq!(r1.window_cpi, r2.window_cpi);
         prop_assert_eq!(
             r1.trace.to_json(),
