@@ -24,8 +24,9 @@ use xscore::{CommitEvent, SbufferDrainEvent};
 /// The model must be cheaply cloneable (snapshot/rollback is how DiffTest
 /// trial-executes before deciding which rule applies).
 pub trait RefModel: Clone {
-    /// Execute one instruction, returning its commit information.
-    fn step(&mut self) -> StepInfo;
+    /// Execute one instruction and lend its commit information: the
+    /// model's own record, refilled by every step.
+    fn step(&mut self) -> &StepInfo;
     /// Project the architectural state.
     fn arch_state(&self) -> ArchState;
     /// Force an exception before the next instruction (page-fault rule).
@@ -50,6 +51,8 @@ pub struct NemuRef {
     pub hart: Hart,
     /// The REF's local memory.
     pub mem: SparseMemory,
+    /// The record [`RefModel::step`] lends: the last step's.
+    pub info: StepInfo,
 }
 
 impl NemuRef {
@@ -60,6 +63,7 @@ impl NemuRef {
         NemuRef {
             hart: Hart::new(program.entry, hartid),
             mem,
+            info: StepInfo::at(program.entry),
         }
     }
 }
@@ -149,9 +153,12 @@ impl AnyRef {
 }
 
 impl RefModel for AnyRef {
-    fn step(&mut self) -> StepInfo {
+    fn step(&mut self) -> &StepInfo {
         match self {
-            AnyRef::Arch(r) => hart::step(&mut r.hart, &mut r.mem),
+            AnyRef::Arch(r) => {
+                hart::step_into(&mut r.hart, &mut r.mem, &mut r.info);
+                &r.info
+            }
             AnyRef::Registry(i) => i.step_one(),
         }
     }
@@ -464,6 +471,7 @@ impl<R: RefModel> DiffTest<R> {
             if info.trap == Some(dut_trap) && info.pc == e.pc {
                 return Ok(());
             }
+            let ref_trap = info.trap;
             // Speculative page-fault rule: DUT-only page faults are legal;
             // the REF is forced to take the same fault.
             if let (Trap::Exception(cause, tval), Some(snapshot)) = (dut_trap, snapshot) {
@@ -479,7 +487,7 @@ impl<R: RefModel> DiffTest<R> {
                 hart,
                 pc: e.pc,
                 dut: Some(dut_trap),
-                reference: info.trap,
+                reference: ref_trap,
             });
         }
 
@@ -491,7 +499,7 @@ impl<R: RefModel> DiffTest<R> {
         }
 
         // --- Normal instruction ------------------------------------------
-        let mut info = self.refs[hart].step();
+        let info = self.refs[hart].step();
         if info.pc != e.pc {
             return Err(DiffError::Pc {
                 hart,
@@ -509,10 +517,14 @@ impl<R: RefModel> DiffTest<R> {
             });
         }
         // Macro-fusion rule: DUT committed a fused pair in one event.
-        if e.fused.is_some() {
-            info = self.refs[hart].step();
+        let info = if e.fused.is_some() {
             self.stats.record(DiffRule::MacroFusion);
-        }
+            self.refs[hart].step()
+        } else {
+            info
+        };
+        // The rules below patch the REF: keep what they compare against.
+        let (ref_mem, ref_wb) = (info.mem, info.wb);
         self.clear_guards(hart, e.pc);
 
         // --- AMO store-value check ----------------------------------------
@@ -521,7 +533,7 @@ impl<R: RefModel> DiffTest<R> {
         // architecturally invisible. This is the check that catches the
         // §IV-C wrong-data bug regardless of how the program consumes it.
         if e.inst.is_amo() {
-            if let (Some(dm), Some(rm)) = (e.mem, info.mem) {
+            if let (Some(dm), Some(rm)) = (e.mem, ref_mem) {
                 if dm.value != rm.value {
                     let src = self.refs[hart].arch_state().gpr[e.inst.rs2 as usize];
                     let op = e.inst.op;
@@ -546,7 +558,6 @@ impl<R: RefModel> DiffTest<R> {
         let Some((dut_fp, dut_rd, dut_v)) = e.wb else {
             return Ok(());
         };
-        let ref_wb = info.wb;
         let matches = ref_wb == Some((dut_fp, dut_rd, dut_v));
         if matches {
             return Ok(());

@@ -145,6 +145,8 @@ pub struct NemuStats {
 pub struct Nemu {
     hart: Hart,
     mem: SparseMemory,
+    /// The record [`Interpreter::step_one`] lends: the last step's.
+    info: StepInfo,
     /// Shadow GPR file of the fast loop (slot 32 swallows `x0` writes).
     /// Live only inside [`Self::run_fast`]; `hart.state.gpr` is the
     /// truth everywhere else.
@@ -185,6 +187,7 @@ impl Nemu {
 
     fn from_parts_with_capacity(hart: Hart, mem: SparseMemory, capacity: usize) -> Self {
         let mut n = Nemu {
+            info: StepInfo::at(hart.state.pc),
             hart,
             mem,
             regs: [0; 33],
@@ -296,18 +299,19 @@ impl Nemu {
         lookup(&self.map, &mut self.stats, pc).or_else(|| self.fill(pc))
     }
 
-    /// One architectural step through [`hart::step`], followed by the
-    /// invalidation its system events call for.
-    fn arch_step(&mut self) -> StepInfo {
-        let info = hart::step(&mut self.hart, &mut self.mem);
+    /// One architectural step through [`hart::step_into`], followed by
+    /// the invalidation its system events call for.
+    fn arch_step(&mut self) -> &StepInfo {
+        hart::step_into(&mut self.hart, &mut self.mem, &mut self.info);
         self.stats.slow_steps += 1;
-        self.after_system_step(&info);
-        info
+        self.after_system_step();
+        &self.info
     }
 
-    /// System events invalidate cached translations/uops.
-    fn after_system_step(&mut self, info: &StepInfo) {
-        if info.invalidates_decodes() {
+    /// System events (the step in `self.info`) invalidate cached
+    /// translations/uops.
+    fn after_system_step(&mut self) {
+        if self.info.invalidates_decodes() {
             self.flush();
         }
         self.refresh_fast_mem();
@@ -315,11 +319,11 @@ impl Nemu {
 
     /// A slow step taken from inside the fast loop: leave the shadow
     /// domain (crediting the loop's `retired` count), step, re-enter.
-    fn slow_step(&mut self, retired: u64) -> StepInfo {
+    fn slow_step(&mut self, retired: u64) -> &StepInfo {
         self.sync_regs_to_hart(retired);
-        let info = self.arch_step();
+        self.arch_step();
         self.sync_regs_from_hart();
-        info
+        &self.info
     }
 
     /// The fast execution loop. With `BLOCKS`, `sink.block` hears every
@@ -729,12 +733,13 @@ impl Interpreter for Nemu {
         self.sync_regs_from_hart();
     }
     /// `hart::execute` on the uop cache's decoded instruction, directly on
-    /// `hart.state` (no shadow file). Falls back to [`hart::step`] when the
+    /// `hart.state` (no shadow file). Falls back to [`hart::step_into`] when the
     /// uop cache cannot serve the pc (translation active, odd pc) or a
     /// trap is pending.
-    fn step_one(&mut self) -> StepInfo {
+    fn step_one(&mut self) -> &StepInfo {
         if self.hart.is_halted() {
-            return hart::step(&mut self.hart, &mut self.mem);
+            hart::step_into(&mut self.hart, &mut self.mem, &mut self.info);
+            return &self.info;
         }
         let pc = self.hart.state.pc;
         if !self.fast_mem
@@ -748,14 +753,16 @@ impl Interpreter for Nemu {
             Some(u) if u.pc == pc && u.handler != Handler::Goto => self.cursor,
             _ => self.lookup_or_fill(pc).expect("fast_mem holds, so fill succeeds"),
         };
-        let Uop { handler, inst, .. } = self.code[upc as usize];
+        let uop = &self.code[upc as usize];
+        let slow = uop.handler == Handler::Slow;
         self.cursor = upc + 1;
-        let mut info = StepInfo::at(pc);
-        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
-        if handler == Handler::Slow || !retired {
-            self.after_system_step(&info);
+        self.info = StepInfo::at(pc);
+        let retired =
+            hart::execute_and_retire(&mut self.hart, &mut self.mem, &uop.inst, &mut self.info);
+        if slow || !retired {
+            self.after_system_step();
         }
-        info
+        &self.info
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         let start = self.hart.instret;

@@ -35,14 +35,7 @@ pub struct MemAccess {
 
 /// The observable outcome of stepping one instruction — the information an
 /// instruction-commit probe extracts (paper §III-B3).
-///
-/// 16-byte aligned (the size stays 112): every `step_one()` moves the
-/// record into its caller's slot 16 bytes at a time, and at 8-byte
-/// alignment some stack placements (random per process) make one of
-/// those moves straddle a page, which costs the stepping loop a third to
-/// a half of its speed (measured).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[repr(align(16))]
 pub struct StepInfo {
     /// PC of the instruction.
     pub pc: u64,
@@ -585,36 +578,45 @@ fn handle_proxy_ecall<M: PhysMem>(
 /// Step one instruction: interrupt check, fetch, decode, execute, retire.
 ///
 /// Returns the commit information for probes. Never panics on guest
-/// misbehavior — all faults become architectural traps.
+/// misbehavior — all faults become architectural traps. The by-value
+/// form of [`step_into`].
 pub fn step<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> StepInfo {
     let mut info = StepInfo::at(hart.state.pc);
+    step_into(hart, mem, &mut info);
+    info
+}
+
+/// [`step`] into a record the caller owns: `info` is reset to the step
+/// about to execute and filled in place (a halted hart reports `halted`
+/// and executes nothing). The single-step body every tier falls back to.
+pub fn step_into<M: PhysMem>(hart: &mut Hart, mem: &mut M, info: &mut StepInfo) {
+    *info = StepInfo::at(hart.state.pc);
     if hart.is_halted() {
         info.halted = true;
-        return info;
+        return;
     }
     // Diff-rule hook: forced exception injection (e.g. the speculative
     // page-fault rule makes the REF take the DUT's fault).
     if let Some((cause, tval)) = hart.pending_injection.take() {
-        take_trap(hart, Trap::Exception(cause, tval), &mut info);
-        return info;
+        take_trap(hart, Trap::Exception(cause, tval), info);
+        return;
     }
     if let Some(irq) = hart.state.csr.pending_interrupt() {
-        take_trap(hart, Trap::Interrupt(irq), &mut info);
-        return info;
+        take_trap(hart, Trap::Interrupt(irq), info);
+        return;
     }
     match fetch(hart, mem) {
         Ok(d) => {
-            execute_and_retire(hart, mem, &d, &mut info);
+            execute_and_retire(hart, mem, &d, info);
         }
-        Err(e) => take_trap(hart, Trap::Exception(e.cause, e.tval), &mut info),
+        Err(e) => take_trap(hart, Trap::Exception(e.cause, e.tval), info),
     }
-    info
 }
 
-/// The back half of [`step`] for a tier that already holds the decoded
-/// instruction at the current PC: execute it, then retire it (`instret`,
-/// `minstret`, `mcycle`) or enter the trap it raised. Returns whether it
-/// retired.
+/// The back half of [`step_into`] for a tier that already holds the
+/// decoded instruction at the current PC: execute it into `info` (which
+/// the caller has reset), then retire it (`instret`, `minstret`,
+/// `mcycle`) or enter the trap it raised. Returns whether it retired.
 #[inline]
 pub(crate) fn execute_and_retire<M: PhysMem>(
     hart: &mut Hart,

@@ -72,11 +72,14 @@ pub trait Interpreter: std::fmt::Debug + Send {
     /// nothing.
     fn resync(&mut self) {}
 
-    /// Execute one step and report its commit information exactly as
-    /// [`hart::step`] does (a halted hart reports `halted` and executes
+    /// Execute one step and lend its commit information, exactly what
+    /// [`hart::step`] returns (a halted hart reports `halted` and executes
     /// nothing): the tier's own single-step body, the one DiffTest and
-    /// every other per-commit consumer call.
-    fn step_one(&mut self) -> StepInfo;
+    /// every other per-commit consumer call. The record is the tier's
+    /// own, reset and refilled by every step, so nothing is moved per
+    /// step; a caller that needs a field past its next call into the
+    /// tier copies that field.
+    fn step_one(&mut self) -> &StepInfo;
 
     /// Run until halt or until `max_steps` steps execute, reporting to
     /// `sink` at the granularity it asks for.
@@ -147,13 +150,18 @@ pub fn boot(program: &riscv_isa::asm::Program) -> (Hart, SparseMemory) {
 pub struct DromajoLike {
     hart: Hart,
     mem: SparseMemory,
+    info: StepInfo,
 }
 
 impl DromajoLike {
     /// Boot a program.
     pub fn new(program: &riscv_isa::asm::Program) -> Self {
         let (hart, mem) = boot(program);
-        DromajoLike { hart, mem }
+        DromajoLike {
+            info: StepInfo::at(hart.state.pc),
+            hart,
+            mem,
+        }
     }
 }
 
@@ -173,8 +181,9 @@ impl Interpreter for DromajoLike {
     fn clone_box(&self) -> Box<dyn Interpreter> {
         Box::new(self.clone())
     }
-    fn step_one(&mut self) -> StepInfo {
-        hart::step(&mut self.hart, &mut self.mem)
+    fn step_one(&mut self) -> &StepInfo {
+        hart::step_into(&mut self.hart, &mut self.mem, &mut self.info);
+        &self.info
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         drive(self, max_steps, sink)
@@ -194,6 +203,7 @@ impl Interpreter for DromajoLike {
 pub struct SpikeLike {
     hart: Hart,
     mem: SparseMemory,
+    info: StepInfo,
     cache: Vec<CacheEntry>,
     mask: u64,
     /// Decode-cache hits.
@@ -227,6 +237,7 @@ impl SpikeLike {
         assert!(size.is_power_of_two(), "cache size must be a power of two");
         let (hart, mem) = boot(program);
         SpikeLike {
+            info: StepInfo::at(hart.state.pc),
             hart,
             mem,
             cache: vec![
@@ -373,31 +384,31 @@ impl Interpreter for SpikeLike {
     fn clone_box(&self) -> Box<dyn Interpreter> {
         Box::new(self.clone())
     }
-    fn step_one(&mut self) -> StepInfo {
+    fn step_one(&mut self) -> &StepInfo {
         let pc = self.hart.state.pc;
         let idx = ((pc >> 1) & self.mask) as usize;
         let uncached = self.hart.is_halted()
             || self.hart.pending_injection.is_some()
             || self.hart.state.csr.pending_interrupt().is_some()
             || !self.lookup(pc, idx);
-        let info = if uncached {
-            hart::step(&mut self.hart, &mut self.mem)
+        let info = &mut self.info;
+        if uncached {
+            hart::step_into(&mut self.hart, &mut self.mem, info);
         } else {
             let d = &self.cache[idx].inst;
-            let mut info = StepInfo::at(pc);
-            if execute_fp_soft(&mut self.hart, d, &mut info) {
+            *info = StepInfo::at(pc);
+            if execute_fp_soft(&mut self.hart, d, info) {
                 info.inst = *d;
                 hart::retire(&mut self.hart);
             } else {
-                hart::execute_and_retire(&mut self.hart, &mut self.mem, d, &mut info);
+                hart::execute_and_retire(&mut self.hart, &mut self.mem, d, info);
             }
-            info
-        };
+        }
         // The cache is keyed by virtual pc.
-        if info.invalidates_decodes() {
+        if self.info.invalidates_decodes() {
             self.flush_cache();
         }
-        info
+        &self.info
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         drive(self, max_steps, sink)
@@ -429,6 +440,7 @@ enum TciOp {
 pub struct QemuTciLike {
     hart: Hart,
     mem: SparseMemory,
+    info: StepInfo,
     scratch: [u64; 4],
 }
 
@@ -437,6 +449,7 @@ impl QemuTciLike {
     pub fn new(program: &riscv_isa::asm::Program) -> Self {
         let (hart, mem) = boot(program);
         QemuTciLike {
+            info: StepInfo::at(hart.state.pc),
             hart,
             mem,
             scratch: [0; 4],
@@ -460,18 +473,23 @@ impl Interpreter for QemuTciLike {
     fn clone_box(&self) -> Box<dyn Interpreter> {
         Box::new(self.clone())
     }
-    fn step_one(&mut self) -> StepInfo {
+    fn step_one(&mut self) -> &StepInfo {
+        let info = &mut self.info;
         if self.hart.is_halted()
             || self.hart.pending_injection.is_some()
             || self.hart.state.csr.pending_interrupt().is_some()
         {
-            return hart::step(&mut self.hart, &mut self.mem);
+            hart::step_into(&mut self.hart, &mut self.mem, info);
+            return info;
         }
         let d = match hart::fetch(&mut self.hart, &mut self.mem) {
             Ok(d) => d,
-            Err(_) => return hart::step(&mut self.hart, &mut self.mem),
+            Err(_) => {
+                hart::step_into(&mut self.hart, &mut self.mem, info);
+                return info;
+            }
         };
-        let mut info = StepInfo::at(self.hart.state.pc);
+        *info = StepInfo::at(self.hart.state.pc);
         info.inst = d;
         // Lower into bytecode, then dispatch it.
         let program = [TciOp::LoadOperands, TciOp::Exec, TciOp::Retire, TciOp::End];
@@ -484,9 +502,9 @@ impl Interpreter for QemuTciLike {
                     self.scratch[2] = d.imm as u64;
                 }
                 TciOp::Exec => {
-                    if let Err(e) = hart::execute(&mut self.hart, &mut self.mem, &d, &mut info) {
+                    if let Err(e) = hart::execute(&mut self.hart, &mut self.mem, &d, info) {
                         let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
-                        hart::take_trap(&mut self.hart, trap, &mut info);
+                        hart::take_trap(&mut self.hart, trap, info);
                         return info;
                     }
                 }

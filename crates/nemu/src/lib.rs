@@ -19,7 +19,8 @@
 //!
 //! One stepping contract of two methods serves every consumer:
 //! [`Interpreter::step_one`] is each tier's own single-step body and
-//! returns the full [`StepInfo`] of the step (DiffTest), and
+//! lends the full [`StepInfo`] of the step — the tier's own record,
+//! refilled in place, so nothing is moved per step (DiffTest) — and
 //! [`Interpreter::run_until`] executes under a fuel budget and reports to
 //! a [`CommitSink`] at the [`Granularity`] the sink asks for — nothing
 //! (`run()`) or one `(block_pc, len)` per basic block (BBV profiling).

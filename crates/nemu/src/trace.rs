@@ -184,6 +184,8 @@ pub struct TraceStats {
 pub struct NemuTrace {
     hart: Hart,
     mem: SparseMemory,
+    /// The record [`Interpreter::step_one`] lends: the last step's.
+    info: StepInfo,
     /// Shadow GPR file of the trace loop (slot 32 swallows `x0` writes).
     /// Live only inside [`Self::run_fast`]; `hart.state.gpr` is the
     /// truth everywhere else.
@@ -230,6 +232,7 @@ impl NemuTrace {
 
     fn from_parts_with_capacity(hart: Hart, mem: SparseMemory, capacity: usize) -> Self {
         let mut n = NemuTrace {
+            info: StepInfo::at(hart.state.pc),
             hart,
             mem,
             regs: [0; 33],
@@ -432,21 +435,22 @@ impl NemuTrace {
         Some(head)
     }
 
-    /// One architectural step through [`hart::step`], followed by the
-    /// invalidation its system events call for.
-    fn arch_step(&mut self) -> StepInfo {
-        let info = hart::step(&mut self.hart, &mut self.mem);
+    /// One architectural step through [`hart::step_into`], followed by
+    /// the invalidation its system events call for.
+    fn arch_step(&mut self) -> &StepInfo {
+        hart::step_into(&mut self.hart, &mut self.mem, &mut self.info);
         self.stats.slow_steps += 1;
-        self.after_system_step(&info);
-        info
+        self.after_system_step();
+        &self.info
     }
 
-    /// System events invalidate cached traces/translations.
-    fn after_system_step(&mut self, info: &StepInfo) {
-        if info.invalidates_decodes() {
+    /// System events (the step in `self.info`) invalidate cached
+    /// traces/translations.
+    fn after_system_step(&mut self) {
+        if self.info.invalidates_decodes() {
             self.flush();
         } else if matches!(
-            info.inst.op,
+            self.info.inst.op,
             Op::Csrrw | Op::Csrrs | Op::Csrrc | Op::Csrrwi | Op::Csrrsi | Op::Csrrci
         ) {
             // Any CSR write can retarget satp or mstatus.MPRV without a
@@ -458,11 +462,11 @@ impl NemuTrace {
 
     /// A slow step taken from inside the trace loop: leave the shadow
     /// domain (crediting the loop's `retired` count), step, re-enter.
-    fn slow_step(&mut self, retired: u64) -> StepInfo {
+    fn slow_step(&mut self, retired: u64) -> &StepInfo {
         self.sync_regs_to_hart(retired);
-        let info = self.arch_step();
+        self.arch_step();
         self.sync_regs_from_hart();
-        info
+        &self.info
     }
 
     /// The trace execution loop. With `BLOCKS`, `sink.block` hears every
@@ -1030,12 +1034,13 @@ impl Interpreter for NemuTrace {
     }
     /// `hart::execute` on the trace buffer's decoded instruction, directly
     /// on `hart.state` (no shadow file, no micro-TLBs — `execute`
-    /// translates for itself). Falls back to [`hart::step`] when no trace
+    /// translates for itself). Falls back to [`hart::step_into`] when no trace
     /// can serve the pc (fetch translation active, odd pc) or a trap is
     /// pending.
-    fn step_one(&mut self) -> StepInfo {
+    fn step_one(&mut self) -> &StepInfo {
         if self.hart.is_halted() {
-            return hart::step(&mut self.hart, &mut self.mem);
+            hart::step_into(&mut self.hart, &mut self.mem, &mut self.info);
+            return &self.info;
         }
         let pc = self.hart.state.pc;
         if !self.fetch_fast
@@ -1052,14 +1057,16 @@ impl Interpreter for NemuTrace {
                 None => self.fill(pc).expect("fetch_fast holds, so fill succeeds"),
             },
         };
-        let TUop { h, inst, .. } = self.code[upc as usize];
+        let uop = &self.code[upc as usize];
+        let slow = uop.h == H_SLOW;
         self.cursor = upc + 1;
-        let mut info = StepInfo::at(pc);
-        let retired = hart::execute_and_retire(&mut self.hart, &mut self.mem, &inst, &mut info);
-        if h == H_SLOW || !retired {
-            self.after_system_step(&info);
+        self.info = StepInfo::at(pc);
+        let retired =
+            hart::execute_and_retire(&mut self.hart, &mut self.mem, &uop.inst, &mut self.info);
+        if slow || !retired {
+            self.after_system_step();
         }
-        info
+        &self.info
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {
         let start = self.hart.instret;

@@ -265,7 +265,7 @@ fn check_stepping(mut tier: Box<dyn Interpreter>, p: &Program, script: &[(u8, u6
             _ => {
                 for i in 0..k {
                     let want = hart::step(&mut rh, &mut rm);
-                    assert_eq!(tier.step_one(), want, "{ctx}: step {i}");
+                    assert_eq!(*tier.step_one(), want, "{ctx}: step {i}");
                 }
             }
         }
@@ -434,5 +434,71 @@ fn halted_hart_reports_nothing() {
         assert_eq!(tier.run_until(10, &mut blocks).instructions, 0);
         assert!(blocks.0.is_empty(), "{}", pers.name);
         assert_eq!(tier.hart().instret, instret, "{}", pers.name);
+    }
+}
+
+/// `step_one()` lends the tier's own record, refilled by every step, so
+/// nothing a step sets may survive into the next one. Each setter below
+/// (a store, a forced SC failure, an `ecall`, an FP write, `ebreak`) is
+/// followed by an instruction that leaves its field clear, and every
+/// record is `hart::step`'s on a twin hart, field for field.
+#[test]
+fn a_lent_record_carries_nothing_over() {
+    let mut a = Asm::new(0x8000_0000);
+    let handler = a.label();
+    a.la(T0, handler);
+    a.csrrw(ZERO, csr::MTVEC, T0);
+    a.li(T1, 0x8001_0000);
+    a.sd(T1, 0, T1); // mem
+    a.addi(T2, T2, 1);
+    a.lr_d(T3, T1);
+    a.sc_d(T4, T3, T1); // sc_failed: forced below
+    a.addi(T2, T2, 1);
+    a.fcvt_d_l(FT0, T2); // wb to an FPR
+    a.add(T5, T2, T2);
+    a.ecall(); // trap
+    a.bind(handler);
+    a.li(A0, 7);
+    a.ebreak(); // halted
+    let p = a.assemble();
+    type Field = (&'static str, fn(&StepInfo) -> bool);
+    let fields: [Field; 5] = [
+        ("mem", |i| i.mem.is_some()),
+        ("sc_failed", |i| i.sc_failed),
+        ("trap", |i| i.trap.is_some()),
+        ("FP wb", |i| matches!(i.wb, Some((true, _, _)))),
+        ("halted", |i| i.halted),
+    ];
+    for pers in nemu::registry::PERSONALITIES {
+        let mut tier = (pers.build)(&p);
+        let (mut rh, mut rm): (Hart, SparseMemory) = nemu::boot(&p);
+        // The program's one SC fails: the flag waits for it.
+        tier.hart_mut().force_sc_fail = true;
+        rh.force_sc_fail = true;
+        let mut set_by = [None; 5];
+        let mut step = 0;
+        while !rh.is_halted() {
+            let want = hart::step(&mut rh, &mut rm);
+            let got = tier.step_one();
+            assert_eq!(*got, want, "{}: step {step}", pers.name);
+            for (f, (name, is_set)) in fields.iter().enumerate() {
+                match set_by[f] {
+                    Some(s) if s + 1 == step => {
+                        assert!(
+                            !is_set(got),
+                            "{}: {name} of step {s} left in step {step}",
+                            pers.name
+                        )
+                    }
+                    None if is_set(got) => set_by[f] = Some(step),
+                    _ => {}
+                }
+            }
+            step += 1;
+        }
+        for (f, (name, _)) in fields.iter().enumerate() {
+            assert!(set_by[f].is_some(), "{}: no step set {name}", pers.name);
+        }
+        assert_arch_eq(tier.hart(), &rh, pers.name);
     }
 }

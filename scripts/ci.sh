@@ -38,7 +38,10 @@
 #      scan of the instruction table on 4 M words, all 65 536 RVC words,
 #      and the CSR sweep — every address x mode x gate x value through
 #      `CsrFile::read`/`write`, against the digest of the hand-written
-#      arms the CSR table replaced — and the rustdoc links gate: `cargo
+#      arms the CSR table replaced — and `nemu` likewise: the stepping
+#      contract's property tests (every personality's `step_one()`
+#      against `hart::step`, field for field) in the build mode the
+#      stepping path is tuned for — and the rustdoc links gate: `cargo
 #      doc` with broken intra-doc links denied, so deleting an item a doc
 #      comment links to fails here and not in a reader's browser,
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
@@ -82,9 +85,10 @@ cargo build --release
 echo "== tier-1: cargo test -q --workspace (the root package's tests among them) =="
 cargo test -q --workspace
 
-echo "== tier-1: cargo test -q --release -p xscore -p riscv-isa (+ the tick's allocation budget) =="
+echo "== tier-1: cargo test -q --release -p xscore -p riscv-isa -p nemu (+ the tick's allocation budget) =="
 cargo test -q --release -p xscore
 cargo test -q --release -p riscv-isa
+cargo test -q --release -p nemu
 cargo test -q --release --test alloc_budget
 
 echo "== tier-1: rustdoc intra-doc links =="

@@ -31,7 +31,9 @@
 //! uops it fills, so DiffTest's default REF costs the program, not the
 //! cache it could hold. Once warm, NEMU's `run()` goes to the allocator
 //! only for a page it touches first or a uop it fills, never per
-//! instruction.
+//! instruction, and its `step_one()` and the trace tier's not at all:
+//! each tier lends the one record it owns (DESIGN §4 "`nemu`", *One
+//! stepping contract*).
 //!
 //! And what a traced row costs: ArchDB keeps the struct the probe
 //! emitted in a `VecDeque` (DESIGN §4 "Telemetry"), so a run with the
@@ -195,6 +197,50 @@ fn a_warm_nemu_run_allocates_for_new_pages_and_uops_only() {
     // pc map once each.
     let budget = pages + 3 * uops;
     assert!(calls <= budget, "a warm run() made {calls} allocator calls (budget {budget})");
+}
+
+/// `step_one()` calls on Test-scale `sjeng` before the stepping window
+/// opens, and the calls inside it.
+const STEP_WARM_UP: u64 = 10_000;
+const STEP_WINDOW: u64 = 50_000;
+
+/// Step `tier` past the warm-up and return what the window costs:
+/// (allocator calls, pages first touched, decodes filled, by `fills`).
+fn step_window<I: nemu::Interpreter>(mut tier: I, fills: fn(&I) -> u64) -> (u64, u64, u64) {
+    for _ in 0..STEP_WARM_UP {
+        tier.step_one();
+    }
+    let (pages, filled, calls) = (tier.mem_mut().resident_pages(), fills(&tier), CALLS.get());
+    for _ in 0..STEP_WINDOW {
+        tier.step_one();
+    }
+    let calls = CALLS.get() - calls;
+    assert!(
+        !tier.hart().is_halted(),
+        "{}: sjeng halted inside the window",
+        tier.name()
+    );
+    let pages = (tier.mem_mut().resident_pages() - pages) as u64;
+    (calls, pages, fills(&tier) - filled)
+}
+
+#[test]
+fn a_warm_step_loop_allocates_nothing() {
+    let program = workload("sjeng", Scale::Test).program;
+    let nemu = step_window(nemu::Nemu::new(&program), |n| n.stats.uop_fills);
+    let trace = step_window(nemu::NemuTrace::new(&program), |t| t.stats.trace_fills);
+    for (name, (calls, pages, fills)) in [("nemu", nemu), ("nemu-trace", trace)] {
+        println!("{name} step_one(): {calls} calls in {STEP_WINDOW} steps, {pages} new pages, {fills} new decodes");
+        // A window that touched a new page or filled a decode would make
+        // the zero below mean less than it says.
+        assert_eq!((pages, fills), (0, 0), "{name}: the window is not warm");
+        // Each tier lends the one record it owns: a record boxed or
+        // allocated per step would count here.
+        assert_eq!(
+            calls, 0,
+            "{name}: a warm step loop made {calls} allocator calls"
+        );
+    }
 }
 
 /// Bytes `CampaignReport::full_json` may request per byte of the text it
