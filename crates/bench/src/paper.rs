@@ -50,9 +50,14 @@ pub const SAMPLED_ERR_BOUND_MILLI: u64 = 250;
 /// Cycle-model presets the `fig8` section tracks, sorted.
 pub const CYCLE_PRESETS: [&str; 2] = ["small-nh", "small-yqh"];
 
+/// A configuration's constructor.
+type Preset = fn() -> XsConfig;
+/// A switch that turns one feature off.
+type Ablate = fn(&mut XsConfig);
+
 /// The paper's Fig. 12 series, sorted ([`Fig12::derive`] reads them by
 /// position).
-const FIG12_CONFIGS: [(&str, fn() -> XsConfig); 5] = [
+const FIG12_CONFIGS: [(&str, Preset); 5] = [
     ("NH-2MBLLC-FPGA-250C-AMAT", || XsConfig::nh().with_llc_mb(2).with_memory(FixedAmat(250))),
     ("NH-4MBLLC-FPGA-250C-AMAT", || XsConfig::nh().with_llc_mb(4).with_memory(FixedAmat(250))),
     // 6 MB LLC, the tape-out configuration.
@@ -63,7 +68,7 @@ const FIG12_CONFIGS: [(&str, fn() -> XsConfig); 5] = [
 ];
 
 /// NH features the ablation switches off one at a time, sorted.
-const ABLATED_FEATURES: [(&str, fn(&mut XsConfig)); 3] = [
+const ABLATED_FEATURES: [(&str, Ablate); 3] = [
     ("fusion", |c| c.fusion = false),
     ("ittage", |c| c.ittage = false),
     ("move_elimination", |c| c.move_elimination = false),

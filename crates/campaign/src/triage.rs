@@ -643,7 +643,7 @@ mod tests {
             hart: (c % 2) as usize,
             pc: 0x8000_0000 + 4 * c,
             inst: DecodedInst { op: Op::ALL[c as usize], ..Default::default() },
-            wb: (c % 2 == 0).then_some((false, 5, c)),
+            wb: c.is_multiple_of(2).then_some((false, 5, c)),
             cycle: 100 + c,
             ..Default::default()
         };

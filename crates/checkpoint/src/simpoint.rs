@@ -180,7 +180,7 @@ pub fn simpoints(vectors: &[Vec<f64>], k: usize, seed: u64) -> Vec<SimPoint> {
 
     // Representative per non-empty cluster.
     let mut points = Vec::new();
-    for c in 0..centroids.len() {
+    for (c, centroid) in centroids.iter().enumerate() {
         let members: Vec<usize> = (0..vectors.len())
             .filter(|&i| assignment[i] == c)
             .collect();
@@ -191,8 +191,8 @@ pub fn simpoints(vectors: &[Vec<f64>], k: usize, seed: u64) -> Vec<SimPoint> {
             .iter()
             .copied()
             .min_by(|&a, &b| {
-                dist2(&vectors[a], &centroids[c])
-                    .partial_cmp(&dist2(&vectors[b], &centroids[c]))
+                dist2(&vectors[a], centroid)
+                    .partial_cmp(&dist2(&vectors[b], centroid))
                     .expect("finite")
             })
             .expect("non-empty");

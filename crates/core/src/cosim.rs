@@ -615,8 +615,7 @@ mod tests {
         a.sd(A0, 0, T5);
         a.ld(A0, 0, T5);
         a.ebreak();
-        let p = a.assemble();
-        p
+        a.assemble()
     }
 
     #[test]

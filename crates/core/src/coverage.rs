@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn op_count_covers_every_variant() {
-        assert!(OP_COUNT > 100);
+        const { assert!(OP_COUNT > 100) };
         for (i, op) in Op::ALL.iter().enumerate() {
             assert_eq!(*op as usize, i);
         }

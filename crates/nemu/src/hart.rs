@@ -8,7 +8,7 @@
 
 use riscv_isa::csr::Privilege;
 use riscv_isa::exec::{amo_compute, branch_taken, has_imm_operand, int_compute, load_extend};
-use riscv_isa::fpu::fp_execute;
+use riscv_isa::fpu::{fp_execute_with, Arith, Host};
 use riscv_isa::mem::{PhysMem, MTIME, RESERVATION_GRANULE, UART_TX};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
@@ -225,7 +225,9 @@ pub fn fetch<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> Result<DecodedInst, Ex
     Ok(riscv_isa::decode32((high << 16) | low))
 }
 
-/// Execute one already-decoded instruction, updating PC and state.
+/// Execute one already-decoded instruction, updating PC and state, with
+/// `A`'s FP arithmetic kernels ([`Host`] everywhere but the Spike-like
+/// tier).
 ///
 /// On success fills `info` with writeback/memory/SC details. The caller is
 /// responsible for trap entry when an `Err` is returned.
@@ -233,7 +235,7 @@ pub fn fetch<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> Result<DecodedInst, Ex
 /// # Errors
 ///
 /// Returns the exception raised by the instruction.
-pub fn execute<M: PhysMem>(
+pub fn execute<A: Arith, M: PhysMem>(
     hart: &mut Hart,
     mem: &mut M,
     d: &DecodedInst,
@@ -357,7 +359,7 @@ pub fn execute<M: PhysMem>(
         }
         LrW | LrD => {
             let va = rs1;
-            if va % d.mem_size() != 0 {
+            if !va.is_multiple_of(d.mem_size()) {
                 return Err(ExecError::new(Exception::LoadAddrMisaligned, va));
             }
             let (raw, pa, mmio) = virt_read(hart, mem, va, d.mem_size(), AccessType::Load)?;
@@ -380,7 +382,7 @@ pub fn execute<M: PhysMem>(
         }
         ScW | ScD => {
             let va = rs1;
-            if va % d.mem_size() != 0 {
+            if !va.is_multiple_of(d.mem_size()) {
                 return Err(ExecError::new(Exception::StoreAddrMisaligned, va));
             }
             // Translate first: a failing SC still needs store permission
@@ -415,7 +417,7 @@ pub fn execute<M: PhysMem>(
         op if d.is_amo() => {
             let va = rs1;
             let size = d.mem_size();
-            if va % size != 0 {
+            if !va.is_multiple_of(size) {
                 return Err(ExecError::new(Exception::StoreAddrMisaligned, va));
             }
             let t = mmu::translate(mem, &hart.state.csr, va, AccessType::Store)
@@ -528,7 +530,7 @@ pub fn execute<M: PhysMem>(
             };
             let c = s.fpr[d.rs3 as usize];
             let rm = if d.rm == 7 { s.csr.frm() } else { d.rm };
-            let r = fp_execute(d.op, a, b, c, rm);
+            let r = fp_execute_with::<A>(d.op, a, b, c, rm);
             s.csr.set_fflags(r.flags);
             if d.writes_fpr() {
                 wb_f!(r.bits);
@@ -607,7 +609,7 @@ pub fn step_into<M: PhysMem>(hart: &mut Hart, mem: &mut M, info: &mut StepInfo) 
     }
     match fetch(hart, mem) {
         Ok(d) => {
-            execute_and_retire(hart, mem, &d, info);
+            execute_and_retire::<Host, M>(hart, mem, &d, info);
         }
         Err(e) => take_trap(hart, Trap::Exception(e.cause, e.tval), info),
     }
@@ -615,17 +617,18 @@ pub fn step_into<M: PhysMem>(hart: &mut Hart, mem: &mut M, info: &mut StepInfo) 
 
 /// The back half of [`step_into`] for a tier that already holds the
 /// decoded instruction at the current PC: execute it into `info` (which
-/// the caller has reset), then retire it (`instret`, `minstret`,
-/// `mcycle`) or enter the trap it raised. Returns whether it retired.
+/// the caller has reset) with `A`'s FP kernels, then retire it (`instret`,
+/// `minstret`, `mcycle`) or enter the trap it raised. Returns whether it
+/// retired.
 #[inline]
-pub(crate) fn execute_and_retire<M: PhysMem>(
+pub(crate) fn execute_and_retire<A: Arith, M: PhysMem>(
     hart: &mut Hart,
     mem: &mut M,
     d: &DecodedInst,
     info: &mut StepInfo,
 ) -> bool {
     info.inst = *d;
-    match execute(hart, mem, d, info) {
+    match execute::<A, M>(hart, mem, d, info) {
         Ok(()) => {
             retire(hart);
             true

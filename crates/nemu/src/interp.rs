@@ -6,8 +6,8 @@
 
 use crate::hart::{self, Hart, StepInfo};
 use riscv_isa::mem::SparseMemory;
-use riscv_isa::op::{DecodedInst, Op};
-use riscv_isa::softfloat;
+use riscv_isa::fpu::{Host, Soft};
+use riscv_isa::op::DecodedInst;
 
 /// Outcome of [`Interpreter::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,97 +277,6 @@ impl SpikeLike {
     }
 }
 
-/// Execute an FP add/sub/mul/FMA through the exact softfloat kernels.
-/// Returns `true` when the op was handled.
-pub(crate) fn execute_fp_soft(hart: &mut Hart, d: &DecodedInst, info: &mut StepInfo) -> bool {
-    use Op::*;
-    let s = &mut hart.state;
-    if s.csr.mstatus & riscv_isa::csr::mstatus::FS == 0 {
-        return false; // let the generic path raise the illegal trap
-    }
-    let a = s.fpr[d.rs1 as usize];
-    let b = s.fpr[d.rs2 as usize];
-    let c = s.fpr[d.rs3 as usize];
-    const SIGN64: u64 = 1 << 63;
-    const SIGN32: u32 = 1 << 31;
-    let unb = |v: u64| -> u32 {
-        if v >> 32 == 0xffff_ffff {
-            v as u32
-        } else {
-            0x7fc0_0000
-        }
-    };
-    let (bits, flags, single) = match d.op {
-        FaddD => {
-            let r = softfloat::add64(a, b);
-            (r.bits, r.flags, false)
-        }
-        FsubD => {
-            let r = softfloat::sub64(a, b);
-            (r.bits, r.flags, false)
-        }
-        FmulD => {
-            let r = softfloat::mul64(a, b);
-            (r.bits, r.flags, false)
-        }
-        FmaddD => {
-            let r = softfloat::fma64(a, b, c);
-            (r.bits, r.flags, false)
-        }
-        FmsubD => {
-            let r = softfloat::fma64(a, b, c ^ SIGN64);
-            (r.bits, r.flags, false)
-        }
-        FnmsubD => {
-            let r = softfloat::fma64(a ^ SIGN64, b, c);
-            (r.bits, r.flags, false)
-        }
-        FnmaddD => {
-            let r = softfloat::fma64(a ^ SIGN64, b, c ^ SIGN64);
-            (r.bits, r.flags, false)
-        }
-        FaddS => {
-            let r = softfloat::add32(unb(a), unb(b));
-            (r.bits as u64, r.flags, true)
-        }
-        FsubS => {
-            let r = softfloat::sub32(unb(a), unb(b));
-            (r.bits as u64, r.flags, true)
-        }
-        FmulS => {
-            let r = softfloat::mul32(unb(a), unb(b));
-            (r.bits as u64, r.flags, true)
-        }
-        FmaddS => {
-            let r = softfloat::fma32(unb(a), unb(b), unb(c));
-            (r.bits as u64, r.flags, true)
-        }
-        FmsubS => {
-            let r = softfloat::fma32(unb(a), unb(b), unb(c) ^ SIGN32);
-            (r.bits as u64, r.flags, true)
-        }
-        FnmsubS => {
-            let r = softfloat::fma32(unb(a) ^ SIGN32, unb(b), unb(c));
-            (r.bits as u64, r.flags, true)
-        }
-        FnmaddS => {
-            let r = softfloat::fma32(unb(a) ^ SIGN32, unb(b), unb(c) ^ SIGN32);
-            (r.bits as u64, r.flags, true)
-        }
-        _ => return false,
-    };
-    let boxed = if single {
-        0xffff_ffff_0000_0000 | bits
-    } else {
-        bits
-    };
-    s.csr.set_fflags(flags);
-    s.fpr[d.rd as usize] = boxed;
-    info.wb = Some((true, d.rd, boxed));
-    s.pc = s.pc.wrapping_add(d.len as u64);
-    true
-}
-
 impl Interpreter for SpikeLike {
     fn name(&self) -> &'static str {
         "spike-like"
@@ -397,12 +306,7 @@ impl Interpreter for SpikeLike {
         } else {
             let d = &self.cache[idx].inst;
             *info = StepInfo::at(pc);
-            if execute_fp_soft(&mut self.hart, d, info) {
-                info.inst = *d;
-                hart::retire(&mut self.hart);
-            } else {
-                hart::execute_and_retire(&mut self.hart, &mut self.mem, d, info);
-            }
+            hart::execute_and_retire::<Soft, _>(&mut self.hart, &mut self.mem, d, info);
         }
         // The cache is keyed by virtual pc.
         if self.info.invalidates_decodes() {
@@ -502,7 +406,9 @@ impl Interpreter for QemuTciLike {
                     self.scratch[2] = d.imm as u64;
                 }
                 TciOp::Exec => {
-                    if let Err(e) = hart::execute(&mut self.hart, &mut self.mem, &d, info) {
+                    if let Err(e) =
+                        hart::execute::<Host, _>(&mut self.hart, &mut self.mem, &d, info)
+                    {
                         let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
                         hart::take_trap(&mut self.hart, trap, info);
                         return info;

@@ -38,7 +38,7 @@
 use crate::hart::{self, Hart, StepInfo};
 use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
 use riscv_isa::exec::{has_imm_operand, int_compute};
-use riscv_isa::fpu::fp_execute;
+use riscv_isa::fpu::{fp_execute, Host};
 use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory, MTIME, UART_TX};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
@@ -1061,8 +1061,12 @@ impl Interpreter for NemuTrace {
         let slow = uop.h == H_SLOW;
         self.cursor = upc + 1;
         self.info = StepInfo::at(pc);
-        let retired =
-            hart::execute_and_retire(&mut self.hart, &mut self.mem, &uop.inst, &mut self.info);
+        let retired = hart::execute_and_retire::<Host, _>(
+            &mut self.hart,
+            &mut self.mem,
+            &uop.inst,
+            &mut self.info,
+        );
         if slow || !retired {
             self.after_system_step();
         }

@@ -614,14 +614,14 @@ impl Asm {
         if (-2048..2048).contains(&imm) {
             self.addi(rd, reg::ZERO, imm);
         } else if imm >= i32::MIN as i64 && imm <= i32::MAX as i64 {
-            let low = ((imm << 52) >> 52) as i64; // sign-extended low 12
+            let low = (imm << 52) >> 52; // sign-extended low 12
             let high = imm.wrapping_sub(low);
             self.lui(rd, high & 0xffff_f000);
             if low != 0 {
                 self.addiw(rd, rd, low);
             }
         } else {
-            let low = ((imm << 52) >> 52) as i64;
+            let low = (imm << 52) >> 52;
             let rest = imm.wrapping_sub(low) >> 12;
             self.li(rd, rest);
             self.slli(rd, rd, 12);
@@ -701,7 +701,7 @@ impl Asm {
                 }
                 FixKind::AuipcPair => {
                     let disp = target.wrapping_sub(at) as i64;
-                    let low = ((disp << 52) >> 52) as i64;
+                    let low = (disp << 52) >> 52;
                     let high = disp.wrapping_sub(low);
                     let raw = self.read32(fix.offset);
                     let mut d = crate::decode::decode32(raw);

@@ -559,19 +559,16 @@ fn vector_target(tvec: u64, is_interrupt: bool, code: u64) -> u64 {
 
 fn pick_interrupt(pending: u64) -> Option<Interrupt> {
     // Priority: MEI, MSI, MTI, SEI, SSI, STI.
-    for i in [
+    [
         Interrupt::MachineExternal,
         Interrupt::MachineSoftware,
         Interrupt::MachineTimer,
         Interrupt::SupervisorExternal,
         Interrupt::SupervisorSoftware,
         Interrupt::SupervisorTimer,
-    ] {
-        if pending & (1 << i.code()) != 0 {
-            return Some(i);
-        }
-    }
-    None
+    ]
+    .into_iter()
+    .find(|i| pending & (1 << i.code()) != 0)
 }
 
 #[cfg(test)]

@@ -58,13 +58,7 @@ pub fn int_compute(op: Op, a: u64, b: u64) -> Option<u64> {
                 ((a as i64) / (b as i64)) as u64
             }
         }
-        Divu => {
-            if b == 0 {
-                u64::MAX
-            } else {
-                a / b
-            }
-        }
+        Divu => a.checked_div(b).unwrap_or(u64::MAX),
         Rem => {
             if b == 0 {
                 a
@@ -95,7 +89,7 @@ pub fn int_compute(op: Op, a: u64, b: u64) -> Option<u64> {
         }
         Divuw => {
             let (a, b) = (a as u32, b as u32);
-            let r = if b == 0 { u32::MAX } else { a / b };
+            let r = a.checked_div(b).unwrap_or(u32::MAX);
             r as i32 as i64 as u64
         }
         Remw => {

@@ -1,18 +1,20 @@
-//! Host-float-backed floating-point semantics with RISC-V NaN boxing.
+//! Floating-point semantics with RISC-V NaN boxing: one rulebook for both
+//! widths. The analogue of NEMU's fast path (paper §III-D1d): guest FP
+//! instructions run on host FP arithmetic, FMA on the host's fused
+//! `mul_add`. Each rule the spec adds to IEEE-754 — canonical NaN, NaN
+//! boxing, invalid operands, overflow, divide-by-zero, signed-zero
+//! min/max, classify, sign injection, saturating FP→int, once-rounded
+//! int→FP — is one function generic over [`Fmt`] (`f32` and `f64`).
 //!
-//! This is the analogue of NEMU's fast path (paper §III-D1d): guest
-//! floating-point instructions are interpreted with host floating-point
-//! arithmetic, including FMA via the host's fused `mul_add`. Results are
-//! NaN-boxed and NaN-canonicalized per the RISC-V spec.
-//!
-//! Rounding: host arithmetic rounds to nearest-even; the explicit rounding
-//! mode field is honored for float→int conversions (where RISC-V code
-//! commonly uses RTZ) and ignored for arithmetic, which is an accepted
-//! approximation documented in DESIGN.md. The exact-rounding
-//! [`crate::softfloat`] module is the bit-precise alternative used by the
-//! Spike-like baseline.
+//! Host arithmetic rounds to nearest-even whatever `rm` says and raises no
+//! NX, an approximation DESIGN §5 documents; conversions derive NX exactly,
+//! and FP→int ones honour `rm`. [`fp_execute_with::<Soft>`](Soft) swaps the
+//! exact-rounding [`crate::softfloat`] kernels in for add, sub, mul and the
+//! FMAs, as the Spike-like baseline does; every other rule is shared.
 
 use crate::op::Op;
+use crate::softfloat::{f32sf, f64sf, SfResult};
+use std::ops::{Add, Div, Mul, Neg};
 
 /// Exception flag bits (fcsr fflags layout).
 #[allow(missing_docs)]
@@ -40,262 +42,303 @@ pub struct FpResult {
     pub flags: u64,
 }
 
-#[inline]
-fn box32(bits: u32) -> u64 {
-    0xffff_ffff_0000_0000 | bits as u64
-}
-
-/// Unbox a single-precision value; improperly boxed values read as the
-/// canonical NaN, as the spec requires.
-#[inline]
-pub fn unbox32(v: u64) -> f32 {
-    if v >> 32 == 0xffff_ffff {
-        f32::from_bits(v as u32)
-    } else {
-        f32::from_bits(0x7fc0_0000)
+impl FpResult {
+    #[inline]
+    fn new(bits: u64, flags: u64) -> Self {
+        FpResult { bits, flags }
     }
 }
 
+/// `f` if `raised`, else no flag.
 #[inline]
-fn canon32(x: f32) -> u64 {
-    if x.is_nan() {
-        CANONICAL_NAN_F32
-    } else {
-        box32(x.to_bits())
+fn flag(raised: bool, f: u64) -> u64 {
+    f * raised as u64
+}
+
+/// One IEEE-754 binary format as an FP register holds it: required items
+/// are the format's own, provided ones the NaN-boxing rules, written once.
+pub trait Fmt:
+    Copy
+    + PartialOrd
+    + Add<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+{
+    /// The register bits above the format, all set in a boxed value.
+    const BOX: u64;
+    /// The canonical quiet NaN as a register value.
+    const CANON: u64;
+    /// The sign bit.
+    const SIGN: u64;
+    /// The quiet bit of a NaN.
+    const QUIET: u64;
+    /// Positive zero.
+    const ZERO: Self;
+    /// Significand bits, the hidden one included.
+    const DIGITS: u32;
+    /// The format's own bits, zero-extended.
+    fn raw(self) -> u64;
+    /// The value whose bits are the low ones of `raw`.
+    fn from_raw(raw: u64) -> Self;
+    /// `self as f64`: exact.
+    fn to_f64(self) -> f64;
+    /// `x as Self`: rounds to nearest-even.
+    fn from_f64(x: f64) -> Self;
+    /// `v as Self`: rounds to nearest-even.
+    fn from_i128(v: i128) -> Self;
+    // The host's own methods of these names:
+    fn is_nan(self) -> bool;
+    fn is_infinite(self) -> bool;
+    fn is_finite(self) -> bool;
+    fn is_subnormal(self) -> bool;
+    fn is_sign_negative(self) -> bool;
+    fn sqrt(self) -> Self;
+    fn mul_add(self, y: Self, z: Self) -> Self;
+    /// [`crate::softfloat`] add.
+    fn soft_add(self, y: Self) -> FpResult;
+    /// [`crate::softfloat`] multiply.
+    fn soft_mul(self, y: Self) -> FpResult;
+    /// [`crate::softfloat`] fused multiply-add.
+    fn soft_fma(self, y: Self, z: Self) -> FpResult;
+
+    /// Unbox a register value; one not properly NaN-boxed reads as the
+    /// canonical NaN, as the spec requires.
+    fn unbox(reg: u64) -> Self {
+        let boxed = reg & Self::BOX == Self::BOX;
+        Self::from_raw(if boxed { reg } else { Self::CANON })
+    }
+    /// The register value holding `self`, bits untouched.
+    fn boxed(self) -> u64 {
+        Self::BOX | self.raw()
+    }
+    /// The register value of a computed result: every NaN is canonical.
+    fn canon(self) -> u64 {
+        let nan = self.is_nan();
+        if nan {
+            Self::CANON
+        } else {
+            self.boxed()
+        }
+    }
+    /// Whether a signalling NaN.
+    fn is_snan(self) -> bool {
+        self.is_nan() && self.raw() & Self::QUIET == 0
     }
 }
 
-#[inline]
-fn canon64(x: f64) -> u64 {
-    if x.is_nan() {
-        CANONICAL_NAN_F64
-    } else {
-        x.to_bits()
-    }
+fn soft<F: Fmt, B: Into<u64>>(r: SfResult<B>) -> FpResult {
+    FpResult::new(F::from_raw(r.bits.into()).boxed(), r.flags)
 }
 
-#[inline]
-fn is_snan32(bits: u32) -> bool {
-    let exp_all = bits & 0x7f80_0000 == 0x7f80_0000;
-    exp_all && bits & 0x007f_ffff != 0 && bits & 0x0040_0000 == 0
-}
-
-#[inline]
-fn is_snan64(bits: u64) -> bool {
-    let exp_all = bits & 0x7ff0_0000_0000_0000 == 0x7ff0_0000_0000_0000;
-    exp_all && bits & 0x000f_ffff_ffff_ffff != 0 && bits & 0x0008_0000_0000_0000 == 0
-}
-
-fn arith_flags32(r: f32, operands_nan: bool) -> u64 {
-    let mut f = 0;
-    if r.is_nan() && !operands_nan {
-        f |= flags::NV;
-    }
-    if r.is_infinite() && !operands_nan {
-        f |= flags::OF | flags::NX;
-    }
-    f
-}
-
-fn arith_flags64(r: f64, operands_nan: bool) -> u64 {
-    let mut f = 0;
-    if r.is_nan() && !operands_nan {
-        f |= flags::NV;
-    }
-    if r.is_infinite() && !operands_nan {
-        f |= flags::OF | flags::NX;
-    }
-    f
-}
-
-/// Round a host double according to a RISC-V rounding mode.
-#[inline]
-fn round_f64(x: f64, rm: u8) -> f64 {
-    match rm {
-        0 => round_ties_even(x),  // RNE
-        1 => x.trunc(),           // RTZ
-        2 => x.floor(),           // RDN
-        3 => x.ceil(),            // RUP
-        4 => {
-            // RMM: ties away from zero.
-            if x >= 0.0 {
-                (x + 0.5).floor()
-            } else {
-                (x - 0.5).ceil()
+macro_rules! formats {
+    ($($f:ident, $sf:ident: box $bx:expr, nan $nan:expr, sign $s:expr, quiet $q:expr;)*) => {$(
+        impl Fmt for $f {
+            const BOX: u64 = $bx;
+            const CANON: u64 = $nan;
+            const SIGN: u64 = $s;
+            const QUIET: u64 = $q;
+            const ZERO: Self = 0.0;
+            const DIGITS: u32 = $f::MANTISSA_DIGITS;
+            #[inline] fn raw(self) -> u64 { self.to_bits() as u64 }
+            #[inline] fn from_raw(raw: u64) -> Self { $f::from_bits(raw as _) }
+            #[inline] fn to_f64(self) -> f64 { self as f64 }
+            #[inline] fn from_f64(x: f64) -> Self { x as $f }
+            #[inline] fn from_i128(v: i128) -> Self { v as $f }
+            #[inline] fn is_nan(self) -> bool { $f::is_nan(self) }
+            #[inline] fn is_infinite(self) -> bool { $f::is_infinite(self) }
+            #[inline] fn is_finite(self) -> bool { $f::is_finite(self) }
+            #[inline] fn is_subnormal(self) -> bool { $f::is_subnormal(self) }
+            #[inline] fn is_sign_negative(self) -> bool { $f::is_sign_negative(self) }
+            #[inline] fn sqrt(self) -> Self { $f::sqrt(self) }
+            #[inline] fn mul_add(self, y: Self, z: Self) -> Self { $f::mul_add(self, y, z) }
+            #[inline] fn soft_add(self, y: Self) -> FpResult {
+                soft::<$f, _>($sf::add(self.to_bits(), y.to_bits()))
+            }
+            #[inline] fn soft_mul(self, y: Self) -> FpResult {
+                soft::<$f, _>($sf::mul(self.to_bits(), y.to_bits()))
+            }
+            #[inline] fn soft_fma(self, y: Self, z: Self) -> FpResult {
+                soft::<$f, _>($sf::fma(self.to_bits(), y.to_bits(), z.to_bits()))
             }
         }
-        _ => round_ties_even(x),
+    )*};
+}
+
+formats! {
+    f32, f32sf: box 0xffff_ffff_0000_0000, nan CANONICAL_NAN_F32, sign 1 << 31, quiet 1 << 22;
+    f64, f64sf: box 0, nan CANONICAL_NAN_F64, sign 1 << 63, quiet 1 << 51;
+}
+
+/// The kernels that round add, multiply and fused multiply-add (sub is
+/// an add of the negation); every other rule is the rulebook's own.
+pub trait Arith {
+    /// `x + y`.
+    fn add<F: Fmt>(x: F, y: F) -> FpResult;
+    /// `x × y`.
+    fn mul<F: Fmt>(x: F, y: F) -> FpResult;
+    /// `x × y + z`, rounded once.
+    fn fma<F: Fmt>(x: F, y: F, z: F) -> FpResult;
+}
+
+/// Host arithmetic, the fast path of every tier but the Spike-like one.
+#[derive(Debug)]
+pub enum Host {}
+
+/// The exact-rounding [`crate::softfloat`] kernels, as Spike's SoftFloat.
+#[derive(Debug)]
+pub enum Soft {}
+
+impl Arith for Host {
+    #[inline(always)]
+    fn add<F: Fmt>(x: F, y: F) -> FpResult {
+        host(x + y, &[x, y])
+    }
+    #[inline(always)]
+    fn mul<F: Fmt>(x: F, y: F) -> FpResult {
+        host(x * y, &[x, y])
+    }
+    #[inline(always)]
+    fn fma<F: Fmt>(x: F, y: F, z: F) -> FpResult {
+        let r = host(x.mul_add(y, z), &[x, y, z]);
+        // ∞ × 0 is invalid even beside a quiet-NaN addend.
+        let inf_zero = |p: F, q: F| p.is_infinite() && q == F::ZERO;
+        let invalid = r.bits == F::CANON && (inf_zero(x, y) || inf_zero(y, x));
+        FpResult::new(r.bits, if invalid { flags::NV } else { r.flags })
     }
 }
 
-#[inline]
-fn round_ties_even(x: f64) -> f64 {
-    let r = x.round();
-    if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
-        r - x.signum()
-    } else {
-        r
+impl Arith for Soft {
+    fn add<F: Fmt>(x: F, y: F) -> FpResult {
+        x.soft_add(y)
+    }
+    fn mul<F: Fmt>(x: F, y: F) -> FpResult {
+        x.soft_mul(y)
+    }
+    fn fma<F: Fmt>(x: F, y: F, z: F) -> FpResult {
+        x.soft_fma(y, z)
     }
 }
 
-macro_rules! cvt_to_int {
-    ($x:expr, $rm:expr, $ty:ty) => {{
-        let x = $x;
-        if x.is_nan() {
-            FpResult {
-                bits: <$ty>::MAX as i64 as u64,
-                flags: flags::NV,
-            }
-        } else {
-            let r = round_f64(x, $rm);
-            if r < <$ty>::MIN as f64 {
-                FpResult {
-                    bits: <$ty>::MIN as i64 as u64,
-                    flags: flags::NV,
-                }
-            } else if r >= -(<$ty>::MIN as f64) && <$ty>::MIN != 0 {
-                FpResult {
-                    bits: <$ty>::MAX as i64 as u64,
-                    flags: flags::NV,
-                }
-            } else if <$ty>::MIN == 0 && r >= 2.0f64.powi(8 * std::mem::size_of::<$ty>() as i32) {
-                FpResult {
-                    bits: <$ty>::MAX as i64 as u64,
-                    flags: flags::NV,
-                }
-            } else {
-                let v = r as $ty;
-                let nx = if r != x { flags::NX } else { 0 };
-                FpResult {
-                    bits: v as i64 as u64,
-                    flags: nx,
-                }
-            }
-        }
-    }};
+/// A host result: a finite one raises nothing this model tracks (NX and
+/// UF are not derived); a NaN or infinite one goes to [`special`].
+#[inline(always)]
+fn host<F: Fmt>(r: F, ops: &[F]) -> FpResult {
+    if r.is_finite() {
+        FpResult::new(r.boxed(), 0)
+    } else {
+        special(r, ops)
+    }
 }
 
-fn minmax64(a: f64, b: f64, is_max: bool, snan: bool) -> FpResult {
-    let fl = if snan { flags::NV } else { 0 };
-    let bits = if a.is_nan() && b.is_nan() {
-        CANONICAL_NAN_F64
-    } else if a.is_nan() {
-        b.to_bits()
-    } else if b.is_nan() {
-        a.to_bits()
-    } else if a == 0.0 && b == 0.0 && a.is_sign_negative() != b.is_sign_negative() {
-        // -0.0 vs +0.0: min is -0.0, max is +0.0.
-        if is_max == a.is_sign_positive() {
-            a.to_bits()
-        } else {
-            b.to_bits()
-        }
-    } else if (a < b) != is_max {
-        a.to_bits()
-    } else {
-        b.to_bits()
+/// The flags of a NaN or infinite result computed from `ops`: an sNaN
+/// operand, or a NaN made from no NaN, is invalid; an infinity made from
+/// no infinity overflowed (an sNaN operand makes a NaN, so not both).
+#[cold]
+#[inline(never)]
+fn special<F: Fmt, G: Fmt>(r: F, ops: &[G]) -> FpResult {
+    let any = |p: fn(G) -> bool| ops.iter().any(|&x| p(x));
+    let invalid = any(G::is_snan) || r.is_nan() && !any(G::is_nan);
+    let overflow = r.is_infinite() && !any(G::is_infinite);
+    let flags = flag(invalid, flags::NV) | flag(overflow, flags::OF | flags::NX);
+    FpResult::new(r.canon(), flags)
+}
+
+/// Division: a finite non-zero dividend over zero is DZ, not overflow.
+fn div<F: Fmt>(x: F, y: F) -> FpResult {
+    let r = x / y;
+    if !r.is_finite() && y == F::ZERO && x.is_finite() && x != F::ZERO {
+        return FpResult::new(r.boxed(), flags::DZ);
+    }
+    host(r, &[x, y])
+}
+
+/// `fcvt.s.d` / `fcvt.d.s`: one rounding, NX when it lost bits.
+fn convert<T: Fmt, S: Fmt>(x: S) -> FpResult {
+    let r = T::from_f64(x.to_f64());
+    if !r.is_finite() {
+        return special(r, &[x]);
+    }
+    FpResult::new(r.boxed(), flag(r.to_f64() != x.to_f64(), flags::NX))
+}
+
+/// FP→int: round by `rm`, saturate outside `lo..=hi` with NV (a NaN
+/// reads as `hi`), NX when rounding moved the value. RV64 keeps a 32-bit
+/// result sign-extended.
+#[inline(always)]
+fn to_int<F: Fmt>(x: F, rm: u8, lo: i128, hi: i128) -> FpResult {
+    let x = x.to_f64();
+    let r = match rm {
+        1 => x.trunc(),
+        2 => x.floor(),
+        3 => x.ceil(),
+        4 => x.round(),
+        _ => x.round_ties_even(),
     };
-    FpResult { bits, flags: fl }
-}
-
-fn minmax32(a: f32, b: f32, is_max: bool, snan: bool) -> FpResult {
-    let fl = if snan { flags::NV } else { 0 };
-    let bits = if a.is_nan() && b.is_nan() {
-        CANONICAL_NAN_F32
-    } else if a.is_nan() {
-        box32(b.to_bits())
-    } else if b.is_nan() {
-        box32(a.to_bits())
-    } else if a == 0.0 && b == 0.0 && a.is_sign_negative() != b.is_sign_negative() {
-        if is_max == a.is_sign_positive() {
-            box32(a.to_bits())
-        } else {
-            box32(b.to_bits())
-        }
-    } else if (a < b) != is_max {
-        box32(a.to_bits())
+    let (v, flags) = if x.is_nan() || r >= (hi + 1) as f64 {
+        (hi as u64, flags::NV)
+    } else if r < lo as f64 {
+        (lo as u64, flags::NV)
     } else {
-        box32(b.to_bits())
+        let v = if lo < 0 { r as i64 as u64 } else { r as u64 };
+        (v, flag(r != x, flags::NX))
     };
-    FpResult { bits, flags: fl }
+    let w = hi >> 32 == 0;
+    FpResult::new(if w { v as i32 as u64 } else { v }, flags)
 }
 
-/// IEEE-754 classify, returning the RISC-V 10-bit class mask.
-pub fn classify64(bits: u64) -> u64 {
-    let x = f64::from_bits(bits);
-    let sign = bits >> 63 != 0;
-    if x.is_nan() {
-        if is_snan64(bits) {
-            1 << 8
-        } else {
-            1 << 9
-        }
-    } else if x.is_infinite() {
-        if sign {
-            1 << 0
-        } else {
-            1 << 7
-        }
-    } else if x == 0.0 {
-        if sign {
-            1 << 3
-        } else {
-            1 << 4
-        }
-    } else if x.is_subnormal() {
-        if sign {
-            1 << 2
-        } else {
-            1 << 5
-        }
-    } else if sign {
-        1 << 1
-    } else {
-        1 << 6
-    }
+/// Int→FP: one rounding to nearest-even. `v` survives the round trip,
+/// raising no NX, when its significant bits fit the significand.
+#[inline(always)]
+fn from_int<F: Fmt>(v: i128) -> FpResult {
+    let m = v.unsigned_abs();
+    let inexact = m >> F::DIGITS != 0 && m >> m.trailing_zeros() >> F::DIGITS != 0;
+    FpResult::new(F::from_i128(v).boxed(), flag(inexact, flags::NX))
 }
 
-/// IEEE-754 classify for single precision (takes the boxed value).
-pub fn classify32(v: u64) -> u64 {
-    let bits = if v >> 32 == 0xffff_ffff {
-        v as u32
-    } else {
-        0x7fc0_0000
+/// `fmin`/`fmax`: a number beats a NaN, −0 is below +0, an sNaN operand
+/// is invalid.
+fn minmax<F: Fmt>(x: F, y: F, max: bool) -> FpResult {
+    let below = x < y || x == y && x.is_sign_negative();
+    let take_y = x.is_nan() || !y.is_nan() && below == max;
+    let r = if take_y { y } else { x };
+    FpResult::new(r.canon(), flag(x.is_snan() || y.is_snan(), flags::NV))
+}
+
+/// `feq`: quiet, only an sNaN operand is invalid.
+fn feq<F: Fmt>(x: F, y: F) -> FpResult {
+    FpResult::new((x == y) as u64, flag(x.is_snan() || y.is_snan(), flags::NV))
+}
+
+/// `flt`/`fle`: signalling, any NaN operand is invalid.
+fn order<F: Fmt>(x: F, y: F, holds: fn(&F, &F) -> bool) -> FpResult {
+    FpResult::new(
+        holds(&x, &y) as u64,
+        flag(x.is_nan() || y.is_nan(), flags::NV),
+    )
+}
+
+/// `fclass`: bit 8 an sNaN, bit 9 a qNaN; bits 0–7 run from −∞ up to +∞,
+/// so a negative class `k` mirrors to `7 − k` when positive.
+fn classify<F: Fmt>(x: F) -> u64 {
+    let k = match (x.is_infinite(), x == F::ZERO, x.is_subnormal()) {
+        _ if x.is_nan() => return 1 << (9 - x.is_snan() as u32),
+        (true, _, _) => 0,
+        (_, true, _) => 3,
+        (_, _, true) => 2,
+        _ => 1,
     };
-    let x = f32::from_bits(bits);
-    let sign = bits >> 31 != 0;
-    if x.is_nan() {
-        if is_snan32(bits) {
-            1 << 8
-        } else {
-            1 << 9
-        }
-    } else if x.is_infinite() {
-        if sign {
-            1 << 0
-        } else {
-            1 << 7
-        }
-    } else if x == 0.0 {
-        if sign {
-            1 << 3
-        } else {
-            1 << 4
-        }
-    } else if x.is_subnormal() {
-        if sign {
-            1 << 2
-        } else {
-            1 << 5
-        }
-    } else if sign {
-        1 << 1
-    } else {
-        1 << 6
-    }
+    1 << if x.is_sign_negative() { k } else { 7 - k }
 }
 
-/// Execute a floating-point operation.
+/// Sign injection: `x`'s bits with the sign `pick` makes of both
+/// operands' bits; NaNs pass untouched.
+fn sgnj<F: Fmt>(x: F, y: F, pick: fn(u64, u64) -> u64) -> FpResult {
+    let sign = pick(x.raw(), y.raw()) & F::SIGN;
+    FpResult::new(F::from_raw(x.raw() & !F::SIGN | sign).boxed(), 0)
+}
+
+/// Execute a floating-point operation with host arithmetic.
 ///
 /// `a`, `b`, `c` are the source register values: FP sources carry register
 /// bits (NaN-boxed for `.s`), integer sources (for `fcvt.*.w` etc.) carry
@@ -306,258 +349,87 @@ pub fn classify32(v: u64) -> u64 {
 ///
 /// Debug-asserts if `op` is not a floating-point operation.
 pub fn fp_execute(op: Op, a: u64, b: u64, c: u64, rm: u8) -> FpResult {
-    use Op::*;
-    let a32 = || unbox32(a);
-    let b32 = || unbox32(b);
-    let c32 = || unbox32(c);
-    let a64 = || f64::from_bits(a);
-    let b64 = || f64::from_bits(b);
-    let c64 = || f64::from_bits(c);
-    let nan2_32 = |x: f32, y: f32| x.is_nan() || y.is_nan();
-    let nan2_64 = |x: f64, y: f64| x.is_nan() || y.is_nan();
-    let snan2_32 = || is_snan32(a as u32) || is_snan32(b as u32);
-    let snan2_64 = || is_snan64(a) || is_snan64(b);
+    fp_execute_with::<Host>(op, a, b, c, rm)
+}
 
+/// [`fp_execute`] with `A`'s kernels for add, sub, mul and the FMAs.
+///
+/// # Panics
+///
+/// Debug-asserts if `op` is not a floating-point operation.
+pub fn fp_execute_with<A: Arith>(op: Op, a: u64, b: u64, c: u64, rm: u8) -> FpResult {
+    use Op::*;
+    let s = f32::unbox;
+    let d = f64::unbox;
     match op {
-        FaddS => bin32(a32(), b32(), |x, y| x + y),
-        FsubS => bin32(a32(), b32(), |x, y| x - y),
-        FmulS => bin32(a32(), b32(), |x, y| x * y),
-        FdivS => {
-            let (x, y) = (a32(), b32());
-            let r = x / y;
-            let mut fl = arith_flags32(r, nan2_32(x, y));
-            if y == 0.0 && !x.is_nan() && x != 0.0 && !x.is_infinite() {
-                fl = flags::DZ;
-            }
-            FpResult {
-                bits: canon32(r),
-                flags: fl,
-            }
-        }
-        FsqrtS => {
-            let x = a32();
-            let r = x.sqrt();
-            let fl = if x < 0.0 { flags::NV } else { 0 };
-            FpResult {
-                bits: canon32(r),
-                flags: fl,
-            }
-        }
-        FaddD => bin64(a64(), b64(), |x, y| x + y),
-        FsubD => bin64(a64(), b64(), |x, y| x - y),
-        FmulD => bin64(a64(), b64(), |x, y| x * y),
-        FdivD => {
-            let (x, y) = (a64(), b64());
-            let r = x / y;
-            let mut fl = arith_flags64(r, nan2_64(x, y));
-            if y == 0.0 && !x.is_nan() && x != 0.0 && !x.is_infinite() {
-                fl = flags::DZ;
-            }
-            FpResult {
-                bits: canon64(r),
-                flags: fl,
-            }
-        }
-        FsqrtD => {
-            let x = a64();
-            let r = x.sqrt();
-            let fl = if x < 0.0 { flags::NV } else { 0 };
-            FpResult {
-                bits: canon64(r),
-                flags: fl,
-            }
-        }
-        FmaddS => fma32(a32(), b32(), c32(), 1.0, 1.0),
-        FmsubS => fma32(a32(), b32(), c32(), 1.0, -1.0),
-        FnmsubS => fma32(a32(), b32(), c32(), -1.0, 1.0),
-        FnmaddS => fma32(a32(), b32(), c32(), -1.0, -1.0),
-        FmaddD => fma64(a64(), b64(), c64(), 1.0, 1.0),
-        FmsubD => fma64(a64(), b64(), c64(), 1.0, -1.0),
-        FnmsubD => fma64(a64(), b64(), c64(), -1.0, 1.0),
-        FnmaddD => fma64(a64(), b64(), c64(), -1.0, -1.0),
-        FsgnjS => sgnj32(a, b, |s1, s2| {
-            let _ = s1;
-            s2
-        }),
-        FsgnjnS => sgnj32(a, b, |s1, s2| {
-            let _ = s1;
-            !s2
-        }),
-        FsgnjxS => sgnj32(a, b, |s1, s2| s1 ^ s2),
-        FsgnjD => sgnj64(a, b, |s1, s2| {
-            let _ = s1;
-            s2
-        }),
-        FsgnjnD => sgnj64(a, b, |s1, s2| {
-            let _ = s1;
-            !s2
-        }),
-        FsgnjxD => sgnj64(a, b, |s1, s2| s1 ^ s2),
-        FminS => minmax32(a32(), b32(), false, snan2_32()),
-        FmaxS => minmax32(a32(), b32(), true, snan2_32()),
-        FminD => minmax64(a64(), b64(), false, snan2_64()),
-        FmaxD => minmax64(a64(), b64(), true, snan2_64()),
-        FeqS => cmp(a32() == b32(), snan2_32()),
-        FltS => cmp_signaling(a32() < b32(), nan2_32(a32(), b32())),
-        FleS => cmp_signaling(a32() <= b32(), nan2_32(a32(), b32())),
-        FeqD => cmp(a64() == b64(), snan2_64()),
-        FltD => cmp_signaling(a64() < b64(), nan2_64(a64(), b64())),
-        FleD => cmp_signaling(a64() <= b64(), nan2_64(a64(), b64())),
-        FclassS => FpResult {
-            bits: classify32(a),
-            flags: 0,
-        },
-        FclassD => FpResult {
-            bits: classify64(a),
-            flags: 0,
-        },
-        FmvXW => FpResult {
-            bits: a as u32 as i32 as i64 as u64,
-            flags: 0,
-        },
-        FmvWX => FpResult {
-            bits: box32(a as u32),
-            flags: 0,
-        },
-        FmvXD => FpResult { bits: a, flags: 0 },
-        FmvDX => FpResult { bits: a, flags: 0 },
-        FcvtWS => cvt_to_int!(a32() as f64, rm, i32),
-        FcvtWuS => cvt_to_int!(a32() as f64, rm, u32),
-        FcvtLS => cvt_to_int!(a32() as f64, rm, i64),
-        FcvtLuS => cvt_to_int!(a32() as f64, rm, u64),
-        FcvtWD => cvt_to_int!(a64(), rm, i32),
-        FcvtWuD => cvt_to_int!(a64(), rm, u32),
-        FcvtLD => cvt_to_int!(a64(), rm, i64),
-        FcvtLuD => cvt_to_int!(a64(), rm, u64),
-        FcvtSW => from_int32(a as i32 as f64),
-        FcvtSWu => from_int32(a as u32 as f64),
-        FcvtSL => from_int32(a as i64 as f64),
-        FcvtSLu => from_int32(a as f64),
-        FcvtDW => FpResult {
-            bits: canon64(a as i32 as f64),
-            flags: 0,
-        },
-        FcvtDWu => FpResult {
-            bits: canon64(a as u32 as f64),
-            flags: 0,
-        },
-        FcvtDL => FpResult {
-            bits: canon64(a as i64 as f64),
-            flags: 0,
-        },
-        FcvtDLu => FpResult {
-            bits: canon64(a as f64),
-            flags: 0,
-        },
-        FcvtSD => {
-            let x = a64();
-            let r = x as f32;
-            let nx = if !x.is_nan() && r as f64 != x {
-                flags::NX
-            } else {
-                0
-            };
-            FpResult {
-                bits: canon32(r),
-                flags: nx,
-            }
-        }
-        FcvtDS => FpResult {
-            bits: canon64(a32() as f64),
-            flags: 0,
-        },
+        FaddS => A::add(s(a), s(b)),
+        FsubS => A::add(s(a), -s(b)),
+        FmulS => A::mul(s(a), s(b)),
+        FdivS => div(s(a), s(b)),
+        FsqrtS => host(s(a).sqrt(), &[s(a)]),
+        FaddD => A::add(d(a), d(b)),
+        FsubD => A::add(d(a), -d(b)),
+        FmulD => A::mul(d(a), d(b)),
+        FdivD => div(d(a), d(b)),
+        FsqrtD => host(d(a).sqrt(), &[d(a)]),
+        FmaddS => A::fma(s(a), s(b), s(c)),
+        FmsubS => A::fma(s(a), s(b), -s(c)),
+        FnmsubS => A::fma(-s(a), s(b), s(c)),
+        FnmaddS => A::fma(-s(a), s(b), -s(c)),
+        FmaddD => A::fma(d(a), d(b), d(c)),
+        FmsubD => A::fma(d(a), d(b), -d(c)),
+        FnmsubD => A::fma(-d(a), d(b), d(c)),
+        FnmaddD => A::fma(-d(a), d(b), -d(c)),
+        FsgnjS => sgnj(s(a), s(b), |_, y| y),
+        FsgnjnS => sgnj(s(a), s(b), |_, y| !y),
+        FsgnjxS => sgnj(s(a), s(b), |x, y| x ^ y),
+        FsgnjD => sgnj(d(a), d(b), |_, y| y),
+        FsgnjnD => sgnj(d(a), d(b), |_, y| !y),
+        FsgnjxD => sgnj(d(a), d(b), |x, y| x ^ y),
+        FminS => minmax(s(a), s(b), false),
+        FmaxS => minmax(s(a), s(b), true),
+        FminD => minmax(d(a), d(b), false),
+        FmaxD => minmax(d(a), d(b), true),
+        FeqS => feq(s(a), s(b)),
+        FltS => order(s(a), s(b), PartialOrd::lt),
+        FleS => order(s(a), s(b), PartialOrd::le),
+        FeqD => feq(d(a), d(b)),
+        FltD => order(d(a), d(b), PartialOrd::lt),
+        FleD => order(d(a), d(b), PartialOrd::le),
+        FclassS => FpResult::new(classify(s(a)), 0),
+        FclassD => FpResult::new(classify(d(a)), 0),
+        FmvXW => FpResult::new(a as u32 as i32 as i64 as u64, 0),
+        FmvWX => FpResult::new(f32::BOX | a, 0),
+        FmvXD | FmvDX => FpResult::new(a, 0),
+        FcvtWS => to_int(s(a), rm, i32::MIN.into(), i32::MAX.into()),
+        FcvtWuS => to_int(s(a), rm, 0, u32::MAX.into()),
+        FcvtLS => to_int(s(a), rm, i64::MIN.into(), i64::MAX.into()),
+        FcvtLuS => to_int(s(a), rm, 0, u64::MAX.into()),
+        FcvtWD => to_int(d(a), rm, i32::MIN.into(), i32::MAX.into()),
+        FcvtWuD => to_int(d(a), rm, 0, u32::MAX.into()),
+        FcvtLD => to_int(d(a), rm, i64::MIN.into(), i64::MAX.into()),
+        FcvtLuD => to_int(d(a), rm, 0, u64::MAX.into()),
+        FcvtSW => from_int::<f32>((a as i32).into()),
+        FcvtSWu => from_int::<f32>((a as u32).into()),
+        FcvtSL => from_int::<f32>((a as i64).into()),
+        FcvtSLu => from_int::<f32>(a.into()),
+        FcvtDW => from_int::<f64>((a as i32).into()),
+        FcvtDWu => from_int::<f64>((a as u32).into()),
+        FcvtDL => from_int::<f64>((a as i64).into()),
+        FcvtDLu => from_int::<f64>(a.into()),
+        FcvtSD => convert::<f32, f64>(d(a)),
+        FcvtDS => convert::<f64, f32>(s(a)),
         _ => {
             debug_assert!(false, "fp_execute called on {op:?}");
-            FpResult { bits: 0, flags: 0 }
+            FpResult::new(0, 0)
         }
-    }
-}
-
-fn bin32(x: f32, y: f32, f: impl Fn(f32, f32) -> f32) -> FpResult {
-    let r = f(x, y);
-    FpResult {
-        bits: canon32(r),
-        flags: arith_flags32(r, x.is_nan() || y.is_nan()),
-    }
-}
-
-fn bin64(x: f64, y: f64, f: impl Fn(f64, f64) -> f64) -> FpResult {
-    let r = f(x, y);
-    FpResult {
-        bits: canon64(r),
-        flags: arith_flags64(r, x.is_nan() || y.is_nan()),
-    }
-}
-
-fn fma32(a: f32, b: f32, c: f32, prod_sign: f32, add_sign: f32) -> FpResult {
-    let r = (a * prod_sign).mul_add(b, c * add_sign);
-    FpResult {
-        bits: canon32(r),
-        flags: arith_flags32(r, a.is_nan() || b.is_nan() || c.is_nan()),
-    }
-}
-
-fn fma64(a: f64, b: f64, c: f64, prod_sign: f64, add_sign: f64) -> FpResult {
-    let r = (a * prod_sign).mul_add(b, c * add_sign);
-    FpResult {
-        bits: canon64(r),
-        flags: arith_flags64(r, a.is_nan() || b.is_nan() || c.is_nan()),
-    }
-}
-
-fn sgnj32(a: u64, b: u64, f: impl Fn(bool, bool) -> bool) -> FpResult {
-    let abits = if a >> 32 == 0xffff_ffff {
-        a as u32
-    } else {
-        0x7fc0_0000
-    };
-    let bbits = if b >> 32 == 0xffff_ffff {
-        b as u32
-    } else {
-        0x7fc0_0000
-    };
-    let sign = f(abits >> 31 != 0, bbits >> 31 != 0);
-    let r = (abits & 0x7fff_ffff) | ((sign as u32) << 31);
-    FpResult {
-        bits: box32(r),
-        flags: 0,
-    }
-}
-
-fn sgnj64(a: u64, b: u64, f: impl Fn(bool, bool) -> bool) -> FpResult {
-    let sign = f(a >> 63 != 0, b >> 63 != 0);
-    FpResult {
-        bits: (a & 0x7fff_ffff_ffff_ffff) | ((sign as u64) << 63),
-        flags: 0,
-    }
-}
-
-fn cmp(result: bool, snan: bool) -> FpResult {
-    FpResult {
-        bits: result as u64,
-        flags: if snan { flags::NV } else { 0 },
-    }
-}
-
-fn cmp_signaling(result: bool, any_nan: bool) -> FpResult {
-    FpResult {
-        bits: (result && !any_nan) as u64,
-        flags: if any_nan { flags::NV } else { 0 },
-    }
-}
-
-fn from_int32(x: f64) -> FpResult {
-    let r = x as f32;
-    let nx = if r as f64 != x { flags::NX } else { 0 };
-    FpResult {
-        bits: canon32(r),
-        flags: nx,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flags::*;
 
     fn f64bits(x: f64) -> u64 {
         x.to_bits()
@@ -613,9 +485,18 @@ mod tests {
 
     #[test]
     fn comparisons() {
-        assert_eq!(fp_execute(Op::FltD, f64bits(1.0), f64bits(2.0), 0, 0).bits, 1);
-        assert_eq!(fp_execute(Op::FleD, f64bits(2.0), f64bits(2.0), 0, 0).bits, 1);
-        assert_eq!(fp_execute(Op::FeqD, f64bits(2.0), f64bits(3.0), 0, 0).bits, 0);
+        assert_eq!(
+            fp_execute(Op::FltD, f64bits(1.0), f64bits(2.0), 0, 0).bits,
+            1
+        );
+        assert_eq!(
+            fp_execute(Op::FleD, f64bits(2.0), f64bits(2.0), 0, 0).bits,
+            1
+        );
+        assert_eq!(
+            fp_execute(Op::FeqD, f64bits(2.0), f64bits(3.0), 0, 0).bits,
+            0
+        );
         // Comparisons with NaN: flt/fle signal, feq is quiet on qNaN.
         let nan = f64::NAN.to_bits();
         let r = fp_execute(Op::FltD, nan, f64bits(1.0), 0, 0);
@@ -676,16 +557,21 @@ mod tests {
 
     #[test]
     fn classify() {
-        assert_eq!(classify64(f64bits(-f64::INFINITY)), 1 << 0);
-        assert_eq!(classify64(f64bits(-1.0)), 1 << 1);
-        assert_eq!(classify64((-0.0f64).to_bits()), 1 << 3);
-        assert_eq!(classify64(0), 1 << 4);
-        assert_eq!(classify64(f64bits(1.0)), 1 << 6);
-        assert_eq!(classify64(f64bits(f64::INFINITY)), 1 << 7);
-        assert_eq!(classify64(CANONICAL_NAN_F64), 1 << 9);
-        assert_eq!(classify64(1), 1 << 5); // smallest subnormal
-        assert_eq!(classify32(CANONICAL_NAN_F32), 1 << 9);
-        assert_eq!(classify32(0xffff_ffff_0000_0000 | 1.0f32.to_bits() as u64), 1 << 6);
+        let class_d = |bits: u64| fp_execute(Op::FclassD, bits, 0, 0, 0).bits;
+        let class_s = |reg: u64| fp_execute(Op::FclassS, reg, 0, 0, 0).bits;
+        assert_eq!(class_d(f64bits(-f64::INFINITY)), 1 << 0);
+        assert_eq!(class_d(f64bits(-1.0)), 1 << 1);
+        assert_eq!(class_d((-0.0f64).to_bits()), 1 << 3);
+        assert_eq!(class_d(0), 1 << 4);
+        assert_eq!(class_d(f64bits(1.0)), 1 << 6);
+        assert_eq!(class_d(f64bits(f64::INFINITY)), 1 << 7);
+        assert_eq!(class_d(CANONICAL_NAN_F64), 1 << 9);
+        assert_eq!(class_d(1), 1 << 5); // smallest subnormal
+        assert_eq!(class_s(CANONICAL_NAN_F32), 1 << 9);
+        assert_eq!(
+            class_s(0xffff_ffff_0000_0000 | 1.0f32.to_bits() as u64),
+            1 << 6
+        );
     }
 
     #[test]
@@ -693,7 +579,7 @@ mod tests {
         let r = fp_execute(Op::FmvXD, f64bits(1.0), 0, 0, 0);
         assert_eq!(r.bits, f64bits(1.0));
         let r = fp_execute(Op::FmvWX, 0x3f80_0000, 0, 0, 0);
-        assert_eq!(unbox32(r.bits), 1.0);
+        assert_eq!(f32::unbox(r.bits), 1.0);
         // fmv.x.w sign-extends bit 31.
         let boxed = 0xffff_ffff_0000_0000u64 | 0x8000_0000;
         let r = fp_execute(Op::FmvXW, boxed, 0, 0, 0);
@@ -703,11 +589,116 @@ mod tests {
     #[test]
     fn float_double_conversion() {
         let r = fp_execute(Op::FcvtSD, f64bits(1.5), 0, 0, 0);
-        assert_eq!(unbox32(r.bits), 1.5);
+        assert_eq!(f32::unbox(r.bits), 1.5);
         let r = fp_execute(Op::FcvtSD, f64bits(1.0 + 1e-12), 0, 0, 0);
         assert_eq!(r.flags, flags::NX);
         let boxed = 0xffff_ffff_0000_0000u64 | 2.5f32.to_bits() as u64;
         let r = fp_execute(Op::FcvtDS, boxed, 0, 0, 0);
         assert_eq!(f64::from_bits(r.bits), 2.5);
+    }
+
+    /// Every arithmetic op and both FP↔FP conversions: an sNaN in any
+    /// source the op reads is invalid, and the result is the canonical NaN.
+    #[test]
+    fn an_snan_operand_raises_nv() {
+        use Op::*;
+        let (snan_d, snan_s) = (0x7ff0_0000_0000_0001, f32::from_bits(0x7f80_0001).boxed());
+        let d = [
+            FaddD, FsubD, FmulD, FdivD, FsqrtD, FmaddD, FmsubD, FnmsubD, FnmaddD,
+        ];
+        let s = [
+            FaddS, FsubS, FmulS, FdivS, FsqrtS, FmaddS, FmsubS, FnmsubS, FnmaddS,
+        ];
+        let arity = [2, 2, 2, 2, 1, 3, 3, 3, 3];
+        for (ops, snan, one, canon) in [
+            (d, snan_d, f64bits(1.0), CANONICAL_NAN_F64),
+            (s, snan_s, 1f32.boxed(), CANONICAL_NAN_F32),
+        ] {
+            for (op, n) in ops.into_iter().zip(arity) {
+                for k in 0..n {
+                    let mut srcs = [one; 3];
+                    srcs[k] = snan;
+                    let r = fp_execute(op, srcs[0], srcs[1], srcs[2], 0);
+                    assert_eq!((r.bits, r.flags), (canon, NV), "{op:?}, sNaN in source {k}");
+                }
+            }
+        }
+        let r = fp_execute(FcvtSD, snan_d, 0, 0, 0);
+        assert_eq!((r.bits, r.flags), (CANONICAL_NAN_F32, NV));
+        let r = fp_execute(FcvtDS, snan_s, 0, 0, 0);
+        assert_eq!((r.bits, r.flags), (CANONICAL_NAN_F64, NV));
+    }
+
+    /// An infinite operand makes an exact infinity: no overflow.
+    #[test]
+    fn an_infinite_operand_is_not_an_overflow() {
+        let r = fp_execute(Op::FaddD, f64bits(f64::INFINITY), f64bits(1.0), 0, 0);
+        assert_eq!((r.bits, r.flags), (f64bits(f64::INFINITY), 0));
+        // An infinity made from finite operands still overflows.
+        let r = fp_execute(Op::FaddD, f64bits(f64::MAX), f64bits(f64::MAX), 0, 0);
+        assert_eq!((r.bits, r.flags), (f64bits(f64::INFINITY), OF | NX));
+    }
+
+    /// `fcvt.s.l` rounds once, from the integer, not twice through f64.
+    #[test]
+    fn fcvt_s_l_rounds_once() {
+        let v = (1u64 << 62) + (1 << 38) + 1;
+        for op in [Op::FcvtSL, Op::FcvtSLu] {
+            let r = fp_execute(op, v, 0, 0, 0);
+            assert_eq!((r.bits, r.flags), (0xffff_ffff_5e80_0001, NX), "{op:?}");
+        }
+    }
+
+    /// An inexact int→FP conversion raises NX.
+    #[test]
+    fn an_inexact_int_to_fp_conversion_raises_nx() {
+        let r = fp_execute(Op::FcvtDL, (1u64 << 60) + 1, 0, 0, 0);
+        assert_eq!((r.bits, r.flags), (f64bits(2f64.powi(60)), NX));
+        let r = fp_execute(Op::FcvtDLu, u64::MAX, 0, 0, 0);
+        assert_eq!((r.bits, r.flags), (f64bits(2f64.powi(64)), NX));
+        let r = fp_execute(Op::FcvtDL, 1 << 60, 0, 0, 0);
+        assert_eq!(r.flags, 0);
+    }
+
+    /// RMM rounds ties away from zero, and only ties.
+    #[test]
+    fn rmm_rounds_only_ties_away() {
+        let r = fp_execute(Op::FcvtLD, f64bits(0.49999999999999994), 0, 0, 4);
+        assert_eq!((r.bits, r.flags), (0, NX));
+        let odd = (1u64 << 52) + 1;
+        let r = fp_execute(Op::FcvtLD, f64bits(odd as f64), 0, 0, 4);
+        assert_eq!((r.bits, r.flags), (odd, 0));
+        let r = fp_execute(Op::FcvtLD, f64bits(-2.5), 0, 0, 4);
+        assert_eq!((r.bits as i64, r.flags), (-3, NX));
+    }
+
+    /// RV64 sign-extends every 32-bit conversion result, unsigned ones too.
+    #[test]
+    fn fcvt_wu_sign_extends() {
+        let r = fp_execute(Op::FcvtWuD, f64bits(3e9), 0, 0, 1);
+        assert_eq!((r.bits, r.flags), (0xffff_ffff_b2d0_5e00, 0));
+        let r = fp_execute(Op::FcvtWuD, f64bits(1e10), 0, 0, 1);
+        assert_eq!((r.bits, r.flags), (u64::MAX, NV));
+    }
+
+    /// An operand that is not NaN-boxed reads as the quiet canonical NaN,
+    /// whatever its low word holds: no NV from `feq`/`fmin`/`fmax.s`.
+    #[test]
+    fn an_unboxed_single_is_a_quiet_nan() {
+        let unboxed_snan = 0x7f80_0001u64;
+        let one = 1f32.boxed();
+        let r = fp_execute(Op::FeqS, unboxed_snan, one, 0, 0);
+        assert_eq!((r.bits, r.flags), (0, 0));
+        for op in [Op::FminS, Op::FmaxS] {
+            let r = fp_execute(op, unboxed_snan, one, 0, 0);
+            assert_eq!((r.bits, r.flags), (one, 0), "{op:?}");
+        }
+    }
+
+    /// Narrowing `f64::MAX` overflows.
+    #[test]
+    fn fcvt_s_d_of_f64_max_overflows() {
+        let r = fp_execute(Op::FcvtSD, f64bits(f64::MAX), 0, 0, 0);
+        assert_eq!((r.bits, r.flags), (f32::INFINITY.boxed(), OF | NX));
     }
 }

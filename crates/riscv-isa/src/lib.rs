@@ -16,8 +16,9 @@
 //!   LightSSS snapshot mechanism),
 //! - [`softfloat`]: exact-rounding software floating point (the analogue of
 //!   Berkeley SoftFloat used by the Spike-like baseline interpreter),
-//! - [`fpu`]: host-float-backed floating point with RISC-V NaN boxing (the
-//!   analogue of NEMU's host-FP fast path),
+//! - [`fpu`]: the floating-point rulebook — each RISC-V FP rule written
+//!   once for both widths, over host arithmetic (the analogue of NEMU's
+//!   host-FP fast path) or, for the Spike-like baseline, [`softfloat`]'s,
 //! - [`asm`]: an in-Rust assembler/program builder used by the workload
 //!   suite,
 //! - [`state`]: the architectural-state container that DiffTest compares.

@@ -281,7 +281,7 @@ impl PhysMem for SparseMemory {
         while done < buf.len() {
             let page_idx = addr / PAGE_SIZE;
             let off = (addr & PAGE_MASK) as usize;
-            let n = ((PAGE_SIZE as usize - off) as usize).min(buf.len() - done);
+            let n = (PAGE_SIZE as usize - off).min(buf.len() - done);
             match self.pages.get(&page_idx) {
                 Some(p) => buf[done..done + n].copy_from_slice(&p[off..off + n]),
                 None => buf[done..done + n].fill(0),
@@ -297,7 +297,7 @@ impl PhysMem for SparseMemory {
         while done < buf.len() {
             let page_idx = addr / PAGE_SIZE;
             let off = (addr & PAGE_MASK) as usize;
-            let n = ((PAGE_SIZE as usize - off) as usize).min(buf.len() - done);
+            let n = (PAGE_SIZE as usize - off).min(buf.len() - done);
             self.page_mut(page_idx)[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
             addr += n as u64;

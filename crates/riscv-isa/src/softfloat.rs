@@ -389,39 +389,6 @@ macro_rules! softfloat_impl {
 softfloat_impl!(f64sf, u64, 11, 52, 0x7ff8_0000_0000_0000);
 softfloat_impl!(f32sf, u32, 8, 23, 0x7fc0_0000);
 
-/// Double-precision add (see [`f64sf::add`]).
-pub fn add64(a: u64, b: u64) -> SfResult<u64> {
-    f64sf::add(a, b)
-}
-/// Double-precision subtract.
-pub fn sub64(a: u64, b: u64) -> SfResult<u64> {
-    f64sf::sub(a, b)
-}
-/// Double-precision multiply.
-pub fn mul64(a: u64, b: u64) -> SfResult<u64> {
-    f64sf::mul(a, b)
-}
-/// Double-precision fused multiply-add.
-pub fn fma64(a: u64, b: u64, c: u64) -> SfResult<u64> {
-    f64sf::fma(a, b, c)
-}
-/// Single-precision add.
-pub fn add32(a: u32, b: u32) -> SfResult<u32> {
-    f32sf::add(a, b)
-}
-/// Single-precision subtract.
-pub fn sub32(a: u32, b: u32) -> SfResult<u32> {
-    f32sf::sub(a, b)
-}
-/// Single-precision multiply.
-pub fn mul32(a: u32, b: u32) -> SfResult<u32> {
-    f32sf::mul(a, b)
-}
-/// Single-precision fused multiply-add.
-pub fn fma32(a: u32, b: u32, c: u32) -> SfResult<u32> {
-    f32sf::fma(a, b, c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,10 +396,10 @@ mod tests {
 
     fn host_eq64(op: &str, a: f64, b: f64, c: f64) {
         let (got, want) = match op {
-            "add" => (add64(a.to_bits(), b.to_bits()).bits, a + b),
-            "sub" => (sub64(a.to_bits(), b.to_bits()).bits, a - b),
-            "mul" => (mul64(a.to_bits(), b.to_bits()).bits, a * b),
-            "fma" => (fma64(a.to_bits(), b.to_bits(), c.to_bits()).bits, a.mul_add(b, c)),
+            "add" => (f64sf::add(a.to_bits(), b.to_bits()).bits, a + b),
+            "sub" => (f64sf::sub(a.to_bits(), b.to_bits()).bits, a - b),
+            "mul" => (f64sf::mul(a.to_bits(), b.to_bits()).bits, a * b),
+            "fma" => (f64sf::fma(a.to_bits(), b.to_bits(), c.to_bits()).bits, a.mul_add(b, c)),
             _ => unreachable!(),
         };
         let want_bits = if want.is_nan() {
@@ -512,36 +479,36 @@ mod tests {
         let ninf = f64::NEG_INFINITY.to_bits();
         let nan = f64::NAN.to_bits();
         // inf - inf is invalid.
-        let r = add64(inf, ninf);
+        let r = f64sf::add(inf, ninf);
         assert_eq!(r.bits, 0x7ff8_0000_0000_0000);
         assert_eq!(r.flags, crate::fpu::flags::NV);
         // inf + finite = inf.
-        assert_eq!(add64(inf, 1.0f64.to_bits()).bits, inf);
+        assert_eq!(f64sf::add(inf, 1.0f64.to_bits()).bits, inf);
         // 0 * inf is invalid.
-        let r = mul64(0, inf);
+        let r = f64sf::mul(0, inf);
         assert_eq!(r.flags, crate::fpu::flags::NV);
         // NaN propagates canonically.
-        assert_eq!(add64(nan | 0xdead, 1.0f64.to_bits()).bits, 0x7ff8_0000_0000_0000);
+        assert_eq!(f64sf::add(nan | 0xdead, 1.0f64.to_bits()).bits, 0x7ff8_0000_0000_0000);
         // fma: inf*0 + qNaN raises NV per the RISC-V spec.
-        let r = fma64(inf, 0, nan);
+        let r = f64sf::fma(inf, 0, nan);
         assert_eq!(r.flags, crate::fpu::flags::NV);
         // -0 + -0 = -0; -0 + +0 = +0.
         let nz = (-0.0f64).to_bits();
-        assert_eq!(add64(nz, nz).bits, nz);
-        assert_eq!(add64(nz, 0).bits, 0);
+        assert_eq!(f64sf::add(nz, nz).bits, nz);
+        assert_eq!(f64sf::add(nz, 0).bits, 0);
         // Exact cancellation gives +0.
-        assert_eq!(sub64(1.5f64.to_bits(), 1.5f64.to_bits()).bits, 0);
+        assert_eq!(f64sf::sub(1.5f64.to_bits(), 1.5f64.to_bits()).bits, 0);
     }
 
     #[test]
     fn overflow_and_flags() {
-        let r = add64(f64::MAX.to_bits(), f64::MAX.to_bits());
+        let r = f64sf::add(f64::MAX.to_bits(), f64::MAX.to_bits());
         assert_eq!(r.bits, f64::INFINITY.to_bits());
         assert_ne!(r.flags & flags::OF, 0);
         assert_ne!(r.flags & flags::NX, 0);
-        let r = add64(1.0f64.to_bits(), 1e-30f64.to_bits());
+        let r = f64sf::add(1.0f64.to_bits(), 1e-30f64.to_bits());
         assert_ne!(r.flags & flags::NX, 0);
-        let r = add64(1.0f64.to_bits(), 1.0f64.to_bits());
+        let r = f64sf::add(1.0f64.to_bits(), 1.0f64.to_bits());
         assert_eq!(r.flags, 0);
     }
 
@@ -558,14 +525,14 @@ mod tests {
             (1e-44, 1e-44),
         ];
         for (a, b) in cases {
-            let got = add32(a.to_bits(), b.to_bits()).bits;
-            assert_eq!(got, (a + b).to_bits(), "add32({a:e},{b:e})");
-            let got = mul32(a.to_bits(), b.to_bits()).bits;
+            let got = f32sf::add(a.to_bits(), b.to_bits()).bits;
+            assert_eq!(got, (a + b).to_bits(), "f32sf::add({a:e},{b:e})");
+            let got = f32sf::mul(a.to_bits(), b.to_bits()).bits;
             let want = a * b;
             let want = if want.is_nan() { 0x7fc0_0000 } else { want.to_bits() };
-            assert_eq!(got, want, "mul32({a:e},{b:e})");
+            assert_eq!(got, want, "f32sf::mul({a:e},{b:e})");
         }
-        let got = fma32(0.1f32.to_bits(), 0.2f32.to_bits(), 0.3f32.to_bits()).bits;
+        let got = f32sf::fma(0.1f32.to_bits(), 0.2f32.to_bits(), 0.3f32.to_bits()).bits;
         assert_eq!(got, 0.1f32.mul_add(0.2, 0.3).to_bits());
     }
 

@@ -165,7 +165,7 @@ mod tests {
         let mut d = DramModel::ddr(cfg);
         // Two accesses to the same bank, different rows, back to back.
         let first = d.access(0x0, 0);
-        let second = d.access(0x0 + (1 << 13), 0);
+        let second = d.access(1 << 13, 0);
         assert!(second > first, "bank conflict must serialize");
     }
 

@@ -228,7 +228,7 @@ impl MemSystem {
     /// the caller has proven nothing is due in `(cycle, cycle + n]` — i.e.
     /// `next_event_cycle()` is `None` or `> cycle + n`.
     pub fn advance_idle(&mut self, n: u64) {
-        debug_assert!(self.next_event_cycle().map_or(true, |e| e > self.cycle + n));
+        debug_assert!(self.next_event_cycle().is_none_or(|e| e > self.cycle + n));
         self.cycle += n;
     }
 
@@ -611,12 +611,10 @@ mod tests {
         let mut sys = new_sys(1);
         // Write enough distinct lines mapping to the same L1 set to force
         // evictions through L2 and beyond (L1: 4 KiB, 2 ways, 32 sets).
-        let mut id = 1;
-        for i in 0..64u64 {
+        for (id, i) in (1..).zip(0..64u64) {
             let addr = 0x10_0000 + i * 4096; // same set every time
             assert!(sys.submit_data(store_req(0, addr, i + 1, id)));
             run_until_complete(&mut sys, id, 5000).expect("store completes");
-            id += 1;
         }
         // All values must be recoverable.
         for i in 0..64u64 {

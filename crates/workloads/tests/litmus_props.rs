@@ -97,11 +97,11 @@ proptest! {
             let mut first = engine(0, &p, hartid);
             let r0 = first.run(FUEL);
             prop_assert!(r0.exit_code.is_some(), "hart {} did not halt under {}", hartid, PERSONALITIES[0].name);
-            for idx in 1..PERSONALITIES.len() {
+            for (idx, pers) in PERSONALITIES.iter().enumerate().skip(1) {
                 let mut e = engine(idx, &p, hartid);
                 let r = e.run(FUEL);
-                prop_assert_eq!(r.exit_code, r0.exit_code, "hart {} exit under {}", hartid, PERSONALITIES[idx].name);
-                prop_assert_eq!(r.instructions, r0.instructions, "hart {} instret under {}", hartid, PERSONALITIES[idx].name);
+                prop_assert_eq!(r.exit_code, r0.exit_code, "hart {} exit under {}", hartid, pers.name);
+                prop_assert_eq!(r.instructions, r0.instructions, "hart {} instret under {}", hartid, pers.name);
             }
         }
     }

@@ -344,7 +344,7 @@ mod tests {
         let d = branch_at(0x5000, -32);
         let p = bpu.predict(0x5000, &d);
         assert!(!p.ubtb_hit, "cold uBTB");
-        bpu.resolve(0x5000, &d, &p, true, 0x5000 - 32, p.taken != true);
+        bpu.resolve(0x5000, &d, &p, true, 0x5000 - 32, !p.taken);
         let p2 = bpu.predict(0x5000, &d);
         assert!(p2.ubtb_hit, "trained uBTB hits");
     }

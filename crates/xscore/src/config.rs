@@ -133,10 +133,13 @@ macro_rules! machine_table {
     };
 }
 
+/// A preset's slug and constructor.
+type Preset = (&'static str, fn() -> XsConfig);
+
 /// Every named preset: its slug, then its constructor. The slugs are
 /// stable identifiers: campaign reports and the `campaign` CLI refer to
 /// configurations by them.
-const PRESETS: [(&str, fn() -> XsConfig); 5] = [
+const PRESETS: [Preset; 5] = [
     ("yqh", XsConfig::yqh),
     ("nh", XsConfig::nh),
     ("nh-dual", XsConfig::nh_dual),
@@ -363,7 +366,8 @@ impl XsConfig {
         fn yes(on: bool) -> String {
             if on { "Yes" } else { "-" }.into()
         }
-        let rows: [(&str, fn(&XsConfig) -> String); 16] = [
+        type Row = (&'static str, fn(&XsConfig) -> String);
+        let rows: [Row; 16] = [
             ("Feature", |c| c.name.clone()),
             ("microBTB", |c| entries(c.ubtb_entries)),
             ("BTB", |c| entries(c.btb_entries)),

@@ -230,7 +230,7 @@ const DS_SERIALIZATION: usize = 6;
 const DS_OTHER: usize = 7;
 
 /// Stable display names for the `dominant_stall` slots.
-pub const DOMINANT_STALL_NAMES: [&'static str; 8] = [
+pub const DOMINANT_STALL_NAMES: [&str; 8] = [
     "retired",
     "frontend_starved",
     "mispredict_recovery",
@@ -573,9 +573,7 @@ mod tests {
         // writeback->commit gap (6) dominates -> serialization slot.
         assert_eq!(d.dominant_stall[DS_SERIALIZATION], 1);
 
-        let mut perf = PerfCounters::default();
-        perf.uops = 1;
-        perf.flushes_mispredict = 1;
+        let mut perf = PerfCounters { uops: 1, flushes_mispredict: 1, ..Default::default() };
         assert!(d.cross_check(&perf).is_ok());
         perf.flushes_mispredict = 0;
         assert!(d.cross_check(&perf).is_err(), "dead flush counter must fail");

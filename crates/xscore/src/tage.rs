@@ -169,7 +169,7 @@ impl TageSc {
                     break;
                 }
             }
-            if !allocated && self.tick % 256 == 0 {
+            if !allocated && self.tick.is_multiple_of(256) {
                 // Periodically decay usefulness so allocation can proceed.
                 for t in &mut self.tables {
                     for e in t.iter_mut() {

@@ -65,13 +65,13 @@ impl Uop {
     }
 
     /// Total encoded length in bytes (covers fused pairs).
-    pub fn len(&self) -> u64 {
+    pub fn byte_len(&self) -> u64 {
         self.inst.len as u64 + self.fused.map_or(0, |f| f.len as u64)
     }
 
     /// Architectural next PC for sequential flow.
     pub fn fallthrough(&self) -> u64 {
-        self.pc + self.len()
+        self.pc + self.byte_len()
     }
 
     /// True for a register-move eligible for move elimination:
@@ -402,7 +402,7 @@ mod tests {
         let slli = di(Op::Slli, 6, 7, 0, 2);
         let add = di(Op::Add, 6, 6, 8, 0);
         let u = fuse(&Uop::new(0x100, slli, 0x104), &Uop::new(0x104, add, 0x108));
-        assert_eq!((u.len(), u.predicted_npc), (8, 0x108));
+        assert_eq!((u.byte_len(), u.predicted_npc), (8, 0x108));
         assert_eq!(u.srcs[0], Some(SrcReg { fp: false, idx: 7 }));
         assert_eq!(u.srcs[1], Some(SrcReg { fp: false, idx: 8 }));
         assert_eq!(u.dest, Some(SrcReg { fp: false, idx: 6 }));

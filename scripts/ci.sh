@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Every PR must pass this script unchanged:
 #
-#   1. release build of the whole workspace,
+#   1. release build of the whole workspace, then the lint gate: `cargo
+#      clippy --workspace --all-targets -- -D warnings` (every crate,
+#      test, bench, example and binary; a new clippy warning fails here
+#      instead of accumulating),
 #   2. the full test suite, one `--workspace` run that includes the root
 #      package (unit + integration + property + doc tests,
 #      among them `uncore`'s contention pin: two cores' seeded traffic
@@ -81,6 +84,9 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
+
+echo "== tier-1: cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo test -q --workspace (the root package's tests among them) =="
 cargo test -q --workspace

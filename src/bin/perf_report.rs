@@ -39,8 +39,8 @@ fn render_sampling(sm: &SamplingSummary, jobs: &[JobRecord]) {
         sm.workload, sm.config, sm.ref_model, sm.interval_len, sm.total_intervals
     );
     println!(
-        "{:>8} {:>8} {:>8} {:>8}  {:>7}  {}",
-        "phase", "interval", "members", "weight%", "cpi", "top-down slot shares"
+        "{:>8} {:>8} {:>8} {:>8}  {:>7}  top-down slot shares",
+        "phase", "interval", "members", "weight%", "cpi"
     );
     for p in &sm.phases {
         let Some(s) = jobs

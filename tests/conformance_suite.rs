@@ -385,7 +385,117 @@ fn rv64fd_arithmetic_agrees() {
     a.add(A0, A0, T4);
     a.add(A0, A0, T5);
     a.ebreak();
-    assert_eq!(conform(&a.assemble()), 1 + 1 + 0 + 10 + 0);
+    assert_eq!(conform(&a.assemble()), 12); // feq 1 + flt 1 + fle 0 + fcvt 10 + fmv 0
+}
+
+/// One FP edge case: `op` on `srcs` (FP register bits, or the GPR value
+/// of an int-source op) under rounding mode `rm` must leave `want` in
+/// its destination (FP results read back with `fmv.x.d`) and `flags` in
+/// `fflags`.
+struct FpCase {
+    op: Op,
+    srcs: [u64; 3],
+    rm: u8,
+    want: u64,
+    flags: u64,
+}
+
+/// The FP edge cases the host path once got wrong, with the results the
+/// spec gives: sNaN and infinite operands, a signalling ∞ × 0 beside a
+/// quiet-NaN addend, RMM conversions, an unsigned word conversion,
+/// once-rounded and inexact int→FP conversions, singles that are not
+/// NaN-boxed, and a narrowing overflow. The results of the arithmetic
+/// softfloat serves on `spike-like` (add, sub, mul, FMA) are exact, so
+/// no tier can differ in NX; the inexact cases run through rules every
+/// tier shares.
+fn fp_edge_cases() -> Vec<FpCase> {
+    use riscv_isa::fpu::flags::{NV, NX, OF};
+    let bx = |single: f32| 0xffff_ffff_0000_0000 | single.to_bits() as u64;
+    let (snan_d, snan_s) = (0x7ff0_0000_0000_0001, 0xffff_ffff_7f80_0001);
+    let (nan_d, nan_s) = (0x7ff8_0000_0000_0000, 0xffff_ffff_7fc0_0000);
+    let (one_d, one_s) = (1f64.to_bits(), bx(1.0));
+    let (inf_d, ninf_d) = (f64::INFINITY.to_bits(), f64::NEG_INFINITY.to_bits());
+    let case = |op, srcs, rm, want, flags| FpCase { op, srcs, rm, want, flags };
+    vec![
+        case(Op::FaddD, [snan_d, one_d, 0], 0, nan_d, NV),
+        case(Op::FmulD, [one_d, snan_d, 0], 0, nan_d, NV),
+        case(Op::FmaddD, [one_d, one_d, snan_d], 0, nan_d, NV),
+        case(Op::FsubS, [snan_s, one_s, 0], 0, nan_s, NV),
+        case(Op::FsqrtD, [snan_d, 0, 0], 0, nan_d, NV),
+        case(Op::FcvtSD, [snan_d, 0, 0], 0, nan_s, NV),
+        case(Op::FcvtDS, [snan_s, 0, 0], 0, nan_d, NV),
+        case(Op::FaddD, [inf_d, one_d, 0], 0, inf_d, 0),
+        case(Op::FmulD, [ninf_d, 2f64.to_bits(), 0], 0, ninf_d, 0),
+        case(Op::FmaddS, [bx(f32::INFINITY), one_s, one_s], 0, bx(f32::INFINITY), 0),
+        case(Op::FmaddD, [inf_d, 0, nan_d], 0, nan_d, NV),
+        case(Op::FcvtSL, [(1 << 62) + (1 << 38) + 1, 0, 0], 0, 0xffff_ffff_5e80_0001, NX),
+        case(Op::FcvtDL, [(1 << 60) + 1, 0, 0], 0, 2f64.powi(60).to_bits(), NX),
+        case(Op::FcvtLD, [0.49999999999999994f64.to_bits(), 0, 0], 4, 0, NX),
+        case(Op::FcvtLD, [(((1u64 << 52) + 1) as f64).to_bits(), 0, 0], 4, (1 << 52) + 1, 0),
+        case(Op::FcvtWuD, [3e9f64.to_bits(), 0, 0], 1, 0xffff_ffff_b2d0_5e00, 0),
+        case(Op::FeqS, [0x7f80_0001, one_s, 0], 0, 0, 0),
+        case(Op::FminS, [0x7f80_0001, one_s, 0], 0, one_s, 0),
+        case(Op::FcvtSD, [f64::MAX.to_bits(), 0, 0], 0, bx(f32::INFINITY), OF | NX),
+    ]
+}
+
+/// [`fp_edge_cases`] as a programme: each case runs, reads `fflags` into
+/// a GPR and clears it, and sets bit `2i` of `a0` if its result is not
+/// the spec's, bit `2i + 1` if its flags are not. Exit word 0 means
+/// every case held.
+fn fp_edge_case_programme() -> Program {
+    use riscv_isa::csr::addr::FFLAGS;
+    use riscv_isa::op::DecodedInst;
+    let mut a = Asm::new(BASE);
+    a.li(A0, 0);
+    for (i, c) in fp_edge_cases().iter().enumerate() {
+        let (rs1, rs2, rs3) = (FT0, FT1, FT2);
+        let mut d = DecodedInst { op: c.op, rs1, rs2, rs3, rm: c.rm, ..Default::default() };
+        for (f, bits) in [rs1, rs2, rs3].into_iter().zip(c.srcs) {
+            a.li(T0, bits as i64);
+            a.fmv_d_x(f, T0);
+        }
+        if !d.rs1_is_fpr() {
+            d.rs1 = T0;
+            a.li(T0, c.srcs[0] as i64);
+        }
+        d.rd = if d.writes_fpr() { FT3 } else { T3 };
+        a.raw32(riscv_isa::encode::encode(&d).expect("an FP op encodes"));
+        a.csrrs(T1, FFLAGS, ZERO);
+        a.csrrw(ZERO, FFLAGS, ZERO);
+        if d.writes_fpr() {
+            a.fmv_x_d(T3, FT3);
+        }
+        for (got, want, bit) in [(T3, c.want, 2 * i), (T1, c.flags, 2 * i + 1)] {
+            a.li(T2, want as i64);
+            a.xor(T2, T2, got);
+            a.sltu(T2, ZERO, T2);
+            a.slli(T2, T2, bit as i64);
+            a.or(A0, A0, T2);
+        }
+    }
+    a.ebreak();
+    a.assemble()
+}
+
+/// Every personality gives every FP edge case the spec's result and flags.
+#[test]
+fn rv64fd_edge_cases_conform() {
+    assert_eq!(conform(&fp_edge_case_programme()), 0, "bit 2i: case i's result, 2i + 1: its flags");
+}
+
+/// The FP edge cases co-simulated on `small-nh` halt clean, with exit
+/// word 0, under DiffTest's default REF and under `spike-like`, whose
+/// softfloat kernels serve the arithmetic cases.
+#[test]
+fn rv64fd_edge_cases_halt_clean_under_difftest() {
+    use minjie::{CoSim, CoSimEnd};
+    let p = fp_edge_case_programme();
+    let config = || xscore::XsConfig::preset("small-nh").expect("preset exists");
+    for mut cosim in [CoSim::new(config(), &p), CoSim::new_with_ref(config(), &p, "spike-like")] {
+        let end = cosim.run(2_000_000);
+        assert!(matches!(end, CoSimEnd::Halted(0)), "{end:?}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -70,7 +70,8 @@ fn lrsc_contention_many_seeds() {
 #[test]
 fn outcome_histograms_are_pinned() {
     // (shape, fenced, [(outcome index, count)])
-    let pins: &[(LitmusShape, bool, &[(u8, u32)])] = &[
+    type Pin = (LitmusShape, bool, &'static [(u8, u32)]);
+    let pins: &[Pin] = &[
         (LitmusShape::Mp, false, &[(1, 8)]),
         (LitmusShape::Mp, true, &[(0, 8)]),
         (LitmusShape::Sb, false, &[(0, 8)]),

@@ -30,7 +30,7 @@ const CONFIGS: [&str; 2] = ["small-nh", "small-yqh"];
 /// per workload, fanned over 2 workers. The 2 k warm-up / 24 k window
 /// pair is deliberate: on these test-scale kernels, short windows are
 /// dominated by the cold-restore transient (libquantum overestimates by
-/// >30 %), while long warm-ups shift hmmer's windows off the profiled
+/// more than 30 %), while long warm-ups shift hmmer's windows off the profiled
 /// intervals — this pair holds every cell within the 25 % gate.
 fn farm_spec() -> SampleSpec {
     SampleSpec::new(
