@@ -751,7 +751,9 @@ impl Interpreter for Nemu {
         }
         let upc = match self.code.get(self.cursor as usize) {
             Some(u) if u.pc == pc && u.handler != Handler::Goto => self.cursor,
-            _ => self.lookup_or_fill(pc).expect("fast_mem holds, so fill succeeds"),
+            _ => self
+                .lookup_or_fill(pc)
+                .expect("fast_mem holds, so fill succeeds"),
         };
         let uop = &self.code[upc as usize];
         let slow = uop.handler == Handler::Slow;

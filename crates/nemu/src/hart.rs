@@ -166,8 +166,7 @@ fn virt_read<M: PhysMem>(
         let (hi, _, _) = virt_read(hart, mem, va + split, size - split, access)?;
         return Ok(((hi << (8 * split)) | lo, va, false));
     }
-    let t = mmu::translate(mem, &hart.state.csr, va, access)
-        .map_err(|e| ExecError::new(e, va))?;
+    let t = mmu::translate(mem, &hart.state.csr, va, access).map_err(|e| ExecError::new(e, va))?;
     if t.pa == MTIME && size == 8 {
         return Ok((hart.state.csr.time, t.pa, true));
     }
@@ -268,8 +267,15 @@ pub fn execute<A: Arith, M: PhysMem>(
     }
 
     // Fast path: plain integer computation.
-    if let Some(v) = int_compute(d.op, rs1, if has_imm_operand(d.op) { d.imm as u64 } else { rs2 })
-    {
+    if let Some(v) = int_compute(
+        d.op,
+        rs1,
+        if has_imm_operand(d.op) {
+            d.imm as u64
+        } else {
+            rs2
+        },
+    ) {
         wb!(v);
         return Ok(());
     }

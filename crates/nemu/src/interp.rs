@@ -5,8 +5,8 @@
 //! bytecode dispatch layer per instruction).
 
 use crate::hart::{self, Hart, StepInfo};
-use riscv_isa::mem::SparseMemory;
 use riscv_isa::fpu::{Host, Soft};
+use riscv_isa::mem::SparseMemory;
 use riscv_isa::op::DecodedInst;
 
 /// Outcome of [`Interpreter::run_until`].
@@ -490,7 +490,12 @@ mod tests {
         let p = sum_program();
         let mut s = SpikeLike::new(&p);
         s.run(1_000_000);
-        assert!(s.hits > s.misses * 10, "hits={} misses={}", s.hits, s.misses);
+        assert!(
+            s.hits > s.misses * 10,
+            "hits={} misses={}",
+            s.hits,
+            s.misses
+        );
     }
 
     #[test]

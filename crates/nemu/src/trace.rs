@@ -309,7 +309,10 @@ impl NemuTrace {
         }
         self.stats.tlb_misses += 1;
         let t = mmu::translate(&mut self.mem, &self.hart.state.csr, va, AccessType::Load).ok()?;
-        let e = TlbEntry { vpn, ppn: t.pa >> 12 };
+        let e = TlbEntry {
+            vpn,
+            ppn: t.pa >> 12,
+        };
         self.ltlb[self.ltlb_next] = e;
         self.ltlb_next ^= 1;
         Some((e.ppn << 12) | (va & 0xfff))
@@ -334,7 +337,10 @@ impl NemuTrace {
         }
         self.stats.tlb_misses += 1;
         let t = mmu::translate(&mut self.mem, &self.hart.state.csr, va, AccessType::Store).ok()?;
-        let e = TlbEntry { vpn, ppn: t.pa >> 12 };
+        let e = TlbEntry {
+            vpn,
+            ppn: t.pa >> 12,
+        };
         self.stlb[self.stlb_next] = e;
         self.stlb_next ^= 1;
         Some((e.ppn << 12) | (va & 0xfff))
@@ -596,13 +602,13 @@ impl NemuTrace {
                         upc += 1;
                     }
                     H_ADD => {
-                        self.regs[uop.rd as usize] = self.regs[uop.rs1 as usize]
-                            .wrapping_add(self.regs[uop.rs2 as usize]);
+                        self.regs[uop.rd as usize] =
+                            self.regs[uop.rs1 as usize].wrapping_add(self.regs[uop.rs2 as usize]);
                         upc += 1;
                     }
                     H_SUB => {
-                        self.regs[uop.rd as usize] = self.regs[uop.rs1 as usize]
-                            .wrapping_sub(self.regs[uop.rs2 as usize]);
+                        self.regs[uop.rd as usize] =
+                            self.regs[uop.rs1 as usize].wrapping_sub(self.regs[uop.rs2 as usize]);
                         upc += 1;
                     }
                     H_AND => {
@@ -643,14 +649,13 @@ impl NemuTrace {
                         upc += 1;
                     }
                     H_SRAI => {
-                        self.regs[uop.rd as usize] = ((self.regs[uop.rs1 as usize] as i64)
-                            >> (uop.imm as u64 & 63))
-                            as u64;
+                        self.regs[uop.rd as usize] =
+                            ((self.regs[uop.rs1 as usize] as i64) >> (uop.imm as u64 & 63)) as u64;
                         upc += 1;
                     }
                     H_ADDW => {
-                        let v = self.regs[uop.rs1 as usize]
-                            .wrapping_add(self.regs[uop.rs2 as usize]);
+                        let v =
+                            self.regs[uop.rs1 as usize].wrapping_add(self.regs[uop.rs2 as usize]);
                         self.regs[uop.rd as usize] = v as i32 as i64 as u64;
                         upc += 1;
                     }
@@ -700,8 +705,7 @@ impl NemuTrace {
                         let Some(pa) = self.load_pa(va, 4) else {
                             slow_exit!()
                         };
-                        self.regs[uop.rd as usize] =
-                            self.mem.read_uint(pa, 4) as i32 as i64 as u64;
+                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 4) as i32 as i64 as u64;
                         upc += 1;
                     }
                     H_LWU => {
@@ -717,8 +721,7 @@ impl NemuTrace {
                         let Some(pa) = self.load_pa(va, 2) else {
                             slow_exit!()
                         };
-                        self.regs[uop.rd as usize] =
-                            self.mem.read_uint(pa, 2) as i16 as i64 as u64;
+                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 2) as i16 as i64 as u64;
                         upc += 1;
                     }
                     H_LHU => {
@@ -734,8 +737,7 @@ impl NemuTrace {
                         let Some(pa) = self.load_pa(va, 1) else {
                             slow_exit!()
                         };
-                        self.regs[uop.rd as usize] =
-                            self.mem.read_uint(pa, 1) as i8 as i64 as u64;
+                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 1) as i8 as i64 as u64;
                         upc += 1;
                     }
                     H_LBU => {
@@ -864,8 +866,7 @@ impl NemuTrace {
                         branch!(self.regs[uop.rs1 as usize] != self.regs[uop.rs2 as usize])
                     }
                     H_BLT => branch!(
-                        (self.regs[uop.rs1 as usize] as i64)
-                            < (self.regs[uop.rs2 as usize] as i64)
+                        (self.regs[uop.rs1 as usize] as i64) < (self.regs[uop.rs2 as usize] as i64)
                     ),
                     H_BGE => branch!(
                         (self.regs[uop.rs1 as usize] as i64)
@@ -893,8 +894,7 @@ impl NemuTrace {
                     H_JALR => {
                         // Compute the target before writing rd (rd may
                         // alias rs1).
-                        let target =
-                            self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
+                        let target = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
                         self.regs[uop.rd as usize] = uop.next_pc;
                         end_block!(target);
                         if uop.link != UNRESOLVED && uop.tpc == target {
@@ -1169,7 +1169,11 @@ mod tests {
         let mut t = NemuTrace::with_capacity(&p, 512);
         let r = t.run(100_000);
         assert_eq!(r.exit_code, Some(1200));
-        assert!(t.stats.flushes >= 1, "capacity flush expected: {:?}", t.stats);
+        assert!(
+            t.stats.flushes >= 1,
+            "capacity flush expected: {:?}",
+            t.stats
+        );
     }
 
     #[test]

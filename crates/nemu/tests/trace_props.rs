@@ -229,7 +229,10 @@ fn contract_program(seed: u64) -> Program {
 }
 
 fn assert_arch_eq(t: &Hart, r: &Hart, ctx: &str) {
-    assert_eq!(t.state, r.state, "{ctx}: architectural state (CSRs included)");
+    assert_eq!(
+        t.state, r.state,
+        "{ctx}: architectural state (CSRs included)"
+    );
     assert_eq!(t.instret, r.instret, "{ctx}: instret");
     assert_eq!(t.halted, r.halted, "{ctx}: halt state");
     assert_eq!(t.reservation, r.reservation, "{ctx}: reservation");
@@ -387,7 +390,10 @@ fn contract_programs_halt_and_exercise_the_system_paths() {
         }
         assert!(h.is_halted(), "seed {seed} did not halt");
         if seed % 3 == 0 {
-            assert!(traps >= 3 && fence_i >= 3 && fp >= 3, "seed {seed}: {traps} {fence_i} {fp}");
+            assert!(
+                traps >= 3 && fence_i >= 3 && fp >= 3,
+                "seed {seed}: {traps} {fence_i} {fp}"
+            );
         }
     }
 }
@@ -428,7 +434,11 @@ fn halted_hart_reports_nothing() {
         assert_eq!(tier.run(100).exit_code, Some(7));
         let (pc, instret) = (tier.hart().state.pc, tier.hart().instret);
         let info = tier.step_one();
-        assert!(info.halted && info.trap.is_none() && info.wb.is_none(), "{}", pers.name);
+        assert!(
+            info.halted && info.trap.is_none() && info.wb.is_none(),
+            "{}",
+            pers.name
+        );
         assert_eq!(info.pc, pc, "{}", pers.name);
         let mut blocks = Blocks::default();
         assert_eq!(tier.run_until(10, &mut blocks).instructions, 0);

@@ -275,7 +275,8 @@ csr_table! {
 
 /// The row that holds `csr`, if the address is implemented.
 pub fn row(csr: u16) -> Option<&'static CsrRow> {
-    ROWS.iter().find(|row| (row.addrs.0..=row.addrs.1).contains(&csr))
+    ROWS.iter()
+        .find(|row| (row.addrs.0..=row.addrs.1).contains(&csr))
 }
 
 impl CsrFile {
@@ -285,7 +286,10 @@ impl CsrFile {
     /// (`mstatus.FS = dirty`) so that bare-metal workloads can use the FPU
     /// without an enabling stub.
     pub fn new(hartid: u64) -> Self {
-        CsrFile { mhartid: hartid, ..RESET }
+        CsrFile {
+            mhartid: hartid,
+            ..RESET
+        }
     }
 
     /// What the address holds, bypassing privilege checks and `read`'s
@@ -420,7 +424,11 @@ impl CsrFile {
             Trap::Exception(e, _) => (e.code(), false),
             Trap::Interrupt(i) => (i.code(), true),
         };
-        let deleg = if is_interrupt { self.mideleg } else { self.medeleg };
+        let deleg = if is_interrupt {
+            self.mideleg
+        } else {
+            self.medeleg
+        };
         let to_s = self.privilege <= Privilege::Supervisor && (deleg >> code) & 1 == 1;
 
         if to_s {
@@ -512,8 +520,7 @@ impl CsrFile {
         if pending == 0 {
             return None;
         }
-        let m_enabled = self.privilege < Privilege::Machine
-            || (self.mstatus & mstatus::MIE != 0);
+        let m_enabled = self.privilege < Privilege::Machine || (self.mstatus & mstatus::MIE != 0);
         let m_pending = pending & !self.mideleg;
         if m_enabled && m_pending != 0 {
             return pick_interrupt(m_pending);
@@ -759,15 +766,37 @@ mod tests {
     /// One word per field, `privilege` first: what a digest folds.
     fn words(c: &CsrFile) -> [u64; 24] {
         [
-            c.privilege as u64, c.mstatus, c.medeleg, c.mideleg, c.mie, c.mip, c.mtvec,
-            c.mcounteren, c.mscratch, c.mepc, c.mcause, c.mtval, c.mcycle, c.minstret, c.stvec,
-            c.scounteren, c.sscratch, c.sepc, c.scause, c.stval, c.satp, c.fcsr, c.mhartid,
+            c.privilege as u64,
+            c.mstatus,
+            c.medeleg,
+            c.mideleg,
+            c.mie,
+            c.mip,
+            c.mtvec,
+            c.mcounteren,
+            c.mscratch,
+            c.mepc,
+            c.mcause,
+            c.mtval,
+            c.mcycle,
+            c.minstret,
+            c.stvec,
+            c.scounteren,
+            c.sscratch,
+            c.sepc,
+            c.scause,
+            c.stval,
+            c.satp,
+            c.fcsr,
+            c.mhartid,
             c.time,
         ]
     }
 
     fn fold(digest: &mut u64, word: u64) {
-        *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23);
+        *digest = (*digest ^ word)
+            .wrapping_mul(0x0000_0100_0000_01b3)
+            .rotate_left(23);
     }
 
     fn fold_result<T>(digest: &mut u64, r: Result<T, Exception>, word: impl Fn(T) -> u64) {
@@ -789,14 +818,32 @@ mod tests {
         let mut base = CsrFile::new(5);
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
         for field in [
-            &mut base.mstatus, &mut base.medeleg, &mut base.mideleg, &mut base.mie,
-            &mut base.mip, &mut base.mtvec, &mut base.mcounteren, &mut base.mscratch,
-            &mut base.mepc, &mut base.mcause, &mut base.mtval, &mut base.mcycle,
-            &mut base.minstret, &mut base.stvec, &mut base.scounteren, &mut base.sscratch,
-            &mut base.sepc, &mut base.scause, &mut base.stval, &mut base.satp, &mut base.fcsr,
+            &mut base.mstatus,
+            &mut base.medeleg,
+            &mut base.mideleg,
+            &mut base.mie,
+            &mut base.mip,
+            &mut base.mtvec,
+            &mut base.mcounteren,
+            &mut base.mscratch,
+            &mut base.mepc,
+            &mut base.mcause,
+            &mut base.mtval,
+            &mut base.mcycle,
+            &mut base.minstret,
+            &mut base.stvec,
+            &mut base.scounteren,
+            &mut base.sscratch,
+            &mut base.sepc,
+            &mut base.scause,
+            &mut base.stval,
+            &mut base.satp,
+            &mut base.fcsr,
             &mut base.time,
         ] {
-            seed = seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e_f767_814f);
+            seed = seed
+                .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                .wrapping_add(0x1405_7b7e_f767_814f);
             *field = seed ^ (seed >> 29);
         }
         let values = [
@@ -804,11 +851,13 @@ mod tests {
             u64::MAX,
             0x5555_5555_5555_5555,
             0xaaaa_aaaa_aaaa_aaaa,
-            (8 << 60) | 0x12_3456,      // a legal satp mode
+            (8 << 60) | 0x12_3456,       // a legal satp mode
             (1 << 60) | 0x1000 | 0xbeef, // an illegal satp mode, MPP = 2
         ];
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        words(&CsrFile::new(5)).into_iter().for_each(|x| fold(&mut digest, x)); // the reset state
+        words(&CsrFile::new(5))
+            .into_iter()
+            .for_each(|x| fold(&mut digest, x)); // the reset state
         for privilege in [Privilege::Machine, Privilege::Supervisor, Privilege::User] {
             for gates in 0..16u64 {
                 let mut c = base.clone();

@@ -74,14 +74,8 @@ mod tests {
     fn renders_common_forms() {
         assert_eq!(disassemble(&decode32(0x02a0_0293), 0), "addi t0, zero, 42");
         assert_eq!(disassemble(&decode32(0x0020_81b3), 0), "add gp, ra, sp");
-        assert_eq!(
-            disassemble(&decode32(0x0101_3303), 0),
-            "ld t1, 16(sp)"
-        );
-        assert_eq!(
-            disassemble(&decode32(0xfe61_3c23), 0),
-            "sd t1, -8(sp)"
-        );
+        assert_eq!(disassemble(&decode32(0x0101_3303), 0), "ld t1, 16(sp)");
+        assert_eq!(disassemble(&decode32(0xfe61_3c23), 0), "sd t1, -8(sp)");
         assert_eq!(
             disassemble(&decode32(0x0020_8463), 0x8000_0000),
             "beq ra, sp, 0x80000008"
@@ -91,10 +85,7 @@ mod tests {
             disassemble(&decode32(0x0220_f1d3), 0),
             "fadd.d ft3, ft1, ft2"
         );
-        assert_eq!(
-            disassemble(&decode32(0x1855_332f), 0),
-            "sc.d t1, t0, (a0)"
-        );
+        assert_eq!(disassemble(&decode32(0x1855_332f), 0), "sc.d t1, t0, (a0)");
         assert_eq!(
             disassemble(&DecodedInst::default(), 0),
             "illegal 0x00000000"

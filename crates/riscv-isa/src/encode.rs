@@ -218,8 +218,28 @@ mod tests {
                 ..Default::default()
             });
         }
-        assert_eq!(decode32(encode(&DecodedInst { op: Op::Mret, ..Default::default() }).unwrap()).op, Op::Mret);
-        assert_eq!(decode32(encode(&DecodedInst { op: Op::Ecall, ..Default::default() }).unwrap()).op, Op::Ecall);
+        assert_eq!(
+            decode32(
+                encode(&DecodedInst {
+                    op: Op::Mret,
+                    ..Default::default()
+                })
+                .unwrap()
+            )
+            .op,
+            Op::Mret
+        );
+        assert_eq!(
+            decode32(
+                encode(&DecodedInst {
+                    op: Op::Ecall,
+                    ..Default::default()
+                })
+                .unwrap()
+            )
+            .op,
+            Op::Ecall
+        );
     }
 
     #[test]

@@ -241,7 +241,10 @@ mod tests {
         assert_eq!(int_compute(Op::Sub, 2, 3), Some(u64::MAX));
         assert_eq!(int_compute(Op::Slt, (-1i64) as u64, 0), Some(1));
         assert_eq!(int_compute(Op::Sltu, u64::MAX, 0), Some(0));
-        assert_eq!(int_compute(Op::Addw, 0x7fff_ffff, 1), Some(0xffff_ffff_8000_0000));
+        assert_eq!(
+            int_compute(Op::Addw, 0x7fff_ffff, 1),
+            Some(0xffff_ffff_8000_0000)
+        );
         assert_eq!(int_compute(Op::Sraiw, 0x8000_0000, 31), Some(u64::MAX));
     }
 
@@ -281,10 +284,22 @@ mod tests {
         assert_eq!(int_compute(Op::Clz, 1, 0), Some(63));
         assert_eq!(int_compute(Op::Ctz, 8, 0), Some(3));
         assert_eq!(int_compute(Op::Cpop, 0xff, 0), Some(8));
-        assert_eq!(int_compute(Op::Min, (-5i64) as u64, 3), Some((-5i64) as u64));
-        assert_eq!(int_compute(Op::Maxu, (-5i64) as u64, 3), Some((-5i64) as u64));
-        assert_eq!(int_compute(Op::Rev8, 0x0102_0304_0506_0708, 0), Some(0x0807_0605_0403_0201));
-        assert_eq!(int_compute(Op::OrcB, 0x0100_0000_0020_0003, 0), Some(0xff00_0000_00ff_00ff));
+        assert_eq!(
+            int_compute(Op::Min, (-5i64) as u64, 3),
+            Some((-5i64) as u64)
+        );
+        assert_eq!(
+            int_compute(Op::Maxu, (-5i64) as u64, 3),
+            Some((-5i64) as u64)
+        );
+        assert_eq!(
+            int_compute(Op::Rev8, 0x0102_0304_0506_0708, 0),
+            Some(0x0807_0605_0403_0201)
+        );
+        assert_eq!(
+            int_compute(Op::OrcB, 0x0100_0000_0020_0003, 0),
+            Some(0xff00_0000_00ff_00ff)
+        );
         assert_eq!(int_compute(Op::SextB, 0x80, 0), Some((-128i64) as u64));
         assert_eq!(int_compute(Op::ZextH, 0xffff_ffff, 0), Some(0xffff));
         assert_eq!(int_compute(Op::Ror, 1, 1), Some(0x8000_0000_0000_0000));
@@ -303,7 +318,10 @@ mod tests {
     #[test]
     fn amo_semantics() {
         assert_eq!(amo_compute(Op::AmoaddD, 1, 2), 3);
-        assert_eq!(amo_compute(Op::AmoswapW, 1, 0xffff_ffff), 0xffff_ffff_ffff_ffff);
+        assert_eq!(
+            amo_compute(Op::AmoswapW, 1, 0xffff_ffff),
+            0xffff_ffff_ffff_ffff
+        );
         assert_eq!(amo_compute(Op::AmominW, 5, (-1i32) as u32 as u64), u64::MAX);
         assert_eq!(amo_compute(Op::AmomaxuD, 5, u64::MAX), u64::MAX);
         assert_eq!(amo_compute(Op::AmoandD, 0b1100, 0b1010), 0b1000);

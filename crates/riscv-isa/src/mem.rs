@@ -64,8 +64,12 @@ impl Hasher for IntHasher {
 fn load_le(bytes: &[u8], size: usize) -> u64 {
     match size {
         8 => u64::from_le_bytes(bytes[..8].try_into().expect("8-byte slice")),
-        4 => u64::from(u32::from_le_bytes(bytes[..4].try_into().expect("4-byte slice"))),
-        2 => u64::from(u16::from_le_bytes(bytes[..2].try_into().expect("2-byte slice"))),
+        4 => u64::from(u32::from_le_bytes(
+            bytes[..4].try_into().expect("4-byte slice"),
+        )),
+        2 => u64::from(u16::from_le_bytes(
+            bytes[..2].try_into().expect("2-byte slice"),
+        )),
         1 => u64::from(bytes[0]),
         _ => {
             let mut buf = [0u8; 8];
@@ -220,10 +224,15 @@ impl SparseMemory {
     /// A description of the first structural problem found.
     pub fn try_deserialize_full(data: &[u8]) -> Result<Self, String> {
         let Some((count, records)) = data.split_first_chunk::<8>() else {
-            return Err(format!("image too short for a page count: {} bytes", data.len()));
+            return Err(format!(
+                "image too short for a page count: {} bytes",
+                data.len()
+            ));
         };
         let n = u64::from_le_bytes(*count);
-        let expected = usize::try_from(n).ok().and_then(|n| n.checked_mul(PAGE_RECORD));
+        let expected = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(PAGE_RECORD));
         if expected != Some(records.len()) {
             return Err(format!(
                 "page count {n} does not match the {} bytes that follow it",
@@ -233,7 +242,9 @@ impl SparseMemory {
         let mut pages = HashMap::with_capacity_and_hasher(n as usize, IntBuildHasher::default());
         let mut last = None;
         for record in records.chunks_exact(PAGE_RECORD) {
-            let (index, bytes) = record.split_first_chunk::<8>().expect("record holds an index");
+            let (index, bytes) = record
+                .split_first_chunk::<8>()
+                .expect("record holds an index");
             let k = u64::from_le_bytes(*index);
             if last.is_some_and(|last| k <= last) {
                 return Err(format!("page index {k:#x} is out of order or repeated"));
@@ -404,23 +415,35 @@ mod tests {
         m.write_uint(0x3000, 8, 2);
         let blob = m.serialize_full();
         for cut in 0..blob.len() {
-            assert!(SparseMemory::try_deserialize_full(&blob[..cut]).is_err(), "cut at {cut}");
+            assert!(
+                SparseMemory::try_deserialize_full(&blob[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
         let mut long = blob.clone();
         long.push(0);
-        assert!(SparseMemory::try_deserialize_full(&long).is_err(), "trailing byte");
+        assert!(
+            SparseMemory::try_deserialize_full(&long).is_err(),
+            "trailing byte"
+        );
         // A page count no buffer could hold must fail before allocating.
         for lie in [3, u64::MAX, u64::MAX / PAGE_RECORD as u64 + 1] {
             let mut lying = blob.clone();
             lying[..8].copy_from_slice(&lie.to_le_bytes());
-            assert!(SparseMemory::try_deserialize_full(&lying).is_err(), "count {lie}");
+            assert!(
+                SparseMemory::try_deserialize_full(&lying).is_err(),
+                "count {lie}"
+            );
         }
         // Unsorted and repeated indices would not re-serialize as read.
         let second = 8 + PAGE_RECORD;
         for index in [0u64, 1] {
             let mut unordered = blob.clone();
             unordered[second..second + 8].copy_from_slice(&index.to_le_bytes());
-            assert!(SparseMemory::try_deserialize_full(&unordered).is_err(), "index {index}");
+            assert!(
+                SparseMemory::try_deserialize_full(&unordered).is_err(),
+                "index {index}"
+            );
         }
         assert!(SparseMemory::try_deserialize_full(&blob).is_ok());
     }

@@ -386,7 +386,13 @@ mod tests {
         scsr.mstatus |= mstatus::SUM;
         assert!(translate(&mut mem, &scsr, 0x4000_0000, AccessType::Load).is_ok());
         // MXR lets loads use X-only pages.
-        map_page(&mut mem, root, 0x4000_0000, 0x8020_0000, pte::V | pte::X | pte::U);
+        map_page(
+            &mut mem,
+            root,
+            0x4000_0000,
+            0x8020_0000,
+            pte::V | pte::X | pte::U,
+        );
         ucsr.mstatus &= !mstatus::MXR;
         assert_eq!(
             translate(&mut mem, &ucsr, 0x4000_0000, AccessType::Load),
@@ -430,7 +436,13 @@ mod tests {
     fn mprv_uses_mpp_for_data() {
         let mut mem = SparseMemory::new();
         let root = 0x8100_0000u64;
-        map_page(&mut mem, root, 0x4000_0000, 0x8020_0000, pte::V | pte::R | pte::W);
+        map_page(
+            &mut mem,
+            root,
+            0x4000_0000,
+            0x8020_0000,
+            pte::V | pte::R | pte::W,
+        );
         let mut csr = sv39_csr(root, Privilege::Machine);
         csr.privilege = Privilege::Machine;
         // MPRV with MPP=S: data accesses translate, fetches do not.

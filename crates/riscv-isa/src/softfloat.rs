@@ -183,12 +183,11 @@ macro_rules! softfloat_impl {
                 // Normalize the larger-valued operand to a high bit
                 // position so right shifts of the other lose only
                 // sticky-relevant bits.
-                let (xs, mut xsig, mut xe, ys, mut ysig, ye) =
-                    if ea + hb(siga) >= eb + hb(sigb) {
-                        (sa, siga, ea, sb, sigb, eb)
-                    } else {
-                        (sb, sigb, eb, sa, siga, ea)
-                    };
+                let (xs, mut xsig, mut xe, ys, mut ysig, ye) = if ea + hb(siga) >= eb + hb(sigb) {
+                    (sa, siga, ea, sb, sigb, eb)
+                } else {
+                    (sb, sigb, eb, sa, siga, ea)
+                };
                 let up = 110 - hb(xsig);
                 xsig <<= up as u32;
                 xe -= up;
@@ -222,7 +221,11 @@ macro_rules! softfloat_impl {
                             || matches!(nb, Num::Nan { signaling: true });
                         SfResult {
                             bits: CANON_NAN,
-                            flags: if signaling || other_snan { flags::NV } else { 0 },
+                            flags: if signaling || other_snan {
+                                flags::NV
+                            } else {
+                                0
+                            },
                         }
                     }
                     (Num::Inf { sign: s1 }, Num::Inf { sign: s2 }) => {
@@ -278,7 +281,11 @@ macro_rules! softfloat_impl {
                             || matches!(nb, Num::Nan { signaling: true });
                         SfResult {
                             bits: CANON_NAN,
-                            flags: if signaling || other_snan { flags::NV } else { 0 },
+                            flags: if signaling || other_snan {
+                                flags::NV
+                            } else {
+                                0
+                            },
                         }
                     }
                     (Num::Inf { .. }, Num::Zero { .. }) | (Num::Zero { .. }, Num::Inf { .. }) => {
@@ -296,8 +303,12 @@ macro_rules! softfloat_impl {
                         flags: 0,
                     },
                     (
-                        Num::Fin { sig: siga, e: ea, .. },
-                        Num::Fin { sig: sigb, e: eb, .. },
+                        Num::Fin {
+                            sig: siga, e: ea, ..
+                        },
+                        Num::Fin {
+                            sig: sigb, e: eb, ..
+                        },
                     ) => round_pack(sign, siga * sigb, ea + eb),
                 }
             }
@@ -366,13 +377,21 @@ macro_rules! softfloat_impl {
                         SfResult { bits: c, flags: 0 }
                     }
                     (
-                        Num::Fin { sig: siga, e: ea, .. },
-                        Num::Fin { sig: sigb, e: eb, .. },
+                        Num::Fin {
+                            sig: siga, e: ea, ..
+                        },
+                        Num::Fin {
+                            sig: sigb, e: eb, ..
+                        },
                         Num::Zero { .. },
                     ) => round_pack(psign, siga * sigb, ea + eb),
                     (
-                        Num::Fin { sig: siga, e: ea, .. },
-                        Num::Fin { sig: sigb, e: eb, .. },
+                        Num::Fin {
+                            sig: siga, e: ea, ..
+                        },
+                        Num::Fin {
+                            sig: sigb, e: eb, ..
+                        },
                         Num::Fin {
                             sign: sc,
                             sig: sigc,
@@ -399,7 +418,10 @@ mod tests {
             "add" => (f64sf::add(a.to_bits(), b.to_bits()).bits, a + b),
             "sub" => (f64sf::sub(a.to_bits(), b.to_bits()).bits, a - b),
             "mul" => (f64sf::mul(a.to_bits(), b.to_bits()).bits, a * b),
-            "fma" => (f64sf::fma(a.to_bits(), b.to_bits(), c.to_bits()).bits, a.mul_add(b, c)),
+            "fma" => (
+                f64sf::fma(a.to_bits(), b.to_bits(), c.to_bits()).bits,
+                a.mul_add(b, c),
+            ),
             _ => unreachable!(),
         };
         let want_bits = if want.is_nan() {
@@ -488,7 +510,10 @@ mod tests {
         let r = f64sf::mul(0, inf);
         assert_eq!(r.flags, crate::fpu::flags::NV);
         // NaN propagates canonically.
-        assert_eq!(f64sf::add(nan | 0xdead, 1.0f64.to_bits()).bits, 0x7ff8_0000_0000_0000);
+        assert_eq!(
+            f64sf::add(nan | 0xdead, 1.0f64.to_bits()).bits,
+            0x7ff8_0000_0000_0000
+        );
         // fma: inf*0 + qNaN raises NV per the RISC-V spec.
         let r = f64sf::fma(inf, 0, nan);
         assert_eq!(r.flags, crate::fpu::flags::NV);
@@ -529,7 +554,11 @@ mod tests {
             assert_eq!(got, (a + b).to_bits(), "f32sf::add({a:e},{b:e})");
             let got = f32sf::mul(a.to_bits(), b.to_bits()).bits;
             let want = a * b;
-            let want = if want.is_nan() { 0x7fc0_0000 } else { want.to_bits() };
+            let want = if want.is_nan() {
+                0x7fc0_0000
+            } else {
+                want.to_bits()
+            };
             assert_eq!(got, want, "f32sf::mul({a:e},{b:e})");
         }
         let got = f32sf::fma(0.1f32.to_bits(), 0.2f32.to_bits(), 0.3f32.to_bits()).bits;

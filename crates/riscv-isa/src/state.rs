@@ -174,7 +174,10 @@ mod tests {
         assert_eq!(base.first_diff(&other), None);
 
         other.pc = 0x84;
-        assert!(matches!(base.first_diff(&other), Some(StateDiff::Pc { .. })));
+        assert!(matches!(
+            base.first_diff(&other),
+            Some(StateDiff::Pc { .. })
+        ));
 
         let mut other = base.clone();
         other.gpr[5] = 1;
@@ -194,18 +197,28 @@ mod tests {
         other.csr.mscratch = 7;
         assert!(matches!(
             base.first_diff(&other),
-            Some(StateDiff::Csr { csr: addr::MSCRATCH, lhs: 0, rhs: 7 })
+            Some(StateDiff::Csr {
+                csr: addr::MSCRATCH,
+                lhs: 0,
+                rhs: 7
+            })
         ));
 
         let mut other = base.clone();
         other.csr.privilege = Privilege::User;
-        assert!(matches!(base.first_diff(&other), Some(StateDiff::Privilege { .. })));
+        assert!(matches!(
+            base.first_diff(&other),
+            Some(StateDiff::Privilege { .. })
+        ));
 
         let mut other = base.clone();
         other.csr.mhartid = 1;
         assert!(matches!(
             base.first_diff(&other),
-            Some(StateDiff::Csr { csr: addr::MHARTID, .. })
+            Some(StateDiff::Csr {
+                csr: addr::MHARTID,
+                ..
+            })
         ));
     }
 
