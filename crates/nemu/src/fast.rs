@@ -21,16 +21,21 @@
 //! - **per-op handlers**: the hot integer ops, every load and store width
 //!   and every branch condition have their semantics inline in their own
 //!   arm; only the cold tail dispatches again through [`int_compute`].
+//!   The arms are one function, `exec`, that both `run()` and
+//!   `step_one()` expand ([`crate::arm`]).
 //! - **host floating point**: FP arithmetic uses the host FPU
-//!   ([`riscv_isa::fpu`]) rather than softfloat.
+//!   ([`riscv_isa::fpu`]) rather than softfloat, with the operands'
+//!   register files resolved at fill time.
 
+use crate::arm::{self, Flow, Lane, Machine, Record};
 use crate::hart::{self, Hart, StepInfo};
 use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
 use riscv_isa::exec::{has_imm_operand, int_compute};
-use riscv_isa::fpu::{fp_execute, Host};
-use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory, MTIME, UART_TX};
+use riscv_isa::fpu::Host;
+use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
+use riscv_isa::state::ArchState;
 use std::collections::HashMap;
 
 const UNRESOLVED: u32 = u32::MAX;
@@ -116,6 +121,8 @@ struct Uop {
     rd: u8,
     rs1: u8,
     rs2: u8,
+    /// The immediate; for `auipc`, `pc` folded in; for a host-FP op (which
+    /// has none), its operands' register files ([`arm::fp_shape`]).
     imm: i64,
     pc: u64,
     next_pc: u64,
@@ -252,6 +259,7 @@ impl Nemu {
             let imm = match (handler, d.op) {
                 // auipc folds pc into the immediate at decode time.
                 (Handler::Li, Op::Auipc) => p.wrapping_add(d.imm as u64) as i64,
+                (Handler::HostFp, _) => arm::fp_shape(&d),
                 _ => d.imm,
             };
             let idx = self.code.len() as u32;
@@ -364,9 +372,7 @@ impl Nemu {
             }};
         }
         'outer: while steps < max_steps && !self.hart.is_halted() {
-            if self.hart.pending_injection.is_some()
-                || self.hart.state.csr.pending_interrupt().is_some()
-            {
+            if self.hart.pending_injection.is_some() || hart::interrupt_pending(&self.hart) {
                 slow_step!();
                 continue;
             }
@@ -383,6 +389,17 @@ impl Nemu {
                 stats,
                 ..
             } = &mut *self;
+            let Hart {
+                state: ArchState { pc, fpr, csr, .. },
+                output,
+                ..
+            } = hart;
+            let mut m = Machine {
+                mem,
+                fpr,
+                csr,
+                output,
+            };
             // A slice: its pointer and length are values, not a `Vec`
             // header to re-read after every call the arms make.
             let code = &mut code[..];
@@ -391,213 +408,208 @@ impl Nemu {
             while steps < max_steps {
                 let uop = &code[upc as usize];
                 steps += 1;
-                // Control transfer to `$target_pc`, which ends the block:
-                // on to `$next` when the target is cached, else through
-                // the outer loop.
-                macro_rules! transfer {
-                    ($next:expr, $target_pc:expr) => {{
-                        let target_pc = $target_pc;
-                        end_block!(target_pc);
-                        match $next {
+                let flow = exec(uop, regs, &mut m);
+                match flow {
+                    Flow::Next => upc += 1,
+                    // A control transfer, which ends the block: on to the
+                    // target's uop when it is cached, else through the
+                    // outer loop.
+                    Flow::Edge { target, .. } | Flow::Jump(target) => {
+                        end_block!(target);
+                        match follow(code, map, stats, upc, flow) {
                             Some(u) => upc = u,
                             None => {
-                                hart.state.pc = target_pc;
+                                *pc = target;
                                 continue 'outer;
                             }
                         }
-                    }};
-                }
-                macro_rules! alu_rr {
-                    (|$a:ident, $b:ident| $v:expr) => {{
-                        let $a = regs[uop.rs1 as usize];
-                        let $b = regs[uop.rs2 as usize];
-                        regs[uop.rd as usize] = $v;
-                        upc += 1;
-                    }};
-                }
-                macro_rules! alu_ri {
-                    (|$a:ident, $i:ident| $v:expr) => {{
-                        let $a = regs[uop.rs1 as usize];
-                        let $i = uop.imm as u64;
-                        regs[uop.rd as usize] = $v;
-                        upc += 1;
-                    }};
-                }
-                macro_rules! load {
-                    ($size:expr, |$raw:ident| $v:expr) => {{
-                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let $raw = mem.read_uint(va, $size);
-                        regs[uop.rd as usize] = $v;
-                        upc += 1;
-                    }};
-                }
-                // `UART_TX` takes a store of any width, integer or FP.
-                macro_rules! store {
-                    ($size:expr, $v:expr) => {{
-                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let v = $v;
-                        if va == UART_TX {
-                            hart.output.push(v as u8);
-                        } else {
-                            mem.write_uint(va, $size, v);
-                        }
-                        upc += 1;
-                    }};
-                }
-                macro_rules! branch {
-                    (|$a:ident, $b:ident| $taken:expr) => {{
-                        let $a = regs[uop.rs1 as usize];
-                        let $b = regs[uop.rs2 as usize];
-                        let taken = $taken;
-                        let target_pc = if taken {
-                            uop.pc.wrapping_add(uop.imm as u64)
-                        } else {
-                            uop.next_pc
-                        };
-                        transfer!(chase(code, map, stats, upc, target_pc, taken), target_pc);
-                    }};
-                }
-                match uop.handler {
-                    Handler::Li => {
-                        regs[uop.rd as usize] = uop.imm as u64;
-                        upc += 1;
                     }
-                    Handler::Mv => {
-                        regs[uop.rd as usize] = regs[uop.rs1 as usize];
-                        upc += 1;
-                    }
-                    Handler::Add => alu_rr!(|a, b| a.wrapping_add(b)),
-                    Handler::Sub => alu_rr!(|a, b| a.wrapping_sub(b)),
-                    Handler::And => alu_rr!(|a, b| a & b),
-                    Handler::Or => alu_rr!(|a, b| a | b),
-                    Handler::Xor => alu_rr!(|a, b| a ^ b),
-                    Handler::Slt => alu_rr!(|a, b| ((a as i64) < (b as i64)) as u64),
-                    Handler::Sltu => alu_rr!(|a, b| (a < b) as u64),
-                    Handler::Addw => alu_rr!(|a, b| a.wrapping_add(b) as i32 as i64 as u64),
-                    Handler::Addi => alu_ri!(|a, i| a.wrapping_add(i)),
-                    Handler::Andi => alu_ri!(|a, i| a & i),
-                    Handler::Ori => alu_ri!(|a, i| a | i),
-                    Handler::Xori => alu_ri!(|a, i| a ^ i),
-                    Handler::Slli => alu_ri!(|a, i| a << (i & 63)),
-                    Handler::Srli => alu_ri!(|a, i| a >> (i & 63)),
-                    Handler::Srai => alu_ri!(|a, i| ((a as i64) >> (i & 63)) as u64),
-                    Handler::Addiw => alu_ri!(|a, i| a.wrapping_add(i) as i32 as i64 as u64),
-                    Handler::AluRR => alu_rr!(|a, b| int_compute(uop.inst.op, a, b)
-                        .expect("AluRR ops are int_compute-able")),
-                    Handler::AluRI => alu_ri!(|a, i| int_compute(uop.inst.op, a, i)
-                        .expect("AluRI ops are int_compute-able")),
-                    Handler::Lb => load!(1, |raw| raw as i8 as i64 as u64),
-                    Handler::Lh => load!(2, |raw| raw as i16 as i64 as u64),
-                    Handler::Lw => load!(4, |raw| raw as i32 as i64 as u64),
-                    Handler::Lbu => load!(1, |raw| raw),
-                    Handler::Lhu => load!(2, |raw| raw),
-                    Handler::Lwu => load!(4, |raw| raw),
-                    Handler::Ld => {
-                        // `MTIME` answers 8-byte loads only (`hart`'s rule).
-                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        regs[uop.rd as usize] = if va == MTIME {
-                            hart.state.csr.time
-                        } else {
-                            mem.read_uint(va, 8)
-                        };
-                        upc += 1;
-                    }
-                    Handler::Flw => {
-                        // NaN-boxed; `fpr` is indexed by the unredirected rd.
-                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        hart.state.fpr[uop.inst.rd as usize] =
-                            0xffff_ffff_0000_0000 | mem.read_uint(va, 4);
-                        upc += 1;
-                    }
-                    Handler::Fld => {
-                        let va = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        hart.state.fpr[uop.inst.rd as usize] = if va == MTIME {
-                            hart.state.csr.time
-                        } else {
-                            mem.read_uint(va, 8)
-                        };
-                        upc += 1;
-                    }
-                    Handler::Sb => store!(1, regs[uop.rs2 as usize]),
-                    Handler::Sh => store!(2, regs[uop.rs2 as usize]),
-                    Handler::Sw => store!(4, regs[uop.rs2 as usize]),
-                    Handler::Sd => store!(8, regs[uop.rs2 as usize]),
-                    Handler::Fsw => store!(4, hart.state.fpr[uop.rs2 as usize]),
-                    Handler::Fsd => store!(8, hart.state.fpr[uop.rs2 as usize]),
-                    Handler::Nop => upc += 1,
-                    Handler::HostFp => {
-                        let d = &uop.inst;
-                        let a = if d.rs1_is_fpr() {
-                            hart.state.fpr[d.rs1 as usize]
-                        } else {
-                            regs[d.rs1 as usize]
-                        };
-                        let b = if d.rs2_is_fpr() {
-                            hart.state.fpr[d.rs2 as usize]
-                        } else {
-                            regs[d.rs2 as usize]
-                        };
-                        let c = hart.state.fpr[d.rs3 as usize];
-                        let rm = if d.rm == 7 {
-                            hart.state.csr.frm()
-                        } else {
-                            d.rm
-                        };
-                        let r = fp_execute(d.op, a, b, c, rm);
-                        hart.state.csr.set_fflags(r.flags);
-                        if d.writes_fpr() {
-                            hart.state.fpr[d.rd as usize] = r.bits;
-                        } else {
-                            regs[uop.rd as usize] = r.bits;
-                        }
-                        upc += 1;
-                    }
-                    Handler::Jal => {
-                        regs[uop.rd as usize] = uop.next_pc;
-                        let target_pc = uop.pc.wrapping_add(uop.imm as u64);
-                        transfer!(chase(code, map, stats, upc, target_pc, true), target_pc);
-                    }
-                    Handler::Ret => {
-                        let target_pc = regs[1] & !1;
-                        transfer!(lookup(map, stats, target_pc), target_pc);
-                    }
-                    Handler::Jalr => {
-                        // The target first: rd may alias rs1.
-                        let target_pc = regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
-                        regs[uop.rd as usize] = uop.next_pc;
-                        transfer!(lookup(map, stats, target_pc), target_pc);
-                    }
-                    Handler::Beq => branch!(|a, b| a == b),
-                    Handler::Bne => branch!(|a, b| a != b),
-                    Handler::Blt => branch!(|a, b| (a as i64) < (b as i64)),
-                    Handler::Bge => branch!(|a, b| (a as i64) >= (b as i64)),
-                    Handler::Bltu => branch!(|a, b| a < b),
-                    Handler::Bgeu => branch!(|a, b| a >= b),
-                    Handler::Goto => {
-                        // Sentinel: no instruction executed, re-enter via
-                        // the outer loop at the continuation pc.
+                    Flow::Sentinel => {
+                        // No instruction executed: re-enter via the outer
+                        // loop at the continuation pc.
                         steps -= 1;
-                        hart.state.pc = uop.pc;
+                        *pc = uop.pc;
                         continue 'outer;
                     }
-                    Handler::Slow => {
+                    Flow::Decline => {
                         // Take back the optimistic count; the slow step
                         // retires (or traps) architecturally.
                         steps -= 1;
-                        hart.state.pc = uop.pc;
+                        *pc = uop.pc;
                         slow_step!();
                         continue 'outer;
                     }
                 }
             }
             // Fuel exhausted inside the block: record the resume pc.
-            hart.state.pc = code[upc as usize].pc;
+            *pc = code[upc as usize].pc;
             break;
         }
         if BLOCKS && steps > block_mark {
             sink.block(block_pc, steps - block_mark);
         }
         self.sync_regs_to_hart(steps - synced);
+    }
+}
+
+/// The uop at `upc`, executed against the register view `x` — the one arm
+/// per op that `run()` (the shadow file) and `step_one()` (the hart's
+/// file and its record) both expand.
+#[inline(always)]
+fn exec<L: Lane>(uop: &Uop, x: &mut L, m: &mut Machine) -> Flow {
+    macro_rules! alu_rr {
+        (|$a:ident, $b:ident| $v:expr) => {{
+            let $a = x.x(uop.rs1);
+            let $b = x.x(uop.rs2);
+            x.set_x(uop.rd, $v);
+            Flow::Next
+        }};
+    }
+    macro_rules! alu_ri {
+        (|$a:ident, $i:ident| $v:expr) => {{
+            let $a = x.x(uop.rs1);
+            let $i = uop.imm as u64;
+            x.set_x(uop.rd, $v);
+            Flow::Next
+        }};
+    }
+    // Untranslated: the virtual address is the physical one.
+    macro_rules! va {
+        () => {
+            x.x(uop.rs1).wrapping_add(uop.imm as u64)
+        };
+    }
+    macro_rules! load {
+        ($size:expr, |$raw:ident| $v:expr) => {{
+            let va = va!();
+            arm::load(x, m, uop.rd, va, va, $size, |$raw| $v);
+            Flow::Next
+        }};
+    }
+    macro_rules! load_f {
+        ($size:expr) => {{
+            // `fpr` is indexed by the unredirected rd.
+            let va = va!();
+            arm::load_f(x, m, uop.inst.rd, va, va, $size);
+            Flow::Next
+        }};
+    }
+    macro_rules! store {
+        ($size:expr, $v:expr) => {{
+            let va = va!();
+            let v = $v;
+            arm::store(x, m, va, va, $size, v);
+            Flow::Next
+        }};
+    }
+    macro_rules! branch {
+        (|$a:ident, $b:ident| $taken:expr) => {{
+            let $a = x.x(uop.rs1);
+            let $b = x.x(uop.rs2);
+            let taken = $taken;
+            let target = if taken {
+                uop.pc.wrapping_add(uop.imm as u64)
+            } else {
+                uop.next_pc
+            };
+            Flow::Edge { taken, target }
+        }};
+    }
+    match uop.handler {
+        Handler::Li => {
+            x.set_x(uop.rd, uop.imm as u64);
+            Flow::Next
+        }
+        Handler::Mv => {
+            let v = x.x(uop.rs1);
+            x.set_x(uop.rd, v);
+            Flow::Next
+        }
+        Handler::Add => alu_rr!(|a, b| a.wrapping_add(b)),
+        Handler::Sub => alu_rr!(|a, b| a.wrapping_sub(b)),
+        Handler::And => alu_rr!(|a, b| a & b),
+        Handler::Or => alu_rr!(|a, b| a | b),
+        Handler::Xor => alu_rr!(|a, b| a ^ b),
+        Handler::Slt => alu_rr!(|a, b| ((a as i64) < (b as i64)) as u64),
+        Handler::Sltu => alu_rr!(|a, b| (a < b) as u64),
+        Handler::Addw => alu_rr!(|a, b| a.wrapping_add(b) as i32 as i64 as u64),
+        Handler::Addi => alu_ri!(|a, i| a.wrapping_add(i)),
+        Handler::Andi => alu_ri!(|a, i| a & i),
+        Handler::Ori => alu_ri!(|a, i| a | i),
+        Handler::Xori => alu_ri!(|a, i| a ^ i),
+        Handler::Slli => alu_ri!(|a, i| a << (i & 63)),
+        Handler::Srli => alu_ri!(|a, i| a >> (i & 63)),
+        Handler::Srai => alu_ri!(|a, i| ((a as i64) >> (i & 63)) as u64),
+        Handler::Addiw => alu_ri!(|a, i| a.wrapping_add(i) as i32 as i64 as u64),
+        Handler::AluRR => {
+            alu_rr!(|a, b| int_compute(uop.inst.op, a, b).expect("AluRR ops are int_compute-able"))
+        }
+        Handler::AluRI => {
+            alu_ri!(|a, i| int_compute(uop.inst.op, a, i).expect("AluRI ops are int_compute-able"))
+        }
+        Handler::Lb => load!(1, |raw| raw as i8 as i64 as u64),
+        Handler::Lh => load!(2, |raw| raw as i16 as i64 as u64),
+        Handler::Lw => load!(4, |raw| raw as i32 as i64 as u64),
+        Handler::Ld => load!(8, |raw| raw),
+        Handler::Lbu => load!(1, |raw| raw),
+        Handler::Lhu => load!(2, |raw| raw),
+        Handler::Lwu => load!(4, |raw| raw),
+        Handler::Flw => load_f!(4),
+        Handler::Fld => load_f!(8),
+        Handler::Sb => store!(1, x.x(uop.rs2)),
+        Handler::Sh => store!(2, x.x(uop.rs2)),
+        Handler::Sw => store!(4, x.x(uop.rs2)),
+        Handler::Sd => store!(8, x.x(uop.rs2)),
+        Handler::Fsw => store!(4, m.fpr[uop.rs2 as usize]),
+        Handler::Fsd => store!(8, m.fpr[uop.rs2 as usize]),
+        Handler::Nop => Flow::Next,
+        Handler::HostFp => {
+            if arm::host_fp(x, m, &uop.inst, uop.rd, uop.imm) {
+                Flow::Next
+            } else {
+                Flow::Decline
+            }
+        }
+        Handler::Jal => {
+            x.set_x(uop.rd, uop.next_pc);
+            Flow::Edge {
+                taken: true,
+                target: uop.pc.wrapping_add(uop.imm as u64),
+            }
+        }
+        Handler::Ret => Flow::Jump(x.x(1) & !1),
+        Handler::Jalr => {
+            // The target first: rd may alias rs1.
+            let target = x.x(uop.rs1).wrapping_add(uop.imm as u64) & !1;
+            x.set_x(uop.rd, uop.next_pc);
+            Flow::Jump(target)
+        }
+        Handler::Beq => branch!(|a, b| a == b),
+        Handler::Bne => branch!(|a, b| a != b),
+        Handler::Blt => branch!(|a, b| (a as i64) < (b as i64)),
+        Handler::Bge => branch!(|a, b| (a as i64) >= (b as i64)),
+        Handler::Bltu => branch!(|a, b| a < b),
+        Handler::Bgeu => branch!(|a, b| a >= b),
+        Handler::Goto => Flow::Sentinel,
+        Handler::Slow => Flow::Decline,
+    }
+}
+
+/// The upc that control reaches after the uop at `upc` went `flow`: the
+/// next slot, or a chained edge's or the pc→upc map's answer for the
+/// target (`None`: not cached).
+#[inline(always)]
+fn follow(
+    code: &mut [Uop],
+    map: &UopMap,
+    stats: &mut NemuStats,
+    upc: u32,
+    flow: Flow,
+) -> Option<u32> {
+    match flow {
+        Flow::Edge { taken, target } => chase(code, map, stats, upc, target, taken),
+        Flow::Jump(target) => lookup(map, stats, target),
+        _ => Some(upc + 1),
     }
 }
 
@@ -732,10 +744,11 @@ impl Interpreter for Nemu {
     fn resync(&mut self) {
         self.sync_regs_from_hart();
     }
-    /// `hart::execute` on the uop cache's decoded instruction, directly on
-    /// `hart.state` (no shadow file). Falls back to [`hart::step_into`] when the
-    /// uop cache cannot serve the pc (translation active, odd pc) or a
-    /// trap is pending.
+    /// The cached uop's own arm (`exec`, the one `run()` runs) on
+    /// `hart.state` and the lent record; [`hart::execute_and_retire`] for a
+    /// `Slow` uop or one its arm declines. Falls back to [`hart::step_into`]
+    /// when the uop cache cannot serve the pc (translation active, odd pc)
+    /// or a trap is pending.
     fn step_one(&mut self) -> &StepInfo {
         if self.hart.is_halted() {
             hart::step_into(&mut self.hart, &mut self.mem, &mut self.info);
@@ -745,7 +758,7 @@ impl Interpreter for Nemu {
         if !self.fast_mem
             || pc & 1 != 0
             || self.hart.pending_injection.is_some()
-            || self.hart.state.csr.pending_interrupt().is_some()
+            || hart::interrupt_pending(&self.hart)
         {
             return self.arch_step();
         }
@@ -755,19 +768,52 @@ impl Interpreter for Nemu {
                 .lookup_or_fill(pc)
                 .expect("fast_mem holds, so fill succeeds"),
         };
-        let uop = &self.code[upc as usize];
-        let slow = uop.handler == Handler::Slow;
-        self.cursor = upc + 1;
-        self.info = StepInfo::at(pc);
-        let retired = hart::execute_and_retire::<Host, _>(
-            &mut self.hart,
-            &mut self.mem,
-            &uop.inst,
-            &mut self.info,
+        let Nemu {
+            hart,
+            mem,
+            info,
+            code,
+            map,
+            stats,
+            cursor,
+            ..
+        } = self;
+        let uop = &code[upc as usize];
+        *info = StepInfo {
+            inst: uop.inst,
+            ..StepInfo::at(pc)
+        };
+        let Hart {
+            state: ArchState { gpr, fpr, csr, .. },
+            output,
+            ..
+        } = hart;
+        let flow = exec(
+            uop,
+            &mut Record { gpr, info },
+            &mut Machine {
+                mem,
+                fpr,
+                csr,
+                output,
+            },
         );
-        if slow || !retired {
-            self.after_system_step();
-        }
+        let next_pc = match flow {
+            Flow::Next => uop.next_pc,
+            Flow::Edge { target, .. } | Flow::Jump(target) => target,
+            Flow::Sentinel | Flow::Decline => {
+                let slow = uop.handler == Handler::Slow;
+                *cursor = upc + 1;
+                let retired = hart::execute_and_retire::<Host, _>(hart, mem, &uop.inst, info);
+                if slow || !retired {
+                    self.after_system_step();
+                }
+                return &self.info;
+            }
+        };
+        hart::retire(hart);
+        hart.state.pc = next_pc;
+        *cursor = follow(code, map, stats, upc, flow).unwrap_or(UNRESOLVED);
         &self.info
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {

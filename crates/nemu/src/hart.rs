@@ -521,9 +521,11 @@ pub fn execute<A: Arith, M: PhysMem>(
         }
         // Floating-point operations.
         _ => {
-            if s.csr.mstatus & riscv_isa::csr::mstatus::FS == 0 {
+            // FP off, or a reserved rounding mode: an illegal instruction.
+            let fp_on = s.csr.mstatus & riscv_isa::csr::mstatus::FS != 0;
+            let Some(rm) = d.rounding(s.csr.frm()).filter(|_| fp_on) else {
                 return Err(ExecError::new(Exception::IllegalInstruction, d.raw as u64));
-            }
+            };
             let a = if d.rs1_is_fpr() {
                 s.fpr[d.rs1 as usize]
             } else {
@@ -535,7 +537,6 @@ pub fn execute<A: Arith, M: PhysMem>(
                 rs2
             };
             let c = s.fpr[d.rs3 as usize];
-            let rm = if d.rm == 7 { s.csr.frm() } else { d.rm };
             let r = fp_execute_with::<A>(d.op, a, b, c, rm);
             s.csr.set_fflags(r.flags);
             if d.writes_fpr() {
@@ -644,6 +645,14 @@ pub(crate) fn execute_and_retire<A: Arith, M: PhysMem>(
             false
         }
     }
+}
+
+/// True when an interrupt is pending and enabled: the `mip & mie` test
+/// inline, the privilege rules only when it passes.
+#[inline(always)]
+pub(crate) fn interrupt_pending(hart: &Hart) -> bool {
+    let csr = &hart.state.csr;
+    csr.mip & csr.mie != 0 && csr.pending_interrupt().is_some()
 }
 
 /// Count one retired instruction (one cycle).

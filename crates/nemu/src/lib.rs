@@ -42,6 +42,7 @@
 //! assert_eq!(result.exit_code, Some(42));
 //! ```
 
+mod arm;
 pub mod fast;
 pub mod hart;
 pub mod interp;

@@ -15,7 +15,9 @@
 //! - **direct-threaded dispatch**: every uop carries a pre-resolved
 //!   handler index (a dense `u8` dispatched through one jump table), and
 //!   the hot integer ops get dedicated handlers with fully inlined
-//!   semantics instead of a generic `int_compute` dispatch.
+//!   semantics instead of a generic `int_compute` dispatch. The handlers
+//!   are one function, `exec`, that both `run()` and `step_one()` expand
+//!   ([`crate::arm`]).
 //! - **hot-trace chaining with patch-on-resolve**: a taken branch whose
 //!   target trace does not exist yet exits through the outer loop and
 //!   records the exiting uop; when the target trace is resolved, the
@@ -35,13 +37,15 @@
 //! can never dangle, so chained transfers skip the target-revalidation
 //! that [`crate::fast::Nemu`]'s `chase` pays on every branch.
 
+use crate::arm::{self, Flow, Lane, Machine, Record};
 use crate::hart::{self, Hart, StepInfo};
 use crate::interp::{CommitSink, Granularity, Interpreter, RunResult};
 use riscv_isa::exec::{has_imm_operand, int_compute};
-use riscv_isa::fpu::{fp_execute, Host};
-use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory, MTIME, UART_TX};
+use riscv_isa::fpu::Host;
+use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
+use riscv_isa::state::ArchState;
 use std::collections::HashMap;
 
 const UNRESOLVED: u32 = u32::MAX;
@@ -82,25 +86,27 @@ const H_SD: u8 = 27;
 const H_SW: u8 = 28;
 const H_SH: u8 = 29;
 const H_SB: u8 = 30;
-const H_FLOAD: u8 = 31;
-const H_FSTORE: u8 = 32;
-const H_HOSTFP: u8 = 33;
-const H_BEQ: u8 = 34;
-const H_BNE: u8 = 35;
-const H_BLT: u8 = 36;
-const H_BGE: u8 = 37;
-const H_BLTU: u8 = 38;
-const H_BGEU: u8 = 39;
-const H_JAL_INLINE: u8 = 40;
-const H_JAL_CHAIN: u8 = 41;
-const H_JALR: u8 = 42;
-const H_RET: u8 = 43;
-const H_NOP: u8 = 44;
-const H_SLOW: u8 = 45;
+const H_FLW: u8 = 31;
+const H_FLD: u8 = 32;
+const H_FSW: u8 = 33;
+const H_FSD: u8 = 34;
+const H_HOSTFP: u8 = 35;
+const H_BEQ: u8 = 36;
+const H_BNE: u8 = 37;
+const H_BLT: u8 = 38;
+const H_BGE: u8 = 39;
+const H_BLTU: u8 = 40;
+const H_BGEU: u8 = 41;
+const H_JAL_INLINE: u8 = 42;
+const H_JAL_CHAIN: u8 = 43;
+const H_JALR: u8 = 44;
+const H_RET: u8 = 45;
+const H_NOP: u8 = 46;
+const H_SLOW: u8 = 47;
 /// Sentinel: join another trace at `link` without executing anything.
-const H_CHAIN: u8 = 46;
+const H_CHAIN: u8 = 48;
 /// Sentinel: length cap hit — re-enter the outer loop at `pc`.
-const H_GOTO: u8 = 47;
+const H_GOTO: u8 = 49;
 
 #[inline]
 fn is_branch(h: u8) -> bool {
@@ -119,6 +125,8 @@ struct TUop {
     /// Chained upc of the taken/indirect target (`UNRESOLVED` until the
     /// target trace exists and the edge gets patched).
     link: u32,
+    /// The immediate; for `auipc`, `pc` folded in; for a host-FP op (which
+    /// has none), its operands' register files ([`arm::fp_shape`]).
     imm: i64,
     pc: u64,
     next_pc: u64,
@@ -153,10 +161,94 @@ struct TlbEntry {
     ppn: u64,
 }
 
-const TLB_INVALID: TlbEntry = TlbEntry {
-    vpn: u64::MAX,
-    ppn: 0,
-};
+/// A 2-entry `{vpn, ppn}` micro-TLB.
+#[derive(Debug, Clone)]
+struct MicroTlb {
+    entries: [TlbEntry; 2],
+    next: usize,
+}
+
+impl MicroTlb {
+    const EMPTY: MicroTlb = MicroTlb {
+        entries: [TlbEntry {
+            vpn: u64::MAX,
+            ppn: 0,
+        }; 2],
+        next: 0,
+    };
+
+    /// The physical address of `va`, from an entry or from a walk that
+    /// fills one; `None` when the walk faults.
+    #[inline]
+    fn pa(
+        &mut self,
+        m: &mut Machine,
+        stats: &mut TraceStats,
+        va: u64,
+        access: AccessType,
+    ) -> Option<u64> {
+        let vpn = va >> 12;
+        for e in &self.entries {
+            if e.vpn == vpn {
+                stats.tlb_hits += 1;
+                return Some((e.ppn << 12) | (va & 0xfff));
+            }
+        }
+        stats.tlb_misses += 1;
+        let t = mmu::translate(m.mem, m.csr, va, access).ok()?;
+        let e = TlbEntry {
+            vpn,
+            ppn: t.pa >> 12,
+        };
+        self.entries[self.next] = e;
+        self.next ^= 1;
+        Some((e.ppn << 12) | (va & 0xfff))
+    }
+}
+
+/// The data side's translation. Load and store micro-TLBs are separate,
+/// so that a store entry always comes from a walk that performed the
+/// D-bit update and a hit never skips one.
+#[derive(Debug, Clone)]
+struct DataTlb {
+    /// Data accesses translate.
+    on: bool,
+    load: MicroTlb,
+    store: MicroTlb,
+}
+
+impl DataTlb {
+    /// The physical address of a `size`-byte access at `va`, or `None`
+    /// when it must take the architectural path, which re-raises a fault
+    /// with full state: it crosses a page, its walk faults, or it is a
+    /// recorded step's (which must equal `hart::step`'s, walk included).
+    #[inline(always)]
+    fn pa<L: Lane>(
+        &mut self,
+        m: &mut Machine,
+        stats: &mut TraceStats,
+        va: u64,
+        size: u64,
+        store: bool,
+    ) -> Option<u64> {
+        if !self.on {
+            return Some(va);
+        }
+        if L::RECORDS || (va & 0xfff) + size > 0x1000 {
+            return None;
+        }
+        if store {
+            self.store.pa(m, stats, va, AccessType::Store)
+        } else {
+            self.load.pa(m, stats, va, AccessType::Load)
+        }
+    }
+
+    fn clear(&mut self) {
+        self.load = MicroTlb::EMPTY;
+        self.store = MicroTlb::EMPTY;
+    }
+}
 
 /// Trace-tier statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -198,12 +290,8 @@ pub struct NemuTrace {
     capacity: usize,
     /// Instruction fetch is untranslated: traces may be built/entered.
     fetch_fast: bool,
-    /// Data accesses translate: loads/stores go through the micro-TLBs.
-    data_xlat: bool,
-    ltlb: [TlbEntry; 2],
-    stlb: [TlbEntry; 2],
-    ltlb_next: usize,
-    stlb_next: usize,
+    /// Loads and stores translate through it when data accesses translate.
+    tlb: DataTlb,
     /// Exiting uop awaiting a chain patch once its target resolves.
     pending_patch: Option<u32>,
     /// Trace statistics.
@@ -241,11 +329,11 @@ impl NemuTrace {
             cursor: 0,
             capacity,
             fetch_fast: true,
-            data_xlat: false,
-            ltlb: [TLB_INVALID; 2],
-            stlb: [TLB_INVALID; 2],
-            ltlb_next: 0,
-            stlb_next: 0,
+            tlb: DataTlb {
+                on: false,
+                load: MicroTlb::EMPTY,
+                store: MicroTlb::EMPTY,
+            },
             pending_patch: None,
             stats: TraceStats::default(),
         };
@@ -256,7 +344,7 @@ impl NemuTrace {
     fn refresh_modes(&mut self) {
         let csr = &self.hart.state.csr;
         self.fetch_fast = !mmu::translation_active(csr, AccessType::Fetch);
-        self.data_xlat = mmu::translation_active(csr, AccessType::Load);
+        self.tlb.on = mmu::translation_active(csr, AccessType::Load);
     }
 
     /// Leave the shadow domain: export the GPR file and credit the
@@ -274,76 +362,12 @@ impl NemuTrace {
         self.regs[0] = 0;
     }
 
-    fn clear_tlbs(&mut self) {
-        self.ltlb = [TLB_INVALID; 2];
-        self.stlb = [TLB_INVALID; 2];
-        self.ltlb_next = 0;
-        self.stlb_next = 0;
-    }
-
     fn flush(&mut self) {
         self.code.clear();
         self.map.clear();
         self.pending_patch = None;
-        self.clear_tlbs();
+        self.tlb.clear();
         self.stats.flushes += 1;
-    }
-
-    /// Translate a load address through the micro-TLB, or `None` when
-    /// the access must take the architectural path (page-crossing or a
-    /// walk fault — the slow step re-raises the fault with full state).
-    #[inline]
-    fn load_pa(&mut self, va: u64, size: u64) -> Option<u64> {
-        if !self.data_xlat {
-            return Some(va);
-        }
-        if (va & 0xfff) + size > 0x1000 {
-            return None;
-        }
-        let vpn = va >> 12;
-        for e in &self.ltlb {
-            if e.vpn == vpn {
-                self.stats.tlb_hits += 1;
-                return Some((e.ppn << 12) | (va & 0xfff));
-            }
-        }
-        self.stats.tlb_misses += 1;
-        let t = mmu::translate(&mut self.mem, &self.hart.state.csr, va, AccessType::Load).ok()?;
-        let e = TlbEntry {
-            vpn,
-            ppn: t.pa >> 12,
-        };
-        self.ltlb[self.ltlb_next] = e;
-        self.ltlb_next ^= 1;
-        Some((e.ppn << 12) | (va & 0xfff))
-    }
-
-    /// Store-side twin of [`Self::load_pa`]: fills only from walks that
-    /// performed the D-bit update, so a hit never skips one.
-    #[inline]
-    fn store_pa(&mut self, va: u64, size: u64) -> Option<u64> {
-        if !self.data_xlat {
-            return Some(va);
-        }
-        if (va & 0xfff) + size > 0x1000 {
-            return None;
-        }
-        let vpn = va >> 12;
-        for e in &self.stlb {
-            if e.vpn == vpn {
-                self.stats.tlb_hits += 1;
-                return Some((e.ppn << 12) | (va & 0xfff));
-            }
-        }
-        self.stats.tlb_misses += 1;
-        let t = mmu::translate(&mut self.mem, &self.hart.state.csr, va, AccessType::Store).ok()?;
-        let e = TlbEntry {
-            vpn,
-            ppn: t.pa >> 12,
-        };
-        self.stlb[self.stlb_next] = e;
-        self.stlb_next ^= 1;
-        Some((e.ppn << 12) | (va & 0xfff))
     }
 
     /// Build a superblock starting at `pc`, returning the upc of its
@@ -380,6 +404,7 @@ impl NemuTrace {
             let imm = match (h, d.op) {
                 // auipc folds pc into the immediate at decode time.
                 (H_LI, Op::Auipc) => p.wrapping_add(d.imm as u64) as i64,
+                (H_HOSTFP, _) => arm::fp_shape(&d),
                 _ => d.imm,
             };
             let next_pc = p.wrapping_add(d.len as u64);
@@ -461,7 +486,7 @@ impl NemuTrace {
         ) {
             // Any CSR write can retarget satp or mstatus.MPRV without a
             // flush-class event: drop the translation micro-caches.
-            self.clear_tlbs();
+            self.tlb.clear();
         }
         self.refresh_modes();
     }
@@ -473,6 +498,40 @@ impl NemuTrace {
         self.arch_step();
         self.sync_regs_from_hart();
         &self.info
+    }
+
+    /// The upc of the trace at `pc`, built if need be, or `None` when no
+    /// trace can serve `pc`. Patch-on-resolve: the edge that exited last
+    /// now has a live target. Static edges (branch/jal) patch only when
+    /// `pc` is their own target; indirect edges re-validate `tpc` at
+    /// dispatch, so they always adopt the newest target.
+    fn enter(&mut self, pc: u64) -> Option<u32> {
+        let head = match self.map.get(&pc) {
+            Some(&u) => {
+                self.stats.trace_hits += 1;
+                u
+            }
+            None => match self.fill(pc) {
+                Some(u) => u,
+                None => {
+                    self.pending_patch = None;
+                    return None;
+                }
+            },
+        };
+        if let Some(i) = self.pending_patch.take() {
+            let u = &mut self.code[i as usize];
+            let indirect = u.h == H_JALR || u.h == H_RET;
+            if indirect {
+                u.link = head;
+                u.tpc = pc;
+                self.stats.links_patched += 1;
+            } else if u.tpc == pc {
+                u.link = head;
+                self.stats.links_patched += 1;
+            }
+        }
+        Some(head)
     }
 
     /// The trace execution loop. With `BLOCKS`, `sink.block` hears every
@@ -508,444 +567,265 @@ impl NemuTrace {
             }};
         }
         'outer: while steps < max_steps && !self.hart.is_halted() {
-            if self.hart.pending_injection.is_some()
-                || self.hart.state.csr.pending_interrupt().is_some()
-            {
+            if self.hart.pending_injection.is_some() || hart::interrupt_pending(&self.hart) {
                 // Control is being redirected: the pending exit edge must
                 // not be patched with the trap vector's trace.
                 self.pending_patch = None;
                 slow_step!();
                 continue;
             }
-            let pc = self.hart.state.pc;
-            let head = if let Some(&u) = self.map.get(&pc) {
-                self.stats.trace_hits += 1;
-                u
-            } else {
-                match self.fill(pc) {
-                    Some(u) => u,
-                    None => {
-                        self.pending_patch = None;
-                        slow_step!();
-                        continue;
-                    }
-                }
+            let Some(mut upc) = self.enter(self.hart.state.pc) else {
+                slow_step!();
+                continue;
             };
-            // Patch-on-resolve: the edge that exited last now has a live
-            // target. Static edges (branch/jal) patch only when this pc
-            // is their own target; indirect edges re-validate `tpc` at
-            // dispatch, so they always adopt the newest target.
-            if let Some(i) = self.pending_patch.take() {
-                let u = &mut self.code[i as usize];
-                let indirect = u.h == H_JALR || u.h == H_RET;
-                if indirect {
-                    u.link = head;
-                    u.tpc = pc;
-                    self.stats.links_patched += 1;
-                } else if u.tpc == pc {
-                    u.link = head;
-                    self.stats.links_patched += 1;
-                }
-            }
-            let mut upc = head;
+            let NemuTrace {
+                hart,
+                mem,
+                regs,
+                code,
+                tlb,
+                pending_patch,
+                stats,
+                ..
+            } = &mut *self;
+            let Hart {
+                state: ArchState { pc, fpr, csr, .. },
+                output,
+                ..
+            } = hart;
+            let mut m = Machine {
+                mem,
+                fpr,
+                csr,
+                output,
+            };
+            let code = &code[..];
             // Tight dispatch loop: stays inside the trace buffers until a
             // slow event, an unresolved edge, or fuel runs out.
             while steps < max_steps {
-                let uop = self.code[upc as usize];
+                let uop = &code[upc as usize];
                 steps += 1;
                 retired += 1;
-                // Take the architectural path for this instruction: take
-                // back the optimistic count, then slow-step (which
-                // re-executes it, retiring or trapping with full state).
-                macro_rules! slow_exit {
-                    () => {{
-                        steps -= 1;
-                        retired -= 1;
-                        self.hart.state.pc = uop.pc;
-                        slow_step!();
-                        continue 'outer;
-                    }};
-                }
-                // Conditional-branch arm body: chained transfer on the
-                // taken edge, `upc + 1` fall-through, exit-and-record
-                // when the taken target is unresolved.
-                macro_rules! branch {
-                    ($taken:expr) => {{
-                        let taken = $taken;
-                        end_block!(if taken { uop.tpc } else { uop.next_pc });
-                        if taken {
-                            if uop.link != UNRESOLVED {
-                                self.stats.trace_hits += 1;
-                                upc = uop.link;
-                            } else {
-                                self.hart.state.pc = uop.tpc;
-                                self.pending_patch = Some(upc);
+                let flow = exec(uop, regs, &mut m, tlb, stats);
+                match flow {
+                    Flow::Next => upc += 1,
+                    // A control transfer, which ends the block: chained, or
+                    // an exit recorded for patching when its target
+                    // resolves.
+                    Flow::Edge { target, .. } | Flow::Jump(target) => {
+                        end_block!(target);
+                        match follow(uop, upc, flow, stats) {
+                            Some(u) => upc = u,
+                            None => {
+                                *pc = target;
+                                *pending_patch = Some(upc);
                                 continue 'outer;
                             }
-                        } else {
-                            upc += 1;
                         }
-                    }};
-                }
-                match uop.h {
-                    H_LI => {
-                        self.regs[uop.rd as usize] = uop.imm as u64;
-                        upc += 1;
                     }
-                    H_MV => {
-                        self.regs[uop.rd as usize] = self.regs[uop.rs1 as usize];
-                        upc += 1;
-                    }
-                    H_ADDI => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        upc += 1;
-                    }
-                    H_ADD => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize].wrapping_add(self.regs[uop.rs2 as usize]);
-                        upc += 1;
-                    }
-                    H_SUB => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize].wrapping_sub(self.regs[uop.rs2 as usize]);
-                        upc += 1;
-                    }
-                    H_AND => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize] & self.regs[uop.rs2 as usize];
-                        upc += 1;
-                    }
-                    H_OR => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize] | self.regs[uop.rs2 as usize];
-                        upc += 1;
-                    }
-                    H_XOR => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize] ^ self.regs[uop.rs2 as usize];
-                        upc += 1;
-                    }
-                    H_ANDI => {
-                        self.regs[uop.rd as usize] = self.regs[uop.rs1 as usize] & uop.imm as u64;
-                        upc += 1;
-                    }
-                    H_ORI => {
-                        self.regs[uop.rd as usize] = self.regs[uop.rs1 as usize] | uop.imm as u64;
-                        upc += 1;
-                    }
-                    H_XORI => {
-                        self.regs[uop.rd as usize] = self.regs[uop.rs1 as usize] ^ uop.imm as u64;
-                        upc += 1;
-                    }
-                    H_SLLI => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize] << (uop.imm as u64 & 63);
-                        upc += 1;
-                    }
-                    H_SRLI => {
-                        self.regs[uop.rd as usize] =
-                            self.regs[uop.rs1 as usize] >> (uop.imm as u64 & 63);
-                        upc += 1;
-                    }
-                    H_SRAI => {
-                        self.regs[uop.rd as usize] =
-                            ((self.regs[uop.rs1 as usize] as i64) >> (uop.imm as u64 & 63)) as u64;
-                        upc += 1;
-                    }
-                    H_ADDW => {
-                        let v =
-                            self.regs[uop.rs1 as usize].wrapping_add(self.regs[uop.rs2 as usize]);
-                        self.regs[uop.rd as usize] = v as i32 as i64 as u64;
-                        upc += 1;
-                    }
-                    H_ADDIW => {
-                        let v = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        self.regs[uop.rd as usize] = v as i32 as i64 as u64;
-                        upc += 1;
-                    }
-                    H_SLT => {
-                        self.regs[uop.rd as usize] = ((self.regs[uop.rs1 as usize] as i64)
-                            < (self.regs[uop.rs2 as usize] as i64))
-                            as u64;
-                        upc += 1;
-                    }
-                    H_SLTU => {
-                        self.regs[uop.rd as usize] =
-                            (self.regs[uop.rs1 as usize] < self.regs[uop.rs2 as usize]) as u64;
-                        upc += 1;
-                    }
-                    H_ALU_RI => {
-                        let a = self.regs[uop.rs1 as usize];
-                        self.regs[uop.rd as usize] = int_compute(uop.inst.op, a, uop.imm as u64)
-                            .expect("ALU_RI ops are int_compute-able");
-                        upc += 1;
-                    }
-                    H_ALU_RR => {
-                        let a = self.regs[uop.rs1 as usize];
-                        let b = self.regs[uop.rs2 as usize];
-                        self.regs[uop.rd as usize] = int_compute(uop.inst.op, a, b)
-                            .expect("ALU_RR ops are int_compute-able");
-                        upc += 1;
-                    }
-                    H_LD => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.load_pa(va, 8) else {
-                            slow_exit!()
-                        };
-                        self.regs[uop.rd as usize] = if pa == MTIME {
-                            self.hart.state.csr.time
-                        } else {
-                            self.mem.read_uint(pa, 8)
-                        };
-                        upc += 1;
-                    }
-                    H_LW => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.load_pa(va, 4) else {
-                            slow_exit!()
-                        };
-                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 4) as i32 as i64 as u64;
-                        upc += 1;
-                    }
-                    H_LWU => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.load_pa(va, 4) else {
-                            slow_exit!()
-                        };
-                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 4);
-                        upc += 1;
-                    }
-                    H_LH => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.load_pa(va, 2) else {
-                            slow_exit!()
-                        };
-                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 2) as i16 as i64 as u64;
-                        upc += 1;
-                    }
-                    H_LHU => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.load_pa(va, 2) else {
-                            slow_exit!()
-                        };
-                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 2);
-                        upc += 1;
-                    }
-                    H_LB => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.load_pa(va, 1) else {
-                            slow_exit!()
-                        };
-                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 1) as i8 as i64 as u64;
-                        upc += 1;
-                    }
-                    H_LBU => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.load_pa(va, 1) else {
-                            slow_exit!()
-                        };
-                        self.regs[uop.rd as usize] = self.mem.read_uint(pa, 1);
-                        upc += 1;
-                    }
-                    H_SD => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.store_pa(va, 8) else {
-                            slow_exit!()
-                        };
-                        let v = self.regs[uop.rs2 as usize];
-                        if pa == UART_TX {
-                            self.hart.output.push(v as u8);
-                        } else {
-                            self.mem.write_uint(pa, 8, v);
-                        }
-                        upc += 1;
-                    }
-                    H_SW => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.store_pa(va, 4) else {
-                            slow_exit!()
-                        };
-                        let v = self.regs[uop.rs2 as usize];
-                        if pa == UART_TX {
-                            self.hart.output.push(v as u8);
-                        } else {
-                            self.mem.write_uint(pa, 4, v);
-                        }
-                        upc += 1;
-                    }
-                    H_SH => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.store_pa(va, 2) else {
-                            slow_exit!()
-                        };
-                        let v = self.regs[uop.rs2 as usize];
-                        if pa == UART_TX {
-                            self.hart.output.push(v as u8);
-                        } else {
-                            self.mem.write_uint(pa, 2, v);
-                        }
-                        upc += 1;
-                    }
-                    H_SB => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let Some(pa) = self.store_pa(va, 1) else {
-                            slow_exit!()
-                        };
-                        let v = self.regs[uop.rs2 as usize];
-                        if pa == UART_TX {
-                            self.hart.output.push(v as u8);
-                        } else {
-                            self.mem.write_uint(pa, 1, v);
-                        }
-                        upc += 1;
-                    }
-                    H_FLOAD => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let size = uop.inst.mem_size();
-                        let Some(pa) = self.load_pa(va, size) else {
-                            slow_exit!()
-                        };
-                        let raw = if pa == MTIME && size == 8 {
-                            self.hart.state.csr.time
-                        } else {
-                            self.mem.read_uint(pa, size)
-                        };
-                        self.hart.state.fpr[uop.inst.rd as usize] = if uop.inst.op == Op::Flw {
-                            0xffff_ffff_0000_0000 | raw
-                        } else {
-                            raw
-                        };
-                        upc += 1;
-                    }
-                    H_FSTORE => {
-                        let va = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64);
-                        let size = uop.inst.mem_size();
-                        let Some(pa) = self.store_pa(va, size) else {
-                            slow_exit!()
-                        };
-                        let v = self.hart.state.fpr[uop.inst.rs2 as usize];
-                        if pa == UART_TX {
-                            self.hart.output.push(v as u8);
-                        } else {
-                            self.mem.write_uint(pa, size, v);
-                        }
-                        upc += 1;
-                    }
-                    H_HOSTFP => {
-                        let d = &uop.inst;
-                        let a = if d.rs1_is_fpr() {
-                            self.hart.state.fpr[d.rs1 as usize]
-                        } else {
-                            self.regs[d.rs1 as usize]
-                        };
-                        let b = if d.rs2_is_fpr() {
-                            self.hart.state.fpr[d.rs2 as usize]
-                        } else {
-                            self.regs[d.rs2 as usize]
-                        };
-                        let c = self.hart.state.fpr[d.rs3 as usize];
-                        let rm = if d.rm == 7 {
-                            self.hart.state.csr.frm()
-                        } else {
-                            d.rm
-                        };
-                        let r = fp_execute(d.op, a, b, c, rm);
-                        self.hart.state.csr.set_fflags(r.flags);
-                        if d.writes_fpr() {
-                            self.hart.state.fpr[d.rd as usize] = r.bits;
-                        } else {
-                            self.regs[uop.rd as usize] = r.bits;
-                        }
-                        upc += 1;
-                    }
-                    H_BEQ => {
-                        branch!(self.regs[uop.rs1 as usize] == self.regs[uop.rs2 as usize])
-                    }
-                    H_BNE => {
-                        branch!(self.regs[uop.rs1 as usize] != self.regs[uop.rs2 as usize])
-                    }
-                    H_BLT => branch!(
-                        (self.regs[uop.rs1 as usize] as i64) < (self.regs[uop.rs2 as usize] as i64)
-                    ),
-                    H_BGE => branch!(
-                        (self.regs[uop.rs1 as usize] as i64)
-                            >= (self.regs[uop.rs2 as usize] as i64)
-                    ),
-                    H_BLTU => {
-                        branch!(self.regs[uop.rs1 as usize] < self.regs[uop.rs2 as usize])
-                    }
-                    H_BGEU => {
-                        branch!(self.regs[uop.rs1 as usize] >= self.regs[uop.rs2 as usize])
-                    }
-                    H_JAL_INLINE => {
-                        // The target's uops sit in the next slot: writing
-                        // the link register is all a direct jump costs.
-                        self.regs[uop.rd as usize] = uop.next_pc;
-                        end_block!(uop.tpc);
-                        upc += 1;
-                    }
-                    H_JAL_CHAIN => {
-                        self.regs[uop.rd as usize] = uop.next_pc;
-                        end_block!(uop.tpc);
-                        self.stats.trace_hits += 1;
-                        upc = uop.link;
-                    }
-                    H_JALR => {
-                        // Compute the target before writing rd (rd may
-                        // alias rs1).
-                        let target = self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
-                        self.regs[uop.rd as usize] = uop.next_pc;
-                        end_block!(target);
-                        if uop.link != UNRESOLVED && uop.tpc == target {
-                            self.stats.trace_hits += 1;
+                    Flow::Sentinel => {
+                        // No instruction executed: hop to the joined trace,
+                        // or re-enter via the outer loop at the
+                        // continuation pc.
+                        steps -= 1;
+                        retired -= 1;
+                        if uop.h == H_CHAIN {
+                            stats.trace_hits += 1;
                             upc = uop.link;
                         } else {
-                            self.hart.state.pc = target;
-                            self.pending_patch = Some(upc);
+                            *pc = uop.pc;
                             continue 'outer;
                         }
                     }
-                    H_RET => {
-                        let target = self.regs[1] & !1;
-                        end_block!(target);
-                        if uop.link != UNRESOLVED && uop.tpc == target {
-                            self.stats.trace_hits += 1;
-                            upc = uop.link;
-                        } else {
-                            self.hart.state.pc = target;
-                            self.pending_patch = Some(upc);
-                            continue 'outer;
-                        }
-                    }
-                    H_NOP => upc += 1,
-                    H_CHAIN => {
-                        // Sentinel: no instruction executed — hop to the
-                        // joined trace and keep dispatching.
+                    Flow::Decline => {
+                        // Take back the optimistic count, then slow-step
+                        // (which re-executes it, retiring or trapping with
+                        // full state).
                         steps -= 1;
                         retired -= 1;
-                        self.stats.trace_hits += 1;
-                        upc = uop.link;
-                    }
-                    H_GOTO => {
-                        // Sentinel: no instruction executed — re-enter via
-                        // the outer loop at the continuation pc.
-                        steps -= 1;
-                        retired -= 1;
-                        self.hart.state.pc = uop.pc;
+                        *pc = uop.pc;
+                        slow_step!();
                         continue 'outer;
                     }
-                    _ => slow_exit!(),
                 }
             }
             // Fuel exhausted inside the trace: record the resume pc.
-            self.hart.state.pc = self.code[upc as usize].pc;
+            *pc = code[upc as usize].pc;
             break;
         }
         if BLOCKS && steps > block_mark {
             sink.block(block_pc, steps - block_mark);
         }
         self.sync_regs_to_hart(retired);
+    }
+}
+
+/// The uop at `upc`, executed against the register view `x` — the one arm
+/// per op that `run()` (the shadow file) and `step_one()` (the hart's
+/// file and its record) both expand.
+#[inline(always)]
+fn exec<L: Lane>(
+    uop: &TUop,
+    x: &mut L,
+    m: &mut Machine,
+    tlb: &mut DataTlb,
+    stats: &mut TraceStats,
+) -> Flow {
+    macro_rules! alu_rr {
+        (|$a:ident, $b:ident| $v:expr) => {{
+            let $a = x.x(uop.rs1);
+            let $b = x.x(uop.rs2);
+            x.set_x(uop.rd, $v);
+            Flow::Next
+        }};
+    }
+    macro_rules! alu_ri {
+        (|$a:ident, $i:ident| $v:expr) => {{
+            let $a = x.x(uop.rs1);
+            let $i = uop.imm as u64;
+            x.set_x(uop.rd, $v);
+            Flow::Next
+        }};
+    }
+    // The virtual and physical address of a `$size`-byte access, or a
+    // decline when this path cannot translate it.
+    macro_rules! addr {
+        ($size:expr, $store:expr) => {{
+            let va = x.x(uop.rs1).wrapping_add(uop.imm as u64);
+            match tlb.pa::<L>(m, stats, va, $size, $store) {
+                Some(pa) => (va, pa),
+                None => return Flow::Decline,
+            }
+        }};
+    }
+    macro_rules! load {
+        ($size:expr, |$raw:ident| $v:expr) => {{
+            let (va, pa) = addr!($size, false);
+            arm::load(x, m, uop.rd, va, pa, $size, |$raw| $v);
+            Flow::Next
+        }};
+    }
+    macro_rules! load_f {
+        ($size:expr) => {{
+            // `fpr` is indexed by the unredirected rd.
+            let (va, pa) = addr!($size, false);
+            arm::load_f(x, m, uop.inst.rd, va, pa, $size);
+            Flow::Next
+        }};
+    }
+    macro_rules! store {
+        ($size:expr, $v:expr) => {{
+            let (va, pa) = addr!($size, true);
+            let v = $v;
+            arm::store(x, m, va, pa, $size, v);
+            Flow::Next
+        }};
+    }
+    macro_rules! branch {
+        (|$a:ident, $b:ident| $taken:expr) => {{
+            let $a = x.x(uop.rs1);
+            let $b = x.x(uop.rs2);
+            let taken = $taken;
+            let target = if taken { uop.tpc } else { uop.next_pc };
+            Flow::Edge { taken, target }
+        }};
+    }
+    match uop.h {
+        H_LI => {
+            x.set_x(uop.rd, uop.imm as u64);
+            Flow::Next
+        }
+        H_MV => {
+            let v = x.x(uop.rs1);
+            x.set_x(uop.rd, v);
+            Flow::Next
+        }
+        H_ADDI => alu_ri!(|a, i| a.wrapping_add(i)),
+        H_ADD => alu_rr!(|a, b| a.wrapping_add(b)),
+        H_SUB => alu_rr!(|a, b| a.wrapping_sub(b)),
+        H_AND => alu_rr!(|a, b| a & b),
+        H_OR => alu_rr!(|a, b| a | b),
+        H_XOR => alu_rr!(|a, b| a ^ b),
+        H_ANDI => alu_ri!(|a, i| a & i),
+        H_ORI => alu_ri!(|a, i| a | i),
+        H_XORI => alu_ri!(|a, i| a ^ i),
+        H_SLLI => alu_ri!(|a, i| a << (i & 63)),
+        H_SRLI => alu_ri!(|a, i| a >> (i & 63)),
+        H_SRAI => alu_ri!(|a, i| ((a as i64) >> (i & 63)) as u64),
+        H_ADDW => alu_rr!(|a, b| a.wrapping_add(b) as i32 as i64 as u64),
+        H_ADDIW => alu_ri!(|a, i| a.wrapping_add(i) as i32 as i64 as u64),
+        H_SLT => alu_rr!(|a, b| ((a as i64) < (b as i64)) as u64),
+        H_SLTU => alu_rr!(|a, b| (a < b) as u64),
+        H_ALU_RI => {
+            alu_ri!(|a, i| int_compute(uop.inst.op, a, i).expect("ALU_RI ops are int_compute-able"))
+        }
+        H_ALU_RR => {
+            alu_rr!(|a, b| int_compute(uop.inst.op, a, b).expect("ALU_RR ops are int_compute-able"))
+        }
+        H_LD => load!(8, |raw| raw),
+        H_LW => load!(4, |raw| raw as i32 as i64 as u64),
+        H_LWU => load!(4, |raw| raw),
+        H_LH => load!(2, |raw| raw as i16 as i64 as u64),
+        H_LHU => load!(2, |raw| raw),
+        H_LB => load!(1, |raw| raw as i8 as i64 as u64),
+        H_LBU => load!(1, |raw| raw),
+        H_SD => store!(8, x.x(uop.rs2)),
+        H_SW => store!(4, x.x(uop.rs2)),
+        H_SH => store!(2, x.x(uop.rs2)),
+        H_SB => store!(1, x.x(uop.rs2)),
+        H_FLW => load_f!(4),
+        H_FLD => load_f!(8),
+        H_FSW => store!(4, m.fpr[uop.rs2 as usize]),
+        H_FSD => store!(8, m.fpr[uop.rs2 as usize]),
+        H_HOSTFP => {
+            if arm::host_fp(x, m, &uop.inst, uop.rd, uop.imm) {
+                Flow::Next
+            } else {
+                Flow::Decline
+            }
+        }
+        H_BEQ => branch!(|a, b| a == b),
+        H_BNE => branch!(|a, b| a != b),
+        H_BLT => branch!(|a, b| (a as i64) < (b as i64)),
+        H_BGE => branch!(|a, b| (a as i64) >= (b as i64)),
+        H_BLTU => branch!(|a, b| a < b),
+        H_BGEU => branch!(|a, b| a >= b),
+        H_JAL_INLINE | H_JAL_CHAIN => {
+            x.set_x(uop.rd, uop.next_pc);
+            Flow::Edge {
+                taken: true,
+                target: uop.tpc,
+            }
+        }
+        H_JALR => {
+            // The target first: rd may alias rs1.
+            let target = x.x(uop.rs1).wrapping_add(uop.imm as u64) & !1;
+            x.set_x(uop.rd, uop.next_pc);
+            Flow::Jump(target)
+        }
+        H_RET => Flow::Jump(x.x(1) & !1),
+        H_NOP => Flow::Next,
+        H_CHAIN | H_GOTO => Flow::Sentinel,
+        _ => Flow::Decline,
+    }
+}
+
+/// The upc that control reaches after the uop at `upc` went `flow`: the
+/// next slot (straight-line code, a fall-through, an inlined `jal`), or
+/// the uop's chain link — `None` while that is unresolved, or, for an
+/// indirect jump, patched for another target.
+#[inline(always)]
+fn follow(uop: &TUop, upc: u32, flow: Flow, stats: &mut TraceStats) -> Option<u32> {
+    let linked = match flow {
+        Flow::Edge { taken: true, .. } if uop.h != H_JAL_INLINE => uop.link != UNRESOLVED,
+        Flow::Jump(target) => uop.link != UNRESOLVED && uop.tpc == target,
+        _ => return Some(upc + 1),
+    };
+    if linked {
+        stats.trace_hits += 1;
+        Some(uop.link)
+    } else {
+        None
     }
 }
 
@@ -992,12 +872,14 @@ fn classify(d: &DecodedInst) -> u8 {
         Lbu => H_LBU,
         Lhu => H_LHU,
         Lwu => H_LWU,
-        Flw | Fld => H_FLOAD,
+        Flw => H_FLW,
+        Fld => H_FLD,
         Sb => H_SB,
         Sh => H_SH,
         Sw => H_SW,
         Sd => H_SD,
-        Fsw | Fsd => H_FSTORE,
+        Fsw => H_FSW,
+        Fsd => H_FSD,
         op => {
             if int_compute(op, 0, 0).is_some() {
                 if has_imm_operand(op) {
@@ -1032,9 +914,10 @@ impl Interpreter for NemuTrace {
     fn resync(&mut self) {
         self.sync_regs_from_hart();
     }
-    /// `hart::execute` on the trace buffer's decoded instruction, directly
-    /// on `hart.state` (no shadow file, no micro-TLBs — `execute`
-    /// translates for itself). Falls back to [`hart::step_into`] when no trace
+    /// The trace uop's own arm (`exec`, the one `run()` runs) on
+    /// `hart.state` and the lent record, with no micro-TLB: a translated
+    /// access declines. [`hart::execute_and_retire`] serves a `Slow` uop or
+    /// one its arm declines. Falls back to [`hart::step_into`] when no trace
     /// can serve the pc (fetch translation active, odd pc) or a trap is
     /// pending.
     fn step_one(&mut self) -> &StepInfo {
@@ -1046,30 +929,67 @@ impl Interpreter for NemuTrace {
         if !self.fetch_fast
             || pc & 1 != 0
             || self.hart.pending_injection.is_some()
-            || self.hart.state.csr.pending_interrupt().is_some()
+            || hart::interrupt_pending(&self.hart)
         {
+            self.pending_patch = None;
             return self.arch_step();
         }
         let upc = match self.code.get(self.cursor as usize) {
             Some(u) if u.pc == pc && u.h < H_CHAIN => self.cursor,
-            _ => match self.map.get(&pc) {
-                Some(&u) => u,
-                None => self.fill(pc).expect("fetch_fast holds, so fill succeeds"),
-            },
+            _ => self.enter(pc).expect("fetch_fast holds, so fill succeeds"),
         };
-        let uop = &self.code[upc as usize];
-        let slow = uop.h == H_SLOW;
-        self.cursor = upc + 1;
-        self.info = StepInfo::at(pc);
-        let retired = hart::execute_and_retire::<Host, _>(
-            &mut self.hart,
-            &mut self.mem,
-            &uop.inst,
-            &mut self.info,
+        let NemuTrace {
+            hart,
+            mem,
+            info,
+            code,
+            tlb,
+            cursor,
+            pending_patch,
+            stats,
+            ..
+        } = self;
+        let uop = &code[upc as usize];
+        *info = StepInfo {
+            inst: uop.inst,
+            ..StepInfo::at(pc)
+        };
+        let Hart {
+            state: ArchState { gpr, fpr, csr, .. },
+            output,
+            ..
+        } = hart;
+        let flow = exec(
+            uop,
+            &mut Record { gpr, info },
+            &mut Machine {
+                mem,
+                fpr,
+                csr,
+                output,
+            },
+            tlb,
+            stats,
         );
-        if slow || !retired {
-            self.after_system_step();
-        }
+        let next_pc = match flow {
+            Flow::Next => uop.next_pc,
+            Flow::Edge { target, .. } | Flow::Jump(target) => target,
+            Flow::Sentinel | Flow::Decline => {
+                let slow = uop.h == H_SLOW;
+                *cursor = upc + 1;
+                let retired = hart::execute_and_retire::<Host, _>(hart, mem, &uop.inst, info);
+                if slow || !retired {
+                    self.after_system_step();
+                }
+                return &self.info;
+            }
+        };
+        hart::retire(hart);
+        hart.state.pc = next_pc;
+        *cursor = follow(uop, upc, flow, stats).unwrap_or_else(|| {
+            *pending_patch = Some(upc);
+            UNRESOLVED
+        });
         &self.info
     }
     fn run_until(&mut self, max_steps: u64, sink: &mut dyn CommitSink) -> RunResult {

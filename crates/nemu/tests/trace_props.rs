@@ -21,9 +21,10 @@ use nemu::hart::{self, Hart};
 use nemu::{CommitSink, DromajoLike, Granularity, Interpreter, NemuTrace, RunResult, StepInfo};
 use proptest::prelude::*;
 use riscv_isa::asm::{reg::*, Asm, Program};
-use riscv_isa::csr::addr as csr;
-use riscv_isa::mem::SparseMemory;
+use riscv_isa::csr::{addr as csr, mstatus};
+use riscv_isa::mem::{SparseMemory, MTIME, UART_TX};
 use riscv_isa::op::{DecodedInst, Op};
+use riscv_isa::trap::{Exception, Trap};
 use workloads::{random_program, TortureConfig};
 
 const FUEL: u64 = 5_000_000;
@@ -213,13 +214,114 @@ fn system_program(seed: u64) -> Program {
     a.assemble()
 }
 
-/// `seed` picks the program: a torture body (odd seeds with RVC
-/// sprinkled in) or the system program.
+/// What the caching tiers' per-op arms special-case or decline, each
+/// beside what `hart::step` does with it: `MTIME` read at every load
+/// width (only 8-byte loads answer `time`), `UART_TX` written at every
+/// store width, integer and FP, accesses that straddle a page, loads, ALU
+/// ops, `jal` and an FP op with rd = x0, an FP op with `mstatus.FS` off,
+/// dynamic-`rm` ops under each `frm` (5–7 trap) and a static `rm` of 5
+/// (illegal), and a taken branch into another trace and back — in a loop
+/// whose trip count and values come from `seed`. Every trap returns past
+/// its (4-byte) instruction.
+fn edge_program(seed: u64) -> Program {
+    let word = |d: DecodedInst| riscv_isa::encode::encode(&d).expect("the word encodes");
+    let fp = |op, rd, rs1, rs2, rm| DecodedInst {
+        op,
+        rd,
+        rs1,
+        rs2,
+        rm,
+        ..Default::default()
+    };
+    let mut a = Asm::new(0x8000_0000);
+    let (handler, away, back) = (a.label(), a.label(), a.label());
+    a.la(T0, handler);
+    a.csrrw(ZERO, csr::MTVEC, T0);
+    a.li(S0, 2 + (seed % 3) as i64);
+    a.li(S1, (seed as i64 % 997) + 3);
+    a.li(S2, 0x8004_0ffc); // 8 bytes from here cross a page
+    a.li(S3, MTIME as i64);
+    a.li(S4, UART_TX as i64);
+    a.li(S5, mstatus::FS as i64);
+    // 1 + 2^-24 + 2^-40: rounding it to a single shows the mode.
+    a.li(
+        T0,
+        (1.0f64 + 2f64.powi(-24) + 2f64.powi(-40)).to_bits() as i64,
+    );
+    a.fmv_d_x(FS0, T0);
+    a.li(A0, 0);
+    let top = a.bound_label();
+    // MTIME at every load width.
+    a.ld(T1, 0, S3);
+    a.fld(FT3, 0, S3);
+    a.lw(T2, 0, S3);
+    a.lh(T3, 0, S3);
+    a.lb(T4, 0, S3);
+    a.flw(FT4, 0, S3);
+    // UART_TX at every store width.
+    a.sb(S1, 0, S4);
+    a.sh(S1, 0, S4);
+    a.sw(S1, 0, S4);
+    a.sd(S1, 0, S4);
+    a.fsw(FS0, 0, S4);
+    a.fsd(FS0, 0, S4);
+    // Page-straddling stores and loads.
+    a.sd(S1, 0, S2);
+    a.sw(S0, 2, S2);
+    a.ld(T5, 0, S2);
+    a.lhu(T6, 3, S2);
+    a.fsd(FS0, 0, S2);
+    a.fld(FT5, 0, S2);
+    a.add(A0, A0, T5);
+    // rd = x0.
+    a.ld(ZERO, 0, S2);
+    a.lw(ZERO, 0, S3);
+    a.add(ZERO, S1, S1);
+    a.addi(ZERO, S1, 5);
+    a.fcvt_l_d(ZERO, FS0);
+    let next = a.label();
+    a.jal(ZERO, next);
+    a.bind(next);
+    // Dynamic rounding under each `frm`, then a static rm of 5.
+    for frm in 0..8 {
+        a.csrrwi(ZERO, csr::FRM, frm);
+        a.data_u32(word(fp(Op::FcvtSD, FT6, FS0, 0, 7)));
+        a.data_u32(word(fp(Op::FaddD, FT7, FS0, FT5, 7)));
+    }
+    a.csrrwi(ZERO, csr::FRM, 0);
+    a.data_u32(word(fp(Op::FaddD, FT7, FS0, FT5, 0)) | 5 << 12);
+    a.fmv_x_d(T0, FT6);
+    a.xor(A0, A0, T0);
+    // FP with mstatus.FS off: the op traps.
+    a.csrrc(ZERO, csr::MSTATUS, S5);
+    a.data_u32(word(fp(Op::FaddD, FT7, FS0, FS0, 0)));
+    a.csrrs(ZERO, csr::MSTATUS, S5);
+    // A taken branch into another trace, and a jump back.
+    a.bnez(S1, away);
+    a.bind(back);
+    a.addi(S0, S0, -1);
+    a.bnez(S0, top);
+    a.ebreak();
+    a.bind(away);
+    a.addi(A0, A0, 1);
+    a.j(back);
+    a.align(2); // mtvec's low bits are its mode
+    a.bind(handler);
+    a.csrrs(T0, csr::MEPC, ZERO);
+    a.addi(T0, T0, 4);
+    a.csrrw(ZERO, csr::MEPC, T0);
+    a.mret();
+    a.assemble()
+}
+
+/// `seed` picks the program: a torture body (with RVC sprinkled in for
+/// one residue), the system program or the edge program.
 fn contract_program(seed: u64) -> Program {
-    match seed % 3 {
-        0 => system_program(seed / 3),
+    match seed % 4 {
+        0 => system_program(seed / 4),
+        3 => edge_program(seed / 4),
         n => random_program(
-            seed / 3,
+            seed / 4,
             &TortureConfig {
                 compressed: n == 2,
                 ..torture_cfg()
@@ -371,14 +473,19 @@ proptest! {
     }
 }
 
-/// The contract programs are only useful if they halt, and the system
-/// program only if it really traps, patches itself and touches FP.
+/// The contract programs are only useful if they halt; the system
+/// program only if it really traps, patches itself and touches FP; the
+/// edge program only if every iteration takes its eight illegal-
+/// instruction traps (`frm` 5–7 twice, static rm 5, FS off), makes its
+/// eight MMIO accesses (two `time` reads, six UART stores) and straddles
+/// a page seven times.
 #[test]
 fn contract_programs_halt_and_exercise_the_system_paths() {
-    for seed in 0..60 {
+    for seed in 0..80 {
         let p = contract_program(seed);
         let (mut h, mut m) = nemu::boot(&p);
         let (mut traps, mut fence_i, mut fp) = (0, 0, 0);
+        let (mut illegal, mut mmio, mut straddles, mut branches) = (0, 0, 0, 0);
         for _ in 0..FUEL {
             if h.is_halted() {
                 break;
@@ -387,13 +494,61 @@ fn contract_programs_halt_and_exercise_the_system_paths() {
             traps += u64::from(info.trap.is_some());
             fence_i += u64::from(info.inst.op == Op::FenceI);
             fp += u64::from(matches!(info.wb, Some((true, _, _))));
+            illegal += u64::from(matches!(
+                info.trap,
+                Some(Trap::Exception(Exception::IllegalInstruction, _))
+            ));
+            if let Some(a) = info.mem {
+                mmio += u64::from(a.mmio);
+                straddles += u64::from((a.vaddr & 0xfff) + a.size > 0x1000);
+            }
+            branches += u64::from(info.inst.op == Op::Bne);
         }
         assert!(h.is_halted(), "seed {seed} did not halt");
-        if seed % 3 == 0 {
-            assert!(
+        match seed % 4 {
+            0 => assert!(
                 traps >= 3 && fence_i >= 3 && fp >= 3,
                 "seed {seed}: {traps} {fence_i} {fp}"
-            );
+            ),
+            3 => {
+                // Two `bnez` an iteration.
+                let n = branches / 2;
+                assert!(n >= 2, "seed {seed}: {n} iterations");
+                assert_eq!(
+                    (illegal, mmio, straddles),
+                    (8 * n, 8 * n, 7 * n),
+                    "seed {seed}"
+                );
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A `resync` directly followed by a step, on every program family and
+/// every personality: the step must see the patched register (a tier
+/// that reads a shadow file, or a stale cursor, shows in the record).
+#[test]
+fn a_resync_is_followed_by_a_faithful_step() {
+    let script = [
+        (2, 9),
+        (3, 1),
+        (0, 1),
+        (0, 4),
+        (3, 2),
+        (3, 5),
+        (1, 1),
+        (2, 40),
+        (3, 4),
+        (0, 30),
+        (2, 3),
+        (3, 0),
+        (1, 2),
+    ];
+    for seed in 0..8 {
+        let p = contract_program(seed);
+        for pers in nemu::registry::PERSONALITIES {
+            check_stepping((pers.build)(&p), &p, &script);
         }
     }
 }

@@ -46,9 +46,14 @@ pub fn decode(raw: u32) -> DecodedInst {
 }
 
 /// Decode a full 32-bit instruction: the table classifies the word, the
-/// operation's shape says which immediate the word carries.
+/// operation's shape says which immediate the word carries. A reserved
+/// static rounding mode (5 or 6) in a funct3 that is a rounding mode makes
+/// the word illegal.
 pub fn decode32(raw: u32) -> DecodedInst {
-    let op = classify(raw);
+    let mut op = classify(raw);
+    if matches!(bits(raw, 14, 12), 5 | 6) && op.info().rm_live() {
+        op = Op::Illegal;
+    }
     let mut d = DecodedInst {
         op,
         rd: bits(raw, 11, 7) as u8,
@@ -422,6 +427,32 @@ mod tests {
         // fmv.x.d x1, f2
         let d = decode32(0xe201_00d3);
         assert_eq!(d.op, Op::FmvXD);
+    }
+
+    /// A static rounding mode of 5 or 6 is reserved: the word is illegal
+    /// where funct3 is a rounding mode, and only there. A dynamic one (7)
+    /// decodes, and executes only while `frm` holds a mode below 5.
+    #[test]
+    fn reserved_rounding_modes_are_illegal() {
+        // fadd.d f3, f1, f2 and fmadd.d f3, f1, f2, f4 with rm in bits 14:12.
+        for (word, op) in [(0x0220_01d3, Op::FaddD), (0x2220_01c3, Op::FmaddD)] {
+            for rm in 0..8u32 {
+                let d = decode32(word | rm << 12);
+                let want = if matches!(rm, 5 | 6) { Op::Illegal } else { op };
+                assert_eq!(d.op, want, "{op:?} rm {rm}");
+            }
+        }
+        // funct3 5 of a load is `lhu`, not a rounding mode.
+        assert_eq!(decode32(0x0000_5003).op, Op::Lhu);
+        let dynamic = decode32(0x0220_f1d3);
+        for frm in 0..8 {
+            let want = (frm < 5).then_some(frm);
+            assert_eq!(dynamic.rounding(frm), want, "frm {frm}");
+        }
+        // fsgnj.d: funct3 selects the operation, any `frm` will do.
+        let fsgnj = decode32(0x2220_81d3);
+        assert_eq!(fsgnj.op, Op::FsgnjD);
+        assert_eq!(fsgnj.rounding(7), Some(0));
     }
 
     #[test]

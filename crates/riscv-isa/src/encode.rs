@@ -28,10 +28,11 @@ pub fn imm_range(shape: Shape) -> Option<(i64, i64, i64)> {
 
 /// Encode a decoded instruction back into its 32-bit form.
 ///
-/// Returns `None` for [`Op::Illegal`], for a register index above 31 and
-/// for an immediate outside [`imm_range`] of the operation's shape. The
-/// `rm` field is honored where the operation has a rounding mode;
-/// everything else takes funct3 from the table.
+/// Returns `None` for [`Op::Illegal`], for a register index above 31, for
+/// an immediate outside [`imm_range`] of the operation's shape and for a
+/// reserved rounding mode (5 or 6, which decode as illegal). The `rm`
+/// field is honored where the operation has a rounding mode; everything
+/// else takes funct3 from the table.
 ///
 /// ```
 /// use riscv_isa::{decode32, encode::encode, op::{DecodedInst, Op}};
@@ -43,7 +44,10 @@ pub fn imm_range(shape: Shape) -> Option<(i64, i64, i64)> {
 /// ```
 pub fn encode(d: &DecodedInst) -> Option<u32> {
     let info = d.op.info();
-    if d.op == Op::Illegal || (d.rd | d.rs1 | d.rs2 | d.rs3) > 31 {
+    if d.op == Op::Illegal
+        || (d.rd | d.rs1 | d.rs2 | d.rs3) > 31
+        || info.rm_live() && matches!(d.rm & 7, 5 | 6)
+    {
         return None;
     }
     if let Some((lo, hi, step)) = imm_range(info.shape) {

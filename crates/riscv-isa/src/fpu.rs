@@ -7,8 +7,8 @@
 //! int→FP — is one function generic over [`Fmt`] (`f32` and `f64`).
 //!
 //! Host arithmetic rounds to nearest-even whatever `rm` says and raises no
-//! NX, an approximation DESIGN §5 documents; conversions derive NX exactly,
-//! and FP→int ones honour `rm`. [`fp_execute_with::<Soft>`](Soft) swaps the
+//! NX, an approximation DESIGN §5 documents; every conversion honours `rm`
+//! and derives NX exactly. [`fp_execute_with::<Soft>`](Soft) swaps the
 //! exact-rounding [`crate::softfloat`] kernels in for add, sub, mul and the
 //! FMAs, as the Spike-like baseline does; every other rule is shared.
 
@@ -75,8 +75,8 @@ pub trait Fmt:
     const QUIET: u64;
     /// Positive zero.
     const ZERO: Self;
-    /// Significand bits, the hidden one included.
-    const DIGITS: u32;
+    /// The exponent of the power of two just past the largest finite value.
+    const MAX_EXP: i32;
     /// The format's own bits, zero-extended.
     fn raw(self) -> u64;
     /// The value whose bits are the low ones of `raw`.
@@ -139,7 +139,7 @@ macro_rules! formats {
             const SIGN: u64 = $s;
             const QUIET: u64 = $q;
             const ZERO: Self = 0.0;
-            const DIGITS: u32 = $f::MANTISSA_DIGITS;
+            const MAX_EXP: i32 = $f::MAX_EXP;
             #[inline] fn raw(self) -> u64 { self.to_bits() as u64 }
             #[inline] fn from_raw(raw: u64) -> Self { $f::from_bits(raw as _) }
             #[inline] fn to_f64(self) -> f64 { self as f64 }
@@ -253,13 +253,59 @@ fn div<F: Fmt>(x: F, y: F) -> FpResult {
     host(r, &[x, y])
 }
 
-/// `fcvt.s.d` / `fcvt.d.s`: one rounding, NX when it lost bits.
-fn convert<T: Fmt, S: Fmt>(x: S) -> FpResult {
-    let r = T::from_f64(x.to_f64());
+/// `fcvt.s.d` / `fcvt.d.s`: one rounding by `rm`, NX when it lost bits,
+/// OF beside it when the value lies beyond the target's range (`T::MAX`
+/// and an ulp), even where `rm` keeps the result finite.
+fn convert<T: Fmt, S: Fmt>(x: S, rm: u8) -> FpResult {
+    let v = x.to_f64();
+    let near = T::from_f64(v);
+    let r = if near.to_f64() == v || v.is_nan() {
+        near
+    } else {
+        let tie = |lo: T, hi: T| (lo.to_f64() + hi.to_f64()) / 2.0 == v;
+        directed(near, rm, v.abs() > near.to_f64().abs(), v < 0.0, tie)
+    };
     if !r.is_finite() {
         return special(r, &[x]);
     }
-    FpResult::new(r.boxed(), flag(r.to_f64() != x.to_f64(), flags::NX))
+    let beyond = v.abs() >= 2f64.powi(T::MAX_EXP);
+    let flags = if beyond {
+        flags::OF | flags::NX
+    } else {
+        flag(r.to_f64() != v, flags::NX)
+    };
+    FpResult::new(r.boxed(), flags)
+}
+
+/// The rounding by `rm` of an exact value that `near`, its rounding to
+/// nearest-even, missed: one of `near` and the neighbour on the value's
+/// side of it (`beyond`: farther from zero than `near`). `tie(lo, hi)`
+/// says whether the value lies midway between the two.
+#[inline(always)]
+fn directed<F: Fmt>(
+    near: F,
+    rm: u8,
+    beyond: bool,
+    negative: bool,
+    tie: impl Fn(F, F) -> bool,
+) -> F {
+    // Same sign, one ulp farther from (or nearer to) zero; past the
+    // largest finite magnitude lies the infinity.
+    let next = F::from_raw(if beyond {
+        near.raw() + 1
+    } else {
+        near.raw() - 1
+    });
+    let (lo, hi) = if beyond { (near, next) } else { (next, near) };
+    match rm {
+        1 => lo,
+        2 if negative => hi,
+        2 => lo,
+        3 if negative => lo,
+        3 => hi,
+        4 if tie(lo, hi) => hi,
+        _ => near,
+    }
 }
 
 /// FP→int: round by `rm`, saturate outside `lo..=hi` with NV (a NaN
@@ -287,13 +333,19 @@ fn to_int<F: Fmt>(x: F, rm: u8, lo: i128, hi: i128) -> FpResult {
     FpResult::new(if w { v as i32 as u64 } else { v }, flags)
 }
 
-/// Int→FP: one rounding to nearest-even. `v` survives the round trip,
-/// raising no NX, when its significant bits fit the significand.
+/// Int→FP: one rounding by `rm`, NX when it lost bits (an integer never
+/// reaches the infinities of either format).
 #[inline(always)]
-fn from_int<F: Fmt>(v: i128) -> FpResult {
-    let m = v.unsigned_abs();
-    let inexact = m >> F::DIGITS != 0 && m >> m.trailing_zeros() >> F::DIGITS != 0;
-    FpResult::new(F::from_i128(v).boxed(), flag(inexact, flags::NX))
+fn from_int<F: Fmt>(v: i128, rm: u8) -> FpResult {
+    let near = F::from_i128(v);
+    // Exact: a rounded integer this wide is itself an integer.
+    let int = |f: F| f.to_f64() as i128;
+    if int(near) == v {
+        return FpResult::new(near.boxed(), 0);
+    }
+    let tie = |lo: F, hi: F| int(lo) + int(hi) == 2 * v;
+    let r = directed(near, rm, v.abs() > int(near).abs(), v < 0, tie);
+    FpResult::new(r.boxed(), flags::NX)
 }
 
 /// `fmin`/`fmax`: a number beats a NaN, −0 is below +0, an sNaN operand
@@ -409,16 +461,16 @@ pub fn fp_execute_with<A: Arith>(op: Op, a: u64, b: u64, c: u64, rm: u8) -> FpRe
         FcvtWuD => to_int(d(a), rm, 0, u32::MAX.into()),
         FcvtLD => to_int(d(a), rm, i64::MIN.into(), i64::MAX.into()),
         FcvtLuD => to_int(d(a), rm, 0, u64::MAX.into()),
-        FcvtSW => from_int::<f32>((a as i32).into()),
-        FcvtSWu => from_int::<f32>((a as u32).into()),
-        FcvtSL => from_int::<f32>((a as i64).into()),
-        FcvtSLu => from_int::<f32>(a.into()),
-        FcvtDW => from_int::<f64>((a as i32).into()),
-        FcvtDWu => from_int::<f64>((a as u32).into()),
-        FcvtDL => from_int::<f64>((a as i64).into()),
-        FcvtDLu => from_int::<f64>(a.into()),
-        FcvtSD => convert::<f32, f64>(d(a)),
-        FcvtDS => convert::<f64, f32>(s(a)),
+        FcvtSW => from_int::<f32>((a as i32).into(), rm),
+        FcvtSWu => from_int::<f32>((a as u32).into(), rm),
+        FcvtSL => from_int::<f32>((a as i64).into(), rm),
+        FcvtSLu => from_int::<f32>(a.into(), rm),
+        FcvtDW => from_int::<f64>((a as i32).into(), rm),
+        FcvtDWu => from_int::<f64>((a as u32).into(), rm),
+        FcvtDL => from_int::<f64>((a as i64).into(), rm),
+        FcvtDLu => from_int::<f64>(a.into(), rm),
+        FcvtSD => convert::<f32, f64>(d(a), rm),
+        FcvtDS => convert::<f64, f32>(s(a), rm),
         _ => {
             debug_assert!(false, "fp_execute called on {op:?}");
             FpResult::new(0, 0)
@@ -700,5 +752,101 @@ mod tests {
     fn fcvt_s_d_of_f64_max_overflows() {
         let r = fp_execute(Op::FcvtSD, f64bits(f64::MAX), 0, 0, 0);
         assert_eq!((r.bits, r.flags), (f32::INFINITY.boxed(), OF | NX));
+    }
+
+    const RNE: u8 = 0;
+    const RTZ: u8 = 1;
+    const RDN: u8 = 2;
+    const RUP: u8 = 3;
+    const RMM: u8 = 4;
+
+    /// `fcvt.s.d` rounds by `rm`: 1 + 2⁻²⁴ + 2⁻⁴⁰ lies just above the
+    /// midpoint of 1 and the next single, so the nearest modes go up, the
+    /// ones toward zero (and toward −∞ for a positive value) stay at 1.
+    #[test]
+    fn fcvt_s_d_rounds_by_rm() {
+        let x = 1.0 + 2f64.powi(-24) + 2f64.powi(-40);
+        let (one, up) = (0x3f80_0000u32, 0x3f80_0001u32);
+        let neg = |b: u32| b | 1 << 31;
+        for (rm, pos, minus) in [
+            (RNE, up, neg(up)),
+            (RTZ, one, neg(one)),
+            (RDN, one, neg(up)),
+            (RUP, up, neg(one)),
+            (RMM, up, neg(up)),
+        ] {
+            let r = fp_execute(Op::FcvtSD, f64bits(x), 0, 0, rm);
+            assert_eq!(
+                (r.bits, r.flags),
+                (f32::from_bits(pos).boxed(), NX),
+                "rm {rm}"
+            );
+            let r = fp_execute(Op::FcvtSD, f64bits(-x), 0, 0, rm);
+            assert_eq!(
+                (r.bits, r.flags),
+                (f32::from_bits(minus).boxed(), NX),
+                "-x, rm {rm}"
+            );
+        }
+        // An exact tie: RNE keeps the even 1, RMM goes away from zero.
+        let tie = 1.0 + 2f64.powi(-24);
+        let r = fp_execute(Op::FcvtSD, f64bits(-tie), 0, 0, RMM);
+        assert_eq!((r.bits, r.flags), (f32::from_bits(neg(up)).boxed(), NX));
+        let r = fp_execute(Op::FcvtSD, f64bits(-tie), 0, 0, RNE);
+        assert_eq!((r.bits, r.flags), (f32::from_bits(neg(one)).boxed(), NX));
+        // Widening is exact under every mode.
+        let r = fp_execute(Op::FcvtDS, 1.5f32.boxed(), 0, 0, RUP);
+        assert_eq!((r.bits, r.flags), (f64bits(1.5), 0));
+    }
+
+    /// Past the single range a mode toward zero keeps `f32::MAX`; a value
+    /// between `f32::MAX` and 2¹²⁸ overflows only where `rm` rounds it up.
+    #[test]
+    fn fcvt_s_d_overflow_by_rm() {
+        let max = f32::MAX.boxed();
+        let r = fp_execute(Op::FcvtSD, f64bits(f64::MAX), 0, 0, RTZ);
+        assert_eq!((r.bits, r.flags), (max, OF | NX));
+        let r = fp_execute(Op::FcvtSD, f64bits(-f64::MAX), 0, 0, RUP);
+        assert_eq!((r.bits, r.flags), ((-f32::MAX).boxed(), OF | NX));
+        let r = fp_execute(Op::FcvtSD, f64bits(-f64::MAX), 0, 0, RDN);
+        assert_eq!((r.bits, r.flags), (f32::NEG_INFINITY.boxed(), OF | NX));
+        let above = f32::MAX as f64 + 1e30;
+        let r = fp_execute(Op::FcvtSD, f64bits(above), 0, 0, RTZ);
+        assert_eq!((r.bits, r.flags), (max, NX));
+        let r = fp_execute(Op::FcvtSD, f64bits(above), 0, 0, RUP);
+        assert_eq!((r.bits, r.flags), (f32::INFINITY.boxed(), OF | NX));
+    }
+
+    /// `fcvt.d.l` rounds by `rm`: 2⁵³+1 is a tie between 2⁵³ and 2⁵³+2,
+    /// 2⁵⁴+1 no tie (its neighbours are 2⁵⁴ and 2⁵⁴+4).
+    #[test]
+    fn fcvt_d_l_rounds_by_rm() {
+        let p53 = 1i64 << 53;
+        let d = |v: i64| f64bits(v as f64);
+        for (rm, pos, minus) in [
+            (RNE, p53, -p53),
+            (RTZ, p53, -p53),
+            (RDN, p53, -p53 - 2),
+            (RUP, p53 + 2, -p53),
+            (RMM, p53 + 2, -p53 - 2),
+        ] {
+            let r = fp_execute(Op::FcvtDL, (p53 + 1) as u64, 0, 0, rm);
+            assert_eq!((r.bits, r.flags), (d(pos), NX), "rm {rm}");
+            let r = fp_execute(Op::FcvtDL, (-p53 - 1) as u64, 0, 0, rm);
+            assert_eq!((r.bits, r.flags), (d(minus), NX), "-(2^53+1), rm {rm}");
+        }
+        let p54 = 1i64 << 54;
+        let r = fp_execute(Op::FcvtDL, (-p54 - 1) as u64, 0, 0, RMM);
+        assert_eq!((r.bits, r.flags), (d(-p54), NX));
+        let r = fp_execute(Op::FcvtDL, (-p54 - 1) as u64, 0, 0, RDN);
+        assert_eq!((r.bits, r.flags), (d(-p54 - 4), NX));
+        // Unsigned and single: u64::MAX toward zero is the single below 2⁶⁴.
+        let r = fp_execute(Op::FcvtSLu, u64::MAX, 0, 0, RTZ);
+        assert_eq!((r.bits, r.flags), (f32::from_bits(0x5f7f_ffff).boxed(), NX));
+        let r = fp_execute(Op::FcvtSLu, u64::MAX, 0, 0, RUP);
+        assert_eq!((r.bits, r.flags), (2f32.powi(64).boxed(), NX));
+        // Exact conversions raise nothing under any mode.
+        let r = fp_execute(Op::FcvtSW, (-7i64) as u64, 0, 0, RUP);
+        assert_eq!((r.bits, r.flags), ((-7f32).boxed(), 0));
     }
 }

@@ -688,6 +688,16 @@ impl DecodedInst {
         self.op.shape().regs()[2] == Some(RegFile::F)
     }
 
+    /// The rounding mode this instruction executes under while `frm`
+    /// holds the dynamic one: `rm`, or `frm` when `rm` is 7 (dynamic).
+    /// `None` when that mode is reserved (5–7) and funct3 is a rounding
+    /// mode ([`OpInfo::rm_live`]): the instruction is illegal.
+    #[inline]
+    pub fn rounding(&self, frm: u8) -> Option<u8> {
+        let rm = if self.rm == 7 { frm } else { self.rm };
+        (rm < 5 || !self.op.info().rm_live()).then_some(rm)
+    }
+
     /// Returns true for the four-operand fused multiply-add family.
     #[inline]
     pub fn is_fma(&self) -> bool {

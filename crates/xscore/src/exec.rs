@@ -10,6 +10,7 @@ use crate::uop::exec_fused;
 use riscv_isa::exec::{branch_taken, has_imm_operand, int_compute};
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::op::{DecodedInst, FuClass, Op};
+use riscv_isa::trap::Exception;
 
 #[derive(Debug, Clone, Copy)]
 struct FuInFlight {
@@ -179,12 +180,20 @@ fn execute_and_writeback(sh: &mut Shared, idx: RobIdx) -> Option<Redirect> {
         int_compute(d.op, v(0), if has_imm_operand(d.op) { d.imm as u64 } else { v(1) })
     {
         value = r;
-    } else {
+    } else if let Some(rm) = d.rounding(sh.csr.frm()) {
         // Floating point through the host FPU.
-        let rm = if d.rm == 7 { sh.csr.frm() } else { d.rm };
         let r = fp_execute(d.op, v(0), v(1), v(2), rm);
         value = r.bits;
         fflags = r.flags;
+    } else {
+        // A reserved dynamic rounding mode: an illegal instruction, which
+        // commit raises; nothing is written back.
+        let c = sh.rob.cold_mut(idx);
+        c.exception = Some((Exception::IllegalInstruction, d.raw as u64));
+        c.life.executed = sh.cycle;
+        c.life.writeback = sh.cycle;
+        sh.rob.hot_mut(idx).state = RobState::Done;
+        return None;
     }
     if let Some(bug) = sh.cfg.run.injected_bug {
         value = apply_injected_bug(bug, d.op, value);

@@ -415,6 +415,7 @@ fn fp_edge_cases() -> Vec<FpCase> {
     let (nan_d, nan_s) = (0x7ff8_0000_0000_0000, 0xffff_ffff_7fc0_0000);
     let (one_d, one_s) = (1f64.to_bits(), bx(1.0));
     let (inf_d, ninf_d) = (f64::INFINITY.to_bits(), f64::NEG_INFINITY.to_bits());
+    let near_one = (1.0 + 2f64.powi(-24) + 2f64.powi(-40)).to_bits();
     let case = |op, srcs, rm, want, flags| FpCase { op, srcs, rm, want, flags };
     vec![
         case(Op::FaddD, [snan_d, one_d, 0], 0, nan_d, NV),
@@ -436,6 +437,13 @@ fn fp_edge_cases() -> Vec<FpCase> {
         case(Op::FeqS, [0x7f80_0001, one_s, 0], 0, 0, 0),
         case(Op::FminS, [0x7f80_0001, one_s, 0], 0, one_s, 0),
         case(Op::FcvtSD, [f64::MAX.to_bits(), 0, 0], 0, bx(f32::INFINITY), OF | NX),
+        // Conversions round by `rm`: 1 + 2^-24 + 2^-40 toward zero and
+        // down is 1; 2^53 + 1 up is 2^53 + 2, and -(2^53 + 1), a tie,
+        // is -(2^53 + 2) away from zero.
+        case(Op::FcvtSD, [near_one, 0, 0], 1, one_s, NX),
+        case(Op::FcvtSD, [near_one, 0, 0], 2, one_s, NX),
+        case(Op::FcvtDL, [(1 << 53) + 1, 0, 0], 3, (2f64.powi(53) + 2.0).to_bits(), NX),
+        case(Op::FcvtDL, [(-(1i64 << 53) - 1) as u64, 0, 0], 4, (-2f64.powi(53) - 2.0).to_bits(), NX),
     ]
 }
 
@@ -495,6 +503,76 @@ fn rv64fd_edge_cases_halt_clean_under_difftest() {
     for mut cosim in [CoSim::new(config(), &p), CoSim::new_with_ref(config(), &p, "spike-like")] {
         let end = cosim.run(2_000_000);
         assert!(matches!(end, CoSimEnd::Halted(0)), "{end:?}");
+    }
+}
+
+/// A reserved rounding mode is an illegal instruction: `fadd.d` with a
+/// static rm of 5 or 6, and a dynamic-`rm` `fadd.d` while `frm` holds 5, 6
+/// or 7, trap; the same `fadd.d` under `frm` = 3 does not, nor does
+/// `fsgnj.d` (whose funct3 is no rounding mode) under `frm` = 7. The
+/// handler counts illegal-instruction traps in `a0` (and sets bit 8 on any
+/// other cause or a `mtval` that is not the word), then returns past the
+/// instruction: exit word 5.
+fn reserved_rm_programme() -> Program {
+    use riscv_isa::csr::addr::{FRM, MCAUSE, MEPC, MTVAL, MTVEC};
+    use riscv_isa::op::DecodedInst;
+    let fadd = |rm: u32| {
+        let d = DecodedInst { op: Op::FaddD, rd: FT3, rs1: FT1, rs2: FT2, ..Default::default() };
+        riscv_isa::encode::encode(&d).expect("fadd.d encodes") | rm << 12
+    };
+    let fsgnj = DecodedInst { op: Op::FsgnjD, rd: FT4, rs1: FT1, rs2: FT2, ..Default::default() };
+    let mut a = Asm::new(BASE);
+    let handler = a.label();
+    a.la(T0, handler);
+    a.csrrw(ZERO, MTVEC, T0);
+    a.li(A0, 0);
+    a.li(T0, 3);
+    a.fcvt_d_l(FT1, T0);
+    a.fcvt_d_l(FT2, T0);
+    for rm in [5, 6] {
+        a.raw32(fadd(rm));
+    }
+    for frm in [5, 6, 7, 3] {
+        a.csrrwi(ZERO, FRM, frm);
+        a.raw32(fadd(7));
+    }
+    a.csrrwi(ZERO, FRM, 7);
+    a.raw32(riscv_isa::encode::encode(&fsgnj).expect("fsgnj.d encodes"));
+    a.csrrwi(ZERO, FRM, 0);
+    a.ebreak();
+    a.align(2);
+    a.bind(handler);
+    let ok = a.label();
+    a.csrrs(T0, MCAUSE, ZERO);
+    a.addi(T0, T0, -2); // illegal instruction
+    a.csrrs(T1, MEPC, ZERO);
+    a.lwu(T1, 0, T1);
+    a.csrrs(T2, MTVAL, ZERO);
+    a.xor(T1, T1, T2);
+    a.or(T0, T0, T1);
+    a.beqz(T0, ok);
+    a.ori(A0, A0, 0x100);
+    a.bind(ok);
+    a.addi(A0, A0, 1);
+    a.csrrs(T0, MEPC, ZERO);
+    a.addi(T0, T0, 4);
+    a.csrrw(ZERO, MEPC, T0);
+    a.mret();
+    a.assemble()
+}
+
+/// Every personality traps the reserved rounding modes, and so does the
+/// DUT co-simulated on `small-nh` under DiffTest's default REF and
+/// `spike-like`.
+#[test]
+fn reserved_rounding_modes_trap() {
+    let p = reserved_rm_programme();
+    assert_eq!(conform(&p), 5, "five illegal-instruction traps, bit 8: a wrong cause or mtval");
+    use minjie::{CoSim, CoSimEnd};
+    let config = || xscore::XsConfig::preset("small-nh").expect("preset exists");
+    for mut cosim in [CoSim::new(config(), &p), CoSim::new_with_ref(config(), &p, "spike-like")] {
+        let end = cosim.run(2_000_000);
+        assert!(matches!(end, CoSimEnd::Halted(5)), "{end:?}");
     }
 }
 
