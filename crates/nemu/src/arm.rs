@@ -11,22 +11,23 @@
 //! The ops whose arms are alike in both tiers — loads and stores by
 //! `hart`'s MMIO rule, and host FP — are written here, once.
 
-use crate::hart::{MemAccess, StepInfo};
-use riscv_isa::csr::{mstatus, CsrFile};
+use crate::hart::{Hart, MemAccess, StepInfo};
+use riscv_isa::csr::mstatus;
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::mem::{PhysMem, SparseMemory, MTIME, UART_TX};
 use riscv_isa::op::DecodedInst;
 
 /// The integer register file an arm reads and writes, and where it
-/// reports what it did.
+/// reports what it did. The hart is passed in, not held, so that a view
+/// of its own file borrows nothing the arm also needs.
 pub(crate) trait Lane {
     /// True when the step is recorded, and so must equal `hart::step`'s
     /// field for field: it takes no translation shortcut.
     const RECORDS: bool;
     /// The value of `x[r]`.
-    fn x(&self, r: u8) -> u64;
+    fn x(&self, hart: &Hart, r: u8) -> u64;
     /// Write the uop's destination `rd` (32 for `x0`: nothing happens).
-    fn set_x(&mut self, rd: u8, v: u64);
+    fn set_x(&mut self, hart: &mut Hart, rd: u8, v: u64);
     /// Note the write of `v` to `f[rd]`, which the arm has made.
     fn wrote_f(&mut self, rd: u8, v: u64);
     /// Note the memory access the arm has made.
@@ -39,11 +40,11 @@ pub(crate) type Shadow = [u64; 33];
 impl Lane for Shadow {
     const RECORDS: bool = false;
     #[inline(always)]
-    fn x(&self, r: u8) -> u64 {
+    fn x(&self, _: &Hart, r: u8) -> u64 {
         self[r as usize]
     }
     #[inline(always)]
-    fn set_x(&mut self, rd: u8, v: u64) {
+    fn set_x(&mut self, _: &mut Hart, rd: u8, v: u64) {
         self[rd as usize] = v;
     }
     #[inline(always)]
@@ -53,41 +54,35 @@ impl Lane for Shadow {
 }
 
 /// `step_one()`'s view: `hart.state.gpr` and the lent record.
-pub(crate) struct Record<'a> {
-    pub gpr: &'a mut [u64; 32],
-    pub info: &'a mut StepInfo,
-}
+pub(crate) struct Record<'a>(pub &'a mut StepInfo);
 
 impl Lane for Record<'_> {
     const RECORDS: bool = true;
     #[inline(always)]
-    fn x(&self, r: u8) -> u64 {
-        self.gpr[r as usize]
+    fn x(&self, hart: &Hart, r: u8) -> u64 {
+        hart.state.gpr[r as usize]
     }
     #[inline(always)]
-    fn set_x(&mut self, rd: u8, v: u64) {
-        if let Some(x) = self.gpr.get_mut(rd as usize) {
+    fn set_x(&mut self, hart: &mut Hart, rd: u8, v: u64) {
+        if let Some(x) = hart.state.gpr.get_mut(rd as usize) {
             *x = v;
-            self.info.wb = Some((false, rd, v));
+            self.0.wb = Some((false, rd, v));
         }
     }
     #[inline(always)]
     fn wrote_f(&mut self, rd: u8, v: u64) {
-        self.info.wb = Some((true, rd, v));
+        self.0.wb = Some((true, rd, v));
     }
     #[inline(always)]
     fn accessed(&mut self, access: MemAccess) {
-        self.info.mem = Some(access);
+        self.0.mem = Some(access);
     }
 }
 
-/// The rest of the machine an arm touches: guest memory and the hart's
-/// FP file, CSRs and UART output.
+/// The machine an arm runs on.
 pub(crate) struct Machine<'a> {
+    pub hart: &'a mut Hart,
     pub mem: &'a mut SparseMemory,
-    pub fpr: &'a mut [u64; 32],
-    pub csr: &'a mut CsrFile,
-    pub output: &'a mut Vec<u8>,
 }
 
 /// Where an arm sends control.
@@ -121,7 +116,7 @@ pub(crate) fn load<L: Lane>(
 ) {
     let (raw, mmio) = read(m, pa, size);
     let v = ext(raw);
-    x.set_x(rd, v);
+    x.set_x(m.hart, rd, v);
     x.accessed(access(va, pa, size, false, v, mmio));
 }
 
@@ -134,7 +129,7 @@ pub(crate) fn load_f<L: Lane>(x: &mut L, m: &mut Machine, rd: u8, va: u64, pa: u
     } else {
         raw
     };
-    m.fpr[rd as usize] = v;
+    m.hart.state.fpr[rd as usize] = v;
     x.wrote_f(rd, v);
     x.accessed(access(va, pa, size, false, v, mmio));
 }
@@ -144,7 +139,7 @@ pub(crate) fn load_f<L: Lane>(x: &mut L, m: &mut Machine, rd: u8, va: u64, pa: u
 pub(crate) fn store<L: Lane>(x: &mut L, m: &mut Machine, va: u64, pa: u64, size: u64, v: u64) {
     let mmio = pa == UART_TX;
     if mmio {
-        m.output.push(v as u8);
+        m.hart.output.push(v as u8);
     } else {
         m.mem.write_uint(pa, size, v);
     }
@@ -155,7 +150,7 @@ pub(crate) fn store<L: Lane>(x: &mut L, m: &mut Machine, va: u64, pa: u64, size:
 #[inline(always)]
 fn read(m: &mut Machine, pa: u64, size: u64) -> (u64, bool) {
     if size == 8 && pa == MTIME {
-        (m.csr.time, true)
+        (m.hart.state.csr.time, true)
     } else {
         (m.mem.read_uint(pa, size), false)
     }
@@ -173,11 +168,9 @@ fn access(vaddr: u64, paddr: u64, size: u64, is_store: bool, value: u64, mmio: b
     }
 }
 
-/// [`fp_shape`] bit: `rs1` names an FP register.
+// `fp_shape` bits: `rs1`, `rs2`, the destination name an FP register.
 const FP_RS1: i64 = 1;
-/// [`fp_shape`] bit: `rs2` names an FP register.
 const FP_RS2: i64 = 2;
-/// [`fp_shape`] bit: the destination is an FP register.
 const FP_RD: i64 = 4;
 
 /// The register files of a host-FP op's operands, resolved at fill time
@@ -199,23 +192,32 @@ pub(crate) fn host_fp<L: Lane>(
     rd: u8,
     shape: i64,
 ) -> bool {
-    let Some(rm) = d.rounding(m.csr.frm()) else {
+    let hart = &*m.hart;
+    let csr = &hart.state.csr;
+    let Some(rm) = d.rounding(csr.frm()) else {
         return false;
     };
-    if m.csr.mstatus & mstatus::FS == 0 {
+    if csr.mstatus & mstatus::FS == 0 {
         return false;
     }
-    let src = |fp: bool, r: u8| if fp { m.fpr[r as usize] } else { x.x(r) };
+    let src = |fp: bool, r: u8| {
+        if fp {
+            hart.state.fpr[r as usize]
+        } else {
+            x.x(hart, r)
+        }
+    };
     let a = src(shape & FP_RS1 != 0, d.rs1);
     let b = src(shape & FP_RS2 != 0, d.rs2);
-    let c = m.fpr[d.rs3 as usize];
+    let c = hart.state.fpr[d.rs3 as usize];
     let r = fp_execute(d.op, a, b, c, rm);
-    m.csr.set_fflags(r.flags);
+    let s = &mut m.hart.state;
+    s.csr.set_fflags(r.flags);
     if shape & FP_RD != 0 {
-        m.fpr[d.rd as usize] = r.bits;
+        s.fpr[d.rd as usize] = r.bits;
         x.wrote_f(d.rd, r.bits);
     } else {
-        x.set_x(rd, r.bits);
+        x.set_x(m.hart, rd, r.bits);
     }
     true
 }

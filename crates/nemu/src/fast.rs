@@ -35,7 +35,6 @@ use riscv_isa::fpu::Host;
 use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
-use riscv_isa::state::ArchState;
 use std::collections::HashMap;
 
 const UNRESOLVED: u32 = u32::MAX;
@@ -389,17 +388,7 @@ impl Nemu {
                 stats,
                 ..
             } = &mut *self;
-            let Hart {
-                state: ArchState { pc, fpr, csr, .. },
-                output,
-                ..
-            } = hart;
-            let mut m = Machine {
-                mem,
-                fpr,
-                csr,
-                output,
-            };
+            let mut m = Machine { hart, mem };
             // A slice: its pointer and length are values, not a `Vec`
             // header to re-read after every call the arms make.
             let code = &mut code[..];
@@ -419,7 +408,7 @@ impl Nemu {
                         match follow(code, map, stats, upc, flow) {
                             Some(u) => upc = u,
                             None => {
-                                *pc = target;
+                                m.hart.state.pc = target;
                                 continue 'outer;
                             }
                         }
@@ -428,21 +417,21 @@ impl Nemu {
                         // No instruction executed: re-enter via the outer
                         // loop at the continuation pc.
                         steps -= 1;
-                        *pc = uop.pc;
+                        m.hart.state.pc = uop.pc;
                         continue 'outer;
                     }
                     Flow::Decline => {
                         // Take back the optimistic count; the slow step
                         // retires (or traps) architecturally.
                         steps -= 1;
-                        *pc = uop.pc;
+                        m.hart.state.pc = uop.pc;
                         slow_step!();
                         continue 'outer;
                     }
                 }
             }
             // Fuel exhausted inside the block: record the resume pc.
-            *pc = code[upc as usize].pc;
+            m.hart.state.pc = code[upc as usize].pc;
             break;
         }
         if BLOCKS && steps > block_mark {
@@ -459,29 +448,24 @@ impl Nemu {
 fn exec<L: Lane>(uop: &Uop, x: &mut L, m: &mut Machine) -> Flow {
     macro_rules! alu_rr {
         (|$a:ident, $b:ident| $v:expr) => {{
-            let $a = x.x(uop.rs1);
-            let $b = x.x(uop.rs2);
-            x.set_x(uop.rd, $v);
+            let $a = x.x(m.hart, uop.rs1);
+            let $b = x.x(m.hart, uop.rs2);
+            x.set_x(m.hart, uop.rd, $v);
             Flow::Next
         }};
     }
     macro_rules! alu_ri {
         (|$a:ident, $i:ident| $v:expr) => {{
-            let $a = x.x(uop.rs1);
+            let $a = x.x(m.hart, uop.rs1);
             let $i = uop.imm as u64;
-            x.set_x(uop.rd, $v);
+            x.set_x(m.hart, uop.rd, $v);
             Flow::Next
         }};
     }
     // Untranslated: the virtual address is the physical one.
-    macro_rules! va {
-        () => {
-            x.x(uop.rs1).wrapping_add(uop.imm as u64)
-        };
-    }
     macro_rules! load {
         ($size:expr, |$raw:ident| $v:expr) => {{
-            let va = va!();
+            let va = x.x(m.hart, uop.rs1).wrapping_add(uop.imm as u64);
             arm::load(x, m, uop.rd, va, va, $size, |$raw| $v);
             Flow::Next
         }};
@@ -489,14 +473,14 @@ fn exec<L: Lane>(uop: &Uop, x: &mut L, m: &mut Machine) -> Flow {
     macro_rules! load_f {
         ($size:expr) => {{
             // `fpr` is indexed by the unredirected rd.
-            let va = va!();
+            let va = x.x(m.hart, uop.rs1).wrapping_add(uop.imm as u64);
             arm::load_f(x, m, uop.inst.rd, va, va, $size);
             Flow::Next
         }};
     }
     macro_rules! store {
         ($size:expr, $v:expr) => {{
-            let va = va!();
+            let va = x.x(m.hart, uop.rs1).wrapping_add(uop.imm as u64);
             let v = $v;
             arm::store(x, m, va, va, $size, v);
             Flow::Next
@@ -504,8 +488,8 @@ fn exec<L: Lane>(uop: &Uop, x: &mut L, m: &mut Machine) -> Flow {
     }
     macro_rules! branch {
         (|$a:ident, $b:ident| $taken:expr) => {{
-            let $a = x.x(uop.rs1);
-            let $b = x.x(uop.rs2);
+            let $a = x.x(m.hart, uop.rs1);
+            let $b = x.x(m.hart, uop.rs2);
             let taken = $taken;
             let target = if taken {
                 uop.pc.wrapping_add(uop.imm as u64)
@@ -517,12 +501,12 @@ fn exec<L: Lane>(uop: &Uop, x: &mut L, m: &mut Machine) -> Flow {
     }
     match uop.handler {
         Handler::Li => {
-            x.set_x(uop.rd, uop.imm as u64);
+            x.set_x(m.hart, uop.rd, uop.imm as u64);
             Flow::Next
         }
         Handler::Mv => {
-            let v = x.x(uop.rs1);
-            x.set_x(uop.rd, v);
+            let v = x.x(m.hart, uop.rs1);
+            x.set_x(m.hart, uop.rd, v);
             Flow::Next
         }
         Handler::Add => alu_rr!(|a, b| a.wrapping_add(b)),
@@ -556,12 +540,12 @@ fn exec<L: Lane>(uop: &Uop, x: &mut L, m: &mut Machine) -> Flow {
         Handler::Lwu => load!(4, |raw| raw),
         Handler::Flw => load_f!(4),
         Handler::Fld => load_f!(8),
-        Handler::Sb => store!(1, x.x(uop.rs2)),
-        Handler::Sh => store!(2, x.x(uop.rs2)),
-        Handler::Sw => store!(4, x.x(uop.rs2)),
-        Handler::Sd => store!(8, x.x(uop.rs2)),
-        Handler::Fsw => store!(4, m.fpr[uop.rs2 as usize]),
-        Handler::Fsd => store!(8, m.fpr[uop.rs2 as usize]),
+        Handler::Sb => store!(1, x.x(m.hart, uop.rs2)),
+        Handler::Sh => store!(2, x.x(m.hart, uop.rs2)),
+        Handler::Sw => store!(4, x.x(m.hart, uop.rs2)),
+        Handler::Sd => store!(8, x.x(m.hart, uop.rs2)),
+        Handler::Fsw => store!(4, m.hart.state.fpr[uop.rs2 as usize]),
+        Handler::Fsd => store!(8, m.hart.state.fpr[uop.rs2 as usize]),
         Handler::Nop => Flow::Next,
         Handler::HostFp => {
             if arm::host_fp(x, m, &uop.inst, uop.rd, uop.imm) {
@@ -571,17 +555,17 @@ fn exec<L: Lane>(uop: &Uop, x: &mut L, m: &mut Machine) -> Flow {
             }
         }
         Handler::Jal => {
-            x.set_x(uop.rd, uop.next_pc);
+            x.set_x(m.hart, uop.rd, uop.next_pc);
             Flow::Edge {
                 taken: true,
                 target: uop.pc.wrapping_add(uop.imm as u64),
             }
         }
-        Handler::Ret => Flow::Jump(x.x(1) & !1),
+        Handler::Ret => Flow::Jump(x.x(m.hart, 1) & !1),
         Handler::Jalr => {
             // The target first: rd may alias rs1.
-            let target = x.x(uop.rs1).wrapping_add(uop.imm as u64) & !1;
-            x.set_x(uop.rd, uop.next_pc);
+            let target = x.x(m.hart, uop.rs1).wrapping_add(uop.imm as u64) & !1;
+            x.set_x(m.hart, uop.rd, uop.next_pc);
             Flow::Jump(target)
         }
         Handler::Beq => branch!(|a, b| a == b),
@@ -783,21 +767,7 @@ impl Interpreter for Nemu {
             inst: uop.inst,
             ..StepInfo::at(pc)
         };
-        let Hart {
-            state: ArchState { gpr, fpr, csr, .. },
-            output,
-            ..
-        } = hart;
-        let flow = exec(
-            uop,
-            &mut Record { gpr, info },
-            &mut Machine {
-                mem,
-                fpr,
-                csr,
-                output,
-            },
-        );
+        let flow = exec(uop, &mut Record(info), &mut Machine { hart, mem });
         let next_pc = match flow {
             Flow::Next => uop.next_pc,
             Flow::Edge { target, .. } | Flow::Jump(target) => target,

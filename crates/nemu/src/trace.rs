@@ -45,7 +45,6 @@ use riscv_isa::fpu::Host;
 use riscv_isa::mem::{IntBuildHasher, PhysMem, SparseMemory};
 use riscv_isa::mmu::{self, AccessType};
 use riscv_isa::op::{DecodedInst, Op};
-use riscv_isa::state::ArchState;
 use std::collections::HashMap;
 
 const UNRESOLVED: u32 = u32::MAX;
@@ -195,7 +194,7 @@ impl MicroTlb {
             }
         }
         stats.tlb_misses += 1;
-        let t = mmu::translate(m.mem, m.csr, va, access).ok()?;
+        let t = mmu::translate(m.mem, &m.hart.state.csr, va, access).ok()?;
         let e = TlbEntry {
             vpn,
             ppn: t.pa >> 12,
@@ -588,17 +587,7 @@ impl NemuTrace {
                 stats,
                 ..
             } = &mut *self;
-            let Hart {
-                state: ArchState { pc, fpr, csr, .. },
-                output,
-                ..
-            } = hart;
-            let mut m = Machine {
-                mem,
-                fpr,
-                csr,
-                output,
-            };
+            let mut m = Machine { hart, mem };
             let code = &code[..];
             // Tight dispatch loop: stays inside the trace buffers until a
             // slow event, an unresolved edge, or fuel runs out.
@@ -617,7 +606,7 @@ impl NemuTrace {
                         match follow(uop, upc, flow, stats) {
                             Some(u) => upc = u,
                             None => {
-                                *pc = target;
+                                m.hart.state.pc = target;
                                 *pending_patch = Some(upc);
                                 continue 'outer;
                             }
@@ -633,7 +622,7 @@ impl NemuTrace {
                             stats.trace_hits += 1;
                             upc = uop.link;
                         } else {
-                            *pc = uop.pc;
+                            m.hart.state.pc = uop.pc;
                             continue 'outer;
                         }
                     }
@@ -643,14 +632,14 @@ impl NemuTrace {
                         // full state).
                         steps -= 1;
                         retired -= 1;
-                        *pc = uop.pc;
+                        m.hart.state.pc = uop.pc;
                         slow_step!();
                         continue 'outer;
                     }
                 }
             }
             // Fuel exhausted inside the trace: record the resume pc.
-            *pc = code[upc as usize].pc;
+            m.hart.state.pc = code[upc as usize].pc;
             break;
         }
         if BLOCKS && steps > block_mark {
@@ -673,17 +662,17 @@ fn exec<L: Lane>(
 ) -> Flow {
     macro_rules! alu_rr {
         (|$a:ident, $b:ident| $v:expr) => {{
-            let $a = x.x(uop.rs1);
-            let $b = x.x(uop.rs2);
-            x.set_x(uop.rd, $v);
+            let $a = x.x(m.hart, uop.rs1);
+            let $b = x.x(m.hart, uop.rs2);
+            x.set_x(m.hart, uop.rd, $v);
             Flow::Next
         }};
     }
     macro_rules! alu_ri {
         (|$a:ident, $i:ident| $v:expr) => {{
-            let $a = x.x(uop.rs1);
+            let $a = x.x(m.hart, uop.rs1);
             let $i = uop.imm as u64;
-            x.set_x(uop.rd, $v);
+            x.set_x(m.hart, uop.rd, $v);
             Flow::Next
         }};
     }
@@ -691,7 +680,7 @@ fn exec<L: Lane>(
     // decline when this path cannot translate it.
     macro_rules! addr {
         ($size:expr, $store:expr) => {{
-            let va = x.x(uop.rs1).wrapping_add(uop.imm as u64);
+            let va = x.x(m.hart, uop.rs1).wrapping_add(uop.imm as u64);
             match tlb.pa::<L>(m, stats, va, $size, $store) {
                 Some(pa) => (va, pa),
                 None => return Flow::Decline,
@@ -723,8 +712,8 @@ fn exec<L: Lane>(
     }
     macro_rules! branch {
         (|$a:ident, $b:ident| $taken:expr) => {{
-            let $a = x.x(uop.rs1);
-            let $b = x.x(uop.rs2);
+            let $a = x.x(m.hart, uop.rs1);
+            let $b = x.x(m.hart, uop.rs2);
             let taken = $taken;
             let target = if taken { uop.tpc } else { uop.next_pc };
             Flow::Edge { taken, target }
@@ -732,12 +721,12 @@ fn exec<L: Lane>(
     }
     match uop.h {
         H_LI => {
-            x.set_x(uop.rd, uop.imm as u64);
+            x.set_x(m.hart, uop.rd, uop.imm as u64);
             Flow::Next
         }
         H_MV => {
-            let v = x.x(uop.rs1);
-            x.set_x(uop.rd, v);
+            let v = x.x(m.hart, uop.rs1);
+            x.set_x(m.hart, uop.rd, v);
             Flow::Next
         }
         H_ADDI => alu_ri!(|a, i| a.wrapping_add(i)),
@@ -769,14 +758,14 @@ fn exec<L: Lane>(
         H_LHU => load!(2, |raw| raw),
         H_LB => load!(1, |raw| raw as i8 as i64 as u64),
         H_LBU => load!(1, |raw| raw),
-        H_SD => store!(8, x.x(uop.rs2)),
-        H_SW => store!(4, x.x(uop.rs2)),
-        H_SH => store!(2, x.x(uop.rs2)),
-        H_SB => store!(1, x.x(uop.rs2)),
+        H_SD => store!(8, x.x(m.hart, uop.rs2)),
+        H_SW => store!(4, x.x(m.hart, uop.rs2)),
+        H_SH => store!(2, x.x(m.hart, uop.rs2)),
+        H_SB => store!(1, x.x(m.hart, uop.rs2)),
         H_FLW => load_f!(4),
         H_FLD => load_f!(8),
-        H_FSW => store!(4, m.fpr[uop.rs2 as usize]),
-        H_FSD => store!(8, m.fpr[uop.rs2 as usize]),
+        H_FSW => store!(4, m.hart.state.fpr[uop.rs2 as usize]),
+        H_FSD => store!(8, m.hart.state.fpr[uop.rs2 as usize]),
         H_HOSTFP => {
             if arm::host_fp(x, m, &uop.inst, uop.rd, uop.imm) {
                 Flow::Next
@@ -791,7 +780,7 @@ fn exec<L: Lane>(
         H_BLTU => branch!(|a, b| a < b),
         H_BGEU => branch!(|a, b| a >= b),
         H_JAL_INLINE | H_JAL_CHAIN => {
-            x.set_x(uop.rd, uop.next_pc);
+            x.set_x(m.hart, uop.rd, uop.next_pc);
             Flow::Edge {
                 taken: true,
                 target: uop.tpc,
@@ -799,11 +788,11 @@ fn exec<L: Lane>(
         }
         H_JALR => {
             // The target first: rd may alias rs1.
-            let target = x.x(uop.rs1).wrapping_add(uop.imm as u64) & !1;
-            x.set_x(uop.rd, uop.next_pc);
+            let target = x.x(m.hart, uop.rs1).wrapping_add(uop.imm as u64) & !1;
+            x.set_x(m.hart, uop.rd, uop.next_pc);
             Flow::Jump(target)
         }
-        H_RET => Flow::Jump(x.x(1) & !1),
+        H_RET => Flow::Jump(x.x(m.hart, 1) & !1),
         H_NOP => Flow::Next,
         H_CHAIN | H_GOTO => Flow::Sentinel,
         _ => Flow::Decline,
@@ -954,20 +943,10 @@ impl Interpreter for NemuTrace {
             inst: uop.inst,
             ..StepInfo::at(pc)
         };
-        let Hart {
-            state: ArchState { gpr, fpr, csr, .. },
-            output,
-            ..
-        } = hart;
         let flow = exec(
             uop,
-            &mut Record { gpr, info },
-            &mut Machine {
-                mem,
-                fpr,
-                csr,
-                output,
-            },
+            &mut Record(info),
+            &mut Machine { hart, mem },
             tlb,
             stats,
         );
