@@ -75,6 +75,8 @@ pub trait Fmt:
     const QUIET: u64;
     /// Positive zero.
     const ZERO: Self;
+    /// Significand bits, the hidden one included.
+    const DIGITS: u32;
     /// The exponent of the power of two just past the largest finite value.
     const MAX_EXP: i32;
     /// The format's own bits, zero-extended.
@@ -139,6 +141,7 @@ macro_rules! formats {
             const SIGN: u64 = $s;
             const QUIET: u64 = $q;
             const ZERO: Self = 0.0;
+            const DIGITS: u32 = $f::MANTISSA_DIGITS;
             const MAX_EXP: i32 = $f::MAX_EXP;
             #[inline] fn raw(self) -> u64 { self.to_bits() as u64 }
             #[inline] fn from_raw(raw: u64) -> Self { $f::from_bits(raw as _) }
@@ -333,18 +336,20 @@ fn to_int<F: Fmt>(x: F, rm: u8, lo: i128, hi: i128) -> FpResult {
     FpResult::new(if w { v as i32 as u64 } else { v }, flags)
 }
 
-/// Int→FP: one rounding by `rm`, NX when it lost bits (an integer never
-/// reaches the infinities of either format).
+/// Int→FP: one rounding by `rm`. `v` is exact, raising no NX, when its
+/// significant bits fit the significand (an integer never reaches the
+/// infinities of either format).
 #[inline(always)]
 fn from_int<F: Fmt>(v: i128, rm: u8) -> FpResult {
     let near = F::from_i128(v);
-    // Exact: a rounded integer this wide is itself an integer.
-    let int = |f: F| f.to_f64() as i128;
-    if int(near) == v {
+    let m = v.unsigned_abs();
+    if m >> F::DIGITS == 0 || m >> m.trailing_zeros() >> F::DIGITS == 0 {
         return FpResult::new(near.boxed(), 0);
     }
+    // Exact: a rounded integer this wide is itself an integer.
+    let int = |f: F| f.to_f64() as i128;
     let tie = |lo: F, hi: F| int(lo) + int(hi) == 2 * v;
-    let r = directed(near, rm, v.abs() > int(near).abs(), v < 0, tie);
+    let r = directed(near, rm, m > int(near).unsigned_abs(), v < 0, tie);
     FpResult::new(r.boxed(), flags::NX)
 }
 
