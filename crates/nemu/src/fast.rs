@@ -22,7 +22,7 @@
 //!   and every branch condition have their semantics inline in their own
 //!   arm; only the cold tail dispatches again through [`int_compute`].
 //!   The arms are one function, `exec`, that both `run()` and
-//!   `step_one()` expand ([`crate::arm`]).
+//!   `step_one()` expand (`arm.rs`).
 //! - **host floating point**: FP arithmetic uses the host FPU
 //!   ([`riscv_isa::fpu`]) rather than softfloat, with the operands'
 //!   register files resolved at fill time.
@@ -121,7 +121,7 @@ struct Uop {
     rs1: u8,
     rs2: u8,
     /// The immediate; for `auipc`, `pc` folded in; for a host-FP op (which
-    /// has none), its operands' register files ([`arm::fp_shape`]).
+    /// has none), its operands' register files (`arm::fp_shape`).
     imm: i64,
     pc: u64,
     next_pc: u64,
@@ -729,7 +729,7 @@ impl Interpreter for Nemu {
         self.sync_regs_from_hart();
     }
     /// The cached uop's own arm (`exec`, the one `run()` runs) on
-    /// `hart.state` and the lent record; [`hart::execute_and_retire`] for a
+    /// `hart.state` and the lent record; `hart::execute_and_retire` for a
     /// `Slow` uop or one its arm declines. Falls back to [`hart::step_into`]
     /// when the uop cache cannot serve the pc (translation active, odd pc)
     /// or a trap is pending.

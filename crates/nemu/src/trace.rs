@@ -17,7 +17,7 @@
 //!   the hot integer ops get dedicated handlers with fully inlined
 //!   semantics instead of a generic `int_compute` dispatch. The handlers
 //!   are one function, `exec`, that both `run()` and `step_one()` expand
-//!   ([`crate::arm`]).
+//!   (`arm.rs`).
 //! - **hot-trace chaining with patch-on-resolve**: a taken branch whose
 //!   target trace does not exist yet exits through the outer loop and
 //!   records the exiting uop; when the target trace is resolved, the
@@ -125,7 +125,7 @@ struct TUop {
     /// target trace exists and the edge gets patched).
     link: u32,
     /// The immediate; for `auipc`, `pc` folded in; for a host-FP op (which
-    /// has none), its operands' register files ([`arm::fp_shape`]).
+    /// has none), its operands' register files (`arm::fp_shape`).
     imm: i64,
     pc: u64,
     next_pc: u64,
@@ -905,7 +905,7 @@ impl Interpreter for NemuTrace {
     }
     /// The trace uop's own arm (`exec`, the one `run()` runs) on
     /// `hart.state` and the lent record, with no micro-TLB: a translated
-    /// access declines. [`hart::execute_and_retire`] serves a `Slow` uop or
+    /// access declines. `hart::execute_and_retire` serves a `Slow` uop or
     /// one its arm declines. Falls back to [`hart::step_into`] when no trace
     /// can serve the pc (fetch translation active, odd pc) or a trap is
     /// pending.
