@@ -25,7 +25,13 @@ enum Phase {
     Load { pa: u64 },
     /// Atomic store (SC / AMO write) of `newv`, `sent` once the L1D
     /// accepted it; `old` is the loaded value.
-    Store { old: u64, newv: u64, pa: u64, size: u64, sent: bool },
+    Store {
+        old: u64,
+        newv: u64,
+        pa: u64,
+        size: u64,
+        sent: bool,
+    },
 }
 
 /// How the memory side of the atomic at the ROB head ended.
@@ -33,7 +39,11 @@ enum Phase {
 pub(crate) enum AtomicEnd {
     /// It produced `value` for rd; `mem` is the access for the commit
     /// probe (none for a failed SC).
-    Done { value: u64, sc_failed: bool, mem: Option<CommitMem> },
+    Done {
+        value: u64,
+        sc_failed: bool,
+        mem: Option<CommitMem>,
+    },
     /// It faulted before touching memory: (cause, tval).
     Fault(Exception, u64),
 }
@@ -50,7 +60,14 @@ pub(crate) struct Atomics {
 
 /// The commit-probe record of an atomic's access (bare addressing).
 fn access(pa: u64, size: u64, is_store: bool, value: u64) -> Option<CommitMem> {
-    Some(CommitMem { vaddr: pa, paddr: pa, size, is_store, value, mmio: false })
+    Some(CommitMem {
+        vaddr: pa,
+        paddr: pa,
+        size,
+        is_store,
+        value,
+        mmio: false,
+    })
 }
 
 impl Atomics {
@@ -124,7 +141,11 @@ impl Atomics {
             return fault(self, Exception::StoreAddrMisaligned);
         }
         // Translate (bare mode in practice for atomics tests).
-        let ty = if is_lr { AccessType::Load } else { AccessType::Store };
+        let ty = if is_lr {
+            AccessType::Load
+        } else {
+            AccessType::Store
+        };
         let pa = match sh.translate(addr, ty) {
             MmuResult::Done { pa, .. } => pa,
             MmuResult::Fault { cause, .. } => return fault(self, cause),
@@ -147,7 +168,13 @@ impl Atomics {
             // reservations on the granule must die NOW, not when the
             // store completes in memory.
             sh.out.res_kills.push((pa, size));
-            self.phase = Phase::Store { old: 0, newv, pa, size, sent: false };
+            self.phase = Phase::Store {
+                old: 0,
+                newv,
+                pa,
+                size,
+                sent: false,
+            };
             self.try_store(sh, inflight);
             return None;
         }
@@ -164,14 +191,25 @@ impl Atomics {
 
     /// Offer the computed write to the L1D, if one is waiting.
     fn try_store(&mut self, sh: &mut Shared, inflight: &mut InflightArena) {
-        if let Phase::Store { newv, pa, size, sent: sent @ false, .. } = &mut self.phase {
+        if let Phase::Store {
+            newv,
+            pa,
+            size,
+            sent: sent @ false,
+            ..
+        } = &mut self.phase
+        {
             *sent = inflight.submit(sh, MemReqKind::AtomicStore, *pa, *size, *newv);
         }
     }
 
     fn done(&mut self, value: u64, sc_failed: bool, mem: Option<CommitMem>) -> Option<AtomicEnd> {
         self.phase = Phase::Idle;
-        Some(AtomicEnd::Done { value, sc_failed, mem })
+        Some(AtomicEnd::Done {
+            value,
+            sc_failed,
+            mem,
+        })
     }
 
     /// The exclusive load came back with `raw`: an LR is done, an AMO
@@ -199,7 +237,13 @@ impl Atomics {
         // The AMO's write linearizes here: kill remote reservations on
         // the granule this cycle.
         sh.out.res_kills.push((pa, size));
-        self.phase = Phase::Store { old, newv, pa, size, sent: false };
+        self.phase = Phase::Store {
+            old,
+            newv,
+            pa,
+            size,
+            sent: false,
+        };
         // Try immediately to minimize the exclusivity window.
         self.try_store(sh, inflight);
         None
@@ -207,7 +251,14 @@ impl Atomics {
 
     /// The store back (SC / AMO write) entered the cache hierarchy.
     pub(crate) fn stored(&mut self, sh: &mut Shared) -> Option<AtomicEnd> {
-        let Phase::Store { old, newv, pa, size, .. } = self.phase else {
+        let Phase::Store {
+            old,
+            newv,
+            pa,
+            size,
+            ..
+        } = self.phase
+        else {
             return None;
         };
         sh.emit_drain(pa, size, newv);
@@ -231,12 +282,25 @@ mod tests {
         sh.cycle = 1;
         at.begin();
         let (progress, end) = at.tick(&mut sh, inflight);
-        assert!(progress.0 && end.is_none() && at.busy(), "the exclusive load is on its way");
+        assert!(
+            progress.0 && end.is_none() && at.busy(),
+            "the exclusive load is on its way"
+        );
         assert_eq!(at.reservation, Some(0));
         sh.cycle = 2;
-        assert!(!at.tick(&mut sh, inflight).0 .0, "waiting for the load is a no-op");
+        assert!(
+            !at.tick(&mut sh, inflight).0 .0,
+            "waiting for the load is a no-op"
+        );
         let end = at.loaded(&mut sh, inflight, 42);
-        assert!(matches!(end, Some(AtomicEnd::Done { value: 42, sc_failed: false, .. })));
+        assert!(matches!(
+            end,
+            Some(AtomicEnd::Done {
+                value: 42,
+                sc_failed: false,
+                ..
+            })
+        ));
         assert!(!at.busy());
         sh.rob.pop_head();
 
@@ -246,7 +310,10 @@ mod tests {
         sh.cycle = 3;
         at.begin();
         let (progress, end) = at.tick(&mut sh, inflight);
-        assert!(progress.0, "an SC decides the cycle the store buffer is empty");
+        assert!(
+            progress.0,
+            "an SC decides the cycle the store buffer is empty"
+        );
         (end, sh.perf.reservation_snoop_kills, sh.out.res_kills.len())
     }
 
@@ -254,7 +321,14 @@ mod tests {
     fn sc_fails_after_a_remote_store_to_the_reserved_granule() {
         // The store hits the far end of the 64-byte granule.
         let (end, kills, res_kills) = sc_after(Some(60));
-        let failed = matches!(end, Some(AtomicEnd::Done { value: 1, sc_failed: true, mem: None }));
+        let failed = matches!(
+            end,
+            Some(AtomicEnd::Done {
+                value: 1,
+                sc_failed: true,
+                mem: None
+            })
+        );
         assert!(failed, "{end:?}");
         assert_eq!((kills, res_kills), (1, 0), "no store, nothing to linearize");
 
@@ -262,7 +336,10 @@ mod tests {
         // succeeds and its store goes out.
         for snoop in [None, Some(64)] {
             let (end, kills, res_kills) = sc_after(snoop);
-            assert!(end.is_none(), "a successful SC ends when its store completes: {end:?}");
+            assert!(
+                end.is_none(),
+                "a successful SC ends when its store completes: {end:?}"
+            );
             assert_eq!((kills, res_kills), (0, 1));
         }
     }
@@ -278,6 +355,10 @@ mod tests {
         at.lr_cycle = 42;
         bench.core().restore_arch_state(&ArchState::new(BOOT, 0));
         let at = &bench.split().1.atomics;
-        assert_eq!((at.reservation, at.lr_cycle), (None, 0), "stale LR state survived restore");
+        assert_eq!(
+            (at.reservation, at.lr_cycle),
+            (None, 0),
+            "stale LR state survived restore"
+        );
     }
 }

@@ -30,7 +30,11 @@ pub enum CfKind {
 pub fn cf_kind(d: &DecodedInst) -> Option<CfKind> {
     match d.op {
         Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => Some(CfKind::Branch),
-        Op::Jal => Some(if d.rd == 1 { CfKind::Call } else { CfKind::Jump }),
+        Op::Jal => Some(if d.rd == 1 {
+            CfKind::Call
+        } else {
+            CfKind::Jump
+        }),
         Op::Jalr => Some(if d.rd == 1 {
             CfKind::Call
         } else if d.rs1 == 1 && d.rd == 0 {
@@ -93,7 +97,13 @@ pub struct Bpu {
 
 impl Bpu {
     /// Build a BPU from the configuration knobs.
-    pub fn new(ubtb_entries: usize, btb_entries: usize, tage_entries: usize, ittage: bool, ras_depth: usize) -> Self {
+    pub fn new(
+        ubtb_entries: usize,
+        btb_entries: usize,
+        tage_entries: usize,
+        ittage: bool,
+        ras_depth: usize,
+    ) -> Self {
         Bpu {
             tage: TageSc::new(tage_entries),
             ubtb: vec![BtbEntry::default(); ubtb_entries.next_power_of_two()],
@@ -269,15 +279,36 @@ mod tests {
 
     #[test]
     fn classifies_control_flow() {
-        let jal_ra = DecodedInst { op: Op::Jal, rd: 1, ..Default::default() };
+        let jal_ra = DecodedInst {
+            op: Op::Jal,
+            rd: 1,
+            ..Default::default()
+        };
         assert_eq!(cf_kind(&jal_ra), Some(CfKind::Call));
-        let jal = DecodedInst { op: Op::Jal, rd: 0, ..Default::default() };
+        let jal = DecodedInst {
+            op: Op::Jal,
+            rd: 0,
+            ..Default::default()
+        };
         assert_eq!(cf_kind(&jal), Some(CfKind::Jump));
-        let ret = DecodedInst { op: Op::Jalr, rd: 0, rs1: 1, ..Default::default() };
+        let ret = DecodedInst {
+            op: Op::Jalr,
+            rd: 0,
+            rs1: 1,
+            ..Default::default()
+        };
         assert_eq!(cf_kind(&ret), Some(CfKind::Ret));
-        let ind = DecodedInst { op: Op::Jalr, rd: 0, rs1: 5, ..Default::default() };
+        let ind = DecodedInst {
+            op: Op::Jalr,
+            rd: 0,
+            rs1: 5,
+            ..Default::default()
+        };
         assert_eq!(cf_kind(&ind), Some(CfKind::Indirect));
-        let add = DecodedInst { op: Op::Add, ..Default::default() };
+        let add = DecodedInst {
+            op: Op::Add,
+            ..Default::default()
+        };
         assert_eq!(cf_kind(&add), None);
     }
 
@@ -301,8 +332,20 @@ mod tests {
     #[test]
     fn ras_predicts_returns() {
         let mut bpu = new_bpu();
-        let call = DecodedInst { op: Op::Jal, rd: 1, imm: 0x100, len: 4, ..Default::default() };
-        let ret = DecodedInst { op: Op::Jalr, rd: 0, rs1: 1, len: 4, ..Default::default() };
+        let call = DecodedInst {
+            op: Op::Jal,
+            rd: 1,
+            imm: 0x100,
+            len: 4,
+            ..Default::default()
+        };
+        let ret = DecodedInst {
+            op: Op::Jalr,
+            rd: 0,
+            rs1: 1,
+            len: 4,
+            ..Default::default()
+        };
         let p = bpu.predict(0x2000, &call);
         assert_eq!(p.target, 0x2100);
         bpu.resolve(0x2000, &call, &p, true, 0x2100, false);
@@ -313,7 +356,13 @@ mod tests {
     #[test]
     fn ittage_learns_indirect_target() {
         let mut bpu = new_bpu();
-        let ind = DecodedInst { op: Op::Jalr, rd: 0, rs1: 5, len: 4, ..Default::default() };
+        let ind = DecodedInst {
+            op: Op::Jalr,
+            rd: 0,
+            rs1: 5,
+            len: 4,
+            ..Default::default()
+        };
         let p = bpu.predict(0x3000, &ind);
         // Cold: wrong target.
         bpu.resolve(0x3000, &ind, &p, true, 0x9000, p.target != 0x9000);
@@ -324,7 +373,13 @@ mod tests {
     #[test]
     fn mispredict_restores_history_and_ras() {
         let mut bpu = new_bpu();
-        let call = DecodedInst { op: Op::Jal, rd: 1, imm: 0x100, len: 4, ..Default::default() };
+        let call = DecodedInst {
+            op: Op::Jal,
+            rd: 1,
+            imm: 0x100,
+            len: 4,
+            ..Default::default()
+        };
         let br = branch_at(0x4000, 0x40);
         // Speculate: call then branch.
         let pc0 = bpu.predict(0x2000, &call);

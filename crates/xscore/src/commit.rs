@@ -37,12 +37,23 @@ pub(crate) struct Commit {
 
 /// A commit event with nothing but its identity filled in.
 fn event(sh: &Shared, pc: u64, inst: DecodedInst) -> CommitEvent {
-    CommitEvent { hart: sh.hart, pc, inst, cycle: sh.cycle, ..Default::default() }
+    CommitEvent {
+        hart: sh.hart,
+        pc,
+        inst,
+        cycle: sh.cycle,
+        ..Default::default()
+    }
 }
 
 /// A redirect that empties the ROB, raised by the head `seq`.
 fn flush_all(seq: u64, new_pc: u64, cause: SquashCause) -> Redirect {
-    Redirect { after: None, seq, new_pc, cause }
+    Redirect {
+        after: None,
+        seq,
+        new_pc,
+        cause,
+    }
 }
 
 impl Commit {
@@ -102,7 +113,11 @@ impl Commit {
         let e = sh.rob.hot(h);
         let uop = &sh.rob.cold(h).uop;
         if let Some(dest) = uop.dest {
-            let arat = if dest.fp { &mut self.arat_fp } else { &mut self.arat_int };
+            let arat = if dest.fp {
+                &mut self.arat_fp
+            } else {
+                &mut self.arat_int
+            };
             arat[dest.idx as usize] = e.phys_rd;
             sh.regs.prf(dest.fp).release(e.old_phys);
         }
@@ -125,7 +140,11 @@ impl Commit {
             self.recovery = None;
         }
         // Eliminated moves read their (shared) register at commit.
-        let wb_value = if e.eliminated { sh.regs.int.read(e.phys_rd) } else { e.wb_value };
+        let wb_value = if e.eliminated {
+            sh.regs.int.read(e.phys_rd)
+        } else {
+            e.wb_value
+        };
         let c = sh.rob.cold(h);
         // LSQ bookkeeping.
         if e.lq_idx.is_some() {
@@ -199,7 +218,10 @@ impl Commit {
         sh.perf.exceptions += 1;
         let trap = Trap::Exception(cause, tval);
         let handler = sh.csr.take_trap(trap, pc);
-        sh.out.commits.push(CommitEvent { trap: Some(trap), ..event(sh, pc, inst) });
+        sh.out.commits.push(CommitEvent {
+            trap: Some(trap),
+            ..event(sh, pc, inst)
+        });
         flush_all(sh.rob.hot(h).seq, handler, SquashCause::Exception)
     }
 
@@ -272,7 +294,11 @@ impl Commit {
                 sh.mmu.flush();
             }
             Op::Mret | Op::Sret => {
-                let ret = if d.op == Op::Mret { sh.csr.mret() } else { sh.csr.sret() };
+                let ret = if d.op == Op::Mret {
+                    sh.csr.mret()
+                } else {
+                    sh.csr.sret()
+                };
                 match ret {
                     Ok(t) => redirect = t,
                     Err(ex) => return self.fault(sh, ex, 0),
@@ -316,7 +342,11 @@ impl Commit {
     pub(crate) fn retire_atomic(&mut self, sh: &mut Shared, end: AtomicEnd) -> Redirect {
         let (value, sc_failed, mem) = match end {
             AtomicEnd::Fault(cause, tval) => return self.take_exception(sh, cause, tval),
-            AtomicEnd::Done { value, sc_failed, mem } => (value, sc_failed, mem),
+            AtomicEnd::Done {
+                value,
+                sc_failed,
+                mem,
+            } => (value, sc_failed, mem),
         };
         let h = sh.rob.head().expect("atomic at head");
         let seq = sh.rob.hot(h).seq;
@@ -337,7 +367,9 @@ impl Commit {
 
 fn entry_ready_commit(sh: &Shared, idx: RobIdx) -> bool {
     let srcs = sh.rob.hot(idx).phys_srcs;
-    srcs.iter().flatten().all(|&(fp, p)| sh.regs.is_ready(fp, p))
+    srcs.iter()
+        .flatten()
+        .all(|&(fp, p)| sh.regs.is_ready(fp, p))
 }
 
 fn write_dest_at_commit(sh: &mut Shared, idx: RobIdx, value: u64) {
@@ -361,7 +393,10 @@ mod tests {
         let (mut sh, st) = bench.split();
         dispatch(&mut sh, st, &[ADDI_X5]);
         let (progress, end) = st.commit.tick(&mut sh);
-        assert!(!progress.0 && end.is_none(), "waiting on the head is a no-op");
+        assert!(
+            !progress.0 && end.is_none(),
+            "waiting on the head is a no-op"
+        );
 
         // A trap at the head: an event, no retirement, a full flush to
         // the (reset) trap vector.
@@ -373,17 +408,27 @@ mod tests {
             panic!("an ecall redirects: {end:?}");
         };
         assert!(progress.0);
-        assert_eq!((r.after, r.new_pc, r.cause), (None, 0, SquashCause::Exception));
+        assert_eq!(
+            (r.after, r.new_pc, r.cause),
+            (None, 0, SquashCause::Exception)
+        );
         assert_eq!(r.seq, sh.rob.hot(sh.rob.nth(0)).seq);
         assert!(sh.out.commits[0].trap.is_some());
-        assert_eq!((st.commit.instret, sh.rob.len()), (0, 2), "the squash is the caller's");
+        assert_eq!(
+            (st.commit.instret, sh.rob.len()),
+            (0, 2),
+            "the squash is the caller's"
+        );
 
         // An atomic at the head is handed to the atomics unit.
         let mut bench = Bench::new();
         let (mut sh, st) = bench.split();
         dispatch(&mut sh, st, &[LR_D_X6_X5]);
         let (progress, end) = st.commit.tick(&mut sh);
-        assert!(progress.0 && matches!(end, Some(CommitEnd::Atomic)), "{end:?}");
+        assert!(
+            progress.0 && matches!(end, Some(CommitEnd::Atomic)),
+            "{end:?}"
+        );
         assert!(sh.out.commits.is_empty());
     }
 }

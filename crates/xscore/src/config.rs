@@ -233,7 +233,10 @@ machine_table! {
 impl XsConfig {
     /// NH as a dual-core (the tape-out configuration).
     pub fn nh_dual() -> Self {
-        XsConfig { cores: 2, ..Self::nh() }
+        XsConfig {
+            cores: 2,
+            ..Self::nh()
+        }
     }
 
     /// NH with caches shrunk to a few KB and a fixed-AMAT memory, so
@@ -253,7 +256,11 @@ impl XsConfig {
 
     /// YQH with a fixed-AMAT memory, sized for test workloads.
     pub fn small_yqh() -> Self {
-        XsConfig { name: "small-YQH".into(), memory: MemoryModel::FixedAmat(60), ..Self::yqh() }
+        XsConfig {
+            name: "small-YQH".into(),
+            memory: MemoryModel::FixedAmat(60),
+            ..Self::yqh()
+        }
     }
 
     /// Every preset's slug, for campaign-style enumeration.
@@ -264,7 +271,10 @@ impl XsConfig {
 
     /// Look up a preset by slug (see [`XsConfig::preset_names`]).
     pub fn preset(name: &str) -> Option<Self> {
-        PRESETS.iter().find(|(slug, _)| *slug == name).map(|(_, new)| new())
+        PRESETS
+            .iter()
+            .find(|(slug, _)| *slug == name)
+            .map(|(_, new)| new())
     }
 
     /// Reject a configuration the model cannot simulate faithfully.
@@ -293,9 +303,9 @@ impl XsConfig {
     pub fn check_cores(cores: u64) -> Result<(), String> {
         match cores {
             0 => Err("0 cores: a system needs at least one hart".into()),
-            n if n > MAX_CORES as u64 => {
-                Err(format!("{n} cores: the model builds at most {MAX_CORES} harts"))
-            }
+            n if n > MAX_CORES as u64 => Err(format!(
+                "{n} cores: the model builds at most {MAX_CORES} harts"
+            )),
             _ => Ok(()),
         }
     }
@@ -372,20 +382,28 @@ impl XsConfig {
             ("microBTB", |c| entries(c.ubtb_entries)),
             ("BTB", |c| entries(c.btb_entries)),
             ("TAGE-SC", |c| entries(c.tage_entries * 4)),
-            ("Others", |c| if c.ittage { "RAS, ITTAGE" } else { "RAS" }.into()),
+            ("Others", |c| {
+                if c.ittage { "RAS, ITTAGE" } else { "RAS" }.into()
+            }),
             ("L1 ICache", |c| kb(&c.l1i)),
             ("L1 DCache", |c| kb(&c.l1d)),
             ("L2 Cache", |c| mb(&c.l2)),
             ("L3 Cache", |c| c.l3.as_ref().map_or_else(|| "-".into(), mb)),
             ("L1 DTLB", |c| entries(c.dtlb_entries)),
             ("STLB", |c| entries(c.stlb_entries)),
-            ("Dec./Ren. Width", |c| format!("{} instr./cycle", c.decode_width)),
-            ("ROB/LQ/SQ", |c| format!("{}/{}/{}", c.rob_entries, c.lq_entries, c.sq_entries)),
+            ("Dec./Ren. Width", |c| {
+                format!("{} instr./cycle", c.decode_width)
+            }),
+            ("ROB/LQ/SQ", |c| {
+                format!("{}/{}/{}", c.rob_entries, c.lq_entries, c.sq_entries)
+            }),
             ("Phy. Int/FP RF", |c| format!("{}/{}", c.int_prf, c.fp_prf)),
             ("Instruction Fusion", |c| yes(c.fusion)),
             ("Move Elimination", |c| yes(c.move_elimination)),
         ];
-        rows.iter().map(|(k, f)| format!("{k:<22}{:<22}{}\n", f(a), f(b))).collect()
+        rows.iter()
+            .map(|(k, f)| format!("{k:<22}{:<22}{}\n", f(a), f(b)))
+            .collect()
     }
 }
 
@@ -415,12 +433,17 @@ Phy. Int/FP RF        160/160               192/192
 Instruction Fusion    -                     Yes
 Move Elimination      -                     Yes
 ";
-        assert_eq!(XsConfig::table2(&XsConfig::yqh(), &XsConfig::nh_dual()), expected);
+        assert_eq!(
+            XsConfig::table2(&XsConfig::yqh(), &XsConfig::nh_dual()),
+            expected
+        );
     }
 
     #[test]
     fn llc_and_memory_overrides() {
-        let n = XsConfig::nh().with_llc_mb(4).with_memory(MemoryModel::FixedAmat(250));
+        let n = XsConfig::nh()
+            .with_llc_mb(4)
+            .with_memory(MemoryModel::FixedAmat(250));
         assert_eq!(n.l3.as_ref().unwrap().size, 4 * 1024 * 1024);
         assert!(matches!(n.memory, MemoryModel::FixedAmat(250)));
         let y = XsConfig::yqh().with_llc_mb(4);
@@ -456,7 +479,11 @@ Move Elimination      -                     Yes
         assert!(err.contains("no shared last-level cache"), "{err}");
         // A count the model cannot build is refused whatever the LLC.
         let mut c = XsConfig::small_nh();
-        for (cores, diagnosis) in [(0, "one hart"), (MAX_CORES + 1, "at most 16"), (1 << 32, "at most 16")] {
+        for (cores, diagnosis) in [
+            (0, "one hart"),
+            (MAX_CORES + 1, "at most 16"),
+            (1 << 32, "at most 16"),
+        ] {
             c.cores = cores;
             let err = c.validate().unwrap_err();
             assert!(err.contains(diagnosis) && !err.contains('\n'), "{err}");

@@ -148,12 +148,16 @@ impl Shared<'_> {
     /// Translate `va` through this core's MMU, walking page tables in
     /// the coherent view of memory on a miss.
     pub(crate) fn translate(&mut self, va: u64, access: AccessType) -> MmuResult {
-        self.mmu.translate(&mut CoherentView(self.mem), self.csr, va, access)
+        self.mmu
+            .translate(&mut CoherentView(self.mem), self.csr, va, access)
     }
 
     /// Move a selected (or replayed) uop from `Waiting` to `Issued`.
     pub(crate) fn mark_issued(&mut self, tag: RobTag) {
-        debug_assert!(self.rob.live(tag), "issue-queue entry outlived its ROB slot");
+        debug_assert!(
+            self.rob.live(tag),
+            "issue-queue entry outlived its ROB slot"
+        );
         let e = self.rob.hot_mut(tag.idx);
         debug_assert_eq!(e.state, RobState::Waiting, "stale IQ entry picked");
         e.state = RobState::Issued;
@@ -448,10 +452,18 @@ impl Core {
             life_trace: Vec::new(),
             stages: Stages {
                 frontend: Frontend::new(boot_pc),
-                rename: Rename { rat_int, rat_fp, ..Default::default() },
+                rename: Rename {
+                    rat_int,
+                    rat_fp,
+                    ..Default::default()
+                },
                 exec: Exec::default(),
                 lsu: LsuIssue::default(),
-                commit: Commit { arat_int: rat_int, arat_fp: rat_fp, ..Default::default() },
+                commit: Commit {
+                    arat_int: rat_int,
+                    arat_fp: rat_fp,
+                    ..Default::default()
+                },
                 atomics: Atomics::default(),
             },
             progressed: Progress(false),
@@ -540,7 +552,13 @@ impl Core {
     /// Restore architectural state (checkpoint restore / boot).
     pub fn restore_arch_state(&mut self, s: &ArchState) {
         assert!(self.rob.is_empty(), "restore only into an idle core");
-        let Stages { frontend, rename, commit, atomics, .. } = &mut self.stages;
+        let Stages {
+            frontend,
+            rename,
+            commit,
+            atomics,
+            ..
+        } = &mut self.stages;
         for i in 1..32 {
             self.regs.write(false, commit.arat_int[i], s.gpr[i]);
             self.regs.write(true, commit.arat_fp[i], s.fpr[i]);
@@ -549,7 +567,11 @@ impl Core {
         // which drops writes: f0 is an ordinary register, so give it a
         // real one before restoring its value.
         if commit.arat_fp[0] == Prf::ZERO {
-            commit.arat_fp[0] = self.regs.fp.alloc().expect("idle core has a free fp register");
+            commit.arat_fp[0] = self
+                .regs
+                .fp
+                .alloc()
+                .expect("idle core has a free fp register");
         }
         self.regs.write(true, commit.arat_fp[0], s.fpr[0]);
         self.csr = s.csr.clone();
@@ -683,10 +705,18 @@ impl Core {
     fn record_occupancies(&mut self, mem: &MemSystem, n: u64) {
         let iqs = &self.regs.iqs;
         self.perf.rob_occupancy.record_n(self.rob.len() as u64, n);
-        self.perf.iq_alu_occupancy.record_n((iqs[0].len() + iqs[1].len()) as u64, n);
-        self.perf.iq_ls_occupancy.record_n((iqs[3].len() + iqs[4].len()) as u64, n);
-        self.perf.sbuffer_occupancy.record_n(self.lsq.sbuffer.len() as u64, n);
-        self.perf.l1d_mshr_occupancy.record_n(mem.l1d_active_txns(self.hart) as u64, n);
+        self.perf
+            .iq_alu_occupancy
+            .record_n((iqs[0].len() + iqs[1].len()) as u64, n);
+        self.perf
+            .iq_ls_occupancy
+            .record_n((iqs[3].len() + iqs[4].len()) as u64, n);
+        self.perf
+            .sbuffer_occupancy
+            .record_n(self.lsq.sbuffer.len() as u64, n);
+        self.perf
+            .l1d_mshr_occupancy
+            .record_n(mem.l1d_active_txns(self.hart) as u64, n);
     }
 
     // The skipper interface: what `XsSystem::tick_skipping_into` needs to
@@ -714,7 +744,10 @@ impl Core {
         // provable no-op tick, so the scans are off the hot path).
         let heap = self.events.next_after(self.cycle);
         let (exec, lsu) = (&self.stages.exec, &self.stages.lsu);
-        [heap, exec.next_done(), lsu.next_due()].into_iter().flatten().min()
+        [heap, exec.next_done(), lsu.next_due()]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Bulk-charge `n` skipped cycles, reproducing exactly what `n`
@@ -811,8 +844,16 @@ mod tests {
         q.push(4);
         q.push(10);
         q.push(25);
-        assert_eq!(q.next_after(10), Some(25), "entries at or before now are spent");
-        assert_eq!(q.next_after(24), Some(25), "future entry is peeked, not consumed");
+        assert_eq!(
+            q.next_after(10),
+            Some(25),
+            "entries at or before now are spent"
+        );
+        assert_eq!(
+            q.next_after(24),
+            Some(25),
+            "future entry is peeked, not consumed"
+        );
         assert_eq!(q.next_after(25), None);
         assert_eq!(q.next_after(0), None, "queue drained");
     }

@@ -176,9 +176,15 @@ fn execute_and_writeback(sh: &mut Shared, idx: RobIdx) -> Option<Redirect> {
         value = pc.wrapping_add(d.imm as u64);
     } else if d.op == Op::Lui {
         value = d.imm as u64;
-    } else if let Some(r) =
-        int_compute(d.op, v(0), if has_imm_operand(d.op) { d.imm as u64 } else { v(1) })
-    {
+    } else if let Some(r) = int_compute(
+        d.op,
+        v(0),
+        if has_imm_operand(d.op) {
+            d.imm as u64
+        } else {
+            v(1)
+        },
+    ) {
         value = r;
     } else if let Some(rm) = d.rounding(sh.csr.frm()) {
         // Floating point through the host FPU.
@@ -224,7 +230,12 @@ fn execute_and_writeback(sh: &mut Shared, idx: RobIdx) -> Option<Redirect> {
     if let Some(pred) = sh.rob.pred(idx) {
         sh.bpu.resolve(pc, &d, pred, taken, target, true);
     }
-    Some(Redirect { after: Some(idx), seq, new_pc: actual_npc, cause: SquashCause::Mispredict })
+    Some(Redirect {
+        after: Some(idx),
+        seq,
+        new_pc: actual_npc,
+        cause: SquashCause::Mispredict,
+    })
 }
 
 /// Corrupt a writeback value according to an armed [`InjectedBug`].
@@ -269,7 +280,10 @@ mod tests {
         dispatch(&mut sh, st, &[ADDI_X5, JAL_16, ADDI_X6]);
         let exec = &mut st.exec;
         sh.cycle = 1;
-        assert!(!exec.writeback(&mut sh).0 .0, "nothing in the pipe: a no-op");
+        assert!(
+            !exec.writeback(&mut sh).0 .0,
+            "nothing in the pipe: a no-op"
+        );
         assert!(exec.issue(&mut sh).0, "three ready uops issue");
         assert_eq!(exec.next_done(), Some(2));
         assert!(!exec.issue(&mut sh).0, "nothing left to select");
@@ -278,7 +292,10 @@ mod tests {
         let (progress, redirect) = exec.writeback(&mut sh);
         assert!(progress.0);
         let r = redirect.expect("the jal resolves against its prediction");
-        assert_eq!((r.new_pc, r.cause), (BOOT + 4 + 16, SquashCause::Mispredict));
+        assert_eq!(
+            (r.new_pc, r.cause),
+            (BOOT + 4 + 16, SquashCause::Mispredict)
+        );
         let states: Vec<RobState> = (0..3).map(|k| sh.rob.hot(sh.rob.nth(k)).state).collect();
         // The addi behind the jal was due too, but the redirect squashes
         // it: writeback stopped at the jal.

@@ -35,7 +35,10 @@ pub(crate) struct Frontend {
 
 impl Frontend {
     pub(crate) fn new(boot_pc: u64) -> Self {
-        Frontend { fetch_pc: boot_pc, ..Default::default() }
+        Frontend {
+            fetch_pc: boot_pc,
+            ..Default::default()
+        }
     }
 
     /// Issue the next fetch if nothing holds it back.
@@ -175,7 +178,12 @@ impl Frontend {
         // Built where the decoded instruction is hot, copied once (into
         // its ROB slot, by rename).
         let uop = Uop::new(pc, inst, npc);
-        self.ibuf.push_back(PreUop { uop, pred, fault: None, fetched_at: sh.cycle });
+        self.ibuf.push_back(PreUop {
+            uop,
+            pred,
+            fault: None,
+            fetched_at: sh.cycle,
+        });
         if let Some(ubtb_hit) = steer {
             self.fetch_pc = npc;
             if !ubtb_hit {
@@ -209,7 +217,10 @@ mod tests {
                 break c;
             }
         };
-        assert!(!fe.fetch_done(&mut sh, &done), "completion of a dropped fetch is not ours");
+        assert!(
+            !fe.fetch_done(&mut sh, &done),
+            "completion of a dropped fetch is not ours"
+        );
         assert!(fe.ibuf.is_empty(), "nothing predecoded down the old path");
         assert_eq!(fe.fetch_pc, BOOT + 0x100);
         // The bubble holds fetch until it expires.

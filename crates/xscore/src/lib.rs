@@ -43,9 +43,9 @@ pub mod prf;
 mod rename;
 pub mod rob;
 pub mod system;
+pub mod tage;
 #[cfg(test)]
 mod testing;
-pub mod tage;
 pub mod tlbs;
 pub mod uop;
 

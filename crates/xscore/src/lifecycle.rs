@@ -46,8 +46,12 @@ pub enum SquashCause {
 
 impl SquashCause {
     /// Stable display names, digest index order.
-    pub const NAMES: [&'static str; 4] =
-        ["mispredict", "mem_order_violation", "serialize", "exception"];
+    pub const NAMES: [&'static str; 4] = [
+        "mispredict",
+        "mem_order_violation",
+        "serialize",
+        "exception",
+    ];
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -148,7 +152,9 @@ impl Lifecycle {
             ("writeback", s.writeback),
         ];
         match stamps.iter().find(|(_, cycle)| *cycle > end) {
-            Some((stage, cycle)) => Err(format!("{stage} stamp {cycle} lies after the end cycle {end}")),
+            Some((stage, cycle)) => Err(format!(
+                "{stage} stamp {cycle} lies after the end cycle {end}"
+            )),
             None => Ok(()),
         }
     }
@@ -339,9 +345,7 @@ impl LifecycleDigest {
             perf.flushes_system,
             perf.exceptions,
         ];
-        for (i, (&count, &live)) in
-            self.squash_causes.iter().zip(flush_live.iter()).enumerate()
-        {
+        for (i, (&count, &live)) in self.squash_causes.iter().zip(flush_live.iter()).enumerate() {
             if count > 0 && live == 0 {
                 return Err(format!(
                     "{} squashes recorded but the matching flush counter is zero",
@@ -385,7 +389,11 @@ fn render_gap_hist(out: &mut String, name: &str, hist: &[u64; GAP_BUCKETS]) {
             continue;
         }
         let bar = "#".repeat(((c * 40) / max).max(1) as usize);
-        out.push_str(&format!("    {:>12} {:>10} {bar}\n", Hist::bucket_label(i), c));
+        out.push_str(&format!(
+            "    {:>12} {:>10} {bar}\n",
+            Hist::bucket_label(i),
+            c
+        ));
     }
 }
 
@@ -439,7 +447,12 @@ pub fn render_waterfall(records: &[Lifecycle]) -> String {
         .filter(|&c| c != 0)
         .min()
         .unwrap_or(1);
-    let hi = records.iter().map(|r| r.end_cycle()).max().unwrap_or(lo).max(lo.saturating_add(1));
+    let hi = records
+        .iter()
+        .map(|r| r.end_cycle())
+        .max()
+        .unwrap_or(lo)
+        .max(lo.saturating_add(1));
     let span = (hi - lo).max(1) as u128;
     // Clamped into the window and scaled in 128 bits: a column of the
     // lane whatever the stamp (a record that fails `Lifecycle::check` may
@@ -573,10 +586,17 @@ mod tests {
         // writeback->commit gap (6) dominates -> serialization slot.
         assert_eq!(d.dominant_stall[DS_SERIALIZATION], 1);
 
-        let mut perf = PerfCounters { uops: 1, flushes_mispredict: 1, ..Default::default() };
+        let mut perf = PerfCounters {
+            uops: 1,
+            flushes_mispredict: 1,
+            ..Default::default()
+        };
         assert!(d.cross_check(&perf).is_ok());
         perf.flushes_mispredict = 0;
-        assert!(d.cross_check(&perf).is_err(), "dead flush counter must fail");
+        assert!(
+            d.cross_check(&perf).is_err(),
+            "dead flush counter must fail"
+        );
         perf.flushes_mispredict = 1;
         perf.uops = 2;
         assert!(d.cross_check(&perf).is_err(), "uops mismatch must fail");
@@ -625,7 +645,10 @@ mod tests {
         let o3 = render_o3pipeview(&records);
         assert!(o3.contains("O3PipeView:fetch:100:"));
         assert!(o3.contains("O3PipeView:retire:110:store:0"));
-        assert!(o3.contains("O3PipeView:retire:0:store:0"), "squashed -> retire tick 0");
+        assert!(
+            o3.contains("O3PipeView:retire:0:store:0"),
+            "squashed -> retire tick 0"
+        );
         let mut d = LifecycleDigest::default();
         d.observe_retired(&records[0]);
         let g = render_gap_summary(&d);
@@ -647,7 +670,13 @@ mod tests {
             assert!(r.check().unwrap_err().contains("issued stamp"));
             let lane_len = |line: &str| line.split('|').nth(1).map(str::len);
             let lanes = render_waterfall(&[rec(0, 90, 95), r]);
-            assert!(lanes.lines().skip(2).all(|l| lane_len(l) == Some(WATERFALL_COLS)), "{lanes}");
+            assert!(
+                lanes
+                    .lines()
+                    .skip(2)
+                    .all(|l| lane_len(l) == Some(WATERFALL_COLS)),
+                "{lanes}"
+            );
         }
         let mut both = rec(1, 100, 110);
         both.squashed_at = 105;

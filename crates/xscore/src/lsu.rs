@@ -223,7 +223,11 @@ impl Lsu {
                             Some(d) => {
                                 let shift = (paddr - sp) * 8;
                                 let v = d >> shift;
-                                let mask = if size == 8 { u64::MAX } else { (1 << (size * 8)) - 1 };
+                                let mask = if size == 8 {
+                                    u64::MAX
+                                } else {
+                                    (1 << (size * 8)) - 1
+                                };
                                 return ForwardResult::Forward(v & mask);
                             }
                             None => return ForwardResult::Stall,
@@ -241,7 +245,11 @@ impl Lsu {
             }
             if e.paddr <= paddr && send >= load_end {
                 let shift = (paddr - e.paddr) * 8;
-                let mask = if size == 8 { u64::MAX } else { (1 << (size * 8)) - 1 };
+                let mask = if size == 8 {
+                    u64::MAX
+                } else {
+                    (1 << (size * 8)) - 1
+                };
                 return ForwardResult::Forward((e.data >> shift) & mask);
             }
             return ForwardResult::Stall;
@@ -264,7 +272,10 @@ impl Lsu {
                     lp < send && lend > paddr
                 })
             })
-            .map(|l| RobTag { seq: l.seq, idx: l.rob })
+            .map(|l| RobTag {
+                seq: l.seq,
+                idx: l.rob,
+            })
     }
 
     /// Remove the committed store `seq` — the oldest in the SQ, since
@@ -301,7 +312,11 @@ impl Lsu {
     /// Remove the committed load `seq` — the oldest in the LQ.
     pub fn commit_load(&mut self, seq: u64) {
         let e = self.lq.pop_front();
-        debug_assert_eq!(e.map(|e| e.seq), Some(seq), "loads leave the LQ in program order");
+        debug_assert_eq!(
+            e.map(|e| e.seq),
+            Some(seq),
+            "loads leave the LQ in program order"
+        );
     }
 
     /// Flush entries younger than `seq` (0 flushes every speculative
@@ -322,7 +337,10 @@ mod tests {
     }
 
     fn tag(seq: u64) -> RobTag {
-        RobTag { seq, ..Default::default() }
+        RobTag {
+            seq,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -348,7 +366,10 @@ mod tests {
         l.sq[si].data = Some(0x8877_6655_4433_2211);
         assert_eq!(l.forward(20, 0x1000, 1), ForwardResult::Forward(0x11));
         assert_eq!(l.forward(20, 0x1003, 1), ForwardResult::Forward(0x44));
-        assert_eq!(l.forward(20, 0x1004, 4), ForwardResult::Forward(0x8877_6655));
+        assert_eq!(
+            l.forward(20, 0x1004, 4),
+            ForwardResult::Forward(0x8877_6655)
+        );
     }
 
     #[test]
@@ -447,7 +468,11 @@ mod tests {
         assert_eq!(l.lq[a].seq, 1);
         l.commit_load(1);
         l.lq[b].done = true;
-        assert_eq!((l.lq[b].seq, l.lq[c].seq), (2, 3), "positions are stable across a pop");
+        assert_eq!(
+            (l.lq[b].seq, l.lq[c].seq),
+            (2, 3),
+            "positions are stable across a pop"
+        );
         l.flush_after(2);
         assert_eq!(l.lq.len(), 1);
         // The flushed position is handed out again.

@@ -60,7 +60,11 @@ impl InflightArena {
             None => {
                 let s = self.slots.len();
                 debug_assert!(s < u16::MAX as usize, "in-flight arena overflow");
-                self.slots.push(InflightSlot { gen: 0, kind, live: true });
+                self.slots.push(InflightSlot {
+                    gen: 0,
+                    kind,
+                    live: true,
+                });
                 s as u16
             }
         };
@@ -112,8 +116,14 @@ impl InflightArena {
             MemReqKind::AtomicLoad => AccessKind::LoadExclusive,
             MemReqKind::SbufferDrain | MemReqKind::AtomicStore => AccessKind::Store,
         };
-        let accepted =
-            sh.mem.submit_data(CoreReq { core: sh.hart, kind: access, addr, size, data, id });
+        let accepted = sh.mem.submit_data(CoreReq {
+            core: sh.hart,
+            kind: access,
+            addr,
+            size,
+            data,
+            id,
+        });
         if !accepted {
             self.remove(id);
         }
@@ -298,7 +308,8 @@ impl LsuIssue {
 
     /// Finish a load after `lat` cycles with an already-known value.
     fn deliver_later(&mut self, sh: &Shared, tag: RobTag, value: u64, lat: u64) {
-        self.deferred_loads.push((sh.cycle + lat.max(1), tag, value));
+        self.deferred_loads
+            .push((sh.cycle + lat.max(1), tag, value));
     }
 
     /// Offer the oldest committed store to the L1D once its drain delay
@@ -380,7 +391,14 @@ fn issue_store(sh: &mut Shared, tag: RobTag) {
     s.mmio = mmio;
     sh.rob.hot_mut(idx).state = RobState::Done;
     let c = sh.rob.cold_mut(idx);
-    c.mem_info = Some(CommitMem { vaddr: va, paddr: pa, size, is_store: true, value: data, mmio });
+    c.mem_info = Some(CommitMem {
+        vaddr: va,
+        paddr: pa,
+        size,
+        is_store: true,
+        value: data,
+        mmio,
+    });
     c.life.executed = sh.cycle;
     c.life.writeback = sh.cycle;
     // Memory-order check: younger loads that already executed on an
@@ -422,7 +440,12 @@ mod tests {
     }
 
     fn load(seq: u64) -> MemReqKind {
-        MemReqKind::Load { tag: RobTag { seq, ..Default::default() } }
+        MemReqKind::Load {
+            tag: RobTag {
+                seq,
+                ..Default::default()
+            },
+        }
     }
 
     #[test]

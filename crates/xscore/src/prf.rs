@@ -79,7 +79,10 @@ impl Prf {
     pub fn alloc(&mut self) -> Option<PReg> {
         let p = self.free.pop()?;
         let w = &mut self.wakeup[p as usize];
-        debug_assert_eq!(w.waiters, [0; WAIT_QUEUES], "p{p} recycled with live waiters");
+        debug_assert_eq!(
+            w.waiters, [0; WAIT_QUEUES],
+            "p{p} recycled with live waiters"
+        );
         w.ready = false;
         self.refcnt[p as usize] = 1;
         Some(p)
@@ -184,12 +187,20 @@ impl Regs {
 
     /// Read a register's value.
     pub fn read(&self, fp: bool, p: PReg) -> u64 {
-        if fp { self.fp.read(p) } else { self.int.read(p) }
+        if fp {
+            self.fp.read(p)
+        } else {
+            self.int.read(p)
+        }
     }
 
     /// True when the register holds its final value.
     pub fn is_ready(&self, fp: bool, p: PReg) -> bool {
-        if fp { self.fp.is_ready(p) } else { self.int.is_ready(p) }
+        if fp {
+            self.fp.is_ready(p)
+        } else {
+            self.int.is_ready(p)
+        }
     }
 
     /// Write a physical register and wake the issue-queue slots that
@@ -230,7 +241,11 @@ mod tests {
         let p = prf.alloc().unwrap();
         assert!(!prf.is_ready(p));
         prf.add_waiter(p, 2, 5);
-        assert_eq!(prf.write(p, 42)[2], 1 << 5, "a write hands back the waiters");
+        assert_eq!(
+            prf.write(p, 42)[2],
+            1 << 5,
+            "a write hands back the waiters"
+        );
         assert_eq!(prf.waiters(p), [0; WAIT_QUEUES], "and forgets them");
         assert!(prf.is_ready(p));
         assert_eq!(prf.read(p), 42);

@@ -88,7 +88,12 @@ impl Rename {
                 self.rename_one(sh, &fused, &mut None, front.fetched_at, &plan);
                 ibuf.pop_front();
             } else {
-                let PreUop { uop, pred, fetched_at, .. } = ibuf.front_mut().expect("front");
+                let PreUop {
+                    uop,
+                    pred,
+                    fetched_at,
+                    ..
+                } = ibuf.front_mut().expect("front");
                 self.rename_one(sh, uop, pred, *fetched_at, &plan);
             }
             ibuf.pop_front();
@@ -108,7 +113,8 @@ impl Rename {
             self.blocked_iq = true;
             return true;
         }
-        plan.alloc_fp.is_some_and(|fp| sh.regs.prf(fp).free_count() == 0)
+        plan.alloc_fp
+            .is_some_and(|fp| sh.regs.prf(fp).free_count() == 0)
     }
 
     /// Rename and dispatch one uop whose plan found no hazard, filling
@@ -125,7 +131,9 @@ impl Rename {
         let d = uop.inst;
         // Map sources.
         let rat = |fp| if fp { &self.rat_fp } else { &self.rat_int };
-        let phys_srcs = uop.srcs.map(|s| s.map(|s| (s.fp, rat(s.fp)[s.idx as usize])));
+        let phys_srcs = uop
+            .srcs
+            .map(|s| s.map(|s| (s.fp, rat(s.fp)[s.idx as usize])));
         let is_cf = d.is_control_flow();
         let pc = uop.pc;
         let dest = uop.dest;
@@ -134,7 +142,11 @@ impl Rename {
         sh.perf.dispatched += 1;
         e.phys_srcs = phys_srcs;
         e.commit_exec = plan.commit_exec;
-        let at = if fetched_at != 0 { fetched_at } else { sh.cycle };
+        let at = if fetched_at != 0 {
+            fetched_at
+        } else {
+            sh.cycle
+        };
         c.life.fetched = at;
         c.life.decoded = at;
         c.life.renamed = sh.cycle;
@@ -145,7 +157,11 @@ impl Rename {
         }
         // Destination renaming.
         if let Some(dest) = dest {
-            let rat = if dest.fp { &mut self.rat_fp } else { &mut self.rat_int };
+            let rat = if dest.fp {
+                &mut self.rat_fp
+            } else {
+                &mut self.rat_int
+            };
             e.old_phys = rat[dest.idx as usize];
             e.has_dest = true;
             if let Some(src) = move_src {
@@ -203,7 +219,11 @@ impl Rename {
 
 fn rename_plan(sh: &Shared, pc: u64, d: &DecodedInst, fused: bool) -> RenamePlan {
     // A fused pair writes the integer register both halves name.
-    let dest_fp = if fused { Some(false) } else { dest_of(d).map(|r| r.fp) };
+    let dest_fp = if fused {
+        Some(false)
+    } else {
+        dest_of(d).map(|r| r.fp)
+    };
     let move_elim = sh.cfg.move_elimination && !fused && is_reg_move(d);
     RenamePlan {
         is_load: d.is_load() && !matches!(d.op, Op::LrW | Op::LrD),
@@ -256,7 +276,10 @@ mod tests {
             }
             ibuf.push_back(pre(BOOT + 0x1000, raw));
             let dispatched = sh.perf.dispatched;
-            assert!(!rename.tick(&mut sh, ibuf).0, "full {hazard}: a stalled tick is a no-op");
+            assert!(
+                !rename.tick(&mut sh, ibuf).0,
+                "full {hazard}: a stalled tick is a no-op"
+            );
             assert_eq!(ibuf.len(), 1, "full {hazard}: the ibuf head stays");
             assert_eq!(sh.perf.dispatched, dispatched, "full {hazard}");
             assert_eq!(rename.blocked_iq, hazard == "IQ");

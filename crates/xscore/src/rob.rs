@@ -251,7 +251,9 @@ impl Rob {
     #[inline]
     pub fn pred(&self, idx: RobIdx) -> Option<&BranchPrediction> {
         let p = self.cold_pos(idx);
-        self.preds[p].as_ref().filter(|_| self.cold[p].uop.inst.is_control_flow())
+        self.preds[p]
+            .as_ref()
+            .filter(|_| self.cold[p].uop.inst.is_control_flow())
     }
 
     /// Is the uop behind `tag` still in flight (neither committed nor

@@ -37,7 +37,11 @@ impl XsSystem {
         let cores = (0..cfg.cores)
             .map(|h| Core::new(cfg.clone(), h, boot_pc))
             .collect();
-        XsSystem { cores, mem, completions: Vec::new() }
+        XsSystem {
+            cores,
+            mem,
+            completions: Vec::new(),
+        }
     }
 
     /// Restore a checkpointed architectural state into core 0.
@@ -57,7 +61,11 @@ impl XsSystem {
     /// one buffer across cycles keeps the driver loop allocation-free.
     pub fn tick_into(&mut self, outs: &mut Vec<CycleOutput>) {
         outs.resize_with(self.cores.len(), CycleOutput::default);
-        let Self { cores, mem, completions } = self;
+        let Self {
+            cores,
+            mem,
+            completions,
+        } = self;
         mem.tick_into(completions);
         if cores.len() == 1 {
             // Single-core fast path: every completion is ours.
@@ -157,7 +165,9 @@ impl XsSystem {
     /// DiffTest-style consumption).
     pub fn run_collect(&mut self, max_cycles: u64) -> Vec<crate::uop::CommitEvent> {
         let mut all = Vec::new();
-        self.run_with(max_cycles, |outs| outs.iter_mut().for_each(|o| all.append(&mut o.commits)));
+        self.run_with(max_cycles, |outs| {
+            outs.iter_mut().for_each(|o| all.append(&mut o.commits))
+        });
         all
     }
 }
@@ -659,14 +669,20 @@ mod tests {
             sys.tick_into(&mut outs);
             let cycle = sys.mem.cycle();
             let progressed = sys.cores.iter().any(|c| c.made_progress());
-            assert!(!(quiet && progressed), "cycle {cycle}: work that nothing had scheduled");
+            assert!(
+                !(quiet && progressed),
+                "cycle {cycle}: work that nothing had scheduled"
+            );
             if !progressed {
                 for core in &mut idle {
                     core.charge_idle_cycles(&sys.mem, 1);
                 }
                 let mut ticked = sys.cores.clone();
                 let same = ticked.iter_mut().map(state).eq(idle.iter_mut().map(state));
-                assert!(same, "cycle {cycle}: a tick that reported no progress did work");
+                assert!(
+                    same,
+                    "cycle {cycle}: a tick that reported no progress did work"
+                );
                 checked += 1;
             }
             let next = Some(cycle + 1);
@@ -698,7 +714,9 @@ mod tests {
 
     #[test]
     fn skipped_cycles_are_provable_no_ops() {
-        use workloads::{random_litmus, random_program, workload, LitmusConfig, LitmusShape, Scale};
+        use workloads::{
+            random_litmus, random_program, workload, LitmusConfig, LitmusShape, Scale,
+        };
         // The debug build samples: the same programs, shorter windows.
         let window = if cfg!(debug_assertions) { 500 } else { 1_500 };
         let preset = |name: &str| XsConfig::preset(name).expect("preset exists");
@@ -712,16 +730,23 @@ mod tests {
                 let sys = XsSystem::new(preset(config), &workload(kernel, Scale::Test).program);
                 checked += check_skipper_contract(sys, 20_000, window);
             }
-            checked += check_skipper_contract(XsSystem::new(preset(config), &port_rejections()), 0, 1_000);
+            checked +=
+                check_skipper_contract(XsSystem::new(preset(config), &port_rejections()), 0, 1_000);
         }
         // Two harts: atomics, cross-hart snoops and a shared L3.
         for shape in [LitmusShape::Mp, LitmusShape::LrScContention] {
-            let litmus = LitmusConfig { shape, ..Default::default() };
+            let litmus = LitmusConfig {
+                shape,
+                ..Default::default()
+            };
             let mut cfg = preset("small-nh");
             cfg.cores = 2;
             let sys = XsSystem::new(cfg, &random_litmus(1, &litmus));
             checked += check_skipper_contract(sys, 0, 2 * window);
         }
-        assert!(checked > window, "the oracle found only {checked} no-progress ticks to check");
+        assert!(
+            checked > window,
+            "the oracle found only {checked} no-progress ticks to check"
+        );
     }
 }

@@ -152,7 +152,11 @@ impl TageSc {
         self.sc[si] = bump(self.sc[si], taken, 31);
         // Allocate a longer-history entry on a misprediction.
         if pred.taken != taken && pred.provider != 0 {
-            let start = if pred.provider == 4 { 0 } else { 0.max(pred.provider as i64 - 1) as usize };
+            let start = if pred.provider == 4 {
+                0
+            } else {
+                0.max(pred.provider as i64 - 1) as usize
+            };
             let mut allocated = false;
             for t in start..4 {
                 if pred.provider < 4 && t >= pred.provider {

@@ -20,8 +20,16 @@ pub(crate) struct Bench {
 impl Bench {
     pub(crate) fn new() -> Self {
         let cfg = XsConfig::preset("small-nh").expect("preset exists");
-        let mem = MemSystem::new(cfg.mem_system_config(), cfg.memory.build(), SparseMemory::new());
-        Bench { core: Core::new(cfg, 0, BOOT), mem, out: CycleOutput::default() }
+        let mem = MemSystem::new(
+            cfg.mem_system_config(),
+            cfg.memory.build(),
+            SparseMemory::new(),
+        );
+        Bench {
+            core: Core::new(cfg, 0, BOOT),
+            mem,
+            out: CycleOutput::default(),
+        }
     }
 
     pub(crate) fn core(&mut self) -> &mut Core {
@@ -38,7 +46,12 @@ impl Bench {
 /// `raw` predecoded at `pc` the way the frontend pushes a non-branch.
 pub(crate) fn pre(pc: u64, raw: u32) -> PreUop {
     let inst = riscv_isa::decode32(raw);
-    PreUop { uop: Uop::new(pc, inst, pc + 4), pred: None, fault: None, fetched_at: 0 }
+    PreUop {
+        uop: Uop::new(pc, inst, pc + 4),
+        pred: None,
+        fault: None,
+        fetched_at: 0,
+    }
 }
 
 /// Rename and dispatch `raws` as consecutive instructions from [`BOOT`].
@@ -46,7 +59,10 @@ pub(crate) fn dispatch(sh: &mut Shared, st: &mut Stages, raws: &[u32]) {
     let pcs = (BOOT..).step_by(4);
     st.frontend.ibuf = pcs.zip(raws).map(|(pc, &raw)| pre(pc, raw)).collect();
     while !st.frontend.ibuf.is_empty() {
-        assert!(st.rename.tick(sh, &mut st.frontend.ibuf).0, "fixture rename stalled");
+        assert!(
+            st.rename.tick(sh, &mut st.frontend.ibuf).0,
+            "fixture rename stalled"
+        );
     }
 }
 

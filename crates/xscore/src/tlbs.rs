@@ -147,7 +147,13 @@ pub struct CoreMmu {
 
 impl CoreMmu {
     /// Build from configuration knobs.
-    pub fn new(itlb: usize, dtlb: usize, stlb: usize, stlb_latency: u64, ptw_level_latency: u64) -> Self {
+    pub fn new(
+        itlb: usize,
+        dtlb: usize,
+        stlb: usize,
+        stlb_latency: u64,
+        ptw_level_latency: u64,
+    ) -> Self {
         CoreMmu {
             itlb: Tlb::new(itlb),
             dtlb: Tlb::new(dtlb),
@@ -274,11 +280,18 @@ mod tests {
         let va: u64 = 0x4000_1000;
         let (vpn2, vpn1, vpn0) = ((va >> 30) & 0x1ff, (va >> 21) & 0x1ff, (va >> 12) & 0x1ff);
         mem.write_uint(root + vpn2 * 8, 8, make_pte((root + 0x1000) >> 12, pte::V));
-        mem.write_uint(root + 0x1000 + vpn1 * 8, 8, make_pte((root + 0x2000) >> 12, pte::V));
+        mem.write_uint(
+            root + 0x1000 + vpn1 * 8,
+            8,
+            make_pte((root + 0x2000) >> 12, pte::V),
+        );
         mem.write_uint(
             root + 0x2000 + vpn0 * 8,
             8,
-            make_pte(0x8020_0000 >> 12, pte::V | pte::R | pte::W | pte::X | pte::U),
+            make_pte(
+                0x8020_0000 >> 12,
+                pte::V | pte::R | pte::W | pte::X | pte::U,
+            ),
         );
         let mut csr = CsrFile::new(0);
         csr.write(addr::SATP, (8 << 60) | (root >> 12)).unwrap();
@@ -315,7 +328,13 @@ mod tests {
         let (mut mem, csr, mut mmu) = setup();
         // Unmapped page: walk faults and the fault is cached.
         let r = mmu.translate(&mut mem, &csr, 0x4000_5000, AccessType::Load);
-        assert!(matches!(r, MmuResult::Fault { cause: Exception::LoadPageFault, .. }));
+        assert!(matches!(
+            r,
+            MmuResult::Fault {
+                cause: Exception::LoadPageFault,
+                ..
+            }
+        ));
         let walks_before = mmu.walks;
         // Map the page NOW (simulating the kernel's PTE store landing).
         let root = 0x8100_0000u64;
@@ -328,12 +347,24 @@ mod tests {
         );
         // Still faults: the TLB cached the faulting walk (Fig. 3).
         let r = mmu.translate(&mut mem, &csr, 0x4000_5000, AccessType::Load);
-        assert!(matches!(r, MmuResult::Fault { .. }), "cached fault persists");
+        assert!(
+            matches!(r, MmuResult::Fault { .. }),
+            "cached fault persists"
+        );
         assert_eq!(mmu.walks, walks_before, "no re-walk before sfence");
         // sfence.vma flushes; the new mapping is now visible.
         mmu.flush();
         let r = mmu.translate(&mut mem, &csr, 0x4000_5000, AccessType::Load);
-        assert!(matches!(r, MmuResult::Done { pa: 0x8030_0000, .. }), "{r:?}");
+        assert!(
+            matches!(
+                r,
+                MmuResult::Done {
+                    pa: 0x8030_0000,
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
     }
 
     #[test]

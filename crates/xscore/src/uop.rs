@@ -382,7 +382,10 @@ mod tests {
         let slli32 = di(Op::Slli, 6, 7, 0, 32);
         let srli32 = di(Op::Srli, 6, 6, 0, 32);
         assert!(try_fuse(&slli32, &srli32));
-        assert_eq!(exec_fused(&slli32, &srli32, 0xdead_beef_1234_5678, 0), 0x1234_5678);
+        assert_eq!(
+            exec_fused(&slli32, &srli32, 0xdead_beef_1234_5678, 0),
+            0x1234_5678
+        );
     }
 
     #[test]

@@ -46,19 +46,25 @@ fn lockstep(program: &riscv_isa::asm::Program, max_cycles: u64) -> (u64, u64) {
                 compared += 1;
             }
             if let Some((dut_fp, dut_rd, dut_v)) = commit.wb {
-                let (ref_fp, ref_rd, ref_v) =
-                    info.wb.unwrap_or_else(|| panic!("REF no wb at {:#x}", info.pc));
-                assert_eq!((dut_fp, dut_rd), (ref_fp, ref_rd), "wb reg at {:#x}", info.pc);
-                assert_eq!(dut_v, ref_v, "wb value at {:#x} ({:?})", info.pc, commit.inst.op);
+                let (ref_fp, ref_rd, ref_v) = info
+                    .wb
+                    .unwrap_or_else(|| panic!("REF no wb at {:#x}", info.pc));
+                assert_eq!(
+                    (dut_fp, dut_rd),
+                    (ref_fp, ref_rd),
+                    "wb reg at {:#x}",
+                    info.pc
+                );
+                assert_eq!(
+                    dut_v, ref_v,
+                    "wb value at {:#x} ({:?})",
+                    info.pc, commit.inst.op
+                );
             }
         }
     }
     assert!(sys.all_halted(), "DUT did not halt");
-    assert_eq!(
-        sys.cores[0].halted,
-        ref_hart.halted,
-        "exit codes differ"
-    );
+    assert_eq!(sys.cores[0].halted, ref_hart.halted, "exit codes differ");
     (compared, sys.cores[0].perf.cycles)
 }
 
