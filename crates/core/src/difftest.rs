@@ -564,7 +564,11 @@ impl<R: RefModel> DiffTest<R> {
         }
         // MMIO loads / counter reads: trust the DUT.
         if e.mem.map(|m| m.mmio && !m.is_store).unwrap_or(false) {
-            self.refs[hart].patch_gpr(dut_rd, dut_v);
+            if dut_fp {
+                self.refs[hart].patch_fpr(dut_rd, dut_v);
+            } else {
+                self.refs[hart].patch_gpr(dut_rd, dut_v);
+            }
             self.stats.record(DiffRule::MmioLoad);
             return Ok(());
         }

@@ -8,13 +8,13 @@
 //! code a run one runs, plus the record; `hart::execute_and_retire` is left
 //! to the uops no arm serves and the cases an arm declines ([`Flow::Decline`]).
 //!
-//! The ops whose arms are alike in both tiers — loads and stores by
-//! `hart`'s MMIO rule, and host FP — are written here, once.
+//! The ops whose arms are alike in both tiers — loads and stores by the
+//! MMIO rule ([`riscv_isa::mem::mmio`]), and host FP — are written here,
+//! once.
 
 use crate::hart::{Hart, MemAccess, StepInfo};
-use riscv_isa::csr::mstatus;
 use riscv_isa::fpu::fp_execute;
-use riscv_isa::mem::{PhysMem, SparseMemory, MTIME, UART_TX};
+use riscv_isa::mem::{mmio, PhysMem, SparseMemory};
 use riscv_isa::op::DecodedInst;
 
 /// The integer register file an arm reads and writes, and where it
@@ -134,10 +134,10 @@ pub(crate) fn load_f<L: Lane>(x: &mut L, m: &mut Machine, rd: u8, va: u64, pa: u
     x.accessed(access(va, pa, size, false, v, mmio));
 }
 
-/// A store of `v`'s low `size` bytes; `UART_TX` takes one of any width.
+/// A store of `v`'s low `size` bytes, to memory or a device.
 #[inline(always)]
 pub(crate) fn store<L: Lane>(x: &mut L, m: &mut Machine, va: u64, pa: u64, size: u64, v: u64) {
-    let mmio = pa == UART_TX;
+    let mmio = mmio(pa, size, true);
     if mmio {
         m.hart.output.push(v as u8);
     } else {
@@ -146,10 +146,10 @@ pub(crate) fn store<L: Lane>(x: &mut L, m: &mut Machine, va: u64, pa: u64, size:
     x.accessed(access(va, pa, size, true, v, mmio));
 }
 
-/// `hart`'s rule: `MTIME` answers 8-byte loads with `time`.
+/// A load's raw value, from memory or a device, and whether it was one.
 #[inline(always)]
 fn read(m: &mut Machine, pa: u64, size: u64) -> (u64, bool) {
-    if size == 8 && pa == MTIME {
+    if mmio(pa, size, false) {
         (m.hart.state.csr.time, true)
     } else {
         (m.mem.read_uint(pa, size), false)
@@ -183,7 +183,8 @@ pub(crate) fn fp_shape(d: &DecodedInst) -> i64 {
 
 /// A host-FP op whose operand files are `shape` ([`fp_shape`]); `rd` is
 /// the uop's destination, redirected for `x0`. Declines (returns false,
-/// changing nothing) when FP is off or the rounding mode is reserved.
+/// changing nothing) when the instruction is illegal here
+/// ([`riscv_isa::csr::CsrFile::rounding`]).
 #[inline(always)]
 pub(crate) fn host_fp<L: Lane>(
     x: &mut L,
@@ -193,13 +194,9 @@ pub(crate) fn host_fp<L: Lane>(
     shape: i64,
 ) -> bool {
     let hart = &*m.hart;
-    let csr = &hart.state.csr;
-    let Some(rm) = d.rounding(csr.frm()) else {
+    let Some(rm) = hart.state.csr.rounding(d) else {
         return false;
     };
-    if csr.mstatus & mstatus::FS == 0 {
-        return false;
-    }
     let src = |fp: bool, r: u8| {
         if fp {
             hart.state.fpr[r as usize]

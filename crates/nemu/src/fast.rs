@@ -166,7 +166,8 @@ pub struct Nemu {
     /// Entries at which `fill` flushes the cache (a bound, not a
     /// reservation: a boot allocates no uop).
     capacity: usize,
-    fast_mem: bool,
+    /// The uop cache may serve (see `refresh_modes`).
+    fast_path: bool,
     /// Cache/trace statistics.
     pub stats: NemuStats,
 }
@@ -201,20 +202,21 @@ impl Nemu {
             map: HashMap::default(),
             cursor: 0,
             capacity,
-            fast_mem: true,
+            fast_path: true,
             stats: NemuStats::default(),
         };
-        n.refresh_fast_mem();
+        n.refresh_modes();
         n
     }
 
-    fn refresh_fast_mem(&mut self) {
-        // The fast path assumes flat physical memory: machine mode (or
-        // bare satp) and no MPRV redirection.
+    fn refresh_modes(&mut self) {
+        // The fast path assumes flat physical memory — machine mode (or
+        // bare satp) and no MPRV redirection — and `mstatus.FS` on: the
+        // FP loads' and stores' arms do not test it.
         let csr = &self.hart.state.csr;
-        self.fast_mem = !mmu::translation_active(csr, AccessType::Fetch)
+        self.fast_path = !mmu::translation_active(csr, AccessType::Fetch)
             && !mmu::translation_active(csr, AccessType::Load)
-            && !self.hart.proxy_kernel_needs_slow();
+            && csr.fp_enabled();
     }
 
     /// Leave the shadow domain: export the GPR file and credit the
@@ -239,11 +241,8 @@ impl Nemu {
     }
 
     /// Decode a trace starting at `pc` into the uop cache, returning the
-    /// upc of its head, or `None` when the fast path cannot run.
-    fn fill(&mut self, pc: u64) -> Option<u32> {
-        if !self.fast_mem {
-            return None;
-        }
+    /// upc of its head.
+    fn fill(&mut self, pc: u64) -> u32 {
         if self.code.len() + MAX_TRACE > self.capacity {
             self.flush();
         }
@@ -299,11 +298,14 @@ impl Nemu {
                 inst: DecodedInst::default(),
             });
         }
-        Some(head)
+        head
     }
 
     fn lookup_or_fill(&mut self, pc: u64) -> Option<u32> {
-        lookup(&self.map, &mut self.stats, pc).or_else(|| self.fill(pc))
+        if !self.fast_path {
+            return None;
+        }
+        lookup(&self.map, &mut self.stats, pc).or_else(|| Some(self.fill(pc)))
     }
 
     /// One architectural step through [`hart::step_into`], followed by
@@ -321,7 +323,7 @@ impl Nemu {
         if self.info.invalidates_decodes() {
             self.flush();
         }
-        self.refresh_fast_mem();
+        self.refresh_modes();
     }
 
     /// A slow step taken from inside the fast loop: leave the shadow
@@ -700,15 +702,6 @@ fn classify(d: &DecodedInst) -> Handler {
     }
 }
 
-impl Hart {
-    /// True when this hart's configuration forces NEMU onto the slow path
-    /// for memory accesses (currently only proxy-kernel syscalls need it,
-    /// and those are `ecall`s which are always slow anyway).
-    fn proxy_kernel_needs_slow(&self) -> bool {
-        false
-    }
-}
-
 impl Interpreter for Nemu {
     fn name(&self) -> &'static str {
         "nemu"
@@ -739,7 +732,7 @@ impl Interpreter for Nemu {
             return &self.info;
         }
         let pc = self.hart.state.pc;
-        if !self.fast_mem
+        if !self.fast_path
             || pc & 1 != 0
             || self.hart.pending_injection.is_some()
             || hart::interrupt_pending(&self.hart)
@@ -750,7 +743,7 @@ impl Interpreter for Nemu {
             Some(u) if u.pc == pc && u.handler != Handler::Goto => self.cursor,
             _ => self
                 .lookup_or_fill(pc)
-                .expect("fast_mem holds, so fill succeeds"),
+                .expect("fast_path holds, so fill succeeds"),
         };
         let Nemu {
             hart,

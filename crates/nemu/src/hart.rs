@@ -6,12 +6,13 @@
 //! the hooks DRAV diff-rules need to steer the REF: exception injection
 //! (forced page faults), forced SC failures, and load/memory patching.
 
-use riscv_isa::csr::Privilege;
-use riscv_isa::exec::{amo_compute, branch_taken, has_imm_operand, int_compute, load_extend};
+use riscv_isa::exec::{
+    amo_compute, atomic_aligned, branch_taken, has_imm_operand, int_compute, load_extend, system,
+};
 use riscv_isa::fpu::{fp_execute_with, Arith, Host};
-use riscv_isa::mem::{PhysMem, MTIME, RESERVATION_GRANULE, UART_TX};
+use riscv_isa::mem::{granule, mmio, PhysMem};
 use riscv_isa::mmu::{self, AccessType};
-use riscv_isa::op::{DecodedInst, Op};
+use riscv_isa::op::{DecodedInst, Op, Shape};
 use riscv_isa::state::ArchState;
 use riscv_isa::trap::{Exception, Trap};
 use serde::{Deserialize, Serialize};
@@ -87,27 +88,6 @@ impl StepInfo {
     }
 }
 
-/// Execution error: exception cause plus trap value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecError {
-    /// Exception cause.
-    pub cause: Exception,
-    /// Value for mtval/stval.
-    pub tval: u64,
-}
-
-impl ExecError {
-    fn new(cause: Exception, tval: u64) -> Self {
-        ExecError { cause, tval }
-    }
-}
-
-impl From<Exception> for ExecError {
-    fn from(cause: Exception) -> Self {
-        ExecError { cause, tval: 0 }
-    }
-}
-
 /// One hart: architectural state plus simulation bookkeeping.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Hart {
@@ -158,7 +138,7 @@ fn virt_read<M: PhysMem>(
     va: u64,
     size: u64,
     access: AccessType,
-) -> Result<(u64, u64, bool), ExecError> {
+) -> Result<(u64, u64, bool), (Exception, u64)> {
     if crosses_page(va, size) && mmu::translation_active(&hart.state.csr, access) {
         // Split access: translate each half separately.
         let split = 0x1000 - (va & 0xfff);
@@ -166,8 +146,8 @@ fn virt_read<M: PhysMem>(
         let (hi, _, _) = virt_read(hart, mem, va + split, size - split, access)?;
         return Ok(((hi << (8 * split)) | lo, va, false));
     }
-    let t = mmu::translate(mem, &hart.state.csr, va, access).map_err(|e| ExecError::new(e, va))?;
-    if t.pa == MTIME && size == 8 {
+    let t = mmu::translate(mem, &hart.state.csr, va, access).map_err(|e| (e, va))?;
+    if mmio(t.pa, size, false) {
         return Ok((hart.state.csr.time, t.pa, true));
     }
     Ok((mem.read_uint(t.pa, size), t.pa, false))
@@ -179,16 +159,15 @@ fn virt_write<M: PhysMem>(
     va: u64,
     size: u64,
     value: u64,
-) -> Result<(u64, bool), ExecError> {
+) -> Result<(u64, bool), (Exception, u64)> {
     if crosses_page(va, size) && mmu::translation_active(&hart.state.csr, AccessType::Store) {
         let split = 0x1000 - (va & 0xfff);
         virt_write(hart, mem, va, split, value)?;
         virt_write(hart, mem, va + split, size - split, value >> (8 * split))?;
         return Ok((va, false));
     }
-    let t = mmu::translate(mem, &hart.state.csr, va, AccessType::Store)
-        .map_err(|e| ExecError::new(e, va))?;
-    if t.pa == UART_TX {
+    let t = mmu::translate(mem, &hart.state.csr, va, AccessType::Store).map_err(|e| (e, va))?;
+    if mmio(t.pa, size, true) {
         hart.output.push(value as u8);
         return Ok((t.pa, true));
     }
@@ -202,13 +181,16 @@ fn crosses_page(va: u64, size: u64) -> bool {
 }
 
 /// Fetch and decode the instruction at the current PC.
-pub fn fetch<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> Result<DecodedInst, ExecError> {
+///
+/// # Errors
+///
+/// The fetch's exception and its trap value.
+pub fn fetch<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> Result<DecodedInst, (Exception, u64)> {
     let pc = hart.state.pc;
     if pc & 1 != 0 {
-        return Err(ExecError::new(Exception::InstAddrMisaligned, pc));
+        return Err((Exception::InstAddrMisaligned, pc));
     }
-    let t = mmu::translate(mem, &hart.state.csr, pc, AccessType::Fetch)
-        .map_err(|e| ExecError::new(e, pc))?;
+    let t = mmu::translate(mem, &hart.state.csr, pc, AccessType::Fetch).map_err(|e| (e, pc))?;
     if !crosses_page(pc, 4) {
         return Ok(riscv_isa::decode(mem.fetch32(t.pa)));
     }
@@ -218,8 +200,8 @@ pub fn fetch<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> Result<DecodedInst, Ex
     if low & 3 != 3 {
         return Ok(riscv_isa::decode16(low as u16));
     }
-    let t2 = mmu::translate(mem, &hart.state.csr, pc + 2, AccessType::Fetch)
-        .map_err(|e| ExecError::new(e, pc + 2))?;
+    let t2 =
+        mmu::translate(mem, &hart.state.csr, pc + 2, AccessType::Fetch).map_err(|e| (e, pc + 2))?;
     let high = mem.read_uint(t2.pa, 2) as u32;
     Ok(riscv_isa::decode32((high << 16) | low))
 }
@@ -233,19 +215,26 @@ pub fn fetch<M: PhysMem>(hart: &mut Hart, mem: &mut M) -> Result<DecodedInst, Ex
 ///
 /// # Errors
 ///
-/// Returns the exception raised by the instruction.
+/// Returns the exception raised by the instruction and its trap value.
 pub fn execute<A: Arith, M: PhysMem>(
     hart: &mut Hart,
     mem: &mut M,
     d: &DecodedInst,
     info: &mut StepInfo,
-) -> Result<(), ExecError> {
+) -> Result<(), (Exception, u64)> {
     use Op::*;
     let s = &mut hart.state;
     let pc = s.pc;
     let next_pc = pc.wrapping_add(d.len as u64);
     let rs1 = s.read_gpr(d.rs1);
     let rs2 = s.read_gpr(d.rs2);
+    // The rounding mode of an FP instruction, which FS off or a reserved
+    // mode makes illegal.
+    let rm = |s: &ArchState| {
+        s.csr
+            .rounding(d)
+            .ok_or((Exception::IllegalInstruction, d.raw as u64))
+    };
 
     macro_rules! wb {
         ($v:expr) => {{
@@ -304,10 +293,17 @@ pub fn execute<A: Arith, M: PhysMem>(
                 next_pc
             };
         }
-        Lb | Lh | Lw | Ld | Lbu | Lhu | Lwu => {
+        Lb | Lh | Lw | Ld | Lbu | Lhu | Lwu | LrW | LrD => {
             let va = rs1.wrapping_add(d.imm as u64);
+            let lr = d.op.shape() == Shape::Lr;
+            if lr {
+                atomic_aligned(d, va)?;
+            }
             let (raw, pa, mmio) = virt_read(hart, mem, va, d.mem_size(), AccessType::Load)?;
             let v = load_extend(d.op, raw);
+            if lr {
+                hart.reservation = Some(granule(pa));
+            }
             info.mem = Some(MemAccess {
                 vaddr: va,
                 paddr: pa,
@@ -324,6 +320,7 @@ pub fn execute<A: Arith, M: PhysMem>(
             s.pc = next_pc;
         }
         Flw | Fld => {
+            rm(s)?;
             let va = rs1.wrapping_add(d.imm as u64);
             let (raw, pa, mmio) = virt_read(hart, mem, va, d.mem_size(), AccessType::Load)?;
             let v = if d.op == Flw {
@@ -347,7 +344,8 @@ pub fn execute<A: Arith, M: PhysMem>(
         Sb | Sh | Sw | Sd | Fsw | Fsd => {
             let va = rs1.wrapping_add(d.imm as u64);
             let value = if matches!(d.op, Fsw | Fsd) {
-                hart.state.fpr[d.rs2 as usize]
+                rm(s)?;
+                s.fpr[d.rs2 as usize]
             } else {
                 rs2
             };
@@ -363,40 +361,14 @@ pub fn execute<A: Arith, M: PhysMem>(
             });
             hart.state.pc = next_pc;
         }
-        LrW | LrD => {
-            let va = rs1;
-            if !va.is_multiple_of(d.mem_size()) {
-                return Err(ExecError::new(Exception::LoadAddrMisaligned, va));
-            }
-            let (raw, pa, mmio) = virt_read(hart, mem, va, d.mem_size(), AccessType::Load)?;
-            let v = load_extend(d.op, raw);
-            hart.reservation = Some(pa & !(RESERVATION_GRANULE - 1));
-            info.mem = Some(MemAccess {
-                vaddr: va,
-                paddr: pa,
-                size: d.mem_size(),
-                is_store: false,
-                value: v,
-                mmio,
-            });
-            let s = &mut hart.state;
-            s.write_gpr(d.rd, v);
-            if d.rd != 0 {
-                info.wb = Some((false, d.rd, v));
-            }
-            s.pc = next_pc;
-        }
         ScW | ScD => {
             let va = rs1;
-            if !va.is_multiple_of(d.mem_size()) {
-                return Err(ExecError::new(Exception::StoreAddrMisaligned, va));
-            }
+            atomic_aligned(d, va)?;
             // Translate first: a failing SC still needs store permission
             // checks per the spec (we keep it simple and check always).
-            let t = mmu::translate(mem, &hart.state.csr, va, AccessType::Store)
-                .map_err(|e| ExecError::new(e, va))?;
-            let granule = t.pa & !(RESERVATION_GRANULE - 1);
-            let success = !hart.force_sc_fail && hart.reservation == Some(granule);
+            let t =
+                mmu::translate(mem, &hart.state.csr, va, AccessType::Store).map_err(|e| (e, va))?;
+            let success = !hart.force_sc_fail && hart.reservation == Some(granule(t.pa));
             hart.force_sc_fail = false;
             hart.reservation = None;
             if success {
@@ -423,11 +395,9 @@ pub fn execute<A: Arith, M: PhysMem>(
         op if d.is_amo() => {
             let va = rs1;
             let size = d.mem_size();
-            if !va.is_multiple_of(size) {
-                return Err(ExecError::new(Exception::StoreAddrMisaligned, va));
-            }
-            let t = mmu::translate(mem, &hart.state.csr, va, AccessType::Store)
-                .map_err(|e| ExecError::new(e, va))?;
+            atomic_aligned(d, va)?;
+            let t =
+                mmu::translate(mem, &hart.state.csr, va, AccessType::Store).map_err(|e| (e, va))?;
             let raw = mem.read_uint(t.pa, size);
             let old = load_extend(if size == 4 { Op::Lw } else { Op::Ld }, raw);
             let newv = amo_compute(op, old, rs2);
@@ -447,85 +417,22 @@ pub fn execute<A: Arith, M: PhysMem>(
             }
             s.pc = next_pc;
         }
-        Fence => s.pc = next_pc,
-        FenceI => s.pc = next_pc,
-        SfenceVma => {
-            if s.csr.privilege == Privilege::User {
-                return Err(ExecError::new(Exception::IllegalInstruction, d.raw as u64));
+        Ecall if hart.proxy_kernel => handle_proxy_ecall(hart, mem, info)?,
+        // The interpreter flushes nothing here: TLBs and caches are
+        // DUT-side structures, and it re-walks every access.
+        _ if d.is_system() || d.op == Illegal => {
+            let e = system(&mut s.csr, d, rs1)?;
+            let a0 = s.read_gpr(10);
+            wb!(e.rd);
+            s.pc = e.redirect.unwrap_or(next_pc);
+            if e.halt {
+                hart.halted = Some(a0);
+                info.halted = true;
             }
-            if s.csr.privilege == Privilege::Supervisor
-                && s.csr.mstatus & riscv_isa::csr::mstatus::TVM != 0
-            {
-                return Err(ExecError::new(Exception::IllegalInstruction, d.raw as u64));
-            }
-            s.pc = next_pc;
-        }
-        Csrrw | Csrrs | Csrrc | Csrrwi | Csrrsi | Csrrci => {
-            let csr = d.csr();
-            let src = if matches!(d.op, Csrrwi | Csrrsi | Csrrci) {
-                d.rs1 as u64
-            } else {
-                rs1
-            };
-            let old = s
-                .csr
-                .read(csr)
-                .map_err(|e| ExecError::new(e, d.raw as u64))?;
-            let newv = match d.op {
-                Csrrw | Csrrwi => Some(src),
-                Csrrs | Csrrsi => (src != 0).then_some(old | src),
-                _ => (src != 0).then_some(old & !src),
-            };
-            if let Some(v) = newv {
-                s.csr
-                    .write(csr, v)
-                    .map_err(|e| ExecError::new(e, d.raw as u64))?;
-                // satp writes and sfence flush nothing here; TLBs are a
-                // DUT-side structure. The interpreter re-walks every access.
-            }
-            wb!(old);
-        }
-        Ecall => {
-            if hart.proxy_kernel {
-                handle_proxy_ecall(hart, mem, info)?;
-            } else {
-                let cause = match s.csr.privilege {
-                    Privilege::User => Exception::EcallFromU,
-                    Privilege::Supervisor => Exception::EcallFromS,
-                    Privilege::Machine => Exception::EcallFromM,
-                };
-                return Err(ExecError::new(cause, 0));
-            }
-        }
-        Ebreak => {
-            // Simulation halt convention (NEMU's "trap" instruction):
-            // ebreak ends the program with exit code a0.
-            hart.halted = Some(s.read_gpr(10));
-            info.halted = true;
-            s.pc = next_pc;
-        }
-        Mret => {
-            let target = s.csr.mret().map_err(|e| ExecError::new(e, 0))?;
-            s.pc = target;
-        }
-        Sret => {
-            let target = s.csr.sret().map_err(|e| ExecError::new(e, 0))?;
-            s.pc = target;
-        }
-        Wfi => {
-            // Treated as a NOP (no external interrupt sources by default).
-            s.pc = next_pc;
-        }
-        Illegal => {
-            return Err(ExecError::new(Exception::IllegalInstruction, d.raw as u64));
         }
         // Floating-point operations.
         _ => {
-            // FP off, or a reserved rounding mode: an illegal instruction.
-            let fp_on = s.csr.mstatus & riscv_isa::csr::mstatus::FS != 0;
-            let Some(rm) = d.rounding(s.csr.frm()).filter(|_| fp_on) else {
-                return Err(ExecError::new(Exception::IllegalInstruction, d.raw as u64));
-            };
+            let rm = rm(s)?;
             let a = if d.rs1_is_fpr() {
                 s.fpr[d.rs1 as usize]
             } else {
@@ -553,7 +460,7 @@ fn handle_proxy_ecall<M: PhysMem>(
     hart: &mut Hart,
     mem: &mut M,
     info: &mut StepInfo,
-) -> Result<(), ExecError> {
+) -> Result<(), (Exception, u64)> {
     let a0 = hart.state.read_gpr(10);
     let a1 = hart.state.read_gpr(11);
     let a2 = hart.state.read_gpr(12);
@@ -618,7 +525,7 @@ pub fn step_into<M: PhysMem>(hart: &mut Hart, mem: &mut M, info: &mut StepInfo) 
         Ok(d) => {
             execute_and_retire::<Host, M>(hart, mem, &d, info);
         }
-        Err(e) => take_trap(hart, Trap::Exception(e.cause, e.tval), info),
+        Err((cause, tval)) => take_trap(hart, Trap::Exception(cause, tval), info),
     }
 }
 
@@ -640,8 +547,8 @@ pub(crate) fn execute_and_retire<A: Arith, M: PhysMem>(
             retire(hart);
             true
         }
-        Err(e) => {
-            take_trap(hart, Trap::Exception(e.cause, e.tval), info);
+        Err((cause, tval)) => {
+            take_trap(hart, Trap::Exception(cause, tval), info);
             false
         }
     }
@@ -674,8 +581,8 @@ pub(crate) fn take_trap(hart: &mut Hart, trap: Trap, info: &mut StepInfo) {
 mod tests {
     use super::*;
     use riscv_isa::asm::{reg::*, Asm};
-    use riscv_isa::csr::addr as csr_addr;
-    use riscv_isa::mem::SparseMemory;
+    use riscv_isa::csr::{addr as csr_addr, Privilege};
+    use riscv_isa::mem::{SparseMemory, MTIME, UART_TX};
 
     fn run_program(build: impl FnOnce(&mut Asm)) -> (Hart, SparseMemory) {
         let mut a = Asm::new(0x8000_0000);

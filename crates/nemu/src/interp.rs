@@ -406,10 +406,10 @@ impl Interpreter for QemuTciLike {
                     self.scratch[2] = d.imm as u64;
                 }
                 TciOp::Exec => {
-                    if let Err(e) =
+                    if let Err((cause, tval)) =
                         hart::execute::<Host, _>(&mut self.hart, &mut self.mem, &d, info)
                     {
-                        let trap = riscv_isa::trap::Trap::Exception(e.cause, e.tval);
+                        let trap = riscv_isa::trap::Trap::Exception(cause, tval);
                         hart::take_trap(&mut self.hart, trap, info);
                         return info;
                     }

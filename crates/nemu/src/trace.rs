@@ -287,8 +287,10 @@ pub struct NemuTrace {
     /// last executed.
     cursor: u32,
     capacity: usize,
-    /// Instruction fetch is untranslated: traces may be built/entered.
-    fetch_fast: bool,
+    /// Traces may be built and entered: instruction fetch is
+    /// untranslated and `mstatus.FS` is on (the FP loads' and stores' arms
+    /// do not test it).
+    fast_path: bool,
     /// Loads and stores translate through it when data accesses translate.
     tlb: DataTlb,
     /// Exiting uop awaiting a chain patch once its target resolves.
@@ -327,7 +329,7 @@ impl NemuTrace {
             map: HashMap::default(),
             cursor: 0,
             capacity,
-            fetch_fast: true,
+            fast_path: true,
             tlb: DataTlb {
                 on: false,
                 load: MicroTlb::EMPTY,
@@ -342,7 +344,7 @@ impl NemuTrace {
 
     fn refresh_modes(&mut self) {
         let csr = &self.hart.state.csr;
-        self.fetch_fast = !mmu::translation_active(csr, AccessType::Fetch);
+        self.fast_path = !mmu::translation_active(csr, AccessType::Fetch) && csr.fp_enabled();
         self.tlb.on = mmu::translation_active(csr, AccessType::Load);
     }
 
@@ -372,7 +374,7 @@ impl NemuTrace {
     /// Build a superblock starting at `pc`, returning the upc of its
     /// head, or `None` when the fast path cannot run.
     fn fill(&mut self, pc: u64) -> Option<u32> {
-        if !self.fetch_fast {
+        if !self.fast_path {
             return None;
         }
         if self.code.len() + MAX_SUPERBLOCK + 1 > self.capacity {
@@ -505,7 +507,8 @@ impl NemuTrace {
     /// `pc` is their own target; indirect edges re-validate `tpc` at
     /// dispatch, so they always adopt the newest target.
     fn enter(&mut self, pc: u64) -> Option<u32> {
-        let head = match self.map.get(&pc) {
+        let cached = self.map.get(&pc).filter(|_| self.fast_path);
+        let head = match cached {
             Some(&u) => {
                 self.stats.trace_hits += 1;
                 u
@@ -915,7 +918,7 @@ impl Interpreter for NemuTrace {
             return &self.info;
         }
         let pc = self.hart.state.pc;
-        if !self.fetch_fast
+        if !self.fast_path
             || pc & 1 != 0
             || self.hart.pending_injection.is_some()
             || hart::interrupt_pending(&self.hart)
@@ -925,7 +928,7 @@ impl Interpreter for NemuTrace {
         }
         let upc = match self.code.get(self.cursor as usize) {
             Some(u) if u.pc == pc && u.h < H_CHAIN => self.cursor,
-            _ => self.enter(pc).expect("fetch_fast holds, so fill succeeds"),
+            _ => self.enter(pc).expect("fast_path holds, so fill succeeds"),
         };
         let NemuTrace {
             hart,

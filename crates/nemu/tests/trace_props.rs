@@ -218,11 +218,12 @@ fn system_program(seed: u64) -> Program {
 /// beside what `hart::step` does with it: `MTIME` read at every load
 /// width (only 8-byte loads answer `time`), `UART_TX` written at every
 /// store width, integer and FP, accesses that straddle a page, loads, ALU
-/// ops, `jal` and an FP op with rd = x0, an FP op with `mstatus.FS` off,
-/// dynamic-`rm` ops under each `frm` (5–7 trap) and a static `rm` of 5
-/// (illegal), and a taken branch into another trace and back — in a loop
-/// whose trip count and values come from `seed`. Every trap returns past
-/// its (4-byte) instruction.
+/// ops, `jal` and an FP op with rd = x0, an FP op and the FP loads,
+/// stores and moves with `mstatus.FS` off, dynamic-`rm` ops under each
+/// `frm` (5–7 trap) and a static `rm` of 5 (illegal), a taken branch into
+/// another trace and back, and one non-`ret` `jalr` sent to two targets
+/// in turn — in a loop whose trip count and values come from `seed`.
+/// Every trap returns past its (4-byte) instruction.
 fn edge_program(seed: u64) -> Program {
     let word = |d: DecodedInst| riscv_isa::encode::encode(&d).expect("the word encodes");
     let fp = |op, rd, rs1, rs2, rm| DecodedInst {
@@ -235,6 +236,7 @@ fn edge_program(seed: u64) -> Program {
     };
     let mut a = Asm::new(0x8000_0000);
     let (handler, away, back) = (a.label(), a.label(), a.label());
+    let (targets, joined) = (a.label(), a.label());
     a.la(T0, handler);
     a.csrrw(ZERO, csr::MTVEC, T0);
     a.li(S0, 2 + (seed % 3) as i64);
@@ -292,10 +294,24 @@ fn edge_program(seed: u64) -> Program {
     a.data_u32(word(fp(Op::FaddD, FT7, FS0, FT5, 0)) | 5 << 12);
     a.fmv_x_d(T0, FT6);
     a.xor(A0, A0, T0);
-    // FP with mstatus.FS off: the op traps.
+    // FP with mstatus.FS off: the op, the loads, stores and moves trap.
     a.csrrc(ZERO, csr::MSTATUS, S5);
     a.data_u32(word(fp(Op::FaddD, FT7, FS0, FS0, 0)));
+    a.flw(FT7, -8, S2);
+    a.fld(FT7, -8, S2);
+    a.fsw(FS0, -8, S2);
+    a.fsd(FS0, -8, S2);
+    a.fmv_x_d(T0, FS0);
+    a.fmv_d_x(FT7, S1);
     a.csrrs(ZERO, csr::MSTATUS, S5);
+    // One `jalr` (not a `ret`), to the first target on odd trip counts
+    // and the second on even ones.
+    a.la(T1, targets);
+    a.andi(T2, S0, 1);
+    a.slli(T2, T2, 3);
+    a.add(T1, T1, T2);
+    a.jalr(ZERO, T1, 0);
+    a.bind(joined);
     // A taken branch into another trace, and a jump back.
     a.bnez(S1, away);
     a.bind(back);
@@ -305,6 +321,11 @@ fn edge_program(seed: u64) -> Program {
     a.bind(away);
     a.addi(A0, A0, 1);
     a.j(back);
+    a.bind(targets);
+    a.addi(A0, A0, 5);
+    a.j(joined);
+    a.xori(A0, A0, 9);
+    a.j(joined);
     a.align(2); // mtvec's low bits are its mode
     a.bind(handler);
     a.csrrs(T0, csr::MEPC, ZERO);
@@ -475,10 +496,11 @@ proptest! {
 
 /// The contract programs are only useful if they halt; the system
 /// program only if it really traps, patches itself and touches FP; the
-/// edge program only if every iteration takes its eight illegal-
-/// instruction traps (`frm` 5–7 twice, static rm 5, FS off), makes its
-/// eight MMIO accesses (two `time` reads, six UART stores) and straddles
-/// a page seven times.
+/// edge program only if every iteration takes its fourteen illegal-
+/// instruction traps (`frm` 5–7 twice, static rm 5, seven FP instructions
+/// with FS off), makes its eight MMIO accesses (two `time` reads, six
+/// UART stores), straddles a page seven times, and its `jalr` reaches
+/// both targets.
 #[test]
 fn contract_programs_halt_and_exercise_the_system_paths() {
     for seed in 0..80 {
@@ -486,6 +508,7 @@ fn contract_programs_halt_and_exercise_the_system_paths() {
         let (mut h, mut m) = nemu::boot(&p);
         let (mut traps, mut fence_i, mut fp) = (0, 0, 0);
         let (mut illegal, mut mmio, mut straddles, mut branches) = (0, 0, 0, 0);
+        let mut jalr_targets = std::collections::BTreeSet::new();
         for _ in 0..FUEL {
             if h.is_halted() {
                 break;
@@ -503,6 +526,9 @@ fn contract_programs_halt_and_exercise_the_system_paths() {
                 straddles += u64::from((a.vaddr & 0xfff) + a.size > 0x1000);
             }
             branches += u64::from(info.inst.op == Op::Bne);
+            if info.inst.op == Op::Jalr {
+                jalr_targets.insert(h.state.pc);
+            }
         }
         assert!(h.is_halted(), "seed {seed} did not halt");
         match seed % 4 {
@@ -515,8 +541,8 @@ fn contract_programs_halt_and_exercise_the_system_paths() {
                 let n = branches / 2;
                 assert!(n >= 2, "seed {seed}: {n} iterations");
                 assert_eq!(
-                    (illegal, mmio, straddles),
-                    (8 * n, 8 * n, 7 * n),
+                    (illegal, mmio, straddles, jalr_targets.len()),
+                    (14 * n, 8 * n, 7 * n, 2),
                     "seed {seed}"
                 );
             }

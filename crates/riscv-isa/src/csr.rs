@@ -10,6 +10,7 @@
 //! check, the restore loader's list and the DRAV rule table of `minjie` —
 //! so adding a CSR is one row plus whatever is irregular about it.
 
+use crate::op::{DecodedInst, RegFile};
 use crate::trap::{Exception, Interrupt, Trap};
 use serde::{Deserialize, Serialize};
 
@@ -397,7 +398,7 @@ impl CsrFile {
         use addr::*;
         let gated = match csr {
             // FP CSRs require an enabled FPU.
-            FFLAGS | FRM | FCSR => self.mstatus & mstatus::FS == 0,
+            FFLAGS | FRM | FCSR => !self.fp_enabled(),
             // satp traps in S-mode under TVM.
             SATP => self.privilege == Privilege::Supervisor && self.mstatus & mstatus::TVM != 0,
             // User-level counters need their mcounteren bit below M-mode
@@ -547,6 +548,25 @@ impl CsrFile {
     #[inline]
     pub fn frm(&self) -> u8 {
         ((self.fcsr >> 5) & 0x7) as u8
+    }
+
+    /// True while `mstatus.FS` is not Off.
+    #[inline]
+    pub fn fp_enabled(&self) -> bool {
+        self.mstatus & mstatus::FS != 0
+    }
+
+    /// The rounding mode `d` executes under, or `None` when `d` is an
+    /// illegal instruction here: an FP instruction — any that names an FP
+    /// register, loads, stores and moves included — while `mstatus.FS` is
+    /// Off, or one whose rounding mode is reserved
+    /// ([`DecodedInst::rounding`]). Every other instruction gets `Some`.
+    #[inline]
+    pub fn rounding(&self, d: &DecodedInst) -> Option<u8> {
+        if !self.fp_enabled() && d.op.shape().regs().contains(&Some(RegFile::F)) {
+            return None;
+        }
+        d.rounding(self.frm())
     }
 }
 

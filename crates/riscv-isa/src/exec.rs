@@ -7,7 +7,9 @@
 //!
 //! [`nemu`]: https://docs.rs/nemu
 
-use crate::op::{Op, Shape};
+use crate::csr::{addr, mstatus, CsrFile, Privilege};
+use crate::op::{DecodedInst, Op, Shape};
+use crate::trap::Exception;
 
 /// True when [`int_compute`]'s second operand is the instruction's
 /// immediate rather than `rs2`: the operand shapes that carry one
@@ -214,6 +216,107 @@ pub fn amo_compute(op: Op, old: u64, src: u64) -> u64 {
             old
         }
     }
+}
+
+/// The misaligned-address fault of the atomic `d` at virtual `va`, with
+/// `va` as its trap value: an LR raises a load's, an SC or AMO a store's.
+///
+/// # Errors
+///
+/// When `va` is not a multiple of the access size.
+#[inline]
+pub fn atomic_aligned(d: &DecodedInst, va: u64) -> Result<(), (Exception, u64)> {
+    if va.is_multiple_of(d.mem_size()) {
+        Ok(())
+    } else if d.is_load() {
+        Err((Exception::LoadAddrMisaligned, va))
+    } else {
+        Err((Exception::StoreAddrMisaligned, va))
+    }
+}
+
+/// What a system instruction leaves to the model that runs it, once
+/// [`system`] has made its architectural effect on the CSR file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SysEffect {
+    /// What `rd` takes: a CSR instruction's old value (the others name `x0`).
+    pub rd: u64,
+    /// Where execution goes on when not at the next instruction (`mret`,
+    /// `sret`).
+    pub redirect: Option<u64>,
+    /// Cached translations are stale: `sfence.vma`, or a write that
+    /// reached `satp`.
+    pub flush_tlb: bool,
+    /// Fetched instructions are stale: `fence.i`.
+    pub flush_icache: bool,
+    /// The hart halts with `a0` as its exit code: `ebreak`, the
+    /// simulation's exit (NEMU's "trap" instruction).
+    pub halt: bool,
+}
+
+/// Execute the Zicsr or privileged instruction `d` (the six CSR
+/// instructions, `ecall`, `ebreak`, `mret`, `sret`, `sfence.vma`, `fence`,
+/// `fence.i`, `wfi`, and [`Op::Illegal`]) against `csr`; `rs1` is the value
+/// of `d`'s register `rs1`. A CSR set or clear whose `rs1` is `x0` (uimm 0)
+/// writes nothing; any other attempts its write, whatever the value, so a
+/// read-only CSR makes it illegal.
+///
+/// # Errors
+///
+/// The exception `d` raises and its trap value: an illegal instruction
+/// (the instruction word), or an environment call from the current
+/// privilege (0).
+///
+/// # Panics
+///
+/// On any other operation.
+pub fn system(csr: &mut CsrFile, d: &DecodedInst, rs1: u64) -> Result<SysEffect, (Exception, u64)> {
+    use Op::*;
+    let illegal = (Exception::IllegalInstruction, d.raw as u64);
+    let mut effect = SysEffect::default();
+    match d.op {
+        Csrrw | Csrrs | Csrrc | Csrrwi | Csrrsi | Csrrci => {
+            let at = d.csr();
+            effect.rd = csr.read(at).map_err(|_| illegal)?;
+            let src = if matches!(d.op, Csrrwi | Csrrsi | Csrrci) {
+                d.rs1 as u64
+            } else {
+                rs1
+            };
+            let new = match d.op {
+                Csrrw | Csrrwi => src,
+                _ if d.rs1 == 0 => return Ok(effect),
+                Csrrs | Csrrsi => effect.rd | src,
+                _ => effect.rd & !src,
+            };
+            csr.write(at, new).map_err(|_| illegal)?;
+            effect.flush_tlb = at == addr::SATP;
+        }
+        Ecall => {
+            let cause = match csr.privilege {
+                Privilege::User => Exception::EcallFromU,
+                Privilege::Supervisor => Exception::EcallFromS,
+                Privilege::Machine => Exception::EcallFromM,
+            };
+            return Err((cause, 0));
+        }
+        Ebreak => effect.halt = true,
+        Mret => effect.redirect = Some(csr.mret().map_err(|_| illegal)?),
+        Sret => effect.redirect = Some(csr.sret().map_err(|_| illegal)?),
+        SfenceVma => {
+            // Illegal in U-mode, and in S-mode under TVM.
+            let tvm = csr.mstatus & mstatus::TVM != 0;
+            if csr.privilege == Privilege::User || csr.privilege == Privilege::Supervisor && tvm {
+                return Err(illegal);
+            }
+            effect.flush_tlb = true;
+        }
+        FenceI => effect.flush_icache = true,
+        Fence | Wfi => {}
+        Illegal => return Err(illegal),
+        op => panic!("system() called on {op:?}"),
+    }
+    Ok(effect)
 }
 
 /// Sign- or zero-extend a loaded value according to the load operation.

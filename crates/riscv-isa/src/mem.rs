@@ -14,13 +14,35 @@ use std::sync::Arc;
 /// Page size in bytes (matches the Sv39 base page).
 pub const PAGE_SIZE: u64 = 4096;
 
-/// UART transmit register: write-only MMIO in every model's device map.
+/// UART transmit register: a store of any width sends its low byte and
+/// reaches no memory; a load of it reads memory ([`mmio`]).
 pub const UART_TX: u64 = 0x1000_0000;
-/// CLINT `mtime` register: read-only MMIO.
+/// CLINT `mtime` register: an 8-byte load reads the hart's `time`; a
+/// narrower load, and every store, reach memory ([`mmio`]).
 pub const MTIME: u64 = 0x0200_bff8;
 /// LR/SC reservation granule, in bytes.
-pub const RESERVATION_GRANULE: u64 = 64;
+const RESERVATION_GRANULE: u64 = 64;
 const PAGE_MASK: u64 = PAGE_SIZE - 1;
+
+/// The device rule every model keeps (the DUT's LSU and commit, every
+/// interpreter tier): true when a `size`-byte access to physical `pa` is
+/// an MMIO access — an 8-byte load of [`MTIME`], which reads `time`, or a
+/// store of any width to [`UART_TX`], which sends its low byte. Every
+/// other access is memory.
+#[inline(always)]
+pub fn mmio(pa: u64, size: u64, is_store: bool) -> bool {
+    if is_store {
+        pa == UART_TX
+    } else {
+        pa == MTIME && size == 8
+    }
+}
+
+/// The LR/SC reservation granule that holds physical address `pa`.
+#[inline]
+pub fn granule(pa: u64) -> u64 {
+    pa & !(RESERVATION_GRANULE - 1)
+}
 
 type Page = [u8; PAGE_SIZE as usize];
 

@@ -8,8 +8,8 @@ use crate::lsu_issue::{InflightArena, MemReqKind};
 use crate::perf::PerfCounters;
 use crate::tlbs::MmuResult;
 use crate::uop::CommitMem;
-use riscv_isa::exec::{amo_compute, load_extend};
-use riscv_isa::mem::RESERVATION_GRANULE;
+use riscv_isa::exec::{amo_compute, atomic_aligned, load_extend};
+use riscv_isa::mem::granule;
 use riscv_isa::mmu::AccessType;
 use riscv_isa::op::Op;
 use riscv_isa::trap::Exception;
@@ -90,9 +90,7 @@ impl Atomics {
     /// it touches dies.
     pub(crate) fn snoop(&mut self, perf: &mut PerfCounters, paddr: u64, size: u64) {
         if let Some(g) = self.reservation {
-            let start = paddr & !(RESERVATION_GRANULE - 1);
-            let end = (paddr + size - 1) & !(RESERVATION_GRANULE - 1);
-            if g == start || g == end {
+            if g == granule(paddr) || g == granule(paddr + size - 1) {
                 self.reservation = None;
                 perf.reservation_snoop_kills += 1;
             }
@@ -137,8 +135,8 @@ impl Atomics {
             this.phase = Phase::Idle;
             Some(AtomicEnd::Fault(cause, addr))
         };
-        if !addr.is_multiple_of(size) {
-            return fault(self, Exception::StoreAddrMisaligned);
+        if let Err((cause, _)) = atomic_aligned(&d, addr) {
+            return fault(self, cause);
         }
         // Translate (bare mode in practice for atomics tests).
         let ty = if is_lr {
@@ -150,7 +148,7 @@ impl Atomics {
             MmuResult::Done { pa, .. } => pa,
             MmuResult::Fault { cause, .. } => return fault(self, cause),
         };
-        let granule = pa & !(RESERVATION_GRANULE - 1);
+        let granule = granule(pa);
         if matches!(d.op, Op::ScW | Op::ScD) {
             // Decide success now.
             let timeout = sh.cycle.saturating_sub(self.lr_cycle) > sh.cfg.sc_timeout_cycles;

@@ -7,8 +7,7 @@ use crate::lifecycle::SquashCause;
 use crate::prf::Rat;
 use crate::rob::{RobIdx, RobState};
 use crate::uop::CommitEvent;
-use riscv_isa::csr::{self, Privilege};
-use riscv_isa::mem::UART_TX;
+use riscv_isa::exec::system;
 use riscv_isa::op::{DecodedInst, Op};
 use riscv_isa::trap::{Exception, Trap};
 
@@ -154,11 +153,9 @@ impl Commit {
         if e.sq_idx.is_some() {
             sh.perf.stores += 1;
             match c.mem_info {
-                // Device store at commit (UART).
+                // A device store at commit: the UART takes its low byte.
                 Some(m) if m.mmio => {
-                    if m.paddr == UART_TX {
-                        sh.output.push(m.value as u8);
-                    }
+                    sh.output.push(m.value as u8);
                     sh.lsq.pop_store(seq);
                 }
                 _ => {
@@ -240,93 +237,37 @@ impl Commit {
         if d.is_amo() || matches!(d.op, Op::LrW | Op::LrD | Op::ScW | Op::ScD) {
             return Some(CommitEnd::Atomic);
         }
+        // A fence, and a halt, wait until every committed store reached
+        // the memory system (other harts may depend on them).
+        if matches!(d.op, Op::Fence | Op::Ebreak) && !sh.lsq.sbuffer.is_empty() {
+            return None;
+        }
+        // A CSR instruction's source register, if it names one.
+        let src = sh.rob.hot(h).phys_srcs[0].map_or(0, |(fp, p)| sh.regs.read(fp, p));
+        let effect = match system(sh.csr, &d, src) {
+            Ok(effect) => effect,
+            Err((cause, tval)) => return self.fault(sh, cause, tval),
+        };
+        if effect.flush_tlb {
+            sh.mmu.flush();
+        }
+        if effect.flush_icache {
+            sh.mem.flush_l1i(sh.hart);
+        }
         let mut ev = event(sh, pc, d);
-        let mut redirect = next_pc;
-        match d.op {
-            Op::Csrrw | Op::Csrrs | Op::Csrrc | Op::Csrrwi | Op::Csrrsi | Op::Csrrci => {
-                let csrno = d.csr();
-                let src = if matches!(d.op, Op::Csrrwi | Op::Csrrsi | Op::Csrrci) {
-                    d.rs1 as u64
-                } else {
-                    let first = sh.rob.hot(h).phys_srcs.into_iter().flatten().next();
-                    first.map_or(0, |(fp, p)| sh.regs.read(fp, p))
-                };
-                let old = match sh.csr.read(csrno) {
-                    Ok(old) => old,
-                    Err(ex) => return self.fault(sh, ex, d.raw as u64),
-                };
-                let newv = match d.op {
-                    Op::Csrrw | Op::Csrrwi => Some(src),
-                    Op::Csrrs | Op::Csrrsi => (src != 0).then_some(old | src),
-                    _ => (src != 0).then_some(old & !src),
-                };
-                if let Some(v) = newv {
-                    if let Err(ex) = sh.csr.write(csrno, v) {
-                        return self.fault(sh, ex, d.raw as u64);
-                    }
-                    if csrno == csr::addr::SATP {
-                        sh.mmu.flush();
-                    }
-                }
-                if let Some(dest) = dest {
-                    write_dest_at_commit(sh, h, old);
-                    ev.wb = Some((dest.fp, dest.idx, old));
-                }
-            }
-            Op::Fence => {
-                // Fence semantics: committed stores reach the memory
-                // system before the fence retires.
-                if !sh.lsq.sbuffer.is_empty() {
-                    return None;
-                }
-            }
-            Op::Wfi => {}
-            Op::FenceI => {
-                sh.mem.flush_l1i(sh.hart);
-            }
-            Op::SfenceVma => {
-                if sh.csr.privilege == Privilege::User
-                    || (sh.csr.privilege == Privilege::Supervisor
-                        && sh.csr.mstatus & csr::mstatus::TVM != 0)
-                {
-                    return self.fault(sh, Exception::IllegalInstruction, d.raw as u64);
-                }
-                sh.mmu.flush();
-            }
-            Op::Mret | Op::Sret => {
-                let ret = if d.op == Op::Mret {
-                    sh.csr.mret()
-                } else {
-                    sh.csr.sret()
-                };
-                match ret {
-                    Ok(t) => redirect = t,
-                    Err(ex) => return self.fault(sh, ex, 0),
-                }
-            }
-            Op::Ecall => {
-                let cause = match sh.csr.privilege {
-                    Privilege::User => Exception::EcallFromU,
-                    Privilege::Supervisor => Exception::EcallFromS,
-                    Privilege::Machine => Exception::EcallFromM,
-                };
-                return self.fault(sh, cause, 0);
-            }
-            Op::Ebreak => {
-                // Halt only once every committed store reached the memory
-                // system (other harts may depend on them).
-                if !sh.lsq.sbuffer.is_empty() {
-                    return None;
-                }
-                *sh.halted = Some(sh.regs.int.read(self.arat_int[10]));
-                ev.halted = true;
-                self.retire_head(sh, h, ev);
-                return None;
-            }
-            other => panic!("unhandled commit-exec op {other:?}"),
+        if let Some(dest) = dest {
+            write_dest_at_commit(sh, h, effect.rd);
+            ev.wb = Some((dest.fp, dest.idx, effect.rd));
+        }
+        if effect.halt {
+            *sh.halted = Some(sh.regs.int.read(self.arat_int[10]));
+            ev.halted = true;
+            self.retire_head(sh, h, ev);
+            return None;
         }
         // Retire the system op and flush younger (serialization).
         self.retire_head(sh, h, ev);
+        let redirect = effect.redirect.unwrap_or(next_pc);
         let r = flush_all(seq, redirect, SquashCause::Serialize);
         Some(CommitEnd::Redirect(r))
     }

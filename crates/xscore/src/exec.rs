@@ -10,7 +10,6 @@ use crate::uop::exec_fused;
 use riscv_isa::exec::{branch_taken, has_imm_operand, int_compute};
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::op::{DecodedInst, FuClass, Op};
-use riscv_isa::trap::Exception;
 
 #[derive(Debug, Clone, Copy)]
 struct FuInFlight {
@@ -186,20 +185,13 @@ fn execute_and_writeback(sh: &mut Shared, idx: RobIdx) -> Option<Redirect> {
         },
     ) {
         value = r;
-    } else if let Some(rm) = d.rounding(sh.csr.frm()) {
-        // Floating point through the host FPU.
+    } else {
+        // Floating point through the host FPU, under a rounding mode rename
+        // found legal.
+        let rm = d.rounding(sh.csr.frm()).unwrap_or_default();
         let r = fp_execute(d.op, v(0), v(1), v(2), rm);
         value = r.bits;
         fflags = r.flags;
-    } else {
-        // A reserved dynamic rounding mode: an illegal instruction, which
-        // commit raises; nothing is written back.
-        let c = sh.rob.cold_mut(idx);
-        c.exception = Some((Exception::IllegalInstruction, d.raw as u64));
-        c.life.executed = sh.cycle;
-        c.life.writeback = sh.cycle;
-        sh.rob.hot_mut(idx).state = RobState::Done;
-        return None;
     }
     if let Some(bug) = sh.cfg.run.injected_bug {
         value = apply_injected_bug(bug, d.op, value);

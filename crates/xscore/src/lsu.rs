@@ -108,7 +108,7 @@ pub struct SqEntry {
     pub data: Option<u64>,
     /// Committed (awaiting move to the store buffer).
     pub committed: bool,
-    /// MMIO store (drains specially).
+    /// MMIO store: the device takes it at commit; it reaches no memory.
     pub mmio: bool,
 }
 
@@ -125,8 +125,6 @@ pub struct SbufferEntry {
     pub drain_at: u64,
     /// In flight to the L1D.
     pub issued: bool,
-    /// MMIO store.
-    pub mmio: bool,
 }
 
 /// Result of scanning stores for a load.
@@ -208,11 +206,11 @@ impl Lsu {
                 continue;
             }
             match e.paddr {
-                None => {
-                    // Unknown address: speculate past it; the memory-order
-                    // check at store execution catches real conflicts.
-                    continue;
-                }
+                // Unknown address: speculate past it; the memory-order
+                // check at store execution catches real conflicts. A
+                // device store reaches no memory, so it forwards nothing.
+                None => continue,
+                Some(_) if e.mmio => continue,
                 Some(sp) => {
                     let send = sp + e.size;
                     if sp >= load_end || send <= paddr {
@@ -305,7 +303,6 @@ impl Lsu {
             data,
             drain_at: now + drain_delay,
             issued: false,
-            mmio: e.mmio,
         });
     }
 

@@ -11,7 +11,7 @@ use crate::rob::{RobIdx, RobState, RobTag};
 use crate::tlbs::MmuResult;
 use crate::uop::CommitMem;
 use riscv_isa::exec::load_extend;
-use riscv_isa::mem::{MTIME, UART_TX};
+use riscv_isa::mem::mmio;
 use riscv_isa::mmu::AccessType;
 use riscv_isa::op::FuClass;
 use uncore::{AccessKind, Completion, CoreReq};
@@ -260,18 +260,18 @@ impl LsuIssue {
         let l = &mut sh.lsq.lq[lq_idx];
         l.paddr = Some(pa);
         l.size = size;
+        let mmio = mmio(pa, size, false);
         sh.rob.cold_mut(idx).mem_info = Some(CommitMem {
             vaddr: va,
             paddr: pa,
             size,
             is_store: false,
             value: 0,
-            mmio: pa == MTIME || pa == UART_TX,
+            mmio,
         });
-        // MMIO loads resolve functionally.
-        if pa == MTIME || pa == UART_TX {
-            let v = if pa == MTIME { sh.csr.time } else { 0 };
-            self.deliver_later(sh, tag, v, 4 + tlat);
+        // An MMIO load (of `time`) resolves functionally.
+        if mmio {
+            self.deliver_later(sh, tag, sh.csr.time, 4 + tlat);
             return;
         }
         // Store-to-load forwarding.
@@ -383,7 +383,7 @@ fn issue_store(sh: &mut Shared, tag: RobTag) {
     let Some((va, pa, _)) = translate_uop(sh, idx, AccessType::Store) else {
         return;
     };
-    let mmio = pa == UART_TX || pa == MTIME;
+    let mmio = mmio(pa, size, true);
     let s = &mut sh.lsq.sq[sq_idx];
     s.paddr = Some(pa);
     s.data = Some(data);

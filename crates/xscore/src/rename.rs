@@ -54,8 +54,15 @@ impl Rename {
                 self.blocked_rob = true;
                 break;
             }
-            // Fetch fault pseudo-op: becomes an exception-carrying entry.
-            if let Some((cause, tval)) = front.fault {
+            // A fetch fault pseudo-op, or an FP instruction the CSR file
+            // makes illegal (CSR writes serialize, so `mstatus.FS` and
+            // `frm` are current here): an exception-carrying entry.
+            let d = &front.uop.inst;
+            let illegal = || (Exception::IllegalInstruction, d.raw as u64);
+            if let Some((cause, tval)) = front
+                .fault
+                .or_else(|| sh.csr.rounding(d).is_none().then(illegal))
+            {
                 let (_, e, c) = sh.rob.push(&front.uop, &mut None);
                 e.state = RobState::Done;
                 c.exception = Some((cause, tval));

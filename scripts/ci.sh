@@ -5,9 +5,9 @@
 #      clippy --workspace --all-targets -- -D warnings` (every crate,
 #      test, bench, example and binary; a new clippy warning fails here
 #      instead of accumulating), and the format gate: `cargo fmt -p nemu
-#      -p riscv-isa -- --check` (the interpreter tiers and the ISA crate,
-#      tests included, are rustfmt-clean; one unformatted hunk there
-#      fails here),
+#      -p riscv-isa -p xscore -- --check` (the interpreter tiers, the ISA
+#      crate and the cycle model, tests included, are rustfmt-clean; one
+#      unformatted hunk there fails here),
 #   2. the full test suite, one `--workspace` run that includes the root
 #      package (unit + integration + property + doc tests,
 #      among them `uncore`'s contention pin: two cores' seeded traffic
@@ -91,8 +91,8 @@ cargo build --release
 echo "== tier-1: cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy -q --workspace --all-targets -- -D warnings
 
-echo "== tier-1: cargo fmt -p nemu -p riscv-isa -- --check =="
-cargo fmt -p nemu -p riscv-isa -- --check
+echo "== tier-1: cargo fmt -p nemu -p riscv-isa -p xscore -- --check =="
+cargo fmt -p nemu -p riscv-isa -p xscore -- --check
 
 echo "== tier-1: cargo test -q --workspace (the root package's tests among them) =="
 cargo test -q --workspace

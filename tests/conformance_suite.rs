@@ -171,10 +171,12 @@ fn rv64i_loads_and_stores_all_widths() {
 }
 
 /// The MMIO edges, through `run()` and through `step_one()` on every
-/// personality, with a nonzero `time`: `MTIME` answers 8-byte loads only,
-/// integer (`ld`) or FP (`fld`), so a narrower load there reads memory;
-/// `UART_TX` takes every store, integer (`sd`) or FP (`fsd`), and none of
-/// them reaches memory.
+/// personality, with a nonzero `time`, and on the DUT (`XsSystem` alone
+/// and co-simulated): `MTIME` answers 8-byte loads only, integer (`ld`)
+/// or FP (`fld`), so a narrower load there reads memory; `UART_TX` takes
+/// every store, integer (`sd`) or FP (`fsd`), none of them reaches
+/// memory, and a load of it reads memory. The exit word is 7 with the
+/// loads that must read 0 or-ed in.
 #[test]
 fn mmio_edges_conform() {
     use riscv_isa::mem::{MTIME, UART_TX};
@@ -193,9 +195,13 @@ fn mmio_edges_conform() {
     a.fmv_d_x(FT1, T2);
     a.fsd(FT1, 0, T1);
     a.ld(S5, 0, T1);
-    a.li(A0, 7);
+    a.or(A0, S1, S2);
+    a.or(A0, A0, S3);
+    a.or(A0, A0, S5);
+    a.addi(A0, A0, 7);
     a.ebreak();
     let p = a.assemble();
+    let zero_loads = [S1, S2, S3, S5];
     for pers in PERSONALITIES {
         for stepped in [false, true] {
             let mut e = (pers.build)(&p);
@@ -218,6 +224,18 @@ fn mmio_edges_conform() {
             assert_eq!(h.output, b"AB", "{via}: sd and fsd to UART_TX");
         }
     }
+    // The DUT's `time` is its cycle count.
+    let config = || xscore::XsConfig::preset("small-nh").expect("preset exists");
+    let mut dut = xscore::XsSystem::new(config(), &p);
+    assert_eq!(dut.run(1_000_000), Some(7), "XsSystem: exit code");
+    let core = &dut.cores[0];
+    let gpr = core.arch_state().gpr;
+    assert_eq!(zero_loads.map(|r| gpr[r as usize]), [0; 4], "XsSystem: lw/lh/lb from MTIME, ld from UART_TX");
+    assert_ne!(gpr[S4 as usize], 0, "XsSystem: ld from MTIME");
+    assert_eq!(core.output, b"AB", "XsSystem: sd and fsd to UART_TX");
+    use minjie::{CoSim, CoSimEnd};
+    let end = CoSim::new(config(), &p).run(1_000_000);
+    assert!(matches!(end, CoSimEnd::Halted(7)), "co-simulated: {end:?}");
 }
 
 #[test]
@@ -573,6 +591,102 @@ fn reserved_rounding_modes_trap() {
     for mut cosim in [CoSim::new(config(), &p), CoSim::new_with_ref(config(), &p, "spike-like")] {
         let end = cosim.run(2_000_000);
         assert!(matches!(end, CoSimEnd::Halted(5)), "{end:?}");
+    }
+}
+
+/// One directed case for each rule the DUT and every REF tier take from
+/// `riscv_isa`: with `mstatus.FS` off, `fadd.d`, `fcvt.d.l`, `fmv.x.d`,
+/// `flw`, `fld`, `fsw` and `fsd` are illegal instructions (`mtval` the
+/// word); a misaligned `lr.w` or `lr.d` raises a load's misaligned fault
+/// and a misaligned `sc.w` or `amoadd.w` a store's (`mtval` the address);
+/// `csrrs` and `csrrc` of the read-only `cycle` from a register holding 0
+/// attempt the write and are illegal, while `csrrs t0, cycle, x0` reads.
+/// Before each case `s6` holds the cause the handler expects and `s7` the
+/// address a misaligned access names. The handler counts traps in `a0`
+/// (and sets bit 8 on any other cause or `mtval`), then returns past the
+/// instruction: exit word 13.
+fn privileged_rules_programme() -> Program {
+    use riscv_isa::csr::addr::{CYCLE, MCAUSE, MEPC, MSTATUS, MTVAL, MTVEC};
+    use riscv_isa::csr::mstatus;
+    let mut a = Asm::new(BASE);
+    let (handler, data) = (a.label(), a.label());
+    a.la(T0, handler);
+    a.csrrw(ZERO, MTVEC, T0);
+    a.li(A0, 0);
+    a.la(S2, data);
+    a.li(S5, mstatus::FS as i64);
+    a.li(T1, 3);
+    a.fcvt_d_l(FT1, T1);
+    // FP with FS off, loads, stores and moves included.
+    a.li(S6, 2);
+    a.csrrc(ZERO, MSTATUS, S5);
+    a.fadd_d(FT2, FT1, FT1);
+    a.fcvt_d_l(FT2, T1);
+    a.fmv_x_d(T2, FT1);
+    a.flw(FT2, 0, S2);
+    a.fld(FT2, 0, S2);
+    a.fsw(FT1, 0, S2);
+    a.fsd(FT1, 0, S2);
+    a.csrrs(ZERO, MSTATUS, S5);
+    // Misaligned atomics: an LR is a load, an SC or AMO a store.
+    a.li(S6, 4);
+    a.addi(S7, S2, 2);
+    a.lr_w(T2, S7);
+    a.addi(S7, S2, 4);
+    a.lr_d(T2, S7);
+    a.li(S6, 6);
+    a.addi(S7, S2, 2);
+    a.sc_w(T2, T1, S7);
+    a.amoadd_w(T2, T1, S7);
+    // A set or clear from a register attempts the write, whatever its value.
+    a.li(S6, 2);
+    a.li(T1, 0);
+    a.csrrs(T0, CYCLE, T1);
+    a.csrrc(T0, CYCLE, T1);
+    a.csrrs(T0, CYCLE, ZERO);
+    a.li(T0, 0); // leave no counter value behind
+    a.ebreak();
+    a.align(2);
+    a.bind(handler);
+    let (bad, ok, by_addr, compare) = (a.label(), a.label(), a.label(), a.label());
+    a.csrrs(T3, MCAUSE, ZERO);
+    a.bne(T3, S6, bad);
+    a.csrrs(T4, MTVAL, ZERO);
+    a.li(T5, 2);
+    a.bne(T3, T5, by_addr);
+    a.csrrs(T5, MEPC, ZERO);
+    a.lwu(T5, 0, T5); // an illegal instruction's mtval is its word
+    a.j(compare);
+    a.bind(by_addr);
+    a.mv(T5, S7);
+    a.bind(compare);
+    a.beq(T4, T5, ok);
+    a.bind(bad);
+    a.ori(A0, A0, 0x100);
+    a.bind(ok);
+    a.addi(A0, A0, 1);
+    a.csrrs(T3, MEPC, ZERO);
+    a.addi(T3, T3, 4);
+    a.csrrw(ZERO, MEPC, T3);
+    a.mret();
+    a.align(3);
+    a.bind(data);
+    a.zeros(16);
+    a.assemble()
+}
+
+/// Every personality keeps the privileged rules, and so does the DUT
+/// co-simulated on `small-nh` under DiffTest's default REF and
+/// `spike-like`.
+#[test]
+fn privileged_rules_conform() {
+    let p = privileged_rules_programme();
+    assert_eq!(conform(&p), 13, "thirteen traps, bit 8: a wrong cause or mtval");
+    use minjie::{CoSim, CoSimEnd};
+    let config = || xscore::XsConfig::preset("small-nh").expect("preset exists");
+    for mut cosim in [CoSim::new(config(), &p), CoSim::new_with_ref(config(), &p, "spike-like")] {
+        let end = cosim.run(2_000_000);
+        assert!(matches!(end, CoSimEnd::Halted(13)), "{end:?}");
     }
 }
 
