@@ -222,7 +222,8 @@ fn system_program(seed: u64) -> Program {
 /// stores and moves with `mstatus.FS` off, dynamic-`rm` ops under each
 /// `frm` (5–7 trap) and a static `rm` of 5 (illegal), a taken branch into
 /// another trace and back, and one non-`ret` `jalr` sent to two targets
-/// in turn — in a loop whose trip count and values come from `seed`.
+/// in turn (every trap flushes the caching tiers, so the two visits share
+/// no trap) — in a loop whose trip count and values come from `seed`.
 /// Every trap returns past its (4-byte) instruction.
 fn edge_program(seed: u64) -> Program {
     let word = |d: DecodedInst| riscv_isa::encode::encode(&d).expect("the word encodes");
@@ -304,14 +305,18 @@ fn edge_program(seed: u64) -> Program {
     a.fmv_x_d(T0, FS0);
     a.fmv_d_x(FT7, S1);
     a.csrrs(ZERO, csr::MSTATUS, S5);
-    // One `jalr` (not a `ret`), to the first target on odd trip counts
-    // and the second on even ones.
+    // One `jalr` (not a `ret`) taken twice with no trap between, to the
+    // second target and then the first.
+    a.li(T3, 2);
+    let again = a.bound_label();
     a.la(T1, targets);
-    a.andi(T2, S0, 1);
+    a.andi(T2, T3, 1);
     a.slli(T2, T2, 3);
     a.add(T1, T1, T2);
     a.jalr(ZERO, T1, 0);
     a.bind(joined);
+    a.addi(T3, T3, -1);
+    a.blt(ZERO, T3, again);
     // A taken branch into another trace, and a jump back.
     a.bnez(S1, away);
     a.bind(back);
