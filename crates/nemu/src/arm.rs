@@ -183,8 +183,9 @@ pub(crate) fn fp_shape(d: &DecodedInst) -> i64 {
 
 /// A host-FP op whose operand files are `shape` ([`fp_shape`]); `rd` is
 /// the uop's destination, redirected for `x0`. Declines (returns false,
-/// changing nothing) when the instruction is illegal here
-/// ([`riscv_isa::csr::CsrFile::rounding`]).
+/// changing nothing) when its rounding mode is reserved
+/// ([`DecodedInst::rounding`]); the tiers enter no arm while `mstatus.FS`
+/// is Off.
 #[inline(always)]
 pub(crate) fn host_fp<L: Lane>(
     x: &mut L,
@@ -194,7 +195,7 @@ pub(crate) fn host_fp<L: Lane>(
     shape: i64,
 ) -> bool {
     let hart = &*m.hart;
-    let Some(rm) = hart.state.csr.rounding(d) else {
+    let Some(rm) = d.rounding(hart.state.csr.frm()) else {
         return false;
     };
     let src = |fp: bool, r: u8| {

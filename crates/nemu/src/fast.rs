@@ -211,8 +211,8 @@ impl Nemu {
 
     fn refresh_modes(&mut self) {
         // The fast path assumes flat physical memory — machine mode (or
-        // bare satp) and no MPRV redirection — and `mstatus.FS` on: the
-        // FP loads' and stores' arms do not test it.
+        // bare satp) and no MPRV redirection — and `mstatus.FS` on: no FP
+        // arm tests it.
         let csr = &self.hart.state.csr;
         self.fast_path = !mmu::translation_active(csr, AccessType::Fetch)
             && !mmu::translation_active(csr, AccessType::Load)

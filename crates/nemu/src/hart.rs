@@ -52,6 +52,11 @@ pub struct StepInfo {
     pub sc_failed: bool,
     /// True when the hart halted on this step.
     pub halted: bool,
+    /// True when this system instruction left cached translations or
+    /// fetched instructions stale (the flushes of
+    /// [`riscv_isa::exec::SysEffect`]) or changed privilege (`mret`,
+    /// `sret`).
+    pub flush: bool,
 }
 
 impl StepInfo {
@@ -65,6 +70,7 @@ impl StepInfo {
             mem: None,
             sc_failed: false,
             halted: false,
+            flush: false,
         }
     }
 
@@ -76,15 +82,10 @@ impl StepInfo {
 
     /// True when this step may change what the instruction at a pc
     /// decodes to, so a tier that caches decoded instructions must drop
-    /// them: `fence.i`, `sfence.vma`, and — since they retarget fetch
-    /// translation under a cache keyed by virtual pc — a privilege change
-    /// (`mret`, `sret`, any trap) or a `csrrw` to `satp`.
+    /// them: a [`StepInfo::flush`], or — since it retargets fetch
+    /// translation under a cache keyed by virtual pc — any trap.
     pub fn invalidates_decodes(&self) -> bool {
-        matches!(
-            self.inst.op,
-            Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
-        ) || self.inst.op == Op::Csrrw && self.inst.csr() == riscv_isa::csr::addr::SATP
-            || self.trap.is_some()
+        self.flush || self.trap.is_some()
     }
 }
 
@@ -418,13 +419,15 @@ pub fn execute<A: Arith, M: PhysMem>(
             s.pc = next_pc;
         }
         Ecall if hart.proxy_kernel => handle_proxy_ecall(hart, mem, info)?,
-        // The interpreter flushes nothing here: TLBs and caches are
-        // DUT-side structures, and it re-walks every access.
+        // The interpreter re-walks every access and caches nothing; it
+        // records the flushes for the tiers that cache decodes.
         _ if d.is_system() || d.op == Illegal => {
             let e = system(&mut s.csr, d, rs1)?;
             let a0 = s.read_gpr(10);
             wb!(e.rd);
             s.pc = e.redirect.unwrap_or(next_pc);
+            // Only `mret` and `sret` redirect, and both change privilege.
+            info.flush = e.flush_tlb || e.flush_icache || e.redirect.is_some();
             if e.halt {
                 hart.halted = Some(a0);
                 info.halted = true;
@@ -827,5 +830,26 @@ mod tests {
             step(&mut hart, &mut mem);
         }
         assert_eq!(hart.halted, Some(777));
+    }
+
+    #[test]
+    fn every_write_that_reaches_satp_invalidates_decodes() {
+        let mut a = Asm::new(0x8000_0000);
+        a.li(T1, 1);
+        a.csrrs(T0, csr_addr::SATP, T1);
+        a.csrrc(T0, csr_addr::SATP, T1);
+        a.csrrs(T0, csr_addr::SATP, ZERO);
+        a.csrrw(T0, csr_addr::SATP, ZERO);
+        a.fence_i();
+        a.ebreak();
+        let p = a.assemble();
+        let mut mem = SparseMemory::new();
+        p.load_into(&mut mem);
+        let mut hart = Hart::new(0x8000_0000, 0);
+        let flushes: Vec<bool> = (0..7)
+            .map(|_| step(&mut hart, &mut mem).invalidates_decodes())
+            .collect();
+        // `csrrs` from x0 writes nothing.
+        assert_eq!(flushes, [false, true, true, false, true, true, false]);
     }
 }

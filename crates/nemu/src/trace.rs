@@ -288,8 +288,7 @@ pub struct NemuTrace {
     cursor: u32,
     capacity: usize,
     /// Traces may be built and entered: instruction fetch is
-    /// untranslated and `mstatus.FS` is on (the FP loads' and stores' arms
-    /// do not test it).
+    /// untranslated and `mstatus.FS` is on (no FP arm tests it).
     fast_path: bool,
     /// Loads and stores translate through it when data accesses translate.
     tlb: DataTlb,
@@ -481,12 +480,9 @@ impl NemuTrace {
     fn after_system_step(&mut self) {
         if self.info.invalidates_decodes() {
             self.flush();
-        } else if matches!(
-            self.info.inst.op,
-            Op::Csrrw | Op::Csrrs | Op::Csrrc | Op::Csrrwi | Op::Csrrsi | Op::Csrrci
-        ) {
-            // Any CSR write can retarget satp or mstatus.MPRV without a
-            // flush-class event: drop the translation micro-caches.
+        } else if self.info.inst.is_system() {
+            // The micro-TLBs were filled under mstatus' MPRV, SUM and MXR,
+            // which a CSR write changes without a flush: drop them.
             self.tlb.clear();
         }
         self.refresh_modes();

@@ -54,15 +54,16 @@ impl Rename {
                 self.blocked_rob = true;
                 break;
             }
-            // A fetch fault pseudo-op, or an FP instruction the CSR file
-            // makes illegal (CSR writes serialize, so `mstatus.FS` and
-            // `frm` are current here): an exception-carrying entry.
+            // A fetch fault pseudo-op, an illegal word, or an FP
+            // instruction the CSR file makes illegal (CSR writes
+            // serialize, so `mstatus.FS` and `frm` are current here): an
+            // exception-carrying entry.
             let d = &front.uop.inst;
-            let illegal = || (Exception::IllegalInstruction, d.raw as u64);
-            if let Some((cause, tval)) = front
-                .fault
-                .or_else(|| sh.csr.rounding(d).is_none().then(illegal))
-            {
+            let illegal = || {
+                (d.op == Op::Illegal || sh.csr.rounding(d).is_none())
+                    .then_some((Exception::IllegalInstruction, d.raw as u64))
+            };
+            if let Some((cause, tval)) = front.fault.or_else(illegal) {
                 let (_, e, c) = sh.rob.push(&front.uop, &mut None);
                 e.state = RobState::Done;
                 c.exception = Some((cause, tval));
@@ -70,8 +71,15 @@ impl Rename {
                 c.life.decoded = front.fetched_at;
                 c.life.renamed = sh.cycle;
                 c.life.dispatched = sh.cycle;
+                // Fetch stops at a fault; an illegal word dispatches like
+                // any other uop.
+                let fault = front.fault.is_some();
                 ibuf.pop_front();
-                break;
+                if fault {
+                    break;
+                }
+                sh.perf.dispatched += 1;
+                continue;
             }
             // Try fusion with the next entry.
             let (a, d) = (&front.uop, &front.uop.inst);
@@ -158,10 +166,6 @@ impl Rename {
         c.life.decoded = at;
         c.life.renamed = sh.cycle;
         c.life.dispatched = sh.cycle;
-        if d.op == Op::Illegal {
-            c.exception = Some((Exception::IllegalInstruction, d.raw as u64));
-            e.state = RobState::Done;
-        }
         // Destination renaming.
         if let Some(dest) = dest {
             let rat = if dest.fp {
@@ -237,7 +241,7 @@ fn rename_plan(sh: &Shared, pc: u64, d: &DecodedInst, fused: bool) -> RenamePlan
         is_store: d.is_store() && !d.is_amo() && !matches!(d.op, Op::ScW | Op::ScD),
         commit_exec: d.is_system()
             || d.is_amo()
-            || matches!(d.op, Op::LrW | Op::LrD | Op::ScW | Op::ScD | Op::Illegal),
+            || matches!(d.op, Op::LrW | Op::LrD | Op::ScW | Op::ScD),
         qi: match d.fu_class() {
             FuClass::Alu | FuClass::Bru => (pc >> 2) as usize % 2,
             FuClass::Mdu => 2,
